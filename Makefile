@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-policy serve-smoke adapt-smoke load-smoke replicate-smoke ingest-smoke cluster-smoke clean
+.PHONY: all build test vet race loc bench bench-policy serve-smoke adapt-smoke load-smoke replicate-smoke ingest-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -51,6 +51,11 @@ ingest-smoke:
 # routing, owner-failure ejection and the snapshot-backed warm restart.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
+
+# Non-test Go lines: the figure ROADMAP aim 2 tracks, printed into every
+# CI log.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | xargs wc -l | tail -1
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dtr/internal/quad"
+	"dtr/internal/testutil"
 )
 
 // testDists returns a representative instance of every concrete family,
@@ -24,13 +25,6 @@ func testDists() []Dist {
 		NewShiftedGamma(0.3, 2.04, 2.4),
 		NewWeibull(0.7, 2),
 		NewWeibull(2, 1),
-	}
-}
-
-func almost(t *testing.T, got, want, tol float64, msg string) {
-	t.Helper()
-	if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-		t.Fatalf("%s: got %.12g, want %.12g", msg, got, want)
 	}
 }
 
@@ -55,8 +49,8 @@ func TestPDFIntegratesToCDF(t *testing.T) {
 			if x <= start {
 				continue
 			}
-			got := quad.Breakpoints(d.PDF, start, x, 1e-10, lo)
-			almost(t, got, d.CDF(x)-d.CDF(start), 1e-4, d.String()+" pdf->cdf at "+fmtF(x))
+			got := quad.Simpson(d.PDF, start, x, 1e-10)
+			testutil.Almost(t, got, d.CDF(x)-d.CDF(start), 1e-4, d.String()+" pdf->cdf at "+fmtF(x))
 		}
 	}
 }
@@ -65,7 +59,7 @@ func TestQuantileRoundTrip(t *testing.T) {
 	for _, d := range testDists() {
 		for _, p := range []float64{0.001, 0.05, 0.3, 0.5, 0.8, 0.99, 0.9999} {
 			x := d.Quantile(p)
-			almost(t, d.CDF(x), p, 1e-7, d.String()+" quantile round trip")
+			testutil.Almost(t, d.CDF(x), p, 1e-7, d.String()+" quantile round trip")
 		}
 		if !math.IsNaN(d.Quantile(-0.1)) || !math.IsNaN(d.Quantile(1.5)) {
 			t.Errorf("%v: out-of-range quantile should be NaN", d)
@@ -81,7 +75,7 @@ func TestMeanMatchesNumericIntegral(t *testing.T) {
 		if math.IsInf(d.Var(), 1) {
 			tol = 0.05 // heavy tails converge slowly in the numeric integral
 		}
-		almost(t, d.Mean(), want, tol, d.String()+" mean vs integral")
+		testutil.Almost(t, d.Mean(), want, tol, d.String()+" mean vs integral")
 	}
 }
 
@@ -92,7 +86,7 @@ func TestVarMatchesNumericIntegral(t *testing.T) {
 		}
 		m := d.Mean()
 		m2 := 2 * quad.ToInf(func(t float64) float64 { return t * d.Survival(t) }, 0, 1e-11)
-		almost(t, d.Var(), m2-m*m, 1e-4, d.String()+" var vs integral")
+		testutil.Almost(t, d.Var(), m2-m*m, 1e-4, d.String()+" var vs integral")
 	}
 }
 
@@ -139,7 +133,7 @@ func TestAgedSurvivalIdentity(t *testing.T) {
 			ad := d.Aged(a)
 			for _, x := range []float64{0, 0.1, 0.7, 1.9, 6} {
 				want := d.Survival(a+x) / d.Survival(a)
-				almost(t, ad.Survival(x), want, 1e-9,
+				testutil.Almost(t, ad.Survival(x), want, 1e-9,
 					d.String()+" aged survival identity")
 			}
 		}
@@ -155,7 +149,7 @@ func TestAgedPDFIdentity(t *testing.T) {
 			ad := d.Aged(a)
 			for _, x := range []float64{0.05, 0.6, 2.2} {
 				want := d.PDF(a+x) / d.Survival(a)
-				almost(t, ad.PDF(x), want, 1e-9, d.String()+" aged pdf identity")
+				testutil.Almost(t, ad.PDF(x), want, 1e-9, d.String()+" aged pdf identity")
 			}
 		}
 	}
@@ -173,7 +167,7 @@ func TestAgedComposition(t *testing.T) {
 		lhs := d.Aged(a).Aged(b)
 		rhs := d.Aged(a + b)
 		for _, x := range []float64{0, 0.3, 1.1, 4} {
-			almost(t, lhs.Survival(x), rhs.Survival(x), 1e-9,
+			testutil.Almost(t, lhs.Survival(x), rhs.Survival(x), 1e-9,
 				d.String()+" aged composition")
 		}
 	}
@@ -193,7 +187,7 @@ func TestAgedZeroIsIdentity(t *testing.T) {
 	for _, d := range testDists() {
 		ad := d.Aged(0)
 		for _, x := range []float64{0.2, 1, 5} {
-			almost(t, ad.CDF(x), d.CDF(x), 1e-14, d.String()+" Aged(0)")
+			testutil.Almost(t, ad.CDF(x), d.CDF(x), 1e-14, d.String()+" Aged(0)")
 		}
 	}
 }
@@ -206,7 +200,7 @@ func TestAgedQuantileRoundTrip(t *testing.T) {
 		ad := d.Aged(1.2)
 		for _, p := range []float64{0.05, 0.4, 0.9, 0.999} {
 			x := ad.Quantile(p)
-			almost(t, ad.CDF(x), p, 1e-6, d.String()+" aged quantile round trip")
+			testutil.Almost(t, ad.CDF(x), p, 1e-6, d.String()+" aged quantile round trip")
 		}
 	}
 }
@@ -221,7 +215,7 @@ func TestAgedMeanIsResidualMean(t *testing.T) {
 			continue
 		}
 		want := quad.ToInf(d.Survival, a, 1e-11) / d.Survival(a)
-		almost(t, d.Aged(a).Mean(), want, 1e-4, d.String()+" aged mean")
+		testutil.Almost(t, d.Aged(a).Mean(), want, 1e-4, d.String()+" aged mean")
 	}
 }
 
@@ -266,7 +260,7 @@ func TestMeanExcessIdentity(t *testing.T) {
 		}
 		for _, x := range []float64{0, 0.4, 1.3, 5} {
 			want := quad.ToInf(d.Survival, x, 1e-11)
-			almost(t, MeanExcess(d, x), want, 1e-4, d.String()+" mean excess")
+			testutil.Almost(t, MeanExcess(d, x), want, 1e-4, d.String()+" mean excess")
 		}
 	}
 }
@@ -276,7 +270,7 @@ func TestMeanExcessAtZeroIsMean(t *testing.T) {
 		if math.IsInf(d.Mean(), 1) {
 			continue
 		}
-		almost(t, MeanExcess(d, 0), d.Mean(), 1e-6, d.String()+" E[(T-0)+] = mean")
+		testutil.Almost(t, MeanExcess(d, 0), d.Mean(), 1e-6, d.String()+" E[(T-0)+] = mean")
 	}
 }
 
@@ -284,11 +278,11 @@ func TestHazard(t *testing.T) {
 	// Exponential hazard is constant at the rate.
 	e := NewExponential(2)
 	for _, x := range []float64{0.1, 1, 10} {
-		almost(t, Hazard(e, x), 0.5, 1e-12, "exponential hazard")
+		testutil.Almost(t, Hazard(e, x), 0.5, 1e-12, "exponential hazard")
 	}
 	// Pareto hazard decreases as alpha/x.
 	p := Pareto{Xm: 1, Alpha: 3}
-	almost(t, Hazard(p, 2), 1.5, 1e-12, "pareto hazard")
+	testutil.Almost(t, Hazard(p, 2), 1.5, 1e-12, "pareto hazard")
 	// Zero survival region yields 0.
 	u := NewUniform(0, 1)
 	if Hazard(u, 2) != 0 {
@@ -317,20 +311,20 @@ func TestDeterministic(t *testing.T) {
 	if d.CDF(2.999) != 0 || d.CDF(3) != 1 {
 		t.Fatal("deterministic CDF step misplaced")
 	}
-	almost(t, d.Mean(), 3, 0, "deterministic mean")
+	testutil.Almost(t, d.Mean(), 3, 0, "deterministic mean")
 	if d.Var() != 0 {
 		t.Fatal("deterministic variance should be 0")
 	}
 	ad := d.Aged(1)
-	almost(t, ad.Mean(), 2, 0, "aged deterministic")
-	almost(t, MeanExcess(d, 1), 2, 1e-12, "deterministic mean excess")
+	testutil.Almost(t, ad.Mean(), 2, 0, "aged deterministic")
+	testutil.Almost(t, MeanExcess(d, 1), 2, 1e-12, "deterministic mean excess")
 }
 
 func TestFamiliesHaveMatchedMeans(t *testing.T) {
 	for _, f := range AllFamilies() {
 		for _, mean := range []float64{0.2, 1, 2, 9.5} {
 			d := f.WithMean(mean)
-			almost(t, d.Mean(), mean, 1e-9, f.String()+" matched mean")
+			testutil.Almost(t, d.Mean(), mean, 1e-9, f.String()+" matched mean")
 		}
 	}
 }

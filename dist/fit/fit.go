@@ -46,6 +46,23 @@ func (s Sample) CensoredFrac() float64 {
 	return float64(len(s.Cens)) / float64(s.N())
 }
 
+// Exact returns the number of exact observations.
+func (s Sample) Exact() int { return len(s.Obs) }
+
+// Censored returns the number of right-censored observations.
+func (s Sample) Censored() int { return len(s.Cens) }
+
+// Mean returns the mean of the exact observations.
+func (s Sample) Mean() float64 { return stat.Mean(s.Obs) }
+
+// StdDev returns the unbiased (n−1) standard deviation of the exact
+// observations.
+func (s Sample) StdDev() float64 { return stat.StdDev(s.Obs) }
+
+// KS returns the Kolmogorov–Smirnov distance between the empirical CDF
+// of the exact observations and cdf.
+func (s Sample) KS(cdf func(float64) float64) float64 { return stat.KSDistance(s.Obs, cdf) }
+
 // check validates the sample for fitting: exact observations must be
 // positive and finite, censoring bounds non-negative and finite.
 func (s Sample) check() error {
@@ -94,17 +111,6 @@ func sum(xs []float64) float64 {
 	return t
 }
 
-// minObs returns the smallest exact observation.
-func minObs(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Exponential returns the censored MLE exponential fit: the classic
 // events-over-exposure estimator rate = n_obs / (Σ obs + Σ cens). This
 // is the estimator a reliability monitor uses for failure channels,
@@ -136,7 +142,7 @@ func Pareto(s Sample) (dist.Pareto, error) {
 	if len(s.Obs) < 2 {
 		return dist.Pareto{}, fmt.Errorf("fit: Pareto fit needs >= 2 exact observations")
 	}
-	xm := minObs(s.Obs)
+	xm := stat.Min(s.Obs)
 	var t float64
 	for _, x := range s.Obs {
 		t += math.Log(x / xm)
@@ -219,7 +225,7 @@ func ShiftedGamma(s Sample) (dist.ShiftedGamma, error) {
 	if len(s.Obs) < 4 {
 		return dist.ShiftedGamma{}, fmt.Errorf("fit: shifted-gamma fit needs >= 4 exact observations")
 	}
-	lo := minObs(s.Obs)
+	lo := stat.Min(s.Obs)
 
 	bestLL := math.Inf(-1)
 	var best dist.ShiftedGamma

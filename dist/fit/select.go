@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"dtr/dist"
-	"dtr/internal/stat"
 	"dtr/modelspec"
 )
 
@@ -80,30 +79,73 @@ type Result struct {
 	Params int
 }
 
+// Channel is the view of one delay channel's censored observations
+// that the selection rule, the spec assembler (Channels.Spec) and the
+// drift detector (internal/adapt) are written against. Sample
+// implements it on raw observations, *Stats on bounded-memory
+// sufficient statistics. The two sources share the pipeline, not the
+// numerics — each answers with its own estimators:
+//
+//	         Sample (raw)             *Stats (sketch)
+//	Mean     arithmetic mean          Sum/N, exact
+//	StdDev   unbiased (n−1)           population, from SumSq
+//	KS       exact empirical CDF      empirical CDF at the bucket edges
+//	Fit      censored MLEs            closed forms from the accumulators,
+//	                                  else the MLE of a pseudo-sample
+type Channel interface {
+	// Exact and Censored count the exact and the right-censored
+	// observations.
+	Exact() int
+	Censored() int
+	// Mean and StdDev summarize the exact observations.
+	Mean() float64
+	StdDev() float64
+	// KS is the Kolmogorov–Smirnov distance between the exact
+	// observations and cdf.
+	KS(cdf func(float64) float64) float64
+	// Fit fits one family and scores it for selection.
+	Fit(f Family) (Result, error)
+}
+
 // Fit fits one family to a censored sample.
-func Fit(f Family, s Sample) (Result, error) {
-	var d dist.Dist
-	var err error
-	switch f {
-	case FamilyExponential:
-		d, err = Exponential(s)
-	case FamilyGamma:
-		d, err = Gamma(s)
-	case FamilyShiftedGam:
-		d, err = ShiftedGamma(s)
-	case FamilyPareto:
-		d, err = Pareto(s)
-	case FamilyLogNormal:
-		d, err = LogNormal(s)
-	case FamilyHyperExp:
-		d, err = HyperExp(s)
-	default:
-		return Result{}, fmt.Errorf("fit: unknown family %q", f)
-	}
+func Fit(f Family, s Sample) (Result, error) { return s.Fit(f) }
+
+// Fit fits one family to the sample by censored maximum likelihood.
+func (s Sample) Fit(f Family) (Result, error) {
+	d, err := s.estimate(f)
 	if err != nil {
 		return Result{}, err
 	}
-	ll := LogLik(d, s)
+	return score(f, d, s, s)
+}
+
+// estimate returns family f's censored MLE on the sample.
+func (s Sample) estimate(f Family) (dist.Dist, error) {
+	switch f {
+	case FamilyExponential:
+		return Exponential(s)
+	case FamilyGamma:
+		return Gamma(s)
+	case FamilyShiftedGam:
+		return ShiftedGamma(s)
+	case FamilyPareto:
+		return Pareto(s)
+	case FamilyLogNormal:
+		return LogNormal(s)
+	case FamilyHyperExp:
+		return HyperExp(s)
+	default:
+		return nil, fmt.Errorf("fit: unknown family %q", f)
+	}
+}
+
+// score builds the Result of law d for family f: likelihood and AIC
+// against sample, KS against the channel the fit is for — the sample
+// itself on the raw side, the sketch behind a pseudo-sample on the
+// statistics side, so closed-form and reconstructed fits rank on one
+// scale.
+func score(f Family, d dist.Dist, sample Sample, c Channel) (Result, error) {
+	ll := LogLik(d, sample)
 	if math.IsInf(ll, -1) || math.IsNaN(ll) {
 		return Result{}, fmt.Errorf("fit: %s fit has degenerate likelihood", f)
 	}
@@ -113,24 +155,32 @@ func Fit(f Family, s Sample) (Result, error) {
 		Dist:   d,
 		LogLik: ll,
 		AIC:    2*float64(k) - 2*ll,
-		KS:     stat.KSDistance(s.Obs, d.CDF),
+		KS:     c.KS(d.CDF),
 		Params: k,
 	}, nil
+}
+
+// fitAll fits every requested family (all of them when fams is nil) to
+// the channel, in the order given. Families that cannot fit it are
+// silently skipped; the result may be empty.
+func fitAll(c Channel, fams []Family) []Result {
+	if fams == nil {
+		fams = Families()
+	}
+	var out []Result
+	for _, f := range fams {
+		if r, err := c.Fit(f); err == nil {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // All fits every requested family (all of them when fams is nil) and
 // returns the successful fits sorted by ascending AIC. Families that
 // cannot fit the sample are silently skipped; the result may be empty.
 func All(s Sample, fams []Family) []Result {
-	if fams == nil {
-		fams = Families()
-	}
-	var out []Result
-	for _, f := range fams {
-		if r, err := Fit(f, s); err == nil {
-			out = append(out, r)
-		}
-	}
+	out := fitAll(s, fams)
 	sort.Slice(out, func(i, j int) bool { return out[i].AIC < out[j].AIC })
 	return out
 }
@@ -141,14 +191,23 @@ func All(s Sample, fams []Family) []Result {
 // uncensored part of the sample. AIC alone cannot distinguish models
 // within that band, and for planning purposes the law that tracks the
 // empirical CDF most closely is the safer choice.
-func Select(s Sample, fams []Family) (Result, error) {
-	all := All(s, fams)
+func Select(s Sample, fams []Family) (Result, error) { return selectBest(s, fams) }
+
+// selectBest is the selection rule behind Select and SelectStats.
+func selectBest(c Channel, fams []Family) (Result, error) {
+	all := fitAll(c, fams)
 	if len(all) == 0 {
-		return Result{}, fmt.Errorf("fit: no family admits a fit (n=%d, censored=%d)", s.N(), len(s.Cens))
+		return Result{}, fmt.Errorf("fit: no family admits a fit (n=%d, censored=%d)", c.Exact()+c.Censored(), c.Censored())
 	}
-	best := all[0]
+	lead := all[0]
 	for _, r := range all[1:] {
-		if r.AIC-all[0].AIC <= 2 && r.KS < best.KS {
+		if r.AIC < lead.AIC {
+			lead = r
+		}
+	}
+	best := lead
+	for _, r := range all {
+		if r.AIC-lead.AIC <= 2 && r.KS < best.KS {
 			best = r
 		}
 	}

@@ -136,88 +136,116 @@ func Spec(evs []trace.Event, cfg Config) (*modelspec.SystemSpec, *Report, error)
 // Spec assembles the fitted modelspec document from already-collected
 // samples; see the package-level Spec.
 func (sm *Samples) Spec(cfg Config) (*modelspec.SystemSpec, *Report, error) {
-	if sm.Servers == 0 {
-		return nil, nil, fmt.Errorf("fit: trace contains no servers")
+	return sm.Channels().Spec(cfg)
+}
+
+// Channels returns the per-channel view of the samples.
+func (sm *Samples) Channels() Channels {
+	ch := Channels{Servers: sm.Servers, Transfer: sm.Transfer, FN: sm.FN}
+	for _, s := range sm.Service {
+		ch.Service = append(ch.Service, s)
 	}
-	if len(cfg.Queues) != sm.Servers {
-		return nil, nil, fmt.Errorf("fit: %d queues for a %d-server trace", len(cfg.Queues), sm.Servers)
+	for _, s := range sm.Failure {
+		ch.Failure = append(ch.Failure, s)
+	}
+	return ch
+}
+
+// Channels is the per-channel view of one captured system that both
+// observation sources produce (Samples.Channels, StatsSet.Channels):
+// one service and one failure channel per server, the pooled per-task
+// transfer channel and the failure-notice channel. No entry is nil; a
+// channel the source lacks reads as empty.
+type Channels struct {
+	Servers  int
+	Service  []Channel
+	Failure  []Channel
+	Transfer Channel
+	FN       Channel
+}
+
+// Spec fits every delay channel and assembles the validated modelspec
+// document, with the channel policy the package-level Spec states.
+func (ch Channels) Spec(cfg Config) (*modelspec.SystemSpec, *Report, error) {
+	if ch.Servers == 0 {
+		return nil, nil, fmt.Errorf("fit: observations contain no servers")
+	}
+	// A decoded StatsSet can claim more servers than it carries channels.
+	if len(ch.Service) < ch.Servers || len(ch.Failure) < ch.Servers {
+		return nil, nil, fmt.Errorf("fit: %d service and %d failure channels for %d servers",
+			len(ch.Service), len(ch.Failure), ch.Servers)
+	}
+	if len(cfg.Queues) != ch.Servers {
+		return nil, nil, fmt.Errorf("fit: %d queues for %d observed servers", len(cfg.Queues), ch.Servers)
 	}
 	minObs := cfg.MinObs
 	if minObs <= 0 {
 		minObs = DefaultMinObs
 	}
-	report := &Report{Servers: sm.Servers}
-	record := func(channel string, s Sample, r Result) {
+	report := &Report{Servers: ch.Servers}
+	// fitChannel selects the channel's law among fams, converts it to
+	// its spec form and records the fit.
+	fitChannel := func(name string, c Channel, fams []Family) (modelspec.DistSpec, error) {
+		r, err := selectBest(c, fams)
+		var ds modelspec.DistSpec
+		if err == nil {
+			ds, err = SpecFor(r.Dist)
+		}
+		if err != nil {
+			return ds, fmt.Errorf("fit: %s: %w", name, err)
+		}
 		report.Fits = append(report.Fits, ChannelFit{
-			Channel: channel, Family: r.Family, Dist: r.Dist.String(),
-			Mean: r.Dist.Mean(), N: s.N(), Censored: len(s.Cens),
+			Channel: name, Family: r.Family, Dist: r.Dist.String(),
+			Mean: r.Dist.Mean(), N: c.Exact() + c.Censored(), Censored: c.Censored(),
 			LogLik: r.LogLik, AIC: r.AIC, KS: r.KS,
 		})
+		return ds, nil
+	}
+	short := func(name string, c Channel) error {
+		return fmt.Errorf("fit: %s has %d exact observations, need >= %d", name, c.Exact(), minObs)
 	}
 
 	spec := &modelspec.SystemSpec{}
-	for i := 0; i < sm.Servers; i++ {
-		ss := sm.Service[i]
-		if len(ss.Obs) < minObs {
-			return nil, nil, fmt.Errorf("fit: service[%d] has %d exact observations, need >= %d", i, len(ss.Obs), minObs)
+	for i := 0; i < ch.Servers; i++ {
+		name := fmt.Sprintf("service[%d]", i)
+		if ch.Service[i].Exact() < minObs {
+			return nil, nil, short(name, ch.Service[i])
 		}
-		r, err := Select(ss, cfg.Families)
+		ds, err := fitChannel(name, ch.Service[i], cfg.Families)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fit: service[%d]: %w", i, err)
+			return nil, nil, err
 		}
-		ds, err := SpecFor(r.Dist)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fit: service[%d]: %w", i, err)
-		}
-		record(fmt.Sprintf("service[%d]", i), ss, r)
-
 		srv := modelspec.ServerSpec{Queue: cfg.Queues[i], Service: ds}
 		// Failure channel: exponential only. With most realizations
 		// ending in a still-alive server the sample is censoring-heavy,
 		// where the events-over-exposure MLE remains consistent but
 		// multi-parameter likelihoods are not identifiable. No observed
 		// failure at all means the channel looks reliable.
-		fs := sm.Failure[i]
-		if len(fs.Obs) > 0 {
-			fr, err := Fit(FamilyExponential, fs)
+		if ch.Failure[i].Exact() > 0 {
+			fds, err := fitChannel(fmt.Sprintf("failure[%d]", i), ch.Failure[i], []Family{FamilyExponential})
 			if err != nil {
-				return nil, nil, fmt.Errorf("fit: failure[%d]: %w", i, err)
-			}
-			fds, err := SpecFor(fr.Dist)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fit: failure[%d]: %w", i, err)
+				return nil, nil, err
 			}
 			srv.Failure = &fds
-			record(fmt.Sprintf("failure[%d]", i), fs, fr)
 		}
 		spec.Servers = append(spec.Servers, srv)
 	}
 
-	if len(sm.Transfer.Obs) < minObs {
-		return nil, nil, fmt.Errorf("fit: transfer has %d exact observations, need >= %d", len(sm.Transfer.Obs), minObs)
+	if ch.Transfer.Exact() < minObs {
+		return nil, nil, short("transfer", ch.Transfer)
 	}
-	tr, err := Select(sm.Transfer, cfg.Families)
+	tds, err := fitChannel("transfer", ch.Transfer, cfg.Families)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fit: transfer: %w", err)
-	}
-	tds, err := SpecFor(tr.Dist)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fit: transfer: %w", err)
+		return nil, nil, err
 	}
 	spec.Transfer = modelspec.TransferSpec{DistSpec: tds, PerTaskMean: tds.Mean}
-	record("transfer", sm.Transfer, tr)
 
-	if len(sm.FN.Obs) >= minObs {
-		fr, err := Select(sm.FN, cfg.Families)
+	if ch.FN.Exact() >= minObs {
+		fds, err := fitChannel("fn", ch.FN, cfg.Families)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fit: fn: %w", err)
-		}
-		fds, err := SpecFor(fr.Dist)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fit: fn: %w", err)
+			return nil, nil, err
 		}
 		spec.FN = &modelspec.TransferSpec{DistSpec: fds, PerTaskMean: fds.Mean}
-		record("fn", sm.FN, fr)
 	}
 
 	if err := spec.Validate(); err != nil {

@@ -27,7 +27,7 @@ import (
 	"math"
 
 	"dtr/dist"
-	"dtr/internal/specfn"
+	"dtr/internal/stat"
 	"dtr/internal/trace"
 	"dtr/modelspec"
 )
@@ -279,12 +279,32 @@ func (s *Stats) CensoredFrac() float64 {
 	return float64(s.CensN) / float64(s.Total())
 }
 
+// Exact returns the number of exact observations.
+func (s *Stats) Exact() int { return int(s.N) }
+
+// Censored returns the number of right-censored observations.
+func (s *Stats) Censored() int { return int(s.CensN) }
+
 // Mean returns the mean of the exact observations (0 when empty).
 func (s *Stats) Mean() float64 {
 	if s.N == 0 {
 		return 0
 	}
 	return s.Sum / float64(s.N)
+}
+
+// StdDev returns the population standard deviation of the exact
+// observations, straight from the accumulators.
+func (s *Stats) StdDev() float64 {
+	if s.N < 2 {
+		return 0
+	}
+	n := float64(s.N)
+	v := s.SumSq/n - (s.Sum/n)*(s.Sum/n)
+	if v < 0 {
+		v = 0
+	}
+	return math.Sqrt(v)
 }
 
 // Merge folds o into s. Every field is a sum or an extremum, so the
@@ -477,9 +497,9 @@ func statsExponential(s *Stats) (dist.Exponential, error) {
 }
 
 // statsGamma is the uncensored gamma MLE from the sufficient statistics
-// (count, sum, sum of logs): the same Newton iteration on
-// log(k) − ψ(k) = log(mean) − mean(log x) the raw path uses, so an
-// uncensored sketch fit reproduces the raw gamma fit exactly.
+// (count, sum, sum of logs), through the same solver as the raw path
+// (stat.GammaMLE), so an uncensored sketch fit reproduces the raw gamma
+// fit exactly.
 func statsGamma(s *Stats) (dist.Gamma, error) {
 	if s.N < 2 {
 		return dist.Gamma{}, fmt.Errorf("fit: gamma fit needs >= 2 exact observations")
@@ -488,28 +508,7 @@ func statsGamma(s *Stats) (dist.Gamma, error) {
 	if !(m > 0) {
 		return dist.Gamma{}, fmt.Errorf("fit: gamma fit needs positive data")
 	}
-	g := math.Log(m) - s.SumLog/float64(s.N)
-	if !(g > 0) {
-		return dist.Gamma{}, fmt.Errorf("fit: degenerate sample for gamma fit")
-	}
-	k := (3 - g + math.Sqrt((g-3)*(g-3)+24*g)) / (12 * g)
-	for i := 0; i < 60; i++ {
-		f := math.Log(k) - specfn.Digamma(k) - g
-		fp := 1/k - specfn.Trigamma(k)
-		nk := k - f/fp
-		if nk <= 0 {
-			nk = k / 2
-		}
-		if math.Abs(nk-k) < 1e-12*(1+k) {
-			k = nk
-			break
-		}
-		k = nk
-	}
-	if !(k > 0) || math.IsInf(k, 0) {
-		return dist.Gamma{}, fmt.Errorf("fit: gamma shape iteration diverged")
-	}
-	return dist.Gamma{K: k, Rate: k / m}, nil
+	return stat.GammaMLE(m, math.Log(m)-s.SumLog/float64(s.N))
 }
 
 // FitStats fits one family to a channel's sufficient statistics.
@@ -518,79 +517,35 @@ func statsGamma(s *Stats) (dist.Gamma, error) {
 // families fit the censored MLE on the sketch-reconstructed
 // pseudo-sample. Selection scores are computed on the pseudo-sample,
 // except KS, which is sketch-backed (exact at bucket edges).
-func FitStats(f Family, s *Stats) (Result, error) {
+func FitStats(f Family, s *Stats) (Result, error) { return s.Fit(f) }
+
+// Fit fits one family to the statistics; see FitStats.
+func (s *Stats) Fit(f Family) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
 	sample := s.Sample(DefaultPseudoSample)
-	var r Result
+	var d dist.Dist
+	var err error
 	switch {
 	case f == FamilyExponential:
-		d, err := statsExponential(s)
-		if err != nil {
-			return Result{}, err
-		}
-		r = scoreOn(f, d, sample)
+		d, err = statsExponential(s)
 	case f == FamilyGamma && s.CensN == 0:
-		d, err := statsGamma(s)
-		if err != nil {
-			return Result{}, err
-		}
-		r = scoreOn(f, d, sample)
+		d, err = statsGamma(s)
 	default:
-		var err error
-		r, err = Fit(f, sample)
-		if err != nil {
-			return Result{}, err
-		}
+		d, err = sample.estimate(f)
 	}
-	if math.IsInf(r.LogLik, -1) || math.IsNaN(r.LogLik) {
-		return Result{}, fmt.Errorf("fit: %s stats fit has degenerate likelihood", f)
+	if err != nil {
+		return Result{}, err
 	}
-	r.KS = s.KS(r.Dist.CDF)
-	return r, nil
-}
-
-// scoreOn builds a Result for an externally fitted law, scored against
-// the pseudo-sample so closed-form and reconstructed fits rank on one
-// scale.
-func scoreOn(f Family, d dist.Dist, sample Sample) Result {
-	ll := LogLik(d, sample)
-	k := f.params()
-	return Result{Family: f, Dist: d, LogLik: ll, AIC: 2*float64(k) - 2*ll, Params: k}
+	return score(f, d, sample, s)
 }
 
 // SelectStats fits the requested families (all when fams is nil) to the
 // sufficient statistics and picks the winner with the same rule as
 // Select: lowest AIC, near-ties (ΔAIC ≤ 2) broken by the smaller
 // sketch-backed KS distance.
-func SelectStats(s *Stats, fams []Family) (Result, error) {
-	if fams == nil {
-		fams = Families()
-	}
-	var all []Result
-	for _, f := range fams {
-		if r, err := FitStats(f, s); err == nil {
-			all = append(all, r)
-		}
-	}
-	if len(all) == 0 {
-		return Result{}, fmt.Errorf("fit: no family admits a stats fit (n=%d, censored=%d)", s.Total(), s.CensN)
-	}
-	best := all[0]
-	for _, r := range all[1:] {
-		if r.AIC < best.AIC {
-			best = r
-		}
-	}
-	lead := best
-	for _, r := range all {
-		if r.AIC-lead.AIC <= 2 && r.KS < best.KS {
-			best = r
-		}
-	}
-	return best, nil
-}
+func SelectStats(s *Stats, fams []Family) (Result, error) { return selectBest(s, fams) }
 
 // StatsSet is the sufficient-statistics counterpart of Samples: one
 // Stats per delay channel of a captured system. It is the wire payload
@@ -710,102 +665,29 @@ func (set *StatsSet) Footprint() int {
 }
 
 // Spec fits every channel of the set and assembles a complete,
-// validated modelspec document — the sufficient-statistics counterpart
-// of Samples.Spec, with the same channel policy: per-server service
-// laws by model selection, exponential-only failure laws (exact
-// events-over-exposure from the accumulators; no observed failure means
-// reliable), the per-task transfer law, and the failure-notice law when
-// enough of it was observed.
+// validated modelspec document — Samples.Spec on the closed-form/sketch
+// estimators; see Channels.Spec for the channel policy.
 func (set *StatsSet) Spec(cfg Config) (*modelspec.SystemSpec, *Report, error) {
-	if set.Servers == 0 {
-		return nil, nil, fmt.Errorf("fit: stats contain no servers")
-	}
-	if len(cfg.Queues) != set.Servers {
-		return nil, nil, fmt.Errorf("fit: %d queues for a %d-server stats set", len(cfg.Queues), set.Servers)
-	}
-	minObs := cfg.MinObs
-	if minObs <= 0 {
-		minObs = DefaultMinObs
-	}
-	report := &Report{Servers: set.Servers}
-	record := func(channel string, s *Stats, r Result) {
-		report.Fits = append(report.Fits, ChannelFit{
-			Channel: channel, Family: r.Family, Dist: r.Dist.String(),
-			Mean: r.Dist.Mean(), N: int(s.Total()), Censored: int(s.CensN),
-			LogLik: r.LogLik, AIC: r.AIC, KS: r.KS,
-		})
-	}
+	return set.Channels().Spec(cfg)
+}
 
-	spec := &modelspec.SystemSpec{}
-	for i := 0; i < set.Servers; i++ {
-		ss := set.Service[i]
-		if ss == nil {
-			return nil, nil, fmt.Errorf("fit: service[%d] has no statistics", i)
+// Channels returns the per-channel view of the set. A decoded set may
+// carry null or absent channels; they read as empty.
+func (set *StatsSet) Channels() Channels {
+	view := func(s *Stats) Channel {
+		if s == nil {
+			return Sample{}
 		}
-		if int(ss.N) < minObs {
-			return nil, nil, fmt.Errorf("fit: service[%d] has %d exact observations, need >= %d", i, ss.N, minObs)
-		}
-		r, err := SelectStats(ss, cfg.Families)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fit: service[%d]: %w", i, err)
-		}
-		ds, err := SpecFor(r.Dist)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fit: service[%d]: %w", i, err)
-		}
-		record(fmt.Sprintf("service[%d]", i), ss, r)
-
-		srv := modelspec.ServerSpec{Queue: cfg.Queues[i], Service: ds}
-		if fs := set.Failure[i]; fs != nil && fs.N > 0 {
-			fr, err := FitStats(FamilyExponential, fs)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fit: failure[%d]: %w", i, err)
-			}
-			fds, err := SpecFor(fr.Dist)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fit: failure[%d]: %w", i, err)
-			}
-			srv.Failure = &fds
-			record(fmt.Sprintf("failure[%d]", i), fs, fr)
-		}
-		spec.Servers = append(spec.Servers, srv)
+		return s
 	}
-
-	if set.Transfer == nil || int(set.Transfer.N) < minObs {
-		n := uint64(0)
-		if set.Transfer != nil {
-			n = set.Transfer.N
-		}
-		return nil, nil, fmt.Errorf("fit: transfer has %d exact observations, need >= %d", n, minObs)
+	ch := Channels{Servers: set.Servers, Transfer: view(set.Transfer), FN: view(set.FN)}
+	for _, s := range set.Service {
+		ch.Service = append(ch.Service, view(s))
 	}
-	tr, err := SelectStats(set.Transfer, cfg.Families)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fit: transfer: %w", err)
+	for _, s := range set.Failure {
+		ch.Failure = append(ch.Failure, view(s))
 	}
-	tds, err := SpecFor(tr.Dist)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fit: transfer: %w", err)
-	}
-	spec.Transfer = modelspec.TransferSpec{DistSpec: tds, PerTaskMean: tds.Mean}
-	record("transfer", set.Transfer, tr)
-
-	if set.FN != nil && int(set.FN.N) >= minObs {
-		fr, err := SelectStats(set.FN, cfg.Families)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fit: fn: %w", err)
-		}
-		fds, err := SpecFor(fr.Dist)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fit: fn: %w", err)
-		}
-		spec.FN = &modelspec.TransferSpec{DistSpec: fds, PerTaskMean: fds.Mean}
-		record("fn", set.FN, fr)
-	}
-
-	if err := spec.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("fit: assembled spec does not validate: %w", err)
-	}
-	return spec, report, nil
+	return ch
 }
 
 // Validate checks every channel of the set.

@@ -442,3 +442,30 @@ func TestStatsSetNilChannelEntries(t *testing.T) {
 		t.Error("Spec accepted a set with nil channel entries")
 	}
 }
+
+// TestSpecRejectsShortLayout: a set that claims more servers than it
+// carries channels — a decoded {"servers":3,"service":[{…}]}; Spec's
+// direct callers run no Validate first — must make Spec error rather
+// than index past the slices, from either source.
+func TestSpecRejectsShortLayout(t *testing.T) {
+	set := NewStatsSet(1, 0)
+	var obs []float64
+	for i := 0; i < 50; i++ {
+		x := 1 + float64(i%7)
+		obs = append(obs, x)
+		set.Service[0].Observe(x, false)
+		set.Transfer.Observe(x, false)
+	}
+	set.Servers = 3
+	if err := set.Validate(); err == nil {
+		t.Error("Validate accepted 3 servers over 1 service channel")
+	}
+	cfg := Config{Queues: []int{5, 5, 5}, Families: []Family{FamilyExponential}}
+	if _, _, err := set.Spec(cfg); err == nil {
+		t.Error("StatsSet.Spec accepted 3 servers over 1 service channel")
+	}
+	sm := &Samples{Servers: 3, Service: []Sample{{Obs: obs}}, Failure: []Sample{{}}, Transfer: Sample{Obs: obs}}
+	if _, _, err := sm.Spec(cfg); err == nil {
+		t.Error("Samples.Spec accepted 3 servers over 1 service channel")
+	}
+}

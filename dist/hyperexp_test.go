@@ -6,38 +6,39 @@ import (
 	"testing"
 
 	"dtr/internal/quad"
+	"dtr/internal/testutil"
 )
 
 func TestHyperExponentialMoments(t *testing.T) {
 	d := NewHyperExponential([]float64{0.3, 0.7}, []float64{2, 0.5})
 	wantMean := 0.3/2 + 0.7/0.5
-	almost(t, d.Mean(), wantMean, 1e-12, "mixture mean")
+	testutil.Almost(t, d.Mean(), wantMean, 1e-12, "mixture mean")
 	wantM2 := 2*0.3/4 + 2*0.7/0.25
-	almost(t, d.Var(), wantM2-wantMean*wantMean, 1e-12, "mixture variance")
+	testutil.Almost(t, d.Var(), wantM2-wantMean*wantMean, 1e-12, "mixture variance")
 	// Weights normalize.
 	d2 := NewHyperExponential([]float64{3, 7}, []float64{2, 0.5})
-	almost(t, d2.Mean(), wantMean, 1e-12, "unnormalized weights")
+	testutil.Almost(t, d2.Mean(), wantMean, 1e-12, "unnormalized weights")
 }
 
 func TestHyperExponential2Fit(t *testing.T) {
 	d := NewHyperExponential2(2, 4) // mean 2, scv 4
-	almost(t, d.Mean(), 2, 1e-9, "balanced fit mean")
+	testutil.Almost(t, d.Mean(), 2, 1e-9, "balanced fit mean")
 	scv := d.Var() / (d.Mean() * d.Mean())
-	almost(t, scv, 4, 1e-9, "balanced fit scv")
+	testutil.Almost(t, scv, 4, 1e-9, "balanced fit scv")
 }
 
 func TestHyperExponentialPDFIntegrates(t *testing.T) {
 	d := NewHyperExponential2(1.5, 3)
 	for _, x := range []float64{0.4, 1.2, 5} {
 		got := quad.Simpson(d.PDF, 0, x, 1e-11)
-		almost(t, got, d.CDF(x), 1e-8, "hyperexp pdf->cdf")
+		testutil.Almost(t, got, d.CDF(x), 1e-8, "hyperexp pdf->cdf")
 	}
 }
 
 func TestHyperExponentialQuantileRoundTrip(t *testing.T) {
 	d := NewHyperExponential([]float64{0.2, 0.5, 0.3}, []float64{5, 1, 0.2})
 	for _, p := range []float64{0.01, 0.3, 0.5, 0.9, 0.999} {
-		almost(t, d.CDF(d.Quantile(p)), p, 1e-9, "hyperexp quantile round trip")
+		testutil.Almost(t, d.CDF(d.Quantile(p)), p, 1e-9, "hyperexp quantile round trip")
 	}
 	if d.Quantile(0) != 0 || !math.IsInf(d.Quantile(1), 1) {
 		t.Fatal("quantile endpoints")
@@ -61,7 +62,7 @@ func TestHyperExponentialAgedClosedForm(t *testing.T) {
 		}
 		for _, x := range []float64{0, 0.7, 3} {
 			want := d.Survival(a+x) / d.Survival(a)
-			almost(t, ad.Survival(x), want, 1e-12, "aged identity")
+			testutil.Almost(t, ad.Survival(x), want, 1e-12, "aged identity")
 		}
 	}
 	// Residual mean grows with age (decreasing hazard).
@@ -92,7 +93,7 @@ func TestHyperExponentialMeanExcess(t *testing.T) {
 	d := NewHyperExponential([]float64{0.5, 0.5}, []float64{2, 0.4})
 	for _, x := range []float64{0, 1, 4} {
 		want := quad.ToInf(d.Survival, x, 1e-11)
-		almost(t, MeanExcess(d, x), want, 1e-7, "hyperexp mean excess")
+		testutil.Almost(t, MeanExcess(d, x), want, 1e-7, "hyperexp mean excess")
 	}
 }
 

@@ -6,29 +6,30 @@ import (
 	"testing"
 
 	"dtr/internal/quad"
+	"dtr/internal/testutil"
 )
 
 func TestLogNormalMoments(t *testing.T) {
 	d := NewLogNormal(0.8, 2.5)
-	almost(t, d.Mean(), 2.5, 1e-12, "constructed mean")
+	testutil.Almost(t, d.Mean(), 2.5, 1e-12, "constructed mean")
 	// Var = (e^{σ²}−1)·mean².
-	almost(t, d.Var(), math.Expm1(0.64)*2.5*2.5, 1e-10, "variance closed form")
+	testutil.Almost(t, d.Var(), math.Expm1(0.64)*2.5*2.5, 1e-10, "variance closed form")
 	// Median = exp(Mu).
-	almost(t, d.Quantile(0.5), math.Exp(d.Mu), 1e-9, "median")
+	testutil.Almost(t, d.Quantile(0.5), math.Exp(d.Mu), 1e-9, "median")
 }
 
 func TestLogNormalPDFIntegratesToCDF(t *testing.T) {
 	d := NewLogNormal(1.0, 1.0)
 	for _, x := range []float64{0.3, 1, 4} {
 		got := quad.Simpson(d.PDF, 1e-12, x, 1e-11)
-		almost(t, got, d.CDF(x), 1e-6, "lognormal pdf->cdf")
+		testutil.Almost(t, got, d.CDF(x), 1e-6, "lognormal pdf->cdf")
 	}
 }
 
 func TestLogNormalQuantileRoundTrip(t *testing.T) {
 	d := NewLogNormal(0.5, 3)
 	for _, p := range []float64{0.01, 0.3, 0.5, 0.9, 0.999} {
-		almost(t, d.CDF(d.Quantile(p)), p, 1e-9, "lognormal quantile round trip")
+		testutil.Almost(t, d.CDF(d.Quantile(p)), p, 1e-9, "lognormal quantile round trip")
 	}
 }
 
@@ -52,7 +53,7 @@ func TestLogNormalAging(t *testing.T) {
 	ad := d.Aged(a)
 	for _, x := range []float64{0, 0.5, 2, 8} {
 		want := d.Survival(a+x) / d.Survival(a)
-		almost(t, ad.Survival(x), want, 1e-9, "lognormal aged survival")
+		testutil.Almost(t, ad.Survival(x), want, 1e-9, "lognormal aged survival")
 	}
 	// Log-normal hazard eventually decreases: the aged mean at a large
 	// age exceeds the fresh mean (old transfers are bad news).

@@ -20,10 +20,10 @@ import (
 	"math"
 	"time"
 
+	"dtr"
 	"dtr/dist"
 	"dtr/dist/fit"
 	"dtr/internal/obs"
-	"dtr/internal/stat"
 	"dtr/internal/trace"
 	"dtr/modelspec"
 )
@@ -96,12 +96,10 @@ type Decision struct {
 // Controller implements the observe → fit → detect → replan loop. Not
 // safe for concurrent use: feed it from one goroutine (the trace tail).
 type Controller struct {
-	cfg     Config
-	planner Planner
+	cfg Config // defaults applied; cfg.Planner is never nil
 
 	window []trace.Event // ring buffer, capacity cfg.Window
 	next   int           // ring write cursor
-	filled bool
 
 	sinceCheck int
 	fitted     bool
@@ -153,7 +151,7 @@ func New(cfg Config) (*Controller, error) {
 			GridN: cfg.GridN, Workers: cfg.Workers,
 		}
 	}
-	return &Controller{cfg: cfg, planner: cfg.Planner}, nil
+	return &Controller{cfg: cfg}, nil
 }
 
 // Observe feeds one trace event. Most calls return (nil, nil); a
@@ -177,7 +175,6 @@ func (c *Controller) Observe(ctx context.Context, ev trace.Event) (*Decision, er
 	} else {
 		c.window[c.next] = ev
 		c.next = (c.next + 1) % c.cfg.Window
-		c.filled = true
 	}
 
 	c.sinceCheck++
@@ -185,7 +182,7 @@ func (c *Controller) Observe(ctx context.Context, ev trace.Event) (*Decision, er
 		return nil, nil
 	}
 	c.sinceCheck = 0
-	return c.check(ctx)
+	return c.check(ctx, FitInput{Events: c.snapshot()})
 }
 
 // snapshot returns the window contents (order does not matter to the
@@ -196,57 +193,60 @@ func (c *Controller) snapshot() []trace.Event {
 	return out
 }
 
-// check runs the bootstrap / drift logic at a check boundary.
-func (c *Controller) check(ctx context.Context) (*Decision, error) {
-	events := c.snapshot()
-	sm, err := fit.Collect(events)
+// check runs the bootstrap / drift logic on one observation window, at
+// a check boundary of either source.
+func (c *Controller) check(ctx context.Context, in FitInput) (*Decision, error) {
+	chs, err := in.channels()
 	if err != nil {
-		return nil, fmt.Errorf("adapt: %w", err)
+		return nil, err
 	}
 	if !c.fitted {
-		if !c.ready(sm) {
+		if !c.ready(chs) {
 			return nil, nil
 		}
-		return c.replan(ctx, events, sm, &Decision{Reason: "bootstrap"})
+		return c.replan(ctx, in, chs, &Decision{Reason: "bootstrap"})
 	}
-	d := c.drifted(sm)
+	d := c.drifted(chs)
 	if d == nil {
 		return nil, nil
 	}
 	adaptDrift.Inc()
 	obs.Default().Counter(obs.Name("dtr_adapt_drift_total", "channel", d.Channel)).Add(1)
-	return c.replan(ctx, events, sm, d)
+	return c.replan(ctx, in, chs, d)
 }
 
 // ready reports whether every channel a spec requires has MinObs exact
 // observations: all services for the configured server count, and the
 // transfer channel.
-func (c *Controller) ready(sm *fit.Samples) bool {
-	if sm.Servers != len(c.cfg.Queues) {
+func (c *Controller) ready(chs fit.Channels) bool {
+	if chs.Servers != len(c.cfg.Queues) {
 		return false
 	}
-	for i := range sm.Service {
-		if len(sm.Service[i].Obs) < c.cfg.MinObs {
+	for _, view := range chs.Service {
+		if view.Exact() < c.cfg.MinObs {
 			return false
 		}
 	}
-	return len(sm.Transfer.Obs) >= c.cfg.MinObs
+	return chs.Transfer.Exact() >= c.cfg.MinObs
 }
 
 // drifted compares the window against the fitted laws and returns a
 // drift Decision skeleton for the worst offending channel, or nil.
 // Failure channels are excluded: their samples are censoring-heavy by
 // nature (most realizations end with the server alive), so windowed KS
-// and mean statistics on the few uncensored failures are noise.
-func (c *Controller) drifted(sm *fit.Samples) *Decision {
+// and mean statistics on the few uncensored failures are noise. Each
+// source answers with its own estimators (see fit.Channel): exact KS
+// and the unbiased standard deviation on raw windows, sketch-edge KS
+// and the accumulators' population deviation on statistics snapshots.
+func (c *Controller) drifted(chs fit.Channels) *Decision {
 	var worst *Decision
 	score := 0.0
-	for ch, obsd := range c.channelObs(sm) {
+	for ch, view := range driftChannels(chs) {
 		law, ok := c.laws[ch]
-		if !ok || len(obsd) < c.cfg.MinObs {
+		if !ok || view.Exact() < c.cfg.MinObs {
 			continue
 		}
-		n := float64(len(obsd))
+		n := float64(view.Exact())
 		// The configured thresholds are floors; each statistic must also
 		// clear its sampling-noise gate, or the detector would trip on
 		// pure estimation error. The baseline law was itself fitted from
@@ -259,7 +259,7 @@ func (c *Controller) drifted(sm *fit.Samples) *Decision {
 			nFit = n
 		}
 		gate := math.Sqrt(1/n + 1/nFit)
-		ks := stat.KSDistance(obsd, law.CDF)
+		ks := view.KS(law.CDF)
 		ksTrip := ks > c.cfg.DriftKS && ks > 1.63*gate // ~99% critical value
 		// Export the detector's internals per channel so dashboards can
 		// show how close each channel sits to its trigger, not just
@@ -268,9 +268,9 @@ func (c *Controller) drifted(sm *fit.Samples) *Decision {
 		obs.Default().Gauge(obs.Name("dtr_adapt_drift_noise_gate", "channel", ch)).Set(1.63 * gate)
 		rel, relTrip := 0.0, false
 		if base, ok := c.baseMeans[ch]; ok && base > 0 {
-			m := stat.Mean(obsd)
+			m := view.Mean()
 			rel = math.Abs(m-base) / base
-			se := stat.StdDev(obsd) * gate
+			se := view.StdDev() * gate
 			relTrip = rel > c.cfg.DriftRelMean && math.Abs(m-base) > 4*se
 			obs.Default().Gauge(obs.Name("dtr_adapt_drift_rel_mean", "channel", ch)).Set(rel)
 		}
@@ -288,16 +288,16 @@ func (c *Controller) drifted(sm *fit.Samples) *Decision {
 	return worst
 }
 
-// channelObs maps drift-checkable channels to their windowed exact
-// observations (transfer and fn values are already per-task normalized
-// by Collect).
-func (c *Controller) channelObs(sm *fit.Samples) map[string][]float64 {
-	out := make(map[string][]float64, sm.Servers+2)
-	for i := range sm.Service {
-		out[fmt.Sprintf("service[%d]", i)] = sm.Service[i].Obs
+// driftChannels maps drift-checkable channels to their windowed views
+// (transfer and fn values are already per-task normalized by the
+// source).
+func driftChannels(chs fit.Channels) map[string]fit.Channel {
+	out := make(map[string]fit.Channel, len(chs.Service)+2)
+	for i, view := range chs.Service {
+		out[fmt.Sprintf("service[%d]", i)] = view
 	}
-	out["transfer"] = sm.Transfer.Obs
-	out["fn"] = sm.FN.Obs
+	out["transfer"] = chs.Transfer
+	out["fn"] = chs.FN
 	return out
 }
 
@@ -305,17 +305,22 @@ func (c *Controller) channelObs(sm *fit.Samples) map[string][]float64 {
 // replan is one trace: a "replan" root span with "fit" and "plan"
 // children (and, under the HTTP planner, the outgoing posts beneath
 // those — the traceparent hop joins dtrserved's trace to this one).
-func (c *Controller) replan(ctx context.Context, events []trace.Event, sm *fit.Samples, d *Decision) (*Decision, error) {
+func (c *Controller) replan(ctx context.Context, in FitInput, chs fit.Channels, d *Decision) (*Decision, error) {
 	t0 := time.Now()
-	span := obs.DefaultTracer().StartRoot("replan", "", "reason", d.Reason, "events", len(events))
+	span := obs.DefaultTracer().StartRoot("replan", "", "reason", d.Reason)
 	defer span.End()
+	if in.Stats != nil {
+		span.SetAttr("source", "stats")
+	} else {
+		span.SetAttr("events", len(in.Events))
+	}
 	ctx = obs.ContextWithSpan(ctx, span)
 	if d.Channel != "" {
 		span.SetAttr("channel", d.Channel)
 	}
 
 	fitSpan := span.Child("fit")
-	spec, report, err := c.planner.Fit(obs.ContextWithSpan(ctx, fitSpan), events, fit.Config{
+	spec, report, err := c.cfg.Planner.Fit(obs.ContextWithSpan(ctx, fitSpan), in, fit.Config{
 		Queues: c.cfg.Queues, Families: c.cfg.Families, MinObs: c.cfg.MinObs,
 	})
 	fitSpan.End()
@@ -325,7 +330,7 @@ func (c *Controller) replan(ctx context.Context, events []trace.Event, sm *fit.S
 	}
 	adaptFits.Inc()
 	planSpan := span.Child("plan")
-	policy, value, err := c.planner.Plan(obs.ContextWithSpan(ctx, planSpan), spec)
+	policy, value, err := c.cfg.Planner.Plan(obs.ContextWithSpan(ctx, planSpan), spec)
 	planSpan.End()
 	if err != nil {
 		span.SetAttr("error", "plan")
@@ -334,9 +339,9 @@ func (c *Controller) replan(ctx context.Context, events []trace.Event, sm *fit.S
 	adaptReplans.Inc()
 	adaptRefit.Observe(time.Since(t0).Seconds())
 	span.Logger().Info("replanned", "reason", d.Reason, "channel", d.Channel,
-		"policy", formatPolicy(policy), "dur", time.Since(t0))
+		"policy", dtr.FormatPolicy(policy), "dur", time.Since(t0))
 
-	if err := c.adopt(spec, sm); err != nil {
+	if err := c.adopt(spec, chs); err != nil {
 		return nil, err
 	}
 	for _, cf := range report.Fits {
@@ -346,14 +351,13 @@ func (c *Controller) replan(ctx context.Context, events []trace.Event, sm *fit.S
 	d.Spec = spec
 	d.Report = report
 	d.Policy = policy
-	d.PolicyString = formatPolicy(policy)
+	d.PolicyString = dtr.FormatPolicy(policy)
 	d.Value = value
 	return d, nil
 }
 
 // rebuildLaws materializes the per-channel laws a fitted spec implies —
-// the drift baselines shared by the raw-window and stats-snapshot
-// adoption paths.
+// the drift baselines.
 func rebuildLaws(spec *modelspec.SystemSpec) (map[string]dist.Dist, error) {
 	laws := make(map[string]dist.Dist, len(spec.Servers)+2)
 	for i, srv := range spec.Servers {
@@ -384,19 +388,19 @@ func rebuildLaws(spec *modelspec.SystemSpec) (map[string]dist.Dist, error) {
 }
 
 // adopt installs a freshly fitted spec as the drift baseline: the
-// materialized per-channel laws and the window observation means.
-func (c *Controller) adopt(spec *modelspec.SystemSpec, sm *fit.Samples) error {
+// materialized per-channel laws and the window's exact-observation
+// means and counts.
+func (c *Controller) adopt(spec *modelspec.SystemSpec, chs fit.Channels) error {
 	laws, err := rebuildLaws(spec)
 	if err != nil {
 		return err
 	}
-
 	base := make(map[string]float64)
 	ns := make(map[string]int)
-	for ch, obsd := range c.channelObs(sm) {
-		if len(obsd) > 0 {
-			base[ch] = stat.Mean(obsd)
-			ns[ch] = len(obsd)
+	for ch, view := range driftChannels(chs) {
+		if view.Exact() > 0 {
+			base[ch] = view.Mean()
+			ns[ch] = view.Exact()
 		}
 	}
 	c.laws = laws
@@ -413,11 +417,16 @@ func (c *Controller) Refit(ctx context.Context) (*Decision, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("adapt: no events observed")
 	}
-	sm, err := fit.Collect(events)
+	return c.refit(ctx, FitInput{Events: events})
+}
+
+// refit fits and replans from in regardless of drift.
+func (c *Controller) refit(ctx context.Context, in FitInput) (*Decision, error) {
+	chs, err := in.channels()
 	if err != nil {
-		return nil, fmt.Errorf("adapt: %w", err)
+		return nil, err
 	}
-	return c.replan(ctx, events, sm, &Decision{Reason: "forced"})
+	return c.replan(ctx, in, chs, &Decision{Reason: "forced"})
 }
 
 // Fitted reports whether the controller has a current fit and policy.

@@ -2,8 +2,9 @@ package adapt
 
 // The ingest-backed source: instead of tailing a raw trace file the
 // controller polls a dtringest daemon for windowed sufficient
-// statistics (dist/fit.StatsSet) and runs the same bootstrap → drift →
-// replan loop on the closed-form/sketch paths. Memory stays bounded on
+// statistics (dist/fit.StatsSet) and feeds them to the same bootstrap →
+// drift → replan loop, which then runs on the closed-form/sketch
+// estimators behind fit.Channel. Memory stays bounded on
 // both sides of the hop: the daemon's ring of windows, the
 // controller's single merged snapshot.
 
@@ -11,16 +12,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"net/url"
-	"time"
 
 	"dtr/dist/fit"
 	"dtr/internal/ingest"
-	"dtr/internal/obs"
-	"dtr/modelspec"
 )
 
 // IngestSource polls a dtringest daemon for one tenant's windowed
@@ -47,29 +43,13 @@ func (s *IngestSource) Snapshot(ctx context.Context) (*ingest.Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
-	span := obs.SpanFromContext(ctx).Child("snapshot_get", "tenant", s.Tenant)
-	defer span.End()
-	if tp := span.Traceparent(); tp != "" {
-		req.Header.Set(obs.TraceparentHeader, tp)
-	}
-	client := s.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
+	code, data, err := roundTrip(ctx, s.Client, req, "snapshot_get", "tenant", s.Tenant)
 	if err != nil {
-		span.SetAttr("error", true)
-		return nil, fmt.Errorf("adapt: GET /v1/snapshot: %w", err)
+		return nil, err
 	}
-	defer resp.Body.Close()
-	span.SetAttr("code", resp.StatusCode)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, fmt.Errorf("adapt: read snapshot: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("adapt: /v1/snapshot?tenant=%s: HTTP %d: %s",
-			s.Tenant, resp.StatusCode, excerpt(data))
+	if code != http.StatusOK {
+		// %.200s: an error body is quoted only in part.
+		return nil, fmt.Errorf("adapt: /v1/snapshot?tenant=%s: HTTP %d: %.200s", s.Tenant, code, data)
 	}
 	var snap ingest.Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -79,16 +59,6 @@ func (s *IngestSource) Snapshot(ctx context.Context) (*ingest.Snapshot, error) {
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
 	return &snap, nil
-}
-
-// excerpt trims an error body for inclusion in an error message.
-func excerpt(b []byte) string {
-	const max = 200
-	s := string(b)
-	if len(s) > max {
-		s = s[:max] + "..."
-	}
-	return s
 }
 
 // ObserveStats feeds one ingest snapshot's statistics through the
@@ -104,19 +74,7 @@ func (c *Controller) ObserveStats(ctx context.Context, set *fit.StatsSet) (*Deci
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
 	adaptSnapshots.Inc()
-	if !c.fitted {
-		if !c.readyStats(set) {
-			return nil, nil
-		}
-		return c.replanStats(ctx, set, &Decision{Reason: "bootstrap"})
-	}
-	d := c.driftedStats(set)
-	if d == nil {
-		return nil, nil
-	}
-	adaptDrift.Inc()
-	obs.Default().Counter(obs.Name("dtr_adapt_drift_total", "channel", d.Channel)).Add(1)
-	return c.replanStats(ctx, set, d)
+	return c.check(ctx, FitInput{Stats: set})
 }
 
 // RefitStats forces a fit-and-replan from a snapshot regardless of
@@ -129,166 +87,5 @@ func (c *Controller) RefitStats(ctx context.Context, set *fit.StatsSet) (*Decisi
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
 	adaptSnapshots.Inc()
-	return c.replanStats(ctx, set, &Decision{Reason: "forced"})
-}
-
-// readyStats is the sufficient-statistics analogue of ready: every
-// channel a spec requires has MinObs exact observations.
-func (c *Controller) readyStats(set *fit.StatsSet) bool {
-	if set.Servers != len(c.cfg.Queues) {
-		return false
-	}
-	minObs := uint64(c.cfg.MinObs)
-	for i := range set.Service {
-		if set.Service[i] == nil || set.Service[i].N < minObs {
-			return false
-		}
-	}
-	return set.Transfer != nil && set.Transfer.N >= minObs
-}
-
-// channelStats maps drift-checkable channels to their windowed
-// statistics (transfer and fn are already per-task normalized by the
-// aggregator). Failure channels are excluded for the same reason
-// channelObs excludes them.
-func (c *Controller) channelStats(set *fit.StatsSet) map[string]*fit.Stats {
-	out := make(map[string]*fit.Stats, set.Servers+2)
-	for i := range set.Service {
-		if set.Service[i] != nil {
-			out[fmt.Sprintf("service[%d]", i)] = set.Service[i]
-		}
-	}
-	if set.Transfer != nil {
-		out["transfer"] = set.Transfer
-	}
-	if set.FN != nil {
-		out["fn"] = set.FN
-	}
-	return out
-}
-
-// driftedStats mirrors drifted on the sketch statistics: the KS
-// distance comes from the histogram sketch (Stats.KS), the mean and
-// standard deviation from the exact accumulators — same thresholds,
-// same sampling-noise gates, same per-channel gauges.
-func (c *Controller) driftedStats(set *fit.StatsSet) *Decision {
-	var worst *Decision
-	score := 0.0
-	for ch, st := range c.channelStats(set) {
-		law, ok := c.laws[ch]
-		if !ok || st.N < uint64(c.cfg.MinObs) {
-			continue
-		}
-		n := float64(st.N)
-		nFit := float64(c.baseNs[ch])
-		if nFit <= 0 {
-			nFit = n
-		}
-		gate := math.Sqrt(1/n + 1/nFit)
-		ks := st.KS(law.CDF)
-		ksTrip := ks > c.cfg.DriftKS && ks > 1.63*gate // ~99% critical value
-		obs.Default().Gauge(obs.Name("dtr_adapt_drift_ks", "channel", ch)).Set(ks)
-		obs.Default().Gauge(obs.Name("dtr_adapt_drift_noise_gate", "channel", ch)).Set(1.63 * gate)
-		rel, relTrip := 0.0, false
-		if base, ok := c.baseMeans[ch]; ok && base > 0 {
-			m := st.Mean()
-			rel = math.Abs(m-base) / base
-			se := statsStdDev(st) * gate
-			relTrip = rel > c.cfg.DriftRelMean && math.Abs(m-base) > 4*se
-			obs.Default().Gauge(obs.Name("dtr_adapt_drift_rel_mean", "channel", ch)).Set(rel)
-		}
-		if !ksTrip && !relTrip {
-			continue
-		}
-		sc := math.Max(ks/c.cfg.DriftKS, rel/c.cfg.DriftRelMean)
-		if sc > score {
-			score = sc
-			worst = &Decision{Reason: "drift", Channel: ch, KS: ks, RelMean: rel}
-		}
-	}
-	return worst
-}
-
-// statsStdDev is the exact-observation standard deviation straight from
-// the sufficient statistics.
-func statsStdDev(s *fit.Stats) float64 {
-	if s.N < 2 {
-		return 0
-	}
-	n := float64(s.N)
-	v := s.SumSq/n - (s.Sum/n)*(s.Sum/n)
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// replanStats is replan on the statistics path: the same "replan" span
-// tree ("fit" and "plan" children), the planner's FitStats instead of
-// Fit, and the snapshot's exact means as the new drift baselines.
-func (c *Controller) replanStats(ctx context.Context, set *fit.StatsSet, d *Decision) (*Decision, error) {
-	t0 := time.Now()
-	span := obs.DefaultTracer().StartRoot("replan", "", "reason", d.Reason, "source", "stats")
-	defer span.End()
-	ctx = obs.ContextWithSpan(ctx, span)
-	if d.Channel != "" {
-		span.SetAttr("channel", d.Channel)
-	}
-
-	fitSpan := span.Child("fit")
-	spec, report, err := c.planner.FitStats(obs.ContextWithSpan(ctx, fitSpan), set, fit.Config{
-		Queues: c.cfg.Queues, Families: c.cfg.Families, MinObs: c.cfg.MinObs,
-	})
-	fitSpan.End()
-	if err != nil {
-		span.SetAttr("error", "fit")
-		return nil, fmt.Errorf("adapt: fit: %w", err)
-	}
-	adaptFits.Inc()
-	planSpan := span.Child("plan")
-	policy, value, err := c.planner.Plan(obs.ContextWithSpan(ctx, planSpan), spec)
-	planSpan.End()
-	if err != nil {
-		span.SetAttr("error", "plan")
-		return nil, fmt.Errorf("adapt: plan: %w", err)
-	}
-	adaptReplans.Inc()
-	adaptRefit.Observe(time.Since(t0).Seconds())
-	span.Logger().Info("replanned", "reason", d.Reason, "channel", d.Channel,
-		"policy", formatPolicy(policy), "dur", time.Since(t0))
-
-	if err := c.adoptStats(spec, set); err != nil {
-		return nil, err
-	}
-	for _, cf := range report.Fits {
-		obs.Default().Gauge(obs.Name("dtr_adapt_channel_mean", "channel", cf.Channel)).Set(cf.Mean)
-	}
-
-	d.Spec = spec
-	d.Report = report
-	d.Policy = policy
-	d.PolicyString = formatPolicy(policy)
-	d.Value = value
-	return d, nil
-}
-
-// adoptStats installs a stats-fitted spec as the drift baseline.
-func (c *Controller) adoptStats(spec *modelspec.SystemSpec, set *fit.StatsSet) error {
-	laws, err := rebuildLaws(spec)
-	if err != nil {
-		return err
-	}
-	base := make(map[string]float64)
-	ns := make(map[string]int)
-	for ch, st := range c.channelStats(set) {
-		if st.N > 0 {
-			base[ch] = st.Mean()
-			ns[ch] = int(st.N)
-		}
-	}
-	c.laws = laws
-	c.baseMeans = base
-	c.baseNs = ns
-	c.fitted = true
-	return nil
+	return c.refit(ctx, FitInput{Stats: set})
 }

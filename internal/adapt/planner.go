@@ -17,15 +17,33 @@ import (
 	"dtr/modelspec"
 )
 
-// Planner fits a model document to a trace window and solves it for a
-// reallocation policy. Two implementations: InProcess (this process's
-// solver stack) and HTTP (a dtrserved instance's /v1/fit and
+// FitInput is one observation window from either source: raw trace
+// events, or the windowed sufficient statistics of a dtringest
+// snapshot (the bounded-memory path). Exactly one is set — the two
+// payloads serve.FitRequest accepts.
+type FitInput struct {
+	Events []trace.Event
+	Stats  *fit.StatsSet
+}
+
+// channels returns the per-channel view of the window.
+func (in FitInput) channels() (fit.Channels, error) {
+	if in.Stats != nil {
+		return in.Stats.Channels(), nil
+	}
+	sm, err := fit.Collect(in.Events)
+	if err != nil {
+		return fit.Channels{}, fmt.Errorf("adapt: %w", err)
+	}
+	return sm.Channels(), nil
+}
+
+// Planner fits a model document to an observation window and solves it
+// for a reallocation policy. Two implementations: InProcess (this
+// process's solver stack) and HTTP (a dtrserved instance's /v1/fit and
 // /v1/optimize endpoints).
 type Planner interface {
-	Fit(ctx context.Context, events []trace.Event, cfg fit.Config) (*modelspec.SystemSpec, *fit.Report, error)
-	// FitStats fits from windowed sufficient statistics (a dtringest
-	// snapshot) instead of raw events — the bounded-memory path.
-	FitStats(ctx context.Context, set *fit.StatsSet, cfg fit.Config) (*modelspec.SystemSpec, *fit.Report, error)
+	Fit(ctx context.Context, in FitInput, cfg fit.Config) (*modelspec.SystemSpec, *fit.Report, error)
 	// Plan solves spec and returns the policy with the achieved optimum
 	// (NaN when the solver does not report one).
 	Plan(ctx context.Context, spec *modelspec.SystemSpec) (policy [][]int, value float64, err error)
@@ -44,13 +62,11 @@ type InProcess struct {
 }
 
 // Fit implements Planner.
-func (p *InProcess) Fit(_ context.Context, events []trace.Event, cfg fit.Config) (*modelspec.SystemSpec, *fit.Report, error) {
-	return fit.Spec(events, cfg)
-}
-
-// FitStats implements Planner on the sufficient-statistics paths.
-func (p *InProcess) FitStats(_ context.Context, set *fit.StatsSet, cfg fit.Config) (*modelspec.SystemSpec, *fit.Report, error) {
-	return set.Spec(cfg)
+func (p *InProcess) Fit(_ context.Context, in FitInput, cfg fit.Config) (*modelspec.SystemSpec, *fit.Report, error) {
+	if in.Stats != nil {
+		return in.Stats.Spec(cfg)
+	}
+	return fit.Spec(in.Events, cfg)
 }
 
 // Plan implements Planner.
@@ -104,18 +120,37 @@ type HTTP struct {
 	TimeoutMS int
 }
 
-func (p *HTTP) client() *http.Client {
-	if p.Client != nil {
-		return p.Client
+// roundTrip sends req and returns the status and the (size-capped)
+// body. When ctx carries a span (the controller's replan span), a child
+// span brackets the call and its W3C traceparent goes out on the
+// request, so the peer's request trace joins the controller's — one
+// trace id across the process hop. A nil client means
+// http.DefaultClient.
+func roundTrip(ctx context.Context, client *http.Client, req *http.Request, spanName string, attrs ...any) (int, []byte, error) {
+	span := obs.SpanFromContext(ctx).Child(spanName, attrs...)
+	defer span.End()
+	if tp := span.Traceparent(); tp != "" {
+		req.Header.Set(obs.TraceparentHeader, tp)
 	}
-	return http.DefaultClient
+	if client == nil {
+		client = http.DefaultClient
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		span.SetAttr("error", true)
+		return 0, nil, fmt.Errorf("adapt: %s %s: %w", req.Method, req.URL.Path, err)
+	}
+	defer resp.Body.Close()
+	span.SetAttr("code", resp.StatusCode)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if err != nil {
+		return 0, nil, fmt.Errorf("adapt: read %s response: %w", req.URL.Path, err)
+	}
+	return resp.StatusCode, data, nil
 }
 
 // post sends body to path and decodes a 200 into out; non-200 answers
-// become errors carrying the server's message. When ctx carries a span
-// (the controller's replan span), a child span brackets the call and its
-// W3C traceparent goes out on the request, so dtrserved's request trace
-// joins the controller's — one trace id across the process hop.
+// become errors carrying the server's message.
 func (p *HTTP) post(ctx context.Context, path string, body, out any) error {
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -126,28 +161,16 @@ func (p *HTTP) post(ctx context.Context, path string, body, out any) error {
 		return fmt.Errorf("adapt: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	span := obs.SpanFromContext(ctx).Child("http_post", "path", path)
-	defer span.End()
-	if tp := span.Traceparent(); tp != "" {
-		req.Header.Set(obs.TraceparentHeader, tp)
-	}
-	resp, err := p.client().Do(req)
+	code, data, err := roundTrip(ctx, p.Client, req, "http_post", "path", path)
 	if err != nil {
-		span.SetAttr("error", true)
-		return fmt.Errorf("adapt: POST %s: %w", path, err)
+		return err
 	}
-	defer resp.Body.Close()
-	span.SetAttr("code", resp.StatusCode)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return fmt.Errorf("adapt: read %s response: %w", path, err)
-	}
-	if resp.StatusCode != http.StatusOK {
+	if code != http.StatusOK {
 		var er serve.ErrorResponse
 		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			return fmt.Errorf("adapt: %s: %s (HTTP %d)", path, er.Error, resp.StatusCode)
+			return fmt.Errorf("adapt: %s: %s (HTTP %d)", path, er.Error, code)
 		}
-		return fmt.Errorf("adapt: %s: HTTP %d", path, resp.StatusCode)
+		return fmt.Errorf("adapt: %s: HTTP %d", path, code)
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("adapt: decode %s response: %w", path, err)
@@ -156,34 +179,14 @@ func (p *HTTP) post(ctx context.Context, path string, body, out any) error {
 }
 
 // Fit implements Planner via POST /v1/fit.
-func (p *HTTP) Fit(ctx context.Context, events []trace.Event, cfg fit.Config) (*modelspec.SystemSpec, *fit.Report, error) {
+func (p *HTTP) Fit(ctx context.Context, in FitInput, cfg fit.Config) (*modelspec.SystemSpec, *fit.Report, error) {
 	var fams []string
 	for _, f := range cfg.Families {
 		fams = append(fams, string(f))
 	}
 	var resp serve.FitResponse
 	err := p.post(ctx, "/v1/fit", serve.FitRequest{
-		Events: events, Queues: cfg.Queues, Families: fams,
-		MinObs: cfg.MinObs, TimeoutMS: p.TimeoutMS,
-	}, &resp)
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.Spec == nil {
-		return nil, nil, fmt.Errorf("adapt: /v1/fit returned no spec")
-	}
-	return resp.Spec, resp.Report, nil
-}
-
-// FitStats implements Planner via POST /v1/fit with a stats payload.
-func (p *HTTP) FitStats(ctx context.Context, set *fit.StatsSet, cfg fit.Config) (*modelspec.SystemSpec, *fit.Report, error) {
-	var fams []string
-	for _, f := range cfg.Families {
-		fams = append(fams, string(f))
-	}
-	var resp serve.FitResponse
-	err := p.post(ctx, "/v1/fit", serve.FitRequest{
-		Stats: set, Queues: cfg.Queues, Families: fams,
+		Events: in.Events, Stats: in.Stats, Queues: cfg.Queues, Families: fams,
 		MinObs: cfg.MinObs, TimeoutMS: p.TimeoutMS,
 	}, &resp)
 	if err != nil {
@@ -216,6 +219,3 @@ func (p *HTTP) Plan(ctx context.Context, spec *modelspec.SystemSpec) ([][]int, f
 	}
 	return resp.Matrix, float64(resp.Value), nil
 }
-
-// formatPolicy renders a policy matrix for display.
-func formatPolicy(policy [][]int) string { return dtr.FormatPolicy(policy) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dtr/dist"
+	"dtr/internal/testutil"
 )
 
 // nsolver builds an NSolver with test-friendly grid settings.
@@ -40,7 +41,7 @@ func TestNSolverMatchesTwoServerSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		almost(t, got, want, 1e-9, "n-solver vs 2-solver mean")
+		testutil.Almost(t, got, want, 1e-9, "n-solver vs 2-solver mean")
 
 		wantQ, err := sv2.QoS(s, 8)
 		if err != nil {
@@ -50,7 +51,7 @@ func TestNSolverMatchesTwoServerSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		almost(t, gotQ, wantQ, 1e-9, "n-solver vs 2-solver QoS")
+		testutil.Almost(t, gotQ, wantQ, 1e-9, "n-solver vs 2-solver QoS")
 	}
 }
 
@@ -68,7 +69,7 @@ func TestNSolverReliabilityMatchesTwoServerSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, want, 1e-9, "n-solver vs 2-solver reliability")
+	testutil.Almost(t, got, want, 1e-9, "n-solver vs 2-solver reliability")
 }
 
 // threeServerModel builds a small heterogeneous 3-server model.
@@ -111,7 +112,7 @@ func TestNSolverThreeServerClosedForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, want, 0.02, "3-server E[max] inclusion-exclusion")
+	testutil.Almost(t, got, want, 0.02, "3-server E[max] inclusion-exclusion")
 }
 
 func TestNSolverThreeServerReliabilityProduct(t *testing.T) {
@@ -128,7 +129,7 @@ func TestNSolverThreeServerReliabilityProduct(t *testing.T) {
 	for i := range rates {
 		want *= rates[i] / (rates[i] + fails[i])
 	}
-	almost(t, got, want, 0.02, "3-server reliability product")
+	testutil.Almost(t, got, want, 0.02, "3-server reliability product")
 }
 
 // TestNSolverThreeServerWithTransfer: a group in flight to the fastest
@@ -158,7 +159,7 @@ func TestNSolverThreeServerWithTransfer(t *testing.T) {
 		sb := (lz*math.Exp(-l3*x) - l3*math.Exp(-lz*x)) / (lz - l3)
 		mean += (1 - (1-sa)*(1-sb)) * h
 	}
-	almost(t, got, mean, 0.02, "3-server transfer chain")
+	testutil.Almost(t, got, mean, 0.02, "3-server transfer chain")
 }
 
 // TestNSolverQoSMonotone: sanity across a 3-server non-Markovian case.

@@ -6,14 +6,8 @@ import (
 
 	"dtr/dist"
 	"dtr/internal/quad"
+	"dtr/internal/testutil"
 )
-
-func almost(t *testing.T, got, want, tol float64, msg string) {
-	t.Helper()
-	if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-		t.Fatalf("%s: got %.8g, want %.8g (tol %g)", msg, got, want, tol)
-	}
-}
 
 // solver builds a solver with a test-friendly grid.
 func solver(t *testing.T, m *Model, step float64) *Solver {
@@ -39,7 +33,7 @@ func TestMeanTwoExponentialSingles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, 7.0/3, 0.02, "E[max of two exponentials]")
+	testutil.Almost(t, got, 7.0/3, 0.02, "E[max of two exponentials]")
 }
 
 // TestMeanErlangQueue: k tasks at one server = sum of k exponentials.
@@ -51,7 +45,7 @@ func TestMeanErlangQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, 6, 0.02, "Erlang-4 mean")
+	testutil.Almost(t, got, 6, 0.02, "Erlang-4 mean")
 }
 
 // TestMeanWithTransfer: a single task in transit (exponential transfer
@@ -66,7 +60,7 @@ func TestMeanWithTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, 3, 0.02, "transfer then service")
+	testutil.Almost(t, got, 3, 0.02, "transfer then service")
 }
 
 // TestQoSSingleExponential: P(W < TM) for one task.
@@ -78,7 +72,7 @@ func TestQoSSingleExponential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, 1-math.Exp(-1.5), 0.02, "QoS single exponential")
+	testutil.Almost(t, got, 1-math.Exp(-1.5), 0.02, "QoS single exponential")
 }
 
 // TestQoSDeterministicService: degenerate service time pins T exactly.
@@ -90,12 +84,12 @@ func TestQoSDeterministicService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, late, 1, 1e-9, "deterministic well within deadline")
+	testutil.Almost(t, late, 1, 1e-9, "deterministic well within deadline")
 	early, err := sv.QoS(s, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, early, 0, 1e-9, "deterministic past deadline")
+	testutil.Almost(t, early, 0, 1e-9, "deterministic past deadline")
 }
 
 // TestQoSHypoexponential: transfer (mean 1) plus service (mean 2):
@@ -112,7 +106,7 @@ func TestQoSHypoexponential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, want, 0.02, "QoS of transfer+service chain")
+	testutil.Almost(t, got, want, 0.02, "QoS of transfer+service chain")
 }
 
 // TestReliabilityExponentialRace: k tasks, exponential service rate μ
@@ -129,7 +123,7 @@ func TestReliabilityExponentialRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := math.Pow(mu/(mu+lambda), float64(k))
-		almost(t, got, want, 0.02, "exponential race reliability")
+		testutil.Almost(t, got, want, 0.02, "exponential race reliability")
 	}
 }
 
@@ -146,7 +140,7 @@ func TestReliabilityBothServersIndependent(t *testing.T) {
 	}
 	r1 := (1.0) / (1.0 + 0.1) // rate 1 vs rate 0.1
 	r2 := (0.5) / (0.5 + 0.2) // rate 0.5 vs rate 0.2
-	almost(t, got, r1*r2, 0.02, "independent races")
+	testutil.Almost(t, got, r1*r2, 0.02, "independent races")
 }
 
 // TestReliabilityWithTransfer: R = ν/(ν+λ) · μ/(μ+λ): the group must
@@ -163,7 +157,7 @@ func TestReliabilityWithTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := nu / (nu + lambda) * mu / (mu + lambda)
-	almost(t, got, want, 0.02, "transfer race reliability")
+	testutil.Almost(t, got, want, 0.02, "transfer race reliability")
 }
 
 // TestReliabilityParetoService: non-Markovian service vs exponential
@@ -185,7 +179,7 @@ func TestReliabilityParetoService(t *testing.T) {
 	want := quad.ToInf(func(x float64) float64 {
 		return w.PDF(x) * math.Exp(-lambda*x)
 	}, 0, 1e-11)
-	almost(t, got, want, 0.02, "Pareto service vs exponential failure")
+	testutil.Almost(t, got, want, 0.02, "Pareto service vs exponential failure")
 }
 
 // TestMeanNonExponential: two single-task servers with uniform services;
@@ -203,7 +197,7 @@ func TestMeanNonExponential(t *testing.T) {
 	want := quad.Simpson(func(x float64) float64 {
 		return 1 - u1.CDF(x)*u2.CDF(x)
 	}, 0, 3, 1e-10)
-	almost(t, got, want, 0.02, "E[max] of uniforms")
+	testutil.Almost(t, got, want, 0.02, "E[max] of uniforms")
 }
 
 // TestMeanRequiresReliableServers: the metric is undefined with failures.
@@ -238,7 +232,7 @@ func TestTrackFNInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, rOn, rOff, 0.01, "FN marginalization invariance")
+	testutil.Almost(t, rOn, rOff, 0.01, "FN marginalization invariance")
 }
 
 // TestAgedInitialState: a deterministic service clock with initial age
@@ -252,7 +246,7 @@ func TestAgedInitialState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, q, 1, 1e-9, "aged deterministic clock finishes in residual time")
+	testutil.Almost(t, q, 1, 1e-9, "aged deterministic clock finishes in residual time")
 }
 
 // TestQoSMonotoneInDeadline: more time can only help.

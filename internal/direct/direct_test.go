@@ -7,14 +7,8 @@ import (
 	"dtr/dist"
 	"dtr/internal/core"
 	"dtr/internal/markov"
+	"dtr/internal/testutil"
 )
-
-func almost(t *testing.T, got, want, tol float64, msg string) {
-	t.Helper()
-	if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-		t.Fatalf("%s: got %.10g, want %.10g (tol %g)", msg, got, want, tol)
-	}
-}
 
 // model2 builds a two-server model from service families and per-task
 // transfer mean.
@@ -66,7 +60,7 @@ func TestAgainstMarkovExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		almost(t, gotMean, wantMean, 5e-3, "mean vs markov")
+		testutil.Almost(t, gotMean, wantMean, 5e-3, "mean vs markov")
 
 		wantQ, err := mk.QoS(st, 15)
 		if err != nil {
@@ -76,7 +70,7 @@ func TestAgainstMarkovExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		almost(t, gotQ, wantQ, 5e-3, "QoS vs markov")
+		testutil.Almost(t, gotQ, wantQ, 5e-3, "QoS vs markov")
 	}
 }
 
@@ -98,7 +92,7 @@ func TestReliabilityAgainstMarkov(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		almost(t, got, want, 5e-3, "reliability vs markov")
+		testutil.Almost(t, got, want, 5e-3, "reliability vs markov")
 	}
 }
 
@@ -123,7 +117,7 @@ func TestQoSWithFailuresAgainstMarkov(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		almost(t, got, want, 5e-3, "QoS with failures vs markov")
+		testutil.Almost(t, got, want, 5e-3, "QoS with failures vs markov")
 	}
 }
 
@@ -150,7 +144,7 @@ func TestAgainstCoreSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, directMean, coreMean, 0.02, "mean: direct vs core")
+	testutil.Almost(t, directMean, coreMean, 0.02, "mean: direct vs core")
 
 	coreQ, err := sv.QoS(st, 5)
 	if err != nil {
@@ -160,7 +154,7 @@ func TestAgainstCoreSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, directQ, coreQ, 0.03, "QoS: direct vs core")
+	testutil.Almost(t, directQ, coreQ, 0.03, "QoS: direct vs core")
 }
 
 func TestReliabilityAgainstCoreSolverNonMarkovian(t *testing.T) {
@@ -181,7 +175,7 @@ func TestReliabilityAgainstCoreSolverNonMarkovian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, want, 0.02, "reliability: direct vs core")
+	testutil.Almost(t, got, want, 0.02, "reliability: direct vs core")
 }
 
 func TestDegenerateWorkloads(t *testing.T) {
@@ -191,17 +185,17 @@ func TestDegenerateWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, mean, 0, 1e-12, "empty workload mean")
+	testutil.Almost(t, mean, 0, 1e-12, "empty workload mean")
 	q, err := s.QoS(0, 0, 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, q, 1, 1e-12, "empty workload QoS")
+	testutil.Almost(t, q, 1, 1e-12, "empty workload QoS")
 	r, err := s.Reliability(0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, r, 1, 1e-12, "empty workload reliability")
+	testutil.Almost(t, r, 1, 1e-12, "empty workload reliability")
 }
 
 func TestInfeasiblePoliciesRejected(t *testing.T) {
@@ -231,8 +225,8 @@ func TestSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, a.QoS, b.QoS, 1e-9, "QoS symmetry")
-	almost(t, a.Reliability, b.Reliability, 1e-9, "reliability symmetry")
+	testutil.Almost(t, a.QoS, b.QoS, 1e-9, "QoS symmetry")
+	testutil.Almost(t, a.Reliability, b.Reliability, 1e-9, "reliability symmetry")
 }
 
 func TestMeanRequiresReliable(t *testing.T) {
@@ -305,7 +299,7 @@ func TestTailCorrectionRecoversHeavyTailMean(t *testing.T) {
 	if math.Abs(corrected-ref) >= math.Abs(raw-ref) {
 		t.Fatalf("correction did not help: raw=%g corrected=%g ref=%g", raw, corrected, ref)
 	}
-	almost(t, corrected, ref, 0.04, "corrected heavy-tail mean")
+	testutil.Almost(t, corrected, ref, 0.04, "corrected heavy-tail mean")
 }
 
 // TestPaperScaleSmoke: the solver must handle the paper's full workload
@@ -356,14 +350,14 @@ func TestCompletionCDFConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		almost(t, cdf[idx], q, 1e-9, "CDF vs QoS")
+		testutil.Almost(t, cdf[idx], q, 1e-9, "CDF vs QoS")
 	}
 	// Saturates at the reliability.
 	rel, err := s.Reliability(6, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, cdf[len(cdf)-1], rel, 1e-6, "CDF limit vs reliability")
+	testutil.Almost(t, cdf[len(cdf)-1], rel, 1e-6, "CDF limit vs reliability")
 }
 
 // TestHyperExponentialCrossCheck: the over-dispersed mixture family runs
@@ -393,5 +387,5 @@ func TestHyperExponentialCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, want, 0.05, "hyperexponential: direct vs core")
+	testutil.Almost(t, got, want, 0.05, "hyperexponential: direct vs core")
 }

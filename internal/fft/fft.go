@@ -116,18 +116,3 @@ func Convolve(x, y []float64) []float64 {
 	}
 	return out
 }
-
-// ConvolveTrunc returns the first n samples of the linear convolution of
-// x and y. The analytic solvers work on a fixed time horizon, so the
-// convolution beyond the horizon (probability mass past the grid) is
-// accounted for separately as tail mass; truncating here keeps k-fold
-// convolution chains at constant length.
-func ConvolveTrunc(x, y []float64, n int) []float64 {
-	full := Convolve(x, y)
-	if len(full) >= n {
-		return full[:n]
-	}
-	out := make([]float64, n)
-	copy(out, full)
-	return out
-}

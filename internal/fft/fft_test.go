@@ -156,18 +156,3 @@ func TestConvolvePreservesMass(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestConvolveTrunc(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{4, 5}
-	full := Convolve(x, y) // length 4
-	got := ConvolveTrunc(x, y, 2)
-	if len(got) != 2 || got[0] != full[0] || got[1] != full[1] {
-		t.Fatalf("trunc: %v vs full %v", got, full)
-	}
-	// Padding when n exceeds the full length.
-	got = ConvolveTrunc(x, y, 6)
-	if len(got) != 6 || got[4] != 0 || got[5] != 0 {
-		t.Fatalf("padded trunc: %v", got)
-	}
-}

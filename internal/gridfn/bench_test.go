@@ -22,14 +22,6 @@ func BenchmarkConvolve8k(b *testing.B) {
 	}
 }
 
-func BenchmarkConvPower100(b *testing.B) {
-	l := benchLattice(1 << 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.ConvPower(100)
-	}
-}
-
 func BenchmarkPrefixes50(b *testing.B) {
 	l := benchLattice(1 << 12)
 	b.ResetTimer()

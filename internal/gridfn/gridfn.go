@@ -1,8 +1,9 @@
 // Package gridfn represents probability distributions of non-negative
 // random variables as point masses on a uniform time lattice and provides
-// the operations the analytic solvers need: k-fold convolution (sums of
-// independent service times), maxima of independent variables (parallel
-// server finish times), expectation functionals, and quantiles.
+// the operations the analytic solvers need: convolution and its prefix
+// chains (sums of independent service times), maxima and minima of
+// independent variables (parallel server finish times, replicated
+// copies) and expectation functionals.
 //
 // A Lattice carries the probability mass that falls beyond its horizon in
 // the Tail field, so heavy-tailed inputs (the paper's Pareto models with
@@ -184,33 +185,10 @@ func (l *Lattice) ConvolveMetered(o *Lattice, meter *Meter) *Lattice {
 	return out
 }
 
-// ConvPower returns the k-fold convolution of l with itself (the
-// distribution of the sum of k i.i.d. copies), via binary exponentiation.
-// k = 0 yields a unit point mass at zero.
-func (l *Lattice) ConvPower(k int) *Lattice {
-	if k < 0 {
-		panic("gridfn: negative convolution power")
-	}
-	result := PointMass(0, l.Dx, len(l.M))
-	base := l.Clone()
-	for k > 0 {
-		if k&1 == 1 {
-			result = result.Convolve(base)
-		}
-		k >>= 1
-		if k > 0 {
-			base = base.Convolve(base)
-		}
-	}
-	return result
-}
-
 // Prefixes returns the distributions of the partial sums S_0, S_1, ..., S_k
 // of i.i.d. copies of l, computed incrementally (k convolutions total).
-// The incremental chain is cheaper and more accurate than k separate
-// ConvPower calls when all prefixes are needed, which is exactly the
-// policy-sweep access pattern (the sweep needs the total service time of
-// every possible queue length).
+// The incremental chain suits the policy-sweep access pattern: the sweep
+// needs the total service time of every possible queue length.
 func (l *Lattice) Prefixes(k int) []*Lattice {
 	return l.PrefixesMetered(k, nil)
 }
@@ -323,35 +301,4 @@ func (l *Lattice) ExpectSurvival(g func(float64) float64, gTail float64) float64
 		}
 	}
 	return s + l.Tail*gTail
-}
-
-// Quantile returns the smallest lattice point q with P(X ≤ q) ≥ p, or
-// +Inf if the lattice mass never reaches p (the quantile sits in the tail).
-func (l *Lattice) Quantile(p float64) float64 {
-	var run float64
-	for i, m := range l.M {
-		run += m
-		if run >= p {
-			return float64(i) * l.Dx
-		}
-	}
-	return math.Inf(1)
-}
-
-// Shift returns the distribution of X + c (c ≥ 0) by lattice translation;
-// mass shifted past the horizon joins the tail.
-func (l *Lattice) Shift(c float64) *Lattice {
-	if c < 0 {
-		panic("gridfn: negative shift")
-	}
-	k := int(math.Round(c / l.Dx))
-	out := &Lattice{Dx: l.Dx, M: make([]float64, len(l.M)), Tail: l.Tail}
-	for i, m := range l.M {
-		if j := i + k; j < len(out.M) {
-			out.M[j] = m
-		} else {
-			out.Tail += m
-		}
-	}
-	return out
 }

@@ -6,14 +6,8 @@ import (
 
 	"dtr/dist"
 	"dtr/internal/core"
+	"dtr/internal/testutil"
 )
-
-func almost(t *testing.T, got, want, tol float64, msg string) {
-	t.Helper()
-	if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-		t.Fatalf("%s: got %.10g, want %.10g (tol %g)", msg, got, want, tol)
-	}
-}
 
 // expModel builds an all-exponential two-server core.Model.
 func expModel(mean1, mean2, fmean1, fmean2, zPerTask float64) *core.Model {
@@ -38,10 +32,10 @@ func TestFromModelExtractsRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, s.MuService[0], 0.5, 1e-12, "mu1")
-	almost(t, s.MuService[1], 1, 1e-12, "mu2")
-	almost(t, s.LambdaFail[0], 0.001, 1e-12, "lambda1")
-	almost(t, s.TransferRate(4, 0, 1), 0.25, 1e-12, "transfer rate")
+	testutil.Almost(t, s.MuService[0], 0.5, 1e-12, "mu1")
+	testutil.Almost(t, s.MuService[1], 1, 1e-12, "mu2")
+	testutil.Almost(t, s.LambdaFail[0], 0.001, 1e-12, "lambda1")
+	testutil.Almost(t, s.TransferRate(4, 0, 1), 0.25, 1e-12, "transfer rate")
 }
 
 func TestFromModelRejectsNonExponential(t *testing.T) {
@@ -59,8 +53,8 @@ func TestApproximateMatchesMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, s.MuService[0], 0.5, 1e-12, "approximated rate from Pareto mean")
-	almost(t, s.LambdaFail[1], 0, 0, "never failure approximates to rate 0")
+	testutil.Almost(t, s.MuService[0], 0.5, 1e-12, "approximated rate from Pareto mean")
+	testutil.Almost(t, s.LambdaFail[1], 0, 0, "never failure approximates to rate 0")
 }
 
 // TestMeanClosedForms: E[max(Exp(1), Exp(1/2))] = 1 + 2 − 2/3 = 7/3, and
@@ -73,14 +67,14 @@ func TestMeanClosedForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, 7.0/3, 1e-12, "E[max]")
+	testutil.Almost(t, got, 7.0/3, 1e-12, "E[max]")
 
 	st2, _ := core.NewState(m, []int{5, 0}, core.Policy2(0, 0))
 	got, err = s.MeanTime(st2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, 5, 1e-12, "Erlang-5 mean")
+	testutil.Almost(t, got, 5, 1e-12, "Erlang-5 mean")
 }
 
 func TestMeanWithTransferClosedForm(t *testing.T) {
@@ -94,7 +88,7 @@ func TestMeanWithTransferClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, 3, 1e-12, "transfer + service mean")
+	testutil.Almost(t, got, 3, 1e-12, "transfer + service mean")
 }
 
 func TestMeanRequiresReliable(t *testing.T) {
@@ -117,7 +111,7 @@ func TestReliabilityClosedForms(t *testing.T) {
 	}
 	r1 := math.Pow(1.0/(1.0+0.1), 2)
 	r2 := 0.5 / (0.5 + 0.2)
-	almost(t, got, r1*r2, 1e-12, "product of races")
+	testutil.Almost(t, got, r1*r2, 1e-12, "product of races")
 }
 
 func TestReliabilityWithTransfer(t *testing.T) {
@@ -130,7 +124,7 @@ func TestReliabilityWithTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	nu, mu, lambda := 1.0, 0.5, 0.125
-	almost(t, got, nu/(nu+lambda)*mu/(mu+lambda), 1e-12, "transfer race")
+	testutil.Almost(t, got, nu/(nu+lambda)*mu/(mu+lambda), 1e-12, "transfer race")
 }
 
 func TestQoSClosedForms(t *testing.T) {
@@ -142,7 +136,7 @@ func TestQoSClosedForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, 1-math.Exp(-1.5), 1e-9, "single exponential QoS")
+	testutil.Almost(t, got, 1-math.Exp(-1.5), 1e-9, "single exponential QoS")
 
 	// Erlang-2 (two tasks, rate 0.5): P(T<t) = 1 − e^{−t/2}(1 + t/2).
 	st2, _ := core.NewState(m, []int{2, 0}, core.Policy2(0, 0))
@@ -150,7 +144,7 @@ func TestQoSClosedForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, 1-math.Exp(-2)*(1+2), 1e-9, "Erlang-2 QoS")
+	testutil.Almost(t, got, 1-math.Exp(-2)*(1+2), 1e-9, "Erlang-2 QoS")
 }
 
 func TestQoSHypoexponential(t *testing.T) {
@@ -165,7 +159,7 @@ func TestQoSHypoexponential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, want, 1e-9, "hypoexponential QoS")
+	testutil.Almost(t, got, want, 1e-9, "hypoexponential QoS")
 }
 
 func TestQoSLimits(t *testing.T) {
@@ -188,7 +182,7 @@ func TestQoSLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, big, rel, 1e-6, "QoS(inf) = reliability")
+	testutil.Almost(t, big, rel, 1e-6, "QoS(inf) = reliability")
 }
 
 // TestQoSMatchesCoreSolver: on exponential inputs the age-dependent
@@ -213,7 +207,7 @@ func TestQoSMatchesCoreSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, coreQ, mkQ, 0.02, "core vs markov QoS")
+	testutil.Almost(t, coreQ, mkQ, 0.02, "core vs markov QoS")
 
 	mkR, err := s.Reliability(st)
 	if err != nil {
@@ -223,7 +217,7 @@ func TestQoSMatchesCoreSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, coreR, mkR, 0.02, "core vs markov reliability")
+	testutil.Almost(t, coreR, mkR, 0.02, "core vs markov reliability")
 }
 
 func TestMeanMatchesCoreSolver(t *testing.T) {
@@ -245,7 +239,7 @@ func TestMeanMatchesCoreSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, coreT, mkT, 0.02, "core vs markov mean")
+	testutil.Almost(t, coreT, mkT, 0.02, "core vs markov mean")
 }
 
 func TestTooManyGroupsRejected(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"dtr/dist"
 	"dtr/internal/core"
+	"dtr/internal/testutil"
 )
 
 // expModelN builds an all-exponential n-server core.Model.
@@ -44,7 +45,7 @@ func TestNSystemMatchesTwoServerSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, rn, r2, 1e-12, "n-system vs 2-system reliability")
+	testutil.Almost(t, rn, r2, 1e-12, "n-system vs 2-system reliability")
 
 	q2, err := s2.QoS(st, 12)
 	if err != nil {
@@ -54,7 +55,7 @@ func TestNSystemMatchesTwoServerSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, qn, q2, 1e-9, "n-system vs 2-system QoS")
+	testutil.Almost(t, qn, q2, 1e-9, "n-system vs 2-system QoS")
 }
 
 func TestNSystemThreeServerClosedForms(t *testing.T) {
@@ -72,7 +73,7 @@ func TestNSystemThreeServerClosedForms(t *testing.T) {
 	want := 1/l1 + 1/l2 + 1/l3 -
 		1/(l1+l2) - 1/(l1+l3) - 1/(l2+l3) +
 		1/(l1+l2+l3)
-	almost(t, got, want, 1e-12, "inclusion-exclusion E[max]")
+	testutil.Almost(t, got, want, 1e-12, "inclusion-exclusion E[max]")
 }
 
 // TestNSystemMatchesNSolver: the n-server age-dependent recursion and the
@@ -105,7 +106,7 @@ func TestNSystemMatchesNSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, gotR, wantR, 0.02, "NSolver vs NSystem reliability")
+	testutil.Almost(t, gotR, wantR, 0.02, "NSolver vs NSystem reliability")
 
 	wantQ, err := sn.QoS(st, 6)
 	if err != nil {
@@ -115,7 +116,7 @@ func TestNSystemMatchesNSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, gotQ, wantQ, 0.02, "NSolver vs NSystem QoS")
+	testutil.Almost(t, gotQ, wantQ, 0.02, "NSolver vs NSystem QoS")
 }
 
 func TestNSystemMeanMatchesNSolver(t *testing.T) {
@@ -141,7 +142,7 @@ func TestNSystemMeanMatchesNSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got, want, 0.02, "NSolver vs NSystem mean")
+	testutil.Almost(t, got, want, 0.02, "NSolver vs NSystem mean")
 }
 
 func TestNSystemRejectsNonExponential(t *testing.T) {

@@ -8,14 +8,8 @@ import (
 	"dtr/internal/core"
 	"dtr/internal/direct"
 	"dtr/internal/sim"
+	"dtr/internal/testutil"
 )
-
-func almost(t *testing.T, got, want, tol float64, msg string) {
-	t.Helper()
-	if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-		t.Fatalf("%s: got %.8g, want %.8g", msg, got, want)
-	}
-}
 
 // model builds an n-server model with the given service means.
 func model(serviceMeans []float64, failMeans []float64, zPerTask float64) *core.Model {
@@ -58,17 +52,17 @@ func TestBoundsCollapseToExactTwoServer(t *testing.T) {
 	if !b.Exact {
 		t.Fatal("one group per direction should be flagged exact")
 	}
-	almost(t, b.Optimistic.Mean, b.Pessimistic.Mean, 1e-12, "sides coincide")
+	testutil.Almost(t, b.Optimistic.Mean, b.Pessimistic.Mean, 1e-12, "sides coincide")
 	wantMean, err := ds.MeanTime(8, 4, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, b.Optimistic.Mean, wantMean, 1e-5, "bounds equal exact mean")
+	testutil.Almost(t, b.Optimistic.Mean, wantMean, 1e-5, "bounds equal exact mean")
 	wantQoS, err := ds.QoS(8, 4, 3, 1, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, b.Optimistic.QoS, wantQoS, 1e-5, "bounds equal exact QoS")
+	testutil.Almost(t, b.Optimistic.QoS, wantQoS, 1e-5, "bounds equal exact QoS")
 }
 
 // TestBoundsBracketSimulation: with two groups converging on the fast

@@ -117,53 +117,40 @@ type SweepDiagnostics struct {
 	Exhaustive bool `json:"exhaustive"`
 }
 
-// evaluate computes the objective for one policy.
-func evaluate(s *direct.Solver, m1, m2, l12, l21 int, obj Objective, deadline float64) (float64, error) {
-	switch obj {
-	case ObjMeanTime:
-		return s.MeanTime(m1, m2, l12, l21)
-	case ObjQoS:
-		return s.QoS(m1, m2, l12, l21, deadline)
-	case ObjReliability:
-		return s.Reliability(m1, m2, l12, l21)
-	default:
-		return 0, fmt.Errorf("policy: unknown objective %v", obj)
-	}
-}
+// evalFunc computes the objective for one policy (L12, L21).
+type evalFunc func(l12, l21 int) (float64, error)
 
-// evaluateFac is evaluate with explicit per-server replication factors;
-// the zero pair dispatches to the factor-less (model-default) methods —
-// the exact pre-replication call chain, which is what keeps plain
-// Optimize2 output byte-identical to the pre-replication solver.
-func evaluateFac(s *direct.Solver, m1, m2, l12, l21 int, obj Objective, deadline float64, fac [2]int) (float64, error) {
-	if fac == [2]int{} {
-		return evaluate(s, m1, m2, l12, l21, obj, deadline)
-	}
-	switch obj {
-	case ObjMeanTime:
-		return s.MeanTimeRepl(m1, m2, l12, l21, fac)
-	case ObjQoS:
-		return s.QoSRepl(m1, m2, l12, l21, deadline, fac)
-	case ObjReliability:
-		return s.ReliabilityRepl(m1, m2, l12, l21, fac)
-	default:
-		return 0, fmt.Errorf("policy: unknown objective %v", obj)
+// directEval evaluates policies on the canonical-scenario solver under
+// the per-server replication factors fac.
+func directEval(s *direct.Solver, m1, m2 int, obj Objective, deadline float64, fac [2]int) evalFunc {
+	return func(l12, l21 int) (float64, error) {
+		switch obj {
+		case ObjMeanTime:
+			return s.MeanTimeRepl(m1, m2, l12, l21, fac)
+		case ObjQoS:
+			return s.QoSRepl(m1, m2, l12, l21, deadline, fac)
+		case ObjReliability:
+			return s.ReliabilityRepl(m1, m2, l12, l21, fac)
+		default:
+			return 0, fmt.Errorf("policy: unknown objective %v", obj)
+		}
 	}
 }
 
 // Optimize2 solves problems (3)/(4): it searches the feasible policy
 // lattice {0..m1}×{0..m2} for the DTR policy optimizing the objective,
-// using the canonical-scenario solver for the metric values. The lattice
-// evaluations of each pass are sharded over Options2.Workers goroutines;
-// see Options2.Workers for the bit-identical-to-serial guarantee.
+// using the canonical-scenario solver for the metric values under the
+// model's default replication factors (OptimizeRepl2 searches over
+// them). The lattice evaluations of each pass are sharded over
+// Options2.Workers goroutines; see Options2.Workers for the
+// bit-identical-to-serial guarantee.
 func Optimize2(s *direct.Solver, m1, m2 int, obj Objective, opt Options2) (Result2, error) {
-	return optimize2Fac(s, m1, m2, obj, opt, [2]int{})
+	return optimize2(directEval(s, m1, m2, obj, opt.Deadline, s.DefaultFactors()), m1, m2, obj, opt)
 }
 
-// optimize2Fac is the Optimize2 search body, parameterized by per-server
-// replication factors. The zero pair is the plain (model-default) search;
-// OptimizeRepl2 runs it once per factor combination.
-func optimize2Fac(s *direct.Solver, m1, m2 int, obj Objective, opt Options2, fac [2]int) (Result2, error) {
+// optimize2 is the search engine behind Optimize2, OptimizeRepl2 and
+// Optimize2Regen: the lattice sweep over whatever evaluates one policy.
+func optimize2(eval evalFunc, m1, m2 int, obj Objective, opt Options2) (Result2, error) {
 	if m1 < 0 || m2 < 0 {
 		return Result2{}, fmt.Errorf("policy: negative workload (%d, %d)", m1, m2)
 	}
@@ -172,7 +159,7 @@ func optimize2Fac(s *direct.Solver, m1, m2 int, obj Objective, opt Options2, fac
 	}
 
 	sw := &sweep2{
-		s: s, m1: m1, m2: m2, obj: obj, deadline: opt.Deadline, fac: fac,
+		eval: eval, m1: m1, m2: m2, obj: obj,
 		workers: par.Workers(opt.Workers),
 		best:    Result2{Value: obj.worst(), L12: -1, L21: -1},
 		seen:    make(map[[2]int]bool),
@@ -286,17 +273,15 @@ func (sw *sweep2) fillDiag(d *SweepDiagnostics, exhaustive bool) {
 // deduplication, the sharded batch evaluator, and the serial-order
 // reduction into the incumbent.
 type sweep2 struct {
-	s        *direct.Solver
-	m1, m2   int
-	obj      Objective
-	deadline float64
-	fac      [2]int // replication factors; zero pair = model default
-	workers  int
-	seen     map[[2]int]bool
-	best     Result2
-	evals    int
-	batches  int
-	span     *obs.Span // "optimize2" trace span (nil = untraced)
+	eval    evalFunc
+	m1, m2  int
+	obj     Objective
+	workers int
+	seen    map[[2]int]bool
+	best    Result2
+	evals   int
+	batches int
+	span    *obs.Span // "optimize2" trace span (nil = untraced)
 
 	cand [][2]int  // candidate scratch, reused across batches
 	vals []float64 // value slots, written by index from the pool
@@ -341,7 +326,7 @@ func (sw *sweep2) tryAll(pts [][2]int) error {
 		if instrumented {
 			t0 = time.Now()
 		}
-		v, err := evaluateFac(sw.s, sw.m1, sw.m2, cand[i][0], cand[i][1], sw.obj, sw.deadline, sw.fac)
+		v, err := sw.eval(cand[i][0], cand[i][1])
 		if err != nil {
 			return err
 		}

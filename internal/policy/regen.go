@@ -19,44 +19,25 @@ import (
 // workload — use it at small task counts; Optimize2 is the production
 // path. The two must agree, which the tests verify.
 func Optimize2Regen(sv *core.Solver, m1, m2 int, obj Objective, opt Options2) (Result2, error) {
-	if m1 < 0 || m2 < 0 {
-		return Result2{}, fmt.Errorf("policy: negative workload (%d, %d)", m1, m2)
-	}
-	if obj == ObjQoS && opt.Deadline <= 0 {
-		return Result2{}, fmt.Errorf("policy: ObjQoS requires a positive Deadline")
-	}
 	if obj == ObjMeanTime && !sv.Model.Reliable() {
 		return Result2{}, fmt.Errorf("policy: mean-time objective requires reliable servers")
 	}
-
-	best := Result2{Value: obj.worst(), L12: -1, L21: -1}
-	evals := 0
-	for l12 := 0; l12 <= m1; l12++ {
-		for l21 := 0; l21 <= m2; l21++ {
-			st, err := core.NewState(sv.Model, []int{m1, m2}, core.Policy2(l12, l21))
-			if err != nil {
-				return Result2{}, err
-			}
-			var v float64
-			switch obj {
-			case ObjMeanTime:
-				v, err = sv.MeanTime(st)
-			case ObjQoS:
-				v, err = sv.QoS(st, opt.Deadline)
-			case ObjReliability:
-				v, err = sv.Reliability(st)
-			default:
-				return Result2{}, fmt.Errorf("policy: unknown objective %v", obj)
-			}
-			if err != nil {
-				return Result2{}, err
-			}
-			evals++
-			if obj.better(v, best.Value) {
-				best = Result2{L12: l12, L21: l21, Value: v}
-			}
+	// One worker: the solver's memo tables are plain maps.
+	opt.Exhaustive, opt.Workers = true, 1
+	return optimize2(func(l12, l21 int) (float64, error) {
+		st, err := core.NewState(sv.Model, []int{m1, m2}, core.Policy2(l12, l21))
+		if err != nil {
+			return 0, err
 		}
-	}
-	best.Evaluations = evals
-	return best, nil
+		switch obj {
+		case ObjMeanTime:
+			return sv.MeanTime(st)
+		case ObjQoS:
+			return sv.QoS(st, opt.Deadline)
+		case ObjReliability:
+			return sv.Reliability(st)
+		default:
+			return 0, fmt.Errorf("policy: unknown objective %v", obj)
+		}
+	}, m1, m2, obj, opt)
 }

@@ -1,7 +1,6 @@
 // Package quad provides the numerical integration routines used by the
-// analytical solvers: adaptive Simpson quadrature on finite intervals,
-// fixed-order Gauss–Legendre panels for smooth integrands, and
-// semi-infinite integration via rational substitution.
+// analytical solvers: adaptive Simpson quadrature on finite intervals
+// and semi-infinite integration via rational substitution.
 //
 // The regeneration-based characterization of the workload execution time
 // (paper, Theorem 1) is a system of integral equations over the
@@ -53,51 +52,6 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fm, fb, whole, tol float
 		adaptiveSimpson(f, m, b, fm, frm, fb, right, tol/2, depth-1)
 }
 
-// gl16 holds the abscissae (x) and weights (w) of the 16-point
-// Gauss–Legendre rule on [-1, 1]; only the non-negative abscissae are
-// stored (the rule is symmetric).
-var gl16x = [8]float64{
-	0.0950125098376374, 0.2816035507792589, 0.4580167776572274,
-	0.6178762444026438, 0.7554044083550030, 0.8656312023878318,
-	0.9445750230732326, 0.9894009349916499,
-}
-
-var gl16w = [8]float64{
-	0.1894506104550685, 0.1826034150449236, 0.1691565193950025,
-	0.1495959888165767, 0.1246289712555339, 0.0951585116824928,
-	0.0622535239386479, 0.0271524594117541,
-}
-
-// GL16 integrates f over [a, b] with a single 16-point Gauss–Legendre
-// panel. Exact for polynomials up to degree 31; intended for smooth
-// integrands on short panels.
-func GL16(f func(float64) float64, a, b float64) float64 {
-	c := (a + b) / 2
-	h := (b - a) / 2
-	var sum float64
-	for i := range gl16x {
-		dx := h * gl16x[i]
-		sum += gl16w[i] * (f(c+dx) + f(c-dx))
-	}
-	return sum * h
-}
-
-// GLPanels integrates f over [a, b] by splitting it into n equal panels,
-// each handled by GL16. It gives predictable O(n) cost for integrands that
-// are smooth between known breakpoints, which is how the analytic solvers
-// integrate event-split densities over a grid.
-func GLPanels(f func(float64) float64, a, b float64, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	h := (b - a) / float64(n)
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += GL16(f, a+float64(i)*h, a+float64(i+1)*h)
-	}
-	return sum
-}
-
 // ToInf integrates f over [a, ∞) by the substitution x = a + t/(1-t),
 // t ∈ [0, 1), which maps the half-line to the unit interval with Jacobian
 // 1/(1-t)^2, then applies adaptive Simpson. f must decay at least as fast
@@ -118,46 +72,4 @@ func ToInf(f func(float64) float64, a, tol float64) float64 {
 		return v / (u * u)
 	}
 	return Simpson(g, 0, 1-clip, tol)
-}
-
-// Breakpoints integrates f over [a, b] in segments delimited by the sorted
-// interior breakpoints, integrating each segment with adaptive Simpson.
-// Distributions with atoms of non-smoothness (shifted supports, uniform
-// edges) are integrated accurately by passing their edges here.
-func Breakpoints(f func(float64) float64, a, b, tol float64, pts ...float64) float64 {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	edges := make([]float64, 0, len(pts)+2)
-	edges = append(edges, a)
-	for _, p := range pts {
-		if p > a && p < b {
-			edges = append(edges, p)
-		}
-	}
-	edges = append(edges, b)
-	// Insertion sort: breakpoint lists are tiny.
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0 && edges[j] < edges[j-1]; j-- {
-			edges[j], edges[j-1] = edges[j-1], edges[j]
-		}
-	}
-	var sum float64
-	for i := 0; i+1 < len(edges); i++ {
-		sum += Simpson(f, edges[i], edges[i+1], tol/float64(len(edges)-1))
-	}
-	return sum
-}
-
-// Trapezoid integrates the sampled values ys on a uniform grid of step dx
-// with the composite trapezoid rule. Used for grid-discretized densities.
-func Trapezoid(ys []float64, dx float64) float64 {
-	if len(ys) < 2 {
-		return 0
-	}
-	sum := (ys[0] + ys[len(ys)-1]) / 2
-	for _, y := range ys[1 : len(ys)-1] {
-		sum += y
-	}
-	return sum * dx
 }

@@ -4,28 +4,23 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-)
 
-func almost(t *testing.T, got, want, tol float64, msg string) {
-	t.Helper()
-	if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-		t.Fatalf("%s: got %.15g, want %.15g", msg, got, want)
-	}
-}
+	"dtr/internal/testutil"
+)
 
 func TestSimpsonPolynomials(t *testing.T) {
 	// Simpson with Richardson extrapolation is exact for cubics; adaptivity
 	// should handle higher degrees to tolerance.
-	almost(t, Simpson(func(x float64) float64 { return 1 }, 0, 5, 1e-12), 5, 1e-12, "const")
-	almost(t, Simpson(func(x float64) float64 { return x * x * x }, 0, 2, 1e-12), 4, 1e-12, "cubic")
-	almost(t, Simpson(func(x float64) float64 { return math.Pow(x, 7) }, 0, 1, 1e-12), 0.125, 1e-10, "x^7")
+	testutil.Almost(t, Simpson(func(x float64) float64 { return 1 }, 0, 5, 1e-12), 5, 1e-12, "const")
+	testutil.Almost(t, Simpson(func(x float64) float64 { return x * x * x }, 0, 2, 1e-12), 4, 1e-12, "cubic")
+	testutil.Almost(t, Simpson(func(x float64) float64 { return math.Pow(x, 7) }, 0, 1, 1e-12), 0.125, 1e-10, "x^7")
 }
 
 func TestSimpsonTranscendental(t *testing.T) {
-	almost(t, Simpson(math.Sin, 0, math.Pi, 1e-12), 2, 1e-11, "sin")
-	almost(t, Simpson(math.Exp, 0, 1, 1e-12), math.E-1, 1e-11, "exp")
+	testutil.Almost(t, Simpson(math.Sin, 0, math.Pi, 1e-12), 2, 1e-11, "sin")
+	testutil.Almost(t, Simpson(math.Exp, 0, 1, 1e-12), math.E-1, 1e-11, "exp")
 	got := Simpson(func(x float64) float64 { return math.Exp(-x * x) }, -6, 6, 1e-13)
-	almost(t, got, math.Sqrt(math.Pi), 1e-11, "gaussian")
+	testutil.Almost(t, got, math.Sqrt(math.Pi), 1e-11, "gaussian")
 }
 
 func TestSimpsonOrientation(t *testing.T) {
@@ -33,59 +28,18 @@ func TestSimpsonOrientation(t *testing.T) {
 	if got := Simpson(f, 2, 2, 1e-9); got != 0 {
 		t.Fatalf("empty interval: %g", got)
 	}
-	almost(t, Simpson(f, 1, 0, 1e-12), -0.5, 1e-12, "reversed bounds")
-}
-
-func TestGL16ExactForHighDegree(t *testing.T) {
-	// 16-point Gauss-Legendre is exact for degree <= 31.
-	for _, deg := range []int{0, 1, 5, 17, 31} {
-		f := func(x float64) float64 { return math.Pow(x, float64(deg)) }
-		want := (math.Pow(3, float64(deg+1)) - math.Pow(-1, float64(deg+1))) / float64(deg+1)
-		almost(t, GL16(f, -1, 3), want, 1e-10, "GL16 degree")
-	}
-}
-
-func TestGLPanelsMatchesSimpson(t *testing.T) {
-	f := func(x float64) float64 { return math.Exp(-x) * math.Sin(3*x) }
-	a, b := 0.0, 4.0
-	want := Simpson(f, a, b, 1e-13)
-	almost(t, GLPanels(f, a, b, 8), want, 1e-10, "GLPanels")
-	almost(t, GLPanels(f, a, b, 0), GL16(f, a, b), 1e-14, "GLPanels n<1 clamps to 1")
+	testutil.Almost(t, Simpson(f, 1, 0, 1e-12), -0.5, 1e-12, "reversed bounds")
 }
 
 func TestToInfExponential(t *testing.T) {
 	got := ToInf(func(x float64) float64 { return math.Exp(-x) }, 0, 1e-11)
-	almost(t, got, 1, 1e-9, "int exp(-x)")
+	testutil.Almost(t, got, 1, 1e-9, "int exp(-x)")
 	// ∫_a^∞ e^{-x} dx = e^{-a}
 	got = ToInf(func(x float64) float64 { return math.Exp(-x) }, 2, 1e-11)
-	almost(t, got, math.Exp(-2), 1e-8, "shifted lower bound")
+	testutil.Almost(t, got, math.Exp(-2), 1e-8, "shifted lower bound")
 	// ∫_1^∞ x^{-3} dx = 1/2  (polynomial decay)
 	got = ToInf(func(x float64) float64 { return math.Pow(x, -3) }, 1, 1e-11)
-	almost(t, got, 0.5, 1e-8, "pareto-like tail")
-}
-
-func TestBreakpointsPiecewise(t *testing.T) {
-	// Integrate a discontinuous step density exactly by declaring its edge.
-	f := func(x float64) float64 {
-		if x < 1 {
-			return 2
-		}
-		return 0.5
-	}
-	got := Breakpoints(f, 0, 3, 1e-12, 1)
-	almost(t, got, 2+1, 1e-10, "step function")
-	// Unsorted and out-of-range breakpoints must be tolerated.
-	got = Breakpoints(f, 0, 3, 1e-12, 5, 1, -2, 2)
-	almost(t, got, 3, 1e-10, "unsorted breakpoints")
-}
-
-func TestTrapezoid(t *testing.T) {
-	// Linear function integrated exactly.
-	ys := []float64{0, 1, 2, 3, 4}
-	almost(t, Trapezoid(ys, 0.5), 4, 1e-14, "linear")
-	if Trapezoid(nil, 1) != 0 || Trapezoid([]float64{3}, 1) != 0 {
-		t.Fatal("degenerate inputs should integrate to 0")
-	}
+	testutil.Almost(t, got, 0.5, 1e-8, "pareto-like tail")
 }
 
 func TestSimpsonAdditivity(t *testing.T) {

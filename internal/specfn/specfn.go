@@ -1,7 +1,7 @@
 // Package specfn provides the special functions required by the
 // distribution library and the statistical fitting pipeline: the
-// regularized incomplete gamma function and its inverse, the log-beta
-// function, and the standard normal CDF and quantile.
+// regularized incomplete gamma function and its inverse, the digamma and
+// trigamma functions, and the standard normal CDF and quantile.
 //
 // The Go standard library supplies math.Gamma, math.Lgamma and math.Erf;
 // everything else here is implemented from scratch using the classic
@@ -222,17 +222,6 @@ func NormQuantile(p float64) float64 {
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
 	x -= u / (1 + x*u/2)
 	return x
-}
-
-// LogBeta returns log B(a, b) = log Γ(a) + log Γ(b) − log Γ(a+b) for a,b > 0.
-func LogBeta(a, b float64) float64 {
-	if a <= 0 || b <= 0 {
-		return math.NaN()
-	}
-	la, _ := math.Lgamma(a)
-	lb, _ := math.Lgamma(b)
-	lab, _ := math.Lgamma(a + b)
-	return la + lb - lab
 }
 
 // Digamma returns ψ(x), the logarithmic derivative of the gamma function,

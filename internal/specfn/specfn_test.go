@@ -4,20 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-)
 
-func almost(t *testing.T, got, want, tol float64, msg string) {
-	t.Helper()
-	if math.IsNaN(got) != math.IsNaN(want) {
-		t.Fatalf("%s: got %v, want %v", msg, got, want)
-	}
-	if math.IsNaN(want) {
-		return
-	}
-	if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-		t.Fatalf("%s: got %.15g, want %.15g (tol %g)", msg, got, want, tol)
-	}
-}
+	"dtr/internal/testutil"
+)
 
 func TestGammaPKnownValues(t *testing.T) {
 	// Reference values computed with high-precision software.
@@ -30,8 +19,8 @@ func TestGammaPKnownValues(t *testing.T) {
 		{3, 1, 1 - (1+1+0.5)*math.Exp(-1)}, // Erlang-3
 	}
 	for _, c := range cases {
-		almost(t, GammaP(c.a, c.x), c.p, 1e-12, "GammaP")
-		almost(t, GammaQ(c.a, c.x), 1-c.p, 1e-10, "GammaQ")
+		testutil.Almost(t, GammaP(c.a, c.x), c.p, 1e-12, "GammaP")
+		testutil.Almost(t, GammaQ(c.a, c.x), 1-c.p, 1e-10, "GammaQ")
 	}
 }
 
@@ -47,7 +36,7 @@ func TestGammaQPoissonIdentity(t *testing.T) {
 				sum += term
 				term *= x / float64(k+1)
 			}
-			almost(t, GammaQ(float64(n), x), sum, 1e-11, "Poisson identity")
+			testutil.Almost(t, GammaQ(float64(n), x), sum, 1e-11, "Poisson identity")
 		}
 	}
 }
@@ -98,7 +87,7 @@ func TestGammaPInvRoundTrip(t *testing.T) {
 			if x < 0 || math.IsNaN(x) {
 				t.Fatalf("GammaPInv(%g,%g) = %g", a, p, x)
 			}
-			almost(t, GammaP(a, x), p, 1e-9, "round trip")
+			testutil.Almost(t, GammaP(a, x), p, 1e-9, "round trip")
 		}
 	}
 	if GammaPInv(2, 0) != 0 {
@@ -113,41 +102,31 @@ func TestGammaPInvRoundTrip(t *testing.T) {
 }
 
 func TestNormCDFKnownValues(t *testing.T) {
-	almost(t, NormCDF(0), 0.5, 1e-15, "Phi(0)")
-	almost(t, NormCDF(1.959963984540054), 0.975, 1e-12, "Phi(1.96)")
-	almost(t, NormCDF(-1.959963984540054), 0.025, 1e-12, "Phi(-1.96)")
-	almost(t, NormCDF(3), 0.9986501019683699, 1e-13, "Phi(3)")
+	testutil.Almost(t, NormCDF(0), 0.5, 1e-15, "Phi(0)")
+	testutil.Almost(t, NormCDF(1.959963984540054), 0.975, 1e-12, "Phi(1.96)")
+	testutil.Almost(t, NormCDF(-1.959963984540054), 0.025, 1e-12, "Phi(-1.96)")
+	testutil.Almost(t, NormCDF(3), 0.9986501019683699, 1e-13, "Phi(3)")
 }
 
 func TestNormQuantileRoundTrip(t *testing.T) {
 	for _, p := range []float64{1e-12, 1e-6, 0.001, 0.025, 0.3, 0.5, 0.7, 0.975, 0.999, 1 - 1e-6} {
 		x := NormQuantile(p)
-		almost(t, NormCDF(x), p, 1e-11, "norm round trip")
+		testutil.Almost(t, NormCDF(x), p, 1e-11, "norm round trip")
 	}
 	if NormQuantile(0.5) != 0 {
-		almost(t, NormQuantile(0.5), 0, 1e-15, "median")
+		testutil.Almost(t, NormQuantile(0.5), 0, 1e-15, "median")
 	}
 	if !math.IsInf(NormQuantile(0), -1) || !math.IsInf(NormQuantile(1), 1) {
 		t.Fatal("quantile endpoints")
 	}
 }
 
-func TestLogBeta(t *testing.T) {
-	// B(1,1)=1, B(2,3)=1/12, B(0.5,0.5)=pi
-	almost(t, LogBeta(1, 1), 0, 1e-14, "B(1,1)")
-	almost(t, LogBeta(2, 3), math.Log(1.0/12), 1e-13, "B(2,3)")
-	almost(t, LogBeta(0.5, 0.5), math.Log(math.Pi), 1e-13, "B(.5,.5)")
-	if !math.IsNaN(LogBeta(-1, 2)) {
-		t.Fatal("LogBeta(-1,2) should be NaN")
-	}
-}
-
 func TestDigammaKnownValues(t *testing.T) {
 	const gamma = 0.5772156649015328606 // Euler–Mascheroni
-	almost(t, Digamma(1), -gamma, 1e-12, "psi(1)")
-	almost(t, Digamma(2), 1-gamma, 1e-12, "psi(2)")
-	almost(t, Digamma(0.5), -gamma-2*math.Log(2), 1e-12, "psi(1/2)")
-	almost(t, Digamma(10), 2.251752589066721, 1e-12, "psi(10)")
+	testutil.Almost(t, Digamma(1), -gamma, 1e-12, "psi(1)")
+	testutil.Almost(t, Digamma(2), 1-gamma, 1e-12, "psi(2)")
+	testutil.Almost(t, Digamma(0.5), -gamma-2*math.Log(2), 1e-12, "psi(1/2)")
+	testutil.Almost(t, Digamma(10), 2.251752589066721, 1e-12, "psi(10)")
 	if !math.IsNaN(Digamma(-3)) || !math.IsNaN(Digamma(0)) {
 		t.Fatal("digamma invalid domain")
 	}
@@ -165,11 +144,11 @@ func TestDigammaRecurrence(t *testing.T) {
 }
 
 func TestTrigamma(t *testing.T) {
-	almost(t, Trigamma(1), math.Pi*math.Pi/6, 1e-11, "psi'(1)")
-	almost(t, Trigamma(0.5), math.Pi*math.Pi/2, 1e-11, "psi'(1/2)")
+	testutil.Almost(t, Trigamma(1), math.Pi*math.Pi/6, 1e-11, "psi'(1)")
+	testutil.Almost(t, Trigamma(0.5), math.Pi*math.Pi/2, 1e-11, "psi'(1/2)")
 	// psi'(x+1) = psi'(x) - 1/x^2
 	for _, x := range []float64{0.3, 1.5, 4, 12} {
-		almost(t, Trigamma(x+1), Trigamma(x)-1/(x*x), 1e-10, "trigamma recurrence")
+		testutil.Almost(t, Trigamma(x+1), Trigamma(x)-1/(x*x), 1e-10, "trigamma recurrence")
 	}
 	if !math.IsNaN(Trigamma(0)) {
 		t.Fatal("trigamma invalid domain")
@@ -182,6 +161,6 @@ func TestDigammaIsDerivativeOfLgamma(t *testing.T) {
 		l1, _ := math.Lgamma(x + h)
 		l0, _ := math.Lgamma(x - h)
 		num := (l1 - l0) / (2 * h)
-		almost(t, Digamma(x), num, 1e-6, "psi vs numeric dlgamma")
+		testutil.Almost(t, Digamma(x), num, 1e-6, "psi vs numeric dlgamma")
 	}
 }

@@ -84,9 +84,7 @@ func FitShiftedExponential(xs []float64) (dist.Dist, error) {
 	return dist.NewShiftedExponential(shift, m), nil
 }
 
-// FitGamma returns the MLE gamma fit using the Newton iteration on the
-// shape equation log(k) − ψ(k) = log(mean) − mean(log x), started from the
-// standard Choi–Wette approximation.
+// FitGamma returns the MLE gamma fit of a positive sample; see GammaMLE.
 func FitGamma(xs []float64) (dist.Dist, error) {
 	if len(xs) < 2 {
 		return nil, fmt.Errorf("stat: gamma fit needs >= 2 observations")
@@ -100,11 +98,17 @@ func FitGamma(xs []float64) (dist.Dist, error) {
 		meanLog += math.Log(x)
 	}
 	meanLog /= float64(len(xs))
-	s := math.Log(m) - meanLog
-	if s <= 0 {
-		return nil, fmt.Errorf("stat: degenerate sample for gamma fit")
+	return GammaMLE(m, math.Log(m)-meanLog)
+}
+
+// GammaMLE returns the gamma MLE from the two statistics it depends on,
+// the sample mean and s = log(mean) − mean(log x): Newton iteration on
+// the shape equation log(k) − ψ(k) = s, started from the standard
+// Choi–Wette approximation; the rate follows from the mean.
+func GammaMLE(mean, s float64) (dist.Gamma, error) {
+	if !(s > 0) {
+		return dist.Gamma{}, fmt.Errorf("stat: degenerate sample for gamma fit")
 	}
-	// Choi–Wette starting point.
 	k := (3 - s + math.Sqrt((s-3)*(s-3)+24*s)) / (12 * s)
 	for i := 0; i < 60; i++ {
 		f := math.Log(k) - specfn.Digamma(k) - s
@@ -119,7 +123,10 @@ func FitGamma(xs []float64) (dist.Dist, error) {
 		}
 		k = nk
 	}
-	return dist.Gamma{K: k, Rate: k / m}, nil
+	if !(k > 0) || math.IsInf(k, 0) {
+		return dist.Gamma{}, fmt.Errorf("stat: gamma shape iteration diverged")
+	}
+	return dist.Gamma{K: k, Rate: k / mean}, nil
 }
 
 // FitShiftedGamma fits a three-parameter (shift, shape, rate) gamma by

@@ -6,6 +6,7 @@ import (
 
 	"dtr/dist"
 	"dtr/internal/rngutil"
+	"dtr/internal/testutil"
 )
 
 // sampleN draws n variates from d with a deterministic stream.
@@ -24,7 +25,7 @@ func TestFitExponentialRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, got.Mean(), 2.5, 0.03, "exponential mean recovery")
+	testutil.Almost(t, got.Mean(), 2.5, 0.03, "exponential mean recovery")
 	if _, err := FitExponential([]float64{-1, -2}); err == nil {
 		t.Fatal("negative data should fail")
 	}
@@ -37,8 +38,8 @@ func TestFitParetoRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := got.(dist.Pareto)
-	almost(t, p.Xm, 1.2, 0.01, "pareto xm")
-	almost(t, p.Alpha, 2.5, 0.05, "pareto alpha")
+	testutil.Almost(t, p.Xm, 1.2, 0.01, "pareto xm")
+	testutil.Almost(t, p.Alpha, 2.5, 0.05, "pareto alpha")
 	if _, err := FitPareto([]float64{1}); err == nil {
 		t.Fatal("single observation should fail")
 	}
@@ -54,8 +55,8 @@ func TestFitUniformRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := got.(dist.Uniform)
-	almost(t, u.A, 0.5, 0.01, "uniform lo")
-	almost(t, u.B, 1.5, 0.01, "uniform hi")
+	testutil.Almost(t, u.A, 0.5, 0.01, "uniform lo")
+	testutil.Almost(t, u.B, 1.5, 0.01, "uniform hi")
 	if _, err := FitUniform([]float64{2, 2}); err == nil {
 		t.Fatal("zero-spread sample should fail")
 	}
@@ -68,8 +69,8 @@ func TestFitShiftedExponentialRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	se := got.(dist.ShiftedExponential)
-	almost(t, se.Shift, 1, 0.01, "shift")
-	almost(t, se.Mean(), 3, 0.03, "mean")
+	testutil.Almost(t, se.Shift, 1, 0.01, "shift")
+	testutil.Almost(t, se.Mean(), 3, 0.03, "mean")
 }
 
 func TestFitGammaRecovers(t *testing.T) {
@@ -79,8 +80,8 @@ func TestFitGammaRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := got.(dist.Gamma)
-	almost(t, g.K, 2.0, 0.05, "gamma shape")
-	almost(t, g.Mean(), 4.0, 0.03, "gamma mean")
+	testutil.Almost(t, g.K, 2.0, 0.05, "gamma shape")
+	testutil.Almost(t, g.Mean(), 4.0, 0.03, "gamma mean")
 }
 
 func TestFitShiftedGammaRecovers(t *testing.T) {
@@ -90,8 +91,8 @@ func TestFitShiftedGammaRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sg := got.(dist.ShiftedGamma)
-	almost(t, sg.Shift, 0.8, 0.1, "shifted gamma shift")
-	almost(t, sg.Mean(), truth.Mean(), 0.05, "shifted gamma mean")
+	testutil.Almost(t, sg.Shift, 0.8, 0.1, "shifted gamma shift")
+	testutil.Almost(t, sg.Mean(), truth.Mean(), 0.05, "shifted gamma mean")
 }
 
 func TestLogLikelihoodOrdering(t *testing.T) {

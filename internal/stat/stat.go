@@ -1,5 +1,5 @@
 // Package stat provides the descriptive and inferential statistics used
-// by the experiment harness: moments, histograms, empirical CDFs,
+// by the experiment harness: moments, histograms,
 // Kolmogorov–Smirnov distances, confidence intervals for Monte-Carlo
 // estimates, and maximum-likelihood fitting of the paper's distribution
 // families to empirical samples (the pipeline behind Fig. 4(a,b)).
@@ -155,20 +155,6 @@ func (h *Histogram) TotalSquaredError(pdf func(float64) float64) float64 {
 		sse += d * d
 	}
 	return sse
-}
-
-// ECDF returns the empirical CDF of xs as a function. The returned
-// closure is safe for concurrent use.
-func ECDF(xs []float64) func(float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := float64(len(s))
-	return func(x float64) float64 {
-		if len(s) == 0 {
-			return math.NaN()
-		}
-		return float64(sort.SearchFloat64s(s, math.Nextafter(x, math.Inf(1)))) / n
-	}
 }
 
 // KSDistance returns the Kolmogorov–Smirnov statistic

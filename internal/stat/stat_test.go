@@ -5,22 +5,16 @@ import (
 	"testing"
 
 	"dtr/internal/rngutil"
+	"dtr/internal/testutil"
 )
-
-func almost(t *testing.T, got, want, tol float64, msg string) {
-	t.Helper()
-	if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-		t.Fatalf("%s: got %.12g, want %.12g", msg, got, want)
-	}
-}
 
 func TestMoments(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	almost(t, Mean(xs), 3, 1e-15, "mean")
-	almost(t, Var(xs), 2.5, 1e-15, "variance")
-	almost(t, StdDev(xs), math.Sqrt(2.5), 1e-15, "stddev")
-	almost(t, Min(xs), 1, 0, "min")
-	almost(t, Max(xs), 5, 0, "max")
+	testutil.Almost(t, Mean(xs), 3, 1e-15, "mean")
+	testutil.Almost(t, Var(xs), 2.5, 1e-15, "variance")
+	testutil.Almost(t, StdDev(xs), math.Sqrt(2.5), 1e-15, "stddev")
+	testutil.Almost(t, Min(xs), 1, 0, "min")
+	testutil.Almost(t, Max(xs), 5, 0, "max")
 	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Var([]float64{1})) {
 		t.Fatal("degenerate inputs should be NaN")
 	}
@@ -28,13 +22,13 @@ func TestMoments(t *testing.T) {
 
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2} // unsorted on purpose
-	almost(t, Quantile(xs, 0), 1, 0, "q0")
-	almost(t, Quantile(xs, 1), 4, 0, "q1")
-	almost(t, Quantile(xs, 0.5), 2.5, 1e-15, "median")
+	testutil.Almost(t, Quantile(xs, 0), 1, 0, "q0")
+	testutil.Almost(t, Quantile(xs, 1), 4, 0, "q1")
+	testutil.Almost(t, Quantile(xs, 0.5), 2.5, 1e-15, "median")
 	if !math.IsNaN(Quantile(nil, 0.5)) || !math.IsNaN(Quantile(xs, 2)) {
 		t.Fatal("invalid quantile inputs should be NaN")
 	}
-	almost(t, Quantile([]float64{7}, 0.3), 7, 0, "singleton")
+	testutil.Almost(t, Quantile([]float64{7}, 0.3), 7, 0, "singleton")
 }
 
 func TestHistogramNormalization(t *testing.T) {
@@ -49,7 +43,7 @@ func TestHistogramNormalization(t *testing.T) {
 	for i, d := range h.Density {
 		mass += d * (h.Edges[i+1] - h.Edges[i])
 	}
-	almost(t, mass, 1, 1e-12, "histogram mass")
+	testutil.Almost(t, mass, 1, 1e-12, "histogram mass")
 	for i, d := range h.Density {
 		if math.Abs(d-0.25) > 0.05 {
 			t.Fatalf("bin %d density %g, want ~0.25", i, d)
@@ -66,22 +60,13 @@ func TestHistogramDegenerate(t *testing.T) {
 	for i, d := range h.Density {
 		mass += d * (h.Edges[i+1] - h.Edges[i])
 	}
-	almost(t, mass, 1, 1e-12, "degenerate histogram mass")
+	testutil.Almost(t, mass, 1, 1e-12, "degenerate histogram mass")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("empty histogram should panic")
 		}
 	}()
 	NewHistogram(nil, 4)
-}
-
-func TestECDF(t *testing.T) {
-	f := ECDF([]float64{1, 2, 3, 4})
-	almost(t, f(0.5), 0, 0, "below all")
-	almost(t, f(1), 0.25, 1e-15, "at first")
-	almost(t, f(2.5), 0.5, 1e-15, "between")
-	almost(t, f(4), 1, 1e-15, "at last")
-	almost(t, f(100), 1, 1e-15, "above all")
 }
 
 func TestKSDistance(t *testing.T) {
@@ -96,7 +81,7 @@ func TestKSDistance(t *testing.T) {
 		}
 		return x
 	})
-	almost(t, d, 0.5, 1e-12, "one-point KS")
+	testutil.Almost(t, d, 0.5, 1e-12, "one-point KS")
 	// Perfect fit on a large sample should have small KS.
 	r := rngutil.Stream(2, 0)
 	xs := make([]float64, 50000)
@@ -128,7 +113,7 @@ func TestMeanCI(t *testing.T) {
 		t.Fatalf("mean %g not within CI of 5 (half=%g)", m, half)
 	}
 	// Half-width should be ~1.96*2/100 = 0.0392.
-	almost(t, half, 1.96*2/100, 0.06, "CI half-width")
+	testutil.Almost(t, half, 1.96*2/100, 0.06, "CI half-width")
 	if _, h := MeanCI([]float64{1}, 0.95); !math.IsNaN(h) {
 		t.Fatal("CI of singleton should be NaN")
 	}
@@ -136,8 +121,8 @@ func TestMeanCI(t *testing.T) {
 
 func TestProportionCI(t *testing.T) {
 	p, half := ProportionCI(600, 1000, 0.95)
-	almost(t, p, 0.6, 1e-15, "proportion")
-	almost(t, half, 1.96*math.Sqrt(0.6*0.4/1000), 1e-3, "proportion half")
+	testutil.Almost(t, p, 0.6, 1e-15, "proportion")
+	testutil.Almost(t, half, 1.96*math.Sqrt(0.6*0.4/1000), 1e-3, "proportion half")
 	// Extreme proportions get the continuity floor instead of zero width.
 	_, half = ProportionCI(0, 1000, 0.95)
 	if half <= 0 {
