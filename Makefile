@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race loc bench bench-policy serve-smoke adapt-smoke load-smoke replicate-smoke ingest-smoke cluster-smoke clean
+.PHONY: all build test vet race loc bench bench-policy bench-e2e serve-smoke adapt-smoke load-smoke replicate-smoke ingest-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -64,6 +64,13 @@ bench:
 # result in BENCH_policy.json (see internal/policy/bench_policy_test.go).
 bench-policy:
 	BENCH_POLICY_OUT=$(CURDIR)/BENCH_policy.json $(GO) test -run TestWriteBenchPolicy -v ./internal/policy
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): one
+# workload end to end, e.g. `make bench-e2e BENCH_ARGS="--workload lab_sweep
+# --seed 1 --seconds 20 --trace 1"`; run documents land in bench/out/.
+BENCH_ARGS ?= --workload lab_sweep --seed 1 --seconds 20 --trace 0
+bench-e2e:
+	bash bench/run.sh $(BENCH_ARGS)
 
 clean:
 	$(GO) clean ./...

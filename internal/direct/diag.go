@@ -102,7 +102,7 @@ func (s *Solver) Diagnostics() Diagnostics {
 		mf = 0 // omitted from JSON: non-replicated artifacts keep their bytes
 	}
 	return Diagnostics{
-		MaxFactor: mf,
+		MaxFactor:            mf,
 		GridN:                s.n,
 		Dx:                   s.dx,
 		Horizon:              s.Horizon(),

@@ -33,7 +33,6 @@ import (
 
 	"dtr/dist"
 	"dtr/internal/core"
-	"dtr/internal/fft"
 	"dtr/internal/gridfn"
 	"dtr/internal/obs"
 )
@@ -41,10 +40,11 @@ import (
 // Solver evaluates canonical-scenario metrics on a fixed time lattice.
 //
 // A Solver is safe for concurrent use: the service-sum prefix tables are
-// immutable after construction, and the two lazy caches (forward FFTs of
-// the prefixes, transfer-time lattices) are guarded by an internal lock.
+// immutable after construction, and the two lazy caches (spectra of the
+// prefixes, transfer-time lattices) are guarded by an internal lock.
 // A cache miss computes outside the lock and discards the duplicate if
-// another goroutine stored first, so concurrent sweeps over the policy
+// another goroutine stored first, and every evaluation works in pooled
+// scratch it fully overwrites, so concurrent sweeps over the policy
 // lattice return bit-identical values to a serial scan. Set TailCorrect
 // before sharing the solver across goroutines.
 type Solver struct {
@@ -52,16 +52,14 @@ type Solver struct {
 	dx    float64
 	n     int
 
-	fsize int // FFT length for cached frequency-domain convolution
-
 	// pre[k][f-1][j] is the law of the sum of j i.i.d. effective service
 	// times at server k under replication factor f — each task's law is
 	// the min-of-f order statistic of the base service law
 	// (cancel-on-first-complete replication); preF[k][f-1][j] is its
-	// cached forward FFT. Factor 1 is the base law, so a solver built
+	// lazily cached spectrum. Factor 1 is the base law, so a solver built
 	// with MaxFactor ≤ 1 has exactly the pre-replication tables.
 	pre  [2][][]*gridfn.Lattice
-	preF [2][][][]complex128
+	preF [2][][]*gridfn.Spectrum
 
 	// maxFac is the largest replication factor with prefix tables;
 	// defFac[k] is server k's default factor (the model's Repl entry,
@@ -69,12 +67,18 @@ type Solver struct {
 	maxFac int
 	defFac [2]int
 
-	zCache map[[3]int]*gridfn.Lattice
+	zCache map[[3]int]transfer
 
-	// mu guards the preF slots and zCache. Cached values (FFT buffers,
+	// mu guards the preF slots and zCache. Cached values (spectra,
 	// transfer lattices) are never mutated once published, so readers
 	// only need the lock for the map/slot access itself.
 	mu sync.RWMutex
+
+	// pool holds *scratch, one drawn per evaluation. It is a pointer, and
+	// its New must not capture the solver: the runtime keeps every used
+	// Pool reachable for two collections, and an embedded one would pin
+	// the solver's tables with it.
+	pool *sync.Pool
 
 	// TailCorrect adds the single-big-jump tail-excess estimate to mean
 	// execution times: for subexponential laws (the paper's Pareto
@@ -186,8 +190,7 @@ func NewSolver(m *core.Model, cfg Config) (*Solver, error) {
 		model:        m,
 		dx:           dx,
 		n:            n,
-		fsize:        fft.NextPow2(2*n - 1),
-		zCache:       make(map[[3]int]*gridfn.Lattice),
+		zCache:       make(map[[3]int]transfer),
 		TailCorrect:  true,
 		span:         cfg.Span,
 		maxQueue:     cfg.MaxQueue,
@@ -195,18 +198,21 @@ func NewSolver(m *core.Model, cfg Config) (*Solver, error) {
 		defFac:       defFac,
 		probeEnabled: cfg.ErrorProbe,
 	}
+	s.pool = &sync.Pool{New: func() any {
+		return &scratch{work: gridfn.NewWork(n), f: [2]gridfn.Lattice{*gridfn.New(dx, n), *gridfn.New(dx, n)}}
+	}}
 	build := cfg.Span.Child("solver_build", "grid_n", n, "max_queue_1", cfg.MaxQueue[0], "max_queue_2", cfg.MaxQueue[1])
 	// The build runs server-major, factor-minor, so a MaxFactor ≤ 1
 	// solver performs exactly the pre-replication fold sequence (same
 	// meter observations, same lattices — the k=1 bit-identity lock).
 	for k := 0; k < 2; k++ {
 		s.pre[k] = make([][]*gridfn.Lattice, maxFac)
-		s.preF[k] = make([][][]complex128, maxFac)
+		s.preF[k] = make([][]*gridfn.Spectrum, maxFac)
 		for f := 1; f <= maxFac; f++ {
 			eff := dist.NewMinOfK(m.Service[k], f)
 			base := gridfn.FromCDF(eff.CDF, dx, n)
 			s.pre[k][f-1] = base.PrefixesMetered(cfg.MaxQueue[k], &s.buildMeter)
-			s.preF[k][f-1] = make([][]complex128, len(s.pre[k][f-1]))
+			s.preF[k][f-1] = make([]*gridfn.Spectrum, len(s.pre[k][f-1]))
 		}
 	}
 	build.SetAttr("build_folds", s.buildMeter.Folds)
@@ -239,13 +245,33 @@ func (s *Solver) Dx() float64 { return s.dx }
 // Horizon returns the last lattice time point.
 func (s *Solver) Horizon() float64 { return float64(s.n-1) * s.dx }
 
-// freqOf returns (computing lazily) the forward FFT of the j-fold
-// effective service sum at server k under replication factor fac.
-// Concurrent misses on the same slot each compute the transform, but only
-// the first store is published; the loser's copy is discarded (counted as
-// a duplicate — the cache-contention signal) so every caller reads the
-// same buffer.
-func (s *Solver) freqOf(k, fac, j int) []complex128 {
+// scratch is what one evaluation works in: the fold buffers and the two
+// finish laws. Every entry is overwritten before it is read, so results
+// do not depend on which scratch the pool handed out.
+type scratch struct {
+	work *gridfn.Work
+	f    [2]gridfn.Lattice
+	// leg[k] is what finishLaw last built server k's finish law from,
+	// kept for the tail-excess estimate; z is nil without a batch.
+	leg [2]struct {
+		own, g, fac int
+		z           dist.Dist
+	}
+}
+
+// transfer is one group transfer time: the model's law and its lattice.
+type transfer struct {
+	law dist.Dist
+	lat *gridfn.Lattice
+}
+
+// freqOf returns (computing lazily) the spectrum of the j-fold effective
+// service sum at server k under replication factor fac. Concurrent
+// misses on the same slot each compute the transform, but only the first
+// store is published; the loser's copy is discarded (counted as a
+// duplicate — the cache-contention signal) so every caller reads the
+// same spectrum.
+func (s *Solver) freqOf(k, fac, j int) *gridfn.Spectrum {
 	s.mu.RLock()
 	f := s.preF[k][fac-1][j]
 	s.mu.RUnlock()
@@ -256,101 +282,44 @@ func (s *Solver) freqOf(k, fac, j int) []complex128 {
 	fftMisses.Inc()
 	sp := s.span.Child("fft", "server", k, "fold", j, "prefix_tail", s.pre[k][fac-1][j].Tail)
 	defer sp.End()
-	buf := make([]complex128, s.fsize)
-	for i, v := range s.pre[k][fac-1][j].M {
-		buf[i] = complex(v, 0)
-	}
-	fft.Forward(buf)
+	spec := s.pre[k][fac-1][j].Spectrum()
 	s.mu.Lock()
 	if f := s.preF[k][fac-1][j]; f != nil {
 		s.mu.Unlock()
 		fftDupComputes.Inc()
 		return f
 	}
-	s.preF[k][fac-1][j] = buf
+	s.preF[k][fac-1][j] = spec
 	s.mu.Unlock()
-	return buf
+	return spec
 }
 
-// convWithPrefix convolves l with the j-fold effective service sum at
-// server k under factor fac using the cached transform; overflow and tail
-// interactions accumulate into the result's Tail exactly as
-// gridfn.Convolve does.
-func (s *Solver) convWithPrefix(l *gridfn.Lattice, k, fac, j int) *gridfn.Lattice {
-	if j == 0 {
-		return l.Clone()
-	}
-	buf := make([]complex128, s.fsize)
-	for i, v := range l.M {
-		buf[i] = complex(v, 0)
-	}
-	fft.Forward(buf)
-	pf := s.freqOf(k, fac, j)
-	for i := range buf {
-		buf[i] *= pf[i]
-	}
-	fft.Inverse(buf)
-	out := &gridfn.Lattice{Dx: s.dx, M: make([]float64, s.n)}
-	var kept, neg float64
-	for i := 0; i < s.n; i++ {
-		v := real(buf[i])
-		if v < 0 {
-			neg -= v
-			v = 0 // FFT round-off
-		}
-		out.M[i] = v
-		kept += v
-	}
-	var massL, massP float64
-	for _, v := range l.M {
-		massL += v
-	}
-	p := s.pre[k][fac-1][j]
-	for _, v := range p.M {
-		massP += v
-	}
-	overflow := massL*massP - kept
-	if overflow < 0 {
-		overflow = 0
-	}
-	out.Tail = overflow + l.Tail*(massP+p.Tail) + p.Tail*massL
-	// Mass-conservation audit: an exact convolution would spread exactly
-	// massL·massP over the full output, so the pre-clamp sum (clamped
-	// part restored, beyond-horizon part included) deviates from it only
-	// by FFT round-off.
-	var rawTail float64
-	for i := s.n; i < s.fsize; i++ {
-		rawTail += real(buf[i])
-	}
-	s.noteFold(math.Abs(kept-neg+rawTail-massL*massP), neg)
-	return out
-}
-
-// zLattice returns the lattice law of the transfer time of a group of
-// `tasks` tasks from src to dst, cached per signature. Like freqOf, a
-// racing miss discards its duplicate in favour of the first store.
-func (s *Solver) zLattice(tasks, src, dst int) *gridfn.Lattice {
+// transferOf returns the transfer time of a group of `tasks` tasks from
+// src to dst, cached per signature. Like freqOf, a racing miss discards
+// its duplicate in favour of the first store.
+func (s *Solver) transferOf(tasks, src, dst int) transfer {
 	key := [3]int{tasks, src, dst}
 	s.mu.RLock()
-	l, ok := s.zCache[key]
+	z, ok := s.zCache[key]
 	s.mu.RUnlock()
 	if ok {
 		zHits.Inc()
-		return l
+		return z
 	}
 	zMisses.Inc()
 	sp := s.span.Child("transfer_law", "tasks", tasks, "src", src, "dst", dst)
 	defer sp.End()
-	l = gridfn.FromCDF(s.model.Transfer(tasks, src, dst).CDF, s.dx, s.n)
+	z.law = s.model.Transfer(tasks, src, dst)
+	z.lat = gridfn.FromCDF(z.law.CDF, s.dx, s.n)
 	s.mu.Lock()
 	if have, ok := s.zCache[key]; ok {
 		s.mu.Unlock()
 		zDupComputes.Inc()
 		return have
 	}
-	s.zCache[key] = l
+	s.zCache[key] = z
 	s.mu.Unlock()
-	return l
+	return z
 }
 
 // Finish returns the finish-time law of server k with `own` initial tasks
@@ -365,6 +334,20 @@ func (s *Solver) Finish(k, own, g, src int) (*gridfn.Lattice, error) {
 // service draw is the min-of-fac order statistic of the base law
 // (cancel-on-first-complete replication).
 func (s *Solver) FinishRepl(k, own, g, src, fac int) (*gridfn.Lattice, error) {
+	sc := s.pool.Get().(*scratch)
+	defer s.pool.Put(sc)
+	f, err := s.finishLaw(sc, k, own, g, src, fac)
+	if err != nil {
+		return nil, err
+	}
+	return f.Clone(), nil
+}
+
+// finishLaw builds FinishRepl's law in sc.f[k] — or, with no incoming
+// batch, returns the prefix table's own entry — for the caller to read
+// before it releases sc. The batch is folded in by the same kernel that
+// built the prefix tables (gridfn's Fold), against the cached spectrum.
+func (s *Solver) finishLaw(sc *scratch, k, own, g, src, fac int) (*gridfn.Lattice, error) {
 	if own < 0 || g < 0 {
 		return nil, fmt.Errorf("direct: negative task counts own=%d g=%d", own, g)
 	}
@@ -376,12 +359,17 @@ func (s *Solver) FinishRepl(k, own, g, src, fac int) (*gridfn.Lattice, error) {
 		return nil, fmt.Errorf("direct: queue %d/%d exceeds MaxQueue=%d at server %d",
 			own, g, len(pre)-1, k)
 	}
+	leg := &sc.leg[k]
+	leg.own, leg.g, leg.fac, leg.z = own, g, fac, nil
 	if g == 0 {
-		return pre[own].Clone(), nil
+		return pre[own], nil
 	}
-	z := s.zLattice(g, src, k)
-	race := pre[own].MaxIndep(z)
-	return s.convWithPrefix(race, k, fac, g), nil
+	z := s.transferOf(g, src, k)
+	leg.z = z.law
+	f := &sc.f[k]
+	pre[own].MaxIndepInto(f, z.lat) // the race max(S_own, Z)
+	s.noteFold(s.freqOf(k, fac, g).Fold(f, f, sc.work))
+	return f, nil
 }
 
 // Metrics bundles the three paper metrics for one policy, along with the
@@ -406,25 +394,23 @@ func (s *Solver) scenario(m1, m2, l12, l21 int) (r1, r2 int, err error) {
 	return m1 - l12, m2 - l21, nil
 }
 
-// finishPair builds both servers' finish-time laws for the policy under
-// the default factors.
-func (s *Solver) finishPair(m1, m2, l12, l21 int) (f1, f2 *gridfn.Lattice, err error) {
-	return s.finishPairRepl(m1, m2, l12, l21, s.defFac)
-}
-
 // finishPairRepl builds both servers' finish-time laws under explicit
-// per-server replication factors.
-func (s *Solver) finishPairRepl(m1, m2, l12, l21 int, fac [2]int) (f1, f2 *gridfn.Lattice, err error) {
+// per-server replication factors; the laws are read-only and valid until
+// sc is released.
+func (s *Solver) finishPairRepl(sc *scratch, m1, m2, l12, l21 int, fac [2]int) (f1, f2 *gridfn.Lattice, err error) {
+	if err := s.checkFactors(fac); err != nil {
+		return nil, nil, err
+	}
 	r1, r2, err := s.scenario(m1, m2, l12, l21)
 	if err != nil {
 		return nil, nil, err
 	}
 	evals.Inc()
-	f1, err = s.FinishRepl(0, r1, l21, 1, fac[0])
+	f1, err = s.finishLaw(sc, 0, r1, l21, 1, fac[0])
 	if err != nil {
 		return nil, nil, err
 	}
-	f2, err = s.FinishRepl(1, r2, l12, 0, fac[1])
+	f2, err = s.finishLaw(sc, 1, r2, l12, 0, fac[1])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -443,19 +429,23 @@ func (s *Solver) MeanTimeRepl(m1, m2, l12, l21 int, fac [2]int) (float64, error)
 	if !s.model.Reliable() {
 		return 0, fmt.Errorf("direct: mean execution time requires reliable servers")
 	}
-	if err := s.checkFactors(fac); err != nil {
-		return 0, err
-	}
-	f1, f2, err := s.finishPairRepl(m1, m2, l12, l21, fac)
+	sc := s.pool.Get().(*scratch)
+	defer s.pool.Put(sc)
+	f1, f2, err := s.finishPairRepl(sc, m1, m2, l12, l21, fac)
 	if err != nil {
 		return 0, err
 	}
-	mean := f1.MaxIndep(f2).Mean()
+	return s.meanOf(sc, f1, f2), nil
+}
+
+// meanOf returns E[max(F1, F2)] for the pair finishPairRepl just built
+// in sc, with the tail-excess estimate when TailCorrect is set.
+func (s *Solver) meanOf(sc *scratch, f1, f2 *gridfn.Lattice) float64 {
+	mean := f1.MaxIndepInto(nil, f2)
 	if s.TailCorrect {
-		r1, r2, _ := s.scenario(m1, m2, l12, l21)
-		mean += s.tailExcess(0, r1, l21, 1, fac[0]) + s.tailExcess(1, r2, l12, 0, fac[1])
+		mean += s.tailExcess(sc, 0) + s.tailExcess(sc, 1)
 	}
-	return mean, nil
+	return mean
 }
 
 // tailExcess estimates E[(F_k − H)⁺] for the finish time of server k by
@@ -465,32 +455,24 @@ func (s *Solver) MeanTimeRepl(m1, m2, l12, l21 int, fac [2]int) (float64, error)
 // expected remainder. Under replication the per-task law is the
 // min-of-fac order statistic, whose tail is the base tail to the fac-th
 // power — strictly lighter, so the correction shrinks with fac.
-func (s *Solver) tailExcess(k, own, g, src, fac int) float64 {
+func (s *Solver) tailExcess(sc *scratch, k int) float64 {
+	leg := sc.leg[k]
 	h := s.Horizon()
-	w := dist.NewMinOfK(s.model.Service[k], fac)
-	nTasks := own + g
+	w := dist.NewMinOfK(s.model.Service[k], leg.fac)
+	nTasks := leg.own + leg.g
 	total := float64(nTasks) * w.Mean()
-	var zMean float64
-	var z dist.Dist
-	if g > 0 {
-		z = s.model.Transfer(g, src, k)
-		zMean = z.Mean()
-		total += 0 // the race with Z rarely binds in the tail regime
-	}
 	var excess float64
 	if nTasks > 0 {
-		thr := h - (total - w.Mean()) - zMean
-		if thr < 0 {
-			thr = 0
+		thr := h - (total - w.Mean())
+		if leg.z != nil {
+			thr -= leg.z.Mean()
 		}
-		excess += float64(nTasks) * dist.MeanExcess(w, thr)
+		excess += float64(nTasks) * dist.MeanExcess(w, max(thr, 0))
 	}
-	if z != nil {
-		thr := h - total
-		if thr < 0 {
-			thr = 0
-		}
-		excess += dist.MeanExcess(z, thr)
+	if leg.z != nil {
+		// The race with Z rarely binds in the tail regime, so its mean is
+		// not part of the remainder here.
+		excess += dist.MeanExcess(leg.z, max(h-total, 0))
 	}
 	return excess
 }
@@ -508,10 +490,9 @@ func (s *Solver) QoSRepl(m1, m2, l12, l21 int, tm float64, fac [2]int) (float64,
 	if tm < 0 || math.IsNaN(tm) {
 		return 0, fmt.Errorf("direct: invalid deadline %g", tm)
 	}
-	if err := s.checkFactors(fac); err != nil {
-		return 0, err
-	}
-	f1, f2, err := s.finishPairRepl(m1, m2, l12, l21, fac)
+	sc := s.pool.Get().(*scratch)
+	defer s.pool.Put(sc)
+	f1, f2, err := s.finishPairRepl(sc, m1, m2, l12, l21, fac)
 	if err != nil {
 		return 0, err
 	}
@@ -547,22 +528,22 @@ func (s *Solver) Reliability(m1, m2, l12, l21 int) (float64, error) {
 // ReliabilityRepl is Reliability under explicit per-server replication
 // factors.
 func (s *Solver) ReliabilityRepl(m1, m2, l12, l21 int, fac [2]int) (float64, error) {
-	if err := s.checkFactors(fac); err != nil {
-		return 0, err
-	}
-	f1, f2, err := s.finishPairRepl(m1, m2, l12, l21, fac)
+	sc := s.pool.Get().(*scratch)
+	defer s.pool.Put(sc)
+	f1, f2, err := s.finishPairRepl(sc, m1, m2, l12, l21, fac)
 	if err != nil {
 		return 0, err
 	}
-	r := 1.0
-	for k, f := range []*gridfn.Lattice{f1, f2} {
-		y := s.model.Failure[k]
-		if _, never := y.(dist.Never); never {
-			continue
-		}
-		r *= f.ExpectSurvival(y.Survival, 0)
+	return s.reliabilityOf(f1, 0) * s.reliabilityOf(f2, 1), nil
+}
+
+// reliabilityOf computes E[S_Y(F)] for server k's finish law.
+func (s *Solver) reliabilityOf(f *gridfn.Lattice, k int) float64 {
+	y := s.model.Failure[k]
+	if _, never := y.(dist.Never); never {
+		return 1
 	}
-	return r, nil
+	return f.ExpectSurvival(y.Survival, 0)
 }
 
 // CompletionCDF returns the full distribution function of the workload
@@ -579,10 +560,9 @@ func (s *Solver) CompletionCDF(m1, m2, l12, l21 int) ([]float64, error) {
 // CompletionCDFRepl is CompletionCDF under explicit per-server
 // replication factors.
 func (s *Solver) CompletionCDFRepl(m1, m2, l12, l21 int, fac [2]int) ([]float64, error) {
-	if err := s.checkFactors(fac); err != nil {
-		return nil, err
-	}
-	f1, f2, err := s.finishPairRepl(m1, m2, l12, l21, fac)
+	sc := s.pool.Get().(*scratch)
+	defer s.pool.Put(sc)
+	f1, f2, err := s.finishPairRepl(sc, m1, m2, l12, l21, fac)
 	if err != nil {
 		return nil, err
 	}
@@ -616,32 +596,20 @@ func (s *Solver) All(m1, m2, l12, l21 int, tm float64) (Metrics, error) {
 
 // AllRepl is All under explicit per-server replication factors.
 func (s *Solver) AllRepl(m1, m2, l12, l21 int, tm float64, fac [2]int) (Metrics, error) {
-	if err := s.checkFactors(fac); err != nil {
-		return Metrics{}, err
-	}
-	f1, f2, err := s.finishPairRepl(m1, m2, l12, l21, fac)
+	sc := s.pool.Get().(*scratch)
+	defer s.pool.Put(sc)
+	f1, f2, err := s.finishPairRepl(sc, m1, m2, l12, l21, fac)
 	if err != nil {
 		return Metrics{}, err
 	}
 	var out Metrics
 	out.TailMass = f1.Tail + f2.Tail
 	if s.model.Reliable() {
-		out.Mean = f1.MaxIndep(f2).Mean()
-		if s.TailCorrect {
-			r1, r2, _ := s.scenario(m1, m2, l12, l21)
-			out.Mean += s.tailExcess(0, r1, l21, 1, fac[0]) + s.tailExcess(1, r2, l12, 0, fac[1])
-		}
+		out.Mean = s.meanOf(sc, f1, f2)
 	} else {
 		out.Mean = math.NaN()
 	}
 	out.QoS = s.qosOf(f1, 0, tm) * s.qosOf(f2, 1, tm)
-	out.Reliability = 1
-	for k, f := range []*gridfn.Lattice{f1, f2} {
-		y := s.model.Failure[k]
-		if _, never := y.(dist.Never); never {
-			continue
-		}
-		out.Reliability *= f.ExpectSurvival(y.Survival, 0)
-	}
+	out.Reliability = s.reliabilityOf(f1, 0) * s.reliabilityOf(f2, 1)
 	return out, nil
 }

@@ -33,3 +33,29 @@ func BenchmarkForward4k(b *testing.B) {
 		Forward(a)
 	}
 }
+
+func BenchmarkRealForward4k(b *testing.B) {
+	x := make([]float64, 1<<11) // a 2048-point lattice zero-padded to 4096
+	for i := range x {
+		x[i] = float64(i % 7)
+	}
+	spec := make([]complex128, 1<<11+1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RealForward(spec, x)
+	}
+}
+
+func BenchmarkRealInverse4k(b *testing.B) {
+	src := make([]complex128, 1<<11+1)
+	for i := range src {
+		src[i] = complex(float64(i%7), float64(i%5))
+	}
+	spec := make([]complex128, len(src))
+	x := make([]float64, 1<<12)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(spec, src)
+		RealInverse(x, spec)
+	}
+}

@@ -1,67 +1,199 @@
-// Package fft implements an iterative radix-2 complex fast Fourier
-// transform and the real linear convolution built on it.
+// Package fft implements a planned power-of-two fast Fourier transform,
+// its real-input / real-output variant by half-length complex packing,
+// and the real linear convolution built on them.
 //
 // The Go standard library has no FFT; the direct convolution solver
 // (internal/direct) needs hundreds of k-fold convolutions of service-time
 // densities per policy sweep, which would be O(N^2) each without one.
+//
+// Every transform of one size shares one plan: a bit-reversal table and
+// twiddle factors taken from math.Sincos per index (each within an ulp,
+// where a running product would accumulate error along the table). The
+// butterflies merge two radix-2 stages into one radix-4 pass, halving
+// the walks over the data.
 package fft
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
+
+// plan holds what every transform of one length n shares.
+type plan struct {
+	rev []int32      // bit-reversal permutation of 0..n-1
+	tw  []complex128 // tw[k] = exp(-2πi·k/n) for k < 3n/4
+}
+
+var plans [bits.UintSize]struct {
+	once sync.Once
+	p    *plan
+}
+
+// planFor returns the shared plan for length n, building it on first use.
+func planFor(n int) *plan {
+	if n < 1 || n&(n-1) != 0 {
+		panic("fft: length is not a power of two")
+	}
+	e := &plans[bits.TrailingZeros(uint(n))]
+	e.once.Do(func() {
+		p := &plan{rev: make([]int32, n), tw: make([]complex128, 3*n/4)}
+		shift := bits.UintSize - bits.TrailingZeros(uint(n))
+		for i := 1; i < n; i++ {
+			p.rev[i] = int32(bits.Reverse(uint(i)) >> shift)
+		}
+		for k := range p.tw {
+			sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+			p.tw[k] = complex(cos, sin)
+		}
+		e.p = p
+	})
+	return e.p
+}
+
+// permute applies the bit-reversal permutation in place.
+func (p *plan) permute(a []complex128) {
+	for i, r := range p.rev {
+		if j := int(r); i < j {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+}
+
+// butterflies runs the decimation-in-time passes of the forward
+// transform over bit-reversed input. Each pass is a radix-4 butterfly
+// merging the radix-2 stages of half-span h and 2h; the first pass has
+// unit twiddles and is a plain radix-2 stage when log2(n) is odd.
+func (p *plan) butterflies(a []complex128) {
+	n := len(a)
+	h := 4
+	if bits.TrailingZeros(uint(n))&1 == 1 {
+		for i := 0; i < n; i += 2 {
+			a[i], a[i+1] = a[i]+a[i+1], a[i]-a[i+1]
+		}
+		h = 2
+	} else {
+		for i := 0; i+3 < n; i += 4 {
+			s, d, u, v := a[i]+a[i+1], a[i]-a[i+1], a[i+2]+a[i+3], a[i+2]-a[i+3]
+			v = complex(imag(v), -real(v)) // −i·v
+			a[i], a[i+1], a[i+2], a[i+3] = s+u, d+v, s-u, d-v
+		}
+	}
+	tw := p.tw
+	for ; h < n; h <<= 2 {
+		st := n / (4 * h)
+		for i := 0; i < n; i += 4 * h {
+			q0, q1, q2, q3 := a[i:i+h], a[i+h:i+2*h], a[i+2*h:i+3*h], a[i+3*h:i+4*h]
+			for j := range q0 {
+				// Twiddles w², w, w³ of w = exp(-2πi·j/4h).
+				t1, t2, t3 := tw[2*j*st]*q1[j], tw[j*st]*q2[j], tw[3*j*st]*q3[j]
+				s, d, u, v := q0[j]+t1, q0[j]-t1, t2+t3, t2-t3
+				v = complex(imag(v), -real(v)) // −i·v
+				q0[j], q1[j], q2[j], q3[j] = s+u, d+v, s-u, d-v
+			}
+		}
+	}
+}
 
 // Forward computes the in-place forward DFT of a whose length must be a
 // power of two. The transform is unnormalized:
 // A[k] = Σ_n a[n]·exp(-2πi·kn/N).
 func Forward(a []complex128) {
-	transform(a, false)
+	if len(a) <= 1 {
+		return
+	}
+	p := planFor(len(a))
+	p.permute(a)
+	p.butterflies(a)
 }
 
 // Inverse computes the in-place inverse DFT of a whose length must be a
-// power of two, including the 1/N normalization.
+// power of two, including the 1/N normalization (exact: N is a power of
+// two). It is the forward transform between two conjugations.
 func Inverse(a []complex128) {
-	transform(a, true)
-	n := float64(len(a))
-	for i := range a {
-		a[i] = complex(real(a[i])/n, imag(a[i])/n)
+	if len(a) <= 1 {
+		return
+	}
+	for i, v := range a {
+		a[i] = complex(real(v), -imag(v))
+	}
+	Forward(a)
+	inv := 1 / float64(len(a))
+	for i, v := range a {
+		a[i] = complex(real(v)*inv, -imag(v)*inv)
 	}
 }
 
-// transform runs the iterative Cooley–Tukey radix-2 FFT.
-func transform(a []complex128, inverse bool) {
-	n := len(a)
-	if n <= 1 {
-		return
+// RealForward writes the N/2+1 non-redundant bins of the length-N DFT of
+// the real sequence x, zero-padded to N = 2·(len(spec)−1), into spec
+// (the other bins are their conjugates: X[N−k] = conj X[k]). N must be
+// a power of two ≥ max(2, len(x)). The even and odd samples travel as
+// the real and imaginary parts of one half-length complex transform.
+func RealForward(spec []complex128, x []float64) {
+	m := len(spec) - 1
+	if m < 1 || len(x) > 2*m {
+		panic("fft: RealForward needs len(spec) = N/2+1 with N ≥ len(x)")
 	}
-	if n&(n-1) != 0 {
-		panic("fft: length is not a power of two")
+	p := planFor(m)
+	z := spec[:m]
+	pairs := len(x) / 2
+	for j, r := range p.rev[:pairs] {
+		z[r] = complex(x[2*j], x[2*j+1])
 	}
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j |= bit
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
+	for _, r := range p.rev[pairs:] {
+		z[r] = 0
 	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := 2 * math.Pi / float64(length)
-		if !inverse {
-			ang = -ang
-		}
-		wl := complex(math.Cos(ang), math.Sin(ang))
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			half := length >> 1
-			for j := 0; j < half; j++ {
-				u := a[i+j]
-				v := a[i+j+half] * w
-				a[i+j] = u + v
-				a[i+j+half] = u - v
-				w *= wl
-			}
-		}
+	if len(x)&1 == 1 {
+		z[p.rev[pairs]] = complex(x[len(x)-1], 0)
+	}
+	p.butterflies(z)
+	// Split Z = E + i·O into the transforms of the even and odd samples
+	// and recombine: X[k] = E[k] + w^k·O[k], X[m−k] = conj(E[k] − w^k·O[k]).
+	z0 := z[0]
+	spec[0] = complex(real(z0)+imag(z0), 0)
+	spec[m] = complex(real(z0)-imag(z0), 0)
+	tw := planFor(2 * m).tw
+	for k := 1; k <= m/2; k++ {
+		a, b := z[k], z[m-k]
+		e := complex(real(a)+real(b), imag(a)-imag(b)) // 2·E[k]
+		o := complex(imag(a)+imag(b), real(b)-real(a)) // 2·O[k]
+		wo := tw[k] * o
+		spec[k] = complex(0.5*(real(e)+real(wo)), 0.5*(imag(e)+imag(wo)))
+		spec[m-k] = complex(0.5*(real(e)-real(wo)), 0.5*(imag(wo)-imag(e)))
+	}
+}
+
+// RealInverse is the inverse of RealForward: it writes to x the real
+// sequence of length N = len(x) = 2·(len(spec)−1) whose DFT has the
+// non-redundant bins spec, including the 1/N normalization (exact). The
+// imaginary parts of spec[0] and spec[N/2] are ignored. spec is
+// destroyed.
+func RealInverse(x []float64, spec []complex128) {
+	m := len(spec) - 1
+	if m < 1 || len(x) != 2*m {
+		panic("fft: RealInverse needs len(x) = N and len(spec) = N/2+1")
+	}
+	// Rebuild the packed half-length spectrum Z[k] = E[k] + i·O[k],
+	// conjugated and scaled so that a forward transform inverts it.
+	z := spec[:m]
+	sc := 0.5 / float64(m)
+	x0, xm := real(spec[0]), real(spec[m])
+	z[0] = complex(sc*(x0+xm), -sc*(x0-xm))
+	tw := planFor(2 * m).tw
+	for k := 1; k <= m/2; k++ {
+		a, b := spec[k], spec[m-k]
+		e := complex(real(a)+real(b), imag(a)-imag(b)) // 2·E[k]
+		d := complex(real(a)-real(b), imag(a)+imag(b)) // 2·w^k·O[k]
+		w := tw[k]
+		o := complex(real(w), -imag(w)) * d // 2·O[k]
+		z[k] = complex(sc*(real(e)-imag(o)), -sc*(imag(e)+real(o)))
+		z[m-k] = complex(sc*(real(e)+imag(o)), -sc*(real(o)-imag(e)))
+	}
+	p := planFor(m)
+	p.permute(z)
+	p.butterflies(z)
+	for j, v := range z {
+		x[2*j], x[2*j+1] = real(v), -imag(v)
 	}
 }
 
@@ -96,23 +228,14 @@ func Convolve(x, y []float64) []float64 {
 		return out
 	}
 	n := NextPow2(outLen)
-	fx := make([]complex128, n)
-	fy := make([]complex128, n)
-	for i, v := range x {
-		fx[i] = complex(v, 0)
-	}
-	for i, v := range y {
-		fy[i] = complex(v, 0)
-	}
-	Forward(fx)
-	Forward(fy)
+	fx := make([]complex128, n/2+1)
+	fy := make([]complex128, n/2+1)
+	RealForward(fx, x)
+	RealForward(fy, y)
 	for i := range fx {
 		fx[i] *= fy[i]
 	}
-	Inverse(fx)
-	out := make([]float64, outLen)
-	for i := range out {
-		out[i] = real(fx[i])
-	}
-	return out
+	out := make([]float64, n)
+	RealInverse(out, fx)
+	return out[:outLen]
 }

@@ -89,8 +89,11 @@ func (l *Lattice) Len() int { return len(l.M) }
 func (l *Lattice) Horizon() float64 { return float64(len(l.M)-1) * l.Dx }
 
 // Mass returns the total probability mass including the tail.
-func (l *Lattice) Mass() float64 {
-	s := l.Tail
+func (l *Lattice) Mass() float64 { return l.latticeMass() + l.Tail }
+
+// latticeMass returns the mass on the lattice points, the tail excluded.
+func (l *Lattice) latticeMass() float64 {
+	var s float64
 	for _, m := range l.M {
 		s += m
 	}
@@ -142,11 +145,84 @@ func (m *Meter) Observe(residual, negMass float64) {
 	}
 }
 
+// Spectrum is a lattice law prepared as the fixed operand of repeated
+// convolutions: the real-input transform of its masses, zero-padded to
+// the linear-convolution length, with the operand's lattice mass and
+// tail. It is immutable, so goroutines may share one.
+type Spectrum struct {
+	f          []complex128
+	mass, tail float64
+}
+
+// Work is the scratch of one fold on n-point lattices: the moving
+// operand's transform (then the product) and the full inverse transform.
+// Fold overwrites every entry before reading it, so a result never
+// depends on what a reused Work held. Not safe for concurrent use.
+type Work struct {
+	spec []complex128
+	full []float64
+}
+
+// specBins is the number of non-redundant bins of the real transform
+// long enough for the 2n−1 points two n-point lattices convolve to.
+func specBins(n int) int { return fft.NextPow2(2*n)/2 + 1 }
+
+// NewWork returns fold scratch for n-point lattices.
+func NewWork(n int) *Work {
+	bins := specBins(n)
+	return &Work{spec: make([]complex128, bins), full: make([]float64, 2*(bins-1))}
+}
+
+// Spectrum transforms l for use as a fold operand.
+func (l *Lattice) Spectrum() *Spectrum {
+	p := &Spectrum{f: make([]complex128, specBins(len(l.M))), mass: l.latticeMass(), tail: l.Tail}
+	fft.RealForward(p.f, l.M)
+	return p
+}
+
+// Fold is the convolution kernel: it stores in dst (which may be l) the
+// distribution of X+Y for independent X ~ l and Y ~ p's operand on one
+// geometry. One walk over the inverse transform clamps negative
+// round-off to zero, sums the mass kept on the lattice and the raw mass
+// beyond the horizon. dst.Tail takes what an exact convolution spreads
+// beyond the horizon — the product of the lattice masses less the kept
+// mass, so mass is conserved exactly — plus every combination involving
+// either tail (a sum with a beyond-horizon component is beyond horizon,
+// as lattice values are non-negative). Returned for the audit: the
+// mass-conservation residual of the raw output, which is pure FFT
+// round-off, and the negative mass clamped away.
+func (p *Spectrum) Fold(dst, l *Lattice, w *Work) (residual, negMass float64) {
+	n := len(l.M)
+	if len(dst.M) != n || len(p.f) != len(w.spec) || len(w.spec) != specBins(n) {
+		panic(fmt.Sprintf("gridfn: fold of %d points into %d with a %d-bin operand and %d-bin scratch",
+			n, len(dst.M), len(p.f), len(w.spec)))
+	}
+	massL := l.latticeMass()
+	fft.RealForward(w.spec, l.M)
+	for i, f := range p.f {
+		w.spec[i] *= f
+	}
+	fft.RealInverse(w.full, w.spec)
+	var kept, beyond float64
+	for i, v := range w.full[:n] {
+		if v < 0 {
+			negMass -= v
+			v = 0
+		}
+		dst.M[i] = v
+		kept += v
+	}
+	for _, v := range w.full[n:] {
+		beyond += v
+	}
+	exact := massL * p.mass
+	dst.Dx = l.Dx
+	dst.Tail = max(exact-kept, 0) + l.Tail*(p.mass+p.tail) + p.tail*massL
+	return math.Abs(kept - negMass + beyond - exact), negMass
+}
+
 // Convolve returns the distribution of X+Y for independent X ~ l, Y ~ o on
-// the same geometry. Mass convolved past the horizon, and all combinations
-// involving either tail, are accumulated into the result's Tail (a sum
-// with a beyond-horizon component is itself beyond horizon, as lattice
-// values are non-negative).
+// the same geometry (see Fold for the tail treatment).
 func (l *Lattice) Convolve(o *Lattice) *Lattice {
 	return l.ConvolveMetered(o, nil)
 }
@@ -156,32 +232,8 @@ func (l *Lattice) Convolve(o *Lattice) *Lattice {
 // round-off mass. The returned lattice is bit-identical to Convolve's.
 func (l *Lattice) ConvolveMetered(o *Lattice, meter *Meter) *Lattice {
 	l.checkCompat(o)
-	n := len(l.M)
-	full := fft.Convolve(l.M, o.M)
-	out := &Lattice{Dx: l.Dx, M: make([]float64, n)}
-	copy(out.M, full[:min(n, len(full))])
-	var overflow float64
-	for _, v := range full[min(n, len(full)):] {
-		overflow += v
-	}
-	massL, massO := 0.0, 0.0
-	for _, v := range l.M {
-		massL += v
-	}
-	for _, v := range o.M {
-		massO += v
-	}
-	out.Tail = overflow + l.Tail*(massO+o.Tail) + o.Tail*massL
-	if meter != nil {
-		var total, neg float64
-		for _, v := range full {
-			total += v
-			if v < 0 {
-				neg -= v
-			}
-		}
-		meter.Observe(math.Abs(total-massL*massO), neg)
-	}
+	out := New(l.Dx, len(l.M))
+	meter.Observe(o.Spectrum().Fold(out, l, NewWork(len(l.M))))
 	return out
 }
 
@@ -195,12 +247,15 @@ func (l *Lattice) Prefixes(k int) []*Lattice {
 
 // PrefixesMetered is Prefixes with a numerical audit of every fold in
 // the incremental chain (see Meter). The returned lattices are
-// bit-identical to Prefixes'.
+// bit-identical to Prefixes'. The base law is transformed once and the
+// scratch is shared along the chain, so a fold costs two transforms.
 func (l *Lattice) PrefixesMetered(k int, meter *Meter) []*Lattice {
 	out := make([]*Lattice, k+1)
 	out[0] = PointMass(0, l.Dx, len(l.M))
+	base, w := l.Spectrum(), NewWork(len(l.M))
 	for i := 1; i <= k; i++ {
-		out[i] = out[i-1].ConvolveMetered(l, meter)
+		out[i] = New(l.Dx, len(l.M))
+		meter.Observe(base.Fold(out[i], out[i-1], w))
 	}
 	return out
 }
@@ -229,50 +284,62 @@ func (l *Lattice) CDFAt(x float64) float64 {
 	if i >= len(l.M)-1 {
 		return 1 - l.Tail
 	}
-	c := l.CDF()
-	frac := pos - float64(i)
-	return c[i] + frac*(c[i+1]-c[i])
+	var c float64 // the running sum CDF() would hold at i
+	for _, m := range l.M[:i+1] {
+		c += m
+	}
+	next := c + l.M[i+1]
+	return c + (pos-float64(i))*(next-c)
 }
 
 // MaxIndep returns the distribution of max(X, Y) for independent X ~ l,
 // Y ~ o on the same geometry: P(max ≤ x) = P(X ≤ x)·P(Y ≤ x). Any tail
 // mass on either side forces the max beyond the horizon.
 func (l *Lattice) MaxIndep(o *Lattice) *Lattice {
-	l.checkCompat(o)
-	cl, co := l.CDF(), o.CDF()
-	out := &Lattice{Dx: l.Dx, M: make([]float64, len(l.M))}
-	prev := 0.0
-	for i := range out.M {
-		c := cl[i] * co[i]
-		out.M[i] = c - prev
-		prev = c
-	}
-	out.Tail = 1 - prev
-	if out.Tail < 0 {
-		out.Tail = 0
-	}
+	out := New(l.Dx, len(l.M))
+	l.MaxIndepInto(out, o)
 	return out
 }
 
+// MaxIndepInto stores MaxIndep(o) in dst — a lattice of the same length
+// distinct from both operands, or nil to skip the store — and returns
+// its Mean(), bit for bit; the two CDFs are running sums of one walk.
+func (l *Lattice) MaxIndepInto(dst, o *Lattice) float64 {
+	l.checkCompat(o)
+	var cl, co, prev, moment float64
+	for i, m := range l.M {
+		cl += m
+		co += o.M[i]
+		c := cl * co
+		if dst != nil {
+			dst.M[i] = c - prev
+		}
+		moment += float64(i) * (c - prev)
+		prev = c
+	}
+	tail := max(1-prev, 0)
+	if dst != nil {
+		dst.Dx, dst.Tail = l.Dx, tail
+	}
+	return moment*l.Dx + tail*l.Horizon()
+}
+
 // MinIndep returns the distribution of min(X, Y) for independent X ~ l,
-// Y ~ o on the same geometry: P(min > x) = P(X > x)·P(Y > x).
+// Y ~ o on the same geometry: P(min > x) = P(X > x)·P(Y > x). 1−C counts
+// a law's tail as surviving every lattice point, so the min lands beyond
+// the horizon only when both operands do.
 func (l *Lattice) MinIndep(o *Lattice) *Lattice {
 	l.checkCompat(o)
-	cl, co := l.CDF(), o.CDF()
-	out := &Lattice{Dx: l.Dx, M: make([]float64, len(l.M))}
-	prev := 0.0
-	for i := range out.M {
-		// Survival of the min includes the tails: S = (1-C+tail-less...)
-		sl := 1 - cl[i]
-		so := 1 - co[i]
-		c := 1 - sl*so
+	out := New(l.Dx, len(l.M))
+	var cl, co, prev float64
+	for i, m := range l.M {
+		cl += m
+		co += o.M[i]
+		c := 1 - (1-cl)*(1-co)
 		out.M[i] = c - prev
 		prev = c
 	}
-	out.Tail = 1 - prev
-	if out.Tail < 0 {
-		out.Tail = 0
-	}
+	out.Tail = max(1-prev, 0)
 	return out
 }
 
