@@ -85,6 +85,7 @@ func run(args []string) error {
 	maxBody := fs.Int64("max-body", 1<<20, "request body size cap in bytes; beyond it requests get 413")
 	cacheSize := fs.Int("cache", 512, "result-cache entries (LRU; -1 disables caching)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "result-cache byte cap; evicts LRU entries beyond it (0 = entry count only)")
+	solverCacheBytes := fs.Int64("solver-cache-bytes", 0, "byte budget of the solver-table tier: prefix tables of models seen twice, shared across verbs (0 = 16 MiB, -1 disables)")
 	cacheSnap := fs.String("cache-snapshot", "", "snapshot the result cache to this file on drain and reload it on boot")
 	peers := fs.String("peers", "", "comma-separated base URLs of every fleet replica (self included) — enables cluster mode")
 	self := fs.String("self", "", "this replica's own base URL as it appears in -peers (required with -peers)")
@@ -190,16 +191,17 @@ func run(args []string) error {
 	}
 
 	svc := serve.New(serve.Config{
-		Workers:     workers.N,
-		MaxInflight: *maxInflight,
-		MaxQueued:   *maxQueue,
-		Timeout:     *timeout,
-		MaxBody:     *maxBody,
-		CacheSize:   *cacheSize,
-		CacheBytes:  *cacheBytes,
-		Cluster:     cl,
-		Registry:    reg,
-		Tracer:      tracer,
+		Workers:          workers.N,
+		MaxInflight:      *maxInflight,
+		MaxQueued:        *maxQueue,
+		Timeout:          *timeout,
+		MaxBody:          *maxBody,
+		CacheSize:        *cacheSize,
+		CacheBytes:       *cacheBytes,
+		SolverCacheBytes: *solverCacheBytes,
+		Cluster:          cl,
+		Registry:         reg,
+		Tracer:           tracer,
 	})
 	mux := http.NewServeMux()
 	svc.Register(mux)

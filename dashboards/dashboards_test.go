@@ -164,6 +164,14 @@ func TestDashboardsCoverRequiredSignals(t *testing.T) {
 		"dtr_serve_cache_bytes",
 		"dtr_serve_snapshot_loaded_total",
 		"dtr_serve_warm_pulled_total",
+		"dtr_serve_solver_cache_hits_total",
+		"dtr_serve_solver_cache_misses_total",
+		"dtr_serve_solver_cache_admitted_total",
+		"dtr_serve_solver_cache_extended_total",
+		"dtr_serve_solver_cache_evictions_total",
+		"dtr_serve_solver_cache_entries",
+		"dtr_serve_solver_cache_bytes",
+		"dtr_solver_builds_total",
 	} {
 		if !strings.Contains(all.String(), metric) {
 			t.Errorf("no dashboard panel queries %s", metric)

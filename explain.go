@@ -30,9 +30,9 @@ type ExplainOptions struct {
 	// Deadline is the QoS horizon TM (required for "qos").
 	Deadline float64
 	// Probe additionally runs the half-resolution grid-error probe at
-	// the winning policy (two-server systems only; roughly doubles the
-	// solve cost the first time). Ignored for multi-server systems,
-	// whose pairwise solvers are transient.
+	// the winning policy (two-server systems only; the first probe builds
+	// a half-resolution shadow of the solver's tables). Ignored for
+	// multi-server systems, whose pairwise solvers are transient.
 	Probe bool
 	// Replication, when set with MaxFactor > 1, switches the solve to
 	// the joint reallocation+replication search and adds the
@@ -187,12 +187,6 @@ func (s *System) Explain(opt ExplainOptions) (*Explain, error) {
 		ex.PolicyString = FormatPolicy(p)
 		ex.Algorithm1 = &ad
 		return ex, nil
-	}
-
-	if opt.Probe {
-		// The probe needs the solver built with the shadow enabled; the
-		// flag only matters on first (lazy) construction.
-		s.ErrorProbe = true
 	}
 
 	var res policy.Result2

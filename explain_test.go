@@ -139,3 +139,34 @@ func TestExplainMultiServer(t *testing.T) {
 		t.Fatalf("policy shape wrong: %+v", ex.Policy)
 	}
 }
+
+// TestExplainProbeAfterMetric: the probe must work on a System whose
+// solver an earlier metric call already built (it used to fail with
+// "grid-error probe disabled"), and answer what a fresh System answers.
+func TestExplainProbeAfterMetric(t *testing.T) {
+	newSys := func() *dtr.System {
+		sys, err := dtr.NewSystem(paperModel(true), []int{20, 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.GridN = 1 << 10
+		return sys
+	}
+	used := newSys()
+	if _, err := used.MeanTime(dtr.Policy2(3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := used.Explain(dtr.ExplainOptions{Probe: true})
+	if err != nil {
+		t.Fatalf("explain with probe after a metric call: %v", err)
+	}
+	want, err := newSys().Explain(dtr.ExplainOptions{Probe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotProbe, _ := json.Marshal(got.Probe)
+	wantProbe, _ := json.Marshal(want.Probe)
+	if got.Probe == nil || string(gotProbe) != string(wantProbe) {
+		t.Fatalf("probe after a metric call %s, fresh system %s", gotProbe, wantProbe)
+	}
+}

@@ -8,9 +8,10 @@ import (
 	"dtr/internal/obs"
 )
 
-// TestSolverConcurrentMatchesSerial: a Solver shared by many goroutines
-// must return bit-identical metric values to a serial scan over the same
-// policies — the locked lazy caches (FFT prefixes, transfer laws) may
+// TestSolverConcurrentMatchesSerial: views of one Tables used by many
+// goroutines — several views, each shared by two goroutines — must
+// return bit-identical metric values to a serial scan over the same
+// policies: the locked lazy caches (FFT prefixes, transfer laws) may
 // race on who computes an entry, but never on what the entry is.
 func TestSolverConcurrentMatchesSerial(t *testing.T) {
 	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
@@ -42,20 +43,27 @@ func TestSolverConcurrentMatchesSerial(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.SetDefault(reg)
 	defer obs.SetDefault(nil)
-	shared := newSolver(t, m, maxQ, gridN, horizon)
+	tables, err := NewTables(m, Config{N: gridN, Horizon: horizon, MaxQueue: [2]int{maxQ, maxQ}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := make([]float64, len(pts))
 	errs := make([]error, len(pts))
 	const workers = 8
+	views := make([]*Solver, workers/2)
+	for i := range views {
+		views[i], _ = tables.View(0, nil)
+	}
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(view *Solver) {
 			defer wg.Done()
 			for i := range next {
-				got[i], errs[i] = shared.MeanTime(m1, m2, pts[i].l12, pts[i].l21)
+				got[i], errs[i] = view.MeanTime(m1, m2, pts[i].l12, pts[i].l21)
 			}
-		}()
+		}(views[w%len(views)])
 	}
 	for i := range pts {
 		next <- i
@@ -70,6 +78,15 @@ func TestSolverConcurrentMatchesSerial(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("(%d,%d): concurrent %v != serial %v", p.l12, p.l21, got[i], want[i])
 		}
+	}
+
+	// Every evaluation was counted by exactly one view.
+	var counted uint64
+	for _, v := range views {
+		counted += v.Diagnostics().Evaluations
+	}
+	if counted != uint64(len(pts)) {
+		t.Fatalf("views counted %d evaluations, want %d", counted, len(pts))
 	}
 
 	// The cache metrics saw the scan; dup computes (publish races lost)

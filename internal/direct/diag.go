@@ -1,7 +1,6 @@
 package direct
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -93,22 +92,28 @@ func (s *Solver) noteFinish(tail float64) {
 	solverTailMass.Observe(tail)
 }
 
-// Diagnostics snapshots the solver's numerical health counters. Safe to
-// call concurrently with solves; a snapshot taken mid-sweep can lag the
-// in-flight fold.
+// Diagnostics snapshots the solver's numerical health counters: the
+// construction audit of the factor chains this view reads — merged with
+// order-independent reductions, so it equals a one-shot build's — and
+// the view's own solve-phase accumulators. Safe to call concurrently
+// with solves; a snapshot taken mid-sweep can lag the in-flight fold.
 func (s *Solver) Diagnostics() Diagnostics {
-	mf := s.maxFac
+	mf := len(s.chains)
 	if mf <= 1 {
 		mf = 0 // omitted from JSON: non-replicated artifacts keep their bytes
 	}
+	var build gridfn.Meter
+	for _, c := range s.chains {
+		mergeMeter(&build, c.meter)
+	}
 	return Diagnostics{
 		MaxFactor:            mf,
-		GridN:                s.n,
-		Dx:                   s.dx,
+		GridN:                s.t.n,
+		Dx:                   s.t.dx,
 		Horizon:              s.Horizon(),
-		BuildFolds:           s.buildMeter.Folds,
-		BuildMassResidualMax: s.buildMeter.MaxResidual,
-		BuildNegMassMax:      s.buildMeter.MaxNegMass,
+		BuildFolds:           build.Folds,
+		BuildMassResidualMax: build.MaxResidual,
+		BuildNegMassMax:      build.MaxNegMass,
 		Folds:                s.folds.Load(),
 		MassResidualMax:      s.residualMax.load(),
 		NegMassMax:           s.negMassMax.load(),
@@ -137,42 +142,28 @@ type ProbeResult struct {
 }
 
 // ProbeGridError evaluates the policy's metrics on the solver lattice
-// and on a lazily built half-resolution shadow solver and returns the
-// differences as grid-error estimates. It requires Config.ErrorProbe
-// (the shadow solver costs a second prefix-table construction, paid on
-// the first probe). The probe never feeds back into solver state or
-// results — solves are bit-identical whether or not probes run.
+// and on a half-resolution shadow of the tables and returns the
+// differences as grid-error estimates. The shadow costs a second
+// prefix-table construction, paid by the first probe of any view of the
+// tables. The probe never feeds back into solver state or results —
+// solves are bit-identical whether or not probes run.
 func (s *Solver) ProbeGridError(m1, m2, l12, l21 int, tm float64) (*ProbeResult, error) {
-	if !s.probeEnabled {
-		return nil, fmt.Errorf("direct: grid-error probe disabled (set Config.ErrorProbe)")
+	shadow, err := s.t.probeShadow()
+	if err != nil {
+		return nil, err
 	}
-	s.probeOnce.Do(func() {
-		coarse, err := NewSolver(s.model, Config{
-			Dx:        2 * s.dx,
-			N:         s.n / 2,
-			MaxQueue:  s.maxQueue,
-			MaxFactor: s.maxFac,
-		})
-		if err != nil {
-			s.probeErr = fmt.Errorf("direct: build probe solver: %w", err)
-			return
-		}
-		coarse.TailCorrect = s.TailCorrect
-		s.probeSolver = coarse
-	})
-	if s.probeErr != nil {
-		return nil, s.probeErr
-	}
+	coarseSolver, _ := shadow.View(0, nil)
+	coarseSolver.TailCorrect = s.TailCorrect
 	fine, err := s.All(m1, m2, l12, l21, tm)
 	if err != nil {
 		return nil, err
 	}
-	coarse, err := s.probeSolver.All(m1, m2, l12, l21, tm)
+	coarse, err := coarseSolver.All(m1, m2, l12, l21, tm)
 	if err != nil {
 		return nil, err
 	}
 	pr := &ProbeResult{
-		CoarseN:        s.probeSolver.n,
+		CoarseN:        shadow.n,
 		Fine:           fine,
 		Coarse:         coarse,
 		MeanErr:        math.Abs(fine.Mean - coarse.Mean),
@@ -187,6 +178,3 @@ func (s *Solver) ProbeGridError(m1, m2, l12, l21 int, tm float64) (*ProbeResult,
 	}
 	return pr, nil
 }
-
-// buildMeterOf exposes the construction audit for tests.
-func (s *Solver) buildMeterOf() gridfn.Meter { return s.buildMeter }

@@ -88,11 +88,6 @@ func TestErrorProbeBitNeutral(t *testing.T) {
 func TestProbeGridError(t *testing.T) {
 	m := model2(dist.NewExponential(2), dist.NewExponential(1), 0, 0, 1)
 
-	s := newSolver(t, m, 10, 1<<12, 200)
-	if _, err := s.ProbeGridError(5, 3, 2, 1, 15); err == nil {
-		t.Fatal("probe on a solver without ErrorProbe should error")
-	}
-
 	p, err := NewSolver(m, Config{N: 1 << 12, Horizon: 200, MaxQueue: [2]int{10, 10}, ErrorProbe: true})
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +95,17 @@ func TestProbeGridError(t *testing.T) {
 	pr, err := p.ProbeGridError(5, 3, 2, 1, 15)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Config.ErrorProbe is a no-op: a solver built without it probes
+	// too, after it has evaluated, and answers the same.
+	s := newSolver(t, m, 10, 1<<12, 200)
+	if _, err := s.MeanTime(5, 3, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ProbeGridError(5, 3, 2, 1, 15); err != nil {
+		t.Fatalf("probe on a solver built without ErrorProbe: %v", err)
+	} else if *got != *pr {
+		t.Fatalf("probe differs without ErrorProbe:\n%+v\n%+v", got, pr)
 	}
 	if pr.CoarseN != 1<<11 {
 		t.Fatalf("coarse grid %d, want %d", pr.CoarseN, 1<<11)

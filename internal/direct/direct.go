@@ -28,7 +28,6 @@ package direct
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"dtr/dist"
@@ -38,47 +37,26 @@ import (
 )
 
 // Solver evaluates canonical-scenario metrics on a fixed time lattice.
+// It is one request's view of a model's Tables: the replication factors
+// it may evaluate, the tail-correction switch, the trace span and the
+// numerical-health accumulators are its own; the prefix chains, spectra,
+// transfer lattices and scratch are the tables'. Its results and its
+// Diagnostics are therefore a pure function of what was asked of this
+// view, whatever other views of the same tables exist.
 //
-// A Solver is safe for concurrent use: the service-sum prefix tables are
-// immutable after construction, and the two lazy caches (spectra of the
-// prefixes, transfer-time lattices) are guarded by an internal lock.
-// A cache miss computes outside the lock and discards the duplicate if
-// another goroutine stored first, and every evaluation works in pooled
-// scratch it fully overwrites, so concurrent sweeps over the policy
-// lattice return bit-identical values to a serial scan. Set TailCorrect
-// before sharing the solver across goroutines.
+// A Solver is safe for concurrent use: the tables are immutable once
+// published, and their two lazy caches (spectra of the prefixes,
+// transfer-time lattices) are guarded by the tables' lock. A cache miss
+// computes outside the lock and discards the duplicate if another
+// goroutine stored first, and every evaluation works in pooled scratch
+// it fully overwrites, so concurrent sweeps over the policy lattice
+// return bit-identical values to a serial scan. Set TailCorrect before
+// sharing the solver across goroutines.
 type Solver struct {
-	model *core.Model
-	dx    float64
-	n     int
-
-	// pre[k][f-1][j] is the law of the sum of j i.i.d. effective service
-	// times at server k under replication factor f — each task's law is
-	// the min-of-f order statistic of the base service law
-	// (cancel-on-first-complete replication); preF[k][f-1][j] is its
-	// lazily cached spectrum. Factor 1 is the base law, so a solver built
-	// with MaxFactor ≤ 1 has exactly the pre-replication tables.
-	pre  [2][][]*gridfn.Lattice
-	preF [2][][]*gridfn.Spectrum
-
-	// maxFac is the largest replication factor with prefix tables;
-	// defFac[k] is server k's default factor (the model's Repl entry,
-	// 1 when unset) used by the factor-less metric methods.
-	maxFac int
-	defFac [2]int
-
-	zCache map[[3]int]transfer
-
-	// mu guards the preF slots and zCache. Cached values (spectra,
-	// transfer lattices) are never mutated once published, so readers
-	// only need the lock for the map/slot access itself.
-	mu sync.RWMutex
-
-	// pool holds *scratch, one drawn per evaluation. It is a pointer, and
-	// its New must not capture the solver: the runtime keeps every used
-	// Pool reachable for two collections, and an embedded one would pin
-	// the solver's tables with it.
-	pool *sync.Pool
+	t *Tables
+	// chains are the tables' factor chains 1..len(chains) this view
+	// reads; the tables may hold more.
+	chains []*chain
 
 	// TailCorrect adds the single-big-jump tail-excess estimate to mean
 	// execution times: for subexponential laws (the paper's Pareto
@@ -91,159 +69,50 @@ type Solver struct {
 
 	span *obs.Span
 
-	// Numerical-health accumulators (see Diagnostics). buildMeter is
-	// written only during construction; the atomics accumulate across
-	// concurrent solve-phase folds with order-independent reductions.
-	buildMeter  gridfn.Meter
-	maxQueue    [2]int
+	// Numerical-health accumulators of this view's solve phase (see
+	// Diagnostics); the atomics accumulate across concurrent folds with
+	// order-independent reductions.
 	folds       atomic.Uint64
 	evalCount   atomic.Uint64
 	residualMax maxFloat64
 	negMassMax  maxFloat64
 	tailMax     maxFloat64
-
-	// Half-resolution shadow solver for grid-error probes, built lazily
-	// on the first ProbeGridError call when Config.ErrorProbe was set.
-	probeEnabled bool
-	probeOnce    sync.Once
-	probeSolver  *Solver
-	probeErr     error
 }
 
-// Config sizes the solver's lattice.
-type Config struct {
-	// Dx is the lattice step; 0 derives it from Horizon/N.
-	Dx float64
-	// N is the number of lattice points (power of two recommended);
-	// 0 defaults to 8192.
-	N int
-	// Horizon is the time span covered; 0 derives a horizon from the
-	// model means: 2.5× the worst-case expected completion plus transfer.
-	Horizon float64
-	// MaxQueue[k] bounds the prefix convolutions per server; it must be
-	// at least the largest queue the sweep will produce at server k
-	// (own tasks plus the largest incoming batch).
-	MaxQueue [2]int
-	// Span, when set, attaches solver-phase sub-spans to a request-scoped
-	// trace: a "solver_build" child for the prefix-table construction, and
-	// "fft" / "transfer_law" children for lazy cache fills. Purely
-	// observational — results are bit-identical with or without it.
-	Span *obs.Span
-	// ErrorProbe enables ProbeGridError: the solver may lazily build a
-	// half-resolution shadow of itself to estimate grid-truncation error.
-	// Off by default because the shadow doubles construction cost on the
-	// first probe. Has no effect on solve results either way.
-	ErrorProbe bool
-	// MaxFactor requests prefix tables for replication factors
-	// 1..MaxFactor per server, enabling the *Repl metric variants (the
-	// joint reallocation+replication search evaluates them). 0 or 1
-	// builds only the base tables; the model's own Repl factors raise
-	// the effective value so the default-factor methods always have
-	// their tables.
-	MaxFactor int
-}
-
-// NewSolver precomputes the service-sum laws for a two-server model.
+// NewSolver precomputes the service-sum laws for a two-server model and
+// returns the first view of them.
 func NewSolver(m *core.Model, cfg Config) (*Solver, error) {
-	if err := m.Validate(); err != nil {
+	t, err := NewTables(m, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if m.N() != 2 {
-		return nil, fmt.Errorf("direct: two-server models only, got %d servers", m.N())
-	}
-	if cfg.MaxQueue[0] <= 0 && cfg.MaxQueue[1] <= 0 {
-		return nil, fmt.Errorf("direct: Config.MaxQueue must bound the sweep queue lengths")
-	}
-	n := cfg.N
-	if n == 0 {
-		n = 8192
-	}
-	dx := cfg.Dx
-	if dx == 0 {
-		hor := cfg.Horizon
-		if hor == 0 {
-			worst := 0.0
-			for k := 0; k < 2; k++ {
-				if w := float64(cfg.MaxQueue[k]) * m.Service[k].Mean(); w > worst {
-					worst = w
-				}
-			}
-			maxG := max(cfg.MaxQueue[0], cfg.MaxQueue[1])
-			hor = 2.5 * (worst + m.Transfer(max(maxG, 1), 0, 1).Mean())
-		}
-		dx = hor / float64(n-1)
-	}
-
-	maxFac := cfg.MaxFactor
-	if maxFac < 1 {
-		maxFac = 1
-	}
-	var defFac [2]int
-	for k := 0; k < 2; k++ {
-		defFac[k] = m.ReplFactor(k)
-		if defFac[k] > maxFac {
-			maxFac = defFac[k]
-		}
-	}
-
-	s := &Solver{
-		model:        m,
-		dx:           dx,
-		n:            n,
-		zCache:       make(map[[3]int]transfer),
-		TailCorrect:  true,
-		span:         cfg.Span,
-		maxQueue:     cfg.MaxQueue,
-		maxFac:       maxFac,
-		defFac:       defFac,
-		probeEnabled: cfg.ErrorProbe,
-	}
-	s.pool = &sync.Pool{New: func() any {
-		return &scratch{work: gridfn.NewWork(n), f: [2]gridfn.Lattice{*gridfn.New(dx, n), *gridfn.New(dx, n)}}
-	}}
-	build := cfg.Span.Child("solver_build", "grid_n", n, "max_queue_1", cfg.MaxQueue[0], "max_queue_2", cfg.MaxQueue[1])
-	// The build runs server-major, factor-minor, so a MaxFactor ≤ 1
-	// solver performs exactly the pre-replication fold sequence (same
-	// meter observations, same lattices — the k=1 bit-identity lock).
-	for k := 0; k < 2; k++ {
-		s.pre[k] = make([][]*gridfn.Lattice, maxFac)
-		s.preF[k] = make([][]*gridfn.Spectrum, maxFac)
-		for f := 1; f <= maxFac; f++ {
-			eff := dist.NewMinOfK(m.Service[k], f)
-			base := gridfn.FromCDF(eff.CDF, dx, n)
-			s.pre[k][f-1] = base.PrefixesMetered(cfg.MaxQueue[k], &s.buildMeter)
-			s.preF[k][f-1] = make([]*gridfn.Spectrum, len(s.pre[k][f-1]))
-		}
-	}
-	build.SetAttr("build_folds", s.buildMeter.Folds)
-	build.SetAttr("build_mass_residual_max", s.buildMeter.MaxResidual)
-	build.End()
+	s, _ := t.View(cfg.MaxFactor, cfg.Span)
 	return s, nil
 }
 
 // MaxFactor returns the largest replication factor the solver has prefix
 // tables for.
-func (s *Solver) MaxFactor() int { return s.maxFac }
+func (s *Solver) MaxFactor() int { return len(s.chains) }
 
 // DefaultFactors returns the per-server factors the factor-less metric
 // methods use (the model's Repl entries, 1 when unset).
-func (s *Solver) DefaultFactors() [2]int { return s.defFac }
+func (s *Solver) DefaultFactors() [2]int { return s.t.defFac }
 
 // checkFactors validates a per-server factor pair against the tables.
 func (s *Solver) checkFactors(fac [2]int) error {
 	for k, f := range fac {
-		if f < 1 || f > s.maxFac {
-			return fmt.Errorf("direct: replication factor %d at server %d outside [1, %d] (raise Config.MaxFactor)", f, k, s.maxFac)
+		if f < 1 || f > len(s.chains) {
+			return fmt.Errorf("direct: replication factor %d at server %d outside [1, %d] (raise Config.MaxFactor)", f, k, len(s.chains))
 		}
 	}
 	return nil
 }
 
 // Dx returns the lattice step.
-func (s *Solver) Dx() float64 { return s.dx }
+func (s *Solver) Dx() float64 { return s.t.dx }
 
 // Horizon returns the last lattice time point.
-func (s *Solver) Horizon() float64 { return float64(s.n-1) * s.dx }
+func (s *Solver) Horizon() float64 { return float64(s.t.n-1) * s.t.dx }
 
 // scratch is what one evaluation works in: the fold buffers and the two
 // finish laws. Every entry is overwritten before it is read, so results
@@ -259,83 +128,20 @@ type scratch struct {
 	}
 }
 
-// transfer is one group transfer time: the model's law and its lattice.
-type transfer struct {
-	law dist.Dist
-	lat *gridfn.Lattice
-}
-
-// freqOf returns (computing lazily) the spectrum of the j-fold effective
-// service sum at server k under replication factor fac. Concurrent
-// misses on the same slot each compute the transform, but only the first
-// store is published; the loser's copy is discarded (counted as a
-// duplicate — the cache-contention signal) so every caller reads the
-// same spectrum.
-func (s *Solver) freqOf(k, fac, j int) *gridfn.Spectrum {
-	s.mu.RLock()
-	f := s.preF[k][fac-1][j]
-	s.mu.RUnlock()
-	if f != nil {
-		fftHits.Inc()
-		return f
-	}
-	fftMisses.Inc()
-	sp := s.span.Child("fft", "server", k, "fold", j, "prefix_tail", s.pre[k][fac-1][j].Tail)
-	defer sp.End()
-	spec := s.pre[k][fac-1][j].Spectrum()
-	s.mu.Lock()
-	if f := s.preF[k][fac-1][j]; f != nil {
-		s.mu.Unlock()
-		fftDupComputes.Inc()
-		return f
-	}
-	s.preF[k][fac-1][j] = spec
-	s.mu.Unlock()
-	return spec
-}
-
-// transferOf returns the transfer time of a group of `tasks` tasks from
-// src to dst, cached per signature. Like freqOf, a racing miss discards
-// its duplicate in favour of the first store.
-func (s *Solver) transferOf(tasks, src, dst int) transfer {
-	key := [3]int{tasks, src, dst}
-	s.mu.RLock()
-	z, ok := s.zCache[key]
-	s.mu.RUnlock()
-	if ok {
-		zHits.Inc()
-		return z
-	}
-	zMisses.Inc()
-	sp := s.span.Child("transfer_law", "tasks", tasks, "src", src, "dst", dst)
-	defer sp.End()
-	z.law = s.model.Transfer(tasks, src, dst)
-	z.lat = gridfn.FromCDF(z.law.CDF, s.dx, s.n)
-	s.mu.Lock()
-	if have, ok := s.zCache[key]; ok {
-		s.mu.Unlock()
-		zDupComputes.Inc()
-		return have
-	}
-	s.zCache[key] = z
-	s.mu.Unlock()
-	return z
-}
-
 // Finish returns the finish-time law of server k with `own` initial tasks
 // and an incoming batch of `g` tasks from server src (g = 0 for none):
 // F = max(S_own, Z) + S'_g. A server with no work finishes at time 0.
 // The server's default replication factor applies.
 func (s *Solver) Finish(k, own, g, src int) (*gridfn.Lattice, error) {
-	return s.FinishRepl(k, own, g, src, s.defFac[k])
+	return s.FinishRepl(k, own, g, src, s.t.defFac[k])
 }
 
 // FinishRepl is Finish with an explicit replication factor: every task's
 // service draw is the min-of-fac order statistic of the base law
 // (cancel-on-first-complete replication).
 func (s *Solver) FinishRepl(k, own, g, src, fac int) (*gridfn.Lattice, error) {
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
+	sc := s.t.pool.Get().(*scratch)
+	defer s.t.pool.Put(sc)
 	f, err := s.finishLaw(sc, k, own, g, src, fac)
 	if err != nil {
 		return nil, err
@@ -351,10 +157,10 @@ func (s *Solver) finishLaw(sc *scratch, k, own, g, src, fac int) (*gridfn.Lattic
 	if own < 0 || g < 0 {
 		return nil, fmt.Errorf("direct: negative task counts own=%d g=%d", own, g)
 	}
-	if fac < 1 || fac > s.maxFac {
-		return nil, fmt.Errorf("direct: replication factor %d outside [1, %d] (raise Config.MaxFactor)", fac, s.maxFac)
+	if fac < 1 || fac > len(s.chains) {
+		return nil, fmt.Errorf("direct: replication factor %d outside [1, %d] (raise Config.MaxFactor)", fac, len(s.chains))
 	}
-	pre := s.pre[k][fac-1]
+	pre := s.chains[fac-1].pre[k]
 	if own >= len(pre) || g >= len(pre) {
 		return nil, fmt.Errorf("direct: queue %d/%d exceeds MaxQueue=%d at server %d",
 			own, g, len(pre)-1, k)
@@ -421,16 +227,16 @@ func (s *Solver) finishPairRepl(sc *scratch, m1, m2, l12, l21 int, fac [2]int) (
 // MeanTime returns T̄ = E[max(F1, F2)] for the policy (L12, L21) applied
 // to the initial allocation (m1, m2). The model must be reliable.
 func (s *Solver) MeanTime(m1, m2, l12, l21 int) (float64, error) {
-	return s.MeanTimeRepl(m1, m2, l12, l21, s.defFac)
+	return s.MeanTimeRepl(m1, m2, l12, l21, s.t.defFac)
 }
 
 // MeanTimeRepl is MeanTime under explicit per-server replication factors.
 func (s *Solver) MeanTimeRepl(m1, m2, l12, l21 int, fac [2]int) (float64, error) {
-	if !s.model.Reliable() {
+	if !s.t.model.Reliable() {
 		return 0, fmt.Errorf("direct: mean execution time requires reliable servers")
 	}
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
+	sc := s.t.pool.Get().(*scratch)
+	defer s.t.pool.Put(sc)
 	f1, f2, err := s.finishPairRepl(sc, m1, m2, l12, l21, fac)
 	if err != nil {
 		return 0, err
@@ -458,7 +264,7 @@ func (s *Solver) meanOf(sc *scratch, f1, f2 *gridfn.Lattice) float64 {
 func (s *Solver) tailExcess(sc *scratch, k int) float64 {
 	leg := sc.leg[k]
 	h := s.Horizon()
-	w := dist.NewMinOfK(s.model.Service[k], leg.fac)
+	w := dist.NewMinOfK(s.t.model.Service[k], leg.fac)
 	nTasks := leg.own + leg.g
 	total := float64(nTasks) * w.Mean()
 	var excess float64
@@ -482,7 +288,7 @@ func (s *Solver) tailExcess(sc *scratch, k int) float64 {
 // reliable servers the failure factor is 1 and this reduces to
 // P(F1 ≤ TM)·P(F2 ≤ TM).
 func (s *Solver) QoS(m1, m2, l12, l21 int, tm float64) (float64, error) {
-	return s.QoSRepl(m1, m2, l12, l21, tm, s.defFac)
+	return s.QoSRepl(m1, m2, l12, l21, tm, s.t.defFac)
 }
 
 // QoSRepl is QoS under explicit per-server replication factors.
@@ -490,8 +296,8 @@ func (s *Solver) QoSRepl(m1, m2, l12, l21 int, tm float64, fac [2]int) (float64,
 	if tm < 0 || math.IsNaN(tm) {
 		return 0, fmt.Errorf("direct: invalid deadline %g", tm)
 	}
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
+	sc := s.t.pool.Get().(*scratch)
+	defer s.t.pool.Put(sc)
 	f1, f2, err := s.finishPairRepl(sc, m1, m2, l12, l21, fac)
 	if err != nil {
 		return 0, err
@@ -501,7 +307,7 @@ func (s *Solver) QoSRepl(m1, m2, l12, l21 int, tm float64, fac [2]int) (float64,
 
 // qosOf computes E[1{F ≤ tm}·S_Y(F)] for server k's finish law.
 func (s *Solver) qosOf(f *gridfn.Lattice, k int, tm float64) float64 {
-	y := s.model.Failure[k]
+	y := s.t.model.Failure[k]
 	if _, never := y.(dist.Never); never {
 		return f.CDFAt(tm)
 	}
@@ -522,14 +328,14 @@ func (s *Solver) qosOf(f *gridfn.Lattice, k int, tm float64) float64 {
 // its own finish time; the failure laws are independent of everything
 // else, so the factors multiply.
 func (s *Solver) Reliability(m1, m2, l12, l21 int) (float64, error) {
-	return s.ReliabilityRepl(m1, m2, l12, l21, s.defFac)
+	return s.ReliabilityRepl(m1, m2, l12, l21, s.t.defFac)
 }
 
 // ReliabilityRepl is Reliability under explicit per-server replication
 // factors.
 func (s *Solver) ReliabilityRepl(m1, m2, l12, l21 int, fac [2]int) (float64, error) {
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
+	sc := s.t.pool.Get().(*scratch)
+	defer s.t.pool.Put(sc)
 	f1, f2, err := s.finishPairRepl(sc, m1, m2, l12, l21, fac)
 	if err != nil {
 		return 0, err
@@ -539,7 +345,7 @@ func (s *Solver) ReliabilityRepl(m1, m2, l12, l21 int, fac [2]int) (float64, err
 
 // reliabilityOf computes E[S_Y(F)] for server k's finish law.
 func (s *Solver) reliabilityOf(f *gridfn.Lattice, k int) float64 {
-	y := s.model.Failure[k]
+	y := s.t.model.Failure[k]
 	if _, never := y.(dist.Never); never {
 		return 1
 	}
@@ -554,24 +360,24 @@ func (s *Solver) reliabilityOf(f *gridfn.Lattice, k int) float64 {
 // (reliable case) is its complementary integral — the curve is what a
 // deadline-shopping caller actually wants.
 func (s *Solver) CompletionCDF(m1, m2, l12, l21 int) ([]float64, error) {
-	return s.CompletionCDFRepl(m1, m2, l12, l21, s.defFac)
+	return s.CompletionCDFRepl(m1, m2, l12, l21, s.t.defFac)
 }
 
 // CompletionCDFRepl is CompletionCDF under explicit per-server
 // replication factors.
 func (s *Solver) CompletionCDFRepl(m1, m2, l12, l21 int, fac [2]int) ([]float64, error) {
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
+	sc := s.t.pool.Get().(*scratch)
+	defer s.t.pool.Put(sc)
 	f1, f2, err := s.finishPairRepl(sc, m1, m2, l12, l21, fac)
 	if err != nil {
 		return nil, err
 	}
-	cdf := make([]float64, s.n)
+	cdf := make([]float64, s.t.n)
 	for i := range cdf {
 		cdf[i] = 1
 	}
 	for k, f := range []*gridfn.Lattice{f1, f2} {
-		y := s.model.Failure[k]
+		y := s.t.model.Failure[k]
 		_, never := y.(dist.Never)
 		run := 0.0
 		for i, m := range f.M {
@@ -591,20 +397,20 @@ func (s *Solver) CompletionCDFRepl(m1, m2, l12, l21 int, fac [2]int) ([]float64,
 // All evaluates the three metrics (and the tail diagnostics) in one pass
 // over the finish-time laws; Mean is NaN when the model is not reliable.
 func (s *Solver) All(m1, m2, l12, l21 int, tm float64) (Metrics, error) {
-	return s.AllRepl(m1, m2, l12, l21, tm, s.defFac)
+	return s.AllRepl(m1, m2, l12, l21, tm, s.t.defFac)
 }
 
 // AllRepl is All under explicit per-server replication factors.
 func (s *Solver) AllRepl(m1, m2, l12, l21 int, tm float64, fac [2]int) (Metrics, error) {
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
+	sc := s.t.pool.Get().(*scratch)
+	defer s.t.pool.Put(sc)
 	f1, f2, err := s.finishPairRepl(sc, m1, m2, l12, l21, fac)
 	if err != nil {
 		return Metrics{}, err
 	}
 	var out Metrics
 	out.TailMass = f1.Tail + f2.Tail
-	if s.model.Reliable() {
+	if s.t.model.Reliable() {
 		out.Mean = s.meanOf(sc, f1, f2)
 	} else {
 		out.Mean = math.NaN()

@@ -24,6 +24,8 @@ var (
 // so the exponential buckets span round-off (~1e-16) up to visibly-broken
 // (~1e-2 residual, ~10% tail).
 var (
+	// solverBuilds counts prefix chains built, one per (server, factor).
+	solverBuilds       = obs.NewCounter("dtr_solver_builds_total")
 	solverFolds        = obs.NewCounter("dtr_solver_folds_total")
 	solverMassResidual = obs.NewHistogram("dtr_solver_fold_mass_residual", obs.ExpBuckets(1e-16, 10, 14))
 	solverTailMass     = obs.NewHistogram("dtr_solver_tail_mass", obs.ExpBuckets(1e-12, 10, 12))

@@ -1,0 +1,339 @@
+package direct
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"dtr/dist"
+	"dtr/internal/core"
+	"dtr/internal/gridfn"
+	"dtr/internal/obs"
+)
+
+// Tables is what a model owns of the canonical solver: the lattice
+// geometry and, per replication factor, the k-fold service-sum prefix
+// chains of both servers with their lazily filled spectra, the
+// transfer-time lattices, the evaluation scratch pool and the lazily
+// built half-resolution shadow. Everything in it is a pure function of
+// (model, geometry, queue bound), is never mutated once published and
+// only ever grows — factor chains are appended, cache slots filled — so
+// any number of per-request Solver views (see View) may share one Tables
+// across goroutines, and what a view computes does not depend on which
+// other views exist or what they evaluated first.
+type Tables struct {
+	model    *core.Model
+	dx       float64
+	n        int
+	maxQueue [2]int
+	// defFac[k] is server k's default factor (the model's Repl entry,
+	// 1 when unset) used by the factor-less metric methods; every Tables
+	// holds at least the chains up to the larger of the two.
+	defFac [2]int
+
+	// build serializes extensions, so each factor chain is built once.
+	build sync.Mutex
+
+	// mu guards the chains slice header, every chain's spectrum slots,
+	// zCache and lazyBytes. Cached values (chains, spectra, transfer
+	// lattices) are never mutated once published, so readers only need
+	// the lock for the slice/slot/map access itself.
+	mu     sync.RWMutex
+	chains []*chain // chains[f-1] holds replication factor f
+	zCache map[[3]int]transfer
+	// lazyBytes is the footprint of the spectra and transfer lattices
+	// filled so far (see Bytes).
+	lazyBytes int64
+
+	// pool holds *scratch, one drawn per evaluation. It is a pointer, and
+	// its New must not capture the tables: the runtime keeps every used
+	// Pool reachable for two collections, and an embedded one would pin
+	// the tables with it.
+	pool *sync.Pool
+
+	// Half-resolution shadow for grid-error probes, built on the first
+	// ProbeGridError of any view.
+	shadowOnce sync.Once
+	shadow     atomic.Pointer[Tables]
+	shadowErr  error
+}
+
+// chain is one replication factor's tables: pre[k][j] is the law of the
+// sum of j i.i.d. effective service times at server k — each task's law
+// is the min-of-f order statistic of the base service law
+// (cancel-on-first-complete replication) — and spec[k][j] its lazily
+// cached spectrum (a slot guarded by Tables.mu). Factor 1 is the base
+// law, so its chain is exactly the pre-replication tables. meter audits
+// the folds that built the two prefix chains.
+type chain struct {
+	pre   [2][]*gridfn.Lattice
+	spec  [2][]*gridfn.Spectrum
+	meter gridfn.Meter
+}
+
+// Config sizes the solver's lattice.
+type Config struct {
+	// Dx is the lattice step; 0 derives it from Horizon/N.
+	Dx float64
+	// N is the number of lattice points (power of two recommended);
+	// 0 defaults to 8192.
+	N int
+	// Horizon is the time span covered; 0 derives a horizon from the
+	// model means: 2.5× the worst-case expected completion plus transfer.
+	Horizon float64
+	// MaxQueue[k] bounds the prefix convolutions per server; it must be
+	// at least the largest queue the sweep will produce at server k
+	// (own tasks plus the largest incoming batch).
+	MaxQueue [2]int
+	// Span, when set, attaches solver-phase sub-spans to a request-scoped
+	// trace: a "solver_build" child for the prefix-table construction, and
+	// "fft" / "transfer_law" children for lazy cache fills. Purely
+	// observational — results are bit-identical with or without it.
+	Span *obs.Span
+	// ErrorProbe is accepted for compatibility and has no effect:
+	// ProbeGridError can always build its half-resolution shadow, lazily,
+	// on the first probe.
+	ErrorProbe bool
+	// MaxFactor requests prefix tables for replication factors
+	// 1..MaxFactor per server, enabling the *Repl metric variants (the
+	// joint reallocation+replication search evaluates them). 0 or 1
+	// builds only the base tables; the model's own Repl factors raise
+	// the effective value so the default-factor methods always have
+	// their tables.
+	MaxFactor int
+}
+
+// NewTables validates a two-server model, fixes the lattice geometry and
+// precomputes the service-sum laws for replication factors up to
+// cfg.MaxFactor (at least the model's own). cfg.Span receives the
+// "solver_build" span.
+func NewTables(m *core.Model, cfg Config) (*Tables, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if m.N() != 2 {
+		return nil, fmt.Errorf("direct: two-server models only, got %d servers", m.N())
+	}
+	if cfg.MaxQueue[0] <= 0 && cfg.MaxQueue[1] <= 0 {
+		return nil, fmt.Errorf("direct: Config.MaxQueue must bound the sweep queue lengths")
+	}
+	n := cfg.N
+	if n == 0 {
+		n = 8192
+	}
+	dx := cfg.Dx
+	if dx == 0 {
+		hor := cfg.Horizon
+		if hor == 0 {
+			worst := 0.0
+			for k := 0; k < 2; k++ {
+				if w := float64(cfg.MaxQueue[k]) * m.Service[k].Mean(); w > worst {
+					worst = w
+				}
+			}
+			maxG := max(cfg.MaxQueue[0], cfg.MaxQueue[1])
+			hor = 2.5 * (worst + m.Transfer(max(maxG, 1), 0, 1).Mean())
+		}
+		dx = hor / float64(n-1)
+	}
+	t := &Tables{
+		model:    m,
+		dx:       dx,
+		n:        n,
+		maxQueue: cfg.MaxQueue,
+		defFac:   [2]int{m.ReplFactor(0), m.ReplFactor(1)},
+		zCache:   make(map[[3]int]transfer),
+	}
+	t.pool = &sync.Pool{New: func() any {
+		return &scratch{work: gridfn.NewWork(n), f: [2]gridfn.Lattice{*gridfn.New(dx, n), *gridfn.New(dx, n)}}
+	}}
+	t.extend(t.factorsFor(cfg.MaxFactor), cfg.Span)
+	return t, nil
+}
+
+// factorsFor is the number of factor chains a caller asking for
+// maxFactor reads: at least the base chain and the model's defaults.
+func (t *Tables) factorsFor(maxFactor int) int {
+	return max(maxFactor, 1, t.defFac[0], t.defFac[1])
+}
+
+// factors returns the largest replication factor the tables hold
+// chains for.
+func (t *Tables) factors() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.chains)
+}
+
+// extend builds the factor chains up to maxFac that the tables lack and
+// returns how many it added. A chain depends on nothing but the model,
+// the geometry and its own (server, factor), so chains added later hold
+// the same lattices, bit for bit, as a one-shot build. span receives a
+// "solver_build" child, only when something is built.
+func (t *Tables) extend(maxFac int, span *obs.Span) int {
+	if t.factors() >= maxFac {
+		return 0 // nothing to build: do not queue behind someone else's extension
+	}
+	t.build.Lock()
+	defer t.build.Unlock()
+	have := t.factors()
+	if have >= maxFac {
+		return 0
+	}
+	sp := span.Child("solver_build", "grid_n", t.n, "max_queue_1", t.maxQueue[0], "max_queue_2", t.maxQueue[1])
+	fresh := make([]*chain, maxFac-have)
+	for i := range fresh {
+		fresh[i] = new(chain)
+	}
+	// Server-major, factor-minor: a one-shot build runs the fold sequence
+	// it always ran.
+	for k := 0; k < 2; k++ {
+		for i, c := range fresh {
+			eff := dist.NewMinOfK(t.model.Service[k], have+1+i)
+			base := gridfn.FromCDF(eff.CDF, t.dx, t.n)
+			c.pre[k] = base.PrefixesMetered(t.maxQueue[k], &c.meter)
+			c.spec[k] = make([]*gridfn.Spectrum, len(c.pre[k]))
+			solverBuilds.Inc()
+		}
+	}
+	var added gridfn.Meter
+	for _, c := range fresh {
+		mergeMeter(&added, c.meter)
+	}
+	t.mu.Lock()
+	t.chains = append(t.chains, fresh...)
+	t.mu.Unlock()
+	sp.SetAttr("build_folds", added.Folds)
+	sp.SetAttr("build_mass_residual_max", added.MaxResidual)
+	sp.End()
+	return maxFac - have
+}
+
+// mergeMeter folds one chain's construction audit into dst with the
+// order-independent reductions only (count and maxima), so the merged
+// audit of factors 1..f is the same whether the chains were built at
+// once, one extension at a time, or by another request.
+func mergeMeter(dst *gridfn.Meter, m gridfn.Meter) {
+	dst.Folds += m.Folds
+	dst.MaxResidual = max(dst.MaxResidual, m.MaxResidual)
+	dst.MaxNegMass = max(dst.MaxNegMass, m.MaxNegMass)
+}
+
+// View returns a per-request solver over the tables for replication
+// factors 1..maxFactor (at least the model's own), first building the
+// factor chains the tables lack; built is how many this call added. The
+// view's Diagnostics, factor checks and solve-phase accumulators cover
+// exactly what a solver freshly built with Config.MaxFactor = maxFactor
+// would report, whatever else the tables hold. span receives the
+// "solver_build" span of an extension and the view's lazy cache-fill
+// spans.
+func (t *Tables) View(maxFactor int, span *obs.Span) (v *Solver, built int) {
+	maxFac := t.factorsFor(maxFactor)
+	built = t.extend(maxFac, span)
+	t.mu.RLock()
+	chains := t.chains[:maxFac:maxFac]
+	t.mu.RUnlock()
+	return &Solver{t: t, chains: chains, TailCorrect: true, span: span}, built
+}
+
+// Bytes is the tables' accounted memory footprint: every prefix lattice
+// and spectrum slot, the spectra and transfer lattices filled so far,
+// and the probe shadow once built. It grows as views evaluate.
+func (t *Tables) Bytes() int64 {
+	lattice := int64(8 * t.n)
+	t.mu.RLock()
+	b := t.lazyBytes
+	for _, c := range t.chains {
+		for k := 0; k < 2; k++ {
+			b += int64(len(c.pre[k])) * (lattice + 8)
+		}
+	}
+	t.mu.RUnlock()
+	if sh := t.shadow.Load(); sh != nil {
+		b += sh.Bytes()
+	}
+	return b
+}
+
+// probeShadow returns (building on first use) the half-resolution
+// tables ProbeGridError compares against: twice the step over the same
+// horizon, with the model's default factors — the probe evaluates at
+// those.
+func (t *Tables) probeShadow() (*Tables, error) {
+	t.shadowOnce.Do(func() {
+		sh, err := NewTables(t.model, Config{Dx: 2 * t.dx, N: t.n / 2, MaxQueue: t.maxQueue})
+		if err != nil {
+			t.shadowErr = fmt.Errorf("direct: build probe solver: %w", err)
+			return
+		}
+		t.shadow.Store(sh)
+	})
+	return t.shadow.Load(), t.shadowErr
+}
+
+// transfer is one group transfer time: the model's law and its lattice.
+type transfer struct {
+	law dist.Dist
+	lat *gridfn.Lattice
+}
+
+// freqOf returns (computing lazily) the spectrum of the j-fold effective
+// service sum at server k under replication factor fac. Concurrent
+// misses on the same slot each compute the transform, but only the first
+// store is published; the loser's copy is discarded (counted as a
+// duplicate — the cache-contention signal) so every caller reads the
+// same spectrum.
+func (s *Solver) freqOf(k, fac, j int) *gridfn.Spectrum {
+	t, c := s.t, s.chains[fac-1]
+	t.mu.RLock()
+	f := c.spec[k][j]
+	t.mu.RUnlock()
+	if f != nil {
+		fftHits.Inc()
+		return f
+	}
+	fftMisses.Inc()
+	sp := s.span.Child("fft", "server", k, "fold", j, "prefix_tail", c.pre[k][j].Tail)
+	defer sp.End()
+	spec := c.pre[k][j].Spectrum()
+	t.mu.Lock()
+	if f := c.spec[k][j]; f != nil {
+		t.mu.Unlock()
+		fftDupComputes.Inc()
+		return f
+	}
+	c.spec[k][j] = spec
+	t.lazyBytes += spec.Bytes()
+	t.mu.Unlock()
+	return spec
+}
+
+// transferOf returns the transfer time of a group of `tasks` tasks from
+// src to dst, cached per signature. Like freqOf, a racing miss discards
+// its duplicate in favour of the first store.
+func (s *Solver) transferOf(tasks, src, dst int) transfer {
+	t := s.t
+	key := [3]int{tasks, src, dst}
+	t.mu.RLock()
+	z, ok := t.zCache[key]
+	t.mu.RUnlock()
+	if ok {
+		zHits.Inc()
+		return z
+	}
+	zMisses.Inc()
+	sp := s.span.Child("transfer_law", "tasks", tasks, "src", src, "dst", dst)
+	defer sp.End()
+	z.law = t.model.Transfer(tasks, src, dst)
+	z.lat = gridfn.FromCDF(z.law.CDF, t.dx, t.n)
+	t.mu.Lock()
+	if have, ok := t.zCache[key]; ok {
+		t.mu.Unlock()
+		zDupComputes.Inc()
+		return have
+	}
+	t.zCache[key] = z
+	t.lazyBytes += int64(8 * t.n)
+	t.mu.Unlock()
+	return z
+}

@@ -154,6 +154,9 @@ type Spectrum struct {
 	mass, tail float64
 }
 
+// Bytes is the spectrum's memory footprint, for byte-budgeted caches.
+func (p *Spectrum) Bytes() int64 { return int64(16 * len(p.f)) }
+
 // Work is the scratch of one fold on n-point lattices: the moving
 // operand's transform (then the product) and the full inverse transform.
 // Fold overwrites every entry before reading it, so a result never

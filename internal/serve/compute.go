@@ -6,6 +6,7 @@ import (
 
 	"dtr"
 	"dtr/internal/obs"
+	"dtr/internal/solversrc"
 )
 
 // OptimizeResponse answers /v1/optimize.
@@ -75,13 +76,17 @@ type CDFResponse struct {
 
 // compute runs the verb's solver work for a validated request. Workers
 // is the service-wide solver budget; span (nil = tracing off) receives
-// the solver-phase sub-spans. Every error it returns is an internal
-// failure (HTTP 500): client-caused conditions were rejected by
-// parseRequest.
-func compute(pr *parsedRequest, workers int, span *obs.Span) (any, error) {
+// the solver-phase sub-spans; solvers (nil = tier off) is where the
+// request's System gets its canonical solver. Every error it returns is
+// an internal failure (HTTP 500): client-caused conditions were rejected
+// by parseRequest.
+func compute(pr *parsedRequest, workers int, span *obs.Span, solvers *solverLease) (any, error) {
 	sys, err := dtr.NewSystem(pr.model, pr.initial)
 	if err != nil {
 		return nil, err
+	}
+	if solvers != nil {
+		solversrc.Attach(sys, solvers.solver)
 	}
 	if pr.opts.Grid > 0 {
 		sys.GridN = pr.opts.Grid

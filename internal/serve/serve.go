@@ -75,6 +75,11 @@ type Config struct {
 	// footprint (0 = entry count only). Eviction stays LRU; the byte cap
 	// just adds a second eviction trigger.
 	CacheBytes int64
+	// SolverCacheBytes is the byte budget of the solver-table tier under
+	// the result cache: the prefix tables of models seen at least twice,
+	// shared by every later request on the same model and grid whatever
+	// its verb or options (0 = 16 MiB; negative disables the tier).
+	SolverCacheBytes int64
 	// Cluster, when set, makes this service one shard of a fleet:
 	// requests owned by another replica are forwarded to it instead of
 	// computed locally. Nil = standalone serving.
@@ -94,6 +99,7 @@ type Config struct {
 type Service struct {
 	cfg      Config
 	cache    *lru
+	solvers  *solverCache // nil = tier off
 	flight   *flightGroup
 	admit    *admitter
 	reg      *obs.Registry
@@ -131,6 +137,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:     cfg,
 		cache:   newLRU(cfg.CacheSize, cfg.CacheBytes),
+		solvers: newSolverCache(cfg.SolverCacheBytes, cfg.Registry),
 		flight:  newFlightGroup(),
 		reg:     cfg.Registry,
 		tracer:  cfg.Tracer,
@@ -385,7 +392,9 @@ func (s *Service) runFlight(pr *parsedRequest, f *flight, span *obs.Span) {
 	s.reg.Counter("dtr_serve_computes_total").Add(1)
 
 	solve := span.Child("solve", "verb", pr.verb)
-	resp, err := compute(pr, s.cfg.Workers, solve)
+	solvers := s.solvers.lease(pr)
+	resp, err := compute(pr, s.cfg.Workers, solve, solvers)
+	solvers.release()
 	solve.End()
 	span.Logger().Debug("flight computed", "verb", pr.verb, "key", pr.key, "err", err != nil)
 	if err != nil {

@@ -1,0 +1,294 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+
+	"dtr/internal/obs"
+)
+
+// tierRequest is one step of a solver-tier test sequence.
+type tierRequest struct{ path, body string }
+
+// tierSequence exercises every seam between shared tables and
+// per-request views on one spec, in an order chosen to expose leaks:
+// two plain requests admit the model, a replicated optimize extends its
+// tables *before* the plain explain that must still report a factor-1
+// build, explain runs plain / replicated / probed / both, QoS follows
+// the mean on the same tables, and requests repeat (callers run it with
+// the result cache off, so a repeat is a second solve).
+func tierSequence(spec, objective string) []tierRequest {
+	obj := `"objective": "` + objective + `"`
+	repl := `"replication": {"maxFactor": 2, "budget": 1}`
+	return []tierRequest{
+		{"/v1/metrics", reqBody(spec, `"grid": 256, "policy": "0>1:2"`)},
+		{"/v1/cdf", reqBody(spec, `"grid": 256, "policy": "0>1:2", "points": 5`)},
+		{"/v1/optimize", reqBody(spec, `"grid": 256, `+obj+`, `+repl)},
+		{"/v1/explain", reqBody(spec, `"grid": 256, `+obj)},
+		{"/v1/explain", reqBody(spec, `"grid": 256, `+obj+`, `+repl)},
+		{"/v1/explain", reqBody(spec, `"grid": 256, "probe": true, `+obj)},
+		{"/v1/explain", reqBody(spec, `"grid": 256, "probe": true, `+obj+`, `+repl)},
+		{"/v1/metrics", reqBody(spec, `"grid": 256, "policy": "0>1:1", "deadline": 40`)},
+		{"/v1/optimize", reqBody(spec, `"grid": 256, "objective": "qos", "deadline": 40`)},
+		{"/v1/bounds", reqBody(spec, `"grid": 256, "policy": "0>1:2", "deadline": 40`)},
+		{"/v1/simulate", reqBody(spec, `"policy": "0>1:2", "reps": 500, "seed": 7`)},
+		{"/v1/explain", reqBody(spec, `"grid": 256, `+obj)},
+		{"/v1/optimize", reqBody(spec, `"grid": 256, `+obj)},
+		{"/v1/metrics", reqBody(spec, `"grid": 256, "policy": "0>1:2"`)},
+		// Another lattice is another model to the tier.
+		{"/v1/explain", reqBody(spec, `"grid": 128, `+obj)},
+	}
+}
+
+// mustPost posts and fails the test on a non-200.
+func mustPost(t *testing.T, ts *httptest.Server, rq tierRequest) []byte {
+	t.Helper()
+	code, body := post(t, ts, rq.path, rq.body)
+	if code != http.StatusOK {
+		t.Fatalf("%s answered %d: %s", rq.path, code, body)
+	}
+	return body
+}
+
+// TestSolverTierIsInvisible: with the result cache off, a service with
+// the solver-table tier and one without it answer every verb with the
+// same bytes, request by request.
+func TestSolverTierIsInvisible(t *testing.T) {
+	for name, seq := range map[string][]tierRequest{
+		"reliable":      tierSequence(specJSON, "mean"),
+		"failure-prone": tierSequence(failSpecJSON, "reliability"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, reg, tiered := newTestService(t, Config{Workers: 2, CacheSize: -1})
+			_, _, bare := newTestService(t, Config{Workers: 2, CacheSize: -1, SolverCacheBytes: -1})
+			for i, rq := range seq {
+				got, want := mustPost(t, tiered, rq), mustPost(t, bare, rq)
+				if !bytes.Equal(got, want) {
+					t.Errorf("request %d %s %s:\n  tiered: %s\n  bare:   %s", i, rq.path, rq.body, got, want)
+				}
+			}
+			snap := reg.Snapshot()
+			for _, c := range []string{"hits", "admitted", "extended"} {
+				if snap.Counters["dtr_serve_solver_cache_"+c+"_total"] == 0 {
+					t.Errorf("the sequence never exercised the tier's %s path: %v", c, snap.Counters)
+				}
+			}
+		})
+	}
+}
+
+// TestSolverTierBuildsOncePerModel plays one plan_fanout-shaped session
+// — eight result-cache misses on one model — and counts prefix chains
+// built: the factor-1 pair on the first sighting (private) and on the
+// second (retained), the factor-2 pair when the replicated optimize
+// extends the tables, and nothing else.
+func TestSolverTierBuildsOncePerModel(t *testing.T) {
+	_, reg, ts := newTestService(t, Config{Workers: 2})
+	obs.SetDefault(reg) // direct's counters live on the process default
+	t.Cleanup(func() { obs.SetDefault(nil) })
+
+	session := []struct {
+		tierRequest
+		builds uint64
+	}{
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256`)}, 2},
+		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "deadline": 40`)}, 2},
+		{tierRequest{"/v1/cdf", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "points": 5`)}, 0},
+		{tierRequest{"/v1/explain", reqBody(specJSON, `"grid": 256`)}, 0},
+		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:3", "deadline": 40`)}, 0},
+		{tierRequest{"/v1/bounds", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "deadline": 40`)}, 0},
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "objective": "qos", "deadline": 40`)}, 0},
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "replication": {"maxFactor": 2, "budget": 1}`)}, 2},
+	}
+	builds := reg.Counter("dtr_solver_builds_total")
+	for i, step := range session {
+		before := builds.Value()
+		mustPost(t, ts, step.tierRequest)
+		if got := builds.Value() - before; got != step.builds {
+			t.Errorf("request %d %s built %d prefix chains, want %d", i, step.path, got, step.builds)
+		}
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"dtr_serve_computes_total":               8,
+		"dtr_serve_solver_cache_misses_total":    2,
+		"dtr_serve_solver_cache_admitted_total":  1,
+		"dtr_serve_solver_cache_hits_total":      5, // all but bounds, which has its own solver
+		"dtr_serve_solver_cache_extended_total":  1,
+		"dtr_serve_solver_cache_evictions_total": 0,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := snap.Gauges["dtr_serve_solver_cache_entries"]; got != 1 {
+		t.Errorf("tier holds %v entries after one session, want 1", got)
+	}
+	if got := snap.Gauges["dtr_serve_solver_cache_bytes"]; got <= 0 || got > defaultSolverCacheBytes {
+		t.Errorf("tier accounts %v bytes, want within (0, %d]", got, defaultSolverCacheBytes)
+	}
+}
+
+// TestSolverTierNeverRetainsDistinctModels: traffic that never repeats
+// a model leaves hashes in the doorkeeper and nothing else.
+func TestSolverTierNeverRetainsDistinctModels(t *testing.T) {
+	svc, reg, ts := newTestService(t, Config{Workers: 2})
+	for _, grid := range []string{"128", "256", "512"} {
+		mustPost(t, ts, tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": `+grid)})
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["dtr_serve_solver_cache_misses_total"] != 3 || snap.Counters["dtr_serve_solver_cache_admitted_total"] != 0 {
+		t.Fatalf("distinct models: %v", snap.Counters)
+	}
+	if svc.solvers.ll.Len() != 0 || svc.solvers.bytes != 0 || len(svc.solvers.seen) != 3 {
+		t.Fatalf("tier retained %d entries / %d bytes, doorkeeper %d keys; want 0 / 0 / 3",
+			svc.solvers.ll.Len(), svc.solvers.bytes, len(svc.solvers.seen))
+	}
+}
+
+// TestSolverTierConcurrentVerbsUnderEviction: eight goroutines issue
+// different verbs on one model while traffic on two other models, under
+// a budget that fits a single model, keeps forcing evictions. Every
+// answer must be the bytes a tier-less service gives, and an entry must
+// never be evicted under its user (run with -race).
+func TestSolverTierConcurrentVerbsUnderEviction(t *testing.T) {
+	const budget = 300 << 10 // one grid-256 model of 12 tasks, not two
+	svc, reg, tiered := newTestService(t, Config{Workers: 2, MaxInflight: 8, CacheSize: -1, SolverCacheBytes: budget})
+	_, _, bare := newTestService(t, Config{Workers: 2, CacheSize: -1, SolverCacheBytes: -1})
+
+	hot := tierSequence(specJSON, "mean")[:8]
+	want := make([][]byte, len(hot))
+	for i, rq := range hot {
+		want[i] = mustPost(t, bare, rq)
+	}
+	others := []tierRequest{
+		{"/v1/metrics", reqBody(failSpecJSON, `"grid": 256, "policy": "0>1:2"`)},
+		{"/v1/metrics", reqBody(specJSON, `"grid": 512, "policy": "0>1:2"`)},
+	}
+
+	var wg sync.WaitGroup
+	for i, rq := range hot {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				code, body := post(t, tiered, rq.path, rq.body)
+				if code != http.StatusOK || !bytes.Equal(body, want[i]) {
+					t.Errorf("round %d %s: code %d\n  tiered: %s\n  bare:   %s", round, rq.path, code, body, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for round := 0; round < 12; round++ {
+			rq := others[round%len(others)]
+			if code, body := post(t, tiered, rq.path, rq.body); code != http.StatusOK {
+				t.Errorf("%s answered %d: %s", rq.path, code, body)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+
+	snap := reg.Snapshot()
+	if snap.Counters["dtr_serve_solver_cache_evictions_total"] == 0 {
+		t.Errorf("three models under a one-model budget evicted nothing: %v", snap.Counters)
+	}
+	if snap.Counters["dtr_serve_solver_cache_hits_total"] == 0 {
+		t.Errorf("eight verbs on one model never shared its tables: %v", snap.Counters)
+	}
+	// Everything is idle now, so the tier is back within its budget and
+	// its books balance.
+	c := svc.solvers
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum int64
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*solverEntry)
+		if e.users != 0 {
+			t.Errorf("idle tier holds an entry with %d users", e.users)
+		}
+		sum += e.bytes
+	}
+	if sum != c.bytes || c.bytes > budget || len(c.byKey) != c.ll.Len() {
+		t.Errorf("tier accounts %d bytes, entries sum to %d, budget %d, %d keys for %d entries",
+			c.bytes, sum, budget, len(c.byKey), c.ll.Len())
+	}
+}
+
+// TestSolverTierOversizedEntry: a model larger than the whole budget is
+// served from the tier while in use and dropped when idle, not pinned.
+func TestSolverTierOversizedEntry(t *testing.T) {
+	svc, reg, tiered := newTestService(t, Config{Workers: 2, CacheSize: -1, SolverCacheBytes: 1})
+	_, _, bare := newTestService(t, Config{Workers: 2, CacheSize: -1, SolverCacheBytes: -1})
+	rq := tierRequest{"/v1/explain", reqBody(specJSON, `"grid": 256, "probe": true`)}
+	want := mustPost(t, bare, rq)
+	for i := 0; i < 3; i++ {
+		if got := mustPost(t, tiered, rq); !bytes.Equal(got, want) {
+			t.Fatalf("request %d:\n  tiered: %s\n  bare:   %s", i, got, want)
+		}
+		if svc.solvers.ll.Len() != 0 || svc.solvers.bytes != 0 {
+			t.Fatalf("request %d left %d entries / %d bytes in a 1-byte tier", i, svc.solvers.ll.Len(), svc.solvers.bytes)
+		}
+	}
+	// First sighting private; the second and third were admitted, served
+	// and dropped on release.
+	snap := reg.Snapshot()
+	if a, e := snap.Counters["dtr_serve_solver_cache_admitted_total"], snap.Counters["dtr_serve_solver_cache_evictions_total"]; a != 2 || e != 2 {
+		t.Fatalf("admitted %d, evicted %d; want 2 and 2", a, e)
+	}
+}
+
+// TestSolverTierTrace: every solve that needs the canonical solver
+// carries a solver_cache span under solve saying what the tier did, and
+// a solver_build span only when a prefix chain was built.
+func TestSolverTierTrace(t *testing.T) {
+	_, buf, ts := newTracedService(t, Config{Workers: 2})
+	steps := []struct {
+		tierRequest
+		hit, admitted, extended string
+		builds                  int
+	}{
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256`)}, "false", "false", "false", 1},
+		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:2"`)}, "false", "true", "false", 1},
+		{tierRequest{"/v1/cdf", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "points": 5`)}, "true", "false", "false", 0},
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "replication": {"maxFactor": 2}`)}, "true", "false", "true", 1},
+	}
+	for i, step := range steps {
+		buf.Reset()
+		mustPost(t, ts, step.tierRequest)
+		var rec obs.TraceRecord
+		if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &rec); err != nil {
+			t.Fatalf("request %d: exported trace: %v\n%s", i, err, buf.Bytes())
+		}
+		var solveID string
+		var tier *obs.SpanRecord
+		builds := 0
+		for j, sp := range rec.Spans {
+			switch sp.Name {
+			case "solve":
+				solveID = sp.ID
+			case "solver_cache":
+				tier = &rec.Spans[j]
+			case "solver_build":
+				builds++
+			}
+		}
+		if tier == nil || tier.Parent != solveID {
+			t.Fatalf("request %d %s: no solver_cache span under solve: %+v", i, step.path, rec.Spans)
+		}
+		if a := tier.Attrs; a["hit"] != step.hit || a["admitted"] != step.admitted || a["extended"] != step.extended || a["bytes"] == "" || a["bytes"] == "0" {
+			t.Errorf("request %d %s: solver_cache attrs %v, want hit=%s admitted=%s extended=%s and bytes", i, step.path, a, step.hit, step.admitted, step.extended)
+		}
+		if builds != step.builds {
+			t.Errorf("request %d %s: %d solver_build spans, want %d", i, step.path, builds, step.builds)
+		}
+	}
+}

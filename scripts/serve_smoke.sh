@@ -54,11 +54,14 @@ echo "serve-smoke: daemon on $addr"
 $GO run ./examples/serve -addr "$addr"
 
 scrape="$workdir/metrics"
-if command -v curl >/dev/null 2>&1; then
-    curl -sf "http://$addr/metrics" >"$scrape"
-else
-    $GO run ./scripts/httpget.go "http://$addr/metrics" >"$scrape"
-fi
+scrape_metrics() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -sf "http://$addr/metrics" >"$scrape"
+    else
+        $GO run ./scripts/httpget.go "http://$addr/metrics" >"$scrape"
+    fi
+}
+scrape_metrics
 grep -q '^dtr_serve_requests_total' "$scrape" || {
     echo "serve-smoke: /metrics scrape missing dtr_serve_requests_total" >&2
     exit 1
@@ -67,6 +70,37 @@ grep -q '^dtr_serve_cache_hits_total' "$scrape" || {
     echo "serve-smoke: /metrics scrape missing dtr_serve_cache_hits_total" >&2
     exit 1
 }
+
+# Solver-table tier: optimize → metrics → cdf on one spec. The first
+# request builds privately, the second builds and retains, the third
+# must find the model's tables — a tier hit, and not one prefix chain
+# built.
+post() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -sf -X POST -H 'Content-Type: application/json' -d "$2" "http://$addr$1" >/dev/null
+    else
+        printf '%s' "$2" | $GO run ./scripts/httppost "http://$addr$1" >/dev/null
+    fi
+}
+counter() { awk -v name="$1" '$1 == name { print $2; found = 1 } END { if (!found) print 0 }' "$scrape"; }
+spec='{"servers":[{"queue":9,"service":{"type":"exponential","mean":4}},{"queue":5,"service":{"type":"exponential","mean":2}}],"transfer":{"type":"exponential","perTaskMean":1}}'
+post /v1/optimize "{\"spec\":$spec,\"grid\":512}"
+post /v1/metrics "{\"spec\":$spec,\"grid\":512,\"policy\":\"0>1:2\"}"
+scrape_metrics
+builds_before=$(counter dtr_solver_builds_total)
+post /v1/cdf "{\"spec\":$spec,\"grid\":512,\"policy\":\"0>1:2\",\"points\":5}"
+scrape_metrics
+builds_after=$(counter dtr_solver_builds_total)
+tier_hits=$(counter dtr_serve_solver_cache_hits_total)
+if [ "$tier_hits" -lt 1 ]; then
+    echo "serve-smoke: third request on one spec did not hit the solver-table tier (hits=$tier_hits)" >&2
+    exit 1
+fi
+if [ "$builds_before" -lt 1 ] || [ "$builds_after" != "$builds_before" ]; then
+    echo "serve-smoke: dtr_solver_builds_total moved $builds_before -> $builds_after on the third request" >&2
+    exit 1
+fi
+echo "serve-smoke: solver-table tier hit, $builds_after prefix chains built in total"
 
 # Graceful drain: SIGTERM must exit 0.
 kill -TERM "$srv_pid"

@@ -8,6 +8,7 @@ import (
 	"dtr/internal/direct"
 	"dtr/internal/obs"
 	"dtr/internal/policy"
+	"dtr/internal/solversrc"
 )
 
 // Model describes the DCS: per-server service and failure laws plus the
@@ -61,10 +62,9 @@ type System struct {
 	GridN   int
 	Horizon float64
 
-	// ErrorProbe enables the solver's half-resolution grid-error probe
-	// (see Explain / direct.Config.ErrorProbe). It must be set before
-	// the first analytic call, which lazily builds the solver; results
-	// are bit-identical either way.
+	// ErrorProbe is accepted for compatibility and has no effect: the
+	// solver can always build its half-resolution shadow, lazily, on the
+	// first probe (see Explain).
 	ErrorProbe bool
 
 	// Workers shards the policy sweeps, Algorithm-1 refinement rows and
@@ -81,6 +81,13 @@ type System struct {
 	Span *obs.Span
 
 	solver *direct.Solver
+	// newSolver is where the solver comes from: direct.NewSolver unless
+	// internal/solversrc attached another source.
+	newSolver solversrc.Func
+}
+
+func init() {
+	solversrc.Attach = func(sys any, src solversrc.Func) { sys.(*System).newSolver = src }
 }
 
 // NewSystem validates the model and allocation and returns a System.
@@ -96,7 +103,7 @@ func NewSystem(m *Model, initial []int) (*System, error) {
 			return nil, fmt.Errorf("dtr: negative initial queue at server %d", k)
 		}
 	}
-	return &System{model: m, initial: append([]int(nil), initial...)}, nil
+	return &System{model: m, initial: append([]int(nil), initial...), newSolver: direct.NewSolver}, nil
 }
 
 // Model returns the system's model.
@@ -111,24 +118,22 @@ func (s *System) directSolver() (*direct.Solver, error) {
 }
 
 // solverWithFactor returns the canonical-scenario solver with prefix
-// tables covering replication factors up to maxFac, rebuilding the cached
-// solver when a bigger factor is first requested. The factor-1 tables of
-// the bigger solver are byte-identical to a factor-less build (the
-// construction order is server-major, factor-minor), so plain metric
-// calls are unaffected by the rebuild.
+// tables covering replication factors up to maxFac, asking the source
+// again when a bigger factor is first requested. A solver's factor-1
+// tables are the same whatever its largest factor, so plain metric calls
+// are unaffected by the switch.
 func (s *System) solverWithFactor(maxFac int) (*direct.Solver, error) {
 	if s.model.N() != 2 {
 		return nil, fmt.Errorf("dtr: analytic metrics cover two-server systems; use Simulate or Algorithm1 for %d servers", s.model.N())
 	}
 	if s.solver == nil || s.solver.MaxFactor() < maxFac {
 		maxQ := s.initial[0] + s.initial[1]
-		sv, err := direct.NewSolver(s.model, direct.Config{
-			N:          s.GridN,
-			Horizon:    s.Horizon,
-			MaxQueue:   [2]int{maxQ, maxQ},
-			Span:       s.Span,
-			ErrorProbe: s.ErrorProbe,
-			MaxFactor:  maxFac,
+		sv, err := s.newSolver(s.model, direct.Config{
+			N:         s.GridN,
+			Horizon:   s.Horizon,
+			MaxQueue:  [2]int{maxQ, maxQ},
+			Span:      s.Span,
+			MaxFactor: maxFac,
 		})
 		if err != nil {
 			return nil, err
