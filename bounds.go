@@ -23,13 +23,9 @@ type BoundMetrics = nserver.Metrics
 // — every two-server canonical scenario — the sides coincide with the
 // exact value and Exact is set.
 func (s *System) MetricBounds(p Policy, deadline float64) (MetricBounds, error) {
-	maxQ := 0
 	total := 0
 	for _, q := range s.initial {
 		total += q
-		if q > maxQ {
-			maxQ = q
-		}
 	}
 	ns, err := nserver.NewSolver(s.model, nserver.Config{
 		GridN:    s.GridN,

@@ -130,7 +130,7 @@ func run(args []string) error {
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
-		if err := writeAddrFile(*addrFile, bound); err != nil {
+		if err := obs.WriteAddrFile(*addrFile, bound); err != nil {
 			_ = ln.Close()
 			return err
 		}
@@ -147,7 +147,7 @@ func run(args []string) error {
 			return fmt.Errorf("listen udp %s: %w", *udpAddr, err)
 		}
 		if *udpAddrFile != "" {
-			if err := writeAddrFile(*udpAddrFile, conn.LocalAddr().String()); err != nil {
+			if err := obs.WriteAddrFile(*udpAddrFile, conn.LocalAddr().String()); err != nil {
 				_ = ln.Close()
 				_ = conn.Close()
 				return err
@@ -191,15 +191,4 @@ func run(args []string) error {
 	<-serveErr // Serve has returned http.ErrServerClosed
 	obs.Logger().Info("dtringest stopped")
 	return nil
-}
-
-// writeAddrFile atomically publishes a bound address so scripts that
-// started us on ":0" can find the port (write temp + rename: a reader
-// never sees a partial file).
-func writeAddrFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

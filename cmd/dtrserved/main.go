@@ -213,7 +213,7 @@ func run(args []string) error {
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
-		if err := writeAddrFile(*addrFile, bound); err != nil {
+		if err := obs.WriteAddrFile(*addrFile, bound); err != nil {
 			_ = ln.Close()
 			return err
 		}
@@ -291,15 +291,4 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-// writeAddrFile atomically publishes the bound address so scripts that
-// started us on ":0" can find the port (write temp + rename: a reader
-// never sees a partial file).
-func writeAddrFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

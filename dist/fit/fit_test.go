@@ -267,10 +267,10 @@ func TestSpecForHeavyPareto(t *testing.T) {
 // TestFitRejectsBadSamples checks input validation.
 func TestFitRejectsBadSamples(t *testing.T) {
 	bad := []Sample{
-		{},                               // empty
-		{Obs: []float64{1, -2}},          // negative observation
+		{},                      // empty
+		{Obs: []float64{1, -2}}, // negative observation
 		{Obs: []float64{1}, Cens: []float64{math.NaN()}}, // NaN bound
-		{Cens: []float64{1, 2, 3}},       // no exact observations
+		{Cens: []float64{1, 2, 3}},                       // no exact observations
 	}
 	for _, s := range bad {
 		if _, err := Exponential(s); err == nil {

@@ -35,8 +35,8 @@
 // cross-validates them against each other:
 //
 //   - the age-dependent regeneration recursion (the paper's Theorem 1),
-//     exact for arbitrary two-server configurations up to an age-grid
-//     resolution — see RegenSolver;
+//     exact for arbitrary n-server configurations up to an age-grid
+//     resolution, at a cost exponential in n — see RegenSolver;
 //   - a convolution solver, exact for the canonical scenario (one
 //     reallocation at t = 0) at paper scale — behind System's metric
 //     methods;

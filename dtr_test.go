@@ -166,6 +166,76 @@ func TestRegenSolverPublicPath(t *testing.T) {
 	}
 }
 
+// TestRegenSolverRetryAfterMaxStates: a blown memo budget must leave the
+// solver usable — lifting MaxStates and asking again returns exactly what
+// a fresh solver returns. (The former two-server copy left a NaN
+// reservation behind on the error path and answered NaN, nil.)
+func TestRegenSolverRetryAfterMaxStates(t *testing.T) {
+	m := paperModel(true)
+	st, err := dtr.NewState(m, []int{2, 1}, dtr.Policy2(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := func() *dtr.RegenSolver {
+		sv, err := dtr.NewRegenSolver(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv.Step, sv.Horizon = 0.1, 60
+		return sv
+	}
+	want, err := solver().MeanTime(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := solver()
+	sv.MaxStates = 50
+	if _, err := sv.MeanTime(st); err == nil {
+		t.Fatal("MaxStates = 50 should trip")
+	}
+	sv.MaxStates = 0
+	got, err := sv.MeanTime(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("retry after a MaxStates trip = %v, fresh solver = %v", got, want)
+	}
+}
+
+// TestRegenSolverThreeServers: the regeneration solver takes any number
+// of servers. One exponential task per server, no transfers:
+// E[max] by inclusion–exclusion.
+func TestRegenSolverThreeServers(t *testing.T) {
+	m := &dtr.Model{
+		Service: []dist.Dist{dist.NewExponential(1.5), dist.NewExponential(1), dist.NewExponential(0.5)},
+		Failure: []dist.Dist{dist.Never{}, dist.Never{}, dist.Never{}},
+		Transfer: func(tasks, src, dst int) dist.Dist {
+			return dist.NewExponential(0.6 * float64(tasks))
+		},
+	}
+	sv, err := dtr.NewRegenSolver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv.Step = 0.02
+	st, err := dtr.NewState(m, []int{1, 1, 1}, dtr.NewPolicy(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sv.MeanTime(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1, l2, l3 := 1/1.5, 1.0, 2.0
+	want := 1/l1 + 1/l2 + 1/l3 -
+		1/(l1+l2) - 1/(l1+l3) - 1/(l2+l3) +
+		1/(l1+l2+l3)
+	if math.Abs(got-want) > 0.02 {
+		t.Fatalf("3-server E[max] = %g, inclusion–exclusion %g", got, want)
+	}
+}
+
 func TestMultiServerPath(t *testing.T) {
 	m := &dtr.Model{
 		Service: []dist.Dist{

@@ -78,9 +78,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkNSolver3Server measures the general n-server recursion on a
-// three-server configuration.
-func BenchmarkNSolver3Server(b *testing.B) {
+// BenchmarkRegen3Server measures the same recursion on a three-server
+// configuration.
+func BenchmarkRegen3Server(b *testing.B) {
 	m := &Model{
 		Service: []dist.Dist{
 			dist.NewPareto(2.5, 1.5), dist.NewUniform(0.4, 1.2), dist.NewExponential(0.7),
@@ -98,7 +98,7 @@ func BenchmarkNSolver3Server(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sv, err := NewNSolver(m)
+		sv, err := NewSolver(m)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,9 +2,9 @@ package core
 
 import "dtr/internal/obs"
 
-// Solver observability: the regeneration solvers batch their hot-path
-// stats in plain per-solver fields (they are single-goroutine by
-// construction — the memo maps are unsynchronized) and flush them to the
+// Solver observability: the regeneration solver batches its hot-path
+// stats in plain per-solver fields (it is single-goroutine by
+// construction — the memo maps are unsynchronized) and flushes them to the
 // metrics registry once per metric evaluation, so instrumentation costs
 // nothing measurable even with a live registry.
 var (

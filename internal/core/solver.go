@@ -1,18 +1,29 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dtr/dist"
 )
 
-// Solver evaluates the three metrics of Theorem 1 for a two-server DCS by
+// Solver evaluates the three metrics of Theorem 1 for an n-server DCS by
 // the age-dependent regeneration recursion: condition on the first event
 // (a task service, a server failure, an FN arrival or a group arrival),
 // integrate over the regeneration time, and recurse into the
 // configuration that emerges — with every clock aged by the elapsed time.
+// The paper writes the recursion out for two servers and notes (Remark 1)
+// that n servers follow "the same principles"; here two servers is the
+// instance n = 2 of the one implementation.
+//
+// The configuration space, and with it the cost, grows exponentially in n
+// (§II-D: "computing the metrics using the exact n-server characterization
+// is expensive") and is bounded only by MaxStates: use the solver for
+// exact answers on small configurations and Algorithm 1 for policy making
+// on many servers.
 //
 // The recursion is over a continuum of ages, so the solver works on a
 // uniform age grid of step Step: every age, deadline and integration
@@ -58,21 +69,25 @@ type Solver struct {
 	// fine for the scenario; the error reports the offending sizes.
 	MaxStates int
 
-	memoRel  map[memoKey]float64
-	memoMean map[memoKey]float64
-	memoQoS  map[memoKey]float64
+	// memo[metric] maps an encoded configuration (see key) to its value.
+	memo [3]map[string]float64
+	// keyBuf and keyMsgs are the scratch key encodes into; a hit looks the
+	// buffer up in place, so only a miss allocates its key.
+	keyBuf  []byte
+	keyMsgs []gmsg
+	// succ[d] is the successor a depth-d value call hands to depth d+1. A
+	// callee never retains its argument, so one scratch state per depth
+	// replaces a fresh clone per successor.
+	succ []*gstate
 
 	stats solverStats
 }
 
-// NewSolver returns a solver for a two-server model with a sensible
-// default grid derived from the model's means.
+// NewSolver returns a solver with a sensible default grid derived from
+// the model's means.
 func NewSolver(m *Model) (*Solver, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	if m.N() != 2 {
-		return nil, fmt.Errorf("core: exact regeneration solver supports 2 servers, model has %d (use Algorithm 1 for more)", m.N())
 	}
 	// Replication folds into the service laws exactly: the k copies of a
 	// task start and cancel together, so the per-task service process is
@@ -94,71 +109,44 @@ func NewSolver(m *Model) (*Solver, error) {
 	}, nil
 }
 
-// memoKey is the quantized configuration the value functions are keyed
-// on. Ages are in grid steps; memoryless clocks are normalized to age 0
-// (their aged law equals their fresh law, so the value cannot depend on
-// the age). deadline is in grid steps, or -1 when the metric has none.
-type memoKey struct {
-	q1, q2   int32
-	up1, up2 bool
-	aW1, aW2 int32
-	aY1, aY2 int32
-	groups   [4]groupKey
-	fns      [2]fnKey
-	deadline int32
-}
-
-type groupKey struct {
-	dst, tasks, age int32
-}
-
-type fnKey struct {
-	src, dst, age int32
-	live          bool
-}
-
 // gstate is the solver's internal grid state: the State of the model with
 // all ages held as integer grid steps.
 type gstate struct {
-	q      [2]int
-	up     [2]bool
-	aW     [2]int
-	aY     [2]int
-	groups []ggroup
-	fns    []gfn
+	q      []int
+	up     []bool
+	aW     []int
+	aY     []int
+	groups []gmsg
+	fns    []gmsg
 }
 
-type ggroup struct {
+// gmsg is a message in transit, its age in grid steps: a task group, or a
+// failure notice (tasks == 0).
+type gmsg struct {
 	src, dst, tasks, age int
-}
-
-type gfn struct {
-	src, dst, age int
 }
 
 // fromState quantizes a State onto the grid.
 func (sv *Solver) fromState(s *State) (*gstate, error) {
-	if len(s.Queue) != 2 {
-		return nil, fmt.Errorf("core: solver state must have 2 servers, got %d", len(s.Queue))
+	n := sv.Model.N()
+	if len(s.Queue) != n || len(s.Up) != n || len(s.AgeW) != n || len(s.AgeY) != n {
+		return nil, fmt.Errorf("core: state has %d servers, model %d", len(s.Queue), n)
 	}
-	g := &gstate{}
-	for k := 0; k < 2; k++ {
-		g.q[k] = s.Queue[k]
-		g.up[k] = s.Up[k]
-		g.aW[k] = sv.quant(s.AgeW[k])
-		g.aY[k] = sv.quant(s.AgeY[k])
+	g := &gstate{
+		q:  append([]int(nil), s.Queue...),
+		up: append([]bool(nil), s.Up...),
 	}
-	if len(s.Groups) > 4 {
-		return nil, fmt.Errorf("core: solver supports at most 4 in-flight groups, got %d", len(s.Groups))
+	for k := 0; k < n; k++ {
+		g.aW = append(g.aW, sv.quant(s.AgeW[k]))
+		g.aY = append(g.aY, sv.quant(s.AgeY[k]))
 	}
 	for _, grp := range s.Groups {
-		g.groups = append(g.groups, ggroup{src: grp.Src, dst: grp.Dst, tasks: grp.Tasks, age: sv.quant(grp.Age)})
+		g.groups = append(g.groups, gmsg{src: grp.Src, dst: grp.Dst, tasks: grp.Tasks, age: sv.quant(grp.Age)})
 	}
-	if len(s.FNs) > 2 {
-		return nil, fmt.Errorf("core: solver supports at most 2 in-flight FN packets, got %d", len(s.FNs))
-	}
-	for _, fn := range s.FNs {
-		g.fns = append(g.fns, gfn{src: fn.Src, dst: fn.Dst, age: sv.quant(fn.Age)})
+	if sv.TrackFN {
+		for _, fn := range s.FNs {
+			g.fns = append(g.fns, gmsg{src: fn.Src, dst: fn.Dst, age: sv.quant(fn.Age)})
+		}
 	}
 	return g, nil
 }
@@ -167,61 +155,70 @@ func (sv *Solver) quant(age float64) int {
 	return int(math.Round(age / sv.Step))
 }
 
-// key canonicalizes a gstate (+ deadline) into a memo key.
-func (sv *Solver) key(g *gstate, deadline int) memoKey {
-	k := memoKey{
-		q1: int32(g.q[0]), q2: int32(g.q[1]),
-		up1: g.up[0], up2: g.up[1],
-		deadline: int32(deadline),
+func (sv *Solver) groupLaw(m gmsg) dist.Dist {
+	return sv.Model.Transfer(m.tasks, m.src, m.dst)
+}
+
+// fnLaw is nil for a model without failure-notice traffic: a notice the
+// initial state carries then keeps its age and never arrives.
+func (sv *Solver) fnLaw(m gmsg) dist.Dist {
+	if sv.Model.FN == nil {
+		return nil
 	}
-	// Memoryless normalization: exponential (and Never) clocks carry no
-	// age information.
-	for i := 0; i < 2; i++ {
-		aw, ay := int32(g.aW[i]), int32(g.aY[i])
-		if !g.up[i] || g.q[i] == 0 || memoryless(sv.Model.Service[i]) {
+	return sv.Model.FN(m.src, m.dst)
+}
+
+// key encodes the canonicalized configuration (plus the deadline in grid
+// steps, -1 when the metric has none) into keyBuf. Memoryless clocks are
+// normalized to age 0: their aged law equals their fresh law, so the value
+// cannot depend on the age.
+func (sv *Solver) key(g *gstate, deadline int) []byte {
+	buf := binary.AppendVarint(sv.keyBuf[:0], int64(deadline))
+	for k, q := range g.q {
+		up, aw, ay := 0, g.aW[k], g.aY[k]
+		if g.up[k] {
+			up = 1
+		}
+		if !g.up[k] || q == 0 || memoryless(sv.Model.Service[k]) {
 			aw = 0
 		}
-		if !g.up[i] || memoryless(sv.Model.Failure[i]) {
+		if !g.up[k] || memoryless(sv.Model.Failure[k]) {
 			ay = 0
 		}
-		if i == 0 {
-			k.aW1, k.aY1 = aw, ay
-		} else {
-			k.aW2, k.aY2 = aw, ay
-		}
+		buf = appendInts(buf, q, up, aw, ay)
 	}
-	gs := append([]ggroup(nil), g.groups...)
-	sort.Slice(gs, func(a, b int) bool {
-		if gs[a].dst != gs[b].dst {
-			return gs[a].dst < gs[b].dst
-		}
-		if gs[a].tasks != gs[b].tasks {
-			return gs[a].tasks < gs[b].tasks
-		}
-		return gs[a].age < gs[b].age
+	buf = sv.appendMsgs(buf, g.groups, sv.groupLaw)
+	if sv.TrackFN {
+		buf = sv.appendMsgs(buf, g.fns, sv.fnLaw)
+	}
+	sv.keyBuf = buf
+	return buf
+}
+
+// appendMsgs encodes in-transit messages in a canonical order (the value
+// does not depend on how the state lists them).
+func (sv *Solver) appendMsgs(buf []byte, msgs []gmsg, law func(gmsg) dist.Dist) []byte {
+	sorted := append(sv.keyMsgs[:0], msgs...)
+	sv.keyMsgs = sorted
+	slices.SortFunc(sorted, func(a, b gmsg) int {
+		return cmp.Or(cmp.Compare(a.dst, b.dst), cmp.Compare(a.tasks, b.tasks),
+			cmp.Compare(a.src, b.src), cmp.Compare(a.age, b.age))
 	})
-	for i, grp := range gs {
-		age := int32(grp.age)
-		if memoryless(sv.Model.Transfer(grp.tasks, grp.src, grp.dst)) {
-			age = 0
+	buf = binary.AppendVarint(buf, int64(len(sorted)))
+	for _, m := range sorted {
+		if memoryless(law(m)) {
+			m.age = 0
 		}
-		k.groups[i] = groupKey{dst: int32(grp.dst + 1), tasks: int32(grp.tasks), age: age}
+		buf = appendInts(buf, m.src, m.dst, m.tasks, m.age)
 	}
-	fs := append([]gfn(nil), g.fns...)
-	sort.Slice(fs, func(a, b int) bool {
-		if fs[a].src != fs[b].src {
-			return fs[a].src < fs[b].src
-		}
-		return fs[a].age < fs[b].age
-	})
-	for i, fn := range fs {
-		age := int32(fn.age)
-		if sv.Model.FN != nil && memoryless(sv.Model.FN(fn.src, fn.dst)) {
-			age = 0
-		}
-		k.fns[i] = fnKey{src: int32(fn.src + 1), dst: int32(fn.dst + 1), age: age, live: true}
+	return buf
+}
+
+func appendInts(buf []byte, vs ...int) []byte {
+	for _, v := range vs {
+		buf = binary.AppendVarint(buf, int64(v))
 	}
-	return k
+	return buf
 }
 
 // memoryless reports distributions whose aged law equals the fresh law.
@@ -273,7 +270,7 @@ const (
 // minimum of their residual times.
 func (sv *Solver) activeClocks(g *gstate) []clock {
 	var cs []clock
-	for k := 0; k < 2; k++ {
+	for k := range g.q {
 		if g.up[k] && g.q[k] > 0 {
 			cs = append(cs, clock{kind: ckService, idx: k, resid: sv.agedAt(sv.Model.Service[k], g.aW[k])})
 		}
@@ -284,37 +281,38 @@ func (sv *Solver) activeClocks(g *gstate) []clock {
 		}
 	}
 	for i, grp := range g.groups {
-		cs = append(cs, clock{kind: ckGroup, idx: i, resid: sv.agedAt(sv.Model.Transfer(grp.tasks, grp.src, grp.dst), grp.age)})
+		cs = append(cs, clock{kind: ckGroup, idx: i, resid: sv.agedAt(sv.groupLaw(grp), grp.age)})
 	}
-	if sv.TrackFN && sv.Model.FN != nil {
+	if sv.Model.FN != nil {
 		for i, fn := range g.fns {
-			cs = append(cs, clock{kind: ckFN, idx: i, resid: sv.agedAt(sv.Model.FN(fn.src, fn.dst), fn.age)})
+			cs = append(cs, clock{kind: ckFN, idx: i, resid: sv.agedAt(sv.fnLaw(fn), fn.age)})
 		}
 	}
 	return cs
 }
 
-// successor applies the regeneration event c after `adv` grid steps have
-// elapsed, returning the emergent configuration (ages advanced, the
-// triggering clock resolved).
-func (sv *Solver) successor(g *gstate, c clock, adv int) *gstate {
-	n := &gstate{q: g.q, up: g.up}
-	for k := 0; k < 2; k++ {
-		n.aW[k] = g.aW[k] + adv
-		n.aY[k] = g.aY[k] + adv
-		if !n.up[k] || n.q[k] == 0 {
-			n.aW[k] = 0
+// successor writes into n the configuration that emerges from g when the
+// regeneration event c fires after `adv` grid steps: ages advanced, the
+// triggering clock resolved. n's slices are reused.
+func (sv *Solver) successor(n, g *gstate, c clock, adv int) {
+	n.q = append(n.q[:0], g.q...)
+	n.up = append(n.up[:0], g.up...)
+	n.aW, n.aY = n.aW[:0], n.aY[:0]
+	for k := range g.q {
+		aw := g.aW[k] + adv
+		if !g.up[k] || g.q[k] == 0 {
+			aw = 0
 		}
+		n.aW = append(n.aW, aw)
+		n.aY = append(n.aY, g.aY[k]+adv)
 	}
-	n.groups = append(n.groups, g.groups...)
+	n.groups = append(n.groups[:0], g.groups...)
 	for i := range n.groups {
 		n.groups[i].age += adv
 	}
-	if sv.TrackFN {
-		n.fns = append(n.fns, g.fns...)
-		for i := range n.fns {
-			n.fns[i].age += adv
-		}
+	n.fns = append(n.fns[:0], g.fns...)
+	for i := range n.fns {
+		n.fns[i].age += adv
 	}
 	switch c.kind {
 	case ckService:
@@ -326,30 +324,24 @@ func (sv *Solver) successor(g *gstate, c clock, adv int) *gstate {
 		n.aW[k] = 0
 		n.aY[k] = 0
 		if sv.TrackFN && sv.Model.FN != nil {
-			for j := 0; j < 2; j++ {
+			for j := range n.q {
 				if j != k && n.up[j] {
-					n.fns = append(n.fns, gfn{src: k, dst: j, age: 0})
+					n.fns = append(n.fns, gmsg{src: k, dst: j})
 				}
 			}
 		}
 	case ckGroup:
 		grp := n.groups[c.idx]
-		n.groups = append(n.groups[:c.idx:c.idx], n.groups[c.idx+1:]...)
-		if n.up[grp.dst] {
-			wasEmpty := n.q[grp.dst] == 0
-			n.q[grp.dst] += grp.tasks
-			if wasEmpty {
-				n.aW[grp.dst] = 0 // fresh service clock for the new batch
-			}
-		} else {
-			// Tasks delivered to a failed server are lost; record them in
-			// the queue so the doomed check sees them.
-			n.q[grp.dst] += grp.tasks
+		n.groups = slices.Delete(n.groups, c.idx, c.idx+1)
+		if n.up[grp.dst] && n.q[grp.dst] == 0 {
+			n.aW[grp.dst] = 0 // fresh service clock for the new batch
 		}
+		// Tasks delivered to a failed server are lost; they still join
+		// the queue so the doomed check sees them.
+		n.q[grp.dst] += grp.tasks
 	case ckFN:
-		n.fns = append(n.fns[:c.idx:c.idx], n.fns[c.idx+1:]...)
+		n.fns = slices.Delete(n.fns, c.idx, c.idx+1)
 	}
-	return n
 }
 
 // metricKind selects the value function being computed.
@@ -365,15 +357,7 @@ const (
 // whole workload is served before any task is stranded on a failed
 // server.
 func (sv *Solver) Reliability(s *State) (float64, error) {
-	g, err := sv.fromState(s)
-	if err != nil {
-		return 0, err
-	}
-	if sv.memoRel == nil {
-		sv.memoRel = make(map[memoKey]float64)
-	}
-	defer func() { sv.stats.flush(sv.States()) }()
-	return sv.value(g, mReliability, -1)
+	return sv.solve(s, mReliability, -1)
 }
 
 // MeanTime returns T̄(S) = E[T(S)], defined only for models whose servers
@@ -382,15 +366,7 @@ func (sv *Solver) MeanTime(s *State) (float64, error) {
 	if !sv.Model.Reliable() {
 		return 0, fmt.Errorf("core: mean execution time requires reliable servers (dist.Never failures)")
 	}
-	g, err := sv.fromState(s)
-	if err != nil {
-		return 0, err
-	}
-	if sv.memoMean == nil {
-		sv.memoMean = make(map[memoKey]float64)
-	}
-	defer func() { sv.stats.flush(sv.States()) }()
-	return sv.value(g, mMean, -1)
+	return sv.solve(s, mMean, -1)
 }
 
 // QoS returns R_TM(S) = P(T(S) < TM), the probability the workload
@@ -399,24 +375,33 @@ func (sv *Solver) QoS(s *State, tm float64) (float64, error) {
 	if tm < 0 || math.IsNaN(tm) {
 		return 0, fmt.Errorf("core: invalid deadline %g", tm)
 	}
+	return sv.solve(s, mQoS, sv.quant(tm))
+}
+
+func (sv *Solver) solve(s *State, metric metricKind, deadline int) (float64, error) {
 	g, err := sv.fromState(s)
 	if err != nil {
 		return 0, err
 	}
-	if sv.memoQoS == nil {
-		sv.memoQoS = make(map[memoKey]float64)
+	if sv.memo[metric] == nil {
+		sv.memo[metric] = make(map[string]float64)
 	}
 	defer func() { sv.stats.flush(sv.States()) }()
-	return sv.value(g, mQoS, sv.quant(tm))
+	return sv.value(g, metric, deadline, 0)
 }
 
-// value is the memoized age-dependent regeneration recursion.
-func (sv *Solver) value(g *gstate, metric metricKind, deadline int) (float64, error) {
+// value is the memoized age-dependent regeneration recursion; depth is
+// the number of events between the solved state and g.
+func (sv *Solver) value(g *gstate, metric metricKind, deadline, depth int) (float64, error) {
 	// Terminal configurations.
 	doomed := false
-	for k := 0; k < 2; k++ {
-		if !g.up[k] && g.q[k] > 0 {
-			doomed = true
+	done := len(g.groups) == 0
+	for k, q := range g.q {
+		if q > 0 {
+			done = false
+			if !g.up[k] {
+				doomed = true
+			}
 		}
 	}
 	for _, grp := range g.groups {
@@ -424,7 +409,6 @@ func (sv *Solver) value(g *gstate, metric metricKind, deadline int) (float64, er
 			doomed = true // will arrive at a dead server: unrecoverable
 		}
 	}
-	done := g.q[0] == 0 && g.q[1] == 0 && len(g.groups) == 0
 	switch metric {
 	case mReliability:
 		if doomed {
@@ -449,21 +433,17 @@ func (sv *Solver) value(g *gstate, metric metricKind, deadline int) (float64, er
 		}
 	}
 
-	memo := sv.memo(metric)
-	key := sv.key(g, deadline)
-	if v, ok := memo[key]; ok {
+	memo := sv.memo[metric]
+	if v, ok := memo[string(sv.key(g, deadline))]; ok {
 		sv.stats.hits++
 		return v, nil
 	}
 	sv.stats.misses++
 	if sv.MaxStates > 0 && len(memo) >= sv.MaxStates {
-		return 0, fmt.Errorf("core: memo table exceeded MaxStates=%d (coarsen Step=%g or lower Horizon=%g)",
+		return 0, fmt.Errorf("core: memo table exceeded MaxStates=%d (coarsen Step=%g, lower Horizon=%g, shrink the workload, or use Algorithm 1)",
 			sv.MaxStates, sv.Step, sv.Horizon)
 	}
-	// Reserve the key to guard against cycles (none exist structurally:
-	// every event consumes a task, a server or a message, but a bug here
-	// would otherwise recurse forever).
-	memo[key] = math.NaN()
+	key := string(sv.keyBuf) // the recursion below reuses the buffer
 
 	clocks := sv.activeClocks(g)
 	if len(clocks) == 0 {
@@ -472,6 +452,10 @@ func (sv *Solver) value(g *gstate, metric metricKind, deadline int) (float64, er
 		// (caught above) — treat as model inconsistency.
 		return 0, fmt.Errorf("core: deadlocked configuration %+v", g)
 	}
+	if depth == len(sv.succ) {
+		sv.succ = append(sv.succ, &gstate{})
+	}
+	succ := sv.succ[depth]
 
 	maxCells := int(sv.Horizon / sv.Step)
 	if metric == mQoS && deadline < maxCells {
@@ -485,6 +469,7 @@ func (sv *Solver) value(g *gstate, metric metricKind, deadline int) (float64, er
 	for i := range surv {
 		surv[i] = 1
 	}
+	pIn := make([]float64, len(clocks))
 	var result float64
 	var accMean float64 // E[τ] accumulator (mean metric only)
 	joint := 1.0
@@ -492,9 +477,9 @@ func (sv *Solver) value(g *gstate, metric metricKind, deadline int) (float64, er
 		sv.stats.cells++
 		t1 := float64(cell+1) * sv.Step
 		nextJoint := 1.0
-		pIn := make([]float64, len(clocks))
 		for i, c := range clocks {
 			s1 := c.resid.Survival(t1)
+			pIn[i] = 0
 			if surv[i] > 0 {
 				pIn[i] = 1 - s1/surv[i]
 			}
@@ -516,19 +501,17 @@ func (sv *Solver) value(g *gstate, metric metricKind, deadline int) (float64, er
 		if metric == mMean {
 			accMean += cellMass * (float64(cell) + 0.5) * sv.Step
 		}
+		nd := -1
+		if metric == mQoS {
+			nd = deadline - (cell + 1)
+		}
 		for i, c := range clocks {
 			if pIn[i] == 0 {
 				continue
 			}
 			prob := cellMass * pIn[i] / wsum
-			succ := sv.successor(g, c, cell+1)
-			var nd int
-			if metric == mQoS {
-				nd = deadline - (cell + 1)
-			} else {
-				nd = -1
-			}
-			v, err := sv.value(succ, metric, nd)
+			sv.successor(succ, g, c, cell+1)
+			v, err := sv.value(succ, metric, nd, depth+1)
 			if err != nil {
 				return 0, err
 			}
@@ -542,19 +525,8 @@ func (sv *Solver) value(g *gstate, metric metricKind, deadline int) (float64, er
 	return result, nil
 }
 
-func (sv *Solver) memo(metric metricKind) map[memoKey]float64 {
-	switch metric {
-	case mReliability:
-		return sv.memoRel
-	case mMean:
-		return sv.memoMean
-	default:
-		return sv.memoQoS
-	}
-}
-
 // States returns the number of memoized configurations across all
 // metrics, a measure of the recursion's footprint.
 func (sv *Solver) States() int {
-	return len(sv.memoRel) + len(sv.memoMean) + len(sv.memoQoS)
+	return len(sv.memo[mReliability]) + len(sv.memo[mMean]) + len(sv.memo[mQoS])
 }

@@ -8,70 +8,6 @@ import (
 	"dtr/internal/testutil"
 )
 
-// nsolver builds an NSolver with test-friendly grid settings.
-func nsolver(t *testing.T, m *Model, step float64) *NSolver {
-	t.Helper()
-	sv, err := NewNSolver(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv.Step = step
-	sv.Horizon = 120
-	sv.AgeCap = 40
-	return sv
-}
-
-// TestNSolverMatchesTwoServerSolver: on two-server inputs the general
-// solver and the specialized one are the same algorithm and must agree to
-// numerical noise, Markovian and not.
-func TestNSolverMatchesTwoServerSolver(t *testing.T) {
-	models := []*Model{
-		reliable2(dist.NewExponential(1), dist.NewExponential(2)),
-		reliable2(dist.NewPareto(2.5, 1), dist.NewUniform(0.4, 1.2)),
-	}
-	for _, m := range models {
-		s, _ := NewState(m, []int{3, 2}, Policy2(1, 0))
-		sv2 := solver(t, m, 0.05)
-		svn := nsolver(t, m, 0.05)
-		want, err := sv2.MeanTime(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := svn.MeanTime(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testutil.Almost(t, got, want, 1e-9, "n-solver vs 2-solver mean")
-
-		wantQ, err := sv2.QoS(s, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotQ, err := svn.QoS(s, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testutil.Almost(t, gotQ, wantQ, 1e-9, "n-solver vs 2-solver QoS")
-	}
-}
-
-func TestNSolverReliabilityMatchesTwoServerSolver(t *testing.T) {
-	m := twoServerModel(dist.NewPareto(2.5, 1), dist.NewExponential(1),
-		dist.NewExponential(15), dist.NewExponential(10), 0.7)
-	s, _ := NewState(m, []int{2, 1}, Policy2(1, 0))
-	sv2 := solver(t, m, 0.05)
-	svn := nsolver(t, m, 0.05)
-	want, err := sv2.Reliability(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := svn.Reliability(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testutil.Almost(t, got, want, 1e-9, "n-solver vs 2-solver reliability")
-}
-
 // threeServerModel builds a small heterogeneous 3-server model.
 func threeServerModel(reliable bool) *Model {
 	fail := func(mean float64) dist.Dist {
@@ -97,7 +33,7 @@ func threeServerModel(reliable bool) *Model {
 // three-server metrics have simple closed forms for single-task queues.
 func TestNSolverThreeServerClosedForms(t *testing.T) {
 	m := threeServerModel(true)
-	svn := nsolver(t, m, 0.02)
+	svn := solver(t, m, 0.02)
 	s, err := NewState(m, []int{1, 1, 1}, NewPolicy(3))
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +53,7 @@ func TestNSolverThreeServerClosedForms(t *testing.T) {
 
 func TestNSolverThreeServerReliabilityProduct(t *testing.T) {
 	m := threeServerModel(false)
-	svn := nsolver(t, m, 0.02)
+	svn := solver(t, m, 0.02)
 	s, _ := NewState(m, []int{1, 1, 1}, NewPolicy(3))
 	got, err := svn.Reliability(s)
 	if err != nil {
@@ -137,7 +73,7 @@ func TestNSolverThreeServerReliabilityProduct(t *testing.T) {
 // the Monte-Carlo simulator indirectly through a closed form.
 func TestNSolverThreeServerWithTransfer(t *testing.T) {
 	m := threeServerModel(true)
-	svn := nsolver(t, m, 0.02)
+	svn := solver(t, m, 0.02)
 	s, err := NewState(m, []int{1, 0, 0}, Policy{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +111,7 @@ func TestNSolverQoSMonotoneNonMarkovian(t *testing.T) {
 			return dist.NewPareto(2.5, 0.5*float64(tasks))
 		},
 	}
-	svn := nsolver(t, m, 0.05)
+	svn := solver(t, m, 0.05)
 	p := NewPolicy(3)
 	p[0][2] = 1
 	s, err := NewState(m, []int{2, 1, 0}, p)
@@ -197,7 +133,7 @@ func TestNSolverQoSMonotoneNonMarkovian(t *testing.T) {
 
 func TestNSolverGuards(t *testing.T) {
 	m := threeServerModel(false)
-	svn := nsolver(t, m, 0.05)
+	svn := solver(t, m, 0.05)
 	s, _ := NewState(m, []int{1, 1, 1}, NewPolicy(3))
 	if _, err := svn.MeanTime(s); err == nil {
 		t.Fatal("mean with failures should error")
@@ -211,10 +147,33 @@ func TestNSolverGuards(t *testing.T) {
 			return dist.NewPareto(2.5, float64(tasks))
 		},
 	}
-	svn3 := nsolver(t, m3, 0.01)
+	svn3 := solver(t, m3, 0.01)
 	svn3.MaxStates = 10
 	big2, _ := NewState(m3, []int{4, 4, 4}, NewPolicy(3))
 	if _, err := svn3.MeanTime(big2); err == nil {
 		t.Fatal("MaxStates should trip")
+	}
+}
+
+// TestGroupSourceInMemoKey: with three or more servers a group's transfer
+// law depends on where it comes from, so two configurations that differ
+// only in a group's source must not share a memo entry.
+func TestGroupSourceInMemoKey(t *testing.T) {
+	m := threeServerModel(true)
+	m.Transfer = func(tasks, src, dst int) dist.Dist {
+		return dist.NewExponential(float64(1 + 2*src))
+	}
+	sv := solver(t, m, 0.02)
+	for src, want := range []float64{1 + 0.5, 3 + 0.5} { // E[Z_src] + E[W_3]
+		s, err := NewState(m, []int{0, 0, 0}, NewPolicy(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Groups = []Group{{Src: src, Dst: 2, Tasks: 1}}
+		got, err := sv.MeanTime(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testutil.Almost(t, got, want, 0.02, "one group in flight to server 3")
 	}
 }

@@ -321,18 +321,6 @@ func TestMaxStatesGuard(t *testing.T) {
 	}
 }
 
-// TestSolverRejectsNServers: exact solver is the paper's 2-server case.
-func TestSolverRejectsNServers(t *testing.T) {
-	m := &Model{
-		Service:  []dist.Dist{dist.NewExponential(1), dist.NewExponential(1), dist.NewExponential(1)},
-		Failure:  []dist.Dist{dist.Never{}, dist.Never{}, dist.Never{}},
-		Transfer: func(tasks, src, dst int) dist.Dist { return dist.NewExponential(1) },
-	}
-	if _, err := NewSolver(m); err == nil {
-		t.Fatal("3-server model should be rejected by the exact solver")
-	}
-}
-
 // TestMemorylessStateNormalization: with all-exponential inputs the age
 // grid must collapse — the number of memoized states stays small even at
 // a fine step, because exponential ages are normalized away.

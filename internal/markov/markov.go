@@ -4,16 +4,14 @@
 // the three performance metrics satisfy algebraic recurrences with
 // constant coefficients — no integrals.
 //
-// The package serves two roles in the reproduction:
-//
-//  1. It is the *Markovian approximation* the paper evaluates against:
-//     Approximate replaces every law of a general model by an exponential
-//     with the same mean, exactly the mis-modeling whose cost Figs. 1–2
-//     and Tables I–II quantify.
-//  2. It is an exact, grid-free reference: on genuinely exponential
-//     inputs the age-dependent solver (internal/core) and the lattice
-//     solver (internal/direct) must agree with it, which the cross-
-//     validation tests exploit.
+// The package is the reproduction's exact, grid-free reference for any
+// number of servers: on genuinely exponential inputs the age-dependent
+// solver (internal/core), the lattice solver (internal/direct) and the
+// simulator must agree with it, which the cross-validation tests exploit.
+// (The *Markovian approximation* the paper evaluates against — every law
+// replaced by an exponential of the same mean, Figs. 1–2 and Tables I–II —
+// is the Exponential family evaluated through internal/direct; see
+// internal/exper.)
 //
 // Mean time and reliability come from the constant-coefficient
 // recurrences; the QoS (a transient absorption probability) is computed
@@ -21,45 +19,51 @@
 package markov
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"dtr/dist"
 	"dtr/internal/core"
 )
 
-// System is a two-server Markovian DCS described purely by rates.
+// System is an n-server Markovian DCS described purely by rates.
 type System struct {
-	// MuService[k] is the service rate of server k.
-	MuService [2]float64
-	// LambdaFail[k] is the failure rate of server k (0 = reliable).
-	LambdaFail [2]float64
+	// Mu[k] is the service rate of server k.
+	Mu []float64
+	// Lambda[k] is the failure rate of server k (0 = reliable).
+	Lambda []float64
 	// TransferRate returns the delivery rate of a group of `tasks` tasks
 	// from src to dst.
 	TransferRate func(tasks, src, dst int) float64
 
-	memoMean map[mkey]float64
-	memoRel  map[mkey]float64
+	memoMean map[string]float64
+	memoRel  map[string]float64
+	// keyBuf and keyGroups are the scratch key encodes into.
+	keyBuf    []byte
+	keyGroups []core.Group
 }
 
 // FromModel extracts a Markovian system from a core.Model whose laws are
 // all exponential (or Never for failures); it errors if any law is not.
 func FromModel(m *core.Model) (*System, error) {
-	if m.N() != 2 {
-		return nil, fmt.Errorf("markov: two-server systems only, got %d", m.N())
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
 	s := &System{}
-	for k := 0; k < 2; k++ {
+	for k := 0; k < m.N(); k++ {
 		e, ok := m.Service[k].(dist.Exponential)
 		if !ok {
 			return nil, fmt.Errorf("markov: service law of server %d is %v, not exponential", k, m.Service[k])
 		}
-		s.MuService[k] = e.Rate
+		s.Mu = append(s.Mu, e.Rate)
 		switch f := m.Failure[k].(type) {
 		case dist.Never:
-			s.LambdaFail[k] = 0
+			s.Lambda = append(s.Lambda, 0)
 		case dist.Exponential:
-			s.LambdaFail[k] = f.Rate
+			s.Lambda = append(s.Lambda, f.Rate)
 		default:
 			return nil, fmt.Errorf("markov: failure law of server %d is %v, not exponential/never", k, m.Failure[k])
 		}
@@ -75,91 +79,66 @@ func FromModel(m *core.Model) (*System, error) {
 	return s, nil
 }
 
-// Approximate builds the Markovian approximation of an arbitrary model:
-// every law is replaced by an exponential with the same mean. This is the
-// approximation whose accuracy the paper's evaluation interrogates.
-func Approximate(m *core.Model) (*System, error) {
-	if m.N() != 2 {
-		return nil, fmt.Errorf("markov: two-server systems only, got %d", m.N())
-	}
-	s := &System{}
-	for k := 0; k < 2; k++ {
-		s.MuService[k] = 1 / m.Service[k].Mean()
-		if _, never := m.Failure[k].(dist.Never); never {
-			s.LambdaFail[k] = 0
-		} else {
-			s.LambdaFail[k] = 1 / m.Failure[k].Mean()
-		}
-	}
-	transfer := m.Transfer
-	s.TransferRate = func(tasks, src, dst int) float64 {
-		return 1 / transfer(tasks, src, dst).Mean()
-	}
-	return s, nil
-}
-
-// mkey is the discrete Markovian state: queue lengths, server liveness
-// and up to four in-flight groups (dst+1, tasks), zero-padded, sorted.
-type mkey struct {
-	q1, q2   int32
-	up1, up2 bool
-	groups   [4]mgroup
-}
-
-type mgroup struct {
-	dst, tasks, src int32
-}
-
+// mstate is the discrete Markovian state: queue lengths, server liveness
+// and the in-flight groups.
 type mstate struct {
-	q      [2]int
-	up     [2]bool
+	q      []int
+	up     []bool
 	groups []core.Group
 }
 
-func stateOf(s *core.State) (*mstate, error) {
-	if len(s.Queue) != 2 {
-		return nil, fmt.Errorf("markov: state must have 2 servers, got %d", len(s.Queue))
+func (s *System) stateOf(st *core.State) (*mstate, error) {
+	if n := len(s.Mu); len(st.Queue) != n || len(st.Up) != n {
+		return nil, fmt.Errorf("markov: state has %d servers, system %d", len(st.Queue), n)
 	}
-	if len(s.Groups) > 4 {
-		return nil, fmt.Errorf("markov: at most 4 in-flight groups, got %d", len(s.Groups))
-	}
-	m := &mstate{q: [2]int{s.Queue[0], s.Queue[1]}, up: [2]bool{s.Up[0], s.Up[1]}}
-	m.groups = append(m.groups, s.Groups...)
-	return m, nil
+	return (&mstate{q: st.Queue, up: st.Up, groups: st.Groups}).clone(), nil
 }
 
-func (m *mstate) key() mkey {
-	k := mkey{q1: int32(m.q[0]), q2: int32(m.q[1]), up1: m.up[0], up2: m.up[1]}
-	gs := append([]core.Group(nil), m.groups...)
-	// Insertion sort by (dst, tasks, src); group lists are tiny.
-	for i := 1; i < len(gs); i++ {
-		for j := i; j > 0 && less(gs[j], gs[j-1]); j-- {
-			gs[j], gs[j-1] = gs[j-1], gs[j]
+func (m *mstate) clone() *mstate {
+	return &mstate{
+		q:      slices.Clone(m.q),
+		up:     slices.Clone(m.up),
+		groups: slices.Clone(m.groups),
+	}
+}
+
+// key encodes the state into keyBuf, groups in a canonical order (the
+// value does not depend on how the state lists them).
+func (s *System) key(m *mstate) []byte {
+	buf := s.keyBuf[:0]
+	for k, q := range m.q {
+		buf = binary.AppendVarint(buf, int64(q))
+		if m.up[k] {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
 		}
 	}
-	for i, g := range gs {
-		k.groups[i] = mgroup{dst: int32(g.Dst + 1), tasks: int32(g.Tasks), src: int32(g.Src)}
+	gs := append(s.keyGroups[:0], m.groups...)
+	slices.SortFunc(gs, func(a, b core.Group) int {
+		return cmp.Or(cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Tasks, b.Tasks), cmp.Compare(a.Src, b.Src))
+	})
+	for _, g := range gs {
+		buf = binary.AppendVarint(buf, int64(g.Dst))
+		buf = binary.AppendVarint(buf, int64(g.Tasks))
+		buf = binary.AppendVarint(buf, int64(g.Src))
 	}
-	return k
-}
-
-func less(a, b core.Group) bool {
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.Tasks != b.Tasks {
-		return a.Tasks < b.Tasks
-	}
-	return a.Src < b.Src
+	s.keyBuf, s.keyGroups = buf, gs
+	return buf
 }
 
 func (m *mstate) done() bool {
-	return m.q[0] == 0 && m.q[1] == 0 && len(m.groups) == 0
+	for _, q := range m.q {
+		if q > 0 {
+			return false
+		}
+	}
+	return len(m.groups) == 0
 }
 
 func (m *mstate) doomed() bool {
-	for k := 0; k < 2; k++ {
-		if !m.up[k] && m.q[k] > 0 {
+	for k, q := range m.q {
+		if !m.up[k] && q > 0 {
 			return true
 		}
 	}
@@ -180,99 +159,72 @@ type transition struct {
 // transitions enumerates the regeneration events of the Markovian chain.
 func (s *System) transitions(m *mstate) []transition {
 	var ts []transition
-	for k := 0; k < 2; k++ {
-		if m.up[k] && m.q[k] > 0 && s.MuService[k] > 0 {
+	for k := range m.q {
+		if m.up[k] && m.q[k] > 0 && s.Mu[k] > 0 {
 			n := m.clone()
 			n.q[k]--
-			ts = append(ts, transition{rate: s.MuService[k], next: n})
+			ts = append(ts, transition{rate: s.Mu[k], next: n})
 		}
-		if m.up[k] && s.LambdaFail[k] > 0 {
+		if m.up[k] && s.Lambda[k] > 0 {
 			n := m.clone()
 			n.up[k] = false
-			ts = append(ts, transition{rate: s.LambdaFail[k], next: n})
+			ts = append(ts, transition{rate: s.Lambda[k], next: n})
 		}
 	}
 	for i, g := range m.groups {
 		n := m.clone()
-		n.groups = append(n.groups[:i:i], n.groups[i+1:]...)
+		n.groups = slices.Delete(n.groups, i, i+1)
 		n.q[g.Dst] += g.Tasks
 		ts = append(ts, transition{rate: s.TransferRate(g.Tasks, g.Src, g.Dst), next: n})
 	}
 	return ts
 }
 
-func (m *mstate) clone() *mstate {
-	return &mstate{q: m.q, up: m.up, groups: append([]core.Group(nil), m.groups...)}
-}
-
 // MeanTime solves the constant-coefficient recurrence
 // T̄(S) = 1/Λ + Σ_e (λ_e/Λ)·T̄(S_e); it requires reliable servers.
 func (s *System) MeanTime(st *core.State) (float64, error) {
-	if s.LambdaFail[0] > 0 || s.LambdaFail[1] > 0 {
-		return 0, fmt.Errorf("markov: mean execution time requires reliable servers")
-	}
-	m, err := stateOf(st)
-	if err != nil {
-		return 0, err
-	}
-	if s.memoMean == nil {
-		s.memoMean = make(map[mkey]float64)
-	}
-	return s.meanRec(m)
-}
-
-func (s *System) meanRec(m *mstate) (float64, error) {
-	if m.done() {
-		return 0, nil
-	}
-	k := m.key()
-	if v, ok := s.memoMean[k]; ok {
-		return v, nil
-	}
-	ts := s.transitions(m)
-	var total float64
-	for _, tr := range ts {
-		total += tr.rate
-	}
-	if total <= 0 {
-		return 0, fmt.Errorf("markov: absorbing non-final state %+v", m)
-	}
-	v := 1 / total
-	for _, tr := range ts {
-		sub, err := s.meanRec(tr.next)
-		if err != nil {
-			return 0, err
+	for _, l := range s.Lambda {
+		if l > 0 {
+			return 0, fmt.Errorf("markov: mean execution time requires reliable servers")
 		}
-		v += tr.rate / total * sub
 	}
-	s.memoMean[k] = v
-	return v, nil
+	return s.solve(st, &s.memoMean, true)
 }
 
 // Reliability solves R(S) = Σ_e (λ_e/Λ)·R(S_e) with R = 1 on completion
 // and R = 0 on any stranded task.
 func (s *System) Reliability(st *core.State) (float64, error) {
-	m, err := stateOf(st)
+	return s.solve(st, &s.memoRel, false)
+}
+
+func (s *System) solve(st *core.State, memo *map[string]float64, mean bool) (float64, error) {
+	m, err := s.stateOf(st)
 	if err != nil {
 		return 0, err
 	}
-	if s.memoRel == nil {
-		s.memoRel = make(map[mkey]float64)
+	if *memo == nil {
+		*memo = make(map[string]float64)
 	}
-	return s.relRec(m)
+	return s.rec(m, *memo, mean)
 }
 
-func (s *System) relRec(m *mstate) (float64, error) {
-	if m.doomed() {
+// rec is the memoized first-step recurrence V(S) = c + Σ_e (λ_e/Λ)·V(S_e):
+// for the mean time c = 1/Λ and V = 0 on completion; for the reliability
+// c = 0, V = 1 on completion and V = 0 once a task is stranded.
+func (s *System) rec(m *mstate, memo map[string]float64, mean bool) (float64, error) {
+	if !mean && m.doomed() {
 		return 0, nil
 	}
 	if m.done() {
+		if mean {
+			return 0, nil
+		}
 		return 1, nil
 	}
-	k := m.key()
-	if v, ok := s.memoRel[k]; ok {
+	if v, ok := memo[string(s.key(m))]; ok {
 		return v, nil
 	}
+	key := string(s.keyBuf) // the recursion below reuses the buffer
 	ts := s.transitions(m)
 	var total float64
 	for _, tr := range ts {
@@ -282,15 +234,25 @@ func (s *System) relRec(m *mstate) (float64, error) {
 		return 0, fmt.Errorf("markov: absorbing non-final state %+v", m)
 	}
 	var v float64
+	if mean {
+		v = 1 / total
+	}
 	for _, tr := range ts {
-		sub, err := s.relRec(tr.next)
+		sub, err := s.rec(tr.next, memo, mean)
 		if err != nil {
 			return 0, err
 		}
 		v += tr.rate / total * sub
 	}
-	s.memoRel[k] = v
+	memo[key] = v
 	return v, nil
+}
+
+// edge is a transition of the enumerated chain: its rate and the index of
+// the state it leads to.
+type edge struct {
+	rate float64
+	to   int
 }
 
 // QoS computes P(T(S) < tm) by uniformization: the CTMC is embedded in a
@@ -301,7 +263,7 @@ func (s *System) QoS(st *core.State, tm float64) (float64, error) {
 	if tm < 0 || math.IsNaN(tm) {
 		return 0, fmt.Errorf("markov: invalid deadline %g", tm)
 	}
-	m0, err := stateOf(st)
+	m0, err := s.stateOf(st)
 	if err != nil {
 		return 0, err
 	}
@@ -316,60 +278,47 @@ func (s *System) QoS(st *core.State, tm float64) (float64, error) {
 	}
 
 	// Enumerate the reachable state space (it is finite: queues only
-	// shrink except by deliveries of finitely many groups).
-	index := map[mkey]int{}
+	// shrink except by deliveries of finitely many groups). Absorbing
+	// states — done or doomed — keep no edges and a zero exit rate.
+	index := map[string]int{}
 	var states []*mstate
+	var edges [][]edge
 	var outRate []float64
-	var succ [][]transition
-	var stack []*mstate
 	add := func(m *mstate) int {
-		k := m.key()
-		if i, ok := index[k]; ok {
+		if i, ok := index[string(s.key(m))]; ok {
 			return i
 		}
-		i := len(states)
-		index[k] = i
+		index[string(s.keyBuf)] = len(states)
 		states = append(states, m)
-		succ = append(succ, nil)
+		edges = append(edges, nil)
 		outRate = append(outRate, 0)
-		stack = append(stack, m)
-		return i
+		return len(states) - 1
 	}
 	add(m0)
-	for len(stack) > 0 {
-		m := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		i := index[m.key()]
+	for i := 0; i < len(states); i++ {
+		m := states[i]
 		if m.done() || m.doomed() {
 			continue
 		}
-		ts := s.transitions(m)
-		succ[i] = ts
-		for _, tr := range ts {
+		for _, tr := range s.transitions(m) {
 			outRate[i] += tr.rate
-			add(tr.next)
+			edges[i] = append(edges[i], edge{rate: tr.rate, to: add(tr.next)})
 		}
 	}
-	var lambdaMax float64
-	for _, r := range outRate {
-		if r > lambdaMax {
-			lambdaMax = r
-		}
-	}
+	lambdaMax := slices.Max(outRate)
 	if lambdaMax == 0 {
 		return 0, fmt.Errorf("markov: no active transitions from %+v", m0)
 	}
 
 	// DTMC step matrix P = I + Q/Λ_max applied to the "absorbed by now"
-	// indicator, iterated with Poisson(Λ_max·tm) weights.
-	n := len(states)
-	absorbed := make([]float64, n) // P(done | start here, k jumps so far)
+	// indicator, iterated with Poisson(Λ_max·tm) weights. An absorbing
+	// state's row is the identity, so it keeps its indicator exactly.
+	cur := make([]float64, len(states)) // P(done | start here, k jumps so far)
 	for i, m := range states {
 		if m.done() {
-			absorbed[i] = 1
+			cur[i] = 1
 		}
 	}
-	result := 0.0
 	// Poisson(Λ_max·tm) weights in log space (the naive recurrence
 	// underflows for large Λ·tm), run until the cumulative weight covers
 	// 1-1e-12 or the absorption vector has converged.
@@ -378,45 +327,32 @@ func (s *System) QoS(st *core.State, tm float64) (float64, error) {
 		lg, _ := math.Lgamma(float64(j) + 1)
 		return -lt + float64(j)*math.Log(lt) - lg
 	}
-	start := index[m0.key()]
 	if lt == 0 {
-		return absorbed[start], nil
+		return cur[0], nil // m0 was enumerated first
 	}
 	w := math.Exp(poisLog(0))
 	cum := w
-	result += w * absorbed[start]
+	result := w * cur[0]
 	maxJumps := int(lt + 12*math.Sqrt(lt+1) + 50)
-	cur := absorbed
-	next := make([]float64, n)
+	next := make([]float64, len(states))
 	for j := 1; j <= maxJumps && cum < 1-1e-12; j++ {
 		var delta float64
 		for i := range next {
-			m := states[i]
-			if m.done() {
-				next[i] = 1
-				continue
-			}
-			if m.doomed() {
-				next[i] = 0
-				continue
-			}
 			v := (1 - outRate[i]/lambdaMax) * cur[i]
-			for _, tr := range succ[i] {
-				v += tr.rate / lambdaMax * cur[index[tr.next.key()]]
+			for _, e := range edges[i] {
+				v += e.rate / lambdaMax * cur[e.to]
 			}
-			if d := math.Abs(v - cur[i]); d > delta {
-				delta = d
-			}
+			delta = max(delta, math.Abs(v-cur[i]))
 			next[i] = v
 		}
 		cur, next = next, cur
 		w = math.Exp(poisLog(j))
 		cum += w
-		result += w * cur[start]
+		result += w * cur[0]
 		// Once the jump-chain absorption vector is stationary, the
 		// remaining Poisson mass contributes the limiting value exactly.
 		if delta < 1e-15 {
-			result += (1 - cum) * cur[start]
+			result += (1 - cum) * cur[0]
 			break
 		}
 	}

@@ -32,9 +32,9 @@ func TestFromModelExtractsRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testutil.Almost(t, s.MuService[0], 0.5, 1e-12, "mu1")
-	testutil.Almost(t, s.MuService[1], 1, 1e-12, "mu2")
-	testutil.Almost(t, s.LambdaFail[0], 0.001, 1e-12, "lambda1")
+	testutil.Almost(t, s.Mu[0], 0.5, 1e-12, "mu1")
+	testutil.Almost(t, s.Mu[1], 1, 1e-12, "mu2")
+	testutil.Almost(t, s.Lambda[0], 0.001, 1e-12, "lambda1")
 	testutil.Almost(t, s.TransferRate(4, 0, 1), 0.25, 1e-12, "transfer rate")
 }
 
@@ -44,17 +44,6 @@ func TestFromModelRejectsNonExponential(t *testing.T) {
 	if _, err := FromModel(m); err == nil {
 		t.Fatal("non-exponential service should be rejected")
 	}
-}
-
-func TestApproximateMatchesMeans(t *testing.T) {
-	m := expModel(2, 1, 1000, 0, 1)
-	m.Service[0] = dist.NewPareto(2.5, 2) // same mean as the exponential it replaces
-	s, err := Approximate(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testutil.Almost(t, s.MuService[0], 0.5, 1e-12, "approximated rate from Pareto mean")
-	testutil.Almost(t, s.LambdaFail[1], 0, 0, "never failure approximates to rate 0")
 }
 
 // TestMeanClosedForms: E[max(Exp(1), Exp(1/2))] = 1 + 2 − 2/3 = 7/3, and
@@ -242,14 +231,28 @@ func TestMeanMatchesCoreSolver(t *testing.T) {
 	testutil.Almost(t, coreT, mkT, 0.02, "core vs markov mean")
 }
 
-func TestTooManyGroupsRejected(t *testing.T) {
+// TestManyGroupsMatchCoreSolver: neither the chain nor the regeneration
+// solver caps the number of in-flight groups; five at once must agree.
+func TestManyGroupsMatchCoreSolver(t *testing.T) {
 	m := expModel(1, 1, 0, 0, 1)
 	s, _ := FromModel(m)
-	st, _ := core.NewState(m, []int{5, 5}, core.Policy2(0, 0))
+	sv, err := core.NewSolver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv.Step = 0.02
+	sv.Horizon = 100
+	st, _ := core.NewState(m, []int{2, 1}, core.Policy2(0, 0))
 	for i := 0; i < 5; i++ {
-		st.Groups = append(st.Groups, core.Group{Src: 0, Dst: 1, Tasks: 1})
+		st.Groups = append(st.Groups, core.Group{Src: i % 2, Dst: 1 - i%2, Tasks: 1 + i%2})
 	}
-	if _, err := s.Reliability(st); err == nil {
-		t.Fatal("5 groups should be rejected")
+	mkT, err := s.MeanTime(st)
+	if err != nil {
+		t.Fatal(err)
 	}
+	coreT, err := sv.MeanTime(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.Almost(t, coreT, mkT, 0.02, "core vs markov mean, five groups")
 }

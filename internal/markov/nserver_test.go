@@ -26,41 +26,31 @@ func expModelN(serviceMeans, failMeans []float64, zPerTask float64) *core.Model 
 	return m
 }
 
+// TestNSystemMatchesTwoServerSystem pins the chain to the values the former
+// fixed-[2]-array copy returned on a two-server state (commit 9b04f59), at
+// the tolerances the copy-vs-copy comparison used.
 func TestNSystemMatchesTwoServerSystem(t *testing.T) {
 	m := expModel(2, 1, 40, 25, 1)
-	s2, err := FromModel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := NFromModel(m)
+	s, err := FromModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, _ := core.NewState(m, []int{5, 3}, core.Policy2(2, 1))
-	r2, err := s2.Reliability(st)
+	r, err := s.Reliability(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn, err := sn.Reliability(st)
+	testutil.Almost(t, r, 0.67881582352834569, 1e-12, "reliability vs pinned two-server value")
+	q, err := s.QoS(st, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	testutil.Almost(t, rn, r2, 1e-12, "n-system vs 2-system reliability")
-
-	q2, err := s2.QoS(st, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qn, err := sn.QoS(st, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testutil.Almost(t, qn, q2, 1e-9, "n-system vs 2-system QoS")
+	testutil.Almost(t, q, 0.58793269072311904, 1e-9, "QoS vs pinned two-server value")
 }
 
 func TestNSystemThreeServerClosedForms(t *testing.T) {
 	m := expModelN([]float64{1.5, 1, 0.5}, nil, 0.6)
-	sn, err := NFromModel(m)
+	sn, err := FromModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +66,16 @@ func TestNSystemThreeServerClosedForms(t *testing.T) {
 	testutil.Almost(t, got, want, 1e-12, "inclusion-exclusion E[max]")
 }
 
-// TestNSystemMatchesNSolver: the n-server age-dependent recursion and the
-// n-server Markov chain must agree on exponential inputs — the n-server
-// leg of the XV-1 cross-validation.
+// TestNSystemMatchesNSolver: the age-dependent recursion and the Markov
+// chain must agree on exponential inputs — the three-server leg of the
+// XV-1 cross-validation.
 func TestNSystemMatchesNSolver(t *testing.T) {
 	m := expModelN([]float64{1.2, 0.9, 0.6}, []float64{25, 20, 15}, 0.7)
-	sn, err := NFromModel(m)
+	sn, err := FromModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := core.NewNSolver(m)
+	sv, err := core.NewSolver(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +96,7 @@ func TestNSystemMatchesNSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testutil.Almost(t, gotR, wantR, 0.02, "NSolver vs NSystem reliability")
+	testutil.Almost(t, gotR, wantR, 0.02, "core vs markov reliability, 3 servers")
 
 	wantQ, err := sn.QoS(st, 6)
 	if err != nil {
@@ -116,16 +106,16 @@ func TestNSystemMatchesNSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testutil.Almost(t, gotQ, wantQ, 0.02, "NSolver vs NSystem QoS")
+	testutil.Almost(t, gotQ, wantQ, 0.02, "core vs markov QoS, 3 servers")
 }
 
 func TestNSystemMeanMatchesNSolver(t *testing.T) {
 	m := expModelN([]float64{1.2, 0.9, 0.6}, nil, 0.7)
-	sn, err := NFromModel(m)
+	sn, err := FromModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := core.NewNSolver(m)
+	sv, err := core.NewSolver(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,20 +132,20 @@ func TestNSystemMeanMatchesNSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testutil.Almost(t, got, want, 0.02, "NSolver vs NSystem mean")
+	testutil.Almost(t, got, want, 0.02, "core vs markov mean, 3 servers")
 }
 
 func TestNSystemRejectsNonExponential(t *testing.T) {
 	m := expModelN([]float64{1, 1, 1}, nil, 1)
 	m.Service[1] = dist.NewPareto(2.5, 1)
-	if _, err := NFromModel(m); err == nil {
+	if _, err := FromModel(m); err == nil {
 		t.Fatal("non-exponential service should be rejected")
 	}
 }
 
 func TestNSystemQoSLimits(t *testing.T) {
 	m := expModelN([]float64{1, 1, 1}, []float64{30, 30, 30}, 1)
-	sn, _ := NFromModel(m)
+	sn, _ := FromModel(m)
 	st, _ := core.NewState(m, []int{2, 1, 1}, core.NewPolicy(3))
 	zero, err := sn.QoS(st, 0)
 	if err != nil {

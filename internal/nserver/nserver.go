@@ -142,30 +142,31 @@ func (s *Solver) Evaluate(initial []int, p core.Policy, deadline float64) (Bound
 		if own+batch >= len(s.pre[k]) {
 			return Bounds{}, fmt.Errorf("nserver: server %d load %d exceeds MaxQueue=%d", k, own+batch, len(s.pre[k])-1)
 		}
-		fOpt, err := s.finish(k, own, batch, zOpt)
-		if err != nil {
-			return Bounds{}, err
-		}
-		fPes, err := s.finish(k, own, batch, zPes)
-		if err != nil {
-			return Bounds{}, err
+		// The sides differ only where several groups race to one server.
+		fOpt := s.finish(k, own, batch, zOpt)
+		fPes := fOpt
+		if len(incoming[k]) > 1 {
+			fPes = s.finish(k, own, batch, zPes)
 		}
 		optMax = append(optMax, fOpt)
 		pesMax = append(pesMax, fPes)
 	}
 
 	b.Optimistic = s.metrics(optMax, deadline)
-	b.Pessimistic = s.metrics(pesMax, deadline)
+	b.Pessimistic = b.Optimistic
+	if !b.Exact {
+		b.Pessimistic = s.metrics(pesMax, deadline)
+	}
 	return b, nil
 }
 
-// finish builds F = max(S_own, Z) + S_batch (Z nil when no groups).
-func (s *Solver) finish(k, own, batch int, z *gridfn.Lattice) (*gridfn.Lattice, error) {
+// finish builds F = max(S_own, Z) + S_batch (Z nil when no groups). The
+// result may be a shared prefix table: callers only read it.
+func (s *Solver) finish(k, own, batch int, z *gridfn.Lattice) *gridfn.Lattice {
 	if z == nil {
-		return s.pre[k][own].Clone(), nil
+		return s.pre[k][own]
 	}
-	race := s.pre[k][own].MaxIndep(z)
-	return race.Convolve(s.pre[k][batch]), nil
+	return s.pre[k][own].MaxIndep(z).Convolve(s.pre[k][batch])
 }
 
 // metrics folds the per-server finish laws into the three metrics.

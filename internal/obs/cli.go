@@ -53,6 +53,17 @@ func BindFlags(fs *flag.FlagSet) *CLI {
 	return c
 }
 
+// WriteAddrFile atomically publishes a bound address so scripts that
+// started a daemon on ":0" can find the port (write temp + rename: a
+// reader never sees a partial file).
+func WriteAddrFile(path, addr string) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
 // Enabled reports whether any observability flag was set.
 func (c *CLI) Enabled() bool {
 	return c.MetricsAddr != "" || c.LogLevel != "" || c.Progress || c.DumpPath != "" || c.PProf ||

@@ -2,46 +2,41 @@ package policy
 
 import (
 	"fmt"
-	"math"
 
-	"dtr/dist"
 	"dtr/internal/core"
-	"dtr/internal/gridfn"
+	"dtr/internal/nserver"
 	"dtr/internal/rngutil"
 )
 
-// AllocationMetrics evaluates an initial allocation with no reallocation
-// traffic: each server k independently serves alloc[k] tasks, so
-// F_k = S_{alloc[k]} and the metrics factor exactly. This is the analytic
-// form of Table II's benchmark row, where the workload starts in the
-// optimal allocation and no transfers are needed.
-type AllocationMetrics struct {
-	Mean        float64
-	QoS         float64
-	Reliability float64
-	TailMass    float64
-}
+// AllocationMetrics are the metrics of an initial allocation with no
+// reallocation traffic: each server k independently serves alloc[k] tasks,
+// so F_k = S_{alloc[k]} and the metrics factor exactly. This is the
+// analytic form of Table II's benchmark row, where the workload starts in
+// the optimal allocation and no transfers are needed.
+type AllocationMetrics = nserver.Metrics
 
-// AllocationEvaluator precomputes per-server service-sum laws for fast
-// repeated evaluation of allocations (the benchmark search's inner loop).
+// AllocationEvaluator evaluates allocations repeatedly on one set of
+// per-server service-sum laws (the benchmark search's inner loop). An
+// allocation with no transfers is the n-server scenario under the zero
+// policy, where the batch-arrival bounds are exact, so the evaluator is
+// an nserver.Solver asked for its optimistic side.
 type AllocationEvaluator struct {
 	model *core.Model
-	pre   [][]*gridfn.Lattice
-	dx    float64
-	n     int
+	sv    *nserver.Solver
+	stay  core.Policy
 }
 
 // NewAllocationEvaluator builds the evaluator; maxPer bounds the tasks
-// any single server may be assigned.
+// any single server may be assigned. A zero horizon covers 2.5× the
+// slowest server's mean time for maxPer tasks — service only, there are
+// no transfers to wait for. nserver folds the model's replication factors
+// into the service laws; no caller sets them on this path.
 func NewAllocationEvaluator(m *core.Model, maxPer int, gridN int, horizon float64) (*AllocationEvaluator, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if maxPer <= 0 {
 		return nil, fmt.Errorf("policy: maxPer must be positive")
-	}
-	if gridN == 0 {
-		gridN = 4096
 	}
 	if horizon == 0 {
 		worst := 0.0
@@ -52,74 +47,17 @@ func NewAllocationEvaluator(m *core.Model, maxPer int, gridN int, horizon float6
 		}
 		horizon = 2.5 * worst
 	}
-	dx := horizon / float64(gridN-1)
-	ev := &AllocationEvaluator{model: m, dx: dx, n: gridN}
-	for _, d := range m.Service {
-		base := gridfn.FromCDF(d.CDF, dx, gridN)
-		ev.pre = append(ev.pre, base.Prefixes(maxPer))
+	sv, err := nserver.NewSolver(m, nserver.Config{GridN: gridN, Horizon: horizon, MaxQueue: maxPer})
+	if err != nil {
+		return nil, err
 	}
-	return ev, nil
+	return &AllocationEvaluator{model: m, sv: sv, stay: core.NewPolicy(m.N())}, nil
 }
 
 // Evaluate computes the metrics of an allocation (deadline 0 skips QoS).
 func (ev *AllocationEvaluator) Evaluate(alloc []int, deadline float64) (AllocationMetrics, error) {
-	if len(alloc) != ev.model.N() {
-		return AllocationMetrics{}, fmt.Errorf("policy: allocation for %d servers, model has %d", len(alloc), ev.model.N())
-	}
-	var out AllocationMetrics
-	out.Reliability = 1
-	out.QoS = 1
-	// Distribution of the max builds up one server at a time through the
-	// CDF product.
-	maxCDF := make([]float64, ev.n)
-	for i := range maxCDF {
-		maxCDF[i] = 1
-	}
-	for k, q := range alloc {
-		if q < 0 || q >= len(ev.pre[k]) {
-			return AllocationMetrics{}, fmt.Errorf("policy: allocation %d out of range at server %d", q, k)
-		}
-		f := ev.pre[k][q]
-		out.TailMass += f.Tail
-		cdf := f.CDF()
-		for i := range maxCDF {
-			maxCDF[i] *= cdf[i]
-		}
-
-		y := ev.model.Failure[k]
-		if _, never := y.(dist.Never); !never {
-			out.Reliability *= f.ExpectSurvival(y.Survival, 0)
-			if deadline > 0 {
-				var s float64
-				for i, m := range f.M {
-					x := float64(i) * f.Dx
-					if x > deadline {
-						break
-					}
-					if m != 0 {
-						s += m * y.Survival(x)
-					}
-				}
-				out.QoS *= s
-			}
-		} else if deadline > 0 {
-			out.QoS *= f.CDFAt(deadline)
-		}
-	}
-	if deadline <= 0 {
-		out.QoS = math.NaN()
-	}
-	if ev.model.Reliable() {
-		// E[max] = ∫ (1 − Π CDF_k) dt over the lattice.
-		var mean float64
-		for i := range maxCDF {
-			mean += 1 - maxCDF[i]
-		}
-		out.Mean = mean * ev.dx
-	} else {
-		out.Mean = math.NaN()
-	}
-	return out, nil
+	b, err := ev.sv.Evaluate(alloc, ev.stay, deadline)
+	return b.Optimistic, err
 }
 
 // SearchBestAllocation looks for the allocation of M tasks over the

@@ -19,6 +19,9 @@ import (
 // workload — use it at small task counts; Optimize2 is the production
 // path. The two must agree, which the tests verify.
 func Optimize2Regen(sv *core.Solver, m1, m2 int, obj Objective, opt Options2) (Result2, error) {
+	if n := sv.Model.N(); n != 2 {
+		return Result2{}, fmt.Errorf("policy: the (L12, L21) search needs a two-server model, got %d servers", n)
+	}
 	if obj == ObjMeanTime && !sv.Model.Reliable() {
 		return Result2{}, fmt.Errorf("policy: mean-time objective requires reliable servers")
 	}

@@ -100,6 +100,14 @@ func TestOptimize2RegenValidation(t *testing.T) {
 	if _, err := Optimize2Regen(sv, -1, 2, ObjReliability, Options2{}); err == nil {
 		t.Fatal("negative workload should error")
 	}
+	// The solver takes any number of servers; the (L12, L21) search does not.
+	sv5, err := core.NewSolver(fiveServer(dist.FamilyExponential, 1, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Optimize2Regen(sv5, 2, 2, ObjReliability, Options2{}); err == nil {
+		t.Fatal("five-server model should error")
+	}
 }
 
 // TestOptimize2RegenMemoSharing: evaluating many policies with one solver

@@ -95,10 +95,10 @@ func check(path string) error {
 // policyReport mirrors the BENCH_policy.json document written by
 // TestWriteBenchPolicy (internal/policy).
 type policyReport struct {
-	Benchmark     string  `json:"benchmark"`
-	NumCPU        int     `json:"num_cpu"`
-	LatticePoints int     `json:"lattice_points"`
-	GridN         int     `json:"grid_n"`
+	Benchmark     string `json:"benchmark"`
+	NumCPU        int    `json:"num_cpu"`
+	LatticePoints int    `json:"lattice_points"`
+	GridN         int    `json:"grid_n"`
 	Runs          []struct {
 		Workers int     `json:"workers"`
 		Seconds float64 `json:"seconds"`

@@ -26,7 +26,8 @@ type State = core.State
 type Group = core.Group
 
 // RegenSolver is the paper's age-dependent regeneration solver
-// (Theorem 1) for arbitrary two-server configurations.
+// (Theorem 1) for arbitrary configurations — any ages, any number of
+// in-flight groups — of an n-server system.
 type RegenSolver = core.Solver
 
 // NewPolicy returns an all-zero policy for n servers.
@@ -41,9 +42,11 @@ func NewState(m *Model, initial []int, p Policy) (*State, error) {
 	return core.NewState(m, initial, p)
 }
 
-// NewRegenSolver returns the age-dependent regeneration solver for a
-// two-server model with default grid settings (tune Step/Horizon/AgeCap
-// on the returned value).
+// NewRegenSolver returns the age-dependent regeneration solver for the
+// model with default grid settings (tune Step/Horizon/AgeCap on the
+// returned value). Neither the number of servers nor the number of
+// in-flight groups or failure notices is capped; the cost is exponential
+// in the number of servers and MaxStates is the valve.
 func NewRegenSolver(m *Model) (*RegenSolver, error) {
 	return core.NewSolver(m)
 }
