@@ -58,9 +58,14 @@ cluster-smoke:
 
 # Non-test Go lines, the two figures ROADMAP aim 2 tracks (everything, and
 # everything outside the benchmark's own code), printed into every CI log.
+# The second is gated: it fails above LOC_CEILING, the figure of the last
+# PR that moved it on purpose. Raise the ceiling in the PR that needs the
+# lines, and say what they bought.
+LOC_CEILING = 22597
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
-	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l | xargs echo "  outside bench/:"
+	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \
+	echo "  outside bench/: $$n (ceiling $(LOC_CEILING))"; [ $$n -le $(LOC_CEILING) ]
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

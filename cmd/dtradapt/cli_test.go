@@ -16,6 +16,7 @@ import (
 	"dtr/dist"
 	"dtr/internal/adapt"
 	"dtr/internal/ingest"
+	"dtr/internal/obs"
 	"dtr/internal/rngutil"
 	"dtr/internal/trace"
 	"dtr/modelspec"
@@ -58,7 +59,7 @@ func writeTrace(t *testing.T, path string, rounds int) {
 }
 
 // TestExitClassification pins the CLI error taxonomy: -h is ErrHelp
-// (exit 0), flag/config mistakes are errUsage (exit 2), runtime
+// (exit 0), flag/config mistakes are obs.ErrUsage (exit 2), runtime
 // failures are plain errors (exit 1).
 func TestExitClassification(t *testing.T) {
 	dir := t.TempDir()
@@ -83,8 +84,8 @@ func TestExitClassification(t *testing.T) {
 	}
 	for _, args := range usage {
 		err := run(args, io.Discard)
-		if !errors.Is(err, errUsage) {
-			t.Errorf("run(%q) = %v, want errUsage", strings.Join(args, " "), err)
+		if !errors.Is(err, obs.ErrUsage) {
+			t.Errorf("run(%q) = %v, want obs.ErrUsage", strings.Join(args, " "), err)
 		}
 	}
 
@@ -95,7 +96,7 @@ func TestExitClassification(t *testing.T) {
 	// Runtime failures must NOT be classified as usage errors.
 	err := run([]string{"-trace", filepath.Join(dir, "missing.jsonl"),
 		"-queues", "12,6", "-once"}, io.Discard)
-	if err == nil || errors.Is(err, errUsage) {
+	if err == nil || errors.Is(err, obs.ErrUsage) {
 		t.Errorf("missing trace: %v, want plain runtime error", err)
 	}
 }
@@ -218,7 +219,7 @@ func TestOnceIngest(t *testing.T) {
 	// An unknown tenant is a runtime error, not usage.
 	err = run([]string{"-ingest", ts.URL, "-tenant", "ghost",
 		"-queues", "12,6", "-once"}, io.Discard)
-	if err == nil || errors.Is(err, errUsage) {
+	if err == nil || errors.Is(err, obs.ErrUsage) {
 		t.Errorf("unknown tenant: %v, want plain runtime error", err)
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -46,26 +45,12 @@ import (
 	"dtr/internal/trace"
 )
 
-// errUsage marks flag/configuration errors: the audited CLI convention
-// is usage on stderr and exit status 2 for those, 1 for runtime errors
-// and 0 for -h/-help.
-var errUsage = errors.New("usage error")
-
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintf(os.Stderr, "dtradapt: %v\n", err)
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
+	obs.Exit("dtradapt", run(os.Args[1:], os.Stdout))
 }
 
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("dtradapt", flag.ContinueOnError)
+	fs := obs.NewFlagSet("dtradapt", "dtradapt <-trace run.jsonl | -ingest URL -tenant T> -queues 50,25 <-once|-follow> [flags]")
 	tracePath := fs.String("trace", "", "JSONL trace to read (this or -ingest is required)")
 	ingestURL := fs.String("ingest", "", "dtringest base URL; statistics snapshots replace the raw trace")
 	tenant := fs.String("tenant", "", "tenant to poll from the ingest daemon (required with -ingest)")
@@ -81,61 +66,45 @@ func run(args []string, out io.Writer) error {
 	driftKS := fs.Float64("drift-ks", 0.15, "KS-distance drift threshold")
 	driftMean := fs.Float64("drift-relmean", 0.25, "relative mean-shift drift threshold")
 	familiesFlag := fs.String("families", "", "comma-separated candidate families (default: all)")
-	gridN := fs.Int("grid", 8192, "lattice points for the in-process solver")
+	gridN := fs.Int("grid", 0, "lattice points for the in-process solver (0 = default)")
 	poll := fs.Duration("poll", 500*time.Millisecond, "tail poll interval (with -follow)")
 	specOut := fs.String("spec-out", "", "write the latest fitted spec JSON to this file (atomic)")
 	policyOut := fs.String("policy-out", "", "write the latest policy string to this file (atomic)")
 	workers := par.BindFlag(fs)
 	obsCfg := obs.BindFlags(fs)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dtradapt <-trace run.jsonl | -ingest URL -tenant T> -queues 50,25 <-once|-follow> [flags]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", errUsage, err)
+	if err := obs.ParseFlags(fs, args); err != nil {
+		return err
 	}
 	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("%w: unexpected argument %q", errUsage, fs.Arg(0))
+		return obs.UsageErrorf(fs, "unexpected argument %q", fs.Arg(0))
 	}
 	if err := workers.Validate(); err != nil {
-		fs.Usage()
-		return fmt.Errorf("%w: %v", errUsage, err)
+		return obs.UsageErrorf(fs, "%v", err)
 	}
 	if *queuesFlag == "" {
-		fs.Usage()
-		return fmt.Errorf("%w: -queues is required", errUsage)
+		return obs.UsageErrorf(fs, "-queues is required")
 	}
 	if (*tracePath == "") == (*ingestURL == "") {
-		fs.Usage()
-		return fmt.Errorf("%w: exactly one of -trace or -ingest", errUsage)
+		return obs.UsageErrorf(fs, "exactly one of -trace or -ingest")
 	}
 	if *ingestURL != "" && *tenant == "" {
-		fs.Usage()
-		return fmt.Errorf("%w: -ingest needs -tenant", errUsage)
+		return obs.UsageErrorf(fs, "-ingest needs -tenant")
 	}
 	if *tenant != "" && *ingestURL == "" {
-		fs.Usage()
-		return fmt.Errorf("%w: -tenant only applies with -ingest", errUsage)
+		return obs.UsageErrorf(fs, "-tenant only applies with -ingest")
 	}
 	if *once == *follow {
-		fs.Usage()
-		return fmt.Errorf("%w: exactly one of -once or -follow", errUsage)
+		return obs.UsageErrorf(fs, "exactly one of -once or -follow")
 	}
 	queues, err := parseQueues(*queuesFlag)
 	if err != nil {
-		fs.Usage()
-		return fmt.Errorf("%w: %v", errUsage, err)
+		return obs.UsageErrorf(fs, "%v", err)
 	}
 	var fams []fit.Family
 	if *familiesFlag != "" {
 		fams, err = fit.ParseFamilies(strings.Split(*familiesFlag, ","))
 		if err != nil {
-			fs.Usage()
-			return fmt.Errorf("%w: %v", errUsage, err)
+			return obs.UsageErrorf(fs, "%v", err)
 		}
 	}
 
@@ -156,8 +125,7 @@ func run(args []string, out io.Writer) error {
 	}
 	ctrl, err := adapt.New(cfg)
 	if err != nil {
-		fs.Usage()
-		return fmt.Errorf("%w: %v", errUsage, err)
+		return obs.UsageErrorf(fs, "%v", err)
 	}
 	if err := obsCfg.Start(); err != nil {
 		return err
@@ -225,26 +193,16 @@ func (s *decisionSink) emit(d *adapt.Decision, indent bool) error {
 		if err != nil {
 			return fmt.Errorf("encode spec: %w", err)
 		}
-		if err := atomicWrite(s.specOut, append(spec, '\n')); err != nil {
+		if err := obs.WriteFileAtomic(s.specOut, append(spec, '\n')); err != nil {
 			return err
 		}
 	}
 	if s.policyOut != "" {
-		if err := atomicWrite(s.policyOut, []byte(d.PolicyString+"\n")); err != nil {
+		if err := obs.WriteFileAtomic(s.policyOut, []byte(d.PolicyString+"\n")); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// atomicWrite publishes data at path via temp-file + rename so readers
-// never observe a partial file.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // runOnce ingests the whole trace and performs one forced fit + replan.

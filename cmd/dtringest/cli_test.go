@@ -4,11 +4,13 @@ import (
 	"errors"
 	"flag"
 	"testing"
+
+	"dtr/internal/obs"
 )
 
 // TestExitClassification pins the CLI error taxonomy shared with the
 // other commands: -h is ErrHelp (exit 0), flag/config mistakes are
-// errUsage (exit 2), runtime failures are plain errors (exit 1).
+// obs.ErrUsage (exit 2), runtime failures are plain errors (exit 1).
 func TestExitClassification(t *testing.T) {
 	usage := [][]string{
 		{"-no-such-flag"},
@@ -21,8 +23,8 @@ func TestExitClassification(t *testing.T) {
 	}
 	for _, args := range usage {
 		err := run(args)
-		if !errors.Is(err, errUsage) {
-			t.Errorf("run(%v) = %v, want errUsage", args, err)
+		if !errors.Is(err, obs.ErrUsage) {
+			t.Errorf("run(%v) = %v, want obs.ErrUsage", args, err)
 		}
 	}
 	if err := run([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
@@ -30,7 +32,7 @@ func TestExitClassification(t *testing.T) {
 	}
 	// Runtime failure (unbindable address) is a plain error, not usage.
 	err := run([]string{"-http", "256.256.256.256:1"})
-	if err == nil || errors.Is(err, errUsage) {
+	if err == nil || errors.Is(err, obs.ErrUsage) {
 		t.Errorf("run(bad addr) = %v, want plain error", err)
 	}
 }

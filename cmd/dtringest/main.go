@@ -28,40 +28,23 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"dtr/internal/ingest"
 	"dtr/internal/obs"
 )
 
-// errUsage marks flag/configuration errors: usage on stderr and exit
-// status 2, matching the other CLIs' audited convention.
-var errUsage = errors.New("usage error")
-
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintf(os.Stderr, "dtringest: %v\n", err)
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
+	obs.Exit("dtringest", run(os.Args[1:]))
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("dtringest", flag.ContinueOnError)
+	fs := obs.NewFlagSet("dtringest", "dtringest [-http :9120] [-udp :9125] [-window 1m] [-windows 5] ...")
 	httpAddr := fs.String("http", "127.0.0.1:9120", "HTTP listen address (\":0\" picks a free port)")
 	udpAddr := fs.String("udp", "127.0.0.1:9125", "UDP listen address for line-protocol datagrams (\"\" disables UDP)")
 	addrFile := fs.String("addr-file", "", "write the bound HTTP address to this file once listening (for scripts driving \":0\")")
@@ -78,23 +61,14 @@ func run(args []string) error {
 	withPProf := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the HTTP listener")
 	logLevel := fs.String("log-level", "info", "structured log level on stderr: debug, info, warn, error or off")
 	withTrace := fs.Bool("trace", true, "trace snapshot requests: span trees on /debug/requests, W3C traceparent in and out")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dtringest [-http :9120] [-udp :9125] [-window 1m] [-windows 5] ...")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", errUsage, err)
+	if err := obs.ParseFlags(fs, args); err != nil {
+		return err
 	}
 	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("%w: unexpected argument %q", errUsage, fs.Arg(0))
+		return obs.UsageErrorf(fs, "unexpected argument %q", fs.Arg(0))
 	}
 	if *window <= 0 || *windows <= 0 || *drain <= 0 {
-		fs.Usage()
-		return fmt.Errorf("%w: -window, -windows and -drain-timeout must be positive", errUsage)
+		return obs.UsageErrorf(fs, "-window, -windows and -drain-timeout must be positive")
 	}
 
 	// One registry for the whole process: the ingest counters plus the
@@ -104,7 +78,7 @@ func run(args []string) error {
 	if *logLevel != "" && *logLevel != "off" {
 		lvl, err := obs.ParseLevel(*logLevel)
 		if err != nil {
-			return fmt.Errorf("%w: %v", errUsage, err)
+			return fmt.Errorf("%w: %v", obs.ErrUsage, err)
 		}
 		obs.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
 	}
@@ -128,17 +102,10 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("listen http %s: %w", *httpAddr, err)
 	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := obs.WriteAddrFile(*addrFile, bound); err != nil {
-			_ = ln.Close()
-			return err
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-
+	// The UDP listener and the sweeper live until draining begins: the
+	// on-shutdown hook cancels them as /healthz flips to 503.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	udpErr := make(chan error, 1)
 	if *udpAddr != "" {
 		conn, err := net.ListenPacket("udp", *udpAddr)
@@ -154,41 +121,18 @@ func run(args []string) error {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "dtringest: udp on %s\n", conn.LocalAddr())
-		go func() { udpErr <- srv.ServeUDP(ctx, conn) }()
+		go func() {
+			if err := srv.ServeUDP(ctx, conn); err != nil {
+				udpErr <- err
+			}
+		}()
 	}
 	go srv.RunSweeper(ctx, *sweep)
-
-	fmt.Fprintf(os.Stderr, "dtringest: listening on http://%s\n", bound)
-	obs.Logger().Info("dtringest up", "http", bound, "udp", *udpAddr,
+	obs.Logger().Info("dtringest up", "http", ln.Addr().String(), "udp", *udpAddr,
 		"window", *window, "windows", *windows)
 
-	hs := &http.Server{Handler: mux}
-	// The instant Shutdown begins, /healthz reports draining so load
-	// balancers pull this instance before its listener disappears.
-	hs.RegisterOnShutdown(srv.StartDrain)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return fmt.Errorf("serve: %w", err)
-	case err := <-udpErr:
-		if err != nil {
-			return err
-		}
-		<-ctx.Done()
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately
-
-	obs.Logger().Info("dtringest draining", "timeout", *drain)
-	fmt.Fprintln(os.Stderr, "dtringest: draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := hs.Shutdown(drainCtx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	<-serveErr // Serve has returned http.ErrServerClosed
-	obs.Logger().Info("dtringest stopped")
-	return nil
+	return obs.ServeDaemon("dtringest", ln, *addrFile, mux, *drain, func() {
+		srv.StartDrain()
+		cancel()
+	}, udpErr)
 }

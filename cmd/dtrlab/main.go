@@ -34,6 +34,10 @@ import (
 )
 
 func main() {
+	obs.Exit("dtrlab", lab())
+}
+
+func lab() error {
 	fidName := flag.String("fidelity", "quick", "experiment fidelity: quick or full")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	mcReps := flag.Int("mcreps", 0, "override Monte-Carlo replications")
@@ -49,8 +53,7 @@ func main() {
 	}
 	flag.Parse()
 	if flag.NArg() < 1 {
-		flag.Usage()
-		os.Exit(2)
+		return obs.UsageErrorf(flag.CommandLine, "need an experiment")
 	}
 	experiment := flag.Arg(0)
 	if flag.NArg() > 1 {
@@ -59,8 +62,7 @@ func main() {
 		// the first positional argument, so parse the remainder too.
 		_ = flag.CommandLine.Parse(flag.Args()[1:]) // ExitOnError: exits on a bad flag
 		if flag.NArg() != 0 {
-			flag.Usage()
-			os.Exit(2)
+			return obs.UsageErrorf(flag.CommandLine, "unexpected argument %q", flag.Arg(0))
 		}
 	}
 
@@ -71,18 +73,14 @@ func main() {
 	case "full":
 		fid = exper.Full()
 	default:
-		fmt.Fprintf(os.Stderr, "dtrlab: unknown fidelity %q\n", *fidName)
-		os.Exit(2)
+		return obs.UsageErrorf(flag.CommandLine, "unknown fidelity %q", *fidName)
 	}
 	if err := workers.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "dtrlab: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+		return obs.UsageErrorf(flag.CommandLine, "%v", err)
 	}
 	fid.Workers = workers.N
 	if err := obsCfg.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "dtrlab: %v\n", err)
-		os.Exit(2)
+		return fmt.Errorf("%w: %v", obs.ErrUsage, err)
 	}
 	if *mcReps > 0 {
 		fid.MCReps = *mcReps
@@ -217,8 +215,5 @@ func main() {
 	if oerr := obsCfg.Stop(); oerr != nil && err == nil {
 		err = oerr
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dtrlab: %v\n", err)
-		os.Exit(1)
-	}
+	return err
 }

@@ -18,7 +18,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -29,29 +28,19 @@ import (
 	"time"
 
 	"dtr/internal/load"
+	"dtr/internal/obs"
 )
-
-var errUsage = errors.New("usage error")
 
 // errSLO marks a completed run that failed its SLO check (exit 1, after
 // the report was written).
 var errSLO = errors.New("SLO check failed")
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintf(os.Stderr, "dtrload: %v\n", err)
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
+	obs.Exit("dtrload", run(os.Args[1:], os.Stdout))
 }
 
 func run(args []string, out *os.File) error {
-	fs := flag.NewFlagSet("dtrload", flag.ContinueOnError)
+	fs := obs.NewFlagSet("dtrload", "dtrload -addr http://HOST:PORT -spec system.json [-verbs v1,v2] [-rps r1,r2] ...")
 	addr := fs.String("addr", "", "dtrserved base URL(s), comma-separated for a sharded fleet, e.g. http://127.0.0.1:8080 (required)")
 	specPath := fs.String("spec", "", "path to the JSON system specification every request carries (required)")
 	verbsFlag := fs.String("verbs", "optimize,metrics", "comma-separated planning verbs to mix, round-robin")
@@ -69,38 +58,29 @@ func run(args []string, out *os.File) error {
 	sloP99 := fs.Float64("slo-p99-ms", 0, "fail the run when any verb's p99 exceeds this many milliseconds (0 = off)")
 	sloErr := fs.Float64("slo-error-rate", 0, "fail the run when any verb's 5xx+transport fraction exceeds this (0 = off)")
 	sloRej := fs.Float64("slo-reject-rate", 0, "fail the run when any verb's 429+504 fraction exceeds this (0 = off)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dtrload -addr http://HOST:PORT -spec system.json [-verbs v1,v2] [-rps r1,r2] ...")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", errUsage, err)
+	if err := obs.ParseFlags(fs, args); err != nil {
+		return err
 	}
 	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("%w: unexpected argument %q", errUsage, fs.Arg(0))
+		return obs.UsageErrorf(fs, "unexpected argument %q", fs.Arg(0))
 	}
 	if *addr == "" || *specPath == "" {
-		fs.Usage()
-		return fmt.Errorf("%w: -addr and -spec are required", errUsage)
+		return obs.UsageErrorf(fs, "-addr and -spec are required")
 	}
 	spec, err := os.ReadFile(*specPath)
 	if err != nil {
 		return err
 	}
 	if !json.Valid(spec) {
-		return fmt.Errorf("%w: %s is not valid JSON", errUsage, *specPath)
+		return fmt.Errorf("%w: %s is not valid JSON", obs.ErrUsage, *specPath)
 	}
 	rps, err := parseRates(*rpsFlag)
 	if err != nil {
-		return fmt.Errorf("%w: %v", errUsage, err)
+		return fmt.Errorf("%w: %v", obs.ErrUsage, err)
 	}
 	verbs := splitList(*verbsFlag)
 	if len(verbs) == 0 {
-		return fmt.Errorf("%w: -verbs must name at least one verb", errUsage)
+		return fmt.Errorf("%w: -verbs must name at least one verb", obs.ErrUsage)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)

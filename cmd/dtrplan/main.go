@@ -13,381 +13,214 @@
 // (server indices are 0-based). Two-server systems get exact analytic
 // answers; larger systems use Algorithm 1, simulation and the
 // batch-arrival bounds.
+//
+// A subcommand is a planning verb of internal/serve run in this process:
+// the flags fill a serve.Request, serve.Exec validates and answers it as
+// dtrserved's POST /v1/<verb> does — minus the shared daemon's resource
+// caps — and this file renders the typed answer as text. What a field
+// means and what its zero value stands for is documented on serve.Request.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"strconv"
+	"strings"
 
 	"dtr"
 	"dtr/internal/obs"
 	"dtr/internal/par"
-	"dtr/modelspec"
+	"dtr/internal/serve"
 )
 
-// errUsage marks flag/configuration errors: the audited CLI convention
-// is usage on stderr and exit status 2 for those, 1 for runtime errors
-// and 0 for -h/-help.
-var errUsage = errors.New("usage error")
-
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		// -h/-help: the FlagSet already printed usage; exit clean.
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintf(os.Stderr, "dtrplan: %v\n", err)
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
+	obs.Exit("dtrplan", run(os.Args[1:], os.Stdout))
 }
 
-func run(args []string, out *os.File) error {
-	fs := flag.NewFlagSet("dtrplan", flag.ContinueOnError)
+func run(args []string, out io.Writer) error {
+	fs := obs.NewFlagSet("dtrplan", "dtrplan -model system.json <optimize|metrics|simulate|bounds|cdf> [flags]")
 	modelPath := fs.String("model", "", "path to the JSON system specification (required)")
-	gridN := fs.Int("grid", 8192, "lattice points for the analytic solvers")
+	req := &serve.Request{}
+	fs.IntVar(&req.Grid, "grid", 0, "lattice points for the analytic solvers (0 = default)")
 	workers := par.BindFlag(fs)
 	obsCfg := obs.BindFlags(fs)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dtrplan -model system.json <optimize|metrics|simulate|bounds|cdf> [flags]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		// The FlagSet already printed the error and usage.
-		return fmt.Errorf("%w: %v", errUsage, err)
+	if err := obs.ParseFlags(fs, args); err != nil {
+		return err
 	}
 	if err := workers.Validate(); err != nil {
-		fs.Usage()
-		return fmt.Errorf("%w: %v", errUsage, err)
+		return obs.UsageErrorf(fs, "%v", err)
 	}
 	if *modelPath == "" || fs.NArg() < 1 {
-		fs.Usage()
-		return fmt.Errorf("%w: need -model and a subcommand", errUsage)
+		return obs.UsageErrorf(fs, "need -model and a subcommand")
 	}
 	if err := obsCfg.Start(); err != nil {
 		return err
 	}
 
-	err := plan(*modelPath, *gridN, workers.N, fs.Arg(0), fs.Args()[1:], out)
+	err := plan(*modelPath, req, workers.N, fs.Arg(0), fs.Args()[1:], out)
 	if oerr := obsCfg.Stop(); oerr != nil && err == nil {
 		err = oerr
 	}
 	return err
 }
 
-func plan(modelPath string, gridN, workers int, sub string, rest []string, out *os.File) error {
-	m, initial, err := modelspec.Load(modelPath)
-	if err != nil {
+// plan binds the subcommand's flags onto req, answers it and renders the
+// answer.
+func plan(modelPath string, req *serve.Request, workers int, sub string, rest []string, out io.Writer) error {
+	fs := flag.NewFlagSet(sub, flag.ContinueOnError)
+	verb := sub
+	var explainPath string
+	policyFlag := func() {
+		fs.StringVar(&req.Policy, "policy", "", "shipments, e.g. \"0>1:26\" or \"0>2:4,1>2:3\"")
+	}
+	switch sub {
+	case "optimize":
+		fs.StringVar(&req.Objective, "objective", "", "mean (the default), qos or reliability")
+		fs.Float64Var(&req.Deadline, "deadline", 0, "deadline for -objective qos")
+		fs.StringVar(&explainPath, "explain", "", "write the explain artifact (winning policy + solver diagnostics, JSON) to this path; \"-\" emits it on stdout instead of the summary")
+		fs.BoolVar(&req.Probe, "probe", false, "with -explain: estimate grid-truncation error via a half-resolution probe (two-server systems)")
+		req.Replication = &serve.ReplRequest{}
+		fs.IntVar(&req.Replication.MaxFactor, "replicate-max", 1, "search replication factors up to this cap (each task may run as up to k cancel-on-first-complete copies; 1 = no replication)")
+		fs.IntVar(&req.Replication.Budget, "replicate-budget", 0, "cap on total extra copies across the plan (0 = unconstrained; needs -replicate-max > 1)")
+	case "metrics", "bounds":
+		policyFlag()
+		fs.Float64Var(&req.Deadline, "deadline", 0, "QoS deadline (0 = skip)")
+	case "simulate":
+		policyFlag()
+		fs.IntVar(&req.Reps, "reps", 0, "Monte-Carlo replications (0 = default)")
+		fs.Float64Var(&req.Deadline, "deadline", 0, "QoS deadline (0 = skip)")
+		fs.Uint64Var(&req.Seed, "seed", 0, "random seed (0 = default)")
+	case "cdf":
+		policyFlag()
+		fs.IntVar(&req.Points, "points", 0, "number of curve points to print (0 = default)")
+		fs.Float64Var(&req.Tmax, "tmax", 0, "last time point (0 = auto: where the curve nears its limit)")
+	default:
+		return fmt.Errorf("unknown subcommand %q", sub)
+	}
+	if err := fs.Parse(rest); err != nil {
 		return err
 	}
-	sys, err := dtr.NewSystem(m, initial)
-	if err != nil {
+	if explainPath != "" {
+		verb = "explain"
+	}
+	var err error
+	if req.Spec, err = os.ReadFile(modelPath); err != nil {
 		return err
 	}
-	sys.GridN = gridN
-	sys.Workers = workers
 
 	// One root span per invocation (a no-op without -trace-out): the
 	// solver phases underneath it land in the JSONL trace.
 	span := obs.DefaultTracer().StartRoot("dtrplan", "", "verb", sub, "model", modelPath)
 	defer span.End()
-	sys.Span = span
-
-	switch sub {
-	case "optimize":
-		return cmdOptimize(sys, rest, out)
-	case "metrics":
-		return cmdMetrics(sys, rest, out)
-	case "simulate":
-		return cmdSimulate(sys, rest, out)
-	case "bounds":
-		return cmdBounds(sys, rest, out)
-	case "cdf":
-		return cmdCDF(sys, rest, out)
-	default:
-		return fmt.Errorf("unknown subcommand %q", sub)
-	}
-}
-
-func cmdOptimize(sys *dtr.System, args []string, out *os.File) error {
-	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
-	objective := fs.String("objective", "mean", "mean, qos or reliability")
-	deadline := fs.Float64("deadline", 0, "deadline for -objective qos")
-	explainPath := fs.String("explain", "", "write the explain artifact (winning policy + solver diagnostics, JSON) to this path; \"-\" emits it on stdout instead of the summary")
-	probe := fs.Bool("probe", false, "with -explain: estimate grid-truncation error via a half-resolution probe (two-server systems)")
-	replMax := fs.Int("replicate-max", 1, "search replication factors up to this cap (each task may run as up to k cancel-on-first-complete copies; 1 = no replication)")
-	replBudget := fs.Int("replicate-budget", 0, "cap on total extra copies across the plan (0 = unconstrained; needs -replicate-max > 1)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *replMax < 1 {
-		return fmt.Errorf("-replicate-max must be at least 1, got %d", *replMax)
-	}
-	if *replBudget < 0 {
-		return fmt.Errorf("-replicate-budget must be non-negative, got %d", *replBudget)
-	}
-	var repl *dtr.ReplicationConfig
-	if *replMax > 1 {
-		repl = &dtr.ReplicationConfig{MaxFactor: *replMax, Budget: *replBudget}
-	}
-	if *explainPath != "" {
-		return optimizeExplain(sys, *objective, *deadline, *probe, repl, *explainPath, out)
-	}
-	if repl != nil {
-		return optimizeReplicated(sys, *objective, *deadline, repl, out)
-	}
-	var (
-		pol   dtr.Policy
-		value float64
-		err   error
-	)
-	switch *objective {
-	case "mean":
-		pol, value, err = sys.OptimalMeanPolicy()
-	case "qos":
-		pol, value, err = sys.OptimalQoSPolicy(*deadline)
-	case "reliability":
-		pol, value, err = sys.OptimalReliabilityPolicy()
-	default:
-		return fmt.Errorf("unknown objective %q", *objective)
-	}
+	resp, err := serve.Exec(verb, req, workers, span)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "objective: %s\n", *objective)
-	fmt.Fprintf(out, "policy:    %s\n", dtr.FormatPolicy(pol))
-	if sys.Model().N() == 2 {
+	if ex, ok := resp.(*dtr.Explain); ok {
+		// The self-auditing path: the plain path's policy and value plus
+		// the versioned diagnostics artifact, written to the path ("-"
+		// streams it to stdout in place of the human summary).
+		data, err := json.MarshalIndent(ex, "", "  ")
+		if err != nil {
+			return err
+		}
+		data = append(data, '\n')
+		if explainPath == "-" {
+			_, err := out.Write(data)
+			return err
+		}
+		if err := os.WriteFile(explainPath, data, 0o644); err != nil {
+			return err
+		}
+	}
+	render(out, req, resp)
+	if explainPath != "" {
+		fmt.Fprintf(out, "explain:   %s\n", explainPath)
+	}
+	return nil
+}
+
+// render prints a verb's typed answer as the human summary. The request
+// supplies what the answers do not repeat: the deadline and the
+// replication cap asked for.
+func render(out io.Writer, req *serve.Request, resp any) {
+	switch r := resp.(type) {
+	case *serve.OptimizeResponse:
+		renderPlan(out, req, r.Objective, r.Policy, r.Factors, float64(r.Value))
+	case *dtr.Explain:
+		value, factors := math.NaN(), []int(nil)
+		if r.Value != nil {
+			value = *r.Value
+		}
+		if r.Replication != nil {
+			factors = r.Replication.Factors
+		}
+		renderPlan(out, req, r.Objective, r.PolicyString, factors, value)
+	case *serve.MetricsResponse:
+		fmt.Fprintf(out, "policy:      %s\n", r.Policy)
+		fmt.Fprintf(out, "reliability: %.4f\n", r.Reliability)
+		if mean := float64(r.MeanTime); !math.IsNaN(mean) {
+			fmt.Fprintf(out, "mean time:   %.4f\n", mean)
+		} else {
+			fmt.Fprintln(out, "mean time:   (undefined: servers can fail)")
+		}
+		if req.Deadline > 0 {
+			fmt.Fprintf(out, "QoS(%g):    %.4f\n", req.Deadline, r.QoS)
+		}
+	case *serve.SimulateResponse:
+		fmt.Fprintf(out, "policy:      %s\n", r.Policy)
+		fmt.Fprintf(out, "reps:        %d\n", r.Reps)
+		fmt.Fprintf(out, "reliability: %.4f ± %.4f\n", r.Reliability, r.ReliabilityHalf)
+		if mean := float64(r.MeanTime); !math.IsNaN(mean) {
+			fmt.Fprintf(out, "mean time:   %.4f ± %.4f (over %d completed)\n", mean, r.MeanTimeHalf, r.Completed)
+		}
+		if req.Deadline > 0 {
+			fmt.Fprintf(out, "QoS(%g):    %.4f ± %.4f\n", req.Deadline, r.QoS, r.QoSHalf)
+		}
+	case *serve.BoundsResponse:
+		fmt.Fprintf(out, "policy: %s\n", r.Policy)
+		if r.Exact {
+			fmt.Fprintln(out, "exact (at most one group per server):")
+		} else {
+			fmt.Fprintln(out, "batch-arrival bounds (optimistic .. pessimistic):")
+		}
+		lo, hi := r.Optimistic, r.Pessimistic
+		if !math.IsNaN(float64(lo.Mean)) {
+			fmt.Fprintf(out, "mean time:   %.4f .. %.4f\n", lo.Mean, hi.Mean)
+		}
+		fmt.Fprintf(out, "reliability: %.4f .. %.4f\n", hi.Reliability, lo.Reliability)
+		if req.Deadline > 0 && !math.IsNaN(float64(lo.QoS)) {
+			fmt.Fprintf(out, "QoS(%g):    %.4f .. %.4f\n", req.Deadline, hi.QoS, lo.QoS)
+		}
+	case *serve.CDFResponse:
+		fmt.Fprintf(out, "policy: %s\n", r.Policy)
+		fmt.Fprintf(out, "%12s  %s\n", "t", "P(T <= t)")
+		for _, pt := range r.Points {
+			fmt.Fprintf(out, "%12.3f  %.4f\n", pt.T, pt.P)
+		}
+	}
+}
+
+// renderPlan prints an optimization's summary; factors are the chosen
+// per-server replication factors of a joint search (nil = plain search),
+// value NaN on multi-server systems.
+func renderPlan(out io.Writer, req *serve.Request, objective, policy string, factors []int, value float64) {
+	fmt.Fprintf(out, "objective: %s\n", objective)
+	fmt.Fprintf(out, "policy:    %s\n", policy)
+	if factors != nil {
+		strs := make([]string, len(factors))
+		for i, f := range factors {
+			strs[i] = strconv.Itoa(f)
+		}
+		fmt.Fprintf(out, "replicate: %s (max %d)\n", strings.Join(strs, ","), req.Replication.MaxFactor)
+	}
+	if !math.IsNaN(value) {
 		fmt.Fprintf(out, "value:     %.4f\n", value)
 	} else {
 		fmt.Fprintln(out, "value:     (multi-server: evaluate with `simulate -policy ...`)")
 	}
-	return nil
-}
-
-// planObjective maps an objective name onto the policy enum.
-func planObjective(name string) (dtr.Objective, error) {
-	switch name {
-	case "mean":
-		return dtr.ObjMeanTime, nil
-	case "qos":
-		return dtr.ObjQoS, nil
-	case "reliability":
-		return dtr.ObjReliability, nil
-	}
-	return 0, fmt.Errorf("unknown objective %q", name)
-}
-
-// formatFactors renders per-server replication factors as "k0,k1,...".
-func formatFactors(factors []int) string {
-	s := ""
-	for i, f := range factors {
-		if i > 0 {
-			s += ","
-		}
-		s += fmt.Sprintf("%d", f)
-	}
-	return s
-}
-
-// optimizeReplicated runs the joint reallocation+replication search.
-func optimizeReplicated(sys *dtr.System, objective string, deadline float64, cfg *dtr.ReplicationConfig, out *os.File) error {
-	obj, err := planObjective(objective)
-	if err != nil {
-		return err
-	}
-	plan, err := sys.OptimizeReplicated(obj, deadline, *cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "objective: %s\n", objective)
-	fmt.Fprintf(out, "policy:    %s\n", dtr.FormatPolicy(plan.Policy))
-	fmt.Fprintf(out, "replicate: %s (max %d)\n", formatFactors(plan.Factors), cfg.MaxFactor)
-	if sys.Model().N() == 2 {
-		fmt.Fprintf(out, "value:     %.4f\n", plan.Value)
-	} else {
-		fmt.Fprintln(out, "value:     (multi-server: evaluate with `simulate -policy ...`)")
-	}
-	return nil
-}
-
-// optimizeExplain runs the self-auditing optimizer path: same winning
-// policy and value as the plain path, plus the versioned diagnostics
-// artifact written to path ("-" streams the JSON to stdout in place of
-// the human summary).
-func optimizeExplain(sys *dtr.System, objective string, deadline float64, probe bool, repl *dtr.ReplicationConfig, path string, out *os.File) error {
-	ex, err := sys.Explain(dtr.ExplainOptions{Objective: objective, Deadline: deadline, Probe: probe, Replication: repl})
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(ex, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err := out.Write(data)
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "objective: %s\n", ex.Objective)
-	fmt.Fprintf(out, "policy:    %s\n", dtr.FormatPolicy(dtr.Policy(ex.Policy)))
-	if ex.Replication != nil {
-		fmt.Fprintf(out, "replicate: %s (max %d)\n", formatFactors(ex.Replication.Factors), ex.Replication.MaxFactor)
-	}
-	if ex.Value != nil {
-		fmt.Fprintf(out, "value:     %.4f\n", *ex.Value)
-	} else {
-		fmt.Fprintln(out, "value:     (multi-server: evaluate with `simulate -policy ...`)")
-	}
-	fmt.Fprintf(out, "explain:   %s\n", path)
-	return nil
-}
-
-func cmdMetrics(sys *dtr.System, args []string, out *os.File) error {
-	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
-	policyStr := fs.String("policy", "", "shipments, e.g. \"0>1:26\"")
-	deadline := fs.Float64("deadline", 0, "QoS deadline (0 = skip)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p, err := dtr.ParsePolicy(*policyStr, sys.Model().N())
-	if err != nil {
-		return err
-	}
-	rel, err := sys.Reliability(p)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "policy:      %s\n", dtr.FormatPolicy(p))
-	fmt.Fprintf(out, "reliability: %.4f\n", rel)
-	if sys.Model().Reliable() {
-		mean, err := sys.MeanTime(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "mean time:   %.4f\n", mean)
-	} else {
-		fmt.Fprintln(out, "mean time:   (undefined: servers can fail)")
-	}
-	if *deadline > 0 {
-		q, err := sys.QoS(p, *deadline)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "QoS(%g):    %.4f\n", *deadline, q)
-	}
-	return nil
-}
-
-func cmdSimulate(sys *dtr.System, args []string, out *os.File) error {
-	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
-	policyStr := fs.String("policy", "", "shipments, e.g. \"0>1:26\"")
-	reps := fs.Int("reps", 10000, "Monte-Carlo replications")
-	deadline := fs.Float64("deadline", 0, "QoS deadline (0 = skip)")
-	seed := fs.Uint64("seed", 1, "random seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p, err := dtr.ParsePolicy(*policyStr, sys.Model().N())
-	if err != nil {
-		return err
-	}
-	est, err := sys.Simulate(p, dtr.SimOptions{Reps: *reps, Seed: *seed, Deadline: *deadline})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "policy:      %s\n", dtr.FormatPolicy(p))
-	fmt.Fprintf(out, "reps:        %d\n", est.Reps)
-	fmt.Fprintf(out, "reliability: %.4f ± %.4f\n", est.Reliability, est.ReliabilityHalf)
-	if !math.IsNaN(est.MeanTime) {
-		fmt.Fprintf(out, "mean time:   %.4f ± %.4f (over %d completed)\n",
-			est.MeanTime, est.MeanTimeHalf, est.Completed)
-	}
-	if *deadline > 0 {
-		fmt.Fprintf(out, "QoS(%g):    %.4f ± %.4f\n", *deadline, est.QoS, est.QoSHalf)
-	}
-	return nil
-}
-
-func cmdBounds(sys *dtr.System, args []string, out *os.File) error {
-	fs := flag.NewFlagSet("bounds", flag.ContinueOnError)
-	policyStr := fs.String("policy", "", "shipments, e.g. \"0>2:4,1>2:3\"")
-	deadline := fs.Float64("deadline", 0, "QoS deadline (0 = skip)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p, err := dtr.ParsePolicy(*policyStr, sys.Model().N())
-	if err != nil {
-		return err
-	}
-	b, err := sys.MetricBounds(p, *deadline)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "policy: %s\n", dtr.FormatPolicy(p))
-	if b.Exact {
-		fmt.Fprintln(out, "exact (at most one group per server):")
-	} else {
-		fmt.Fprintln(out, "batch-arrival bounds (optimistic .. pessimistic):")
-	}
-	if !math.IsNaN(b.Optimistic.Mean) {
-		fmt.Fprintf(out, "mean time:   %.4f .. %.4f\n", b.Optimistic.Mean, b.Pessimistic.Mean)
-	}
-	fmt.Fprintf(out, "reliability: %.4f .. %.4f\n", b.Pessimistic.Reliability, b.Optimistic.Reliability)
-	if *deadline > 0 && !math.IsNaN(b.Optimistic.QoS) {
-		fmt.Fprintf(out, "QoS(%g):    %.4f .. %.4f\n", *deadline, b.Pessimistic.QoS, b.Optimistic.QoS)
-	}
-	return nil
-}
-
-func cmdCDF(sys *dtr.System, args []string, out *os.File) error {
-	fs := flag.NewFlagSet("cdf", flag.ContinueOnError)
-	policyStr := fs.String("policy", "", "shipments, e.g. \"0>1:26\"")
-	points := fs.Int("points", 20, "number of curve points to print")
-	tmax := fs.Float64("tmax", 0, "last time point (0 = auto from the mean)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p, err := dtr.ParsePolicy(*policyStr, sys.Model().N())
-	if err != nil {
-		return err
-	}
-	cdf, err := sys.CompletionCDF(p)
-	if err != nil {
-		return err
-	}
-	end := *tmax
-	if end <= 0 {
-		// Walk the curve out to where it has nearly reached its limit
-		// (the reliability: with failure-prone servers the curve
-		// saturates below 1).
-		limit := cdf(1e18)
-		end = 1
-		if limit > 1e-9 {
-			for cdf(end) < 0.995*limit && end < 1e9 {
-				end *= 2
-			}
-			end *= 1.25
-		} else {
-			end = 100
-		}
-	}
-	fmt.Fprintf(out, "policy: %s\n", dtr.FormatPolicy(p))
-	fmt.Fprintf(out, "%12s  %s\n", "t", "P(T <= t)")
-	for i := 1; i <= *points; i++ {
-		t := end * float64(i) / float64(*points)
-		fmt.Fprintf(out, "%12.3f  %.4f\n", t, cdf(t))
-	}
-	return nil
 }

@@ -5,19 +5,12 @@
 //	dtrserved -addr :8080
 //	curl -s localhost:8080/v1/optimize -d '{"spec": '"$(cat examples/specs/testbed.json)"'}'
 //
-// Endpoints (POST, JSON bodies; see the README "Serving" section):
-//
-//	/v1/optimize  optimal policy for an objective
-//	/v1/metrics   analytic metrics of a policy (two-server systems)
-//	/v1/simulate  Monte-Carlo estimates of a policy
-//	/v1/bounds    batch-arrival metric bounds
-//	/v1/cdf       completion-time distribution curve
-//	/v1/explain   optimize + versioned solver-health/convergence artifact
-//	/v1/batch        fan-out of the above in one call
-//	/v1/fit          fit a modelspec document to captured trace events
-//	/v1/cache/warm   peer cache fill (GET; dtr.cachesnap.v1 document)
-//	/healthz         liveness probe (GET; 200 while the process runs)
-//	/readyz          readiness probe (GET; 503 while warming or draining)
+// Endpoints: POST /v1/<verb> for the planning verbs (one request body for
+// all of them, documented on serve.Request), /v1/batch to fan several out
+// in one call and /v1/fit to fit a modelspec document to captured trace
+// events; GET /v1/cache/warm (peer cache fill, a dtr.cachesnap.v1
+// document), /healthz (liveness: 200 while the process runs) and /readyz
+// (readiness: 503 while warming or draining).
 //
 // Telemetry rides on the same listener: /metrics (Prometheus text),
 // /metrics.json, /debug/vars, /debug/solver (solver-health rollup) and —
@@ -39,16 +32,12 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"dtr/internal/cluster"
@@ -57,25 +46,12 @@ import (
 	"dtr/internal/serve"
 )
 
-// errUsage marks flag/configuration errors: usage on stderr and exit
-// status 2, matching the other CLIs' audited convention.
-var errUsage = errors.New("usage error")
-
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintf(os.Stderr, "dtrserved: %v\n", err)
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
+	obs.Exit("dtrserved", run(os.Args[1:]))
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("dtrserved", flag.ContinueOnError)
+	fs := obs.NewFlagSet("dtrserved", "dtrserved [-addr :8080] [-workers N] [-cache N] [-timeout 60s] ...")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (\":0\" picks a free port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening (for scripts driving \":0\")")
 	workers := par.BindFlag(fs)
@@ -97,35 +73,23 @@ func run(args []string) error {
 	logLevel := fs.String("log-level", "info", "structured log level on stderr: debug, info, warn, error or off")
 	withTrace := fs.Bool("trace", true, "trace every request: span trees on /debug/requests, W3C traceparent in and out")
 	traceOut := fs.String("trace-out", "", "also append completed span trees as JSONL to this file (implies -trace)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dtrserved [-addr :8080] [-workers N] [-cache N] [-timeout 60s] ...")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", errUsage, err)
+	if err := obs.ParseFlags(fs, args); err != nil {
+		return err
 	}
 	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("%w: unexpected argument %q", errUsage, fs.Arg(0))
+		return obs.UsageErrorf(fs, "unexpected argument %q", fs.Arg(0))
 	}
 	if err := workers.Validate(); err != nil {
-		fs.Usage()
-		return fmt.Errorf("%w: %v", errUsage, err)
+		return obs.UsageErrorf(fs, "%v", err)
 	}
 	if *timeout <= 0 || *drain <= 0 {
-		fs.Usage()
-		return fmt.Errorf("%w: -timeout and -drain-timeout must be positive", errUsage)
+		return obs.UsageErrorf(fs, "-timeout and -drain-timeout must be positive")
 	}
 	if *peers != "" && *self == "" {
-		fs.Usage()
-		return fmt.Errorf("%w: -peers requires -self (this replica's own URL)", errUsage)
+		return obs.UsageErrorf(fs, "-peers requires -self (this replica's own URL)")
 	}
 	if *peers == "" && *self != "" {
-		fs.Usage()
-		return fmt.Errorf("%w: -self is meaningful only with -peers", errUsage)
+		return obs.UsageErrorf(fs, "-self is meaningful only with -peers")
 	}
 
 	// One registry for the whole process: the serve layer's own metrics
@@ -136,7 +100,7 @@ func run(args []string) error {
 	if *logLevel != "" && *logLevel != "off" {
 		lvl, err := obs.ParseLevel(*logLevel)
 		if err != nil {
-			return fmt.Errorf("%w: %v", errUsage, err)
+			return fmt.Errorf("%w: %v", obs.ErrUsage, err)
 		}
 		obs.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
 	}
@@ -145,7 +109,6 @@ func run(args []string) error {
 	// recent land on /debug/requests, and -trace-out streams them as
 	// JSONL for offline analysis.
 	var tracer *obs.Tracer
-	var traceFile *os.File
 	if *withTrace || *traceOut != "" {
 		cfg := obs.TracerConfig{}
 		if *traceOut != "" {
@@ -153,16 +116,11 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("trace out: %w", err)
 			}
-			traceFile = f
+			defer f.Close()
 			cfg.Writer = f
 		}
 		tracer = obs.NewTracer(cfg)
 		obs.SetTracer(tracer)
-		defer func() {
-			if traceFile != nil {
-				_ = traceFile.Close()
-			}
-		}()
 	}
 
 	// Cluster mode: a static peer list turns this replica into one shard
@@ -185,8 +143,7 @@ func run(args []string) error {
 			Registry:       reg,
 		})
 		if err != nil {
-			fs.Usage()
-			return fmt.Errorf("%w: %v", errUsage, err)
+			return obs.UsageErrorf(fs, "%v", err)
 		}
 	}
 
@@ -211,15 +168,7 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", *addr, err)
 	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := obs.WriteAddrFile(*addrFile, bound); err != nil {
-			_ = ln.Close()
-			return err
-		}
-	}
-	fmt.Fprintf(os.Stderr, "dtrserved: listening on http://%s\n", bound)
-	obs.Logger().Info("dtrserved up", "addr", bound, "workers", par.Workers(workers.N))
+	obs.Logger().Info("dtrserved up", "addr", ln.Addr().String(), "workers", par.Workers(workers.N))
 
 	// Warm boot: until the snapshot reloads and the fleet is consulted,
 	// /readyz reports warming so cluster peers and load balancers hold
@@ -251,31 +200,11 @@ func run(args []string) error {
 		defer cl.Stop()
 	}
 
-	srv := &http.Server{Handler: mux}
-	// The instant Shutdown begins, /readyz reports draining so load
-	// balancers and cluster peers pull this instance before its listener
-	// disappears.
-	srv.RegisterOnShutdown(svc.StartDrain)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	select {
-	case err := <-serveErr:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
+	// The instant draining begins, /readyz reports it so load balancers
+	// and cluster peers pull this instance before its listener disappears.
+	if err := obs.ServeDaemon("dtrserved", ln, *addrFile, mux, *drain, svc.StartDrain, nil); err != nil {
+		return err
 	}
-	stop() // a second signal kills immediately
-
-	obs.Logger().Info("dtrserved draining", "timeout", *drain)
-	fmt.Fprintln(os.Stderr, "dtrserved: draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	<-serveErr // Serve has returned http.ErrServerClosed
 	// Snapshot-on-drain: persist the warm cache so the next boot (or a
 	// peer fill) starts hot instead of recomputing the working set.
 	if *cacheSnap != "" {
@@ -284,11 +213,8 @@ func run(args []string) error {
 		}
 		obs.Logger().Info("cache snapshot written", "path", *cacheSnap)
 	}
-	obs.Logger().Info("dtrserved stopped")
-	if tracer != nil {
-		if err := tracer.Err(); err != nil {
-			return fmt.Errorf("trace out: %w", err)
-		}
+	if err := tracer.Err(); err != nil {
+		return fmt.Errorf("trace out: %w", err)
 	}
 	return nil
 }

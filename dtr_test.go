@@ -483,3 +483,33 @@ func TestQoSErrorPaths(t *testing.T) {
 		t.Fatal("overdrawn policy should fail in CDF")
 	}
 }
+
+// TestOptimizeReplicatedHonoursDeclaredFactors: with nothing to search
+// over (MaxFactor 0 or 1), OptimizeReplicated is the plain optimizer — on
+// a model that declares a min-of-3 law too, whose factors it reports
+// instead of silently planning for an unreplicated system.
+func TestOptimizeReplicatedHonoursDeclaredFactors(t *testing.T) {
+	m := paperModel(true)
+	m.Repl = []int{1, 3}
+	sys, err := dtr.NewSystem(m, []int{12, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.GridN = 1 << 10
+	wantPol, wantVal, err := sys.OptimalMeanPolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxFactor := range []int{0, 1} {
+		plan, err := sys.OptimizeReplicated(dtr.ObjMeanTime, 0, dtr.ReplicationConfig{MaxFactor: maxFactor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := dtr.FormatPolicy(plan.Policy), dtr.FormatPolicy(wantPol); got != want || plan.Value != wantVal {
+			t.Errorf("MaxFactor %d: plan %s at %v, plain optimizer %s at %v", maxFactor, got, plan.Value, want, wantVal)
+		}
+		if len(plan.Factors) != 2 || plan.Factors[0] != 1 || plan.Factors[1] != 3 {
+			t.Errorf("MaxFactor %d: factors %v, want the declared [1 3]", maxFactor, plan.Factors)
+		}
+	}
+}

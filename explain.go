@@ -109,24 +109,6 @@ type Explain struct {
 	Replication *ExplainReplication `json:"replication,omitempty"`
 }
 
-// explainObjective maps the artifact's objective names onto the policy
-// package's enum ("" defaults to mean time).
-func explainObjective(name string, deadline float64) (policy.Objective, string, error) {
-	switch name {
-	case "", "mean":
-		return policy.ObjMeanTime, "mean", nil
-	case "qos":
-		if deadline <= 0 {
-			return 0, "", fmt.Errorf("dtr: explain objective %q requires a positive deadline", name)
-		}
-		return policy.ObjQoS, "qos", nil
-	case "reliability":
-		return policy.ObjReliability, "reliability", nil
-	default:
-		return 0, "", fmt.Errorf("dtr: unknown explain objective %q", name)
-	}
-}
-
 // fptr boxes a finite float; NaN and ±Inf become nil so the artifact
 // stays valid JSON without lossy null-encoding tricks.
 func fptr(v float64) *float64 {
@@ -140,129 +122,67 @@ func fptr(v float64) *float64 {
 // the versioned explain artifact: the winning policy alongside the
 // numerical-health and convergence diagnostics of the solve. The policy
 // and value are bit-identical to the plain optimizer calls
-// (OptimalMeanPolicy etc.) — diagnostics collection is observational.
+// (OptimalMeanPolicy etc.) — both are projections of one plan path.
 func (s *System) Explain(opt ExplainOptions) (*Explain, error) {
-	obj, objName, err := explainObjective(opt.Objective, opt.Deadline)
+	obj, objName, err := policy.ParseObjective(opt.Objective, opt.Deadline)
+	if err != nil {
+		return nil, fmt.Errorf("dtr: explain: %w", err)
+	}
+	var repl ReplicationConfig
+	if opt.Replication != nil {
+		repl = *opt.Replication
+	}
+	pl, err := s.plan(obj, opt.Deadline, repl)
 	if err != nil {
 		return nil, err
 	}
 	ex := &Explain{
-		Schema:    ExplainSchema,
-		Objective: objName,
-		Deadline:  opt.Deadline,
-		Servers:   s.model.N(),
+		Schema:       ExplainSchema,
+		Objective:    objName,
+		Deadline:     opt.Deadline,
+		Servers:      s.model.N(),
+		Policy:       pl.policy,
+		PolicyString: FormatPolicy(pl.policy),
+		Value:        fptr(pl.value),
+		Sweep:        pl.sweep,
+		Algorithm1:   pl.alg1,
 	}
-
-	replicating := opt.Replication != nil && opt.Replication.MaxFactor > 1
-
-	if s.model.N() != 2 {
-		var ad Alg1Diagnostics
-		alg1opts := policy.Alg1Options{
-			Objective: obj,
-			Deadline:  opt.Deadline,
-			Workers:   s.Workers,
-			Span:      s.Span,
-			Diag:      &ad,
+	if repl.MaxFactor > 1 {
+		ex.Replication = &ExplainReplication{MaxFactor: repl.MaxFactor, Budget: repl.Budget, Factors: pl.factors}
+		if pl.repl != nil {
+			ex.Replication.Combos = pl.repl.Combos
 		}
-		var p Policy
-		var err error
-		if replicating {
-			var factors []int
-			p, factors, err = policy.Algorithm1Repl(s.model, s.initial, alg1opts, opt.Replication.MaxFactor, opt.Replication.Budget)
-			if err != nil {
-				return nil, err
-			}
-			ex.Replication = &ExplainReplication{
-				MaxFactor: opt.Replication.MaxFactor,
-				Budget:    opt.Replication.Budget,
-				Factors:   factors,
-			}
-		} else {
-			p, err = policy.Algorithm1(s.model, s.initial, alg1opts)
-			if err != nil {
-				return nil, err
-			}
-		}
-		ex.Policy = p
-		ex.PolicyString = FormatPolicy(p)
-		ex.Algorithm1 = &ad
+	}
+	if pl.solver == nil {
 		return ex, nil
-	}
-
-	var res policy.Result2
-	var sv *direct.Solver
-	var sweep SweepDiagnostics
-	if replicating {
-		sv, err = s.solverWithFactor(opt.Replication.MaxFactor)
-		if err != nil {
-			return nil, err
-		}
-		var rd policy.ReplDiagnostics
-		rres, rerr := policy.OptimizeRepl2(sv, s.initial[0], s.initial[1], obj, policy.ReplOptions2{
-			Options2:  policy.Options2{Deadline: opt.Deadline, Workers: s.Workers, Span: s.Span},
-			MaxFactor: opt.Replication.MaxFactor,
-			Budget:    opt.Replication.Budget,
-			Diag:      &rd,
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		res = rres.Result2
-		ex.Replication = &ExplainReplication{
-			MaxFactor: rd.MaxFactor,
-			Budget:    rd.Budget,
-			Factors:   []int{rres.Factors[0], rres.Factors[1]},
-			Combos:    rd.Combos,
-		}
-	} else {
-		sv, err = s.directSolver()
-		if err != nil {
-			return nil, err
-		}
-		res, err = policy.Optimize2(sv, s.initial[0], s.initial[1], obj, policy.Options2{
-			Deadline: opt.Deadline,
-			Workers:  s.Workers,
-			Span:     s.Span,
-			Diag:     &sweep,
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	// Snapshot the solver audit before the probe: the probe re-evaluates
 	// the winner, which would inflate the sweep's fold counters.
-	diag := sv.Diagnostics()
-	p := Policy2(res.L12, res.L21)
+	diag := pl.solver.Diagnostics()
 	ex.GridN = diag.GridN
-	ex.Policy = p
-	ex.PolicyString = FormatPolicy(p)
-	ex.Value = fptr(res.Value)
 	ex.Solver = &diag
-	if !replicating {
-		ex.Sweep = &sweep
-	}
 
 	if opt.Probe {
 		// The probe's grid-error estimate is computed at the winning
 		// (L12, L21) under the model's default factors: discretization
 		// error is a property of the lattice geometry, which the factor
 		// only lightens (min-of-k tails are strictly lighter).
-		pr, err := sv.ProbeGridError(s.initial[0], s.initial[1], res.L12, res.L21, opt.Deadline)
+		pr, err := pl.solver.ProbeGridError(s.initial[0], s.initial[1], pl.policy[0][1], pl.policy[1][0], opt.Deadline)
 		if err != nil {
 			return nil, err
 		}
-		ex.Probe = explainProbe(objName, pr)
+		ex.Probe = explainProbe(obj, pr)
 	}
 	return ex, nil
 }
 
 // explainProbe projects a ProbeResult onto the objective being reported.
-func explainProbe(objName string, pr *direct.ProbeResult) *ExplainProbe {
+func explainProbe(obj policy.Objective, pr *direct.ProbeResult) *ExplainProbe {
 	var fine, coarse, abs float64
-	switch objName {
-	case "qos":
+	switch obj {
+	case policy.ObjQoS:
 		fine, coarse, abs = pr.Fine.QoS, pr.Coarse.QoS, pr.QoSErr
-	case "reliability":
+	case policy.ObjReliability:
 		fine, coarse, abs = pr.Fine.Reliability, pr.Coarse.Reliability, pr.ReliabilityErr
 	default:
 		fine, coarse, abs = pr.Fine.Mean, pr.Coarse.Mean, pr.MeanErr

@@ -24,6 +24,7 @@ import (
 	"dtr/dist"
 	"dtr/dist/fit"
 	"dtr/internal/obs"
+	"dtr/internal/policy"
 	"dtr/internal/trace"
 	"dtr/modelspec"
 )
@@ -118,17 +119,8 @@ func New(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("adapt: Queues[%d] = %d must be non-negative", i, q)
 		}
 	}
-	if cfg.Objective == "" {
-		cfg.Objective = "mean"
-	}
-	switch cfg.Objective {
-	case "mean", "reliability":
-	case "qos":
-		if cfg.Deadline <= 0 {
-			return nil, fmt.Errorf("adapt: objective qos needs a positive Deadline")
-		}
-	default:
-		return nil, fmt.Errorf("adapt: unknown objective %q", cfg.Objective)
+	if _, _, err := policy.ParseObjective(cfg.Objective, cfg.Deadline); err != nil {
+		return nil, fmt.Errorf("adapt: %w", err)
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 8192

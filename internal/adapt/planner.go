@@ -6,10 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 
-	"dtr"
 	"dtr/dist/fit"
 	"dtr/internal/obs"
 	"dtr/internal/serve"
@@ -69,40 +67,30 @@ func (p *InProcess) Fit(_ context.Context, in FitInput, cfg fit.Config) (*models
 	return fit.Spec(in.Events, cfg)
 }
 
-// Plan implements Planner.
+// Plan implements Planner: the request HTTP.Plan posts, answered by the
+// same verb in this process.
 func (p *InProcess) Plan(_ context.Context, spec *modelspec.SystemSpec) ([][]int, float64, error) {
-	model, initial, err := spec.Build()
+	req, err := optimizeRequest(spec, p.Objective, p.Deadline)
 	if err != nil {
 		return nil, 0, err
 	}
-	sys, err := dtr.NewSystem(model, initial)
+	req.Grid = p.GridN
+	resp, err := serve.Exec("optimize", req, p.Workers, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("adapt: %w", err)
 	}
-	if p.GridN > 0 {
-		sys.GridN = p.GridN
-	}
-	sys.Workers = p.Workers
+	opt := resp.(*serve.OptimizeResponse)
+	return opt.Matrix, float64(opt.Value), nil
+}
 
-	var pol dtr.Policy
-	var value float64
-	switch obj := p.Objective; obj {
-	case "", "mean":
-		pol, value, err = sys.OptimalMeanPolicy()
-	case "qos":
-		pol, value, err = sys.OptimalQoSPolicy(p.Deadline)
-	case "reliability":
-		pol, value, err = sys.OptimalReliabilityPolicy()
-	default:
-		err = fmt.Errorf("adapt: unknown objective %q", obj)
-	}
+// optimizeRequest is the optimize request both planners send for a
+// fitted spec.
+func optimizeRequest(spec *modelspec.SystemSpec, objective string, deadline float64) (*serve.Request, error) {
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
-		return nil, 0, err
+		return nil, fmt.Errorf("adapt: encode spec: %w", err)
 	}
-	if model.N() != 2 {
-		value = math.NaN() // the exact optimum is only reported for two servers
-	}
-	return pol, value, nil
+	return &serve.Request{Spec: specJSON, Objective: objective, Deadline: deadline}, nil
 }
 
 // HTTP plans through a dtrserved instance: POST /v1/fit for the fits,
@@ -200,18 +188,13 @@ func (p *HTTP) Fit(ctx context.Context, in FitInput, cfg fit.Config) (*modelspec
 
 // Plan implements Planner via POST /v1/optimize.
 func (p *HTTP) Plan(ctx context.Context, spec *modelspec.SystemSpec) ([][]int, float64, error) {
-	specJSON, err := json.Marshal(spec)
+	req, err := optimizeRequest(spec, p.Objective, p.Deadline)
 	if err != nil {
-		return nil, 0, fmt.Errorf("adapt: encode spec: %w", err)
+		return nil, 0, err
 	}
+	req.TimeoutMS = p.TimeoutMS
 	var resp serve.OptimizeResponse
-	err = p.post(ctx, "/v1/optimize", serve.Request{
-		Spec:      specJSON,
-		Objective: p.Objective,
-		Deadline:  p.Deadline,
-		TimeoutMS: p.TimeoutMS,
-	}, &resp)
-	if err != nil {
+	if err := p.post(ctx, "/v1/optimize", req, &resp); err != nil {
 		return nil, 0, err
 	}
 	if len(resp.Matrix) == 0 {

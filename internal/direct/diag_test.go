@@ -51,16 +51,13 @@ func TestDiagnosticsPopulated(t *testing.T) {
 	}
 }
 
-// TestErrorProbeBitNeutral: enabling the probe must not change any
+// TestErrorProbeBitNeutral: running the probe must not change any
 // metric bit — the shadow solver only reads, never writes.
 func TestErrorProbeBitNeutral(t *testing.T) {
 	// Reliable model so Mean is a number and Metrics compares with ==.
 	m := model2(dist.NewExponential(2), dist.NewExponential(1), 0, 0, 1)
 	plain := newSolver(t, m, 10, 1<<12, 200)
-	probed, err := NewSolver(m, Config{N: 1 << 12, Horizon: 200, MaxQueue: [2]int{10, 10}, ErrorProbe: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	probed := newSolver(t, m, 10, 1<<12, 200)
 	for _, pol := range [][4]int{{5, 3, 0, 0}, {5, 3, 2, 1}, {6, 4, 3, 0}} {
 		a, err := plain.All(pol[0], pol[1], pol[2], pol[3], 15)
 		if err != nil {
@@ -71,7 +68,7 @@ func TestErrorProbeBitNeutral(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a != b {
-			t.Fatalf("policy %v: metrics differ with probe enabled:\n%+v\n%+v", pol, a, b)
+			t.Fatalf("policy %v: metrics differ before the probe:\n%+v\n%+v", pol, a, b)
 		}
 	}
 	// Running the probe itself must leave subsequent results unchanged.
@@ -88,24 +85,21 @@ func TestErrorProbeBitNeutral(t *testing.T) {
 func TestProbeGridError(t *testing.T) {
 	m := model2(dist.NewExponential(2), dist.NewExponential(1), 0, 0, 1)
 
-	p, err := NewSolver(m, Config{N: 1 << 12, Horizon: 200, MaxQueue: [2]int{10, 10}, ErrorProbe: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newSolver(t, m, 10, 1<<12, 200)
 	pr, err := p.ProbeGridError(5, 3, 2, 1, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Config.ErrorProbe is a no-op: a solver built without it probes
-	// too, after it has evaluated, and answers the same.
+	// The shadow is built lazily on the first probe: a solver that has
+	// already evaluated probes too, and answers the same.
 	s := newSolver(t, m, 10, 1<<12, 200)
 	if _, err := s.MeanTime(5, 3, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := s.ProbeGridError(5, 3, 2, 1, 15); err != nil {
-		t.Fatalf("probe on a solver built without ErrorProbe: %v", err)
+		t.Fatalf("probe after an evaluation: %v", err)
 	} else if *got != *pr {
-		t.Fatalf("probe differs without ErrorProbe:\n%+v\n%+v", got, pr)
+		t.Fatalf("probe differs after an evaluation:\n%+v\n%+v", got, pr)
 	}
 	if pr.CoarseN != 1<<11 {
 		t.Fatalf("coarse grid %d, want %d", pr.CoarseN, 1<<11)

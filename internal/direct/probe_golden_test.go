@@ -32,9 +32,7 @@ func TestProbeUpperBoundsGridError(t *testing.T) {
 
 	policies := [][2]int{{0, 0}, {21, 0}, {10, 5}}
 	for _, n := range []int{512, 2048} {
-		s, err := direct.NewSolver(m, direct.Config{
-			N: n, Horizon: horizon, MaxQueue: maxQ, ErrorProbe: true,
-		})
+		s, err := direct.NewSolver(m, direct.Config{N: n, Horizon: horizon, MaxQueue: maxQ})
 		if err != nil {
 			t.Fatal(err)
 		}

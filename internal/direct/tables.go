@@ -90,10 +90,6 @@ type Config struct {
 	// "fft" / "transfer_law" children for lazy cache fills. Purely
 	// observational — results are bit-identical with or without it.
 	Span *obs.Span
-	// ErrorProbe is accepted for compatibility and has no effect:
-	// ProbeGridError can always build its half-resolution shadow, lazily,
-	// on the first probe.
-	ErrorProbe bool
 	// MaxFactor requests prefix tables for replication factors
 	// 1..MaxFactor per server, enabling the *Repl metric variants (the
 	// joint reallocation+replication search evaluates them). 0 or 1

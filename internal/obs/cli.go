@@ -1,15 +1,74 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 )
+
+// ErrUsage marks flag/configuration errors. The binaries' audited
+// convention: usage on stderr and exit status 2 for those, 1 for runtime
+// errors and 0 for -h/-help.
+var ErrUsage = errors.New("usage error")
+
+// NewFlagSet returns the FlagSet of a binary whose usage is the synopsis
+// line followed by the flag defaults; parse it with ParseFlags.
+func NewFlagSet(name, synopsis string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: "+synopsis)
+		fs.PrintDefaults()
+	}
+	return fs
+}
+
+// ParseFlags parses args into fs (which must be ContinueOnError) and
+// classifies a failure: -h/-help stays flag.ErrHelp, anything else — the
+// FlagSet has already printed the error and the usage — is a usage error.
+func ParseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return fmt.Errorf("%w: %v", ErrUsage, err)
+	}
+	return err
+}
+
+// UsageErrorf prints fs's usage and returns the formatted usage error.
+func UsageErrorf(fs *flag.FlagSet, format string, args ...any) error {
+	fs.Usage()
+	return fmt.Errorf("%w: %s", ErrUsage, fmt.Sprintf(format, args...))
+}
+
+// ExitCode is the exit status the convention assigns to a run's error.
+func ExitCode(err error) int {
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, ErrUsage):
+		return 2
+	}
+	return 1
+}
+
+// Exit ends the process of the named binary with run's error: reported on
+// stderr unless it is nil or -h/-help (the FlagSet already printed the
+// usage), then ExitCode's status.
+func Exit(name string, err error) {
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+	}
+	os.Exit(ExitCode(err))
+}
 
 // CLI is the shared observability configuration of the command-line
 // tools; bind it to a FlagSet with BindFlags, then bracket the run with
@@ -53,15 +112,67 @@ func BindFlags(fs *flag.FlagSet) *CLI {
 	return c
 }
 
-// WriteAddrFile atomically publishes a bound address so scripts that
-// started a daemon on ":0" can find the port (write temp + rename: a
-// reader never sees a partial file).
-func WriteAddrFile(path, addr string) error {
+// WriteFileAtomic publishes data at path via temp file + rename, so a
+// reader never sees a partial file.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// WriteAddrFile publishes a bound address so scripts that started a
+// daemon on ":0" can find the port.
+func WriteAddrFile(path, addr string) error {
+	return WriteFileAtomic(path, []byte(addr+"\n"))
+}
+
+// ServeDaemon is the serving life of a daemon once it holds its listener.
+// It publishes the bound address — in addrFile when set, and as the
+// "NAME: listening on http://ADDR" line scripts wait for —, serves h until
+// SIGTERM/SIGINT, then drains: onShutdown runs the instant draining begins
+// (readiness can flip while requests still complete), in-flight requests
+// get drain to finish, and a second signal kills the process. It returns
+// nil after a clean drain; a server failure, or an error arriving on fatal
+// (a side server's; nil = there is none), ends it undrained.
+func ServeDaemon(name string, ln net.Listener, addrFile string, h http.Handler, drain time.Duration, onShutdown func(), fatal <-chan error) error {
+	// Signals are caught before the address is published: a script may
+	// send SIGTERM the moment it sees the listening line.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	bound := ln.Addr().String()
+	if addrFile != "" {
+		if err := WriteAddrFile(addrFile, bound); err != nil {
+			_ = ln.Close()
+			return err
+		}
+	}
+	fmt.Fprintf(os.Stderr, "%s: listening on http://%s\n", name, bound)
+
+	srv := &http.Server{Handler: h}
+	srv.RegisterOnShutdown(onShutdown)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	select {
+	case err := <-serveErr:
+		return fmt.Errorf("serve: %w", err)
+	case err := <-fatal:
+		return err
+	case <-ctx.Done():
+	}
+	stop() // a second signal kills immediately
+
+	Logger().Info(name+" draining", "timeout", drain)
+	fmt.Fprintf(os.Stderr, "%s: draining\n", name)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(drainCtx); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	<-serveErr // Serve has returned http.ErrServerClosed
+	Logger().Info(name + " stopped")
+	return nil
 }
 
 // Enabled reports whether any observability flag was set.

@@ -2,11 +2,18 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func TestCLIDisabledIsNoop(t *testing.T) {
@@ -160,5 +167,86 @@ func TestDisplayAddr(t *testing.T) {
 		if got := displayAddr(in); got != want {
 			t.Fatalf("displayAddr(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestExitCode pins the binaries' exit convention in the one place that
+// now states it: -h/-help and success 0, usage errors 2, anything else 1
+// — with ParseFlags and UsageErrorf producing the classes it reads.
+func TestExitCode(t *testing.T) {
+	newFS := func() *flag.FlagSet {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.Int("n", 0, "")
+		return fs
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"success", nil, 0},
+		{"parsed", ParseFlags(newFS(), []string{"-n", "3"}), 0},
+		{"help", ParseFlags(newFS(), []string{"-h"}), 0},
+		{"unknown flag", ParseFlags(newFS(), []string{"-bogus"}), 2},
+		{"malformed value", ParseFlags(newFS(), []string{"-n", "lots"}), 2},
+		{"usage error", UsageErrorf(newFS(), "need %s", "-model"), 2},
+		{"wrapped usage error", fmt.Errorf("boot: %w", UsageErrorf(newFS(), "bad")), 2},
+		{"runtime error", errors.New("listen: address in use"), 1},
+	} {
+		if got := ExitCode(c.err); got != c.want {
+			t.Errorf("%s: ExitCode(%v) = %d, want %d", c.name, c.err, got, c.want)
+		}
+	}
+	if err := ParseFlags(newFS(), []string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h returned %v, want flag.ErrHelp", err)
+	}
+}
+
+// TestServeDaemonDrainsOnSignal: the skeleton dtrserved and dtringest share
+// publishes the address, serves, and on SIGTERM runs the on-shutdown hook
+// and returns nil once drained.
+func TestServeDaemonDrainsOnSignal(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	hooked := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, "ok") })
+		done <- ServeDaemon("testd", ln, addrFile, h, 5*time.Second, func() { close(hooked) }, nil)
+	}()
+	// Wait on the event scripts wait on: the published address answering.
+	var addr []byte
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if addr, err = os.ReadFile(addrFile); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("address never published: %v", err)
+		}
+	}
+	resp, err := http.Get("http://" + strings.TrimSpace(string(addr)) + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ServeDaemon returned %v after a clean drain", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ServeDaemon did not return after SIGTERM")
+	}
+	select {
+	case <-hooked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("on-shutdown hook never ran")
 	}
 }

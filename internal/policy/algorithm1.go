@@ -102,6 +102,9 @@ func Algorithm1(m *core.Model, queues []int, opt Alg1Options) (core.Policy, erro
 	if len(queues) != n {
 		return nil, fmt.Errorf("policy: %d servers but %d queues", n, len(queues))
 	}
+	if err := opt.Objective.checkDeadline(opt.Deadline); err != nil {
+		return nil, fmt.Errorf("policy: %w", err)
+	}
 	if opt.K <= 0 {
 		opt.K = 5
 	}

@@ -69,8 +69,8 @@ func SearchBestAllocation(ev *AllocationEvaluator, mTotal int, obj Objective, de
 	if mTotal < 0 {
 		return nil, 0, fmt.Errorf("policy: negative workload %d", mTotal)
 	}
-	if obj == ObjQoS && deadline <= 0 {
-		return nil, 0, fmt.Errorf("policy: ObjQoS requires a deadline")
+	if err := obj.checkDeadline(deadline); err != nil {
+		return nil, 0, fmt.Errorf("policy: %w", err)
 	}
 	if restarts < 1 {
 		restarts = 1

@@ -49,6 +49,31 @@ func (o Objective) String() string {
 	}
 }
 
+// ParseObjective maps an objective's wire name — "mean" (also ""), "qos"
+// or "reliability" — onto the objective and its canonical name, checking
+// the deadline the objective is to be pursued under. It is the one place
+// the names are read.
+func ParseObjective(name string, deadline float64) (Objective, string, error) {
+	switch name {
+	case "", "mean":
+		return ObjMeanTime, "mean", nil
+	case "qos":
+		return ObjQoS, name, ObjQoS.checkDeadline(deadline)
+	case "reliability":
+		return ObjReliability, name, nil
+	}
+	return 0, "", fmt.Errorf("objective: unknown objective %q", name)
+}
+
+// checkDeadline states the rule the qos objective carries: P(T < TM)
+// needs a positive TM.
+func (o Objective) checkDeadline(deadline float64) error {
+	if o == ObjQoS && deadline <= 0 {
+		return fmt.Errorf("deadline: objective qos needs a positive deadline")
+	}
+	return nil
+}
+
 // better reports whether a beats b under the objective's direction.
 func (o Objective) better(a, b float64) bool {
 	if o == ObjMeanTime {
@@ -80,8 +105,6 @@ type Options2 struct {
 	// refines around the leaders, exploiting the smoothness of the
 	// metrics in the policy.
 	Exhaustive bool
-	// CoarseStride is the first-pass stride (0 = auto).
-	CoarseStride int
 	// Workers shards the lattice evaluations over a worker pool
 	// (≤ 0 = GOMAXPROCS). The result — optimum, value, tie-breaking and
 	// Evaluations — is bit-identical to the serial scan at every worker
@@ -154,8 +177,8 @@ func optimize2(eval evalFunc, m1, m2 int, obj Objective, opt Options2) (Result2,
 	if m1 < 0 || m2 < 0 {
 		return Result2{}, fmt.Errorf("policy: negative workload (%d, %d)", m1, m2)
 	}
-	if obj == ObjQoS && opt.Deadline <= 0 {
-		return Result2{}, fmt.Errorf("policy: ObjQoS requires a positive Deadline")
+	if err := obj.checkDeadline(opt.Deadline); err != nil {
+		return Result2{}, fmt.Errorf("policy: %w", err)
 	}
 
 	sw := &sweep2{
@@ -191,10 +214,7 @@ func optimize2(eval evalFunc, m1, m2 int, obj Objective, opt Options2) (Result2,
 		return sw.best, nil
 	}
 
-	stride := opt.CoarseStride
-	if stride <= 0 {
-		stride = max(1, max(m1, m2)/12)
-	}
+	stride := max(1, max(m1, m2)/12)
 	// Coarse pass over the strided lattice, with the far edges sampled.
 	var pts [][2]int
 	for l12 := 0; l12 <= m1; l12 += stride {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 
 	"dtr"
@@ -74,12 +73,25 @@ type CDFResponse struct {
 	Points []CDFPoint `json:"points"`
 }
 
+// Exec answers one verb in-process: the validation and the run function
+// behind POST /v1/<verb>, without what belongs to a shared endpoint — the
+// resource caps, the caches, admission. The answer is the verb's typed
+// response (*OptimizeResponse, *dtr.Explain, ...), the value the endpoint
+// marshals; workers and span are compute's.
+func Exec(verb string, req *Request, workers int, span *obs.Span) (any, error) {
+	pr, err := validate(verb, req)
+	if err != nil {
+		return nil, err
+	}
+	return compute(pr, workers, span, nil)
+}
+
 // compute runs the verb's solver work for a validated request. Workers
-// is the service-wide solver budget; span (nil = tracing off) receives
-// the solver-phase sub-spans; solvers (nil = tier off) is where the
+// is the solver worker budget; span (nil = tracing off) receives the
+// solver-phase sub-spans; solvers (nil = tier off) is where the
 // request's System gets its canonical solver. Every error it returns is
 // an internal failure (HTTP 500): client-caused conditions were rejected
-// by parseRequest.
+// by validate.
 func compute(pr *parsedRequest, workers int, span *obs.Span, solvers *solverLease) (any, error) {
 	sys, err := dtr.NewSystem(pr.model, pr.initial)
 	if err != nil {
@@ -93,108 +105,42 @@ func compute(pr *parsedRequest, workers int, span *obs.Span, solvers *solverLeas
 	}
 	sys.Workers = workers
 	sys.Span = span
+	return pr.verb.run(sys, pr)
+}
 
-	switch pr.verb {
-	case "optimize":
-		return computeOptimize(sys, pr)
-	case "metrics":
-		return computeMetrics(sys, pr)
-	case "simulate":
-		return computeSimulate(sys, pr)
-	case "bounds":
-		return computeBounds(sys, pr)
-	case "cdf":
-		return computeCDF(sys, pr)
-	case "explain":
-		return computeExplain(sys, pr)
-	}
-	return nil, fmt.Errorf("serve: unknown verb %q", pr.verb)
+// replication is the joint-search block of a plan request (the zero
+// value is the plain search).
+func (pr *parsedRequest) replication() *dtr.ReplicationConfig {
+	return &dtr.ReplicationConfig{MaxFactor: pr.opts.ReplMaxFactor, Budget: pr.opts.ReplBudget}
 }
 
 // computeExplain returns the versioned explain artifact verbatim: the
 // schema is owned by package dtr so dtrplan -explain and /v1/explain
 // emit identical documents for identical inputs.
 func computeExplain(sys *dtr.System, pr *parsedRequest) (any, error) {
-	opt := dtr.ExplainOptions{
-		Objective: pr.opts.Objective,
-		Deadline:  pr.opts.Deadline,
-		Probe:     pr.opts.Probe,
-	}
-	if pr.opts.ReplMaxFactor > 1 {
-		opt.Replication = &dtr.ReplicationConfig{
-			MaxFactor: pr.opts.ReplMaxFactor,
-			Budget:    pr.opts.ReplBudget,
-		}
-	}
-	return sys.Explain(opt)
-}
-
-// serveObjective maps the request's objective name onto the policy enum.
-func serveObjective(name string) (dtr.Objective, error) {
-	switch name {
-	case "mean":
-		return dtr.ObjMeanTime, nil
-	case "qos":
-		return dtr.ObjQoS, nil
-	case "reliability":
-		return dtr.ObjReliability, nil
-	}
-	return 0, fmt.Errorf("serve: unknown objective %q", name)
+	return sys.Explain(dtr.ExplainOptions{
+		Objective:   pr.opts.Objective,
+		Deadline:    pr.opts.Deadline,
+		Probe:       pr.opts.Probe,
+		Replication: pr.replication(),
+	})
 }
 
 func computeOptimize(sys *dtr.System, pr *parsedRequest) (any, error) {
-	if pr.opts.ReplMaxFactor > 1 {
-		return computeOptimizeReplicated(sys, pr)
-	}
-	var (
-		pol   dtr.Policy
-		value float64
-		err   error
-	)
-	switch pr.opts.Objective {
-	case "mean":
-		pol, value, err = sys.OptimalMeanPolicy()
-	case "qos":
-		pol, value, err = sys.OptimalQoSPolicy(pr.opts.Deadline)
-	case "reliability":
-		pol, value, err = sys.OptimalReliabilityPolicy()
-	default:
-		err = fmt.Errorf("serve: unknown objective %q", pr.opts.Objective)
-	}
+	plan, err := sys.OptimizeReplicated(pr.obj, pr.opts.Deadline, *pr.replication())
 	if err != nil {
 		return nil, err
 	}
 	resp := &OptimizeResponse{
 		Objective: pr.opts.Objective,
-		Policy:    dtr.FormatPolicy(pol),
-		Matrix:    pol,
-		Value:     Num(math.NaN()), // null unless the exact solver ran
-	}
-	if sys.Model().N() == 2 {
-		resp.Value = Num(value)
-	}
-	return resp, nil
-}
-
-func computeOptimizeReplicated(sys *dtr.System, pr *parsedRequest) (any, error) {
-	obj, err := serveObjective(pr.opts.Objective)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := sys.OptimizeReplicated(obj, pr.opts.Deadline, dtr.ReplicationConfig{
-		MaxFactor: pr.opts.ReplMaxFactor,
-		Budget:    pr.opts.ReplBudget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &OptimizeResponse{
-		Objective: pr.opts.Objective,
 		Policy:    dtr.FormatPolicy(plan.Policy),
 		Matrix:    plan.Policy,
 		Value:     Num(plan.Value), // NaN → null for multi-server plans
-		Factors:   plan.Factors,
-	}, nil
+	}
+	if pr.opts.ReplMaxFactor > 1 {
+		resp.Factors = plan.Factors
+	}
+	return resp, nil
 }
 
 func computeMetrics(sys *dtr.System, pr *parsedRequest) (any, error) {
@@ -274,7 +220,7 @@ func computeCDF(sys *dtr.System, pr *parsedRequest) (any, error) {
 	if end <= 0 {
 		// Walk the curve out to where it has nearly reached its limit
 		// (the reliability: with failure-prone servers the curve
-		// saturates below 1) — same auto-horizon as cmd/dtrplan.
+		// saturates below 1).
 		limit := cdf(1e18)
 		end = 1
 		if limit > 1e-9 {

@@ -1,29 +1,44 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"time"
 
 	"dtr"
+	"dtr/internal/policy"
 	"dtr/modelspec"
 )
 
-// Request is the JSON body every /v1/<verb> endpoint consumes. Spec is a
-// full modelspec SystemSpec document; the remaining fields parameterize
-// the verb (fields a verb does not use are ignored and excluded from its
-// cache key):
+// Request is the JSON body every /v1/<verb> endpoint consumes and what
+// Exec takes in-process (cmd/dtrplan's flags and the adapt controller's
+// planner fill the same struct). Spec is a full modelspec SystemSpec
+// document; the other fields parameterize the verb. This is the one table
+// of what each verb reads and what a zero field stands for; fields a verb
+// does not read are ignored and excluded from its cache key:
 //
-//	optimize  grid, objective (mean|qos|reliability), deadline, replication
-//	metrics   grid, policy, deadline
+//	optimize  grid, objective, deadline, replication
+//	explain   grid, objective, deadline, replication, probe
+//	metrics   grid, policy, deadline          (two-server systems)
 //	simulate  policy, reps, seed, deadline
 //	bounds    grid, policy, deadline
-//	cdf       grid, policy, points, tmax
-//	explain   grid, objective (mean|qos|reliability), deadline, probe, replication
+//	cdf       grid, policy, points, tmax      (two-server systems)
 //
-// timeoutMs bounds how long this caller waits for the result; the server
-// clamps it to its -timeout flag.
+//	grid         lattice points of the analytic solvers; 0 = 8192
+//	objective    mean | qos | reliability; "" = mean. mean needs reliable
+//	             servers, qos a positive deadline
+//	deadline     the QoS horizon TM; 0 = none, no QoS is reported
+//	policy       "src>dst:count,..." shipments; "" = no reallocation
+//	reps, seed   Monte-Carlo replications and seed; 0 = 10000 and 1
+//	points       curve samples; 0 = 20
+//	tmax         last curve abscissa; 0 = where the curve nears its limit
+//	probe        add the half-resolution grid-error probe
+//	replication  search per-server replication factors too (ReplRequest)
+//
+// timeoutMs bounds how long an HTTP caller waits for the result; the
+// server clamps it to its -timeout flag.
 type Request struct {
 	Spec        json.RawMessage `json:"spec"`
 	Grid        int             `json:"grid,omitempty"`
@@ -49,9 +64,18 @@ type ReplRequest struct {
 	Budget    int `json:"budget,omitempty"`
 }
 
-// Request size/range guards: a public planning endpoint must not let one
+// What a zero Request field stands for.
+const (
+	defaultGrid   = 8192
+	defaultReps   = 10000
+	defaultSeed   = 1
+	defaultPoints = 20
+)
+
+// Resource caps of the public endpoint: a shared daemon must not let one
 // request commandeer the process with a gigantic lattice or replication
-// count.
+// count. They bind parseRequest only; Exec's callers spend their own
+// process.
 const (
 	minGrid   = 64
 	maxGrid   = 1 << 17
@@ -70,6 +94,13 @@ func (e badRequest) Error() string { return e.msg }
 
 func badRequestf(format string, args ...any) error {
 	return badRequest{fmt.Sprintf(format, args...)}
+}
+
+// errRange rejects a bounded integer field. It is sent from two places
+// with one text: by validate for a value below the floor every caller
+// shares, by checkCaps for one above the endpoint's ceiling.
+func errRange(field string, lo, hi, got int) error {
+	return badRequestf("%s: must be in [%d, %d], got %d", field, lo, hi, got)
 }
 
 // canonOpts is the normalized option block hashed into the cache key:
@@ -93,24 +124,90 @@ type canonOpts struct {
 	ReplBudget    int `json:"replBudget,omitempty"`
 }
 
+// checkCaps holds the options a verb consumes to the endpoint's resource
+// caps.
+func (o *canonOpts) checkCaps() error {
+	switch {
+	case o.Grid != 0 && (o.Grid < minGrid || o.Grid > maxGrid):
+		return errRange("grid", minGrid, maxGrid, o.Grid)
+	case o.Reps > maxReps:
+		return errRange("reps", 0, maxReps, o.Reps)
+	case o.Points > maxPoints:
+		return errRange("points", 0, maxPoints, o.Points)
+	case o.ReplMaxFactor > maxReplFactor:
+		return errRange("replication.maxFactor", 1, maxReplFactor, o.ReplMaxFactor)
+	}
+	return nil
+}
+
+// fields is a set of Request field groups.
+type fields uint
+
+const (
+	fGrid     fields = 1 << iota // grid
+	fAnalytic                    // no field: the verb needs a two-server model
+	fPolicy                      // policy
+	fPlan                        // objective, deadline (qos), replication
+	fProbe                       // probe
+	fDeadline                    // deadline
+	fSim                         // reps, seed
+	fCurve                       // points, tmax
+)
+
+// verb is one planning verb: its name (the /v1/<name> endpoint, a batch
+// item's "verb", the cmd/dtrplan subcommand), the request fields it reads
+// (validate resolves them into the canonical options) and the function
+// computing its typed answer from those.
+type verb struct {
+	name  string
+	reads fields
+	run   func(sys *dtr.System, pr *parsedRequest) (any, error)
+}
+
+// verbs is the verb table, in /v1/ registration order. Everything that
+// dispatches on a verb — Exec, the endpoints, /v1/batch — looks it up
+// here; Request's doc comment is this table in prose.
+var verbs = [...]verb{
+	{"optimize", fGrid | fPlan, computeOptimize},
+	{"metrics", fGrid | fAnalytic | fPolicy | fDeadline, computeMetrics},
+	{"simulate", fPolicy | fSim | fDeadline, computeSimulate},
+	{"bounds", fGrid | fPolicy | fDeadline, computeBounds},
+	{"cdf", fGrid | fAnalytic | fPolicy | fCurve, computeCDF},
+	{"explain", fGrid | fPlan | fProbe, computeExplain},
+}
+
 // parsedRequest is a fully validated request, ready to compute: the spec
-// decoded and built, the policy parsed against the model, the canonical
-// fingerprint derived.
+// decoded and built, the policy parsed against the model. The HTTP
+// pipeline adds the canonical fingerprint and the caller's timeout.
 type parsedRequest struct {
-	verb     string
-	model    *dtr.Model
-	initial  []int
-	policy   dtr.Policy
-	opts     canonOpts
+	verb    *verb
+	spec    *modelspec.SystemSpec
+	model   *dtr.Model
+	initial []int
+	policy  dtr.Policy
+	obj     dtr.Objective
+	opts    canonOpts
+
 	key      string        // canonical fingerprint: cache / coalescing key
 	specJSON []byte        // canonical spec document behind key
 	optsJSON []byte        // canonical option block hashed into key
 	timeout  time.Duration // 0 = server default
 }
 
-// parseRequest validates req for verb and derives the canonical
-// fingerprint. All failures are badRequest errors (HTTP 400).
-func parseRequest(verb string, req *Request) (*parsedRequest, error) {
+// validate checks req as a request for the named verb — the checks every
+// caller gets, in-process or over HTTP — and resolves the fields the verb
+// reads: defaults applied, the policy parsed against the model, values
+// that mean nothing rejected. All failures are badRequest errors.
+func validate(name string, req *Request) (*parsedRequest, error) {
+	var v *verb
+	for i := range verbs {
+		if verbs[i].name == name {
+			v = &verbs[i]
+		}
+	}
+	if v == nil {
+		return nil, badRequestf("unknown verb %q", name)
+	}
 	if len(req.Spec) == 0 {
 		return nil, badRequestf("spec: required")
 	}
@@ -122,152 +219,108 @@ func parseRequest(verb string, req *Request) (*parsedRequest, error) {
 	if err != nil {
 		return nil, badRequest{err.Error()}
 	}
-	n := model.N()
-
-	if req.Grid != 0 && (req.Grid < minGrid || req.Grid > maxGrid) {
-		return nil, badRequestf("grid: must be 0 (default) or in [%d, %d], got %d", minGrid, maxGrid, req.Grid)
+	if req.Grid < 0 {
+		return nil, errRange("grid", minGrid, maxGrid, req.Grid)
 	}
 	if math.IsNaN(req.Deadline) || math.IsInf(req.Deadline, 0) || req.Deadline < 0 {
 		return nil, badRequestf("deadline: must be a non-negative finite number, got %g", req.Deadline)
 	}
-	if req.TimeoutMS < 0 {
-		return nil, badRequestf("timeoutMs: must be non-negative, got %d", req.TimeoutMS)
-	}
+	pr := &parsedRequest{verb: v, spec: spec, model: model, initial: initial, opts: canonOpts{Verb: name}}
+	opts, n := &pr.opts, model.N()
 
-	pr := &parsedRequest{
-		verb:    verb,
-		model:   model,
-		initial: initial,
-		timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		opts:    canonOpts{Verb: verb, Grid: req.Grid},
+	if v.reads&fGrid != 0 {
+		opts.Grid = cmp.Or(req.Grid, defaultGrid)
 	}
-	if pr.opts.Grid == 0 {
-		pr.opts.Grid = 8192
+	if v.reads&fAnalytic != 0 && n != 2 {
+		return nil, badRequestf("%s: analytic metrics cover two-server systems (got %d servers); use simulate or bounds", name, n)
 	}
-
-	needPolicy := func() error {
-		p, err := dtr.ParsePolicy(req.Policy, n)
+	if v.reads&fPolicy != 0 {
+		pr.policy, err = dtr.ParsePolicy(req.Policy, n)
 		if err != nil {
-			return badRequest{err.Error()}
+			return nil, badRequest{err.Error()}
 		}
-		if err := p.Validate(initial); err != nil {
-			return badRequest{"policy: " + err.Error()}
+		if err := pr.policy.Validate(initial); err != nil {
+			return nil, badRequest{"policy: " + err.Error()}
 		}
-		pr.policy = p
-		pr.opts.Policy = canonicalPolicyString(p)
-		return nil
+		opts.Policy = canonicalPolicyString(pr.policy)
 	}
-	needTwoServer := func() error {
-		if n != 2 {
-			return badRequestf("%s: analytic metrics cover two-server systems (got %d servers); use simulate or bounds", verb, n)
+	if v.reads&fPlan != 0 {
+		pr.obj, opts.Objective, err = policy.ParseObjective(req.Objective, req.Deadline)
+		if err != nil {
+			return nil, badRequest{err.Error()}
 		}
-		return nil
+		if pr.obj == dtr.ObjMeanTime && !model.Reliable() {
+			return nil, badRequestf("objective: mean is undefined with failure-prone servers; use qos or reliability")
+		}
+		if pr.obj == dtr.ObjQoS {
+			opts.Deadline = req.Deadline
+		}
+		if r := req.Replication; r != nil {
+			if r.MaxFactor < 1 {
+				return nil, errRange("replication.maxFactor", 1, maxReplFactor, r.MaxFactor)
+			}
+			if r.Budget < 0 {
+				return nil, badRequestf("replication.budget: must be non-negative (0 = unconstrained), got %d", r.Budget)
+			}
+			if r.MaxFactor > 1 {
+				opts.ReplMaxFactor, opts.ReplBudget = r.MaxFactor, r.Budget
+			}
+		}
 	}
-
-	switch verb {
-	case "optimize", "explain":
-		obj := req.Objective
-		if obj == "" {
-			obj = "mean"
+	if v.reads&fProbe != 0 {
+		opts.Probe = req.Probe
+	}
+	if v.reads&fDeadline != 0 {
+		opts.Deadline = req.Deadline
+	}
+	if v.reads&fSim != 0 {
+		if req.Reps < 0 {
+			return nil, errRange("reps", 0, maxReps, req.Reps)
 		}
-		switch obj {
-		case "mean":
-			if !model.Reliable() {
-				return nil, badRequestf("objective: mean is undefined with failure-prone servers; use qos or reliability")
-			}
-		case "reliability":
-		case "qos":
-			if req.Deadline <= 0 {
-				return nil, badRequestf("deadline: objective qos needs a positive deadline")
-			}
-			pr.opts.Deadline = req.Deadline
-		default:
-			return nil, badRequestf("objective: unknown objective %q", req.Objective)
+		opts.Reps = cmp.Or(req.Reps, defaultReps)
+		opts.Seed = cmp.Or(req.Seed, defaultSeed)
+	}
+	if v.reads&fCurve != 0 {
+		if req.Points < 0 {
+			return nil, errRange("points", 0, maxPoints, req.Points)
 		}
-		pr.opts.Objective = obj
-		if verb == "explain" {
-			pr.opts.Probe = req.Probe
-		}
-		if req.Replication != nil {
-			mf := req.Replication.MaxFactor
-			if mf < 1 || mf > maxReplFactor {
-				return nil, badRequestf("replication.maxFactor: must be in [1, %d], got %d", maxReplFactor, mf)
-			}
-			if req.Replication.Budget < 0 {
-				return nil, badRequestf("replication.budget: must be non-negative (0 = unconstrained), got %d", req.Replication.Budget)
-			}
-			if mf > 1 {
-				pr.opts.ReplMaxFactor = mf
-				pr.opts.ReplBudget = req.Replication.Budget
-			}
-		}
-	case "metrics":
-		if err := needTwoServer(); err != nil {
-			return nil, err
-		}
-		if err := needPolicy(); err != nil {
-			return nil, err
-		}
-		pr.opts.Deadline = req.Deadline
-	case "simulate":
-		if err := needPolicy(); err != nil {
-			return nil, err
-		}
-		if req.Reps < 0 || req.Reps > maxReps {
-			return nil, badRequestf("reps: must be in [0, %d] (0 = default 10000), got %d", maxReps, req.Reps)
-		}
-		pr.opts.Reps = req.Reps
-		if pr.opts.Reps == 0 {
-			pr.opts.Reps = 10000
-		}
-		pr.opts.Seed = req.Seed
-		if pr.opts.Seed == 0 {
-			pr.opts.Seed = 1
-		}
-		pr.opts.Deadline = req.Deadline
-		pr.opts.Grid = 0 // simulation does not touch the lattice
-	case "bounds":
-		if err := needPolicy(); err != nil {
-			return nil, err
-		}
-		pr.opts.Deadline = req.Deadline
-	case "cdf":
-		if err := needTwoServer(); err != nil {
-			return nil, err
-		}
-		if err := needPolicy(); err != nil {
-			return nil, err
-		}
-		if req.Points < 0 || req.Points > maxPoints {
-			return nil, badRequestf("points: must be in [0, %d] (0 = default 20), got %d", maxPoints, req.Points)
-		}
-		pr.opts.Points = req.Points
-		if pr.opts.Points == 0 {
-			pr.opts.Points = 20
-		}
+		opts.Points = cmp.Or(req.Points, defaultPoints)
 		if math.IsNaN(req.Tmax) || math.IsInf(req.Tmax, 0) || req.Tmax < 0 {
 			return nil, badRequestf("tmax: must be a non-negative finite number, got %g", req.Tmax)
 		}
-		pr.opts.Tmax = req.Tmax
-	default:
-		return nil, badRequestf("unknown verb %q", verb)
+		opts.Tmax = req.Tmax
 	}
+	return pr, nil
+}
 
-	optsJSON, err := json.Marshal(pr.opts)
+// parseRequest is validate for the shared endpoint: it additionally holds
+// the request to the resource caps and derives the canonical fingerprint.
+// All failures are badRequest errors (HTTP 400).
+func parseRequest(name string, req *Request) (*parsedRequest, error) {
+	pr, err := validate(name, req)
+	if err != nil {
+		return nil, err
+	}
+	if err := pr.opts.checkCaps(); err != nil {
+		return nil, err
+	}
+	if req.TimeoutMS < 0 {
+		return nil, badRequestf("timeoutMs: must be non-negative, got %d", req.TimeoutMS)
+	}
+	pr.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+
+	pr.optsJSON, err = json.Marshal(pr.opts)
 	if err != nil {
 		return nil, fmt.Errorf("serve: encode options: %w", err)
 	}
-	key, err := spec.Fingerprint([]byte(verb), optsJSON)
+	pr.key, err = pr.spec.Fingerprint([]byte(name), pr.optsJSON)
 	if err != nil {
 		return nil, badRequest{err.Error()}
 	}
-	specJSON, err := spec.CanonicalJSON()
+	pr.specJSON, err = pr.spec.CanonicalJSON()
 	if err != nil {
 		return nil, badRequest{err.Error()}
 	}
-	pr.key = key
-	pr.specJSON = specJSON
-	pr.optsJSON = optsJSON
 	return pr, nil
 }
 

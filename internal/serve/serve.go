@@ -109,10 +109,6 @@ type Service struct {
 	notReady atomic.Bool // zero value = ready, so direct constructions serve immediately
 }
 
-// Verbs lists the planning verbs served under /v1/, in registration
-// order.
-var Verbs = []string{"optimize", "metrics", "simulate", "bounds", "cdf", "explain"}
-
 // New builds a Service from cfg, applying defaults.
 func New(cfg Config) *Service {
 	cfg.Workers = par.Workers(cfg.Workers)
@@ -151,8 +147,8 @@ func New(cfg Config) *Service {
 
 // Register mounts the /v1/ endpoints, /healthz and /readyz on mux.
 func (s *Service) Register(mux *http.ServeMux) {
-	for _, verb := range Verbs {
-		mux.Handle("/v1/"+verb, s.endpoint(verb, s.handleVerb(verb)))
+	for _, v := range verbs {
+		mux.Handle("/v1/"+v.name, s.endpoint(v.name, s.handleVerb(v.name)))
 	}
 	mux.Handle("/v1/batch", s.endpoint("batch", s.handleBatch))
 	mux.Handle("/v1/fit", s.endpoint("fit", s.handleFit))
@@ -391,12 +387,12 @@ func (s *Service) runFlight(pr *parsedRequest, f *flight, span *obs.Span) {
 	defer s.reg.Gauge("dtr_serve_inflight").Add(-1)
 	s.reg.Counter("dtr_serve_computes_total").Add(1)
 
-	solve := span.Child("solve", "verb", pr.verb)
+	solve := span.Child("solve", "verb", pr.verb.name)
 	solvers := s.solvers.lease(pr)
 	resp, err := compute(pr, s.cfg.Workers, solve, solvers)
 	solvers.release()
 	solve.End()
-	span.Logger().Debug("flight computed", "verb", pr.verb, "key", pr.key, "err", err != nil)
+	span.Logger().Debug("flight computed", "verb", pr.verb.name, "key", pr.key, "err", err != nil)
 	if err != nil {
 		s.flight.finish(pr.key, f, nil, http.StatusInternalServerError, err.Error())
 		return
@@ -407,7 +403,7 @@ func (s *Service) runFlight(pr *parsedRequest, f *flight, span *obs.Span) {
 		return
 	}
 	body = append(body, '\n')
-	s.cachePut(pr.key, body, pr.verb, pr.specJSON, pr.optsJSON)
+	s.cachePut(pr.key, body, pr.verb.name, pr.specJSON, pr.optsJSON)
 	s.flight.finish(pr.key, f, body, http.StatusOK, "")
 }
 
@@ -444,7 +440,7 @@ func (s *Service) forward(ctx context.Context, span *obs.Span, pr *parsedRequest
 		fspan.SetAttr("error", err)
 		return result{}, false
 	}
-	resp, err := s.cluster.Forward(ctx, fspan, pr.key, "/v1/"+pr.verb, body)
+	resp, err := s.cluster.Forward(ctx, fspan, pr.key, "/v1/"+pr.verb.name, body)
 	if err != nil {
 		fspan.SetAttr("error", err)
 		return result{}, false
@@ -453,7 +449,7 @@ func (s *Service) forward(ctx context.Context, span *obs.Span, pr *parsedRequest
 	fspan.SetAttr("code", resp.Status)
 	s.reg.Counter("dtr_serve_forwarded_total").Add(1)
 	if resp.Status == http.StatusOK {
-		s.cachePut(pr.key, resp.Body, pr.verb, pr.specJSON, pr.optsJSON)
+		s.cachePut(pr.key, resp.Body, pr.verb.name, pr.specJSON, pr.optsJSON)
 		return result{status: http.StatusOK, body: resp.Body}, true
 	}
 	msg := strings.TrimSpace(string(resp.Body))

@@ -115,16 +115,11 @@ func (s *System) Model() *Model { return s.model }
 // Initial returns a copy of the initial allocation.
 func (s *System) Initial() []int { return append([]int(nil), s.initial...) }
 
-// direct returns (building lazily) the canonical-scenario solver.
-func (s *System) directSolver() (*direct.Solver, error) {
-	return s.solverWithFactor(1)
-}
-
-// solverWithFactor returns the canonical-scenario solver with prefix
-// tables covering replication factors up to maxFac, asking the source
-// again when a bigger factor is first requested. A solver's factor-1
-// tables are the same whatever its largest factor, so plain metric calls
-// are unaffected by the switch.
+// solverWithFactor returns the canonical-scenario solver (building it
+// lazily) with prefix tables covering replication factors up to maxFac,
+// asking the source again when a bigger factor is first requested. A
+// solver's factor-1 tables are the same whatever its largest factor, so
+// plain metric calls are unaffected by the switch.
 func (s *System) solverWithFactor(maxFac int) (*direct.Solver, error) {
 	if s.model.N() != 2 {
 		return nil, fmt.Errorf("dtr: analytic metrics cover two-server systems; use Simulate or Algorithm1 for %d servers", s.model.N())
@@ -146,22 +141,22 @@ func (s *System) solverWithFactor(maxFac int) (*direct.Solver, error) {
 	return s.solver, nil
 }
 
-// split extracts (L12, L21) from a two-server policy.
-func (s *System) split(p Policy) (int, int, error) {
-	if err := p.Validate(s.initial); err != nil {
-		return 0, 0, err
+// canonical returns the solver and the (L12, L21) a two-server policy
+// evaluates at.
+func (s *System) canonical(p Policy) (sv *direct.Solver, l12, l21 int, err error) {
+	if sv, err = s.solverWithFactor(1); err != nil {
+		return nil, 0, 0, err
 	}
-	return p[0][1], p[1][0], nil
+	if err = p.Validate(s.initial); err != nil {
+		return nil, 0, 0, err
+	}
+	return sv, p[0][1], p[1][0], nil
 }
 
 // MeanTime returns the mean workload execution time T̄ under the policy.
 // Every server must be reliable (dist.Never failure law).
 func (s *System) MeanTime(p Policy) (float64, error) {
-	sv, err := s.directSolver()
-	if err != nil {
-		return 0, err
-	}
-	l12, l21, err := s.split(p)
+	sv, l12, l21, err := s.canonical(p)
 	if err != nil {
 		return 0, err
 	}
@@ -170,11 +165,7 @@ func (s *System) MeanTime(p Policy) (float64, error) {
 
 // QoS returns P(T < deadline) under the policy.
 func (s *System) QoS(p Policy, deadline float64) (float64, error) {
-	sv, err := s.directSolver()
-	if err != nil {
-		return 0, err
-	}
-	l12, l21, err := s.split(p)
+	sv, l12, l21, err := s.canonical(p)
 	if err != nil {
 		return 0, err
 	}
@@ -183,11 +174,7 @@ func (s *System) QoS(p Policy, deadline float64) (float64, error) {
 
 // Reliability returns P(T < ∞) under the policy.
 func (s *System) Reliability(p Policy) (float64, error) {
-	sv, err := s.directSolver()
-	if err != nil {
-		return 0, err
-	}
-	l12, l21, err := s.split(p)
+	sv, l12, l21, err := s.canonical(p)
 	if err != nil {
 		return 0, err
 	}
@@ -200,11 +187,7 @@ func (s *System) Reliability(p Policy) (float64, error) {
 // servers the curve saturates at the service reliability (T = ∞ has
 // positive probability).
 func (s *System) CompletionCDF(p Policy) (func(float64) float64, error) {
-	sv, err := s.directSolver()
-	if err != nil {
-		return nil, err
-	}
-	l12, l21, err := s.split(p)
+	sv, l12, l21, err := s.canonical(p)
 	if err != nil {
 		return nil, err
 	}
@@ -246,25 +229,83 @@ func (s *System) OptimalReliabilityPolicy() (Policy, float64, error) {
 	return s.optimize(policy.ObjReliability, 0)
 }
 
+// optimize projects the plan path onto the plain optimizers' answer.
 func (s *System) optimize(obj policy.Objective, deadline float64) (Policy, float64, error) {
-	if s.model.N() == 2 {
-		sv, err := s.directSolver()
-		if err != nil {
-			return nil, 0, err
-		}
-		res, err := policy.Optimize2(sv, s.initial[0], s.initial[1], obj, policy.Options2{Deadline: deadline, Workers: s.Workers, Span: s.Span})
-		if err != nil {
-			return nil, 0, err
-		}
-		return Policy2(res.L12, res.L21), res.Value, nil
-	}
-	p, err := s.Algorithm1(Alg1Config{Objective: Objective(obj), Deadline: deadline})
+	pl, err := s.plan(obj, deadline, ReplicationConfig{})
 	if err != nil {
 		return nil, 0, err
 	}
-	// Multi-server values come from simulation; callers wanting the
-	// value should Simulate the returned policy. Report NaN-free zero.
-	return p, 0, nil
+	if s.model.N() != 2 {
+		// Multi-server values come from simulation; callers wanting the
+		// value should Simulate the returned policy. Report NaN-free zero.
+		return pl.policy, 0, nil
+	}
+	return pl.policy, pl.value, nil
+}
+
+// planned is the outcome of one optimization, with everything its public
+// projections (the plain optimizers, OptimizeReplicated, Explain) read.
+// The diagnostics are always collected: they are observational, so the
+// policy and value are the same bits with or without them.
+type planned struct {
+	policy Policy
+	value  float64 // NaN on multi-server systems: their values come from simulation
+	// factors are the per-server replication factors the plan runs under:
+	// the search's choice when it replicated, the model's declared factors
+	// otherwise.
+	factors []int
+	evals   int
+
+	solver *direct.Solver          // two-server systems
+	sweep  *SweepDiagnostics       // two-server plain search
+	repl   *policy.ReplDiagnostics // two-server joint search
+	alg1   *Alg1Diagnostics        // multi-server systems
+}
+
+// plan is the one optimizer path: the joint reallocation+replication
+// search iff repl.MaxFactor > 1, the plain search — under the model's
+// declared factors — otherwise; the exact lattice sweep on two servers,
+// Algorithm 1 beyond.
+func (s *System) plan(obj policy.Objective, deadline float64, repl ReplicationConfig) (*planned, error) {
+	pl := &planned{value: math.NaN()}
+	replicating := repl.MaxFactor > 1
+	if !replicating {
+		for k := range s.initial {
+			pl.factors = append(pl.factors, s.model.ReplFactor(k))
+		}
+	}
+	if s.model.N() != 2 {
+		pl.alg1 = new(Alg1Diagnostics)
+		opts := policy.Alg1Options{Objective: obj, Deadline: deadline, Workers: s.Workers, Span: s.Span, Diag: pl.alg1}
+		var err error
+		if replicating {
+			pl.policy, pl.factors, err = policy.Algorithm1Repl(s.model, s.initial, opts, repl.MaxFactor, repl.Budget)
+		} else {
+			pl.policy, err = policy.Algorithm1(s.model, s.initial, opts)
+		}
+		return pl, err
+	}
+
+	var err error
+	if pl.solver, err = s.solverWithFactor(max(repl.MaxFactor, 1)); err != nil {
+		return nil, err
+	}
+	opts := policy.Options2{Deadline: deadline, Workers: s.Workers, Span: s.Span}
+	var res policy.Result2
+	if replicating {
+		pl.repl = new(policy.ReplDiagnostics)
+		var rres policy.ReplResult2
+		rres, err = policy.OptimizeRepl2(pl.solver, s.initial[0], s.initial[1], obj, policy.ReplOptions2{
+			Options2: opts, MaxFactor: repl.MaxFactor, Budget: repl.Budget, Diag: pl.repl,
+		})
+		res, pl.factors = rres.Result2, rres.Factors[:]
+	} else {
+		pl.sweep = new(SweepDiagnostics)
+		opts.Diag = pl.sweep
+		res, err = policy.Optimize2(pl.solver, s.initial[0], s.initial[1], obj, opts)
+	}
+	pl.policy, pl.value, pl.evals = Policy2(res.L12, res.L21), res.Value, res.Evaluations
+	return pl, err
 }
 
 // ReplicationConfig bounds the joint reallocation+replication search:
@@ -273,8 +314,8 @@ func (s *System) optimize(obj policy.Objective, deadline float64) (Policy, float
 // (Budget; ≤ 0 = unconstrained). See policy.OptimizeRepl2 and
 // policy.Algorithm1Repl.
 type ReplicationConfig struct {
-	// MaxFactor caps the per-server replication factor (1 = no
-	// replication; the search degenerates to the plain optimizers).
+	// MaxFactor caps the per-server replication factor (≤ 1 = no
+	// search over factors: the plain optimizers' plan).
 	MaxFactor int
 	// Budget caps Σ_k (factor_k − 1), the total extra copies.
 	Budget int
@@ -298,46 +339,15 @@ type ReplicatedPlan struct {
 // per-combination Optimize2 sweep (ties favor fewer copies: a plan
 // replicates only when strictly better); multi-server systems run
 // Algorithm 1 and then assign the copy budget greedily by marginal
-// expected-service-time gain. With cfg.MaxFactor ≤ 1 the result is
-// exactly the plain optimizer's policy with all factors 1.
+// expected-service-time gain. With cfg.MaxFactor ≤ 1 nothing is searched
+// over: the result is the plain optimizer's policy and value, bit for
+// bit, and Factors are the model's declared factors that plan runs under.
 func (s *System) OptimizeReplicated(obj Objective, deadline float64, cfg ReplicationConfig) (*ReplicatedPlan, error) {
-	if obj == ObjQoS && deadline <= 0 {
-		return nil, fmt.Errorf("dtr: ObjQoS requires a positive deadline")
-	}
-	maxFac := cfg.MaxFactor
-	if maxFac < 1 {
-		maxFac = 1
-	}
-	if s.model.N() == 2 {
-		sv, err := s.solverWithFactor(maxFac)
-		if err != nil {
-			return nil, err
-		}
-		res, err := policy.OptimizeRepl2(sv, s.initial[0], s.initial[1], obj, policy.ReplOptions2{
-			Options2:  policy.Options2{Deadline: deadline, Workers: s.Workers, Span: s.Span},
-			MaxFactor: maxFac,
-			Budget:    cfg.Budget,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &ReplicatedPlan{
-			Policy:      Policy2(res.L12, res.L21),
-			Factors:     []int{res.Factors[0], res.Factors[1]},
-			Value:       res.Value,
-			Evaluations: res.Evaluations,
-		}, nil
-	}
-	p, factors, err := policy.Algorithm1Repl(s.model, s.initial, policy.Alg1Options{
-		Objective: obj,
-		Deadline:  deadline,
-		Workers:   s.Workers,
-		Span:      s.Span,
-	}, maxFac, cfg.Budget)
+	pl, err := s.plan(obj, deadline, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &ReplicatedPlan{Policy: p, Factors: factors, Value: math.NaN()}, nil
+	return &ReplicatedPlan{Policy: pl.policy, Factors: pl.factors, Value: pl.value, Evaluations: pl.evals}, nil
 }
 
 // Objective selects the optimization target for Algorithm1.
