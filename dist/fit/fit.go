@@ -8,11 +8,12 @@
 //
 // Families: exponential, gamma, shifted-gamma, Pareto, lognormal and
 // the balanced two-phase hyperexponential — every family the modelspec
-// layer can round-trip. Fitters with no closed-form censored MLE
-// (gamma, shifted-gamma, lognormal, hyperexponential) maximize the
-// censored log-likelihood numerically with a Nelder–Mead simplex in a
-// log-transformed parameter space; exponential and Pareto censored MLEs
-// are closed-form.
+// layer can round-trip. Exponential and Pareto censored MLEs are
+// closed-form; the others maximize the censored log-likelihood with a
+// Nelder–Mead simplex in a log-transformed parameter space. For gamma,
+// shifted-gamma and lognormal the exact observations enter that
+// likelihood through sufficient statistics, so an evaluation costs only
+// the censored bounds, whose survival terms have no closed form.
 //
 // Model selection ranks admissible fits by AIC and breaks near-ties
 // (ΔAIC ≤ 2) by Kolmogorov–Smirnov distance on the uncensored part of
@@ -119,14 +120,19 @@ func Exponential(s Sample) (dist.Exponential, error) {
 	if err := s.check(); err != nil {
 		return dist.Exponential{}, err
 	}
-	if len(s.Obs) == 0 {
+	return exponentialMLE(len(s.Obs), sum(s.Obs)+sum(s.Cens))
+}
+
+// exponentialMLE is the estimator from its sufficient statistics, the
+// form a Stats holds them in: there it involves no sketch error at all.
+func exponentialMLE(events int, exposure float64) (dist.Exponential, error) {
+	if events == 0 {
 		return dist.Exponential{}, fmt.Errorf("fit: exponential fit needs at least one exact observation")
 	}
-	exposure := sum(s.Obs) + sum(s.Cens)
 	if !(exposure > 0) {
 		return dist.Exponential{}, fmt.Errorf("fit: degenerate exposure %g", exposure)
 	}
-	return dist.Exponential{Rate: float64(len(s.Obs)) / exposure}, nil
+	return dist.Exponential{Rate: float64(events) / exposure}, nil
 }
 
 // Pareto returns the censored MLE Pareto fit: x_m is the smallest exact
@@ -168,14 +174,14 @@ func Gamma(s Sample) (dist.Gamma, error) {
 	if len(s.Obs) < 2 {
 		return dist.Gamma{}, fmt.Errorf("fit: gamma fit needs >= 2 exact observations")
 	}
-	k0, rate0 := gammaInit(s.Obs)
 	if len(s.Cens) == 0 {
 		// Uncensored: the Newton MLE from the init is already optimal.
 		if g, err := stat.FitGamma(s.Obs); err == nil {
 			return g.(dist.Gamma), nil
 		}
 	}
-	return censoredGamma(s, k0, rate0)
+	g, _, err := censoredGamma(s)
+	return g, err
 }
 
 // gammaInit returns a moment-based (shape, rate) starting point.
@@ -188,28 +194,38 @@ func gammaInit(obs []float64) (k, rate float64) {
 	if !(v > 0) {
 		return 1, 1 / m
 	}
-	k = m * m / v
-	if k < 0.05 {
-		k = 0.05
-	}
-	if k > 1e4 {
-		k = 1e4
-	}
+	k = math.Min(math.Max(m*m/v, 0.05), 1e4)
 	return k, k / m
 }
 
-// censoredGamma maximizes the censored gamma likelihood from the given
-// starting point.
-func censoredGamma(s Sample, k0, rate0 float64) (dist.Gamma, error) {
-	theta := nelderMead(func(th []float64) float64 {
-		g := dist.Gamma{K: clampExp(th[0]), Rate: clampExp(th[1])}
-		return -LogLik(g, s)
-	}, []float64{math.Log(k0), math.Log(rate0)}, 0.3, 400)
-	g := dist.Gamma{K: clampExp(theta[0]), Rate: clampExp(theta[1])}
-	if math.IsInf(LogLik(g, s), -1) {
-		return dist.Gamma{}, fmt.Errorf("fit: censored gamma fit did not converge")
+// gammaExactLogLik returns Σ log f(x) under g over exact observations
+// known by their count, Σ x and Σ ln x, the family's sufficient
+// statistics: n·(k ln r − lnΓ(k)) + (k−1)·Σ ln x − r·Σ x. (LogLik is −Inf
+// where one density underflows; score rejects such a law all the same.)
+func gammaExactLogLik(g dist.Gamma, n, sumX, sumLog float64) float64 {
+	lg, _ := math.Lgamma(g.K)
+	return n*(g.K*math.Log(g.Rate)-lg) + (g.K-1)*sumLog - g.Rate*sumX
+}
+
+// censoredGamma maximizes the censored gamma likelihood from the moment
+// start and returns the maximizer with its log-likelihood. An evaluation
+// costs O(censored bounds): only their survival terms ln Q(k, r·c) have
+// no closed form.
+func censoredGamma(s Sample) (dist.Gamma, float64, error) {
+	k0, rate0 := gammaInit(s.Obs)
+	n, sumX, sumLog, cens := float64(len(s.Obs)), sum(s.Obs), 0.0, Sample{Cens: s.Cens}
+	for _, x := range s.Obs {
+		sumLog += math.Log(x)
 	}
-	return g, nil
+	at := func(th []float64) dist.Gamma { return dist.Gamma{K: clampExp(th[0]), Rate: clampExp(th[1])} }
+	theta, nll := nelderMead(func(th []float64) float64 {
+		g := at(th)
+		return -(gammaExactLogLik(g, n, sumX, sumLog) + LogLik(g, cens))
+	}, []float64{math.Log(k0), math.Log(rate0)}, 0.3, 400)
+	if math.IsInf(nll, 1) {
+		return dist.Gamma{}, 0, fmt.Errorf("fit: censored gamma fit did not converge")
+	}
+	return at(theta), -nll, nil
 }
 
 // ShiftedGamma returns the censored MLE three-parameter gamma fit
@@ -230,8 +246,9 @@ func ShiftedGamma(s Sample) (dist.ShiftedGamma, error) {
 	bestLL := math.Inf(-1)
 	var best dist.ShiftedGamma
 	found := false
+	res := Sample{Obs: make([]float64, 0, len(s.Obs)), Cens: make([]float64, 0, len(s.Cens))}
 	try := func(shift float64) {
-		res := Sample{Obs: make([]float64, 0, len(s.Obs)), Cens: make([]float64, 0, len(s.Cens))}
+		res.Obs, res.Cens = res.Obs[:0], res.Cens[:0]
 		for _, x := range s.Obs {
 			r := x - shift
 			if r <= 0 {
@@ -245,14 +262,10 @@ func ShiftedGamma(s Sample) (dist.ShiftedGamma, error) {
 				res.Cens = append(res.Cens, r)
 			}
 		}
-		k0, rate0 := gammaInit(res.Obs)
-		g, err := censoredGamma(res, k0, rate0)
-		if err != nil {
-			return
-		}
-		cand := dist.ShiftedGamma{Shift: shift, G: g}
-		if ll := LogLik(cand, s); ll > bestLL {
-			bestLL, best, found = ll, cand, true
+		// The residuals' maximized likelihood is the candidate's profile
+		// likelihood: the bounds left out contribute log 1.
+		if g, ll, err := censoredGamma(res); err == nil && ll > bestLL {
+			bestLL, best, found = ll, dist.ShiftedGamma{Shift: shift, G: g}, true
 		}
 	}
 
@@ -263,24 +276,24 @@ func ShiftedGamma(s Sample) (dist.ShiftedGamma, error) {
 	for i := 0; i <= coarse; i++ {
 		try(lo * (float64(i) / float64(coarse+1)))
 	}
-	if found {
-		center := best.Shift
-		step := lo / float64(coarse+1)
-		for i := -4; i <= 4; i++ {
-			sh := center + float64(i)*step/5
-			if sh >= 0 && sh < lo {
-				try(sh)
-			}
-		}
-	}
 	if !found {
 		return dist.ShiftedGamma{}, fmt.Errorf("fit: no admissible shifted-gamma fit")
+	}
+	center := best.Shift
+	step := lo / float64(coarse+1)
+	for i := -4; i <= 4; i++ {
+		// i == 0 is the coarse winner itself, already fitted.
+		if sh := center + float64(i)*step/5; i != 0 && sh >= 0 && sh < lo {
+			try(sh)
+		}
 	}
 	return best, nil
 }
 
 // LogNormal returns the censored MLE lognormal fit: log-moment init,
-// Nelder–Mead over (mu, log sigma).
+// Nelder–Mead over (mu, log sigma). As for the gamma, the exact part is
+// closed-form in (n, m = mean ln x, S = Σ (ln x − m)²):
+// Σ log f(x) = −(S + n·(m−mu)²)/(2 sigma²) − n·m − n·ln(sigma·√(2π)).
 func LogNormal(s Sample) (dist.LogNormal, error) {
 	if err := s.check(); err != nil {
 		return dist.LogNormal{}, err
@@ -292,20 +305,22 @@ func LogNormal(s Sample) (dist.LogNormal, error) {
 	for i, x := range s.Obs {
 		logs[i] = math.Log(x)
 	}
-	mu0 := stat.Mean(logs)
-	sigma0 := stat.StdDev(logs)
+	n, mu0, variance := float64(len(logs)), stat.Mean(logs), stat.Var(logs)
+	sigma0 := math.Sqrt(variance)
 	if !(sigma0 > 0.05) {
 		sigma0 = 0.05
 	}
-	theta := nelderMead(func(th []float64) float64 {
-		d := dist.LogNormal{Mu: th[0], Sigma: clampExp(th[1])}
-		return -LogLik(d, s)
+	at := func(th []float64) dist.LogNormal { return dist.LogNormal{Mu: th[0], Sigma: clampExp(th[1])} }
+	cens := Sample{Cens: s.Cens}
+	theta, nll := nelderMead(func(th []float64) float64 {
+		d := at(th)
+		return (variance*(n-1)+n*(mu0-d.Mu)*(mu0-d.Mu))/(2*d.Sigma*d.Sigma) + n*mu0 +
+			n*math.Log(d.Sigma*math.Sqrt(2*math.Pi)) - LogLik(d, cens)
 	}, []float64{mu0, math.Log(sigma0)}, 0.3, 400)
-	d := dist.LogNormal{Mu: theta[0], Sigma: clampExp(theta[1])}
-	if math.IsInf(LogLik(d, s), -1) {
+	if math.IsInf(nll, 1) {
 		return dist.LogNormal{}, fmt.Errorf("fit: censored lognormal fit did not converge")
 	}
-	return d, nil
+	return at(theta), nil
 }
 
 // HyperExp returns the censored MLE balanced two-phase hyperexponential
@@ -334,32 +349,24 @@ func HyperExp(s Sample) (dist.HyperExponential, error) {
 		}
 		return dist.NewHyperExponential2(mean, scv)
 	}
-	theta := nelderMead(func(th []float64) float64 {
+	theta, nll := nelderMead(func(th []float64) float64 {
 		return -LogLik(build(th), s)
 	}, []float64{math.Log(m0), math.Log(scv0 - 1)}, 0.3, 400)
-	d := build(theta)
-	if math.IsInf(LogLik(d, s), -1) {
+	if math.IsInf(nll, 1) {
 		return dist.HyperExponential{}, fmt.Errorf("fit: censored hyperexponential fit did not converge")
 	}
-	return d, nil
+	return build(theta), nil
 }
 
 // clampExp exponentiates with overflow/underflow clamping so simplex
 // excursions cannot produce zero or infinite parameters.
-func clampExp(x float64) float64 {
-	if x > 300 {
-		x = 300
-	}
-	if x < -300 {
-		x = -300
-	}
-	return math.Exp(x)
-}
+func clampExp(x float64) float64 { return math.Exp(math.Max(-300, math.Min(300, x))) }
 
 // nelderMead minimizes f from x0 with the standard simplex moves
 // (reflect, expand, contract, shrink). scale sizes the initial simplex;
-// the search stops after iters iterations or when the simplex collapses.
-func nelderMead(f func([]float64) float64, x0 []float64, scale float64, iters int) []float64 {
+// the search stops after iters iterations or when the simplex collapses,
+// and returns the best vertex with f there.
+func nelderMead(f func([]float64) float64, x0 []float64, scale float64, iters int) ([]float64, float64) {
 	d := len(x0)
 	pts := make([][]float64, d+1)
 	vals := make([]float64, d+1)
@@ -427,5 +434,5 @@ func nelderMead(f func([]float64) float64, x0 []float64, scale float64, iters in
 		}
 	}
 	order()
-	return pts[0]
+	return pts[0], vals[0]
 }

@@ -3,6 +3,7 @@ package fit
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dtr/dist"
@@ -36,17 +37,10 @@ func Families() []Family {
 func ParseFamilies(names []string) ([]Family, error) {
 	var out []Family
 	for _, n := range names {
-		found := false
-		for _, f := range Families() {
-			if string(f) == n {
-				out = append(out, f)
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(Families(), Family(n)) {
 			return nil, fmt.Errorf("fit: unknown family %q", n)
 		}
+		out = append(out, Family(n))
 	}
 	return out, nil
 }
@@ -167,9 +161,17 @@ func fitAll(c Channel, fams []Family) []Result {
 	if fams == nil {
 		fams = Families()
 	}
+	fit := c.Fit
+	if s, ok := c.(*Stats); ok {
+		if s.Validate() != nil {
+			return nil
+		}
+		sample := s.Sample(DefaultPseudoSample)
+		fit = func(f Family) (Result, error) { return s.fitSample(f, sample) }
+	}
 	var out []Result
 	for _, f := range fams {
-		if r, err := c.Fit(f); err == nil {
+		if r, err := fit(f); err == nil {
 			out = append(out, r)
 		}
 	}

@@ -141,39 +141,33 @@ func (h *LogHist) Merge(o *LogHist) error {
 	return nil
 }
 
-// quantile returns the q-quantile of the sketched distribution,
-// log-linearly interpolated within buckets. lo and hi substitute for
-// the unknowable positions of underflow and overflow mass (callers pass
-// the exact observed min/max).
-func (h *LogHist) quantile(q float64, lo, hi float64) float64 {
-	total := h.Total()
-	if total == 0 {
-		return lo
-	}
-	rank := q * float64(total)
-	cum := float64(h.Under)
-	if rank <= cum {
-		// Underflow mass: interpolate linearly on [lo, HistLo).
-		u := math.Min(HistLo, hi)
-		if cum == 0 || u <= lo {
-			return lo
+// quantiles fills dst with the quantiles of the sketched distribution at
+// the levels (j+½)/len(dst), log-linearly interpolated within buckets.
+// lo and hi substitute for the unknowable positions of underflow and
+// overflow mass (callers pass the exact observed min/max). The levels
+// ascend, so one walk over the buckets serves them all.
+func (h *LogHist) quantiles(dst []float64, lo, hi float64) {
+	total, under := float64(h.Total()), float64(h.Under)
+	cum, i := under, 0 // cum is the mass below bucket i
+	for j := range dst {
+		rank := (float64(j) + 0.5) / float64(len(dst)) * total
+		for i < len(h.Counts) && rank > cum+float64(h.Counts[i]) {
+			cum += float64(h.Counts[i])
+			i++
 		}
-		return lo + (u-lo)*rank/cum
-	}
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next {
+		switch u := math.Min(HistLo, hi); {
+		case rank <= under && under > 0 && u > lo:
+			// Underflow mass: interpolate linearly on [lo, HistLo).
+			dst[j] = lo + (u-lo)*rank/under
+		case rank <= under:
+			dst[j] = lo
+		case i == len(h.Counts):
+			dst[j] = hi
+		default:
 			a, b := h.edge(i), h.edge(i+1)
-			f := (rank - cum) / float64(c)
-			v := a * math.Pow(b/a, f)
-			return clamp(v, lo, hi)
+			dst[j] = clamp(a*math.Pow(b/a, (rank-cum)/float64(h.Counts[i])), lo, hi)
 		}
-		cum = next
 	}
-	return hi
 }
 
 func clamp(x, lo, hi float64) float64 {
@@ -252,7 +246,7 @@ func (s *Stats) Observe(value float64, censored bool) {
 	s.SumLog += math.Log(value)
 	s.SumSq += value * value
 	if s.Hist == nil {
-		s.Hist = NewLogHist(0)
+		s.Hist = NewLogHist(s.buckets())
 	}
 	s.Hist.Observe(value)
 }
@@ -417,10 +411,7 @@ func (s *Stats) Sample(maxPoints int) Sample {
 	}
 	if ne > 0 && s.Hist != nil {
 		out.Obs = make([]float64, ne)
-		for i := 0; i < ne; i++ {
-			q := (float64(i) + 0.5) / float64(ne)
-			out.Obs[i] = s.Hist.quantile(q, s.Min, s.Max)
-		}
+		s.Hist.quantiles(out.Obs, s.Min, s.Max)
 		// Pin the support edges exactly.
 		out.Obs[0] = s.Min
 		if ne > 1 {
@@ -431,18 +422,11 @@ func (s *Stats) Sample(maxPoints int) Sample {
 		out.Cens = make([]float64, nc)
 		// Censoring bounds may sit anywhere in [0, ∞); reconstruct the
 		// under/overflow mass against the sketch range itself.
-		for i := 0; i < nc; i++ {
-			q := (float64(i) + 0.5) / float64(nc)
-			out.Cens[i] = s.CensHist.quantile(q, 0, math.MaxFloat64)
-		}
+		s.CensHist.quantiles(out.Cens, 0, math.MaxFloat64)
 		// The reconstructed bounds' mean is the sketch's; rescale so the
 		// total censored exposure matches the exact CensSum — the
 		// quantity the exponential events-over-exposure path depends on.
-		var got float64
-		for _, c := range out.Cens {
-			got += c
-		}
-		if got > 0 && s.CensSum > 0 {
+		if got := sum(out.Cens); got > 0 && s.CensSum > 0 {
 			scale := s.CensSum / float64(s.CensN) * float64(nc) / got
 			for i := range out.Cens {
 				out.Cens[i] *= scale
@@ -481,21 +465,6 @@ func (s *Stats) KS(cdf func(float64) float64) float64 {
 	return d
 }
 
-// statsExponential is the closed-form censored exponential MLE straight
-// from the sufficient statistics: the events-over-exposure estimator
-// rate = n / (Σ obs + Σ cens), identical to the raw-sample estimator —
-// no sketch error at all.
-func statsExponential(s *Stats) (dist.Exponential, error) {
-	if s.N == 0 {
-		return dist.Exponential{}, fmt.Errorf("fit: exponential fit needs at least one exact observation")
-	}
-	exposure := s.Sum + s.CensSum
-	if !(exposure > 0) {
-		return dist.Exponential{}, fmt.Errorf("fit: degenerate exposure %g", exposure)
-	}
-	return dist.Exponential{Rate: float64(s.N) / exposure}, nil
-}
-
 // statsGamma is the uncensored gamma MLE from the sufficient statistics
 // (count, sum, sum of logs), through the same solver as the raw path
 // (stat.GammaMLE), so an uncensored sketch fit reproduces the raw gamma
@@ -524,12 +493,17 @@ func (s *Stats) Fit(f Family) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	sample := s.Sample(DefaultPseudoSample)
+	return s.fitSample(f, s.Sample(DefaultPseudoSample))
+}
+
+// fitSample is Fit on validated statistics and their pseudo-sample, so
+// that fitAll reconstructs it once per channel, not once per family.
+func (s *Stats) fitSample(f Family, sample Sample) (Result, error) {
 	var d dist.Dist
 	var err error
 	switch {
 	case f == FamilyExponential:
-		d, err = statsExponential(s)
+		d, err = exponentialMLE(int(s.N), s.Sum+s.CensSum)
 	case f == FamilyGamma && s.CensN == 0:
 		d, err = statsGamma(s)
 	default:
@@ -600,18 +574,21 @@ func (set *StatsSet) AddEvent(ev trace.Event) error {
 		set.Failure[ev.Server].Observe(ev.Value, ev.Censored)
 	case trace.KindTransfer:
 		set.Grow(max(ev.Src, ev.Dst) + 1)
-		if set.Transfer == nil {
-			set.Transfer = NewStats(set.Buckets)
-		}
-		set.Transfer.Observe(ev.Value/float64(ev.Tasks), ev.Censored)
+		set.pooled(&set.Transfer).Observe(ev.Value/float64(ev.Tasks), ev.Censored)
 	case trace.KindFN:
 		set.Grow(max(ev.Src, ev.Dst) + 1)
-		if set.FN == nil {
-			set.FN = NewStats(set.Buckets)
-		}
-		set.FN.Observe(ev.Value, ev.Censored)
+		set.pooled(&set.FN).Observe(ev.Value, ev.Censored)
 	}
 	return nil
+}
+
+// pooled returns the pooled channel *p (Transfer or FN), which a decoded
+// set may lack, creating it at the set's resolution.
+func (set *StatsSet) pooled(p **Stats) *Stats {
+	if *p == nil {
+		*p = NewStats(set.Buckets)
+	}
+	return *p
 }
 
 // Merge folds o into set channel by channel; the sets must share sketch
@@ -630,18 +607,12 @@ func (set *StatsSet) Merge(o *StatsSet) error {
 		}
 	}
 	if o.Transfer != nil {
-		if set.Transfer == nil {
-			set.Transfer = NewStats(set.Buckets)
-		}
-		if err := set.Transfer.Merge(o.Transfer); err != nil {
+		if err := set.pooled(&set.Transfer).Merge(o.Transfer); err != nil {
 			return fmt.Errorf("fit: merge transfer: %w", err)
 		}
 	}
 	if o.FN != nil {
-		if set.FN == nil {
-			set.FN = NewStats(set.Buckets)
-		}
-		if err := set.FN.Merge(o.FN); err != nil {
+		if err := set.pooled(&set.FN).Merge(o.FN); err != nil {
 			return fmt.Errorf("fit: merge fn: %w", err)
 		}
 	}

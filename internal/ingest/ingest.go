@@ -16,8 +16,10 @@
 package ingest
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -79,7 +81,7 @@ type tenantState struct {
 	// quantized to the window length.
 	cur       int
 	slotStart time.Time
-	channels  map[string]*chanMeta
+	channels  map[chanKey]*chanMeta
 	events    uint64
 	last      time.Time
 }
@@ -120,21 +122,11 @@ func New(cfg Config) *Aggregator {
 	return &Aggregator{cfg: cfg, tenants: make(map[string]*tenantState)}
 }
 
-// channelName is the pooled channel key an event lands in: per-server
-// service./failure. streams, the pooled transfer and fn channels.
-func channelName(ev *trace.Event) string {
-	switch ev.Kind {
-	case trace.KindService:
-		return fmt.Sprintf("service.%d", ev.Server)
-	case trace.KindFailure:
-		return fmt.Sprintf("failure.%d", ev.Server)
-	case trace.KindTransfer:
-		return "transfer"
-	case trace.KindFN:
-		return "fn"
-	default:
-		return ev.Kind
-	}
+// chanKey is the pooled channel an event lands in: per-server service
+// and failure streams, the pooled transfer and fn channels (server −1).
+type chanKey struct {
+	kind   string
+	server int
 }
 
 // Capacity-drop sentinels: the observation was structurally fine but
@@ -173,20 +165,20 @@ func (a *Aggregator) checkServers(ev *trace.Event) error {
 	return nil
 }
 
-// Observe folds one validated event into tenant's active window. A
-// rejected observation — validation failure, server index beyond
-// MaxServers, or a ErrChannelLimit/ErrTenantLimit capacity drop —
-// leaves the aggregator untouched: no tenant or channel state is
-// created for an event that does not land.
+// Observe folds one event into tenant's active window. A rejected
+// observation — validation failure, server index beyond MaxServers, or
+// a ErrChannelLimit/ErrTenantLimit capacity drop — leaves the
+// aggregator untouched: no tenant or channel state is created for an
+// event that does not land.
 func (a *Aggregator) Observe(tenant string, ev trace.Event) error {
 	if ev.V == 0 {
 		ev.V = trace.Version
 	}
-	if err := ev.Validate(); err != nil {
-		return err
-	}
+	// AddEvent validates the event as it lands, once. A capacity refusal
+	// ahead of that yields to the event being invalid: malformed, not dropped.
+	drop := func(limit error) error { return cmp.Or(ev.Validate(), limit) }
 	if err := a.checkServers(&ev); err != nil {
-		return err
+		return drop(err)
 	}
 	now := a.cfg.Now()
 
@@ -195,31 +187,36 @@ func (a *Aggregator) Observe(tenant string, ev trace.Event) error {
 	ts := a.tenants[tenant]
 	if ts == nil {
 		if len(a.tenants) >= a.cfg.MaxTenants {
-			return ErrTenantLimit
+			return drop(ErrTenantLimit)
 		}
 		ts = &tenantState{
 			slots:     make([]*fit.StatsSet, a.cfg.Windows),
 			slotStart: now.Truncate(a.cfg.Window),
-			channels:  make(map[string]*chanMeta),
+			channels:  make(map[chanKey]*chanMeta),
 		}
 	}
 	a.advance(ts, now)
 
-	name := channelName(&ev)
-	cm := ts.channels[name]
+	key := chanKey{ev.Kind, -1}
+	if ev.Kind == trace.KindService || ev.Kind == trace.KindFailure {
+		key.server = ev.Server
+	}
+	cm := ts.channels[key]
 	if cm == nil && ev.Kind != trace.KindMeta && a.numChannels >= a.cfg.MaxChannels {
-		return ErrChannelLimit
+		return drop(ErrChannelLimit)
 	}
-	if ts.slots[ts.cur] == nil {
-		ts.slots[ts.cur] = fit.NewStatsSet(0, a.cfg.Buckets)
+	slot := ts.slots[ts.cur]
+	if slot == nil {
+		slot = fit.NewStatsSet(0, a.cfg.Buckets)
 	}
-	if err := ts.slots[ts.cur].AddEvent(ev); err != nil {
+	if err := slot.AddEvent(ev); err != nil {
 		return err
 	}
 	// The observation landed: commit the bookkeeping.
+	ts.slots[ts.cur] = slot
 	if cm == nil && ev.Kind != trace.KindMeta {
 		cm = &chanMeta{}
-		ts.channels[name] = cm
+		ts.channels[key] = cm
 		a.numChannels++
 	}
 	if cm != nil {
@@ -316,7 +313,11 @@ func (a *Aggregator) Snapshot(tenant string) (*Snapshot, error) {
 		WindowSeconds: a.cfg.Window.Seconds(), Windows: a.cfg.Windows,
 		Events: ts.events, Stats: merged,
 	}
-	for name, cm := range ts.channels {
+	for key, cm := range ts.channels {
+		name := key.kind
+		if key.server >= 0 {
+			name += "." + strconv.Itoa(key.server)
+		}
 		snap.Channels = append(snap.Channels, ChannelInfo{
 			Channel: name, Events: cm.events, AgeSeconds: now.Sub(cm.last).Seconds(),
 		})

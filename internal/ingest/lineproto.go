@@ -29,17 +29,34 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"dtr/internal/trace"
 )
 
 // ParseLine parses one line-protocol observation into its tenant and
 // the equivalent trace event. The event still needs Validate (Observe
-// runs it); ParseLine only enforces the grammar.
+// sees to it); ParseLine only enforces the grammar. It cuts the line by
+// index and allocates nothing: tenant is a substring of line.
 func ParseLine(line string) (tenant string, ev trace.Event, err error) {
-	fields := strings.Fields(line)
-	if len(fields) < 2 || len(fields) > 3 {
-		return "", ev, fmt.Errorf("ingest: want %q, got %d fields", "tenant/channel value [c]", len(fields))
+	var fields [3]string
+	n := 0
+	for rest := line; ; n++ {
+		rest = strings.TrimLeftFunc(rest, unicode.IsSpace)
+		if rest == "" {
+			break
+		}
+		end := strings.IndexFunc(rest, unicode.IsSpace)
+		if end < 0 {
+			end = len(rest)
+		}
+		if n < len(fields) {
+			fields[n] = rest[:end]
+		}
+		rest = rest[end:]
+	}
+	if n < 2 || n > 3 {
+		return "", ev, fmt.Errorf("ingest: want %q, got %d fields", "tenant/channel value [c]", n)
 	}
 	key := fields[0]
 	slash := strings.IndexByte(key, '/')
@@ -56,47 +73,38 @@ func ParseLine(line string) (tenant string, ev trace.Event, err error) {
 	if err != nil {
 		return "", ev, fmt.Errorf("ingest: value %q: %w", fields[1], err)
 	}
-	censored := false
-	if len(fields) == 3 {
-		if fields[2] != "c" {
-			return "", ev, fmt.Errorf("ingest: trailing field %q (only %q marks censoring)", fields[2], "c")
-		}
-		censored = true
+	if n == 3 && fields[2] != "c" {
+		return "", ev, fmt.Errorf("ingest: trailing field %q (only %q marks censoring)", fields[2], "c")
 	}
 
-	parts := strings.Split(channel, ".")
-	idx := func(i int) (int, error) {
-		n, err := strconv.Atoi(parts[i])
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf("ingest: channel %q: index %q is not a non-negative integer", channel, parts[i])
-		}
-		return n, nil
+	// channel = kind "." index *("." index): the kind says how many indices
+	// follow and where they go.
+	ev = trace.Event{V: trace.Version, Value: value, Censored: n == 3}
+	name, rest, _ := strings.Cut(channel, ".")
+	var kind string
+	var into []*int
+	switch name {
+	case "service":
+		kind, into = trace.KindService, []*int{&ev.Server}
+	case "failure":
+		kind, into = trace.KindFailure, []*int{&ev.Server}
+	case "transfer":
+		kind, into = trace.KindTransfer, []*int{&ev.Src, &ev.Dst, &ev.Tasks}
+	case "fn":
+		kind, into = trace.KindFN, []*int{&ev.Src, &ev.Dst}
 	}
-	ev = trace.Event{V: trace.Version, Value: value, Censored: censored}
-	switch {
-	case parts[0] == "service" && len(parts) == 2:
-		ev.Kind = trace.KindService
-		ev.Server, err = idx(1)
-	case parts[0] == "failure" && len(parts) == 2:
-		ev.Kind = trace.KindFailure
-		ev.Server, err = idx(1)
-	case parts[0] == "transfer" && len(parts) == 4:
-		ev.Kind = trace.KindTransfer
-		if ev.Src, err = idx(1); err == nil {
-			if ev.Dst, err = idx(2); err == nil {
-				ev.Tasks, err = idx(3)
-			}
-		}
-	case parts[0] == "fn" && len(parts) == 3:
-		ev.Kind = trace.KindFN
-		if ev.Src, err = idx(1); err == nil {
-			ev.Dst, err = idx(2)
-		}
-	default:
+	if kind == "" || strings.Count(channel, ".") != len(into) {
 		return "", ev, fmt.Errorf("ingest: unknown channel %q (want service.<i>, failure.<i>, transfer.<src>.<dst>.<tasks> or fn.<src>.<dst>)", channel)
 	}
-	if err != nil {
-		return "", ev, err
+	ev.Kind = kind
+	for _, dst := range into {
+		var part string
+		part, rest, _ = strings.Cut(rest, ".")
+		i, err := strconv.Atoi(part)
+		if err != nil || i < 0 {
+			return "", ev, fmt.Errorf("ingest: channel %q: index %q is not a non-negative integer", channel, part)
+		}
+		*dst = i
 	}
 	return tenant, ev, nil
 }

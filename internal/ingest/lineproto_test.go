@@ -1,0 +1,315 @@
+package ingest
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"dtr/internal/obs"
+	"dtr/internal/trace"
+)
+
+// referenceParseLine is ParseLine as it stood before it cut fields by
+// index (strings.Fields, strings.Split, one slice per line each): kept
+// as the oracle the rewrite is held to, tenant, event and error text.
+func referenceParseLine(line string) (tenant string, ev trace.Event, err error) {
+	fields := strings.Fields(line)
+	if len(fields) < 2 || len(fields) > 3 {
+		return "", ev, fmt.Errorf("ingest: want %q, got %d fields", "tenant/channel value [c]", len(fields))
+	}
+	key := fields[0]
+	slash := strings.IndexByte(key, '/')
+	if slash <= 0 || slash == len(key)-1 {
+		return "", ev, fmt.Errorf("ingest: key %q is not tenant/channel", key)
+	}
+	tenant, channel := key[:slash], key[slash+1:]
+	for _, r := range tenant {
+		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '-' || r == '_' || r == '.') {
+			return "", ev, fmt.Errorf("ingest: tenant %q has invalid character %q", tenant, r)
+		}
+	}
+	value, err := strconv.ParseFloat(fields[1], 64)
+	if err != nil {
+		return "", ev, fmt.Errorf("ingest: value %q: %w", fields[1], err)
+	}
+	censored := false
+	if len(fields) == 3 {
+		if fields[2] != "c" {
+			return "", ev, fmt.Errorf("ingest: trailing field %q (only %q marks censoring)", fields[2], "c")
+		}
+		censored = true
+	}
+
+	parts := strings.Split(channel, ".")
+	idx := func(i int) (int, error) {
+		n, err := strconv.Atoi(parts[i])
+		if err != nil || n < 0 {
+			return 0, fmt.Errorf("ingest: channel %q: index %q is not a non-negative integer", channel, parts[i])
+		}
+		return n, nil
+	}
+	ev = trace.Event{V: trace.Version, Value: value, Censored: censored}
+	switch {
+	case parts[0] == "service" && len(parts) == 2:
+		ev.Kind = trace.KindService
+		ev.Server, err = idx(1)
+	case parts[0] == "failure" && len(parts) == 2:
+		ev.Kind = trace.KindFailure
+		ev.Server, err = idx(1)
+	case parts[0] == "transfer" && len(parts) == 4:
+		ev.Kind = trace.KindTransfer
+		if ev.Src, err = idx(1); err == nil {
+			if ev.Dst, err = idx(2); err == nil {
+				ev.Tasks, err = idx(3)
+			}
+		}
+	case parts[0] == "fn" && len(parts) == 3:
+		ev.Kind = trace.KindFN
+		if ev.Src, err = idx(1); err == nil {
+			ev.Dst, err = idx(2)
+		}
+	default:
+		return "", ev, fmt.Errorf("ingest: unknown channel %q (want service.<i>, failure.<i>, transfer.<src>.<dst>.<tasks> or fn.<src>.<dst>)", channel)
+	}
+	if err != nil {
+		return "", ev, err
+	}
+	return tenant, ev, nil
+}
+
+// sameAsReference holds ParseLine to the reference on one line: same
+// tenant, same event — on a rejection too, where callers must not look
+// at it but the reference leaves what it had parsed — and same error.
+func sameAsReference(t *testing.T, line string) {
+	t.Helper()
+	wt, wev, werr := referenceParseLine(line)
+	gt, gev, gerr := ParseLine(line)
+	// NaN values ("nan" parses) never compare equal as floats.
+	if gt != wt || fmt.Sprintf("%+v", gev) != fmt.Sprintf("%+v", wev) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		t.Errorf("ParseLine(%q) = %q, %+v, %v\nreference      = %q, %+v, %v", line, gt, gev, gerr, wt, wev, werr)
+	}
+}
+
+// parseSeeds are the lines this package's tests feed the parser, plus
+// the separators and index spellings where a field cutter can go wrong.
+var parseSeeds = []string{
+	"acme/service.0 1.52", "acme/service.1 0.25 c", "t-1/transfer.0.1.26 31.4", "a.b/fn.1.0 0.9",
+	"x/failure.1 142.7 c", "", "acme/service.0", "service.0 1.5", "acme/service.0 1.5 x",
+	"acme/service.0 1.5 c c", "acme/warp.0 1.5", "acme/service.x 1.5", "acme/service.-1 1.5",
+	"acme/transfer.0.1 1.5", "acme/fn.0 1.5", "acme/service.0 soon", "ac me/service.0 1.5",
+	"ac\tme/service.0 1.5", "a!b/service.0 1.5", "/service.0 1.5", "acme/ 1.5",
+	"bogus line that does not parse", "not a line", "acme/fn.0.1 0.1", "acme/transfer.0.1.4 2.0",
+	"acme/service.999999999 1", "acme/service.0 0", "acme/service.0 -1", "acme/transfer.1.1.2 1",
+	"  acme/service.0\t 1.5 \r", "acme/service.0 1.5", "acme/service.0 1.5c", "a　b/service.0 1",
+	"acme/service.0 1.5 c\xff", "\xc2/service.0 1", "ac\xe2\x80me/service.0 1", "é/service.0 1",
+	"acme/service 1", "acme/service. 1", "acme/service.. 1", "acme/service.0.1 1", "acme/.0 1",
+	"acme/transfer.0.1.x 1", "acme/transfer.0.-1.2 1", "acme/transfer.x.y.z 1", "acme/fn.0. 1",
+	"acme/service.+1 1", "acme/service.007 1", "acme/service.99999999999999999999 1", "acme/fn.1.0.2 1",
+	"acme/service.0 nan", "acme/service.0 +Inf c", "acme/service.0 0x1p-2", "acme/service.0 1_0",
+	"acme/service.0 1e999", "a/b/service.0 1", "acme//service.0 1", "acme/service.0 1 C", "a/service.0 1 c d e f",
+}
+
+func TestParseLineMatchesReference(t *testing.T) {
+	for _, line := range parseSeeds {
+		sameAsReference(t, line)
+	}
+}
+
+// FuzzParseLine: the ingest line parser faces the network (ROADMAP,
+// robustness: it was unfuzzed). Whatever the bytes, it must not panic
+// and must decide as the reference does. Seed corpus: parseSeeds and
+// testdata/fuzz/FuzzParseLine.
+func FuzzParseLine(f *testing.F) {
+	for _, line := range parseSeeds {
+		f.Add(line)
+	}
+	f.Fuzz(sameAsReference)
+}
+
+// ingestCounters reads the four per-line counters.
+func ingestCounters() [4]uint64 {
+	return [4]uint64{ingestLines.Value(), ingestEvents.Value(), ingestParseErrors.Value(), ingestDrops.Value()}
+}
+
+// TestIngestCountersMixedBatch pins what one mixed batch — good lines,
+// malformed lines, invalid events, capacity drops, JSONL with and
+// without a tenant — does to dtr_ingest_{lines,events,parse_errors,
+// drops}_total, over HTTP and over UDP. An observation both invalid and
+// over a capacity bound counts as a parse error, not a drop.
+func TestIngestCountersMixedBatch(t *testing.T) {
+	obs.SetDefault(obs.NewRegistry())
+	t.Cleanup(func() { obs.SetDefault(nil) })
+	batch := strings.Join([]string{
+		"acme/service.0 1.5",
+		"acme/service.1 2.5 c",
+		"  acme/transfer.0.1.4 2.0\r",
+		"",
+		"acme/fn.1.0 0.25",
+		`{"v":1,"kind":"service","server":1,"value":0.75}`, // lands over HTTP (?tenant=), no tenant over UDP
+		`{"v":1,"kind":"service","server":1,"value":`,      // torn JSON
+		"bogus line that does not parse",
+		"acme/service.0 -1",       // invalid value
+		"acme/transfer.1.1.2 1",   // src == dst
+		"acme/service.7 1",        // beyond MaxServers: drop
+		"acme/service.7 -1",       // beyond MaxServers and invalid: parse error
+		"other/service.0 1",       // beyond MaxTenants: drop
+		"other/service.0 nan",     // beyond MaxTenants and invalid: parse error
+		"acme/failure.0 3",        // beyond MaxChannels: drop
+		"acme/failure.0 3 c",      // likewise
+		"acme/transfer.0.1.0 1 c", // beyond nothing (transfer exists), tasks < 1: parse error
+	}, "\n")
+	newServer := func() *Server {
+		return NewServer(New(Config{MaxServers: 4, MaxTenants: 1, MaxChannels: 4, Now: newFakeClock().Now}), nil, 0)
+	}
+
+	srv := newServer()
+	before := ingestCounters()
+	rec := httptest.NewRecorder()
+	srv.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest?tenant=acme", strings.NewReader(batch)))
+	if want := `{"accepted":5,"rejected":11,"error":"ingest: bad JSONL event: unexpected end of JSON input"}`; strings.TrimSpace(rec.Body.String()) != want {
+		t.Errorf("HTTP reply %s, want %s", rec.Body, want)
+	}
+	after := ingestCounters()
+	if got, want := delta(after, before), [4]uint64{16, 5, 7, 4}; got != want {
+		t.Errorf("HTTP: lines, events, parse errors, drops moved by %v, want %v", got, want)
+	}
+
+	srv = newServer()
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeUDP(ctx, conn) }()
+	out, err := net.Dial("udp", conn.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	before = ingestCounters()
+	if _, err := out.Write([]byte(batch)); err != nil {
+		t.Fatal(err)
+	}
+	// One datagram, 16 lines: wait for the last to be counted.
+	for deadline := time.Now().Add(5 * time.Second); ingestLines.Value()-before[0] < 16 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	after = ingestCounters()
+	if got, want := delta(after, before), [4]uint64{16, 4, 8, 4}; got != want {
+		t.Errorf("UDP: lines, events, parse errors, drops moved by %v, want %v", got, want)
+	}
+}
+
+func delta(after, before [4]uint64) (d [4]uint64) {
+	for i := range d {
+		d[i] = after[i] - before[i]
+	}
+	return d
+}
+
+// benchLines is a batch shaped like the benchmark's observe_refit
+// stream: two service channels and a transfer channel in turn, fixed
+// eight-byte tenant, one line in seven censored.
+func benchLines(n int) [][]byte {
+	lines := make([][]byte, n)
+	for i := range lines {
+		var l string
+		switch v := 0.5 + float64(i%97)/7; i % 3 {
+		case 0:
+			l = fmt.Sprintf("t0000001/service.0 %.6f", v)
+		case 1:
+			l = fmt.Sprintf("t0000001/service.1 %.6f", v)
+		default:
+			l = fmt.Sprintf("t0000001/transfer.0.1.%d %.6f", 1+i%20, v*float64(1+i%20))
+		}
+		if i%7 == 0 {
+			l += " c"
+		}
+		lines[i] = []byte(l)
+	}
+	return lines
+}
+
+// TestObserveLineAllocs is the per-line cost contract of DESIGN.md §11:
+// an accepted line-protocol line costs at most one allocation from the
+// datagram or scanner buffer to the sketch, and a request costs no scan
+// buffer.
+func TestObserveLineAllocs(t *testing.T) {
+	srv := NewServer(New(Config{}), nil, 0)
+	lines := benchLines(500)
+	observe := func() {
+		for _, l := range lines {
+			if err := srv.observeLine(l, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	observe() // the first pass creates the tenant, its window and channels
+	if perLine := testing.AllocsPerRun(20, observe) / float64(len(lines)); perLine > 1 {
+		t.Errorf("%.2f allocations per accepted line, want <= 1", perLine)
+	}
+
+	body := bytes.Join(lines, []byte("\n"))
+	post := func() {
+		rec := httptest.NewRecorder()
+		srv.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	post()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const requests = 50
+	for i := 0; i < requests; i++ {
+		post()
+	}
+	runtime.ReadMemStats(&m1)
+	// 500 lines at one ~40-byte string each, plus the request's own
+	// plumbing: about 30 KiB. A 64 KiB scan buffer per request would show.
+	if perReq := (m1.TotalAlloc - m0.TotalAlloc) / requests; perReq > 48<<10 {
+		t.Errorf("%d bytes allocated per 500-line request: the scan buffer is not being reused", perReq)
+	}
+}
+
+func BenchmarkObserveLine(b *testing.B) {
+	srv := NewServer(New(Config{}), nil, 0)
+	lines := benchLines(500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := srv.observeLine(lines[i%len(lines)], ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHandleIngest posts one 500-line body per iteration, the
+// benchmark's batch size, straight into the handler.
+func BenchmarkHandleIngest(b *testing.B) {
+	srv := NewServer(New(Config{}), nil, 0)
+	body := bytes.Join(benchLines(500), []byte("\n"))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		srv.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}

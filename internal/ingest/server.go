@@ -2,13 +2,14 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -79,39 +80,41 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // observeLine is the shared per-line path for UDP and HTTP: sniff the
 // format (JSONL trace.v1 events start with '{', everything else is the
 // line protocol), parse, validate, fold. defaultTenant applies to JSONL
-// events, which carry no tenant of their own.
+// events, which carry no tenant of their own. line is trimmed, not empty
+// and only borrowed: a line-protocol line costs one allocation, the
+// string ParseLine cuts (the tenant key may outlive the caller's buffer).
 func (s *Server) observeLine(line []byte, defaultTenant string) error {
 	ingestLines.Inc()
-	var tenant string
-	var ev trace.Event
-	var err error
-	if line[0] == '{' {
-		if defaultTenant == "" {
-			ingestParseErrors.Inc()
-			return fmt.Errorf("ingest: JSONL event without a tenant (set ?tenant= on /v1/ingest)")
-		}
-		tenant = defaultTenant
-		if err = json.Unmarshal(line, &ev); err != nil {
-			ingestParseErrors.Inc()
-			return fmt.Errorf("ingest: bad JSONL event: %w", err)
-		}
-	} else {
+	tenant, ev, err := defaultTenant, trace.Event{}, error(nil)
+	switch {
+	case line[0] != '{':
 		tenant, ev, err = ParseLine(string(line))
-		if err != nil {
-			ingestParseErrors.Inc()
-			return err
-		}
+	case defaultTenant == "":
+		err = fmt.Errorf("ingest: JSONL event without a tenant (set ?tenant= on /v1/ingest)")
+	default:
+		ev, err = decodeJSONL(line)
 	}
-	if err := s.agg.Observe(tenant, ev); err != nil {
-		if errors.Is(err, ErrChannelLimit) || errors.Is(err, ErrServerLimit) || errors.Is(err, ErrTenantLimit) {
-			ingestDrops.Inc()
-		} else {
-			ingestParseErrors.Inc()
-		}
-		return err
+	if err == nil {
+		err = s.agg.Observe(tenant, ev)
 	}
-	ingestEvents.Inc()
-	return nil
+	switch {
+	case err == nil:
+		ingestEvents.Inc()
+	case errors.Is(err, ErrChannelLimit) || errors.Is(err, ErrServerLimit) || errors.Is(err, ErrTenantLimit):
+		ingestDrops.Inc()
+	default:
+		ingestParseErrors.Inc()
+	}
+	return err
+}
+
+// decodeJSONL decodes one trace.v1 event. Unmarshal makes its target
+// escape, hence apart from observeLine, whose event stays on the stack.
+func decodeJSONL(line []byte) (ev trace.Event, err error) {
+	if err = json.Unmarshal(line, &ev); err != nil {
+		err = fmt.Errorf("ingest: bad JSONL event: %w", err)
+	}
+	return ev, err
 }
 
 // IngestResponse reports one HTTP batch's outcome. The endpoint is
@@ -124,6 +127,10 @@ type IngestResponse struct {
 	// a non-200 response it is the batch-level error instead.
 	Error string `json:"error,omitempty"`
 }
+
+// scanBufs holds the scanners' initial line buffers, so a request costs
+// no 64 KiB allocation; only a longer line makes its scanner grow one.
+var scanBufs = sync.Pool{New: func() any { return new([64 * 1024]byte) }}
 
 // handleIngest accepts a newline-separated batch of observations —
 // line-protocol lines and/or trace.v1 JSONL events, freely mixed.
@@ -143,14 +150,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defaultTenant := r.URL.Query().Get("tenant")
 	var resp IngestResponse
+	buf := scanBufs.Get().(*[64 * 1024]byte)
+	defer scanBufs.Put(buf)
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.maxBody))
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Buffer(buf[:], 1<<20)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		if err := s.observeLine([]byte(line), defaultTenant); err != nil {
+		if err := s.observeLine(line, defaultTenant); err != nil {
 			resp.Rejected++
 			if resp.Error == "" {
 				resp.Error = err.Error()
@@ -238,14 +247,13 @@ func (s *Server) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 			return fmt.Errorf("ingest: udp read: %w", err)
 		}
 		ingestDatagrams.Inc()
-		for _, raw := range strings.Split(string(buf[:n]), "\n") {
-			line := strings.TrimSpace(raw)
-			if line == "" {
-				continue
-			}
+		for line, rest := []byte(nil), buf[:n]; len(rest) > 0; {
+			line, rest, _ = bytes.Cut(rest, []byte("\n"))
 			// Datagram emitters get no response channel; errors surface
 			// only through the parse-error and drop counters.
-			_ = s.observeLine([]byte(line), "")
+			if line = bytes.TrimSpace(line); len(line) > 0 {
+				_ = s.observeLine(line, "")
+			}
 		}
 	}
 }
