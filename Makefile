@@ -60,15 +60,22 @@ cluster-smoke:
 # everything outside the benchmark's own code), printed into every CI log.
 # The second is gated: it fails above LOC_CEILING, the figure of the last
 # PR that moved it on purpose. Raise the ceiling in the PR that needs the
-# lines, and say what they bought.
-LOC_CEILING = 22597
+# lines, and say what they bought. PR 22 raised it from 22 597: +114 lines
+# (des's closure API, sim's closures and dist.sampleInv deleted against
+# them) bought prefix chains that fold on first read and an event loop
+# that allocates nothing per event — plan_cold ≈ 45 → ≈ 66 ops/s,
+# 14.4 → 4.3 MB allocated per request.
+LOC_CEILING = 22708
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \
 	echo "  outside bench/: $$n (ceiling $(LOC_CEILING))"; [ $$n -le $(LOC_CEILING) ]
 
+# Every package's micro-benchmarks, one iteration each, with allocation
+# columns: internal/sim's BenchmarkEstimate2000 is one `simulate` request,
+# internal/direct's BenchmarkTablesMetricsRead one cold `metrics` request.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 # Time the sharded policy sweep at several worker counts and record the
 # result in BENCH_policy.json (see internal/policy/bench_policy_test.go).

@@ -222,9 +222,3 @@ func (d *aged) String() string {
 func checkProb(p float64) bool {
 	return !math.IsNaN(p) && p >= 0 && p <= 1
 }
-
-// sampleInv draws by inverse transform; shared by families whose Quantile
-// is exact and cheap.
-func sampleInv(d Dist, r *rand.Rand) float64 {
-	return d.Quantile(r.Float64())
-}

@@ -271,7 +271,7 @@ func (d Weibull) Var() float64 {
 	return d.Lambda * d.Lambda * (g2 - g1*g1)
 }
 
-func (d Weibull) Sample(r *rand.Rand) float64 { return sampleInv(d, r) }
+func (d Weibull) Sample(r *rand.Rand) float64 { return d.Quantile(r.Float64()) }
 
 func (d Weibull) Support() (lo, hi float64) { return 0, math.Inf(1) }
 

@@ -78,7 +78,7 @@ func (d Pareto) Var() float64 {
 	return d.Xm * d.Xm * a / ((a - 1) * (a - 1) * (a - 2))
 }
 
-func (d Pareto) Sample(r *rand.Rand) float64 { return sampleInv(d, r) }
+func (d Pareto) Sample(r *rand.Rand) float64 { return d.Quantile(r.Float64()) }
 
 func (d Pareto) Support() (lo, hi float64) { return d.Xm, math.Inf(1) }
 
@@ -171,7 +171,7 @@ func (d agedPareto) Var() float64 {
 	return d.scale * d.scale * a / ((a - 1) * (a - 1) * (a - 2))
 }
 
-func (d agedPareto) Sample(r *rand.Rand) float64 { return sampleInv(d, r) }
+func (d agedPareto) Sample(r *rand.Rand) float64 { return d.Quantile(r.Float64()) }
 
 func (d agedPareto) Support() (lo, hi float64) {
 	lo = d.scale - d.age

@@ -233,7 +233,7 @@ func (d *MinOfK) Var() float64 {
 // simulator does not use this — it spawns k copy events and cancels the
 // losers — but analytic consumers (virtual-time estimators) sample the
 // effective law directly.
-func (d *MinOfK) Sample(r *rand.Rand) float64 { return sampleInv(d, r) }
+func (d *MinOfK) Sample(r *rand.Rand) float64 { return d.Quantile(r.Float64()) }
 
 func (d *MinOfK) Support() (lo, hi float64) { return d.base.Support() }
 

@@ -95,17 +95,25 @@ func (s *Solver) noteFinish(tail float64) {
 // Diagnostics snapshots the solver's numerical health counters: the
 // construction audit of the factor chains this view reads — merged with
 // order-independent reductions, so it equals a one-shot build's — and
-// the view's own solve-phase accumulators. Safe to call concurrently
-// with solves; a snapshot taken mid-sweep can lag the in-flight fold.
+// the view's own solve-phase accumulators. The audit is of the declared
+// chains, every fold up to the queue bound, so the folds nobody has read
+// yet are made first: asking for diagnostics costs what an eager build
+// cost. Safe to call concurrently with solves; a snapshot taken
+// mid-sweep can lag the in-flight fold.
 func (s *Solver) Diagnostics() Diagnostics {
 	mf := len(s.chains)
 	if mf <= 1 {
 		mf = 0 // omitted from JSON: non-replicated artifacts keep their bytes
 	}
 	var build gridfn.Meter
+	sc := s.t.pool.Get().(*scratch)
 	for _, c := range s.chains {
-		mergeMeter(&build, c.meter)
+		for k := 0; k < 2; k++ {
+			s.prefix(c, k, s.t.maxQueue[k], sc.work)
+		}
+		mergeMeter(&build, c.meter) // complete, so no longer written
 	}
+	s.t.pool.Put(sc)
 	return Diagnostics{
 		MaxFactor:            mf,
 		GridN:                s.t.n,

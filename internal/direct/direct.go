@@ -160,21 +160,22 @@ func (s *Solver) finishLaw(sc *scratch, k, own, g, src, fac int) (*gridfn.Lattic
 	if fac < 1 || fac > len(s.chains) {
 		return nil, fmt.Errorf("direct: replication factor %d outside [1, %d] (raise Config.MaxFactor)", fac, len(s.chains))
 	}
-	pre := s.chains[fac-1].pre[k]
-	if own >= len(pre) || g >= len(pre) {
+	c := s.chains[fac-1]
+	if bound := s.t.maxQueue[k]; own > bound || g > bound {
 		return nil, fmt.Errorf("direct: queue %d/%d exceeds MaxQueue=%d at server %d",
-			own, g, len(pre)-1, k)
+			own, g, bound, k)
 	}
 	leg := &sc.leg[k]
 	leg.own, leg.g, leg.fac, leg.z = own, g, fac, nil
+	pre := s.prefix(c, k, own, sc.work)
 	if g == 0 {
-		return pre[own], nil
+		return pre, nil
 	}
 	z := s.transferOf(g, src, k)
 	leg.z = z.law
 	f := &sc.f[k]
-	pre[own].MaxIndepInto(f, z.lat) // the race max(S_own, Z)
-	s.noteFold(s.freqOf(k, fac, g).Fold(f, f, sc.work))
+	pre.MaxIndepInto(f, z.lat) // the race max(S_own, Z)
+	s.noteFold(s.freqOf(k, fac, g, sc.work).Fold(f, f, sc.work))
 	return f, nil
 }
 

@@ -17,10 +17,12 @@ import (
 // transfer-time lattices, the evaluation scratch pool and the lazily
 // built half-resolution shadow. Everything in it is a pure function of
 // (model, geometry, queue bound), is never mutated once published and
-// only ever grows — factor chains are appended, cache slots filled — so
-// any number of per-request Solver views (see View) may share one Tables
-// across goroutines, and what a view computes does not depend on which
-// other views exist or what they evaluated first.
+// only ever grows, along two axes — factor chains are appended, and a
+// chain is folded forward to the longest queue anyone has read (see
+// prefix) — besides the cache slots filled, so any number of per-request
+// Solver views (see View) may share one Tables across goroutines, and
+// what a view computes does not depend on which other views exist or
+// what they evaluated first.
 type Tables struct {
 	model    *core.Model
 	dx       float64
@@ -31,7 +33,8 @@ type Tables struct {
 	// holds at least the chains up to the larger of the two.
 	defFac [2]int
 
-	// build serializes extensions, so each factor chain is built once.
+	// build serializes extensions along both axes, so each factor chain
+	// is started once and each of its prefixes folded once.
 	build sync.Mutex
 
 	// mu guards the chains slice header, every chain's spectrum slots,
@@ -63,10 +66,18 @@ type Tables struct {
 // is the min-of-f order statistic of the base service law
 // (cancel-on-first-complete replication) — and spec[k][j] its lazily
 // cached spectrum (a slot guarded by Tables.mu). Factor 1 is the base
-// law, so its chain is exactly the pre-replication tables. meter audits
-// the folds that built the two prefix chains.
+// law, so its chain is exactly the pre-replication tables.
+//
+// pre[k] has a slot per queue length up to the bound, of which the first
+// built[k] are filled: slot j is folded from slot j−1 and base[k], the
+// spectrum of one task's law, the first time anyone reads it or a longer
+// one (Solver.prefix). Slots are written once, before built[k] passes
+// them, so readers index below built[k] without a lock. meter audits the
+// folds made so far.
 type chain struct {
 	pre   [2][]*gridfn.Lattice
+	built [2]atomic.Int32
+	base  [2]*gridfn.Spectrum
 	spec  [2][]*gridfn.Spectrum
 	meter gridfn.Meter
 }
@@ -81,14 +92,15 @@ type Config struct {
 	// Horizon is the time span covered; 0 derives a horizon from the
 	// model means: 2.5× the worst-case expected completion plus transfer.
 	Horizon float64
-	// MaxQueue[k] bounds the prefix convolutions per server; it must be
-	// at least the largest queue the sweep will produce at server k
-	// (own tasks plus the largest incoming batch).
+	// MaxQueue[k] bounds server k's prefix chain and sets the auto
+	// horizon; it must be at least the largest queue the sweep will
+	// produce at server k (own tasks plus the largest incoming batch).
+	// Folds happen on first read, so a generous bound costs nothing.
 	MaxQueue [2]int
 	// Span, when set, attaches solver-phase sub-spans to a request-scoped
-	// trace: a "solver_build" child for the prefix-table construction, and
-	// "fft" / "transfer_law" children for lazy cache fills. Purely
-	// observational — results are bit-identical with or without it.
+	// trace: a "solver_build" child when a factor chain is started, and
+	// "prefix_fold" / "fft" / "transfer_law" children for lazy fills.
+	// Purely observational — results are bit-identical with or without it.
 	Span *obs.Span
 	// MaxFactor requests prefix tables for replication factors
 	// 1..MaxFactor per server, enabling the *Repl metric variants (the
@@ -100,7 +112,7 @@ type Config struct {
 }
 
 // NewTables validates a two-server model, fixes the lattice geometry and
-// precomputes the service-sum laws for replication factors up to
+// starts the service-sum chains for replication factors up to
 // cfg.MaxFactor (at least the model's own). cfg.Span receives the
 // "solver_build" span.
 func NewTables(m *core.Model, cfg Config) (*Tables, error) {
@@ -161,11 +173,13 @@ func (t *Tables) factors() int {
 	return len(t.chains)
 }
 
-// extend builds the factor chains up to maxFac that the tables lack and
-// returns how many it added. A chain depends on nothing but the model,
-// the geometry and its own (server, factor), so chains added later hold
-// the same lattices, bit for bit, as a one-shot build. span receives a
-// "solver_build" child, only when something is built.
+// extend starts the factor chains up to maxFac that the tables lack and
+// returns how many it added: each gets its per-task spectrum and the
+// zero-task prefix, the folds follow on first read. A chain depends on
+// nothing but the model, the geometry and its own (server, factor), so
+// chains added later hold the same lattices, bit for bit, as a one-shot
+// build. span receives a "solver_build" child, only when something is
+// built.
 func (t *Tables) extend(maxFac int, span *obs.Span) int {
 	if t.factors() >= maxFac {
 		return 0 // nothing to build: do not queue behind someone else's extension
@@ -177,32 +191,50 @@ func (t *Tables) extend(maxFac int, span *obs.Span) int {
 		return 0
 	}
 	sp := span.Child("solver_build", "grid_n", t.n, "max_queue_1", t.maxQueue[0], "max_queue_2", t.maxQueue[1])
+	defer sp.End()
 	fresh := make([]*chain, maxFac-have)
 	for i := range fresh {
-		fresh[i] = new(chain)
-	}
-	// Server-major, factor-minor: a one-shot build runs the fold sequence
-	// it always ran.
-	for k := 0; k < 2; k++ {
-		for i, c := range fresh {
+		c := new(chain)
+		for k := 0; k < 2; k++ {
 			eff := dist.NewMinOfK(t.model.Service[k], have+1+i)
-			base := gridfn.FromCDF(eff.CDF, t.dx, t.n)
-			c.pre[k] = base.PrefixesMetered(t.maxQueue[k], &c.meter)
+			c.base[k] = gridfn.FromCDF(eff.CDF, t.dx, t.n).Spectrum()
+			c.pre[k] = make([]*gridfn.Lattice, t.maxQueue[k]+1)
+			c.pre[k][0] = gridfn.PointMass(0, t.dx, t.n)
+			c.built[k].Store(1)
 			c.spec[k] = make([]*gridfn.Spectrum, len(c.pre[k]))
 			solverBuilds.Inc()
 		}
-	}
-	var added gridfn.Meter
-	for _, c := range fresh {
-		mergeMeter(&added, c.meter)
+		fresh[i] = c
 	}
 	t.mu.Lock()
 	t.chains = append(t.chains, fresh...)
 	t.mu.Unlock()
-	sp.SetAttr("build_folds", added.Folds)
-	sp.SetAttr("build_mass_residual_max", added.MaxResidual)
-	sp.End()
 	return maxFac - have
+}
+
+// prefix returns pre[k][j] of the view's chain c, first folding the chain
+// forward to j if nobody has read that far: the same fold sequence a
+// one-shot build to the queue bound runs, stopped early, so every slot
+// holds the same lattice whoever asked for it and in whatever order. w
+// is the caller's fold scratch. The folds show in the view's trace as a
+// "prefix_fold" span and in the chain's meter.
+func (s *Solver) prefix(c *chain, k, j int, w *gridfn.Work) *gridfn.Lattice {
+	if j >= int(c.built[k].Load()) {
+		t := s.t
+		t.build.Lock()
+		if have := int(c.built[k].Load()); j >= have {
+			sp := s.span.Child("prefix_fold", "server", k, "from", have, "to", j)
+			for i := have; i <= j; i++ {
+				l := gridfn.New(t.dx, t.n)
+				c.meter.Observe(c.base[k].Fold(l, c.pre[k][i-1], w))
+				c.pre[k][i] = l
+				c.built[k].Store(int32(i + 1))
+			}
+			sp.End()
+		}
+		t.build.Unlock()
+	}
+	return c.pre[k][j]
 }
 
 // mergeMeter folds one chain's construction audit into dst with the
@@ -232,16 +264,17 @@ func (t *Tables) View(maxFactor int, span *obs.Span) (v *Solver, built int) {
 	return &Solver{t: t, chains: chains, TailCorrect: true, span: span}, built
 }
 
-// Bytes is the tables' accounted memory footprint: every prefix lattice
-// and spectrum slot, the spectra and transfer lattices filled so far,
-// and the probe shadow once built. It grows as views evaluate.
+// Bytes is the tables' accounted memory footprint: per chain the
+// per-task spectrum, the slot arrays and the prefix lattices folded so
+// far; the spectra and transfer lattices filled so far; and the probe
+// shadow once built. It grows as views read and evaluate.
 func (t *Tables) Bytes() int64 {
 	lattice := int64(8 * t.n)
 	t.mu.RLock()
 	b := t.lazyBytes
 	for _, c := range t.chains {
 		for k := 0; k < 2; k++ {
-			b += int64(len(c.pre[k])) * (lattice + 8)
+			b += c.base[k].Bytes() + 16*int64(len(c.pre[k])) + int64(c.built[k].Load())*lattice
 		}
 	}
 	t.mu.RUnlock()
@@ -279,7 +312,7 @@ type transfer struct {
 // store is published; the loser's copy is discarded (counted as a
 // duplicate — the cache-contention signal) so every caller reads the
 // same spectrum.
-func (s *Solver) freqOf(k, fac, j int) *gridfn.Spectrum {
+func (s *Solver) freqOf(k, fac, j int, w *gridfn.Work) *gridfn.Spectrum {
 	t, c := s.t, s.chains[fac-1]
 	t.mu.RLock()
 	f := c.spec[k][j]
@@ -289,9 +322,10 @@ func (s *Solver) freqOf(k, fac, j int) *gridfn.Spectrum {
 		return f
 	}
 	fftMisses.Inc()
-	sp := s.span.Child("fft", "server", k, "fold", j, "prefix_tail", c.pre[k][j].Tail)
+	pre := s.prefix(c, k, j, w)
+	sp := s.span.Child("fft", "server", k, "fold", j, "prefix_tail", pre.Tail)
 	defer sp.End()
-	spec := c.pre[k][j].Spectrum()
+	spec := pre.Spectrum()
 	t.mu.Lock()
 	if f := c.spec[k][j]; f != nil {
 		t.mu.Unlock()

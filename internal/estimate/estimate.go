@@ -95,6 +95,22 @@ func (s *Snapshot) MaxAbsError() int {
 	return worst
 }
 
+// event is what the warm-up schedules: server finishes a task, server
+// broadcasts its queue length, or the packet carrying value (server's
+// queue when it was sent) reaches dst.
+type event struct {
+	kind        uint8
+	server, dst int
+	sent        float64
+	value       int
+}
+
+const (
+	evServed uint8 = iota
+	evBroadcast
+	evPacket
+)
+
 // Take simulates the DCS serving its workload for warmup time units with
 // periodic queue-length broadcasts and returns the snapshot at decision
 // time. Estimates default to the initial allocation until a first packet
@@ -115,7 +131,7 @@ func (e *Exchange) Take(initial []int, warmup float64, realization int) (*Snapsh
 	}
 
 	r := rngutil.Stream(e.Seed, realization)
-	var q des.Queue
+	var q des.Queue[event]
 
 	snap := &Snapshot{
 		Queues: append([]int(nil), initial...),
@@ -131,32 +147,37 @@ func (e *Exchange) Take(initial []int, warmup float64, realization int) (*Snapsh
 	}
 
 	// Service processes.
-	var serve func(k int)
-	serve = func(k int) {
-		if snap.Queues[k] == 0 {
-			return
+	serve := func(k int) {
+		if snap.Queues[k] > 0 {
+			q.Schedule(q.Now()+e.Model.EffectiveService(k).Sample(r), event{kind: evServed, server: k})
 		}
-		w := e.Model.EffectiveService(k).Sample(r)
-		q.Schedule(q.Now()+w, func() {
-			snap.Queues[k]--
-			serve(k)
-		})
 	}
 	for k := 0; k < n; k++ {
 		serve(k)
 	}
-
-	// Periodic broadcasts: at each tick, server j snapshots its queue and
-	// sends it to every peer with a random packet delay. Packets overtaken
-	// by fresher ones are ignored on arrival.
-	var tick func(j int, t float64)
-	tick = func(j int, t float64) {
-		if t > warmup {
-			return
+	// Periodic broadcasts, none past the decision time.
+	tick := func(j int, t float64) {
+		if t <= warmup {
+			q.Schedule(t, event{kind: evBroadcast, server: j})
 		}
-		q.Schedule(t, func() {
+	}
+	for j := 0; j < n; j++ {
+		tick(j, e.Period)
+	}
+
+	for {
+		ev, ok := q.Next(warmup)
+		if !ok {
+			break
+		}
+		switch j := ev.server; ev.kind {
+		case evServed:
+			snap.Queues[j]--
+			serve(j)
+		case evBroadcast:
+			// Server j snapshots its queue and sends it to every peer with
+			// a random packet delay.
 			sent := q.Now()
-			value := snap.Queues[j]
 			for i := 0; i < n; i++ {
 				if i == j {
 					continue
@@ -165,26 +186,19 @@ func (e *Exchange) Take(initial []int, warmup float64, realization int) (*Snapsh
 				if e.PacketDelay != nil {
 					delay = e.PacketDelay(j, i).Sample(r)
 				}
-				arrive := sent + delay
-				if arrive > warmup {
-					continue // still in flight at decision time
+				if arrive := sent + delay; arrive <= warmup { // else still in flight at decision time
+					q.Schedule(arrive, event{kind: evPacket, server: j, dst: i, sent: sent, value: snap.Queues[j]})
 				}
-				i := i
-				q.Schedule(arrive, func() {
-					if sent > snap.SentAt[i][j] {
-						snap.SentAt[i][j] = sent
-						snap.Estimates[i][j] = value
-					}
-				})
 			}
 			tick(j, sent+e.Period)
-		})
+		case evPacket:
+			// Packets overtaken by fresher ones are ignored on arrival.
+			if ev.sent > snap.SentAt[ev.dst][j] {
+				snap.SentAt[ev.dst][j] = ev.sent
+				snap.Estimates[ev.dst][j] = ev.value
+			}
+		}
 	}
-	for j := 0; j < n; j++ {
-		tick(j, e.Period)
-	}
-
-	q.Run(warmup)
 	for i := 0; i < n; i++ {
 		snap.Estimates[i][i] = snap.Queues[i]
 		snap.SentAt[i][i] = warmup

@@ -246,20 +246,50 @@ func TestSolverTierOversizedEntry(t *testing.T) {
 	}
 }
 
+// TestSolverTierChargesWhatIsRead: a retained model is charged for the
+// prefixes its requests folded, re-measured when a lease returns — two
+// metrics requests leave it smaller than the optimize that then sweeps
+// the same tables.
+func TestSolverTierChargesWhatIsRead(t *testing.T) {
+	svc, reg, ts := newTestService(t, Config{Workers: 2, CacheSize: -1})
+	metrics := tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:2"`)}
+	mustPost(t, ts, metrics)
+	mustPost(t, ts, metrics)
+	read := svc.solvers.bytes
+	if read <= 0 || svc.solvers.ll.Len() != 1 {
+		t.Fatalf("second sighting retained %d entries / %d bytes", svc.solvers.ll.Len(), read)
+	}
+	mustPost(t, ts, metrics)
+	if svc.solvers.bytes != read {
+		t.Fatalf("a repeat that folded nothing moved the charge %d -> %d", read, svc.solvers.bytes)
+	}
+	mustPost(t, ts, tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256`)})
+	swept := svc.solvers.bytes
+	if swept < read+20*8*256 {
+		t.Fatalf("tier charges %d bytes after an optimize on a model charged %d for one metrics point", swept, read)
+	}
+	if g := reg.Snapshot().Gauges["dtr_serve_solver_cache_bytes"]; int64(g) != swept {
+		t.Fatalf("gauge reads %v, tier holds %d", g, swept)
+	}
+}
+
 // TestSolverTierTrace: every solve that needs the canonical solver
-// carries a solver_cache span under solve saying what the tier did, and
-// a solver_build span only when a prefix chain was built.
+// carries a solver_cache span under solve saying what the tier did, a
+// solver_build span only when a prefix chain was started, and
+// prefix_fold spans exactly when it read a chain further than anyone
+// had.
 func TestSolverTierTrace(t *testing.T) {
 	_, buf, ts := newTracedService(t, Config{Workers: 2})
 	steps := []struct {
 		tierRequest
 		hit, admitted, extended string
 		builds                  int
+		folds                   bool
 	}{
-		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256`)}, "false", "false", "false", 1},
-		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:2"`)}, "false", "true", "false", 1},
-		{tierRequest{"/v1/cdf", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "points": 5`)}, "true", "false", "false", 0},
-		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "replication": {"maxFactor": 2}`)}, "true", "false", "true", 1},
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256`)}, "false", "false", "false", 1, true},
+		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:2"`)}, "false", "true", "false", 1, true},
+		{tierRequest{"/v1/cdf", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "points": 5`)}, "true", "false", "false", 0, false},
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "replication": {"maxFactor": 2}`)}, "true", "false", "true", 1, true},
 	}
 	for i, step := range steps {
 		buf.Reset()
@@ -270,7 +300,7 @@ func TestSolverTierTrace(t *testing.T) {
 		}
 		var solveID string
 		var tier *obs.SpanRecord
-		builds := 0
+		builds, folds := 0, 0
 		for j, sp := range rec.Spans {
 			switch sp.Name {
 			case "solve":
@@ -279,6 +309,11 @@ func TestSolverTierTrace(t *testing.T) {
 				tier = &rec.Spans[j]
 			case "solver_build":
 				builds++
+			case "prefix_fold":
+				folds++
+				if a := sp.Attrs; a["server"] == "" || a["from"] == "" || a["to"] == "" {
+					t.Errorf("request %d %s: prefix_fold attrs %v, want server, from and to", i, step.path, a)
+				}
 			}
 		}
 		if tier == nil || tier.Parent != solveID {
@@ -287,8 +322,8 @@ func TestSolverTierTrace(t *testing.T) {
 		if a := tier.Attrs; a["hit"] != step.hit || a["admitted"] != step.admitted || a["extended"] != step.extended || a["bytes"] == "" || a["bytes"] == "0" {
 			t.Errorf("request %d %s: solver_cache attrs %v, want hit=%s admitted=%s extended=%s and bytes", i, step.path, a, step.hit, step.admitted, step.extended)
 		}
-		if builds != step.builds {
-			t.Errorf("request %d %s: %d solver_build spans, want %d", i, step.path, builds, step.builds)
+		if builds != step.builds || (folds > 0) != step.folds {
+			t.Errorf("request %d %s: %d solver_build and %d prefix_fold spans, want %d and folds=%v", i, step.path, builds, folds, step.builds, step.folds)
 		}
 	}
 }

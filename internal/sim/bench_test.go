@@ -50,3 +50,20 @@ func BenchmarkRunFiveServer(b *testing.B) {
 		Run(m, s, rngutil.Stream(2, i))
 	}
 }
+
+// BenchmarkEstimate2000 measures one `simulate` request: 2 000
+// realizations of the severe-delay 100+50 workload under policy 0>1:20.
+func BenchmarkEstimate2000(b *testing.B) {
+	m := &core.Model{
+		Service: []dist.Dist{dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1)},
+		Failure: []dist.Dist{dist.Never{}, dist.Never{}},
+		Transfer: func(tasks, src, dst int) dist.Dist {
+			return dist.NewPareto(2.5, 3*float64(tasks))
+		},
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := Estimate(m, []int{100, 50}, core.Policy2(20, 0), Options{Reps: 2000, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,22 +74,66 @@ func RunControlled(m *core.Model, s *core.State, r *rand.Rand, rb *Rebalancer) O
 	return RunTraced(m, s, r, rb, nil, 0)
 }
 
-// runTracer emits trace events for one realization; a nil tracer (or a
-// tracer without a writer) is a no-op. Only age-zero draws are emitted:
-// a draw from an aged law is a residual-time sample, not a sample of
-// the fresh law the fitters estimate.
-type runTracer struct {
-	w   *trace.Writer
-	rep int
+// evKind says what a scheduled event does when the loop pops it.
+type evKind uint8
+
+const (
+	evService evKind = iota // copy id of the task in service at server completes its draw w
+	evFailure               // server's failure clock fires at its draw w
+	evDeliver               // group id (tasks from src) reaches dst after its draw w
+	evTick                  // the rebalancer decides
+)
+
+// event is what the realization schedules: a value holding the fields
+// its kind reads, so scheduling one allocates nothing.
+type event struct {
+	kind                        evKind
+	server, src, dst, tasks, id int
+	w                           float64
 }
 
-func (t *runTracer) emit(now float64, ev trace.Event) {
-	if t == nil || t.w == nil {
-		return
-	}
-	ev.Rep = t.rep
-	ev.T = now
-	_ = t.w.Write(ev) // sticky error surfaces at Flush
+// inflightXfer is a fresh group in the network, remembered while tracing
+// for the observation it becomes: its transfer time on delivery, a
+// censored one if the capture ends first. Groups already aged at t = 0
+// are residual-time draws and are not remembered.
+type inflightXfer struct {
+	id, src, dst, tasks int
+	start               float64
+}
+
+// run is one realization in progress: the event queue, the part of the
+// state the realization mutates (queue lengths and liveness; the ages
+// and groups of the start state s are only read) and the bookkeeping the
+// event handlers share.
+type run struct {
+	m  *core.Model
+	s  *core.State
+	r  *rand.Rand
+	rb *Rebalancer
+	q  des.Queue[event]
+	// tw, when set, receives the realization's trace events, stamped rep.
+	tw  *trace.Writer
+	rep int
+
+	queue []int
+	up    []bool
+	out   Outcome
+
+	remainingGroups []int // groups still heading to each server
+	pendingGroups   int
+	// copies[k] holds the pending service-copy events of the task in
+	// service at server k: one event normally, Repl[k] events under
+	// replication (the first to fire cancels its siblings).
+	copies       [][]des.Handle
+	serviceStart []float64
+	serviceAged  []bool
+	// inflight lists the traced groups in the network in transfer-id
+	// order, so the censored lines of a capture come out in one order.
+	inflight []inflightXfer
+	xferID   int
+	ticks    int
+
+	doomed, finished bool
 }
 
 // RunTraced is RunControlled with an optional trace writer receiving
@@ -99,273 +144,267 @@ func (t *runTracer) emit(now float64, ev trace.Event) {
 // randomness, so outcomes are bit-identical with and without it.
 func RunTraced(m *core.Model, s *core.State, r *rand.Rand, rb *Rebalancer, tw *trace.Writer, rep int) Outcome {
 	n := m.N()
-	st := s.Clone()
-	var q des.Queue
-	defer q.FlushStats()
-
-	var tr *runTracer
-	if tw != nil {
-		tr = &runTracer{w: tw, rep: rep}
+	rn := run{
+		m: m, s: s, r: r, rb: rb, tw: tw, rep: rep,
+		queue:           append([]int(nil), s.Queue...),
+		up:              append([]bool(nil), s.Up...),
+		out:             Outcome{Served: make([]int, n), BusyTime: make([]float64, n)},
+		remainingGroups: make([]int, n),
+		copies:          make([][]des.Handle, n),
+		serviceStart:    make([]float64, n),
+		serviceAged:     make([]bool, n),
 	}
+	defer rn.q.FlushStats()
 
-	out := Outcome{Served: make([]int, n), BusyTime: make([]float64, n)}
-	remainingGroups := make([]int, n) // groups still heading to each server
-
-	// serviceEvs[k] holds the pending service-copy events of the task in
-	// service at server k: one event normally, Repl[k] events under
-	// replication (the first to fire cancels its siblings).
-	serviceEvs := make([][]*des.Event, n)
-	serviceStart := make([]float64, n)
-	serviceAged := make([]bool, n)
-	type inflightXfer struct {
-		src, dst, tasks int
-		start           float64
-		aged            bool
-	}
-	inflight := map[int]*inflightXfer{}
-	xferID := 0
-	doomed := false
-	finished := false
-
-	totalQueued := func() int {
-		t := 0
-		for _, qq := range st.Queue {
-			t += qq
-		}
-		return t
-	}
-	pendingGroups := 0
-
-	checkDone := func() {
-		if !doomed && totalQueued() == 0 && pendingGroups == 0 {
-			finished = true
-			out.Completed = true
-			out.Time = q.Now()
-		}
-	}
-
-	var scheduleService func(k int, aged float64)
-	scheduleService = func(k int, aged float64) {
-		if !st.Up[k] || st.Queue[k] == 0 {
-			return
-		}
-		c := m.ReplFactor(k)
-		d := m.Service[k]
-		if aged > 0 {
-			// On a state resume the task's copies were launched together,
-			// so every copy's residual law carries the same age.
-			d = d.Aged(aged)
-		}
-		agedDraw := aged > 0
-		serviceStart[k] = q.Now()
-		serviceAged[k] = agedDraw
-		// Spawn c i.i.d. copies; the first completion wins and cancels
-		// its siblings (cancel-on-first-complete). For c = 1 this is
-		// exactly one draw and one event — the pre-replication stream.
-		evs := make([]*des.Event, c)
-		for i := 0; i < c; i++ {
-			i, w := i, d.Sample(r)
-			evs[i] = q.Schedule(q.Now()+w, func() {
-				for j, e := range evs {
-					if j != i && e != nil {
-						q.Cancel(e)
-						out.CopiesCancelled++
-					}
-				}
-				serviceEvs[k] = nil
-				st.Queue[k]--
-				out.Served[k]++
-				out.BusyTime[k] += w
-				if !agedDraw && c == 1 {
-					// Replicated completions are min-of-k draws, not
-					// samples of the fresh service law the fitters
-					// estimate, so only factor-1 draws are traced.
-					tr.emit(q.Now(), trace.Event{Kind: trace.KindService, Server: k, Value: w})
-				}
-				if st.Queue[k] > 0 {
-					scheduleService(k, 0)
-				}
-				checkDone()
-			})
-		}
-		serviceEvs[k] = evs
-	}
-
-	// Failure clocks.
+	// Per server: room for its service copies, and its failure clock.
 	for k := 0; k < n; k++ {
-		if !st.Up[k] {
+		rn.copies[k] = make([]des.Handle, 0, m.ReplFactor(k))
+		if !rn.up[k] {
 			continue
 		}
 		if _, never := m.Failure[k].(dist.Never); never {
 			continue
 		}
 		fd := m.Failure[k]
-		if st.AgeY[k] > 0 {
-			fd = fd.Aged(st.AgeY[k])
+		if s.AgeY[k] > 0 {
+			fd = fd.Aged(s.AgeY[k])
 		}
-		y := fd.Sample(r)
-		if math.IsInf(y, 1) {
-			continue
+		if y := fd.Sample(r); !math.IsInf(y, 1) {
+			rn.q.Schedule(y, event{kind: evFailure, server: k, w: y})
 		}
-		k := k
-		agedY := st.AgeY[k] > 0
-		q.Schedule(q.Now()+y, func() {
-			if !st.Up[k] || finished || doomed {
-				return
-			}
-			st.Up[k] = false
-			out.FailuresSeen++
-			if !agedY {
-				tr.emit(q.Now(), trace.Event{Kind: trace.KindFailure, Server: k, Value: y})
-			}
-			for _, e := range serviceEvs[k] {
-				if e != nil {
-					q.Cancel(e)
-				}
-			}
-			serviceEvs[k] = nil
-			if st.Queue[k] > 0 || remainingGroups[k] > 0 {
-				doomed = true
-				out.Time = q.Now()
-			}
-		})
 	}
-
-	// dispatch launches a task group into the network: one transfer draw
-	// (aged for groups already in flight at t = 0), then delivery —
-	// fatally late if the destination has meanwhile failed.
-	dispatch := func(src, dst, tasks int, age float64) {
-		td := m.Transfer(tasks, src, dst)
-		if age > 0 {
-			td = td.Aged(age)
-		}
-		z := td.Sample(r)
-		id := xferID
-		xferID++
-		if tr != nil {
-			inflight[id] = &inflightXfer{src: src, dst: dst, tasks: tasks, start: q.Now(), aged: age > 0}
-		}
-		pendingGroups++
-		remainingGroups[dst]++
-		q.Schedule(q.Now()+z, func() {
-			pendingGroups--
-			remainingGroups[dst]--
-			if tr != nil {
-				if fl := inflight[id]; fl != nil && !fl.aged {
-					tr.emit(q.Now(), trace.Event{Kind: trace.KindTransfer, Src: src, Dst: dst, Tasks: tasks, Value: z})
-				}
-				delete(inflight, id)
-			}
-			if doomed || finished {
-				return
-			}
-			if !st.Up[dst] {
-				doomed = true
-				out.Time = q.Now()
-				return
-			}
-			wasIdle := st.Queue[dst] == 0
-			st.Queue[dst] += tasks
-			if wasIdle {
-				scheduleService(dst, 0)
-			}
-		})
-	}
-
 	// In-flight groups of the initial state.
-	for _, g := range st.Groups {
-		dispatch(g.Src, g.Dst, g.Tasks, g.Age)
+	for _, g := range s.Groups {
+		rn.dispatch(g.Src, g.Dst, g.Tasks, g.Age)
 	}
-
-	// Periodic rebalancing decisions, if configured. The tick count is
-	// capped so a pathological model (a task that can never be served)
-	// cannot keep the event loop alive forever; once ticking stops, the
-	// queue drains and the run resolves through the usual outcome logic.
+	// Periodic rebalancing decisions, if configured.
 	if rb != nil && rb.Period > 0 && rb.Decide != nil {
-		const maxTicks = 1 << 20
-		ticks := 0
-		var tickRb func(t float64)
-		tickRb = func(t float64) {
-			ticks++
-			if ticks > maxTicks {
-				return
-			}
-			q.Schedule(t, func() {
-				if finished || doomed {
-					return
-				}
-				pol := rb.Decide(append([]int(nil), st.Queue...), append([]bool(nil), st.Up...))
-				if pol != nil {
-					for i := range pol {
-						if i >= n || !st.Up[i] {
-							continue
-						}
-						// The task in service cannot be shipped.
-						shippable := st.Queue[i]
-						if len(serviceEvs[i]) > 0 {
-							shippable--
-						}
-						for j := range pol[i] {
-							l := pol[i][j]
-							if j == i || j >= n || l <= 0 {
-								continue
-							}
-							if l > shippable {
-								l = shippable
-							}
-							if l <= 0 {
-								continue
-							}
-							st.Queue[i] -= l
-							shippable -= l
-							dispatch(i, j, l, 0)
-						}
-					}
-				}
-				tickRb(q.Now() + rb.Period)
-			})
-		}
-		tickRb(rb.Period)
+		rn.scheduleTick(rb.Period)
 	}
-
 	// Services in progress at t = 0.
 	for k := 0; k < n; k++ {
-		scheduleService(k, st.AgeW[k])
+		rn.scheduleService(k, s.AgeW[k])
 	}
+	rn.checkDone() // trivially empty workloads complete at t = 0
 
-	checkDone() // trivially empty workloads complete at t = 0
-
-	for !finished && !doomed && q.Step() {
-	}
-	if !finished && !doomed {
-		// Queue drained without completion: only possible when a task
-		// can never be served (e.g. Never service law) — treat as doomed.
-		doomed = true
-		out.Time = q.Now()
-	}
-	if tr != nil {
-		// Right-censored observations at capture end: services still in
-		// progress, transfers still in flight, servers still alive. Their
-		// realized durations exceed the recorded elapsed values.
-		end := q.Now()
-		for k := 0; k < n; k++ {
-			if len(serviceEvs[k]) == 1 && !serviceAged[k] {
-				tr.emit(end, trace.Event{Kind: trace.KindService, Server: k,
-					Value: end - serviceStart[k], Censored: true})
-			}
-			if st.Up[k] && st.AgeY[k] == 0 && end > 0 {
-				tr.emit(end, trace.Event{Kind: trace.KindFailure, Server: k,
-					Value: end, Censored: true})
-			}
+	for !rn.finished && !rn.doomed {
+		ev, ok := rn.q.Next(math.Inf(1))
+		if !ok {
+			// Queue drained without completion: only possible when a task
+			// can never be served (e.g. Never service law) — treat as doomed.
+			rn.doomed = true
+			rn.out.Time = rn.q.Now()
+			break
 		}
-		for _, fl := range inflight {
-			if !fl.aged {
-				tr.emit(end, trace.Event{Kind: trace.KindTransfer, Src: fl.src, Dst: fl.dst,
-					Tasks: fl.tasks, Value: end - fl.start, Censored: true})
-			}
+		switch ev.kind {
+		case evService:
+			rn.serviceDone(ev.server, ev.id, ev.w)
+		case evFailure:
+			rn.fail(ev.server, ev.w)
+		case evDeliver:
+			rn.deliver(ev)
+		case evTick:
+			rn.rebalance()
 		}
 	}
-	return out
+	if tw != nil {
+		rn.traceCensored()
+	}
+	return rn.out
+}
+
+// emit traces one observation at the current instant; without a writer
+// it is a no-op. Only age-zero draws are emitted: a draw from an aged law
+// is a residual-time sample, not a sample of the fresh law the fitters
+// estimate.
+func (rn *run) emit(ev trace.Event) {
+	if rn.tw == nil {
+		return
+	}
+	ev.Rep = rn.rep
+	ev.T = rn.q.Now()
+	_ = rn.tw.Write(ev) // sticky error surfaces at Flush
+}
+
+func (rn *run) checkDone() {
+	if rn.doomed || rn.pendingGroups != 0 {
+		return
+	}
+	for _, q := range rn.queue {
+		if q != 0 {
+			return
+		}
+	}
+	rn.finished = true
+	rn.out.Completed = true
+	rn.out.Time = rn.q.Now()
+}
+
+// scheduleService starts the next task at server k, its service time
+// already aged by `aged` on a state resume.
+func (rn *run) scheduleService(k int, aged float64) {
+	if !rn.up[k] || rn.queue[k] == 0 {
+		return
+	}
+	d := rn.m.Service[k]
+	if aged > 0 {
+		// On a state resume the task's copies were launched together,
+		// so every copy's residual law carries the same age.
+		d = d.Aged(aged)
+	}
+	now := rn.q.Now()
+	rn.serviceStart[k] = now
+	rn.serviceAged[k] = aged > 0
+	// Spawn Repl[k] i.i.d. copies; the first completion wins and cancels
+	// its siblings (cancel-on-first-complete). For one copy this is
+	// exactly one draw and one event — the pre-replication stream.
+	rn.copies[k] = rn.copies[k][:0]
+	for i, c := 0, rn.m.ReplFactor(k); i < c; i++ {
+		w := d.Sample(rn.r)
+		rn.copies[k] = append(rn.copies[k], rn.q.Schedule(now+w, event{kind: evService, server: k, id: i, w: w}))
+	}
+}
+
+// serviceDone completes the task in service at server k through its
+// copy i, whose draw was w.
+func (rn *run) serviceDone(k, i int, w float64) {
+	c := len(rn.copies[k])
+	for j, h := range rn.copies[k] {
+		if j != i {
+			rn.q.Cancel(h)
+			rn.out.CopiesCancelled++
+		}
+	}
+	rn.copies[k] = rn.copies[k][:0]
+	rn.queue[k]--
+	rn.out.Served[k]++
+	rn.out.BusyTime[k] += w
+	if !rn.serviceAged[k] && c == 1 {
+		// Replicated completions are min-of-k draws, not samples of
+		// the fresh service law the fitters estimate, so only
+		// factor-1 draws are traced.
+		rn.emit(trace.Event{Kind: trace.KindService, Server: k, Value: w})
+	}
+	if rn.queue[k] > 0 {
+		rn.scheduleService(k, 0)
+	}
+	rn.checkDone()
+}
+
+// fail takes server k down at its failure-clock draw y.
+func (rn *run) fail(k int, y float64) {
+	if !rn.up[k] {
+		return
+	}
+	rn.up[k] = false
+	rn.out.FailuresSeen++
+	if rn.s.AgeY[k] == 0 {
+		rn.emit(trace.Event{Kind: trace.KindFailure, Server: k, Value: y})
+	}
+	for _, h := range rn.copies[k] {
+		rn.q.Cancel(h)
+	}
+	rn.copies[k] = rn.copies[k][:0]
+	if rn.queue[k] > 0 || rn.remainingGroups[k] > 0 {
+		rn.doomed = true
+		rn.out.Time = rn.q.Now()
+	}
+}
+
+// dispatch launches a task group into the network: one transfer draw
+// (aged for groups already in flight at t = 0), then delivery —
+// fatally late if the destination has meanwhile failed.
+func (rn *run) dispatch(src, dst, tasks int, age float64) {
+	td := rn.m.Transfer(tasks, src, dst)
+	if age > 0 {
+		td = td.Aged(age)
+	}
+	z := td.Sample(rn.r)
+	id := rn.xferID
+	rn.xferID++
+	if rn.tw != nil && age <= 0 {
+		rn.inflight = append(rn.inflight, inflightXfer{id: id, src: src, dst: dst, tasks: tasks, start: rn.q.Now()})
+	}
+	rn.pendingGroups++
+	rn.remainingGroups[dst]++
+	rn.q.Schedule(rn.q.Now()+z, event{kind: evDeliver, src: src, dst: dst, tasks: tasks, id: id, w: z})
+}
+
+func (rn *run) deliver(ev event) {
+	rn.pendingGroups--
+	rn.remainingGroups[ev.dst]--
+	if i := slices.IndexFunc(rn.inflight, func(fl inflightXfer) bool { return fl.id == ev.id }); i >= 0 {
+		rn.emit(trace.Event{Kind: trace.KindTransfer, Src: ev.src, Dst: ev.dst, Tasks: ev.tasks, Value: ev.w})
+		rn.inflight = slices.Delete(rn.inflight, i, i+1)
+	}
+	if !rn.up[ev.dst] {
+		rn.doomed = true
+		rn.out.Time = rn.q.Now()
+		return
+	}
+	wasIdle := rn.queue[ev.dst] == 0
+	rn.queue[ev.dst] += ev.tasks
+	if wasIdle {
+		rn.scheduleService(ev.dst, 0)
+	}
+}
+
+// scheduleTick books the next rebalancing decision. The tick count is
+// capped so a pathological model (a task that can never be served)
+// cannot keep the event loop alive forever; once ticking stops, the
+// queue drains and the run resolves through the usual outcome logic.
+func (rn *run) scheduleTick(t float64) {
+	const maxTicks = 1 << 20
+	if rn.ticks++; rn.ticks <= maxTicks {
+		rn.q.Schedule(t, event{kind: evTick})
+	}
+}
+
+// rebalance runs one decision of the rebalancer and ships what it asks
+// for, clamped to what each sender holds beyond its task in service.
+func (rn *run) rebalance() {
+	n := len(rn.queue)
+	pol := rn.rb.Decide(append([]int(nil), rn.queue...), append([]bool(nil), rn.up...))
+	for i := range pol {
+		if i >= n || !rn.up[i] {
+			continue
+		}
+		// The task in service cannot be shipped.
+		shippable := rn.queue[i]
+		if len(rn.copies[i]) > 0 {
+			shippable--
+		}
+		for j, l := range pol[i] {
+			if l = min(l, shippable); j == i || j >= n || l <= 0 {
+				continue
+			}
+			rn.queue[i] -= l
+			shippable -= l
+			rn.dispatch(i, j, l, 0)
+		}
+	}
+	rn.scheduleTick(rn.q.Now() + rn.rb.Period)
+}
+
+// traceCensored emits the right-censored observations at capture end:
+// services still in progress, transfers still in flight, servers still
+// alive. Their realized durations exceed the recorded elapsed values.
+func (rn *run) traceCensored() {
+	end := rn.q.Now()
+	for k := range rn.queue {
+		if len(rn.copies[k]) == 1 && !rn.serviceAged[k] {
+			rn.emit(trace.Event{Kind: trace.KindService, Server: k,
+				Value: end - rn.serviceStart[k], Censored: true})
+		}
+		if rn.up[k] && rn.s.AgeY[k] == 0 && end > 0 {
+			rn.emit(trace.Event{Kind: trace.KindFailure, Server: k,
+				Value: end, Censored: true})
+		}
+	}
+	for _, fl := range rn.inflight {
+		rn.emit(trace.Event{Kind: trace.KindTransfer, Src: fl.src, Dst: fl.dst,
+			Tasks: fl.tasks, Value: end - fl.start, Censored: true})
+	}
 }
 
 // Options configures a Monte-Carlo estimation run.
