@@ -1,7 +1,7 @@
 package dtr
 
 import (
-	"dtr/internal/nserver"
+	"dtr/internal/direct"
 )
 
 // MetricBounds brackets the metrics of an n-server scenario where several
@@ -11,29 +11,22 @@ import (
 // tasks as a single batch arriving at the earliest (Optimistic) or latest
 // (Pessimistic) of its groups' transfer times; both are pathwise bounds
 // for a work-conserving server.
-type MetricBounds = nserver.Bounds
+type MetricBounds = direct.Bounds
 
 // BoundMetrics is one side of a MetricBounds bracket.
-type BoundMetrics = nserver.Metrics
+type BoundMetrics = direct.Metrics
 
 // MetricBounds returns two-sided analytic bounds on the metrics of this
 // system under the policy (deadline ≤ 0 skips the QoS). The true mean
 // lies in [Optimistic.Mean, Pessimistic.Mean]; QoS and Reliability lie in
 // [Pessimistic, Optimistic]. When no server receives more than one group
 // — every two-server canonical scenario — the sides coincide with the
-// exact value and Exact is set.
+// exact value and Exact is set. The bounds are read off the same solver
+// tables as every other analytic method.
 func (s *System) MetricBounds(p Policy, deadline float64) (MetricBounds, error) {
-	total := 0
-	for _, q := range s.initial {
-		total += q
-	}
-	ns, err := nserver.NewSolver(s.model, nserver.Config{
-		GridN:    s.GridN,
-		Horizon:  s.Horizon,
-		MaxQueue: total,
-	})
+	sv, err := s.solverWithFactor(1)
 	if err != nil {
 		return MetricBounds{}, err
 	}
-	return ns.Evaluate(s.initial, p, deadline)
+	return sv.Bounds(s.initial, p, deadline)
 }

@@ -10,9 +10,11 @@
 //	dtrplan -model system.json cdf      -policy "0>1:26" -points 20
 //
 // Policies are written as comma-separated "src>dst:count" shipments
-// (server indices are 0-based). Two-server systems get exact analytic
-// answers; larger systems use Algorithm 1, simulation and the
-// batch-arrival bounds.
+// (server indices are 0-based). metrics and cdf are exact analytic
+// answers for any policy that sends no server more than one group —
+// every two-server policy; the exact optimizer is two-server, larger
+// systems plan with Algorithm 1, and policies that converge several
+// groups on one server have simulation and the batch-arrival bounds.
 //
 // A subcommand is a planning verb of internal/serve run in this process:
 // the flags fill a serve.Request, serve.Exec validates and answers it as

@@ -37,9 +37,11 @@
 //   - the age-dependent regeneration recursion (the paper's Theorem 1),
 //     exact for arbitrary n-server configurations up to an age-grid
 //     resolution, at a cost exponential in n — see RegenSolver;
-//   - a convolution solver, exact for the canonical scenario (one
-//     reallocation at t = 0) at paper scale — behind System's metric
-//     methods;
+//   - a convolution solver for the canonical scenario (one reallocation
+//     at t = 0) at paper scale and for any number of servers, exact
+//     whenever no server receives more than one task group and the
+//     paper's §IV batch-arrival bracket otherwise — behind System's metric
+//     methods and MetricBounds;
 //   - a discrete-event Monte-Carlo simulator for any number of servers —
 //     System.Simulate.
 //

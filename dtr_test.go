@@ -2,6 +2,7 @@ package dtr_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -253,8 +254,17 @@ func TestMultiServerPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.MeanTime(dtr.NewPolicy(3)); err == nil {
-		t.Fatal("analytic metrics should refuse 3-server systems")
+	converging := dtr.NewPolicy(3)
+	converging[0][2], converging[1][2] = 4, 2
+	if _, err := sys.MeanTime(converging); err == nil || !strings.Contains(err.Error(), "server 2") {
+		t.Fatalf("two groups into server 2 have no exact mean; got %v", err)
+	}
+	if b, err := sys.MetricBounds(converging, 0); err != nil || b.Exact || !(b.Optimistic.Mean < b.Pessimistic.Mean) {
+		t.Fatalf("bounds of the converging policy: %+v, %v", b, err)
+	}
+	stay, err := sys.MeanTime(dtr.NewPolicy(3))
+	if err != nil {
+		t.Fatal(err)
 	}
 	pol, err := sys.Algorithm1(dtr.Alg1Config{Objective: dtr.ObjMeanTime, K: 2, GridN: 1 << 10})
 	if err != nil {
@@ -270,6 +280,38 @@ func TestMultiServerPath(t *testing.T) {
 	}
 	if withPol.MeanTime >= noPol.MeanTime {
 		t.Fatalf("Algorithm 1 (%.2f) should beat no reallocation (%.2f)", withPol.MeanTime, noPol.MeanTime)
+	}
+	if math.Abs(stay-noPol.MeanTime) > 3*noPol.MeanTimeHalf {
+		t.Fatalf("analytic no-reallocation mean %.2f outside the simulated %.2f ± %.2f", stay, noPol.MeanTime, noPol.MeanTimeHalf)
+	}
+}
+
+// TestMetricBoundsDefaultGrid: System.GridN documents "zero picks 8192",
+// and MetricBounds honours it like every other analytic method (it ran at
+// a 4096-point default of its own while it had its own solver).
+func TestMetricBoundsDefaultGrid(t *testing.T) {
+	m := &dtr.Model{
+		Service: []dist.Dist{dist.NewPareto(2.5, 3), dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1)},
+		Failure: []dist.Dist{dist.Never{}, dist.Never{}, dist.Never{}},
+		Transfer: func(tasks, src, dst int) dist.Dist {
+			return dist.NewExponential(0.5 * float64(max(tasks, 1)))
+		},
+	}
+	p := dtr.NewPolicy(3)
+	p[0][2], p[1][2] = 4, 2
+	var got [2]dtr.MetricBounds
+	for i, grid := range []int{0, 8192} {
+		sys, err := dtr.NewSystem(m, []int{12, 6, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.GridN = grid
+		if got[i], err = sys.MetricBounds(p, 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got[0] != got[1] || got[0].Exact || math.IsNaN(got[0].Optimistic.Mean) {
+		t.Fatalf("GridN 0: %+v\nGridN 8192: %+v", got[0], got[1])
 	}
 }
 

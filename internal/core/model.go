@@ -210,6 +210,25 @@ func (p Policy) Validate(initial []int) error {
 	return nil
 }
 
+// Converging returns the first server that receives task groups from more
+// than one sender under the policy, or −1: with at most one group per
+// server the canonical scenario's finish-time laws are exact, otherwise
+// they depend on the groups' arrival order (the paper's §IV).
+func (p Policy) Converging() int {
+	for dst := range p {
+		groups := 0
+		for _, row := range p {
+			if dst < len(row) && row[dst] > 0 {
+				groups++
+			}
+		}
+		if groups > 1 {
+			return dst
+		}
+	}
+	return -1
+}
+
 // Group is a batch of tasks in transit through the network: the paper's
 // network-state matrix C tracks exactly these, and the age matrix a_C
 // tracks their elapsed transfer ages.

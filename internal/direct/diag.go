@@ -108,8 +108,8 @@ func (s *Solver) Diagnostics() Diagnostics {
 	var build gridfn.Meter
 	sc := s.t.pool.Get().(*scratch)
 	for _, c := range s.chains {
-		for k := 0; k < 2; k++ {
-			s.prefix(c, k, s.t.maxQueue[k], sc.work)
+		for k, bound := range s.t.maxQueue {
+			s.prefix(c, k, bound, sc.work)
 		}
 		mergeMeter(&build, c.meter) // complete, so no longer written
 	}

@@ -2,6 +2,7 @@ package direct
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +14,7 @@ import (
 
 // Tables is what a model owns of the canonical solver: the lattice
 // geometry and, per replication factor, the k-fold service-sum prefix
-// chains of both servers with their lazily filled spectra, the
+// chains of every server with their lazily filled spectra, the
 // transfer-time lattices, the evaluation scratch pool and the lazily
 // built half-resolution shadow. Everything in it is a pure function of
 // (model, geometry, queue bound), is never mutated once published and
@@ -24,14 +25,11 @@ import (
 // what a view computes does not depend on which other views exist or
 // what they evaluated first.
 type Tables struct {
-	model    *core.Model
-	dx       float64
-	n        int
-	maxQueue [2]int
-	// defFac[k] is server k's default factor (the model's Repl entry,
-	// 1 when unset) used by the factor-less metric methods; every Tables
-	// holds at least the chains up to the larger of the two.
-	defFac [2]int
+	model *core.Model
+	dx    float64
+	n     int
+	// maxQueue[k] bounds server k's prefix chain.
+	maxQueue []int
 
 	// build serializes extensions along both axes, so each factor chain
 	// is started once and each of its prefixes folded once.
@@ -75,10 +73,10 @@ type Tables struct {
 // them, so readers index below built[k] without a lock. meter audits the
 // folds made so far.
 type chain struct {
-	pre   [2][]*gridfn.Lattice
-	built [2]atomic.Int32
-	base  [2]*gridfn.Spectrum
-	spec  [2][]*gridfn.Spectrum
+	pre   [][]*gridfn.Lattice
+	built []atomic.Int32
+	base  []*gridfn.Spectrum
+	spec  [][]*gridfn.Spectrum
 	meter gridfn.Meter
 }
 
@@ -95,7 +93,9 @@ type Config struct {
 	// MaxQueue[k] bounds server k's prefix chain and sets the auto
 	// horizon; it must be at least the largest queue the sweep will
 	// produce at server k (own tasks plus the largest incoming batch).
-	// Folds happen on first read, so a generous bound costs nothing.
+	// Folds happen on first read, so a generous bound costs nothing. A
+	// model of any other size than two takes the larger entry as every
+	// server's bound.
 	MaxQueue [2]int
 	// Span, when set, attaches solver-phase sub-spans to a request-scoped
 	// trace: a "solver_build" child when a factor chain is started, and
@@ -111,19 +111,25 @@ type Config struct {
 	MaxFactor int
 }
 
-// NewTables validates a two-server model, fixes the lattice geometry and
-// starts the service-sum chains for replication factors up to
-// cfg.MaxFactor (at least the model's own). cfg.Span receives the
-// "solver_build" span.
+// NewTables validates a model of any number of servers, fixes the
+// lattice geometry and starts the service-sum chains for replication
+// factors up to cfg.MaxFactor (at least the model's own). cfg.Span
+// receives the "solver_build" span.
 func NewTables(m *core.Model, cfg Config) (*Tables, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if m.N() != 2 {
-		return nil, fmt.Errorf("direct: two-server models only, got %d servers", m.N())
-	}
-	if cfg.MaxQueue[0] <= 0 && cfg.MaxQueue[1] <= 0 {
+	maxG := max(cfg.MaxQueue[0], cfg.MaxQueue[1])
+	if maxG <= 0 {
 		return nil, fmt.Errorf("direct: Config.MaxQueue must bound the sweep queue lengths")
+	}
+	servers := m.N()
+	maxQueue := make([]int, servers)
+	for k := range maxQueue {
+		maxQueue[k] = maxG
+	}
+	if servers == 2 {
+		copy(maxQueue, cfg.MaxQueue[:])
 	}
 	n := cfg.N
 	if n == 0 {
@@ -134,13 +140,10 @@ func NewTables(m *core.Model, cfg Config) (*Tables, error) {
 		hor := cfg.Horizon
 		if hor == 0 {
 			worst := 0.0
-			for k := 0; k < 2; k++ {
-				if w := float64(cfg.MaxQueue[k]) * m.Service[k].Mean(); w > worst {
-					worst = w
-				}
+			for k, d := range m.Service {
+				worst = max(worst, float64(maxQueue[k])*d.Mean())
 			}
-			maxG := max(cfg.MaxQueue[0], cfg.MaxQueue[1])
-			hor = 2.5 * (worst + m.Transfer(max(maxG, 1), 0, 1).Mean())
+			hor = 2.5 * (worst + m.Transfer(maxG, 0, min(1, servers-1)).Mean())
 		}
 		dx = hor / float64(n-1)
 	}
@@ -148,21 +151,23 @@ func NewTables(m *core.Model, cfg Config) (*Tables, error) {
 		model:    m,
 		dx:       dx,
 		n:        n,
-		maxQueue: cfg.MaxQueue,
-		defFac:   [2]int{m.ReplFactor(0), m.ReplFactor(1)},
+		maxQueue: maxQueue,
 		zCache:   make(map[[3]int]transfer),
 	}
-	t.pool = &sync.Pool{New: func() any {
-		return &scratch{work: gridfn.NewWork(n), f: [2]gridfn.Lattice{*gridfn.New(dx, n), *gridfn.New(dx, n)}}
-	}}
+	t.pool = &sync.Pool{New: func() any { return newScratch(servers, dx, n) }}
 	t.extend(t.factorsFor(cfg.MaxFactor), cfg.Span)
 	return t, nil
 }
 
 // factorsFor is the number of factor chains a caller asking for
-// maxFactor reads: at least the base chain and the model's defaults.
+// maxFactor reads: at least the base chain and the model's defaults
+// (its Repl entries, which the factor-less metric methods evaluate at).
 func (t *Tables) factorsFor(maxFactor int) int {
-	return max(maxFactor, 1, t.defFac[0], t.defFac[1])
+	maxFactor = max(maxFactor, 1)
+	for k := range t.maxQueue {
+		maxFactor = max(maxFactor, t.model.ReplFactor(k))
+	}
+	return maxFactor
 }
 
 // factors returns the largest replication factor the tables hold
@@ -190,12 +195,18 @@ func (t *Tables) extend(maxFac int, span *obs.Span) int {
 	if have >= maxFac {
 		return 0
 	}
-	sp := span.Child("solver_build", "grid_n", t.n, "max_queue_1", t.maxQueue[0], "max_queue_2", t.maxQueue[1])
+	servers := len(t.maxQueue)
+	sp := span.Child("solver_build", "grid_n", t.n, "servers", servers, "max_queue", slices.Max(t.maxQueue))
 	defer sp.End()
 	fresh := make([]*chain, maxFac-have)
 	for i := range fresh {
-		c := new(chain)
-		for k := 0; k < 2; k++ {
+		c := &chain{
+			pre:   make([][]*gridfn.Lattice, servers),
+			built: make([]atomic.Int32, servers),
+			base:  make([]*gridfn.Spectrum, servers),
+			spec:  make([][]*gridfn.Spectrum, servers),
+		}
+		for k := range c.pre {
 			eff := dist.NewMinOfK(t.model.Service[k], have+1+i)
 			c.base[k] = gridfn.FromCDF(eff.CDF, t.dx, t.n).Spectrum()
 			c.pre[k] = make([]*gridfn.Lattice, t.maxQueue[k]+1)
@@ -273,7 +284,7 @@ func (t *Tables) Bytes() int64 {
 	t.mu.RLock()
 	b := t.lazyBytes
 	for _, c := range t.chains {
-		for k := 0; k < 2; k++ {
+		for k := range c.pre {
 			b += c.base[k].Bytes() + 16*int64(len(c.pre[k])) + int64(c.built[k].Load())*lattice
 		}
 	}
@@ -290,7 +301,10 @@ func (t *Tables) Bytes() int64 {
 // those.
 func (t *Tables) probeShadow() (*Tables, error) {
 	t.shadowOnce.Do(func() {
-		sh, err := NewTables(t.model, Config{Dx: 2 * t.dx, N: t.n / 2, MaxQueue: t.maxQueue})
+		// The first and last bounds are Config.MaxQueue's two entries on
+		// two servers and its larger one otherwise.
+		bounds := [2]int{t.maxQueue[0], t.maxQueue[len(t.maxQueue)-1]}
+		sh, err := NewTables(t.model, Config{Dx: 2 * t.dx, N: t.n / 2, MaxQueue: bounds})
 		if err != nil {
 			t.shadowErr = fmt.Errorf("direct: build probe solver: %w", err)
 			return
@@ -339,9 +353,13 @@ func (s *Solver) freqOf(k, fac, j int, w *gridfn.Work) *gridfn.Spectrum {
 }
 
 // transferOf returns the transfer time of a group of `tasks` tasks from
-// src to dst, cached per signature. Like freqOf, a racing miss discards
-// its duplicate in favour of the first store.
+// src to dst (none for an empty group), cached per signature. Like
+// freqOf, a racing miss discards its duplicate in favour of the first
+// store.
 func (s *Solver) transferOf(tasks, src, dst int) transfer {
+	if tasks <= 0 {
+		return transfer{}
+	}
 	t := s.t
 	key := [3]int{tasks, src, dst}
 	t.mu.RLock()

@@ -263,18 +263,6 @@ func (l *Lattice) PrefixesMetered(k int, meter *Meter) []*Lattice {
 	return out
 }
 
-// CDF returns the cumulative masses C[i] = P(X ≤ i·Dx). The tail is not
-// included, so C[n-1] = 1 - Tail for a proper distribution.
-func (l *Lattice) CDF() []float64 {
-	c := make([]float64, len(l.M))
-	var run float64
-	for i, m := range l.M {
-		run += m
-		c[i] = run
-	}
-	return c
-}
-
 // CDFAt returns P(X ≤ x), interpolating between lattice points (the
 // lattice is a discrete approximation of a continuous law, so linear
 // interpolation of the CDF is the natural reading).
@@ -287,7 +275,7 @@ func (l *Lattice) CDFAt(x float64) float64 {
 	if i >= len(l.M)-1 {
 		return 1 - l.Tail
 	}
-	var c float64 // the running sum CDF() would hold at i
+	var c float64 // the running sum of the masses through i
 	for _, m := range l.M[:i+1] {
 		c += m
 	}
@@ -304,9 +292,10 @@ func (l *Lattice) MaxIndep(o *Lattice) *Lattice {
 	return out
 }
 
-// MaxIndepInto stores MaxIndep(o) in dst — a lattice of the same length
-// distinct from both operands, or nil to skip the store — and returns
-// its Mean(), bit for bit; the two CDFs are running sums of one walk.
+// MaxIndepInto stores MaxIndep(o) in dst — a lattice of the same length,
+// which may be l (a running maximum folds in place), or nil to skip the
+// store — and returns its Mean(), bit for bit; the two CDFs are running
+// sums of one walk.
 func (l *Lattice) MaxIndepInto(dst, o *Lattice) float64 {
 	l.checkCompat(o)
 	var cl, co, prev, moment float64

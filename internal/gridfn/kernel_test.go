@@ -138,6 +138,19 @@ func TestMassResidualNoWorseThanSeed(t *testing.T) {
 	}
 }
 
+// CDF returns the cumulative masses C[i] = P(X ≤ i·Dx), tail excluded:
+// the reference CDFAt is held to (its last caller outside the tests went
+// with internal/nserver).
+func (l *Lattice) CDF() []float64 {
+	c := make([]float64, len(l.M))
+	var run float64
+	for i, m := range l.M {
+		run += m
+		c[i] = run
+	}
+	return c
+}
+
 // TestCDFAtMatchesCDF: CDFAt reads two entries of the running sum
 // without building it, bit for bit.
 func TestCDFAtMatchesCDF(t *testing.T) {
@@ -177,5 +190,10 @@ func TestMaxIndepIntoMatchesMaxIndep(t *testing.T) {
 			t.Fatalf("MaxIndepInto(nil) returned %v, MaxIndep().Mean() %v", got, want)
 		}
 		requireSameLattice(t, "MaxIndepInto", into, mx)
+		// In place: the destination is the receiver.
+		if got, want := a.MaxIndepInto(a, b), mx.Mean(); got != want {
+			t.Fatalf("MaxIndepInto in place returned %v, MaxIndep().Mean() %v", got, want)
+		}
+		requireSameLattice(t, "MaxIndepInto in place", a, mx)
 	}
 }

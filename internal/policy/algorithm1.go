@@ -25,10 +25,9 @@ type Alg1Options struct {
 	// Estimates[i][j] is m̂_{j,i}, server i's estimate of server j's
 	// queue; nil means perfect information (the true queues).
 	Estimates [][]int
-	// GridN and Horizon size the pairwise direct solvers
-	// (0 = defaults: 4096 points, auto horizon).
-	GridN   int
-	Horizon float64
+	// GridN sizes the pairwise direct solvers (0 = 4096 points); each
+	// pair's horizon is derived from its own queues and means.
+	GridN int
 	// Workers shards the per-server refinement rows over a worker pool
 	// (≤ 0 = GOMAXPROCS). Rows are fully independent — each touches only
 	// its own plan row, estimates and pair solvers — so the resulting
@@ -204,7 +203,6 @@ func Algorithm1(m *core.Model, queues []int, opt Alg1Options) (core.Policy, erro
 			}
 			s, err := direct.NewSolver(sub, direct.Config{
 				N:        gridN,
-				Horizon:  opt.Horizon,
 				MaxQueue: [2]int{maxQ, maxQ},
 			})
 			if err != nil {

@@ -2,11 +2,13 @@ package policy
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dtr/dist"
 	"dtr/internal/core"
 	"dtr/internal/sim"
+	"dtr/internal/testutil"
 )
 
 // fiveServer builds the Table II model shape: service means 5..1 s,
@@ -140,6 +142,54 @@ func TestAllocationEvaluatorMean(t *testing.T) {
 	}
 	if !math.IsNaN(got.QoS) {
 		t.Fatal("QoS without deadline should be NaN")
+	}
+}
+
+// TestBalancedAllocationIsOptimalOnHomogeneousFleet: with i.i.d.
+// exponential servers and no transfer cost the completion time
+// E[max_k Erlang(a_k)] is minimized by the balanced assignment
+// (Behrouzi-Far and Soljanin's redundancy-free anchor): every single-task
+// move away from it must raise the analytic mean, and the search must
+// stay there.
+func TestBalancedAllocationIsOptimalOnHomogeneousFleet(t *testing.T) {
+	m := &core.Model{
+		Service:  []dist.Dist{dist.NewExponential(1), dist.NewExponential(1), dist.NewExponential(1)},
+		Failure:  []dist.Dist{dist.Never{}, dist.Never{}, dist.Never{}},
+		Transfer: func(tasks, src, dst int) dist.Dist { return dist.NewDeterministic(0) },
+	}
+	ev, err := NewAllocationEvaluator(m, 18, 1<<12, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	balanced, err := ev.Evaluate([]int{4, 4, 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// E[max of three Erlang(4, 1)] by numerical integration of 1 − F³.
+	testutil.Almost(t, balanced.Mean, 5.730673, 1e-3, "balanced mean vs closed form")
+	for from := 0; from < 3; from++ {
+		for to := 0; to < 3; to++ {
+			if from == to {
+				continue
+			}
+			alloc := []int{4, 4, 4}
+			alloc[from]--
+			alloc[to]++
+			moved, err := ev.Evaluate(alloc, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved.Mean <= balanced.Mean {
+				t.Errorf("allocation %v has mean %g, balanced %g", alloc, moved.Mean, balanced.Mean)
+			}
+		}
+	}
+	best, val, err := SearchBestAllocation(ev, 12, ObjMeanTime, 0, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(best, []int{4, 4, 4}) || val != balanced.Mean {
+		t.Errorf("search settled on %v at %g, want the balanced allocation at %g", best, val, balanced.Mean)
 	}
 }
 

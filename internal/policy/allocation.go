@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"dtr/internal/core"
-	"dtr/internal/nserver"
+	"dtr/internal/direct"
 	"dtr/internal/rngutil"
 )
 
@@ -13,24 +13,23 @@ import (
 // so F_k = S_{alloc[k]} and the metrics factor exactly. This is the
 // analytic form of Table II's benchmark row, where the workload starts in
 // the optimal allocation and no transfers are needed.
-type AllocationMetrics = nserver.Metrics
+type AllocationMetrics = direct.Metrics
 
 // AllocationEvaluator evaluates allocations repeatedly on one set of
 // per-server service-sum laws (the benchmark search's inner loop). An
 // allocation with no transfers is the n-server scenario under the zero
 // policy, where the batch-arrival bounds are exact, so the evaluator is
-// an nserver.Solver asked for its optimistic side.
+// a view of the canonical solver asked for its optimistic side.
 type AllocationEvaluator struct {
 	model *core.Model
-	sv    *nserver.Solver
+	sv    *direct.Solver
 	stay  core.Policy
 }
 
 // NewAllocationEvaluator builds the evaluator; maxPer bounds the tasks
 // any single server may be assigned. A zero horizon covers 2.5× the
 // slowest server's mean time for maxPer tasks — service only, there are
-// no transfers to wait for. nserver folds the model's replication factors
-// into the service laws; no caller sets them on this path.
+// no transfers to wait for.
 func NewAllocationEvaluator(m *core.Model, maxPer int, gridN int, horizon float64) (*AllocationEvaluator, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -47,7 +46,7 @@ func NewAllocationEvaluator(m *core.Model, maxPer int, gridN int, horizon float6
 		}
 		horizon = 2.5 * worst
 	}
-	sv, err := nserver.NewSolver(m, nserver.Config{GridN: gridN, Horizon: horizon, MaxQueue: maxPer})
+	sv, err := direct.NewSolver(m, direct.Config{N: gridN, Horizon: horizon, MaxQueue: [2]int{maxPer, maxPer}})
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +55,7 @@ func NewAllocationEvaluator(m *core.Model, maxPer int, gridN int, horizon float6
 
 // Evaluate computes the metrics of an allocation (deadline 0 skips QoS).
 func (ev *AllocationEvaluator) Evaluate(alloc []int, deadline float64) (AllocationMetrics, error) {
-	b, err := ev.sv.Evaluate(alloc, ev.stay, deadline)
+	b, err := ev.sv.Bounds(alloc, ev.stay, deadline)
 	return b.Optimistic, err
 }
 

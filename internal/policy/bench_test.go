@@ -55,7 +55,7 @@ func benchSolver(b *testing.B) *direct.Solver {
 }
 
 // BenchmarkOptimize2Serial pins the one-worker exhaustive sweep — the
-// baseline the sharded sweep is measured against in BENCH_policy.json.
+// baseline BenchmarkOptimize2Parallel is read against.
 func BenchmarkOptimize2Serial(b *testing.B) {
 	s := benchSolver(b)
 	b.ResetTimer()

@@ -21,7 +21,7 @@ type OptimizeResponse struct {
 	Factors []int `json:"factors,omitempty"`
 }
 
-// MetricsResponse answers /v1/metrics (two-server analytic metrics).
+// MetricsResponse answers /v1/metrics (the exact analytic metrics).
 type MetricsResponse struct {
 	Policy      string `json:"policy"`
 	Reliability Num    `json:"reliability"`

@@ -21,10 +21,15 @@ import (
 //
 //	optimize  grid, objective, deadline, replication
 //	explain   grid, objective, deadline, replication, probe
-//	metrics   grid, policy, deadline          (two-server systems)
+//	metrics   grid, policy, deadline
 //	simulate  policy, reps, seed, deadline
 //	bounds    grid, policy, deadline
-//	cdf       grid, policy, points, tmax      (two-server systems)
+//	cdf       grid, policy, points, tmax
+//
+// metrics and cdf are exact values, which exist when no server receives
+// task groups from more than one sender (every two-server policy); a
+// policy that converges several groups on one server is a 400 naming the
+// server, and bounds brackets it.
 //
 //	grid         lattice points of the analytic solvers; 0 = 8192
 //	objective    mean | qos | reliability; "" = mean. mean needs reliable
@@ -145,7 +150,7 @@ type fields uint
 
 const (
 	fGrid     fields = 1 << iota // grid
-	fAnalytic                    // no field: the verb needs a two-server model
+	fAnalytic                    // no field: the policy may send each server one group at most
 	fPolicy                      // policy
 	fPlan                        // objective, deadline (qos), replication
 	fProbe                       // probe
@@ -231,9 +236,6 @@ func validate(name string, req *Request) (*parsedRequest, error) {
 	if v.reads&fGrid != 0 {
 		opts.Grid = cmp.Or(req.Grid, defaultGrid)
 	}
-	if v.reads&fAnalytic != 0 && n != 2 {
-		return nil, badRequestf("%s: analytic metrics cover two-server systems (got %d servers); use simulate or bounds", name, n)
-	}
 	if v.reads&fPolicy != 0 {
 		pr.policy, err = dtr.ParsePolicy(req.Policy, n)
 		if err != nil {
@@ -243,6 +245,9 @@ func validate(name string, req *Request) (*parsedRequest, error) {
 			return nil, badRequest{"policy: " + err.Error()}
 		}
 		opts.Policy = canonicalPolicyString(pr.policy)
+		if k := pr.policy.Converging(); v.reads&fAnalytic != 0 && k >= 0 {
+			return nil, badRequestf("%s: more than one task group converges on server %d, so the exact value depends on their arrival order; use bounds or simulate", name, k)
+		}
 	}
 	if v.reads&fPlan != 0 {
 		pr.obj, opts.Objective, err = policy.ParseObjective(req.Objective, req.Deadline)

@@ -274,7 +274,7 @@ func TestBadRequests(t *testing.T) {
 		{"qos-no-deadline", "/v1/optimize", reqBody(specJSON, `"objective": "qos"`), 400, "deadline"},
 		{"bad-policy", "/v1/metrics", reqBody(specJSON, `"policy": "0>9:3"`), 400, "server"},
 		{"policy-exceeds-queue", "/v1/metrics", reqBody(specJSON, `"policy": "0>1:999"`), 400, "policy"},
-		{"metrics-3-servers", "/v1/metrics", reqBody(multiSpecJSON, `"policy": "0>2:1"`), 400, "two-server"},
+		{"metrics-3-servers", "/v1/metrics", reqBody(multiSpecJSON, `"policy": "0>2:1,1>2:1"`), 400, "converges on server 2"},
 		{"grid-too-big", "/v1/optimize", reqBody(specJSON, `"grid": 10000000`), 400, "grid"},
 		{"reps-too-big", "/v1/simulate", reqBody(specJSON, `"reps": 99999999`), 400, "reps"},
 	}

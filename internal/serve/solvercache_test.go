@@ -85,9 +85,12 @@ func TestSolverTierIsInvisible(t *testing.T) {
 // — eight result-cache misses on one model — and counts prefix chains
 // built: the factor-1 pair on the first sighting (private) and on the
 // second (retained), the factor-2 pair when the replicated optimize
-// extends the tables, and nothing else.
+// extends the tables, and nothing else — bounds reads the model's tables
+// like every other verb. A three-server model then goes the same way:
+// one chain per server on each of its first two sightings, none after.
 func TestSolverTierBuildsOncePerModel(t *testing.T) {
 	_, reg, ts := newTestService(t, Config{Workers: 2})
+	_, _, bare := newTestService(t, Config{Workers: 2, CacheSize: -1, SolverCacheBytes: -1})
 	obs.SetDefault(reg) // direct's counters live on the process default
 	t.Cleanup(func() { obs.SetDefault(nil) })
 
@@ -103,21 +106,31 @@ func TestSolverTierBuildsOncePerModel(t *testing.T) {
 		{tierRequest{"/v1/bounds", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "deadline": 40`)}, 0},
 		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "objective": "qos", "deadline": 40`)}, 0},
 		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "replication": {"maxFactor": 2, "budget": 1}`)}, 2},
+		{tierRequest{"/v1/bounds", reqBody(multiSpecJSON, `"grid": 256, "policy": "0>2:2,1>2:1"`)}, 3},
+		{tierRequest{"/v1/metrics", reqBody(multiSpecJSON, `"grid": 256, "policy": "0>2:2"`)}, 3},
+		{tierRequest{"/v1/bounds", reqBody(multiSpecJSON, `"grid": 256, "policy": "0>2:2,1>2:1", "deadline": 40`)}, 0},
 	}
 	builds := reg.Counter("dtr_solver_builds_total")
+	bytesBefore := 0.0
 	for i, step := range session {
+		if i == 8 {
+			bytesBefore = reg.Snapshot().Gauges["dtr_serve_solver_cache_bytes"]
+		}
 		before := builds.Value()
-		mustPost(t, ts, step.tierRequest)
-		if got := builds.Value() - before; got != step.builds {
-			t.Errorf("request %d %s built %d prefix chains, want %d", i, step.path, got, step.builds)
+		got := mustPost(t, ts, step.tierRequest)
+		if built := builds.Value() - before; built != step.builds {
+			t.Errorf("request %d %s built %d prefix chains, want %d", i, step.path, built, step.builds)
+		}
+		if want := mustPost(t, bare, step.tierRequest); !bytes.Equal(got, want) {
+			t.Errorf("request %d %s:\n  tiered: %s\n  bare:   %s", i, step.path, got, want)
 		}
 	}
 	snap := reg.Snapshot()
 	for name, want := range map[string]uint64{
-		"dtr_serve_computes_total":               8,
-		"dtr_serve_solver_cache_misses_total":    2,
-		"dtr_serve_solver_cache_admitted_total":  1,
-		"dtr_serve_solver_cache_hits_total":      5, // all but bounds, which has its own solver
+		"dtr_serve_computes_total":               11,
+		"dtr_serve_solver_cache_misses_total":    4,
+		"dtr_serve_solver_cache_admitted_total":  2,
+		"dtr_serve_solver_cache_hits_total":      7,
 		"dtr_serve_solver_cache_extended_total":  1,
 		"dtr_serve_solver_cache_evictions_total": 0,
 	} {
@@ -125,11 +138,17 @@ func TestSolverTierBuildsOncePerModel(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if got := snap.Gauges["dtr_serve_solver_cache_entries"]; got != 1 {
-		t.Errorf("tier holds %v entries after one session, want 1", got)
+	if got := snap.Gauges["dtr_serve_solver_cache_entries"]; got != 2 {
+		t.Errorf("tier holds %v entries after two models' sessions, want 2", got)
 	}
-	if got := snap.Gauges["dtr_serve_solver_cache_bytes"]; got <= 0 || got > defaultSolverCacheBytes {
+	got := snap.Gauges["dtr_serve_solver_cache_bytes"]
+	if got <= 0 || got > defaultSolverCacheBytes {
 		t.Errorf("tier accounts %v bytes, want within (0, %d]", got, defaultSolverCacheBytes)
+	}
+	// Three started chains: a 257-bin spectrum, 13 slots and the zero-task
+	// prefix each, before anything the requests folded.
+	if min := 3.0 * (16*257 + 16*13 + 8*256); got-bytesBefore < min {
+		t.Errorf("the three-server model is charged %v bytes, want at least %v for its three chains", got-bytesBefore, min)
 	}
 }
 

@@ -2,113 +2,11 @@ package main
 
 import (
 	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
-func report(seconds float64) *policyReport {
-	rep := &policyReport{
-		Benchmark:     "Optimize2 exhaustive mean-time sweep",
-		NumCPU:        4,
-		LatticePoints: 10201,
-		GridN:         2048,
-		OptimumL12:    21,
-		OptimumL21:    0,
-		OptimumValue:  160.21530700887692,
-	}
-	rep.Runs = append(rep.Runs, struct {
-		Workers int     `json:"workers"`
-		Seconds float64 `json:"seconds"`
-	}{Workers: 1, Seconds: 2 * seconds}, struct {
-		Workers int     `json:"workers"`
-		Seconds float64 `json:"seconds"`
-	}{Workers: 4, Seconds: seconds})
-	return rep
-}
-
-func TestComparePolicyPass(t *testing.T) {
-	if err := comparePolicy(report(5), report(5.5), 0.15); err != nil {
-		t.Fatalf("10%% slowdown within a 15%% gate failed: %v", err)
-	}
-	// Faster than baseline always passes.
-	if err := comparePolicy(report(5), report(3), 0.15); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestComparePolicyPerfRegression(t *testing.T) {
-	err := comparePolicy(report(5), report(6), 0.15)
-	if err == nil || !strings.Contains(err.Error(), "perf regression") {
-		t.Fatalf("20%% slowdown passed a 15%% gate: %v", err)
-	}
-}
-
-func TestComparePolicyOptimumDrift(t *testing.T) {
-	cur := report(5)
-	cur.OptimumL12 = 20
-	err := comparePolicy(report(5), cur, 0.15)
-	if err == nil || !strings.Contains(err.Error(), "optimum moved") {
-		t.Fatalf("moved optimum passed: %v", err)
-	}
-
-	cur = report(5)
-	cur.OptimumValue += 1e-3
-	err = comparePolicy(report(5), cur, 0.15)
-	if err == nil || !strings.Contains(err.Error(), "optimum value") {
-		t.Fatalf("drifted optimum value passed: %v", err)
-	}
-}
-
-func TestComparePolicyWorkloadChange(t *testing.T) {
-	cur := report(5)
-	cur.GridN = 4096
-	err := comparePolicy(report(5), cur, 0.15)
-	if err == nil || !strings.Contains(err.Error(), "re-baseline") {
-		t.Fatalf("changed workload passed: %v", err)
-	}
-
-	cur = report(5)
-	cur.Benchmark = "something else"
-	if err := comparePolicy(report(5), cur, 0.15); err == nil {
-		t.Fatal("renamed benchmark passed")
-	}
-}
-
-func TestCheckPolicyReadsFiles(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		t.Helper()
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	base := write("base.json", `{
-		"benchmark": "b", "grid_n": 512, "lattice_points": 100,
-		"runs": [{"workers": 1, "seconds": 2.0}],
-		"optimum_l12": 3, "optimum_l21": 0, "optimum_value": 1.5
-	}`)
-	cur := write("cur.json", `{
-		"benchmark": "b", "grid_n": 512, "lattice_points": 100,
-		"runs": [{"workers": 1, "seconds": 2.1}],
-		"optimum_l12": 3, "optimum_l21": 0, "optimum_value": 1.5
-	}`)
-	if err := checkPolicy(base, cur, 0.15); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkPolicy(base, write("empty.json", `{"benchmark": "b"}`), 0.15); err == nil {
-		t.Fatal("report without runs passed")
-	}
-	if err := checkPolicy(base, filepath.Join(dir, "missing.json"), 0.15); err == nil {
-		t.Fatal("missing report passed")
-	}
-}
-
-// TestCheckServeBaseline sanity-checks that the serve-mode validator
-// still accepts the committed BENCH_serve.json, so the two modes cannot
-// drift apart silently.
+// TestCheckServeBaseline sanity-checks that the validator still accepts
+// the committed BENCH_serve.json.
 func TestCheckServeBaseline(t *testing.T) {
 	if _, err := os.Stat("../../BENCH_serve.json"); err != nil {
 		t.Skip("no committed BENCH_serve.json")

@@ -53,9 +53,12 @@ func NewRegenSolver(m *Model) (*RegenSolver, error) {
 
 // System couples a model with an initial task allocation and provides
 // the paper's metrics and optimizers. The analytic metric methods cover
-// the canonical scenario (a single reallocation at t = 0) on two-server
-// systems — exactly the setting of the paper's exact characterization;
-// n-server systems are served by Simulate and Algorithm1.
+// the canonical scenario (a single reallocation at t = 0) wherever its
+// characterization is exact: every two-server policy, and the n-server
+// policies under which no server receives more than one task group.
+// Policies that converge several groups on one server are served by
+// MetricBounds and Simulate; the exact optimizers are two-server, n-server
+// systems plan with Algorithm1.
 type System struct {
 	model   *Model
 	initial []int
@@ -65,9 +68,9 @@ type System struct {
 	GridN   int
 	Horizon float64
 
-	// ErrorProbe is accepted for compatibility and has no effect: the
-	// solver can always build its half-resolution shadow, lazily, on the
-	// first probe (see Explain).
+	// Deprecated: ErrorProbe is accepted for compatibility and has no
+	// effect: the solver can always build its half-resolution shadow,
+	// lazily, on the first probe (see Explain).
 	ErrorProbe bool
 
 	// Workers shards the policy sweeps, Algorithm-1 refinement rows and
@@ -121,11 +124,11 @@ func (s *System) Initial() []int { return append([]int(nil), s.initial...) }
 // solver's factor-1 tables are the same whatever its largest factor, so
 // plain metric calls are unaffected by the switch.
 func (s *System) solverWithFactor(maxFac int) (*direct.Solver, error) {
-	if s.model.N() != 2 {
-		return nil, fmt.Errorf("dtr: analytic metrics cover two-server systems; use Simulate or Algorithm1 for %d servers", s.model.N())
-	}
 	if s.solver == nil || s.solver.MaxFactor() < maxFac {
-		maxQ := s.initial[0] + s.initial[1]
+		maxQ := 0
+		for _, q := range s.initial {
+			maxQ += q
+		}
 		sv, err := s.newSolver(s.model, direct.Config{
 			N:         s.GridN,
 			Horizon:   s.Horizon,
@@ -141,44 +144,32 @@ func (s *System) solverWithFactor(maxFac int) (*direct.Solver, error) {
 	return s.solver, nil
 }
 
-// canonical returns the solver and the (L12, L21) a two-server policy
-// evaluates at.
-func (s *System) canonical(p Policy) (sv *direct.Solver, l12, l21 int, err error) {
-	if sv, err = s.solverWithFactor(1); err != nil {
-		return nil, 0, 0, err
-	}
-	if err = p.Validate(s.initial); err != nil {
-		return nil, 0, 0, err
-	}
-	return sv, p[0][1], p[1][0], nil
-}
-
 // MeanTime returns the mean workload execution time T̄ under the policy.
 // Every server must be reliable (dist.Never failure law).
 func (s *System) MeanTime(p Policy) (float64, error) {
-	sv, l12, l21, err := s.canonical(p)
+	sv, err := s.solverWithFactor(1)
 	if err != nil {
 		return 0, err
 	}
-	return sv.MeanTime(s.initial[0], s.initial[1], l12, l21)
+	return sv.MeanTimeN(s.initial, p)
 }
 
 // QoS returns P(T < deadline) under the policy.
 func (s *System) QoS(p Policy, deadline float64) (float64, error) {
-	sv, l12, l21, err := s.canonical(p)
+	sv, err := s.solverWithFactor(1)
 	if err != nil {
 		return 0, err
 	}
-	return sv.QoS(s.initial[0], s.initial[1], l12, l21, deadline)
+	return sv.QoSN(s.initial, p, deadline)
 }
 
 // Reliability returns P(T < ∞) under the policy.
 func (s *System) Reliability(p Policy) (float64, error) {
-	sv, l12, l21, err := s.canonical(p)
+	sv, err := s.solverWithFactor(1)
 	if err != nil {
 		return 0, err
 	}
-	return sv.Reliability(s.initial[0], s.initial[1], l12, l21)
+	return sv.ReliabilityN(s.initial, p)
 }
 
 // CompletionCDF returns the distribution function of the workload
@@ -187,11 +178,11 @@ func (s *System) Reliability(p Policy) (float64, error) {
 // servers the curve saturates at the service reliability (T = ∞ has
 // positive probability).
 func (s *System) CompletionCDF(p Policy) (func(float64) float64, error) {
-	sv, l12, l21, err := s.canonical(p)
+	sv, err := s.solverWithFactor(1)
 	if err != nil {
 		return nil, err
 	}
-	cdf, err := sv.CompletionCDF(s.initial[0], s.initial[1], l12, l21)
+	cdf, err := sv.CompletionCDFN(s.initial, p)
 	if err != nil {
 		return nil, err
 	}
