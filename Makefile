@@ -60,12 +60,11 @@ cluster-smoke:
 # everything outside the benchmark's own code), printed into every CI log.
 # The second is gated: it fails above LOC_CEILING, the figure of the last
 # PR that moved it on purpose. Raise the ceiling in the PR that needs the
-# lines, and say what they bought. PR 23 lowered it from 22 708: it removed
-# internal/nserver (the second copy of the canonical solver: direct.Tables
-# is indexed by server and Solver.Bounds reads it), scripts/benchcheck's
-# policy-compare mode (with the bench-policy CI job it served) and
-# gridfn's Lattice.CDF, which only nserver called.
-LOC_CEILING = 22542
+# lines, and say what they bought. PR 24 lowered it from 22 542: it removed
+# internal/stat/fit.go (the second fitting stack: dist/fit fits the paper's
+# six families and ranks them by total squared error), one of the two http
+# helpers under scripts/ and internal/load's per-verb request bodies.
+LOC_CEILING = 22394
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -7,17 +7,23 @@
 // assembled into a complete modelspec document the solvers can consume.
 //
 // Families: exponential, gamma, shifted-gamma, Pareto, lognormal and
-// the balanced two-phase hyperexponential — every family the modelspec
-// layer can round-trip. Exponential and Pareto censored MLEs are
-// closed-form; the others maximize the censored log-likelihood with a
-// Nelder–Mead simplex in a log-transformed parameter space. For gamma,
-// shifted-gamma and lognormal the exact observations enter that
-// likelihood through sufficient statistics, so an evaluation costs only
-// the censored bounds, whose survival terms have no closed form.
+// the balanced two-phase hyperexponential are the six that selection
+// considers by default (Families) and that the wire surfaces accept by
+// name; uniform and shifted-exponential are fitted on request only.
+// Of the families modelspec can round-trip, Weibull and deterministic
+// have no estimator here. Exponential, shifted-exponential, Pareto and
+// uniform MLEs are closed-form; the others maximize the censored
+// log-likelihood with a Nelder–Mead simplex in a log-transformed
+// parameter space. For gamma, shifted-gamma and lognormal the exact
+// observations enter that likelihood through sufficient statistics, so
+// an evaluation costs only the censored bounds, whose survival terms
+// have no closed form.
 //
-// Model selection ranks admissible fits by AIC and breaks near-ties
-// (ΔAIC ≤ 2) by Kolmogorov–Smirnov distance on the uncensored part of
-// the sample; see Select.
+// There are two selection rules over the one estimator stack. Select
+// ranks admissible fits by AIC and breaks near-ties (ΔAIC ≤ 2) by
+// Kolmogorov–Smirnov distance on the uncensored part of the sample;
+// RankTSE is the paper's rule for an uncensored sample, least total
+// squared error between the fitted pdf and the normalized histogram.
 package fit
 
 import (
@@ -25,6 +31,7 @@ import (
 	"math"
 
 	"dtr/dist"
+	"dtr/internal/specfn"
 	"dtr/internal/stat"
 )
 
@@ -135,6 +142,47 @@ func exponentialMLE(events int, exposure float64) (dist.Exponential, error) {
 	return dist.Exponential{Rate: float64(events) / exposure}, nil
 }
 
+// ShiftedExponential returns the censored MLE shifted-exponential fit:
+// the shift is the smallest exact observation (every likelihood factor
+// is non-decreasing in it) and the rate is events over exposure above
+// the shift, n_obs / (Σ (obs − shift) + Σ (cens − shift)⁺), computed as
+// 1/(mean − shift) with the bounds' excess folded into the mean. A bound
+// at or below the shift carries no information (survival is 1 there).
+func ShiftedExponential(s Sample) (dist.ShiftedExponential, error) {
+	if err := s.check(); err != nil {
+		return dist.ShiftedExponential{}, err
+	}
+	if len(s.Obs) < 2 {
+		return dist.ShiftedExponential{}, fmt.Errorf("fit: shifted-exponential fit needs >= 2 exact observations")
+	}
+	shift, excess := stat.Min(s.Obs), 0.0
+	for _, c := range s.Cens {
+		excess += math.Max(c-shift, 0)
+	}
+	m := (sum(s.Obs) + excess) / float64(len(s.Obs))
+	if m <= shift {
+		return dist.ShiftedExponential{}, fmt.Errorf("fit: degenerate sample for shifted-exponential fit")
+	}
+	return dist.NewShiftedExponential(shift, m), nil
+}
+
+// Uniform returns the MLE uniform fit on [min, max] of the sample. A
+// bound beyond the largest observation would have zero survival under
+// it, so a sample with censored observations is refused.
+func Uniform(s Sample) (dist.Uniform, error) {
+	if err := s.check(); err != nil {
+		return dist.Uniform{}, err
+	}
+	if len(s.Cens) > 0 {
+		return dist.Uniform{}, fmt.Errorf("fit: uniform fit takes no censored observations, got %d", len(s.Cens))
+	}
+	lo, hi := stat.Min(s.Obs), stat.Max(s.Obs)
+	if !(lo < hi) {
+		return dist.Uniform{}, fmt.Errorf("fit: uniform fit needs spread data")
+	}
+	return dist.NewUniform(lo, hi), nil
+}
+
 // Pareto returns the censored MLE Pareto fit: x_m is the smallest exact
 // observation and
 //
@@ -175,13 +223,52 @@ func Gamma(s Sample) (dist.Gamma, error) {
 		return dist.Gamma{}, fmt.Errorf("fit: gamma fit needs >= 2 exact observations")
 	}
 	if len(s.Cens) == 0 {
-		// Uncensored: the Newton MLE from the init is already optimal.
-		if g, err := stat.FitGamma(s.Obs); err == nil {
-			return g.(dist.Gamma), nil
+		// Uncensored: the Newton MLE is already optimal.
+		var sumLog float64
+		for _, x := range s.Obs {
+			sumLog += math.Log(x)
+		}
+		if g, err := gammaMLE(float64(len(s.Obs)), sum(s.Obs), sumLog); err == nil {
+			return g, nil
 		}
 	}
 	g, _, err := censoredGamma(s)
 	return g, err
+}
+
+// gammaMLE returns the uncensored gamma MLE from the family's
+// sufficient statistics (count, Σ x, Σ ln x) — the form a Stats holds
+// them in, so an uncensored sketch fit reproduces the raw one exactly.
+// With s = log(mean) − mean(ln x), Newton iteration on the shape
+// equation log(k) − ψ(k) = s, started from the standard Choi–Wette
+// approximation; the rate follows from the mean.
+func gammaMLE(n, sumX, sumLog float64) (dist.Gamma, error) {
+	if n < 2 {
+		return dist.Gamma{}, fmt.Errorf("fit: gamma fit needs >= 2 exact observations")
+	}
+	mean := sumX / n
+	s := math.Log(mean) - sumLog/n
+	if !(s > 0) {
+		return dist.Gamma{}, fmt.Errorf("fit: degenerate sample for gamma fit")
+	}
+	k := (3 - s + math.Sqrt((s-3)*(s-3)+24*s)) / (12 * s)
+	for i := 0; i < 60; i++ {
+		f := math.Log(k) - specfn.Digamma(k) - s
+		fp := 1/k - specfn.Trigamma(k)
+		nk := k - f/fp
+		if nk <= 0 {
+			nk = k / 2
+		}
+		if math.Abs(nk-k) < 1e-12*(1+k) {
+			k = nk
+			break
+		}
+		k = nk
+	}
+	if !(k > 0) || math.IsInf(k, 0) {
+		return dist.Gamma{}, fmt.Errorf("fit: gamma shape iteration diverged")
+	}
+	return dist.Gamma{K: k, Rate: k / mean}, nil
 }
 
 // gammaInit returns a moment-based (shape, rate) starting point.

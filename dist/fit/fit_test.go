@@ -1,12 +1,15 @@
 package fit
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dtr/dist"
 	"dtr/internal/rngutil"
+	"dtr/internal/testutil"
 )
 
 // synth draws n samples from d and right-censors each at an
@@ -37,11 +40,23 @@ func requireCensored(t *testing.T, s Sample, floor float64) {
 	}
 }
 
+// draw returns n uncensored variates of d from a deterministic stream —
+// the samples internal/stat's fitter tests recovered their laws from.
+func draw(d dist.Dist, n, stream int) []float64 {
+	r := rngutil.Stream(2026, stream)
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = d.Sample(r)
+	}
+	return xs
+}
+
 func relErr(got, want float64) float64 { return math.Abs(got-want) / math.Abs(want) }
 
 // TestExponentialGolden recovers the paper's server-1 failure law
 // (exponential, mean 300) from 10^4 samples with >= 30% censoring.
-// Tolerance: 3% relative error on the mean.
+// Tolerance: 3% relative error on the mean. Uncensored, 4·10^4 draws of
+// a mean-2.5 law recover the mean within 0.03.
 func TestExponentialGolden(t *testing.T) {
 	r := rngutil.Stream(101, 0)
 	s := synth(dist.NewExponential(300), 10_000, 450, r)
@@ -53,6 +68,13 @@ func TestExponentialGolden(t *testing.T) {
 	if e := relErr(d.Mean(), 300); e > 0.03 {
 		t.Errorf("mean = %.2f, want 300 within 3%% (err %.3f)", d.Mean(), e)
 	}
+	t.Run("uncensored", func(t *testing.T) {
+		d, err := Exponential(Sample{Obs: draw(dist.NewExponential(2.5), 40000, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		testutil.Almost(t, d.Mean(), 2.5, 0.03, "exponential mean recovery")
+	})
 }
 
 // TestParetoGolden recovers the paper's server-0 service law
@@ -74,6 +96,20 @@ func TestParetoGolden(t *testing.T) {
 	if e := relErr(d.Mean(), 4.858); e > 0.05 {
 		t.Errorf("mean = %.3f, want 4.858 within 5%% (err %.3f)", d.Mean(), e)
 	}
+	t.Run("uncensored", func(t *testing.T) {
+		p, err := Pareto(Sample{Obs: draw(dist.Pareto{Xm: 1.2, Alpha: 2.5}, 40000, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		testutil.Almost(t, p.Xm, 1.2, 0.01, "pareto xm")
+		testutil.Almost(t, p.Alpha, 2.5, 0.05, "pareto alpha")
+		if _, err := Pareto(Sample{Obs: []float64{1}}); err == nil {
+			t.Error("single observation should fail")
+		}
+		if _, err := Pareto(Sample{Obs: []float64{0, 1}}); err == nil {
+			t.Error("zero min should fail")
+		}
+	})
 }
 
 // TestShiftedGammaGolden recovers the paper's transfer law (per-task
@@ -99,6 +135,15 @@ func TestShiftedGammaGolden(t *testing.T) {
 	if e := relErr(d.G.K, 2); e > 0.15 {
 		t.Errorf("shape = %.3f, want 2 within 15%% (err %.3f)", d.G.K, e)
 	}
+	t.Run("uncensored", func(t *testing.T) {
+		truth := dist.NewShiftedGamma(0.8, 2.04, 3.16) // like the paper's transfer fits
+		sg, err := ShiftedGamma(Sample{Obs: draw(truth, 30000, 6)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		testutil.Almost(t, sg.Shift, 0.8, 0.1, "shifted gamma shift")
+		testutil.Almost(t, sg.Mean(), truth.Mean(), 0.05, "shifted gamma mean")
+	})
 }
 
 // TestGammaGolden recovers a gamma law (shape 2, mean 4) from 10^4
@@ -118,6 +163,14 @@ func TestGammaGolden(t *testing.T) {
 	if e := relErr(d.K, 2); e > 0.05 {
 		t.Errorf("shape = %.3f, want 2 within 5%% (err %.3f)", d.K, e)
 	}
+	t.Run("uncensored", func(t *testing.T) {
+		g, err := Gamma(Sample{Obs: draw(dist.NewGamma(2.0, 4.0), 60000, 5)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		testutil.Almost(t, g.K, 2.0, 0.05, "gamma shape")
+		testutil.Almost(t, g.Mean(), 4.0, 0.03, "gamma mean")
+	})
 }
 
 // TestLogNormalGolden recovers a lognormal law (sigma 1, mean 5) from
@@ -158,6 +211,170 @@ func TestHyperExpGolden(t *testing.T) {
 	scv := d.Var() / (m * m)
 	if e := relErr(scv, 4); e > 0.15 {
 		t.Errorf("scv = %.3f, want 4 within 15%% (err %.3f)", scv, e)
+	}
+}
+
+// TestUniformGolden recovers a uniform law's support from 2·10^4 draws
+// within 0.01, and refuses a sample it cannot fit: no spread, or any
+// censored observation (a bound past the largest one has zero survival
+// under the fit).
+func TestUniformGolden(t *testing.T) {
+	xs := draw(dist.NewUniform(0.5, 1.5), 20000, 3)
+	u, err := Uniform(Sample{Obs: xs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.Almost(t, u.A, 0.5, 0.01, "uniform lo")
+	testutil.Almost(t, u.B, 1.5, 0.01, "uniform hi")
+	if _, err := Uniform(Sample{Obs: []float64{2, 2}}); err == nil {
+		t.Error("zero-spread sample should fail")
+	}
+	if _, err := Uniform(Sample{Obs: xs, Cens: []float64{1}}); err == nil {
+		t.Error("censored sample should fail")
+	}
+	if _, err := Fit(FamilyUniform, Sample{Obs: xs}); err != nil {
+		t.Errorf("Fit(uniform): %v", err)
+	}
+}
+
+// TestShiftedExponentialGolden recovers the service law of the
+// replication literature (shift 1, mean 3) from 4·10^4 draws at 0%, 15%
+// and 40% censoring, shift within 0.01 and mean within 0.12, and checks
+// the estimator is events over exposure above the shift: the exponential
+// MLE of the residuals. The smallest observation's own residual is zero,
+// which Exponential refuses, so the residual sample has one event fewer
+// and the rates agree up to that count.
+func TestShiftedExponentialGolden(t *testing.T) {
+	truth := dist.NewShiftedExponential(1, 3)
+	for i, cens := range []float64{0, 0.15, 0.40} {
+		t.Run(fmt.Sprintf("c%.0f", 100*cens), func(t *testing.T) {
+			s := Sample{Obs: draw(truth, 40000, 4)}
+			if cens > 0 {
+				s = pinnedCase{law: truth, n: 40000, cens: cens}.draw(100 + i)
+				if f := s.CensoredFrac(); math.Abs(f-cens) > 0.02 {
+					t.Fatalf("censored fraction %.3f, want %.2f", f, cens)
+				}
+			}
+			d, err := ShiftedExponential(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testutil.Almost(t, d.Shift, 1, 0.01, "shift")
+			testutil.Almost(t, d.Mean(), 3, 0.03, "mean")
+
+			var res Sample
+			for _, x := range s.Obs {
+				if x > d.Shift {
+					res.Obs = append(res.Obs, x-d.Shift)
+				}
+			}
+			for _, c := range s.Cens {
+				if c > d.Shift {
+					res.Cens = append(res.Cens, c-d.Shift)
+				}
+			}
+			if len(res.Obs) != len(s.Obs)-1 {
+				t.Fatalf("%d residuals above the shift of %d observations", len(res.Obs), len(s.Obs))
+			}
+			e, err := Exponential(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := e.Rate * float64(len(s.Obs)) / float64(len(res.Obs))
+			if relErr(d.Rate, want) > 1e-12 {
+				t.Errorf("rate %.17g, events over exposure above the shift %.17g", d.Rate, want)
+			}
+			if r, err := s.Fit(FamilyShiftedExp); err != nil || r.Params != 2 || r.Dist != dist.Dist(d) {
+				t.Errorf("Fit(shifted-exponential) = %+v, %v", r, err)
+			}
+		})
+	}
+	if _, err := ShiftedExponential(Sample{Obs: []float64{2, 2}}); err == nil {
+		t.Error("zero-spread sample should fail")
+	}
+}
+
+// TestLogLikOrdering: the generating law out-scores a wrong one, and
+// data outside the support gives −Inf.
+func TestLogLikOrdering(t *testing.T) {
+	truth := dist.NewGamma(3, 2)
+	s := Sample{Obs: draw(truth, 5000, 7)}
+	if llTrue, llWrong := LogLik(truth, s), LogLik(dist.NewGamma(3, 10), s); llTrue <= llWrong {
+		t.Fatalf("true model should have higher likelihood: %g <= %g", llTrue, llWrong)
+	}
+	if !math.IsInf(LogLik(dist.NewUniform(0, 1), Sample{Obs: []float64{2}}), -1) {
+		t.Fatal("out-of-support data should give -Inf log likelihood")
+	}
+}
+
+// TestRankTSEModelSelection reproduces the paper's pipeline: draw from a
+// Pareto (the testbed's service law) and from a shifted gamma (the
+// testbed's transfer law) and verify the total-squared-error criterion
+// picks the right family out of the candidate set.
+func TestRankTSEModelSelection(t *testing.T) {
+	pareto := dist.Pareto{Xm: 3.0, Alpha: 2.614}  // mean 4.858, as the paper's server 1
+	sgamma := dist.NewShiftedGamma(0.7, 3.0, 5.9) // mean ~1.21, like X12
+	for _, tc := range []struct {
+		xs   []float64
+		want []string
+	}{
+		{draw(pareto, 20000, 8), []string{"Pareto"}},
+		{draw(sgamma, 20000, 9), []string{"Shifted-Gamma", "Gamma"}},
+	} {
+		fits := RankTSE(tc.xs, PaperFamilies(), 60)
+		if len(fits) == 0 {
+			t.Fatal("no fits")
+		}
+		if !slices.Contains(tc.want, fits[0].Name) {
+			for _, f := range fits {
+				t.Logf("%-20s TSE=%.5g KS=%.4f", f.Name, f.TSE, f.KS)
+			}
+			t.Errorf("TSE selection picked %s, want one of %v", fits[0].Name, tc.want)
+		}
+	}
+}
+
+func TestRankTSESorted(t *testing.T) {
+	fits := RankTSE(draw(dist.NewExponential(1), 5000, 10), PaperFamilies(), 40)
+	if len(fits) != 6 {
+		t.Fatalf("%d fits, want 6", len(fits))
+	}
+	for i := 1; i < len(fits); i++ {
+		if fits[i-1].TSE > fits[i].TSE {
+			t.Fatal("fits not sorted by TSE")
+		}
+	}
+}
+
+// TestRankTSEAIC: AIC is 2k − 2lnL and must be finite for admissible
+// fits; on exponential data the exponential's AIC should beat the
+// heavier-parameterized families despite similar likelihoods.
+func TestRankTSEAIC(t *testing.T) {
+	fits := RankTSE(draw(dist.NewExponential(2), 20000, 21), PaperFamilies(), 50)
+	byName := map[string]Ranked{}
+	for _, f := range fits {
+		byName[f.Name] = f
+		if math.IsNaN(f.AIC) {
+			t.Fatalf("NaN AIC for %s", f.Name)
+		}
+		if f.Params < 1 || f.Params > 3 {
+			t.Fatalf("odd parameter count for %s: %d", f.Name, f.Params)
+		}
+		// AIC is consistent with the likelihood it is built from.
+		if want := 2*float64(f.Params) - 2*f.LogLik; math.Abs(f.AIC-want) > 1e-9 {
+			t.Fatalf("%s AIC %.3f != 2k−2lnL %.3f", f.Name, f.AIC, want)
+		}
+	}
+	exp, ok1 := byName["Exponential"]
+	sg, ok2 := byName["Shifted-Gamma"]
+	if !ok1 || !ok2 {
+		t.Fatal("families missing from fit set")
+	}
+	// On exponential data the richer family can pick up a few nats of
+	// sampling noise, but not more than that: the AICs must be close.
+	if exp.AIC > sg.AIC+10 {
+		t.Fatalf("exponential AIC (%.1f) loses badly to shifted gamma (%.1f) on exponential data",
+			exp.AIC, sg.AIC)
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"dtr/dist"
+	"dtr/internal/stat"
 	"dtr/modelspec"
 )
 
@@ -22,13 +24,27 @@ const (
 	FamilyPareto      Family = "pareto"
 	FamilyLogNormal   Family = "lognormal"
 	FamilyHyperExp    Family = "hyperexponential"
+	// Fitted only when a family list names them: neither is in Families.
+	FamilyUniform    Family = "uniform"
+	FamilyShiftedExp Family = "shifted-exponential"
 )
 
-// Families returns every fittable family, in selection order.
+// Families returns the families selection considers when none are
+// named, in selection order. They are also the only names ParseFamilies
+// accepts, i.e. the ones the wire surfaces can ask for.
 func Families() []Family {
 	return []Family{
 		FamilyExponential, FamilyGamma, FamilyShiftedGam,
 		FamilyPareto, FamilyLogNormal, FamilyHyperExp,
+	}
+}
+
+// PaperFamilies returns the six candidates of the paper's testbed
+// characterization (§III-B, Fig. 4), in the order its tables list them.
+func PaperFamilies() []Family {
+	return []Family{
+		FamilyExponential, FamilyPareto, FamilyUniform,
+		FamilyShiftedExp, FamilyGamma, FamilyShiftedGam,
 	}
 }
 
@@ -52,7 +68,7 @@ func (f Family) params() int {
 		return 1
 	case FamilyShiftedGam:
 		return 3
-	default: // gamma, pareto, lognormal, hyperexponential(mean, scv)
+	default: // gamma, pareto, lognormal, hyperexponential(mean, scv), uniform, shifted-exponential
 		return 2
 	}
 }
@@ -128,6 +144,10 @@ func (s Sample) estimate(f Family) (dist.Dist, error) {
 		return LogNormal(s)
 	case FamilyHyperExp:
 		return HyperExp(s)
+	case FamilyUniform:
+		return Uniform(s)
+	case FamilyShiftedExp:
+		return ShiftedExponential(s)
 	default:
 		return nil, fmt.Errorf("fit: unknown family %q", f)
 	}
@@ -154,7 +174,7 @@ func score(f Family, d dist.Dist, sample Sample, c Channel) (Result, error) {
 	}, nil
 }
 
-// fitAll fits every requested family (all of them when fams is nil) to
+// fitAll fits every requested family (Families when fams is nil) to
 // the channel, in the order given. Families that cannot fit it are
 // silently skipped; the result may be empty.
 func fitAll(c Channel, fams []Family) []Result {
@@ -178,16 +198,52 @@ func fitAll(c Channel, fams []Family) []Result {
 	return out
 }
 
-// All fits every requested family (all of them when fams is nil) and
-// returns the successful fits sorted by ascending AIC. Families that
-// cannot fit the sample are silently skipped; the result may be empty.
-func All(s Sample, fams []Family) []Result {
-	out := fitAll(s, fams)
-	sort.Slice(out, func(i, j int) bool { return out[i].AIC < out[j].AIC })
+// Ranked is one row of RankTSE: a family's fit to an uncensored sample,
+// scored for both selection rules.
+type Ranked struct {
+	Result
+	// Name is the family as the paper's tables print it: the modelspec
+	// type string with each word capitalized, e.g. "Shifted-Gamma".
+	Name string
+	// TSE is the total squared error between the fitted pdf and the
+	// normalized histogram of the sample — the paper's selection score.
+	TSE float64
+}
+
+// RankTSE fits the listed families to an uncensored sample and returns
+// the successful fits by ascending total squared error against the
+// sample's bins-bin normalized histogram — the paper's selection rule
+// (§III-B). A sample that is empty or holds a non-positive observation,
+// or bins < 1, gets no rows.
+func RankTSE(obs []float64, fams []Family, bins int) []Ranked {
+	if len(obs) == 0 || bins < 1 {
+		return nil
+	}
+	// Heavy-tailed samples (the whole point of the paper's Pareto models)
+	// would stretch an equal-width histogram over a handful of extreme
+	// observations, starving the body of resolution; clip the histogram —
+	// not the data — at the 99th percentile, as one does when plotting.
+	clip := stat.Quantile(obs, 0.99)
+	body := make([]float64, 0, len(obs))
+	for _, x := range obs {
+		if x <= clip {
+			body = append(body, x)
+		}
+	}
+	h := stat.NewHistogram(body, bins)
+	var out []Ranked
+	for _, r := range fitAll(Sample{Obs: obs}, fams) {
+		words := strings.Split(string(r.Family), "-")
+		for i, w := range words {
+			words[i] = strings.ToUpper(w[:1]) + w[1:]
+		}
+		out = append(out, Ranked{Result: r, Name: strings.Join(words, "-"), TSE: h.TotalSquaredError(r.Dist.PDF)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].TSE < out[j].TSE })
 	return out
 }
 
-// Select fits the requested families (all of them when fams is nil) and
+// Select fits the requested families (Families when fams is nil) and
 // picks the winner: lowest AIC, with near-ties (ΔAIC ≤ 2, the standard
 // "substantial support" band) broken by the smaller KS distance on the
 // uncensored part of the sample. AIC alone cannot distinguish models

@@ -18,53 +18,78 @@ type Samples struct {
 	FN       Sample
 }
 
-// Collect groups trace events into per-channel samples. Transfer values
-// are normalized per task (value / group size): every family the spec
-// layer scales by group size is scale-closed, so per-task-normalized
-// draws pooled across group sizes are i.i.d. from the per-task law.
-// Censored transfers normalize the same way — the per-task time exceeded
-// bound/size. Events are re-validated, so Collect accepts streams
-// assembled programmatically, not only ones that passed a Reader.
+// Collect groups trace events into per-channel samples; see route for
+// the per-task transfer normalization. Events are re-validated, so
+// Collect accepts streams assembled programmatically, not only ones
+// that passed a Reader.
 func Collect(evs []trace.Event) (*Samples, error) {
 	sm := &Samples{}
 	grow := func(n int) {
-		for len(sm.Service) < n {
+		for ; sm.Servers < n; sm.Servers++ {
 			sm.Service = append(sm.Service, Sample{})
 			sm.Failure = append(sm.Failure, Sample{})
 		}
-		if n > sm.Servers {
-			sm.Servers = n
-		}
 	}
-	add := func(s *Sample, value float64, censored bool) {
-		if censored {
-			s.Cens = append(s.Cens, value)
-		} else {
-			s.Obs = append(s.Obs, value)
+	at := func(kind string, server int) observer {
+		switch kind {
+		case trace.KindService:
+			return &sm.Service[server]
+		case trace.KindFailure:
+			return &sm.Failure[server]
+		case trace.KindTransfer:
+			return &sm.Transfer
 		}
+		return &sm.FN
 	}
 	for i, ev := range evs {
-		if err := ev.Validate(); err != nil {
+		if err := route(ev, grow, at); err != nil {
 			return nil, fmt.Errorf("fit: event %d: %w", i, err)
-		}
-		switch ev.Kind {
-		case trace.KindMeta:
-			grow(ev.Servers)
-		case trace.KindService:
-			grow(ev.Server + 1)
-			add(&sm.Service[ev.Server], ev.Value, ev.Censored)
-		case trace.KindFailure:
-			grow(ev.Server + 1)
-			add(&sm.Failure[ev.Server], ev.Value, ev.Censored)
-		case trace.KindTransfer:
-			grow(max(ev.Src, ev.Dst) + 1)
-			add(&sm.Transfer, ev.Value/float64(ev.Tasks), ev.Censored)
-		case trace.KindFN:
-			grow(max(ev.Src, ev.Dst) + 1)
-			add(&sm.FN, ev.Value, ev.Censored)
 		}
 	}
 	return sm, nil
+}
+
+// Observe adds one observation to the sample.
+func (s *Sample) Observe(value float64, censored bool) {
+	if censored {
+		s.Cens = append(s.Cens, value)
+	} else {
+		s.Obs = append(s.Obs, value)
+	}
+}
+
+// observer is one delay channel accumulating observations: a *Sample
+// keeps them, a *Stats folds them into its sufficient statistics.
+type observer interface {
+	Observe(value float64, censored bool)
+}
+
+// route validates one trace event and delivers it to an observation
+// sink — Collect's Samples or a StatsSet. grow is told how many servers
+// the event reveals, then at names the channel its value belongs to.
+// Transfer values are normalized per task (value / group size): every
+// family the spec layer scales by group size is scale-closed, so
+// per-task-normalized draws pooled across group sizes are i.i.d. from
+// the per-task law. Censored transfers normalize the same way — the
+// per-task time exceeded bound/size.
+func route(ev trace.Event, grow func(n int), at func(kind string, server int) observer) error {
+	if err := ev.Validate(); err != nil {
+		return err
+	}
+	switch ev.Kind {
+	case trace.KindMeta:
+		grow(ev.Servers)
+	case trace.KindService, trace.KindFailure:
+		grow(ev.Server + 1)
+		at(ev.Kind, ev.Server).Observe(ev.Value, ev.Censored)
+	case trace.KindTransfer:
+		grow(max(ev.Src, ev.Dst) + 1)
+		at(ev.Kind, 0).Observe(ev.Value/float64(ev.Tasks), ev.Censored)
+	case trace.KindFN:
+		grow(max(ev.Src, ev.Dst) + 1)
+		at(ev.Kind, 0).Observe(ev.Value, ev.Censored)
+	}
+	return nil
 }
 
 // Config parameterizes Spec: the initial allocation to record (one
@@ -76,7 +101,7 @@ type Config struct {
 	// its length must match the number of servers seen in the trace.
 	Queues []int
 	// Families are the candidate service/transfer/fn families; nil
-	// means all fittable families.
+	// means Families().
 	Families []Family
 	// MinObs is the minimum number of exact (uncensored) observations a
 	// service or transfer channel must have; 0 means DefaultMinObs.

@@ -27,7 +27,6 @@ import (
 	"math"
 
 	"dtr/dist"
-	"dtr/internal/stat"
 	"dtr/internal/trace"
 	"dtr/modelspec"
 )
@@ -465,21 +464,6 @@ func (s *Stats) KS(cdf func(float64) float64) float64 {
 	return d
 }
 
-// statsGamma is the uncensored gamma MLE from the sufficient statistics
-// (count, sum, sum of logs), through the same solver as the raw path
-// (stat.GammaMLE), so an uncensored sketch fit reproduces the raw gamma
-// fit exactly.
-func statsGamma(s *Stats) (dist.Gamma, error) {
-	if s.N < 2 {
-		return dist.Gamma{}, fmt.Errorf("fit: gamma fit needs >= 2 exact observations")
-	}
-	m := s.Sum / float64(s.N)
-	if !(m > 0) {
-		return dist.Gamma{}, fmt.Errorf("fit: gamma fit needs positive data")
-	}
-	return stat.GammaMLE(m, math.Log(m)-s.SumLog/float64(s.N))
-}
-
 // FitStats fits one family to a channel's sufficient statistics.
 // Exponential (always) and gamma (when the window is uncensored) come
 // in closed form straight from the exact accumulators; the other
@@ -505,7 +489,7 @@ func (s *Stats) fitSample(f Family, sample Sample) (Result, error) {
 	case f == FamilyExponential:
 		d, err = exponentialMLE(int(s.N), s.Sum+s.CensSum)
 	case f == FamilyGamma && s.CensN == 0:
-		d, err = statsGamma(s)
+		d, err = gammaMLE(float64(s.N), s.Sum, s.SumLog)
 	default:
 		d, err = sample.estimate(f)
 	}
@@ -515,9 +499,9 @@ func (s *Stats) fitSample(f Family, sample Sample) (Result, error) {
 	return score(f, d, sample, s)
 }
 
-// SelectStats fits the requested families (all when fams is nil) to the
-// sufficient statistics and picks the winner with the same rule as
-// Select: lowest AIC, near-ties (ΔAIC ≤ 2) broken by the smaller
+// SelectStats fits the requested families (Families when fams is nil)
+// to the sufficient statistics and picks the winner with the same rule
+// as Select: lowest AIC, near-ties (ΔAIC ≤ 2) broken by the smaller
 // sketch-backed KS distance.
 func SelectStats(s *Stats, fams []Family) (Result, error) { return selectBest(s, fams) }
 
@@ -554,32 +538,23 @@ func (set *StatsSet) Grow(n int) {
 }
 
 // AddEvent folds one trace event into the set, growing it as new server
-// indices appear — the streaming analogue of Collect, with the same
-// per-task transfer normalization.
+// indices appear — the streaming analogue of Collect, through the same
+// routing (route).
 func (set *StatsSet) AddEvent(ev trace.Event) error {
 	if ev.V == 0 {
 		ev.V = trace.Version
 	}
-	if err := ev.Validate(); err != nil {
-		return err
-	}
-	switch ev.Kind {
-	case trace.KindMeta:
-		set.Grow(ev.Servers)
-	case trace.KindService:
-		set.Grow(ev.Server + 1)
-		set.Service[ev.Server].Observe(ev.Value, ev.Censored)
-	case trace.KindFailure:
-		set.Grow(ev.Server + 1)
-		set.Failure[ev.Server].Observe(ev.Value, ev.Censored)
-	case trace.KindTransfer:
-		set.Grow(max(ev.Src, ev.Dst) + 1)
-		set.pooled(&set.Transfer).Observe(ev.Value/float64(ev.Tasks), ev.Censored)
-	case trace.KindFN:
-		set.Grow(max(ev.Src, ev.Dst) + 1)
-		set.pooled(&set.FN).Observe(ev.Value, ev.Censored)
-	}
-	return nil
+	return route(ev, set.Grow, func(kind string, server int) observer {
+		switch kind {
+		case trace.KindService:
+			return set.Service[server]
+		case trace.KindFailure:
+			return set.Failure[server]
+		case trace.KindTransfer:
+			return set.pooled(&set.Transfer)
+		}
+		return set.pooled(&set.FN)
+	})
 }
 
 // pooled returns the pooled channel *p (Transfer or FN), which a decoded

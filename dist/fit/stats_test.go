@@ -469,3 +469,45 @@ func TestSpecRejectsShortLayout(t *testing.T) {
 		t.Error("Samples.Spec accepted 3 servers over 1 service channel")
 	}
 }
+
+// FuzzStatsSetSpec feeds arbitrary /v1/fit statistics bodies down the
+// path the endpoint runs: decode, Validate, Spec with two queues. Nothing
+// may panic, and a set Validate accepts gets an error or a spec document
+// modelspec validates. The committed corpus holds the shapes the tests
+// above know to be hostile; the two seeds added here are a set that fits
+// and the same set with one count off.
+func FuzzStatsSetSpec(f *testing.F) {
+	set := NewStatsSet(2, 32)
+	r := rngutil.Stream(0xf022, 0)
+	for i := 0; i < 60; i++ {
+		set.Service[0].Observe(dist.NewPareto(2.614, 4.858).Sample(r), false)
+		set.Service[1].Observe(dist.NewGamma(2, 3).Sample(r), i%5 == 0)
+		set.Failure[i%2].Observe(dist.NewExponential(300).Sample(r), i%4 != 0)
+		set.Transfer.Observe(dist.NewShiftedGammaMean(0.6, 2, 1.2).Sample(r), false)
+	}
+	good, err := json.Marshal(set)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	set.Transfer.N++
+	off, _ := json.Marshal(set)
+	f.Add(off)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var set StatsSet
+		if json.Unmarshal(body, &set) != nil {
+			return
+		}
+		valid := set.Validate() == nil
+		spec, report, err := set.Spec(Config{Queues: []int{10, 5}})
+		if !valid || err != nil {
+			return
+		}
+		if spec == nil || report == nil {
+			t.Fatalf("Spec returned %v, %v and no error", spec, report)
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("Spec returned a document modelspec rejects: %v", err)
+		}
+	})
+}

@@ -343,6 +343,28 @@ func TestFitDistributionsPublicPath(t *testing.T) {
 	}
 }
 
+// TestFitDistributionsDegenerateInput: an empty sample and bins < 1 are
+// answered with no fits — the function has no error return and used to
+// panic from inside the histogram — as is a sample that cannot be a delay
+// sample because an observation is not positive.
+func TestFitDistributionsDegenerateInput(t *testing.T) {
+	xs := []float64{1.5, 2, 2.5, 3, 4, 6, 9}
+	for name, fits := range map[string][]dtr.Fit{
+		"empty sample":             dtr.FitDistributions(nil, 60),
+		"zero bins":                dtr.FitDistributions(xs, 0),
+		"negative bins":            dtr.FitDistributions(xs, -3),
+		"non-positive observation": dtr.FitDistributions(append([]float64{0}, xs...), 10),
+	} {
+		if len(fits) != 0 {
+			t.Errorf("%s: %d fits, want none", name, len(fits))
+		}
+	}
+	fits := dtr.FitDistributions(xs, 3)
+	if len(fits) == 0 || fits[0].Name == "" || fits[0].Dist == nil || fits[0].Params < 1 {
+		t.Errorf("a proper sample got %+v", fits)
+	}
+}
+
 func TestMetricBoundsPublicPath(t *testing.T) {
 	m := &dtr.Model{
 		Service: []dist.Dist{

@@ -3,6 +3,7 @@ package exper
 import (
 	"fmt"
 
+	"dtr/dist/fit"
 	"dtr/internal/core"
 	"dtr/internal/direct"
 	"dtr/internal/obs"
@@ -37,9 +38,9 @@ func Fig4AB(fid Fidelity) ([]*Table, error) {
 			Title:   title,
 			Columns: []string{"Family", "TSE", "KS", "LogLik", "FittedMean", "Fit"},
 		}
-		for _, fit := range stat.FitAll(xs, 60) {
-			t.AddRow(fit.Name, fmt.Sprintf("%.3g", fit.TSE), f4(fit.KS),
-				fmt.Sprintf("%.1f", fit.LogLik), f3(fit.Dist.Mean()), fit.Dist.String())
+		for _, row := range fit.RankTSE(xs, fit.PaperFamilies(), 60) {
+			t.AddRow(row.Name, fmt.Sprintf("%.3g", row.TSE), f4(row.KS),
+				fmt.Sprintf("%.1f", row.LogLik), f3(row.Dist.Mean()), row.Dist.String())
 		}
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("sample: n=%d, mean=%.3f, min=%.3f", len(xs), stat.Mean(xs), stat.Min(xs)))

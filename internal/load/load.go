@@ -12,6 +12,7 @@ package load
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"dtr/internal/obs"
+	"dtr/internal/serve"
 )
 
 // ReportSchema versions the BENCH_serve.json document.
@@ -261,7 +263,7 @@ func runLevel(ctx context.Context, client *http.Client, cfg *Config, rps float64
 
 // issue sends one request to target and classifies its outcome.
 func issue(ctx context.Context, client *http.Client, cfg *Config, target, verb string, variant int) outcome {
-	body, err := json.Marshal(request(cfg, verb, variant))
+	body, err := json.Marshal(request(cfg, variant))
 	if err != nil {
 		return outcome{verb: verb, code: 0}
 	}
@@ -286,47 +288,22 @@ func issue(ctx context.Context, client *http.Client, cfg *Config, target, verb s
 	return o
 }
 
-// request builds the verb's body for one variant. Variants spread the
-// cache keys: simulate moves its seed, the lattice verbs step their grid
-// by 64 points (staying inside the server's accepted range).
-func request(cfg *Config, verb string, variant int) map[string]any {
-	req := map[string]any{"spec": cfg.Spec}
-	grid := cfg.Grid
-	if grid == 0 {
-		grid = 8192
+// request builds the body of one variant, the same for every verb: the
+// service ignores — and leaves out of the cache key — the fields a verb
+// does not read. Variants spread the cache keys: simulate reads the
+// seed, the lattice verbs the grid, stepped by 64 points (staying inside
+// the server's accepted range).
+func request(cfg *Config, variant int) serve.Request {
+	return serve.Request{
+		Spec:      cfg.Spec,
+		Grid:      cmp.Or(cfg.Grid, serve.DefaultGrid) + 64*variant,
+		Policy:    cfg.Policy,
+		Objective: cfg.Objective,
+		Deadline:  cfg.Deadline,
+		Reps:      cfg.Reps,
+		Seed:      uint64(1 + variant),
+		Points:    cfg.Points,
 	}
-	switch verb {
-	case "simulate":
-		req["policy"] = cfg.Policy
-		req["seed"] = uint64(1 + variant)
-		if cfg.Reps > 0 {
-			req["reps"] = cfg.Reps
-		}
-		if cfg.Deadline > 0 {
-			req["deadline"] = cfg.Deadline
-		}
-	case "optimize":
-		req["grid"] = grid + 64*variant
-		if cfg.Objective != "" {
-			req["objective"] = cfg.Objective
-		}
-		if cfg.Deadline > 0 {
-			req["deadline"] = cfg.Deadline
-		}
-	case "cdf":
-		req["grid"] = grid + 64*variant
-		req["policy"] = cfg.Policy
-		if cfg.Points > 0 {
-			req["points"] = cfg.Points
-		}
-	default: // metrics, bounds
-		req["grid"] = grid + 64*variant
-		req["policy"] = cfg.Policy
-		if cfg.Deadline > 0 {
-			req["deadline"] = cfg.Deadline
-		}
-	}
-	return req
 }
 
 // summarize folds one verb's outcomes into stats and the SLO verdict.

@@ -1,10 +1,12 @@
 package load
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
@@ -150,6 +152,44 @@ func TestRunVariantsSpreadCacheKeys(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Errorf("variants did not spread grids: saw %v", seen)
+	}
+}
+
+// TestRequestBodiesAreServeRequests: the body dtrload sends is a
+// serve.Request — no field the service would not know — and every verb
+// answers it, on the failure-prone testbed spec, with the fields the
+// verb does not read (a seed for metrics, a policy for optimize) set.
+func TestRequestBodiesAreServeRequests(t *testing.T) {
+	spec, err := os.ReadFile("../../examples/specs/testbed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &Config{
+		Spec: spec, Grid: 128, Policy: "0>1:10", Objective: "reliability",
+		Deadline: 150, Reps: 200, Points: 5,
+	}
+	for _, verb := range []string{"optimize", "metrics", "simulate", "bounds", "cdf", "explain"} {
+		for variant := 0; variant < 2; variant++ {
+			body, err := json.Marshal(request(cfg, variant))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			var req serve.Request
+			if err := dec.Decode(&req); err != nil {
+				t.Fatalf("%s: body %s does not decode as a serve.Request: %v", verb, body, err)
+			}
+			if req.Grid != 128+64*variant || req.Seed != uint64(1+variant) {
+				t.Errorf("%s variant %d: grid %d, seed %d", verb, variant, req.Grid, req.Seed)
+			}
+			if ans, err := serve.Exec(verb, &req, 1, nil); err != nil || ans == nil {
+				t.Errorf("%s variant %d: %v, %v", verb, variant, ans, err)
+			}
+		}
+	}
+	if got := request(&Config{}, 3).Grid; got != serve.DefaultGrid+192 {
+		t.Errorf("default grid, variant 3: %d", got)
 	}
 }
 

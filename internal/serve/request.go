@@ -71,7 +71,7 @@ type ReplRequest struct {
 
 // What a zero Request field stands for.
 const (
-	defaultGrid   = 8192
+	DefaultGrid   = 8192
 	defaultReps   = 10000
 	defaultSeed   = 1
 	defaultPoints = 20
@@ -234,7 +234,7 @@ func validate(name string, req *Request) (*parsedRequest, error) {
 	opts, n := &pr.opts, model.N()
 
 	if v.reads&fGrid != 0 {
-		opts.Grid = cmp.Or(req.Grid, defaultGrid)
+		opts.Grid = cmp.Or(req.Grid, DefaultGrid)
 	}
 	if v.reads&fPolicy != 0 {
 		pr.policy, err = dtr.ParsePolicy(req.Policy, n)

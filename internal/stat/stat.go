@@ -1,8 +1,6 @@
-// Package stat provides the descriptive and inferential statistics used
-// by the experiment harness: moments, histograms,
-// Kolmogorov–Smirnov distances, confidence intervals for Monte-Carlo
-// estimates, and maximum-likelihood fitting of the paper's distribution
-// families to empirical samples (the pipeline behind Fig. 4(a,b)).
+// Package stat provides descriptive statistics: moments, quantiles,
+// normalized histograms, Kolmogorov–Smirnov distances and confidence
+// intervals for Monte-Carlo estimates. Fitting lives in dist/fit.
 package stat
 
 import (

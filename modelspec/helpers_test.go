@@ -3,8 +3,6 @@ package modelspec
 import (
 	"encoding/json"
 	"os"
-
-	"dtr"
 )
 
 // Small indirection helpers keeping the test file free of extra imports.
@@ -16,14 +14,3 @@ func jsonUnmarshal(s string, v any) error {
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
-
-func newSystem(m *dtr.Model, initial []int) (*dtr.System, error) {
-	sys, err := dtr.NewSystem(m, initial)
-	if err != nil {
-		return nil, err
-	}
-	sys.GridN = 1 << 12
-	return sys, nil
-}
-
-func policy2(l12, l21 int) dtr.Policy { return dtr.Policy2(l12, l21) }

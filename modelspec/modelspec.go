@@ -25,8 +25,8 @@ import (
 	"math"
 	"os"
 
-	"dtr"
 	"dtr/dist"
+	"dtr/internal/core"
 )
 
 // DistSpec describes one distribution. Type selects the family; the
@@ -290,14 +290,14 @@ type SystemSpec struct {
 // allocation. Errors are field-qualified ("modelspec:
 // servers[1].service.mean: ...") so API layers can report the offending
 // field verbatim.
-func (s *SystemSpec) Build() (*dtr.Model, []int, error) {
+func (s *SystemSpec) Build() (*core.Model, []int, error) {
 	if len(s.Servers) == 0 {
 		return nil, nil, fmt.Errorf("modelspec: servers: at least one server required")
 	}
 	if err := checkPerTaskMean("transfer", s.Transfer.PerTaskMean); err != nil {
 		return nil, nil, err
 	}
-	m := &dtr.Model{}
+	m := &core.Model{}
 	var initial []int
 	var repl []int
 	for i, srv := range s.Servers {
@@ -407,7 +407,7 @@ func (s *SystemSpec) Validate() error {
 }
 
 // Parse reads a SystemSpec document from r and builds it.
-func Parse(r io.Reader) (*dtr.Model, []int, error) {
+func Parse(r io.Reader) (*core.Model, []int, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var spec SystemSpec
@@ -418,7 +418,7 @@ func Parse(r io.Reader) (*dtr.Model, []int, error) {
 }
 
 // Load reads a SystemSpec document from a file and builds it.
-func Load(path string) (*dtr.Model, []int, error) {
+func Load(path string) (*core.Model, []int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("modelspec: %w", err)

@@ -130,22 +130,3 @@ func TestLoadFromFile(t *testing.T) {
 		t.Fatal("missing file should fail")
 	}
 }
-
-// TestSpecModelIsUsable: the built model drives the real solver.
-func TestSpecModelIsUsable(t *testing.T) {
-	m, initial, err := Parse(strings.NewReader(testbedJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := newSystem(m, initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := sys.Reliability(policy2(26, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel <= 0 || rel >= 1 {
-		t.Fatalf("reliability %g", rel)
-	}
-}

@@ -32,16 +32,15 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "cluster-smoke: building dtrserved + http helpers"
+echo "cluster-smoke: building dtrserved + http helper"
 $GO build -o "$bin" ./cmd/dtrserved
-$GO build -o "$workdir/httpget" ./scripts/httpget.go
-$GO build -o "$workdir/httppost" ./scripts/httppost
+$GO build -o "$workdir/httpreq" ./scripts/httpreq
 
 get() { # url
     if command -v curl >/dev/null 2>&1; then
         curl -sf "$1"
     else
-        "$workdir/httpget" "$1"
+        "$workdir/httpreq" "$1"
     fi
 }
 
@@ -49,7 +48,7 @@ post() { # url body-file
     if command -v curl >/dev/null 2>&1; then
         curl -sf -X POST -H 'Content-Type: application/json' --data-binary @"$2" "$1"
     else
-        "$workdir/httppost" "$1" "$2"
+        "$workdir/httpreq" "$1" "$2"
     fi
 }
 

@@ -17,21 +17,9 @@ specfile="$workdir/spec.json"
 policyfile="$workdir/policy.txt"
 decision="$workdir/decision.json"
 
-cleanup() {
-    status=$?
-    if [ -n "${srv_pid:-}" ] && kill -0 "$srv_pid" 2>/dev/null; then
-        kill -TERM "$srv_pid" 2>/dev/null || true
-        wait "$srv_pid" 2>/dev/null || true
-    fi
-    if [ "$status" -ne 0 ]; then
-        echo "ingest-smoke: FAILED (daemon log below)" >&2
-        cat "$logfile" >&2 2>/dev/null || true
-        [ -f "$decision" ] && cat "$decision" >&2
-    fi
-    rm -rf "$workdir"
-    exit "$status"
-}
-trap cleanup EXIT INT TERM
+smoke=ingest-smoke
+smoke_dump=$decision
+. scripts/smoke_lib.sh
 
 echo "ingest-smoke: building dtringest"
 $GO build -o "$bin" ./cmd/dtringest
@@ -42,19 +30,7 @@ $GO build -o "$bin" ./cmd/dtringest
     -window 5m -windows 3 >"$logfile" 2>&1 &
 srv_pid=$!
 
-i=0
-while [ ! -f "$addrfile" ] || [ ! -f "$udpaddrfile" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "ingest-smoke: daemon never published its addresses" >&2
-        exit 1
-    fi
-    if ! kill -0 "$srv_pid" 2>/dev/null; then
-        echo "ingest-smoke: daemon exited during startup" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
+wait_published "$addrfile" "$udpaddrfile"
 addr=$(cat "$addrfile")
 udpaddr=$(cat "$udpaddrfile")
 echo "ingest-smoke: daemon on http $addr / udp $udpaddr"
@@ -81,7 +57,7 @@ scrape="$workdir/metrics"
 if command -v curl >/dev/null 2>&1; then
     curl -sf "http://$addr/metrics" >"$scrape"
 else
-    $GO run ./scripts/httpget.go "http://$addr/metrics" >"$scrape"
+    $GO run ./scripts/httpreq "http://$addr/metrics" >"$scrape"
 fi
 grep -q '^dtr_ingest_events_total' "$scrape" || {
     echo "ingest-smoke: /metrics scrape missing dtr_ingest_events_total" >&2
@@ -92,11 +68,5 @@ grep -q '^dtr_ingest_snapshots_total' "$scrape" || {
     exit 1
 }
 
-# Graceful drain: SIGTERM must exit 0.
-kill -TERM "$srv_pid"
-if ! wait "$srv_pid"; then
-    echo "ingest-smoke: daemon did not exit cleanly on SIGTERM" >&2
-    exit 1
-fi
-srv_pid=""
+drain_daemon
 echo "ingest-smoke: OK"

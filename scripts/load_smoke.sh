@@ -16,20 +16,8 @@ logfile="$workdir/daemon.log"
 out=${LOAD_SMOKE_OUT:-$workdir/BENCH_serve.json}
 trace_out=${LOAD_SMOKE_TRACE_OUT:-}
 
-cleanup() {
-    status=$?
-    if [ -n "${srv_pid:-}" ] && kill -0 "$srv_pid" 2>/dev/null; then
-        kill -TERM "$srv_pid" 2>/dev/null || true
-        wait "$srv_pid" 2>/dev/null || true
-    fi
-    if [ "$status" -ne 0 ]; then
-        echo "load-smoke: FAILED (daemon log below)" >&2
-        cat "$logfile" >&2 2>/dev/null || true
-    fi
-    rm -rf "$workdir"
-    exit "$status"
-}
-trap cleanup EXIT INT TERM
+smoke=load-smoke
+. scripts/smoke_lib.sh
 
 echo "load-smoke: building dtrserved and dtrload"
 $GO build -o "$served" ./cmd/dtrserved
@@ -42,19 +30,7 @@ fi
 "$served" "$@" >"$logfile" 2>&1 &
 srv_pid=$!
 
-i=0
-while [ ! -f "$addrfile" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "load-smoke: daemon never published its address" >&2
-        exit 1
-    fi
-    if ! kill -0 "$srv_pid" 2>/dev/null; then
-        echo "load-smoke: daemon exited during startup" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
+wait_published "$addrfile"
 addr=$(cat "$addrfile")
 echo "load-smoke: daemon on $addr"
 
@@ -68,10 +44,5 @@ echo "load-smoke: daemon on $addr"
 # and no transport failures or 5xx anywhere.
 $GO run ./scripts/benchcheck "$out"
 
-kill -TERM "$srv_pid"
-if ! wait "$srv_pid"; then
-    echo "load-smoke: daemon did not exit cleanly on SIGTERM" >&2
-    exit 1
-fi
-srv_pid=""
+drain_daemon
 echo "load-smoke: OK"

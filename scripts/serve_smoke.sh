@@ -10,20 +10,8 @@ bin="$workdir/dtrserved"
 addrfile="$workdir/addr"
 logfile="$workdir/daemon.log"
 
-cleanup() {
-    status=$?
-    if [ -n "${srv_pid:-}" ] && kill -0 "$srv_pid" 2>/dev/null; then
-        kill -TERM "$srv_pid" 2>/dev/null || true
-        wait "$srv_pid" 2>/dev/null || true
-    fi
-    if [ "$status" -ne 0 ]; then
-        echo "serve-smoke: FAILED (daemon log below)" >&2
-        cat "$logfile" >&2 2>/dev/null || true
-    fi
-    rm -rf "$workdir"
-    exit "$status"
-}
-trap cleanup EXIT INT TERM
+smoke=serve-smoke
+. scripts/smoke_lib.sh
 
 echo "serve-smoke: building dtrserved"
 $GO build -o "$bin" ./cmd/dtrserved
@@ -31,20 +19,7 @@ $GO build -o "$bin" ./cmd/dtrserved
 "$bin" -addr 127.0.0.1:0 -addr-file "$addrfile" >"$logfile" 2>&1 &
 srv_pid=$!
 
-# Wait for the daemon to publish its bound address (atomic rename).
-i=0
-while [ ! -f "$addrfile" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "serve-smoke: daemon never published its address" >&2
-        exit 1
-    fi
-    if ! kill -0 "$srv_pid" 2>/dev/null; then
-        echo "serve-smoke: daemon exited during startup" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
+wait_published "$addrfile"
 addr=$(cat "$addrfile")
 echo "serve-smoke: daemon on $addr"
 
@@ -58,7 +33,7 @@ scrape_metrics() {
     if command -v curl >/dev/null 2>&1; then
         curl -sf "http://$addr/metrics" >"$scrape"
     else
-        $GO run ./scripts/httpget.go "http://$addr/metrics" >"$scrape"
+        $GO run ./scripts/httpreq "http://$addr/metrics" >"$scrape"
     fi
 }
 scrape_metrics
@@ -81,7 +56,7 @@ post() {
     if command -v curl >/dev/null 2>&1; then
         curl -sf -X POST -H 'Content-Type: application/json' -d "$2" "http://$addr$1" >/dev/null
     else
-        printf '%s' "$2" | $GO run ./scripts/httppost "http://$addr$1" >/dev/null
+        printf '%s' "$2" | $GO run ./scripts/httpreq "http://$addr$1" - >/dev/null
     fi
 }
 counter() { awk -v name="$1" '$1 == name { print $2; found = 1 } END { if (!found) print 0 }' "$scrape"; }
@@ -117,11 +92,5 @@ if [ "$fleet_builds" -ne 10 ] || ! awk -v a="$bytes_after" -v b="$bytes_before" 
 fi
 echo "serve-smoke: solver-table tier hit, $((builds_after + fleet_builds)) prefix chains built in total"
 
-# Graceful drain: SIGTERM must exit 0.
-kill -TERM "$srv_pid"
-if ! wait "$srv_pid"; then
-    echo "serve-smoke: daemon did not exit cleanly on SIGTERM" >&2
-    exit 1
-fi
-srv_pid=""
+drain_daemon
 echo "serve-smoke: OK"

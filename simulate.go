@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dtr/dist/fit"
 	"dtr/internal/sim"
 	"dtr/internal/stat"
 	"dtr/internal/testbed"
@@ -72,15 +73,20 @@ func NewTestbed(m *Model, scale time.Duration, seed uint64) *Testbed {
 }
 
 // Fit is a fitted candidate distribution with goodness-of-fit scores.
-type Fit = stat.Fit
+type Fit = fit.Ranked
 
-// FitDistributions fits every applicable candidate family to the sample
-// and returns the fits ranked by the paper's criterion: minimum total
-// squared error between the fitted pdf and the normalized histogram
-// (bins bins; 60 is a good default). This is the pipeline behind the
-// paper's empirical testbed characterization (Fig. 4(a,b)).
+// FitDistributions fits the paper's six candidate families (Exponential,
+// Pareto, Uniform, Shifted-Exponential, Gamma, Shifted-Gamma) to the
+// sample by maximum likelihood — the estimators of dist/fit — and ranks
+// the fits by the paper's criterion: minimum total squared error between
+// the fitted pdf and the bins-bin normalized histogram (60 is a good
+// default), the pipeline behind Fig. 4(a,b). Delay samples are positive:
+// an empty sample, one with a non-positive observation, or bins < 1 gets
+// no fits. The Shifted-Gamma shift is profiled over [0, min) on a scan
+// that stays clear of the sample minimum, where a shape below one makes
+// the likelihood unbounded.
 func FitDistributions(samples []float64, bins int) []Fit {
-	return stat.FitAll(samples, bins)
+	return fit.RankTSE(samples, fit.PaperFamilies(), bins)
 }
 
 // Histogram is a normalized histogram (see stat.Histogram).
