@@ -60,11 +60,13 @@ cluster-smoke:
 # everything outside the benchmark's own code), printed into every CI log.
 # The second is gated: it fails above LOC_CEILING, the figure of the last
 # PR that moved it on purpose. Raise the ceiling in the PR that needs the
-# lines, and say what they bought. PR 24 lowered it from 22 542: it removed
-# internal/stat/fit.go (the second fitting stack: dist/fit fits the paper's
-# six families and ranks them by total squared error), one of the two http
-# helpers under scripts/ and internal/load's per-verb request bodies.
-LOC_CEILING = 22394
+# lines, and say what they bought. It was raised from 22 394 to hold about
+# 150 lines of specfn.GammaLogQSum, the censored-gamma bound sum in log
+# space with two continued fractions in flight, where the refit spends most
+# of its time (observe_refit +37 % ops/s), and about 50 that let the ingest
+# line parser run on borrowed bytes as well as on a string, so that a known
+# tenant's line allocates nothing.
+LOC_CEILING = 22590
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -8,6 +8,7 @@ import (
 
 	"dtr/dist"
 	"dtr/internal/rngutil"
+	"dtr/internal/specfn"
 	"dtr/internal/stat"
 	"dtr/internal/trace"
 )
@@ -31,7 +32,8 @@ func residuals(s Sample, shift float64) (res Sample, ok bool) {
 }
 
 // TestGammaClosedFormMatchesLogLik: the objective censoredGamma minimizes
-// — the exact part from (n, Σ x, Σ ln x), the bounds one by one — is
+// — the exact part from (n, Σ x, Σ ln x), the bounds summed by
+// specfn.GammaLogQSum — is
 // −LogLik of the shifted law on the undisplaced sample, to 1e-10
 // relative, over random (shape, rate, shift, sample); and +Inf exactly
 // when LogLik is −Inf for a bound with zero survival. A shift at or past
@@ -45,7 +47,11 @@ func TestGammaClosedFormMatchesLogLik(t *testing.T) {
 		for _, x := range res.Obs {
 			sumLog += math.Log(x)
 		}
-		return -(gammaExactLogLik(g, float64(len(res.Obs)), sum(res.Obs), sumLog) + LogLik(g, Sample{Cens: res.Cens}))
+		lnc := make([]float64, len(res.Cens))
+		for i, c := range res.Cens {
+			lnc[i] = math.Log(c)
+		}
+		return -(gammaExactLogLik(g, float64(len(res.Obs)), sum(res.Obs), sumLog) + specfn.GammaLogQSum(g.K, g.Rate, res.Cens, lnc))
 	}
 	finite, infinite, refused := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
@@ -111,7 +117,7 @@ func TestShiftScanSkipsCentreHarmlessly(t *testing.T) {
 		lo, bestLL := stat.Min(s.Obs), math.Inf(-1)
 		try := func(shift float64) {
 			if res, ok := residuals(s, shift); ok {
-				if g, ll, err := censoredGamma(res); err == nil && ll > bestLL {
+				if g, ll, err := censoredGamma(res, nil); err == nil && ll > bestLL {
 					bestLL, best = ll, dist.ShiftedGamma{Shift: shift, G: g}
 				}
 			}

@@ -17,7 +17,9 @@
 // parameter space. For gamma, shifted-gamma and lognormal the exact
 // observations enter that likelihood through sufficient statistics, so
 // an evaluation costs only the censored bounds, whose survival terms
-// have no closed form.
+// have no closed form; the gamma's are summed in log space by
+// specfn.GammaLogQSum from logs taken once per sample, and an
+// evaluation allocates nothing.
 //
 // There are two selection rules over the one estimator stack. Select
 // ranks admissible fits by AIC and breaks near-ties (ΔAIC ≤ 2) by
@@ -232,7 +234,7 @@ func Gamma(s Sample) (dist.Gamma, error) {
 			return g, nil
 		}
 	}
-	g, _, err := censoredGamma(s)
+	g, _, err := censoredGamma(s, nil)
 	return g, err
 }
 
@@ -297,17 +299,22 @@ func gammaExactLogLik(g dist.Gamma, n, sumX, sumLog float64) float64 {
 // censoredGamma maximizes the censored gamma likelihood from the moment
 // start and returns the maximizer with its log-likelihood. An evaluation
 // costs O(censored bounds): only their survival terms ln Q(k, r·c) have
-// no closed form.
-func censoredGamma(s Sample) (dist.Gamma, float64, error) {
+// no closed form, and specfn.GammaLogQSum sums them from the bounds' logs,
+// which are taken once into lnc (scratch the caller may reuse).
+func censoredGamma(s Sample, lnc []float64) (dist.Gamma, float64, error) {
 	k0, rate0 := gammaInit(s.Obs)
-	n, sumX, sumLog, cens := float64(len(s.Obs)), sum(s.Obs), 0.0, Sample{Cens: s.Cens}
+	n, sumX, sumLog := float64(len(s.Obs)), sum(s.Obs), 0.0
 	for _, x := range s.Obs {
 		sumLog += math.Log(x)
+	}
+	lnc = lnc[:0]
+	for _, c := range s.Cens {
+		lnc = append(lnc, math.Log(c))
 	}
 	at := func(th []float64) dist.Gamma { return dist.Gamma{K: clampExp(th[0]), Rate: clampExp(th[1])} }
 	theta, nll := nelderMead(func(th []float64) float64 {
 		g := at(th)
-		return -(gammaExactLogLik(g, n, sumX, sumLog) + LogLik(g, cens))
+		return -(gammaExactLogLik(g, n, sumX, sumLog) + specfn.GammaLogQSum(g.K, g.Rate, s.Cens, lnc))
 	}, []float64{math.Log(k0), math.Log(rate0)}, 0.3, 400)
 	if math.IsInf(nll, 1) {
 		return dist.Gamma{}, 0, fmt.Errorf("fit: censored gamma fit did not converge")
@@ -334,6 +341,7 @@ func ShiftedGamma(s Sample) (dist.ShiftedGamma, error) {
 	var best dist.ShiftedGamma
 	found := false
 	res := Sample{Obs: make([]float64, 0, len(s.Obs)), Cens: make([]float64, 0, len(s.Cens))}
+	lnc := make([]float64, 0, len(s.Cens))
 	try := func(shift float64) {
 		res.Obs, res.Cens = res.Obs[:0], res.Cens[:0]
 		for _, x := range s.Obs {
@@ -351,7 +359,7 @@ func ShiftedGamma(s Sample) (dist.ShiftedGamma, error) {
 		}
 		// The residuals' maximized likelihood is the candidate's profile
 		// likelihood: the bounds left out contribute log 1.
-		if g, ll, err := censoredGamma(res); err == nil && ll > bestLL {
+		if g, ll, err := censoredGamma(res, lnc); err == nil && ll > bestLL {
 			bestLL, best, found = ll, dist.ShiftedGamma{Shift: shift, G: g}, true
 		}
 	}
@@ -452,19 +460,23 @@ func clampExp(x float64) float64 { return math.Exp(math.Max(-300, math.Min(300, 
 // nelderMead minimizes f from x0 with the standard simplex moves
 // (reflect, expand, contract, shrink). scale sizes the initial simplex;
 // the search stops after iters iterations or when the simplex collapses,
-// and returns the best vertex with f there.
+// and returns the best vertex with f there. Its d+1 vertices, the
+// centroid and the three trial points share one allocation: an accepted
+// trial point swaps buffers with the vertex it replaces.
 func nelderMead(f func([]float64) float64, x0 []float64, scale float64, iters int) ([]float64, float64) {
 	d := len(x0)
+	buf := make([]float64, (d+5)*d)
+	vec := func(i int) []float64 { return buf[i*d : (i+1)*d : (i+1)*d] }
 	pts := make([][]float64, d+1)
 	vals := make([]float64, d+1)
 	for i := range pts {
-		p := append([]float64(nil), x0...)
-		if i > 0 {
-			p[i-1] += scale
+		pts[i] = vec(i)
+		if copy(pts[i], x0); i > 0 {
+			pts[i][i-1] += scale
 		}
-		pts[i] = p
-		vals[i] = f(p)
+		vals[i] = f(pts[i])
 	}
+	c, refl, exp, contr := vec(d+1), vec(d+2), vec(d+3), vec(d+4)
 	const alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
 	order := func() {
 		// Insertion sort: d+1 is tiny.
@@ -475,41 +487,37 @@ func nelderMead(f func([]float64) float64, x0 []float64, scale float64, iters in
 			}
 		}
 	}
+	at := func(p []float64, t float64) []float64 {
+		for j := 0; j < d; j++ {
+			p[j] = c[j] + t*(c[j]-pts[d][j])
+		}
+		return p
+	}
 	for it := 0; it < iters; it++ {
 		order()
 		if spread := vals[d] - vals[0]; spread < 1e-10*(1+math.Abs(vals[0])) {
 			break
 		}
 		// Centroid of all but the worst.
-		c := make([]float64, d)
+		clear(c)
 		for i := 0; i < d; i++ {
 			for j := 0; j < d; j++ {
 				c[j] += pts[i][j] / float64(d)
 			}
 		}
-		at := func(t float64) []float64 {
-			p := make([]float64, d)
-			for j := 0; j < d; j++ {
-				p[j] = c[j] + t*(c[j]-pts[d][j])
-			}
-			return p
-		}
-		refl := at(alpha)
-		fr := f(refl)
+		fr := f(at(refl, alpha))
 		switch {
 		case fr < vals[0]:
-			exp := at(gamma)
-			if fe := f(exp); fe < fr {
-				pts[d], vals[d] = exp, fe
+			if fe := f(at(exp, gamma)); fe < fr {
+				pts[d], exp, vals[d] = exp, pts[d], fe
 			} else {
-				pts[d], vals[d] = refl, fr
+				pts[d], refl, vals[d] = refl, pts[d], fr
 			}
 		case fr < vals[d-1]:
-			pts[d], vals[d] = refl, fr
+			pts[d], refl, vals[d] = refl, pts[d], fr
 		default:
-			contr := at(-rho)
-			if fc := f(contr); fc < vals[d] {
-				pts[d], vals[d] = contr, fc
+			if fc := f(at(contr, -rho)); fc < vals[d] {
+				pts[d], contr, vals[d] = contr, pts[d], fc
 			} else {
 				for i := 1; i <= d; i++ {
 					for j := 0; j < d; j++ {

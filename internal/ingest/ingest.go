@@ -170,7 +170,12 @@ func (a *Aggregator) checkServers(ev *trace.Event) error {
 // a ErrChannelLimit/ErrTenantLimit capacity drop — leaves the
 // aggregator untouched: no tenant or channel state is created for an
 // event that does not land.
-func (a *Aggregator) Observe(tenant string, ev trace.Event) error {
+func (a *Aggregator) Observe(tenant string, ev trace.Event) error { return observe(a, tenant, ev) }
+
+// observe is Observe for a tenant name held as a string or as bytes
+// borrowed from a wire buffer. The lookup m[string(b)] copies nothing;
+// the name is copied once, into the map key, when a tenant is new.
+func observe[S string | []byte](a *Aggregator, tenant S, ev trace.Event) error {
 	if ev.V == 0 {
 		ev.V = trace.Version
 	}
@@ -184,8 +189,9 @@ func (a *Aggregator) Observe(tenant string, ev trace.Event) error {
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ts := a.tenants[tenant]
-	if ts == nil {
+	ts := a.tenants[string(tenant)]
+	fresh := ts == nil
+	if fresh {
 		if len(a.tenants) >= a.cfg.MaxTenants {
 			return drop(ErrTenantLimit)
 		}
@@ -225,7 +231,9 @@ func (a *Aggregator) Observe(tenant string, ev trace.Event) error {
 	}
 	ts.events++
 	ts.last = now
-	a.tenants[tenant] = ts
+	if fresh {
+		a.tenants[string(tenant)] = ts
+	}
 	return nil
 }
 

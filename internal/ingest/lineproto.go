@@ -28,8 +28,8 @@ package ingest
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"dtr/internal/trace"
 )
@@ -38,52 +38,63 @@ import (
 // the equivalent trace event. The event still needs Validate (Observe
 // sees to it); ParseLine only enforces the grammar. It cuts the line by
 // index and allocates nothing: tenant is a substring of line.
-func ParseLine(line string) (tenant string, ev trace.Event, err error) {
-	var fields [3]string
-	n := 0
-	for rest := line; ; n++ {
-		rest = strings.TrimLeftFunc(rest, unicode.IsSpace)
-		if rest == "" {
-			break
+func ParseLine(line string) (tenant string, ev trace.Event, err error) { return parseLine(line) }
+
+// parseLine is ParseLine over a string or over a borrowed []byte, whose
+// tenant is then a subslice of the caller's buffer: the wire path parses
+// the bytes it read without copying them into a string first.
+func parseLine[S string | []byte](line S) (tenant S, ev trace.Event, err error) {
+	var fields [3]S
+	n, start := 0, -1
+	for i, size := 0, 0; i < len(line); i += size {
+		var r rune
+		r, size = runeAt(line, i)
+		switch space := unicode.IsSpace(r); {
+		case space && start >= 0:
+			if n < len(fields) {
+				fields[n] = line[start:i]
+			}
+			n, start = n+1, -1
+		case !space && start < 0:
+			start = i
 		}
-		end := strings.IndexFunc(rest, unicode.IsSpace)
-		if end < 0 {
-			end = len(rest)
-		}
+	}
+	if start >= 0 {
 		if n < len(fields) {
-			fields[n] = rest[:end]
+			fields[n] = line[start:]
 		}
-		rest = rest[end:]
+		n++
 	}
 	if n < 2 || n > 3 {
-		return "", ev, fmt.Errorf("ingest: want %q, got %d fields", "tenant/channel value [c]", n)
+		return tenant, ev, fmt.Errorf("ingest: want %q, got %d fields", "tenant/channel value [c]", n)
 	}
 	key := fields[0]
-	slash := strings.IndexByte(key, '/')
+	slash := indexByte(key, '/')
 	if slash <= 0 || slash == len(key)-1 {
-		return "", ev, fmt.Errorf("ingest: key %q is not tenant/channel", key)
+		return tenant, ev, fmt.Errorf("ingest: key %q is not tenant/channel", key)
 	}
-	tenant, channel := key[:slash], key[slash+1:]
-	for _, r := range tenant {
-		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '-' || r == '_' || r == '.') {
-			return "", ev, fmt.Errorf("ingest: tenant %q has invalid character %q", tenant, r)
+	name, channel := key[:slash], key[slash+1:]
+	for i, size := 0, 0; i < len(name); i += size {
+		var r rune
+		if r, size = runeAt(name, i); !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '-' || r == '_' || r == '.') {
+			return tenant, ev, fmt.Errorf("ingest: tenant %q has invalid character %q", name, r)
 		}
 	}
-	value, err := strconv.ParseFloat(fields[1], 64)
+	value, err := strconv.ParseFloat(string(fields[1]), 64)
 	if err != nil {
-		return "", ev, fmt.Errorf("ingest: value %q: %w", fields[1], err)
+		return tenant, ev, fmt.Errorf("ingest: value %q: %w", fields[1], err)
 	}
-	if n == 3 && fields[2] != "c" {
-		return "", ev, fmt.Errorf("ingest: trailing field %q (only %q marks censoring)", fields[2], "c")
+	if n == 3 && string(fields[2]) != "c" {
+		return tenant, ev, fmt.Errorf("ingest: trailing field %q (only %q marks censoring)", fields[2], "c")
 	}
 
 	// channel = kind "." index *("." index): the kind says how many indices
 	// follow and where they go.
 	ev = trace.Event{V: trace.Version, Value: value, Censored: n == 3}
-	name, rest, _ := strings.Cut(channel, ".")
+	kindName, rest := cutByte(channel, '.')
 	var kind string
 	var into []*int
-	switch name {
+	switch string(kindName) {
 	case "service":
 		kind, into = trace.KindService, []*int{&ev.Server}
 	case "failure":
@@ -93,18 +104,52 @@ func ParseLine(line string) (tenant string, ev trace.Event, err error) {
 	case "fn":
 		kind, into = trace.KindFN, []*int{&ev.Src, &ev.Dst}
 	}
-	if kind == "" || strings.Count(channel, ".") != len(into) {
-		return "", ev, fmt.Errorf("ingest: unknown channel %q (want service.<i>, failure.<i>, transfer.<src>.<dst>.<tasks> or fn.<src>.<dst>)", channel)
+	dots := 0
+	for i := 0; i < len(channel); i++ {
+		if channel[i] == '.' {
+			dots++
+		}
+	}
+	if kind == "" || dots != len(into) {
+		return tenant, ev, fmt.Errorf("ingest: unknown channel %q (want service.<i>, failure.<i>, transfer.<src>.<dst>.<tasks> or fn.<src>.<dst>)", channel)
 	}
 	ev.Kind = kind
 	for _, dst := range into {
-		var part string
-		part, rest, _ = strings.Cut(rest, ".")
-		i, err := strconv.Atoi(part)
+		var part S
+		part, rest = cutByte(rest, '.')
+		i, err := strconv.Atoi(string(part))
 		if err != nil || i < 0 {
-			return "", ev, fmt.Errorf("ingest: channel %q: index %q is not a non-negative integer", channel, part)
+			return tenant, ev, fmt.Errorf("ingest: channel %q: index %q is not a non-negative integer", channel, part)
 		}
 		*dst = i
 	}
-	return tenant, ev, nil
+	return name, ev, nil
+}
+
+// runeAt decodes the rune starting at s[i], as ranging over a string
+// would, for either parseLine input. Ranging over string(b) itself would
+// copy a line longer than the compiler's 32-byte stack buffer.
+func runeAt[S string | []byte](s S, i int) (rune, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+}
+
+// indexByte is strings.IndexByte for either parseLine input.
+func indexByte[S string | []byte](s S, c byte) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == c {
+			return i
+		}
+	}
+	return -1
+}
+
+// cutByte is strings.Cut at the byte c, for either parseLine input.
+func cutByte[S string | []byte](s S, c byte) (before, after S) {
+	if i := indexByte(s, c); i >= 0 {
+		return s[:i], s[i+1:]
+	}
+	return s, s[len(s):]
 }

@@ -81,21 +81,25 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // format (JSONL trace.v1 events start with '{', everything else is the
 // line protocol), parse, validate, fold. defaultTenant applies to JSONL
 // events, which carry no tenant of their own. line is trimmed, not empty
-// and only borrowed: a line-protocol line costs one allocation, the
-// string ParseLine cuts (the tenant key may outlive the caller's buffer).
+// and only borrowed: a line-protocol line is parsed in place and costs
+// no allocation for a known tenant, and one — the map key, copied out of
+// the buffer — for a new one.
 func (s *Server) observeLine(line []byte, defaultTenant string) error {
 	ingestLines.Inc()
-	tenant, ev, err := defaultTenant, trace.Event{}, error(nil)
+	var err error
 	switch {
 	case line[0] != '{':
-		tenant, ev, err = ParseLine(string(line))
+		tenant, ev, perr := parseLine(line)
+		if err = perr; err == nil {
+			err = observe(s.agg, tenant, ev)
+		}
 	case defaultTenant == "":
 		err = fmt.Errorf("ingest: JSONL event without a tenant (set ?tenant= on /v1/ingest)")
 	default:
-		ev, err = decodeJSONL(line)
-	}
-	if err == nil {
-		err = s.agg.Observe(tenant, ev)
+		ev, derr := decodeJSONL(line)
+		if err = derr; err == nil {
+			err = s.agg.Observe(defaultTenant, ev)
+		}
 	}
 	switch {
 	case err == nil:

@@ -18,6 +18,21 @@ func BenchmarkGammaPContinuedFraction(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkGammaLogQSum is one censored-gamma likelihood evaluation's
+// bounds: 400 sorted bounds across both branches.
+func BenchmarkGammaLogQSum(b *testing.B) {
+	c := make([]float64, 400)
+	for i := range c {
+		c[i] = 0.05 + 12*float64(i)/float64(len(c))
+	}
+	lnc := logs(c)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += GammaLogQSum(2.3, 0.9, c, lnc)
+	}
+	_ = sink
+}
+
 func BenchmarkNormQuantile(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {

@@ -7,6 +7,8 @@
 // everything else here is implemented from scratch using the classic
 // series/continued-fraction decomposition (Abramowitz & Stegun §6.5,
 // Numerical Recipes §6.2) with double-precision accuracy targets.
+// GammaLogQSum runs the same two expansions over a whole vector of
+// censoring bounds for the censored-gamma likelihood.
 package specfn
 
 import (
@@ -55,18 +57,27 @@ func gammaPQ(a, x float64) (p, q float64) {
 	case math.IsInf(x, 1):
 		return 1, 0
 	}
+	lg, _ := math.Lgamma(a)
 	if x < a+1 {
-		p = gammaSeries(a, x)
+		p = gammaSeries(a, x) * prefactor(a, x, lg)
 		return p, 1 - p
 	}
-	q = gammaCF(a, x)
+	var cf gammaCF
+	cf.start(a, x)
+	for i := 1; i <= maxIter && !cf.step(a, i); i++ {
+	}
+	q = prefactor(a, x, lg) * cf.h
 	return 1 - q, q
 }
 
-// gammaSeries computes P(a,x) by the power series
-// γ(a,x) = e^{-x} x^a Σ_{n≥0} Γ(a)/Γ(a+1+n) x^n, valid for x < a+1.
+// prefactor returns e^{-x} x^a / Γ(a), the factor both expansions
+// share, given lg = ln Γ(a).
+func prefactor(a, x, lg float64) float64 { return math.Exp(-x + a*math.Log(x) - lg) }
+
+// gammaSeries returns the sum of the power series
+// γ(a,x) = e^{-x} x^a Σ_{n≥0} Γ(a)/Γ(a+1+n) x^n, valid for x < a+1:
+// P(a,x) is the sum times the prefactor.
 func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
 	ap := a
 	sum := 1.0 / a
 	del := sum
@@ -75,42 +86,162 @@ func gammaSeries(a, x float64) float64 {
 		del *= x / ap
 		sum += del
 		if math.Abs(del) < math.Abs(sum)*Eps {
-			return sum * math.Exp(-x+a*math.Log(x)-lg)
-		}
-	}
-	// Extremely skewed inputs: return the best estimate rather than panic;
-	// the result is still accurate to ~sqrt(Eps) in practice.
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-// gammaCF computes Q(a,x) by the Lentz-modified continued fraction
-// Γ(a,x)/Γ(a) = e^{-x} x^a / (x+1-a- 1·(1-a)/(x+3-a- ...)), x ≥ a+1.
-func gammaCF(a, x float64) float64 {
-	const tiny = 1e-300
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i <= maxIter; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < Eps {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
+	// Extremely skewed inputs stop at the budget with the best estimate
+	// rather than panic; it is still accurate to ~sqrt(Eps) in practice.
+	return sum
+}
+
+// gammaCF is one modified-Lentz evaluation of the continued fraction
+// Γ(a,x)/Γ(a) = e^{-x} x^a · h, h = 1/(x+1-a- 1·(1-a)/(x+3-a- ...)),
+// x ≥ a+1: Q(a,x) is h times the prefactor. Its state lives in the
+// caller's frame, so several fractions can step in lockstep, each one's
+// division chain hiding another's latency, with every h bit-identical to
+// a fraction stepped alone.
+type gammaCF struct{ b, c, d, h float64 }
+
+const cfTiny = 1e-300
+
+func (f *gammaCF) start(a, x float64) {
+	f.b = x + 1 - a
+	f.c = 1 / cfTiny
+	f.d = 1 / f.b
+	f.h = f.d
+}
+
+// step folds in the i-th term (i = 1, 2, …) and reports convergence.
+func (f *gammaCF) step(a float64, i int) bool {
+	fi := float64(i)
+	an := -fi * (fi - a)
+	f.b += 2
+	d, c := an*f.d+f.b, f.b+an/f.c
+	if math.Abs(d) < cfTiny {
+		d = cfTiny
+	}
+	if math.Abs(c) < cfTiny {
+		c = cfTiny
+	}
+	f.d, f.c = 1/d, c
+	del := f.d * c
+	f.h *= del
+	return math.Abs(del-1) < Eps
+}
+
+// cfLanes is how many continued fractions GammaLogQSum steps in lockstep.
+const cfLanes = 2
+
+// stepLanes steps every fraction in f (at most cfLanes) in lockstep,
+// each until its own convergence or the iteration budget; a converged
+// fraction is frozen, so its h is the one it reaches stepped alone.
+func stepLanes(a float64, f []gammaCF) {
+	var done [cfLanes]bool
+	live := len(f)
+	for i := 1; i <= maxIter && live > 0; i++ {
+		for l := range f {
+			if !done[l] && f[l].step(a, i) {
+				done[l] = true
+				live--
+			}
+		}
+	}
+}
+
+// GammaLogQSum returns Σᵢ ln Q(a, r·cᵢ), the log-survival of censoring
+// bounds cᵢ under a Gamma(shape=a, rate=r) law, given lnc[i] = ln cᵢ.
+// A bound cᵢ ≤ 0 (or r·cᵢ = 0) contributes ln 1 = 0. The sum is −Inf
+// wherever GammaQ would return 0 or NaN for some bound — the bounds a
+// per-bound loop of ln GammaQ refuses — and agrees with that loop to
+// rounding elsewhere.
+//
+// ln Γ(a) and ln r are taken once per call and each bound's prefactor
+// −x + a·(ln r + ln cᵢ) − ln Γ(a) stays in log space, so a
+// continued-fraction bound costs no Exp or Log. The per-bound factors —
+// h for a continued-fraction bound, 1 − P for a series one — are
+// multiplied in index order within each branch under math.Frexp
+// renormalisation, and one Log closes the sum. Continued-fraction
+// bounds step two at a time. Where a prefactor is so small or large that
+// GammaQ's own arithmetic would underflow or overflow, or a series
+// factor cancels to near zero, the bound is evaluated exactly as GammaQ
+// evaluates it, so the −Inf set is the same.
+func GammaLogQSum(a, r float64, c, lnc []float64) float64 {
+	lg, _ := math.Lgamma(a)
+	lnr := math.Log(r)
+	var sum float64 // Σ prefactors of the continued-fraction bounds
+	m, e := 1.0, 0  // Π factors = m·2^e
+	mul := func(f float64) bool {
+		if !(f > 0) {
+			return false
+		}
+		var de int
+		if f < 0x1p-500 { // a subnormal factor would underflow m
+			f, de = math.Frexp(f)
+			e += de
+		}
+		if m *= f; m < 0x1p-500 || m > 0x1p500 {
+			m, de = math.Frexp(m)
+			e += de
+		}
+		return true
+	}
+	// Continued-fraction bounds wait here until a full set of lanes can
+	// step together.
+	var lanes [cfLanes]gammaCF
+	var pend [cfLanes]struct{ x, pre float64 }
+	k := 0
+	// flush steps the k pending fractions and settles each into its
+	// factor, falling back to GammaQ's own arithmetic where a prefactor is
+	// out of range.
+	flush := func() bool {
+		stepLanes(a, lanes[:k])
+		for l, p := range pend[:k] {
+			h := lanes[l].h
+			if p.pre < -700 || p.pre > 700 || h < 0x1p-60 {
+				h *= prefactor(a, p.x, lg)
+			} else {
+				sum += p.pre
+			}
+			if !mul(h) {
+				return false
+			}
+		}
+		k = 0
+		return true
+	}
+	for i, ci := range c {
+		if ci <= 0 {
+			continue
+		}
+		x := r * ci
+		switch {
+		case x == 0:
+			continue
+		case !(x > 0 && x < math.Inf(1) && a > 0):
+			return math.Inf(-1)
+		}
+		pre := -x + a*(lnr+lnc[i]) - lg
+		if x < a+1 {
+			s := gammaSeries(a, x)
+			f := 1 - s*math.Exp(pre)
+			if f < 0x1p-40 {
+				f = 1 - s*prefactor(a, x, lg)
+			}
+			if !mul(f) {
+				return math.Inf(-1)
+			}
+			continue
+		}
+		lanes[k].start(a, x)
+		pend[k].x, pend[k].pre = x, pre
+		if k++; k == cfLanes && !flush() {
+			return math.Inf(-1)
+		}
+	}
+	if k > 0 && !flush() {
+		return math.Inf(-1)
+	}
+	return sum + math.Log(m) + float64(e)*math.Ln2
 }
 
 // GammaPInv returns x such that P(a, x) = p, the quantile function of a
