@@ -23,7 +23,7 @@ fmt:
 # The full suite under -race is slow (the solvers are CPU-bound); race
 # covers the packages that actually share state across goroutines.
 race:
-	$(GO) test -race -timeout 30m ./internal/obs ./internal/sim ./internal/des ./internal/testbed ./internal/par ./internal/policy ./internal/direct ./internal/exper ./internal/serve ./internal/cluster ./internal/trace ./internal/adapt ./internal/ingest ./internal/load ./dist ./dist/fit ./modelspec
+	$(GO) test -race -timeout 30m ./internal/obs ./internal/sim ./internal/des ./internal/testbed ./internal/par ./internal/fft ./internal/policy ./internal/direct ./internal/exper ./internal/serve ./internal/cluster ./internal/trace ./internal/adapt ./internal/ingest ./internal/load ./dist ./dist/fit ./modelspec
 
 # Boot dtrserved on a random port, drive every endpoint plus a /metrics
 # scrape, and verify a clean SIGTERM drain.
@@ -65,8 +65,13 @@ cluster-smoke:
 # space with two continued fractions in flight, where the refit spends most
 # of its time (observe_refit +37 % ops/s), and about 50 that let the ingest
 # line parser run on borrowed bytes as well as on a string, so that a known
-# tenant's line allocates nothing.
-LOC_CEILING = 22590
+# tenant's line allocates nothing. It was raised from 22 590 by 23: about
+# 40 lines of internal/fft (per-pass twiddle rows the butterflies read in
+# order, and a fused radix-2 + first radix-4 block for odd log2 n, the
+# lab_sweep transform size; both keep every output bit), less the 16 that
+# deleting internal/sim's own worker pool saved. With internal/par's pool
+# claiming indices they took lab_sweep from 0.93 to 1.47 ops/s.
+LOC_CEILING = 22613
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -8,9 +8,9 @@
 //
 // Every transform of one size shares one plan: a bit-reversal table and
 // twiddle factors taken from math.Sincos per index (each within an ulp,
-// where a running product would accumulate error along the table). The
-// butterflies merge two radix-2 stages into one radix-4 pass, halving
-// the walks over the data.
+// where a running product would accumulate error along the table), laid
+// out again as one row per pass. The butterflies merge two radix-2
+// stages into one radix-4 pass, halving the walks over the data.
 package fft
 
 import (
@@ -23,6 +23,9 @@ import (
 type plan struct {
 	rev []int32      // bit-reversal permutation of 0..n-1
 	tw  []complex128 // tw[k] = exp(-2πi·k/n) for k < 3n/4
+	// rows has one row per twiddled radix-4 pass of half-span h: row[j] =
+	// (w², w, w³) of w = exp(-2πi·j/4h) = (tw[2j·st], tw[j·st], tw[3j·st]).
+	rows [][][3]complex128
 }
 
 var plans [bits.UintSize]struct {
@@ -36,19 +39,31 @@ func planFor(n int) *plan {
 		panic("fft: length is not a power of two")
 	}
 	e := &plans[bits.TrailingZeros(uint(n))]
-	e.once.Do(func() {
-		p := &plan{rev: make([]int32, n), tw: make([]complex128, 3*n/4)}
-		shift := bits.UintSize - bits.TrailingZeros(uint(n))
-		for i := 1; i < n; i++ {
-			p.rev[i] = int32(bits.Reverse(uint(i)) >> shift)
-		}
-		for k := range p.tw {
-			sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-			p.tw[k] = complex(cos, sin)
-		}
-		e.p = p
-	})
+	e.once.Do(func() { e.p = newPlan(n) })
 	return e.p
+}
+
+// newPlan builds the plan for the power of two n.
+func newPlan(n int) *plan {
+	p := &plan{rev: make([]int32, n), tw: make([]complex128, 3*n/4)}
+	shift := bits.UintSize - bits.TrailingZeros(uint(n))
+	for i := 1; i < n; i++ {
+		p.rev[i] = int32(bits.Reverse(uint(i)) >> shift)
+	}
+	for k := range p.tw {
+		sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		p.tw[k] = complex(cos, sin)
+	}
+	// The first twiddled pass has half-span 2 after a plain radix-2 stage
+	// when log2(n) is odd, else 4.
+	for h := 4 >> (bits.TrailingZeros(uint(n)) & 1); h < n; h <<= 2 {
+		st, row := n/(4*h), make([][3]complex128, h)
+		for j := range row {
+			row[j] = [3]complex128{p.tw[2*j*st], p.tw[j*st], p.tw[3*j*st]}
+		}
+		p.rows = append(p.rows, row)
+	}
+	return p
 }
 
 // permute applies the bit-reversal permutation in place.
@@ -63,15 +78,34 @@ func (p *plan) permute(a []complex128) {
 // butterflies runs the decimation-in-time passes of the forward
 // transform over bit-reversed input. Each pass is a radix-4 butterfly
 // merging the radix-2 stages of half-span h and 2h; the first pass has
-// unit twiddles and is a plain radix-2 stage when log2(n) is odd.
+// unit twiddles and is a plain radix-2 stage when log2(n) is odd. The
+// twiddled passes read their plan rows in order; every output must stay
+// bit-identical to reading tw at a stride (kernel_test.go).
 func (p *plan) butterflies(a []complex128) {
 	n := len(a)
-	h := 4
-	if bits.TrailingZeros(uint(n))&1 == 1 {
-		for i := 0; i < n; i += 2 {
-			a[i], a[i+1] = a[i]+a[i+1], a[i]-a[i+1]
+	rows := p.rows
+	if n == 2 {
+		a[0], a[1] = a[0]+a[1], a[0]-a[1]
+		return
+	}
+	if len(rows) > 0 && len(rows[0]) == 2 {
+		// Odd log2(n): the radix-2 stage and the pass of half-span 2 run
+		// together, one block of 8 at a time.
+		w0, w1 := rows[0][0], rows[0][1]
+		for q := a; len(q) >= 8; q = q[8:] {
+			b := (*[8]complex128)(q)
+			c0, c1, c2, c3 := b[0]+b[1], b[0]-b[1], b[2]+b[3], b[2]-b[3]
+			c4, c5, c6, c7 := b[4]+b[5], b[4]-b[5], b[6]+b[7], b[6]-b[7]
+			t1, t2, t3 := w0[0]*c2, w0[1]*c4, w0[2]*c6
+			s, d, u, v := c0+t1, c0-t1, t2+t3, t2-t3
+			v = complex(imag(v), -real(v)) // −i·v
+			b[0], b[2], b[4], b[6] = s+u, d+v, s-u, d-v
+			t1, t2, t3 = w1[0]*c3, w1[1]*c5, w1[2]*c7
+			s, d, u, v = c1+t1, c1-t1, t2+t3, t2-t3
+			v = complex(imag(v), -real(v)) // −i·v
+			b[1], b[3], b[5], b[7] = s+u, d+v, s-u, d-v
 		}
-		h = 2
+		rows = rows[1:]
 	} else {
 		for i := 0; i+3 < n; i += 4 {
 			s, d, u, v := a[i]+a[i+1], a[i]-a[i+1], a[i+2]+a[i+3], a[i+2]-a[i+3]
@@ -79,14 +113,14 @@ func (p *plan) butterflies(a []complex128) {
 			a[i], a[i+1], a[i+2], a[i+3] = s+u, d+v, s-u, d-v
 		}
 	}
-	tw := p.tw
-	for ; h < n; h <<= 2 {
-		st := n / (4 * h)
-		for i := 0; i < n; i += 4 * h {
-			q0, q1, q2, q3 := a[i:i+h], a[i+h:i+2*h], a[i+2*h:i+3*h], a[i+3*h:i+4*h]
-			for j := range q0 {
-				// Twiddles w², w, w³ of w = exp(-2πi·j/4h).
-				t1, t2, t3 := tw[2*j*st]*q1[j], tw[j*st]*q2[j], tw[3*j*st]*q3[j]
+	for _, row := range rows {
+		h := len(row)
+		for q := a; len(q) >= 4*h; q = q[4*h:] {
+			q0, q1, q2, q3 := q[:len(row)], q[h:2*h], q[2*h:3*h], q[3*h:4*h]
+			q1, q2, q3 = q1[:len(row)], q2[:len(row)], q3[:len(row)]
+			for j := range row {
+				w := &row[j] // w², w, w³ of w = exp(-2πi·j/4h)
+				t1, t2, t3 := w[0]*q1[j], w[1]*q2[j], w[2]*q3[j]
 				s, d, u, v := q0[j]+t1, q0[j]-t1, t2+t3, t2-t3
 				v = complex(imag(v), -real(v)) // −i·v
 				q0[j], q1[j], q2[j], q3[j] = s+u, d+v, s-u, d-v

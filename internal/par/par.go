@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a worker-count option: values ≤ 0 select
@@ -61,22 +62,20 @@ func ForEach(workers, n int, fn func(w, i int) error) error {
 		return firstErr
 	}
 
+	// Workers claim indices from one counter, so no item waits for the
+	// caller to hand it over and short items keep every worker busy.
 	errs := make([]error, n)
-	next := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := range next {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 				errs[i] = fn(w, i)
 			}
 		}(w)
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -21,18 +21,19 @@ func TestWorkersResolution(t *testing.T) {
 }
 
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8, 100} {
-		const n = 57
-		counts := make([]atomic.Int32, n)
-		if err := ForEach(workers, n, func(w, i int) error {
-			counts[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+	for _, n := range []int{57, 5000} { // the second: workers race for every claim
+		for _, workers := range []int{0, 1, 2, 8, 100} {
+			counts := make([]atomic.Int32, n)
+			if err := ForEach(workers, n, func(w, i int) error {
+				counts[i].Add(1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, c)
+				}
 			}
 		}
 	}

@@ -72,6 +72,36 @@ func TestOptimize2DeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSweepInstrumentationAllocsFlat: what the metrics registry adds to an
+// exhaustive sweep's allocations is per worker (its busy-time gauge
+// handle), never per lattice point. Resolving the handle by name on
+// every point cost eight allocations each.
+func TestSweepInstrumentationAllocsFlat(t *testing.T) {
+	eval := func(l12, l21 int) (float64, error) { return float64(l12*7%11 + l21), nil }
+	allocs := func(m, workers int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := optimize2(eval, m, m, ObjMeanTime, Options2{Exhaustive: true, Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	defer obs.SetDefault(nil)
+	for _, workers := range []int{1, 2} {
+		for _, m := range []int{10, 60} {
+			obs.SetDefault(nil)
+			plain := allocs(m, workers)
+			obs.SetDefault(obs.NewRegistry())
+			extra := allocs(m, workers) - plain
+			// A handle costs about eight; the seen map's growth moves
+			// either count by a few from run to run.
+			if points := (m + 1) * (m + 1); extra > float64(16*workers) {
+				t.Fatalf("workers=%d, %d points: instrumentation adds %.0f allocations, want at most %d (one gauge handle per worker)",
+					workers, points, extra, 16*workers)
+			}
+		}
+	}
+}
+
 // TestAlgorithm1DeterministicAcrossWorkers: the per-server refinement
 // rows are independent, so the produced policy must be identical however
 // the rows are scheduled across the pool — again with instrumentation on

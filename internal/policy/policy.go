@@ -188,6 +188,9 @@ func optimize2(eval evalFunc, m1, m2 int, obj Objective, opt Options2) (Result2,
 		seen:    make(map[[2]int]bool),
 		span:    opt.Span.Child("optimize2", "objective", obj.String(), "m1", m1, "m2", m2),
 	}
+	if obs.Default() != nil {
+		sw.busy = make([]*obs.Gauge, sw.workers)
+	}
 	sweepRuns.Inc()
 	defer func() {
 		sweepEvals.Add(uint64(sw.evals))
@@ -303,8 +306,9 @@ type sweep2 struct {
 	batches int
 	span    *obs.Span // "optimize2" trace span (nil = untraced)
 
-	cand [][2]int  // candidate scratch, reused across batches
-	vals []float64 // value slots, written by index from the pool
+	cand [][2]int     // candidate scratch, reused across batches
+	vals []float64    // value slots, written by index from the pool
+	busy []*obs.Gauge // per-worker busy gauges (nil = uninstrumented)
 }
 
 // tryAll evaluates one batch of candidate points: infeasible and
@@ -340,10 +344,9 @@ func (sw *sweep2) tryAll(pts [][2]int) error {
 	sw.batches++
 	batchSpan := sw.span.Child("sweep", "batch", len(cand))
 	defer batchSpan.End()
-	instrumented := obs.Default() != nil
 	err := par.ForEach(sw.workers, len(cand), func(w, i int) error {
 		var t0 time.Time
-		if instrumented {
+		if sw.busy != nil {
 			t0 = time.Now()
 		}
 		v, err := sw.eval(cand[i][0], cand[i][1])
@@ -351,11 +354,14 @@ func (sw *sweep2) tryAll(pts [][2]int) error {
 			return err
 		}
 		vals[i] = v
-		if instrumented {
+		if sw.busy != nil {
 			// Per-worker busy time: a pool whose gauges diverge is
-			// starved by stragglers, the same signal sim exports.
-			obs.Default().Gauge(obs.Name("dtr_policy_worker_busy_seconds", "worker", w)).
-				Add(time.Since(t0).Seconds())
+			// starved by stragglers, the same signal sim exports. Only
+			// worker w touches slot w, resolved on its first point.
+			if sw.busy[w] == nil {
+				sw.busy[w] = obs.Default().Gauge(obs.Name("dtr_policy_worker_busy_seconds", "worker", w))
+			}
+			sw.busy[w].Add(time.Since(t0).Seconds())
 		}
 		return nil
 	})

@@ -12,15 +12,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"dtr/dist"
 	"dtr/internal/core"
 	"dtr/internal/des"
 	"dtr/internal/obs"
+	"dtr/internal/par"
 	"dtr/internal/rngutil"
 	"dtr/internal/stat"
 	"dtr/internal/trace"
@@ -468,51 +467,36 @@ func EstimateState(m *core.Model, s *core.State, opt Options) (Estimates, error)
 	if level == 0 {
 		level = 0.95
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opt.Reps {
-		workers = opt.Reps
-	}
+	workers := min(par.Workers(opt.Workers), opt.Reps)
 
 	defer obs.StartSpan("replicate", "reps", opt.Reps, "workers", workers)()
 	instrumented := obs.Default() != nil
 
+	// Per-worker busy-time gauges: a worker far ahead of its peers means
+	// straggling replications dominate the wall clock.
+	busy := make([]*obs.Gauge, workers)
+	for w := range busy {
+		busy[w] = obs.Default().Gauge(obs.Name("dtr_sim_worker_busy_seconds", "worker", w))
+	}
 	outcomes := make([]Outcome, opt.Reps)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Per-worker busy-time gauge: a worker far ahead of its peers
-			// means straggling replications dominate the wall clock.
-			busy := obs.Default().Gauge(obs.Name("dtr_sim_worker_busy_seconds", "worker", w))
-			for i := range next {
-				if !instrumented {
-					outcomes[i] = RunTraced(m, s, rngutil.Stream(opt.Seed, i), opt.Rebalance, opt.Trace, i)
-					continue
-				}
-				t0 := time.Now()
-				out := RunTraced(m, s, rngutil.Stream(opt.Seed, i), opt.Rebalance, opt.Trace, i)
-				outcomes[i] = out
-				busy.Add(time.Since(t0).Seconds())
-				simWall.ObserveSince(t0)
-				simReps.Inc()
-				simFailures.Add(uint64(out.FailuresSeen))
-				if out.Completed {
-					simCompleted.Inc()
-					simTime.Observe(out.Time)
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < opt.Reps; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	_ = par.ForEach(workers, opt.Reps, func(w, i int) error { // a replication cannot fail
+		if !instrumented {
+			outcomes[i] = RunTraced(m, s, rngutil.Stream(opt.Seed, i), opt.Rebalance, opt.Trace, i)
+			return nil
+		}
+		t0 := time.Now()
+		out := RunTraced(m, s, rngutil.Stream(opt.Seed, i), opt.Rebalance, opt.Trace, i)
+		outcomes[i] = out
+		busy[w].Add(time.Since(t0).Seconds())
+		simWall.ObserveSince(t0)
+		simReps.Inc()
+		simFailures.Add(uint64(out.FailuresSeen))
+		if out.Completed {
+			simCompleted.Inc()
+			simTime.Observe(out.Time)
+		}
+		return nil
+	})
 
 	est := Estimates{Reps: opt.Reps}
 	var times []float64
