@@ -70,8 +70,15 @@ cluster-smoke:
 # order, and a fused radix-2 + first radix-4 block for odd log2 n, the
 # lab_sweep transform size; both keep every output bit), less the 16 that
 # deleting internal/sim's own worker pool saved. With internal/par's pool
-# claiming indices they took lab_sweep from 0.93 to 1.47 ops/s.
-LOC_CEILING = 22613
+# claiming indices they took lab_sweep from 0.93 to 1.47 ops/s. It was
+# raised from 22 613 by 114: about 106 lines of internal/ingest for the
+# batch path (a pooled run of one tenant's events folded under one lock
+# and one clock reading, the batch that parses its lines outside the lock
+# and tallies them, and the parser's two ASCII byte tables) and 8 of
+# internal/direct, where a factor chain keeps one task's law and its mean
+# for the tail-excess estimate. They took observe_refit from about 2.4 to
+# 3.4 ops/s and plan_fanout from about 84 to 104.
+LOC_CEILING = 22727
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

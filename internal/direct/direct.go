@@ -358,12 +358,13 @@ func (s *Solver) meanOf(sc *scratch, tailCorrect bool) float64 {
 func (s *Solver) tailExcess(sc *scratch, k int) float64 {
 	leg := &sc.srv[k]
 	h := s.Horizon()
-	w := dist.NewMinOfK(s.t.model.Service[k], leg.fac)
+	c := s.chains[leg.fac-1]
+	w, mean := c.eff[k], c.mean[k]()
 	nTasks := leg.own + leg.g
-	total := float64(nTasks) * w.Mean()
+	total := float64(nTasks) * mean
 	var excess float64
 	if nTasks > 0 {
-		thr := h - (total - w.Mean())
+		thr := h - (total - mean)
 		if leg.z != nil {
 			thr -= leg.z.Mean()
 		}

@@ -1,0 +1,43 @@
+package direct
+
+import "dtr/dist"
+
+// referenceTailExcess is tailExcess as it stood before the chains kept
+// one task's law and its mean: a min-of-k law built, and its mean
+// integrated twice, at every point. It is the oracle the cached means are
+// held to, bit for bit.
+func referenceTailExcess(s *Solver, sc *scratch, k int) float64 {
+	leg := &sc.srv[k]
+	h := s.Horizon()
+	w := dist.NewMinOfK(s.t.model.Service[k], leg.fac)
+	nTasks := leg.own + leg.g
+	total := float64(nTasks) * w.Mean()
+	var excess float64
+	if nTasks > 0 {
+		thr := h - (total - w.Mean())
+		if leg.z != nil {
+			thr -= leg.z.Mean()
+		}
+		excess += float64(nTasks) * dist.MeanExcess(w, max(thr, 0))
+	}
+	if leg.z != nil {
+		excess += dist.MeanExcess(leg.z, max(h-total, 0))
+	}
+	return excess
+}
+
+// ReferenceMeanTimeRepl is MeanTimeRepl with the tail-excess estimate
+// computed by referenceTailExcess.
+func ReferenceMeanTimeRepl(s *Solver, m1, m2, l12, l21 int, fac [2]int) (float64, error) {
+	sc := s.t.pool.Get().(*scratch)
+	defer s.t.pool.Put(sc)
+	if err := s.finishPairRepl(sc, m1, m2, l12, l21, fac); err != nil {
+		return 0, err
+	}
+	mean := s.meanOf(sc, false)
+	var excess float64
+	for k := range sc.srv {
+		excess += referenceTailExcess(s, sc, k)
+	}
+	return mean + excess, nil
+}

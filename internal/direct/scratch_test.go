@@ -9,17 +9,22 @@ import (
 
 // TestWarmEvaluationAllocatesNothing: once the spectra and transfer laws
 // a policy needs are cached, an evaluation works entirely in pooled
-// scratch. The seed kernel spent 20 allocations and 318 KB per point.
+// scratch. The seed kernel spent 20 allocations and 318 KB per point; at
+// factor 2 the tail-excess estimate once built a min-of-k law per point.
 func TestWarmEvaluationAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
-	s := newSolver(t, m, 24, 1<<11, 200)
-	var err error
+	s, err := NewSolver(m, Config{N: 1 << 11, Horizon: 200, MaxQueue: [2]int{24, 24}, MaxFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, eval := range map[string]func(){
-		"MeanTime": func() { _, err = s.MeanTime(16, 8, 5, 2) },
-		"QoS":      func() { _, err = s.QoS(16, 8, 5, 2, 40) },
+		"MeanTime":          func() { _, err = s.MeanTime(16, 8, 5, 2) },
+		"QoS":               func() { _, err = s.QoS(16, 8, 5, 2, 40) },
+		"MeanTimeRepl(2,2)": func() { _, err = s.MeanTimeRepl(16, 8, 5, 2, [2]int{2, 2}) },
+		"MeanTimeRepl(2,1)": func() { _, err = s.MeanTimeRepl(16, 8, 5, 2, [2]int{2, 1}) },
 	} {
 		eval() // fill the caches
 		if err != nil {

@@ -71,12 +71,16 @@ type Tables struct {
 // spectrum of one task's law, the first time anyone reads it or a longer
 // one (Solver.prefix). Slots are written once, before built[k] passes
 // them, so readers index below built[k] without a lock. meter audits the
-// folds made so far.
+// folds made so far. eff[k] is one task's law itself and mean[k] its mean,
+// integrated on first use: above factor 1 it is a numerical integral that
+// the tail-excess estimate would otherwise repeat at every point.
 type chain struct {
 	pre   [][]*gridfn.Lattice
 	built []atomic.Int32
 	base  []*gridfn.Spectrum
 	spec  [][]*gridfn.Spectrum
+	eff   []dist.Dist
+	mean  []func() float64
 	meter gridfn.Meter
 }
 
@@ -205,9 +209,12 @@ func (t *Tables) extend(maxFac int, span *obs.Span) int {
 			built: make([]atomic.Int32, servers),
 			base:  make([]*gridfn.Spectrum, servers),
 			spec:  make([][]*gridfn.Spectrum, servers),
+			eff:   make([]dist.Dist, servers),
+			mean:  make([]func() float64, servers),
 		}
 		for k := range c.pre {
 			eff := dist.NewMinOfK(t.model.Service[k], have+1+i)
+			c.eff[k], c.mean[k] = eff, sync.OnceValue(eff.Mean)
 			c.base[k] = gridfn.FromCDF(eff.CDF, t.dx, t.n).Spectrum()
 			c.pre[k] = make([]*gridfn.Lattice, t.maxQueue[k]+1)
 			c.pre[k][0] = gridfn.PointMass(0, t.dx, t.n)

@@ -17,6 +17,7 @@ package ingest
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -170,28 +171,71 @@ func (a *Aggregator) checkServers(ev *trace.Event) error {
 // a ErrChannelLimit/ErrTenantLimit capacity drop — leaves the
 // aggregator untouched: no tenant or channel state is created for an
 // event that does not land.
-func (a *Aggregator) Observe(tenant string, ev trace.Event) error { return observe(a, tenant, ev) }
+func (a *Aggregator) Observe(tenant string, ev trace.Event) error {
+	var t tally
+	fold(a, tenant, []trace.Event{ev}, a.cfg.Now(), &t)
+	return t.first
+}
 
-// observe is Observe for a tenant name held as a string or as bytes
-// borrowed from a wire buffer. The lookup m[string(b)] copies nothing;
-// the name is copied once, into the map key, when a tenant is new.
-func observe[S string | []byte](a *Aggregator, tenant S, ev trace.Event) error {
+// tally is what a stretch of observations came to: how many landed, how
+// many were refused at a capacity bound (drops) or as malformed, and the
+// first refusal in line order.
+type tally struct {
+	accepted, drops, malformed int
+	first                      error
+}
+
+func (t *tally) reject(err error) {
+	if errors.Is(err, ErrChannelLimit) || errors.Is(err, ErrServerLimit) || errors.Is(err, ErrTenantLimit) {
+		t.drops++
+	} else {
+		t.malformed++
+	}
+	if t.first == nil {
+		t.first = err
+	}
+}
+
+// fold lands evs in order in tenant's active window as of now, under one
+// lock and one tenant lookup, telling t what became of each, as Observe
+// would one at a time. tenant is a string or bytes the caller may reuse:
+// the lookup m[string(b)] copies nothing, and the name is copied once,
+// into the map key, when a tenant is new.
+func fold[S string | []byte](a *Aggregator, tenant S, evs []trace.Event, now time.Time, t *tally) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ts := a.tenants[string(tenant)]
+	if ts != nil {
+		a.advance(ts, now)
+	}
+	fresh, landed := ts == nil, t.accepted
+	for i := range evs {
+		if err := a.land(&ts, &evs[i], now); err != nil {
+			t.reject(err)
+		} else {
+			t.accepted++
+		}
+	}
+	if fresh && t.accepted > landed {
+		a.tenants[string(tenant)] = ts
+	}
+}
+
+// land folds one event into the tenant state *tsp, which it creates if
+// *tsp is nil, and changes nothing else if it refuses the event. Called
+// with the lock held.
+func (a *Aggregator) land(tsp **tenantState, ev *trace.Event, now time.Time) error {
 	if ev.V == 0 {
 		ev.V = trace.Version
 	}
 	// AddEvent validates the event as it lands, once. A capacity refusal
 	// ahead of that yields to the event being invalid: malformed, not dropped.
 	drop := func(limit error) error { return cmp.Or(ev.Validate(), limit) }
-	if err := a.checkServers(&ev); err != nil {
+	if err := a.checkServers(ev); err != nil {
 		return drop(err)
 	}
-	now := a.cfg.Now()
-
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ts := a.tenants[string(tenant)]
-	fresh := ts == nil
-	if fresh {
+	ts := *tsp
+	if ts == nil {
 		if len(a.tenants) >= a.cfg.MaxTenants {
 			return drop(ErrTenantLimit)
 		}
@@ -200,9 +244,8 @@ func observe[S string | []byte](a *Aggregator, tenant S, ev trace.Event) error {
 			slotStart: now.Truncate(a.cfg.Window),
 			channels:  make(map[chanKey]*chanMeta),
 		}
+		*tsp = ts
 	}
-	a.advance(ts, now)
-
 	key := chanKey{ev.Kind, -1}
 	if ev.Kind == trace.KindService || ev.Kind == trace.KindFailure {
 		key.server = ev.Server
@@ -215,7 +258,7 @@ func observe[S string | []byte](a *Aggregator, tenant S, ev trace.Event) error {
 	if slot == nil {
 		slot = fit.NewStatsSet(0, a.cfg.Buckets)
 	}
-	if err := slot.AddEvent(ev); err != nil {
+	if err := slot.AddEvent(*ev); err != nil {
 		return err
 	}
 	// The observation landed: commit the bookkeeping.
@@ -231,9 +274,6 @@ func observe[S string | []byte](a *Aggregator, tenant S, ev trace.Event) error {
 	}
 	ts.events++
 	ts.last = now
-	if fresh {
-		a.tenants[string(tenant)] = ts
-	}
 	return nil
 }
 

@@ -46,10 +46,16 @@ func ParseLine(line string) (tenant string, ev trace.Event, err error) { return 
 func parseLine[S string | []byte](line S) (tenant S, ev trace.Event, err error) {
 	var fields [3]S
 	n, start := 0, -1
-	for i, size := 0, 0; i < len(line); i += size {
-		var r rune
-		r, size = runeAt(line, i)
-		switch space := unicode.IsSpace(r); {
+	for i, size := 0, 1; i < len(line); i += size {
+		var space bool
+		if c := line[i]; c < utf8.RuneSelf {
+			space, size = asciiSpace[c], 1
+		} else {
+			var r rune
+			r, size = runeAt(line, i)
+			space = unicode.IsSpace(r)
+		}
+		switch {
 		case space && start >= 0:
 			if n < len(fields) {
 				fields[n] = line[start:i]
@@ -74,9 +80,9 @@ func parseLine[S string | []byte](line S) (tenant S, ev trace.Event, err error) 
 		return tenant, ev, fmt.Errorf("ingest: key %q is not tenant/channel", key)
 	}
 	name, channel := key[:slash], key[slash+1:]
-	for i, size := 0, 0; i < len(name); i += size {
-		var r rune
-		if r, size = runeAt(name, i); !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '-' || r == '_' || r == '.') {
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c >= utf8.RuneSelf || !asciiTenant[c] {
+			r, _ := runeAt(name, i)
 			return tenant, ev, fmt.Errorf("ingest: tenant %q has invalid character %q", name, r)
 		}
 	}
@@ -126,13 +132,23 @@ func parseLine[S string | []byte](line S) (tenant S, ev trace.Event, err error) 
 	return name, ev, nil
 }
 
-// runeAt decodes the rune starting at s[i], as ranging over a string
-// would, for either parseLine input. Ranging over string(b) itself would
-// copy a line longer than the compiler's 32-byte stack buffer.
-func runeAt[S string | []byte](s S, i int) (rune, int) {
-	if c := s[i]; c < utf8.RuneSelf {
-		return rune(c), 1
+// asciiSpace and asciiTenant mark the ASCII bytes that unicode.IsSpace
+// holds to be white space and that a tenant name may hold: parseLine
+// decodes a rune only at a byte beyond them.
+var asciiSpace, asciiTenant [utf8.RuneSelf]bool
+
+func init() {
+	for c := range asciiSpace {
+		r := rune(c)
+		asciiSpace[c] = unicode.IsSpace(r)
+		asciiTenant[c] = r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '-' || r == '_' || r == '.'
 	}
+}
+
+// runeAt decodes the rune starting at the non-ASCII byte s[i], as ranging
+// over a string would, for either parseLine input. Ranging over string(b)
+// itself would copy a line longer than the compiler's 32-byte stack buffer.
+func runeAt[S string | []byte](s S, i int) (rune, int) {
 	return utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 }
 

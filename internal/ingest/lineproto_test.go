@@ -253,18 +253,34 @@ func benchLines(n int) [][]byte {
 	return lines
 }
 
-// TestObserveLineAllocs is the per-line cost contract of DESIGN.md §11:
-// an accepted line-protocol line for a known tenant costs no allocation
-// from the datagram or scanner buffer to the sketch, and a request
-// costs no scan buffer.
+// observeLine sends one line down the wire path as a batch of its own,
+// JSONL events landing in tenant jsonl ("" = none), and returns the
+// line's refusal.
+func observeLine(srv *Server, line []byte, jsonl string) error {
+	b := srv.newBatch([]byte(jsonl))
+	b.line(line)
+	b.done()
+	return b.first
+}
+
+// TestObserveLineAllocs is the cost contract of DESIGN.md §11: an
+// accepted line-protocol line for a known tenant costs no allocation from
+// the datagram or scanner buffer to the sketch, and a request costs no
+// scan buffer.
 func TestObserveLineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	srv := NewServer(New(Config{}), nil, 0)
 	lines := benchLines(500)
 	observe := func() {
+		b := srv.newBatch(nil)
 		for _, l := range lines {
-			if err := srv.observeLine(l, ""); err != nil {
-				t.Fatal(err)
-			}
+			b.line(l)
+		}
+		b.done()
+		if b.first != nil || b.accepted != len(lines) {
+			t.Fatalf("accepted %d of %d lines: %v", b.accepted, len(lines), b.first)
 		}
 	}
 	observe() // the first pass creates the tenant, its window and channels
@@ -281,9 +297,6 @@ func TestObserveLineAllocs(t *testing.T) {
 		}
 	}
 	post()
-	if raceEnabled {
-		return // the scan buffer's pool drops some of what it is handed
-	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	const requests = 50
@@ -302,6 +315,9 @@ func TestObserveLineAllocs(t *testing.T) {
 // what Aggregator.Observe costs to create one from a string, plus
 // exactly one allocation — the map key, copied out of the buffer.
 func TestObserveLineNewTenantAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	const runs = 100 // AllocsPerRun calls once more, to warm up
 	lines := make([][]byte, runs+1)
 	names := make([]string, runs+1)
@@ -317,7 +333,7 @@ func TestObserveLineNewTenantAllocs(t *testing.T) {
 	srv, agg := NewServer(New(Config{}), nil, 0), New(Config{})
 	i, j := 0, 0
 	perLine := testing.AllocsPerRun(runs, func() {
-		if err := srv.observeLine(lines[i], ""); err != nil {
+		if err := observeLine(srv, lines[i], ""); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -354,15 +370,18 @@ func observedState(t *testing.T, agg *Aggregator) string {
 
 // TestObserveLineKeepsNoBuffer: the wire path parses a line in the
 // caller's buffer, which the caller reuses for the next datagram or
-// scan. Overwriting it after observeLine returns must leave the tenant
+// scan. Overwriting it after the line is folded must leave the tenant
 // list and every snapshot as they were — a map key borrowing the
-// buffer would rename its tenant.
+// buffer would rename its tenant. Within one batch the buffer is
+// overwritten by the next line while the run is pending, which a run
+// borrowing its tenant name would not survive either.
 func TestObserveLineKeepsNoBuffer(t *testing.T) {
 	srv := NewServer(New(Config{Now: newFakeClock().Now}), nil, 0)
 	buf := make([]byte, 0, 64)
-	for _, l := range []string{"acme/service.0 1.5", "fresh/service.1 2.5 c", "acme/transfer.0.1.4 3"} {
+	lines := []string{"acme/service.0 1.5", "acme/service.1 2", "fresh/service.1 2.5 c", "acme/transfer.0.1.4 3"}
+	for _, l := range lines {
 		buf = append(buf[:0], l...)
-		if err := srv.observeLine(buf, ""); err != nil {
+		if err := observeLine(srv, buf, ""); err != nil {
 			t.Fatal(err)
 		}
 		before := observedState(t, srv.agg)
@@ -374,9 +393,20 @@ func TestObserveLineKeepsNoBuffer(t *testing.T) {
 	if got := srv.agg.Tenants(); len(got) != 2 || got[0] != "acme" || got[1] != "fresh" {
 		t.Errorf("tenants %q", got)
 	}
+
+	batched := NewServer(New(Config{Now: newFakeClock().Now}), nil, 0)
+	b := batched.newBatch(nil)
+	for _, l := range lines {
+		buf = append(buf[:0], l...)
+		b.line(buf)
+	}
+	b.done()
+	if got, want := observedState(t, batched.agg), observedState(t, srv.agg); got != want {
+		t.Errorf("one batch over a reused buffer left\n%s\nline by line\n%s", got, want)
+	}
 }
 
-// FuzzObserveLine drives the whole per-line path, both formats mixed, on
+// FuzzObserveLine drives the whole wire path, both formats mixed, on
 // a server that already knows one tenant. Whatever the bytes: no panic;
 // overwriting the caller's buffer afterwards changes nothing the
 // aggregator shows; and an accepted line raises its tenant's snapshot
@@ -413,10 +443,10 @@ func FuzzObserveLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		line := bytes.TrimSpace([]byte(in))
 		if len(line) == 0 {
-			return // observeLine's callers skip blank lines
+			return // a blank line is skipped, not observed
 		}
 		srv := NewServer(New(Config{MaxServers: 8, Now: newFakeClock().Now}), nil, 0)
-		if err := srv.observeLine([]byte("acme/service.0 1"), ""); err != nil {
+		if err := observeLine(srv, []byte("acme/service.0 1"), ""); err != nil {
 			t.Fatal(err)
 		}
 		tenant := jsonlTenant
@@ -431,7 +461,7 @@ func FuzzObserveLine(f *testing.F) {
 			return snap.Events
 		}
 		n0 := events()
-		err := srv.observeLine(line, jsonlTenant)
+		err := observeLine(srv, line, jsonlTenant)
 		before := observedState(t, srv.agg)
 		for i := range line {
 			line[i] = 'X'
@@ -445,15 +475,20 @@ func FuzzObserveLine(f *testing.F) {
 	})
 }
 
+// BenchmarkObserveLine times one line of a long batch: its parse and its
+// share of a run's fold.
 func BenchmarkObserveLine(b *testing.B) {
 	srv := NewServer(New(Config{}), nil, 0)
 	lines := benchLines(500)
 	b.ReportAllocs()
 	b.ResetTimer()
+	batch := srv.newBatch(nil)
 	for i := 0; i < b.N; i++ {
-		if err := srv.observeLine(lines[i%len(lines)], ""); err != nil {
-			b.Fatal(err)
-		}
+		batch.line(lines[i%len(lines)])
+	}
+	batch.done()
+	if batch.first != nil {
+		b.Fatal(batch.first)
 	}
 }
 

@@ -39,8 +39,7 @@ var (
 
 // Server is the daemon's wire surface over one Aggregator: the HTTP
 // endpoints (POST /v1/ingest, GET /v1/snapshot, GET /healthz) and the
-// UDP datagram loop, both feeding the same parse → validate → observe
-// path.
+// UDP datagram loop, both feeding their lines through one batch path.
 type Server struct {
 	agg      *Aggregator
 	tracer   *obs.Tracer
@@ -77,43 +76,95 @@ func (s *Server) Register(mux *http.ServeMux) {
 // aggregated statistics stay snapshottable until the process exits.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// observeLine is the shared per-line path for UDP and HTTP: sniff the
-// format (JSONL trace.v1 events start with '{', everything else is the
-// line protocol), parse, validate, fold. defaultTenant applies to JSONL
-// events, which carry no tenant of their own. line is trimmed, not empty
-// and only borrowed: a line-protocol line is parsed in place and costs
-// no allocation for a known tenant, and one — the map key, copied out of
-// the buffer — for a new one.
-func (s *Server) observeLine(line []byte, defaultTenant string) error {
-	ingestLines.Inc()
+// runCap bounds a run: at about 100 ns a folded event, 512 events hold
+// the aggregator's lock for about 50 µs.
+const runCap = 512
+
+// run is a batch's pending stretch of consecutive events for one tenant.
+// It copies the tenant name into its own buffer, so it keeps no bytes of
+// the line they were parsed from.
+type run struct {
+	tenant []byte
+	events []trace.Event
+}
+
+var runs = sync.Pool{New: func() any { return &run{tenant: make([]byte, 0, 64), events: make([]trace.Event, 0, runCap)} }}
+
+// batch is the one path from wire bytes to the aggregator, for an HTTP
+// request and a UDP datagram alike. It parses each line outside the
+// aggregator's lock — sniffing the format: JSONL trace.v1 events start
+// with '{', everything else is the line protocol — and gathers
+// consecutive events of one tenant into a run, which it folds under one
+// lock and one clock reading when the tenant changes, the run is full, a
+// line is refused or the batch ends. Lines land in line order, and the
+// pending run is folded before a refusal is tallied, so the tally's first
+// refusal is the first in line order.
+type batch struct {
+	agg *Aggregator
+	// jsonl names the tenant JSONL events land in (?tenant=); an empty
+	// name refuses them, for they carry no tenant of their own.
+	jsonl []byte
+	run   *run
+	tally
+}
+
+func (s *Server) newBatch(jsonl []byte) batch {
+	return batch{agg: s.agg, jsonl: jsonl, run: runs.Get().(*run)}
+}
+
+var errNoTenant = errors.New("ingest: JSONL event without a tenant (set ?tenant= on /v1/ingest)")
+
+// line takes one line, which it only borrows: a line-protocol line is
+// parsed in place and its event joins the run. Blank lines are skipped.
+func (b *batch) line(line []byte) {
+	if line = bytes.TrimSpace(line); len(line) == 0 {
+		return
+	}
+	var tenant []byte
+	var ev trace.Event
 	var err error
 	switch {
 	case line[0] != '{':
-		tenant, ev, perr := parseLine(line)
-		if err = perr; err == nil {
-			err = observe(s.agg, tenant, ev)
-		}
-	case defaultTenant == "":
-		err = fmt.Errorf("ingest: JSONL event without a tenant (set ?tenant= on /v1/ingest)")
+		tenant, ev, err = parseLine(line)
+	case len(b.jsonl) == 0:
+		err = errNoTenant
 	default:
-		ev, derr := decodeJSONL(line)
-		if err = derr; err == nil {
-			err = s.agg.Observe(defaultTenant, ev)
-		}
+		tenant = b.jsonl
+		ev, err = decodeJSONL(line)
 	}
-	switch {
-	case err == nil:
-		ingestEvents.Inc()
-	case errors.Is(err, ErrChannelLimit) || errors.Is(err, ErrServerLimit) || errors.Is(err, ErrTenantLimit):
-		ingestDrops.Inc()
-	default:
-		ingestParseErrors.Inc()
+	if err != nil {
+		b.flush()
+		b.reject(err)
+		return
 	}
-	return err
+	if len(b.run.events) == runCap || !bytes.Equal(tenant, b.run.tenant) {
+		b.flush()
+		b.run.tenant = append(b.run.tenant[:0], tenant...)
+	}
+	b.run.events = append(b.run.events, ev)
+}
+
+// flush folds the pending run.
+func (b *batch) flush() {
+	if len(b.run.events) > 0 {
+		fold(b.agg, b.run.tenant, b.run.events, b.agg.cfg.Now(), &b.tally)
+		b.run.events = b.run.events[:0]
+	}
+}
+
+// done folds what is pending, returns the run to its pool and publishes
+// the batch's counters.
+func (b *batch) done() {
+	b.flush()
+	runs.Put(b.run)
+	ingestLines.Add(uint64(b.accepted + b.drops + b.malformed))
+	ingestEvents.Add(uint64(b.accepted))
+	ingestParseErrors.Add(uint64(b.malformed))
+	ingestDrops.Add(uint64(b.drops))
 }
 
 // decodeJSONL decodes one trace.v1 event. Unmarshal makes its target
-// escape, hence apart from observeLine, whose event stays on the stack.
+// escape, hence apart from batch.line, whose event stays on the stack.
 func decodeJSONL(line []byte) (ev trace.Event, err error) {
 	if err = json.Unmarshal(line, &ev); err != nil {
 		err = fmt.Errorf("ingest: bad JSONL event: %w", err)
@@ -140,9 +191,10 @@ var scanBufs = sync.Pool{New: func() any { return new([64 * 1024]byte) }}
 // line-protocol lines and/or trace.v1 JSONL events, freely mixed.
 // ?tenant= names the tenant JSONL events (which carry none) land in.
 //
-// Ingestion is at-least-once: lines are folded into the aggregator as
-// they are scanned, so when a batch fails mid-stream (a line over the
-// 1 MiB limit, a body over -max-body) the lines already applied stay
+// Ingestion is at-least-once: lines are folded into the aggregator run
+// by run as they are scanned, and the pending run is folded before any
+// error is reported, so when a batch fails mid-stream (a line over the
+// 1 MiB limit, a body over -max-body) the lines scanned before it stay
 // applied. The error response carries the accepted/rejected counts so
 // a retrying emitter can resume after `accepted` lines instead of
 // re-sending (and double-counting) the whole batch.
@@ -152,25 +204,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	defaultTenant := r.URL.Query().Get("tenant")
-	var resp IngestResponse
+	b := s.newBatch([]byte(r.URL.Query().Get("tenant")))
 	buf := scanBufs.Get().(*[64 * 1024]byte)
 	defer scanBufs.Put(buf)
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.maxBody))
 	sc.Buffer(buf[:], 1<<20)
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if err := s.observeLine(line, defaultTenant); err != nil {
-			resp.Rejected++
-			if resp.Error == "" {
-				resp.Error = err.Error()
-			}
-			continue
-		}
-		resp.Accepted++
+		b.line(sc.Bytes())
+	}
+	b.done()
+	resp := IngestResponse{Accepted: b.accepted, Rejected: b.drops + b.malformed}
+	if b.first != nil {
+		resp.Error = b.first.Error()
 	}
 	if err := sc.Err(); err != nil {
 		code := http.StatusBadRequest
@@ -250,16 +295,21 @@ func (s *Server) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 			}
 			return fmt.Errorf("ingest: udp read: %w", err)
 		}
-		ingestDatagrams.Inc()
-		for line, rest := []byte(nil), buf[:n]; len(rest) > 0; {
-			line, rest, _ = bytes.Cut(rest, []byte("\n"))
-			// Datagram emitters get no response channel; errors surface
-			// only through the parse-error and drop counters.
-			if line = bytes.TrimSpace(line); len(line) > 0 {
-				_ = s.observeLine(line, "")
-			}
-		}
+		s.datagram(buf[:n])
 	}
+}
+
+// datagram folds one datagram's lines. Datagram emitters get no response
+// channel; refusals surface only through the parse-error and drop
+// counters.
+func (s *Server) datagram(p []byte) {
+	ingestDatagrams.Inc()
+	b := s.newBatch(nil)
+	for line, rest := []byte(nil), p; len(rest) > 0; {
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		b.line(line)
+	}
+	b.done()
 }
 
 // RunSweeper runs the maintenance sweep on a ticker until ctx is
