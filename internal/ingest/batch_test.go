@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dtr/internal/obs"
 	"dtr/internal/trace"
@@ -140,6 +141,37 @@ func TestBatchRunsMatchSingleLines(t *testing.T) {
 	sameAsSingleLines(t, string(long))
 	acme := bytes.ReplaceAll(long, []byte("t0000001"), []byte("acme"))
 	sameAsSingleLines(t, string(bytes.ReplaceAll(acme, []byte(".5"), []byte(".5\n{\"v\":1,\"kind\":\"service\",\"server\":1,\"value\":0.5}"))))
+}
+
+// TestRunStampedAtFirstLine: a run lands in the window of its first
+// line, not in the one its fold happens in. The clock crosses a window
+// boundary between two lines of one run; once that first window expires,
+// both lines are gone from the snapshot.
+func TestRunStampedAtFirstLine(t *testing.T) {
+	clk := newFakeClock()
+	srv := NewServer(New(Config{Window: time.Minute, Windows: 2, Buckets: 64, Now: clk.Now}), nil, 0)
+	b := srv.newBatch(nil)
+	b.line([]byte("acme/service.0 1"))
+	clk.Advance(time.Minute)
+	b.line([]byte("acme/service.0 2"))
+	b.done()
+	service := func() uint64 {
+		snap, err := srv.agg.Snapshot("acme")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Stats.Servers == 0 {
+			return 0
+		}
+		return snap.Stats.Service[0].N
+	}
+	if n := service(); n != 2 {
+		t.Fatalf("both lines landed: n = %d, want 2", n)
+	}
+	clk.Advance(time.Minute)
+	if n := service(); n != 0 {
+		t.Errorf("the first line's window expired, yet n = %d of the run's 2 lines remain", n)
+	}
 }
 
 // postBody posts one body straight into the handler and requires every

@@ -143,24 +143,27 @@ var (
 	ErrTenantLimit = fmt.Errorf("ingest: tenant limit reached")
 )
 
-// checkServers bounds the server indices an event may name — the
-// ingest-side analogue of the trace reader's checkRange, against the
-// configured cap rather than a meta event. Without it, StatsSet.Grow
-// would allocate sketches for every index up to the one named.
+// checkServers defaults ev's version and bounds the server indices it
+// may name — the ingest-side analogue of the trace reader's checkRange,
+// against the configured cap. Without it, StatsSet.Grow would allocate
+// sketches for every index up to the one named. An invalid event is
+// malformed, not dropped. It reads only cfg: callers run it unlocked.
 func (a *Aggregator) checkServers(ev *trace.Event) error {
-	n := a.cfg.MaxServers
-	switch ev.Kind {
+	if ev.V == 0 {
+		ev.V = trace.Version
+	}
+	switch n := a.cfg.MaxServers; ev.Kind {
 	case trace.KindMeta:
 		if ev.Servers > n {
-			return fmt.Errorf("%w: meta event for %d servers (max %d)", ErrServerLimit, ev.Servers, n)
+			return cmp.Or(ev.Validate(), fmt.Errorf("%w: meta event for %d servers (max %d)", ErrServerLimit, ev.Servers, n))
 		}
 	case trace.KindService, trace.KindFailure:
 		if ev.Server >= n {
-			return fmt.Errorf("%w: %s event for server %d (max index %d)", ErrServerLimit, ev.Kind, ev.Server, n-1)
+			return cmp.Or(ev.Validate(), fmt.Errorf("%w: %s event for server %d (max index %d)", ErrServerLimit, ev.Kind, ev.Server, n-1))
 		}
 	case trace.KindTransfer, trace.KindFN:
 		if ev.Src >= n || ev.Dst >= n {
-			return fmt.Errorf("%w: %s event %d→%d (max index %d)", ErrServerLimit, ev.Kind, ev.Src, ev.Dst, n-1)
+			return cmp.Or(ev.Validate(), fmt.Errorf("%w: %s event %d→%d (max index %d)", ErrServerLimit, ev.Kind, ev.Src, ev.Dst, n-1))
 		}
 	}
 	return nil
@@ -173,7 +176,9 @@ func (a *Aggregator) checkServers(ev *trace.Event) error {
 // event that does not land.
 func (a *Aggregator) Observe(tenant string, ev trace.Event) error {
 	var t tally
-	fold(a, tenant, []trace.Event{ev}, a.cfg.Now(), &t)
+	if t.first = a.checkServers(&ev); t.first == nil {
+		fold(a, tenant, []trace.Event{ev}, a.cfg.Now(), &t)
+	}
 	return t.first
 }
 
@@ -196,11 +201,11 @@ func (t *tally) reject(err error) {
 	}
 }
 
-// fold lands evs in order in tenant's active window as of now, under one
-// lock and one tenant lookup, telling t what became of each, as Observe
-// would one at a time. tenant is a string or bytes the caller may reuse:
-// the lookup m[string(b)] copies nothing, and the name is copied once,
-// into the map key, when a tenant is new.
+// fold lands evs, which passed checkServers, in order in tenant's active
+// window as of now, under one lock and one tenant lookup, telling t what
+// became of each, as Observe would one at a time. tenant is a string or
+// bytes the caller may reuse: the lookup m[string(b)] copies nothing, and
+// the name is copied once, into the map key, when a tenant is new.
 func fold[S string | []byte](a *Aggregator, tenant S, evs []trace.Event, now time.Time, t *tally) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -225,15 +230,9 @@ func fold[S string | []byte](a *Aggregator, tenant S, evs []trace.Event, now tim
 // *tsp is nil, and changes nothing else if it refuses the event. Called
 // with the lock held.
 func (a *Aggregator) land(tsp **tenantState, ev *trace.Event, now time.Time) error {
-	if ev.V == 0 {
-		ev.V = trace.Version
-	}
 	// AddEvent validates the event as it lands, once. A capacity refusal
 	// ahead of that yields to the event being invalid: malformed, not dropped.
 	drop := func(limit error) error { return cmp.Or(ev.Validate(), limit) }
-	if err := a.checkServers(ev); err != nil {
-		return drop(err)
-	}
 	ts := *tsp
 	if ts == nil {
 		if len(a.tenants) >= a.cfg.MaxTenants {

@@ -80,24 +80,25 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // the aggregator's lock for about 50 µs.
 const runCap = 512
 
-// run is a batch's pending stretch of consecutive events for one tenant.
-// It copies the tenant name into its own buffer, so it keeps no bytes of
-// the line they were parsed from.
+// run is a batch's pending stretch of consecutive events for one tenant,
+// as of the clock reading its first event took. It copies the tenant
+// name into its own buffer: it keeps no bytes of the lines parsed.
 type run struct {
 	tenant []byte
 	events []trace.Event
+	now    time.Time
 }
 
 var runs = sync.Pool{New: func() any { return &run{tenant: make([]byte, 0, 64), events: make([]trace.Event, 0, runCap)} }}
 
 // batch is the one path from wire bytes to the aggregator, for an HTTP
-// request and a UDP datagram alike. It parses each line outside the
-// aggregator's lock — sniffing the format: JSONL trace.v1 events start
-// with '{', everything else is the line protocol — and gathers
-// consecutive events of one tenant into a run, which it folds under one
-// lock and one clock reading when the tenant changes, the run is full, a
-// line is refused or the batch ends. Lines land in line order, and the
-// pending run is folded before a refusal is tallied, so the tally's first
+// request and a UDP datagram alike. It parses and checks each line
+// outside the aggregator's lock — sniffing the format: JSONL trace.v1
+// events start with '{', everything else is the line protocol — and
+// gathers consecutive events of one tenant into a run, which it folds
+// under one lock when the tenant changes, the run is full, a line is
+// refused or the batch ends. Lines land in line order, and the pending
+// run is folded before a refusal is tallied, so the tally's first
 // refusal is the first in line order.
 type batch struct {
 	agg *Aggregator
@@ -132,14 +133,18 @@ func (b *batch) line(line []byte) {
 		tenant = b.jsonl
 		ev, err = decodeJSONL(line)
 	}
+	if err == nil {
+		err = b.agg.checkServers(&ev)
+	}
 	if err != nil {
 		b.flush()
 		b.reject(err)
 		return
 	}
-	if len(b.run.events) == runCap || !bytes.Equal(tenant, b.run.tenant) {
+	if n := len(b.run.events); n == 0 || n == runCap || !bytes.Equal(tenant, b.run.tenant) {
 		b.flush()
 		b.run.tenant = append(b.run.tenant[:0], tenant...)
+		b.run.now = b.agg.cfg.Now()
 	}
 	b.run.events = append(b.run.events, ev)
 }
@@ -147,7 +152,7 @@ func (b *batch) line(line []byte) {
 // flush folds the pending run.
 func (b *batch) flush() {
 	if len(b.run.events) > 0 {
-		fold(b.agg, b.run.tenant, b.run.events, b.agg.cfg.Now(), &b.tally)
+		fold(b.agg, b.run.tenant, b.run.events, b.run.now, &b.tally)
 		b.run.events = b.run.events[:0]
 	}
 }
@@ -192,12 +197,13 @@ var scanBufs = sync.Pool{New: func() any { return new([64 * 1024]byte) }}
 // ?tenant= names the tenant JSONL events (which carry none) land in.
 //
 // Ingestion is at-least-once: lines are folded into the aggregator run
-// by run as they are scanned, and the pending run is folded before any
-// error is reported, so when a batch fails mid-stream (a line over the
-// 1 MiB limit, a body over -max-body) the lines scanned before it stay
-// applied. The error response carries the accepted/rejected counts so
-// a retrying emitter can resume after `accepted` lines instead of
-// re-sending (and double-counting) the whole batch.
+// by run as they are scanned, each run in the window of its first line
+// (a streamed body shows run by run, not line by line), and the pending
+// run is folded before any error is reported, so when a batch fails
+// mid-stream (a line over the 1 MiB limit, a body over -max-body) the
+// lines scanned before it stay applied. The error response carries the
+// accepted/rejected counts so a retrying emitter can resume after
+// `accepted` lines instead of re-sending (and double-counting) the batch.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

@@ -36,21 +36,8 @@ echo "cluster-smoke: building dtrserved + http helper"
 $GO build -o "$bin" ./cmd/dtrserved
 $GO build -o "$workdir/httpreq" ./scripts/httpreq
 
-get() { # url
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "$1"
-    else
-        "$workdir/httpreq" "$1"
-    fi
-}
-
-post() { # url body-file
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf -X POST -H 'Content-Type: application/json' --data-binary @"$2" "$1"
-    else
-        "$workdir/httpreq" "$1" "$2"
-    fi
-}
+get() { "$workdir/httpreq" "$1"; }       # url
+post() { "$workdir/httpreq" "$1" "$2"; } # url body-file
 
 metric() { # port name -> value (0 when absent)
     get "http://127.0.0.1:$1/metrics" | awk -v m="$2" '$1==m{v=$2} END{print v+0}'

@@ -1,7 +1,7 @@
-// Command httpreq is a minimal curl stand-in for scripts on hosts
-// without curl: GET a URL, or POST it a JSON body when one is named (a
-// file, or - for stdin); copy the response body to stdout, exit non-zero
-// on transport errors or non-2xx statuses.
+// Command httpreq is the smoke scripts' one HTTP client, so they need
+// nothing beyond the go toolchain: GET a URL, or POST it a JSON body when
+// one is named (a file, or - for stdin); copy the response body to stdout,
+// exit non-zero on transport errors or non-2xx statuses.
 //
 //	go run ./scripts/httpreq http://127.0.0.1:8080/metrics
 //	go run ./scripts/httpreq http://127.0.0.1:8080/v1/optimize req.json

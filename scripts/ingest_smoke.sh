@@ -53,12 +53,7 @@ $GO run ./cmd/dtrplan -model "$specfile" metrics -policy "$policy" \
     | tee "$workdir/metrics.log"
 grep -q "mean" "$workdir/metrics.log"
 
-scrape="$workdir/metrics"
-if command -v curl >/dev/null 2>&1; then
-    curl -sf "http://$addr/metrics" >"$scrape"
-else
-    $GO run ./scripts/httpreq "http://$addr/metrics" >"$scrape"
-fi
+scrape
 grep -q '^dtr_ingest_events_total' "$scrape" || {
     echo "ingest-smoke: /metrics scrape missing dtr_ingest_events_total" >&2
     exit 1

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke test for cmd/dtrserved: boot the daemon on a random port, drive
-# one request per endpoint plus a /metrics scrape, and fail on any
-# non-2xx answer. Used by `make serve-smoke`.
+# one request per endpoint plus a /metrics scrape, fail on any non-2xx
+# answer, and check the span file -trace-out streamed. Used by
+# `make serve-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -9,6 +10,7 @@ workdir=$(mktemp -d)
 bin="$workdir/dtrserved"
 addrfile="$workdir/addr"
 logfile="$workdir/daemon.log"
+spans="$workdir/spans.jsonl"
 
 smoke=serve-smoke
 . scripts/smoke_lib.sh
@@ -16,7 +18,7 @@ smoke=serve-smoke
 echo "serve-smoke: building dtrserved"
 $GO build -o "$bin" ./cmd/dtrserved
 
-"$bin" -addr 127.0.0.1:0 -addr-file "$addrfile" >"$logfile" 2>&1 &
+"$bin" -addr 127.0.0.1:0 -addr-file "$addrfile" -trace-out "$spans" >"$logfile" 2>&1 &
 srv_pid=$!
 
 wait_published "$addrfile"
@@ -28,15 +30,7 @@ echo "serve-smoke: daemon on $addr"
 # then a Prometheus scrape.
 $GO run ./examples/serve -addr "$addr"
 
-scrape="$workdir/metrics"
-scrape_metrics() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "http://$addr/metrics" >"$scrape"
-    else
-        $GO run ./scripts/httpreq "http://$addr/metrics" >"$scrape"
-    fi
-}
-scrape_metrics
+scrape
 grep -q '^dtr_serve_requests_total' "$scrape" || {
     echo "serve-smoke: /metrics scrape missing dtr_serve_requests_total" >&2
     exit 1
@@ -52,23 +46,16 @@ grep -q '^dtr_serve_cache_hits_total' "$scrape" || {
 # and not one prefix chain built. A five-server bounds request, sent
 # twice, then takes an n-server model through the same tier: five chains
 # on each of its two sightings, the second retained and accounted.
-post() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf -X POST -H 'Content-Type: application/json' -d "$2" "http://$addr$1" >/dev/null
-    else
-        printf '%s' "$2" | $GO run ./scripts/httpreq "http://$addr$1" - >/dev/null
-    fi
-}
 counter() { awk -v name="$1" '$1 == name { print $2; found = 1 } END { if (!found) print 0 }' "$scrape"; }
 spec='{"servers":[{"queue":9,"service":{"type":"exponential","mean":4}},{"queue":5,"service":{"type":"exponential","mean":2}}],"transfer":{"type":"exponential","perTaskMean":1}}'
 post /v1/optimize "{\"spec\":$spec,\"grid\":512}"
 post /v1/metrics "{\"spec\":$spec,\"grid\":512,\"policy\":\"0>1:2\"}"
-scrape_metrics
+scrape
 builds_before=$(counter dtr_solver_builds_total)
 hits_before=$(counter dtr_serve_solver_cache_hits_total)
 post /v1/cdf "{\"spec\":$spec,\"grid\":512,\"policy\":\"0>1:2\",\"points\":5}"
 post /v1/bounds "{\"spec\":$spec,\"grid\":512,\"policy\":\"0>1:2\",\"deadline\":40}"
-scrape_metrics
+scrape
 builds_after=$(counter dtr_solver_builds_total)
 tier_hits=$(($(counter dtr_serve_solver_cache_hits_total) - hits_before))
 if [ "$tier_hits" -ne 2 ]; then
@@ -83,7 +70,7 @@ fleet='{"servers":[{"queue":6,"service":{"type":"exponential","mean":5}},{"queue
 bytes_before=$(counter dtr_serve_solver_cache_bytes)
 post /v1/bounds "{\"spec\":$fleet,\"grid\":512,\"policy\":\"0>4:2,1>4:2\"}"
 post /v1/bounds "{\"spec\":$fleet,\"grid\":512,\"policy\":\"0>4:2,1>4:2\",\"deadline\":40}"
-scrape_metrics
+scrape
 fleet_builds=$(($(counter dtr_solver_builds_total) - builds_after))
 bytes_after=$(counter dtr_serve_solver_cache_bytes)
 if [ "$fleet_builds" -ne 10 ] || ! awk -v a="$bytes_after" -v b="$bytes_before" 'BEGIN { exit !(a > b) }'; then
@@ -92,5 +79,16 @@ if [ "$fleet_builds" -ne 10 ] || ! awk -v a="$bytes_after" -v b="$bytes_before" 
 fi
 echo "serve-smoke: solver-table tier hit, $((builds_after + fleet_builds)) prefix chains built in total"
 
+# -trace-out: after the drain, one TraceRecord line per planning request
+# the daemon answered, each a /v1/ root, /v1/optimize among them.
+sent=$(awk '$1 ~ /^dtr_serve_requests_total[{]/ { n += $2 } END { print n + 0 }' "$scrape")
 drain_daemon
+lines=$(wc -l <"$spans")
+traced=$(grep -c '^{"v":1,"traceId":"[0-9a-f]\{32\}","name":"/v1/[a-z]*","start":' "$spans" || true)
+if [ "$sent" -lt 1 ] || [ "$lines" -ne "$sent" ] || [ "$traced" -ne "$sent" ] ||
+    ! grep -q '"name":"/v1/optimize","start":' "$spans"; then
+    echo "serve-smoke: -trace-out holds $lines lines, $traced of them /v1/ roots, for $sent requests" >&2
+    exit 1
+fi
+echo "serve-smoke: -trace-out streamed $sent request traces"
 echo "serve-smoke: OK"

@@ -1,9 +1,10 @@
-# Sourced by serve_smoke.sh, ingest_smoke.sh and load_smoke.sh: the
-# lifecycle of the one daemon each of them boots. The sourcing script
-# sets smoke (its log prefix, e.g. "serve-smoke"), workdir and logfile
-# first, starts the daemon in the background with its output in $logfile,
-# and records the pid in srv_pid. smoke_dump may name further files to
-# print beside the daemon log when the script fails.
+# Sourced by serve_smoke.sh and ingest_smoke.sh: the lifecycle of the
+# one daemon each of them boots, and how they talk to it. The sourcing
+# script sets GO, smoke (its log prefix, e.g. "serve-smoke"), workdir and
+# logfile first, starts the daemon in the background with its output in
+# $logfile, records the pid in srv_pid and its address in addr. smoke_dump
+# may name further files to print beside the daemon log when the script
+# fails.
 
 cleanup() {
     status=$?
@@ -52,3 +53,13 @@ drain_daemon() {
     fi
     srv_pid=""
 }
+
+# get PATH prints the daemon's answer to a GET, post PATH BODY sends BODY
+# as JSON and discards the answer, scrape saves /metrics in $scrape. All
+# go through scripts/httpreq, the smokes' one HTTP client, built once
+# here, and fail on a transport error or a non-2xx status.
+$GO build -o "$workdir/httpreq" ./scripts/httpreq
+get() { "$workdir/httpreq" "http://$addr$1"; }
+post() { printf '%s' "$2" | "$workdir/httpreq" "http://$addr$1" - >/dev/null; }
+scrape=$workdir/metrics
+scrape() { get /metrics >"$scrape"; }
