@@ -57,7 +57,8 @@ cluster-smoke:
 # PR that moved it on purpose. Raise the ceiling in the PR that needs the
 # lines, and say what they bought. It was lowered from 22 727 by deleting
 # the dtrserved load generator, its package and its report checker.
-LOC_CEILING = 22040
+# +146: the resumable simplex and the pruned shifted-gamma shift scan.
+LOC_CEILING = 22186
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

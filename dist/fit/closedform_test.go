@@ -117,7 +117,7 @@ func TestShiftScanSkipsCentreHarmlessly(t *testing.T) {
 		lo, bestLL := stat.Min(s.Obs), math.Inf(-1)
 		try := func(shift float64) {
 			if res, ok := residuals(s, shift); ok {
-				if g, ll, err := censoredGamma(res, nil); err == nil && ll > bestLL {
+				if g, ll, err := censoredGamma(res); err == nil && ll > bestLL {
 					bestLL, best = ll, dist.ShiftedGamma{Shift: shift, G: g}
 				}
 			}
@@ -289,17 +289,21 @@ func benchSet(tb testing.TB, perChannel int) *StatsSet {
 }
 
 // BenchmarkStatsSpec is the refit of one observe_refit cycle: every
-// family on three channels of 166 k observations each.
+// family on three channels of 166 k observations each. evals/op counts
+// the objective evaluations of every simplex search.
 func BenchmarkStatsSpec(b *testing.B) {
 	set := benchSet(b, 166_000)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec, _, err := set.Spec(Config{Queues: []int{50, 25}})
-		if err != nil || spec.Transfer.Type != "shifted-gamma" {
-			b.Fatalf("spec %+v, %v", spec, err)
+	evals := countEvals(func() {
+		for i := 0; i < b.N; i++ {
+			spec, _, err := set.Spec(Config{Queues: []int{50, 25}})
+			if err != nil || spec.Transfer.Type != "shifted-gamma" {
+				b.Fatalf("spec %+v, %v", spec, err)
+			}
 		}
-	}
+	})
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }
 
 // BenchmarkShiftedGammaCensored is the fitter a cycle spends its time
@@ -308,9 +312,12 @@ func BenchmarkShiftedGammaCensored(b *testing.B) {
 	sample := benchSet(b, 20_000).Transfer.Sample(0)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ShiftedGamma(sample); err != nil {
-			b.Fatal(err)
+	evals := countEvals(func() {
+		for i := 0; i < b.N; i++ {
+			if _, err := ShiftedGamma(sample); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }

@@ -151,10 +151,11 @@ func pinnedRows(t testing.TB) []pinnedFit {
 }
 
 // TestFitsPinned: the closed-form exact-part likelihoods, the shift scan
-// without its repeated centre and the walked pseudo-sample must leave
-// every fitted number where the parent's per-point loops put it — within
-// 1e-9 relative, and in practice bit for bit: the simplex path is decided
-// by comparisons the ≈1e-13 re-association of the sums does not flip.
+// without its repeated centre, the walked pseudo-sample and the pruned
+// shift scan must leave every fitted number where the parent's per-point
+// loops put it, bit for bit: the simplex path is decided by comparisons
+// the ≈1e-13 re-association of the sums does not flip, and the pruned
+// scan keeps the candidate solving every one in full would keep.
 func TestFitsPinned(t *testing.T) {
 	raw, err := os.ReadFile("testdata/fits_pinned.json")
 	if err != nil {
@@ -168,7 +169,6 @@ func TestFitsPinned(t *testing.T) {
 	if len(got) != len(want) || len(want) < 60 {
 		t.Fatalf("%d fits, %d pinned", len(got), len(want))
 	}
-	bitEqual := 0
 	for i, w := range want {
 		g := got[i]
 		if g.Sample != w.Sample || g.Source != w.Source || g.Family != w.Family || len(g.Values) != len(w.Values) {
@@ -178,13 +178,8 @@ func TestFitsPinned(t *testing.T) {
 		for j := range w.Params {
 			same = same && g.Params[j] == w.Params[j]
 		}
-		if same {
-			bitEqual++
-		}
-		for j, v := range w.Values {
-			if d := math.Abs(g.Values[j] - v); d > 1e-9*math.Abs(v) {
-				t.Errorf("%s/%s/%s value %d = %.17g, pinned %.17g", w.Sample, w.Source, w.Family, j, g.Values[j], v)
-			}
+		if !same {
+			t.Errorf("%s/%s/%s = %.17g, pinned %.17g", w.Sample, w.Source, w.Family, g.Values, w.Values)
 		}
 		if w.Family != FamilyShiftedGam || w.Source != "raw" {
 			continue
@@ -201,5 +196,4 @@ func TestFitsPinned(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d pinned fits reproduced bit for bit", bitEqual, len(want))
 }
