@@ -23,7 +23,7 @@ fmt:
 # The full suite under -race is slow (the solvers are CPU-bound); race
 # covers the packages that actually share state across goroutines.
 race:
-	$(GO) test -race -timeout 30m ./internal/obs ./internal/sim ./internal/des ./internal/testbed ./internal/par ./internal/fft ./internal/policy ./internal/direct ./internal/exper ./internal/serve ./internal/cluster ./internal/trace ./internal/adapt ./internal/ingest ./dist ./dist/fit ./modelspec
+	$(GO) test -race -timeout 30m . ./internal/obs ./internal/sim ./internal/des ./internal/testbed ./internal/par ./internal/fft ./internal/policy ./internal/direct ./internal/exper ./internal/serve ./internal/cluster ./internal/trace ./internal/adapt ./internal/ingest ./dist ./dist/fit ./modelspec
 
 # Boot dtrserved on a random port, drive every endpoint plus a /metrics
 # scrape, and verify a clean SIGTERM drain.
@@ -58,7 +58,9 @@ cluster-smoke:
 # lines, and say what they bought. It was lowered from 22 727 by deleting
 # the dtrserved load generator, its package and its report checker.
 # +146: the resumable simplex and the pruned shifted-gamma shift scan.
-LOC_CEILING = 22186
+# +166: the solver tier's weak-pointer adoption of a first build and the
+# sweep memo of direct.Tables (a plan_fanout session builds and sweeps once).
+LOC_CEILING = 22352
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -61,7 +61,7 @@ func run(args []string) error {
 	maxBody := fs.Int64("max-body", 1<<20, "request body size cap in bytes; beyond it requests get 413")
 	cacheSize := fs.Int("cache", 512, "result-cache entries (LRU; -1 disables caching)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "result-cache byte cap; evicts LRU entries beyond it (0 = entry count only)")
-	solverCacheBytes := fs.Int64("solver-cache-bytes", 0, "byte budget of the solver-table tier: prefix tables of models seen twice, shared across verbs (0 = 16 MiB, -1 disables)")
+	solverCacheBytes := fs.Int64("solver-cache-bytes", 0, "byte budget of the solver-table tier: prefix tables and policy sweeps of models seen twice (the second sighting adopts the first build while it is alive), shared across verbs (0 = 16 MiB, -1 disables)")
 	cacheSnap := fs.String("cache-snapshot", "", "snapshot the result cache to this file on drain and reload it on boot")
 	peers := fs.String("peers", "", "comma-separated base URLs of every fleet replica (self included) — enables cluster mode")
 	self := fs.String("self", "", "this replica's own base URL as it appears in -peers (required with -peers)")

@@ -42,7 +42,10 @@ type Diagnostics struct {
 	// TailMassMax is the worst combined finish-law tail mass (the
 	// probability truncated at the horizon) over the evaluated policies.
 	TailMassMax float64 `json:"tailMassMax"`
-	// Evaluations counts finish-pair constructions.
+	// Evaluations counts finish-pair constructions. A sweep served from
+	// the tables' memory (Solver.Sweep) counts, with its folds and
+	// maxima, as the finish pairs its answer rests on: the view reports
+	// what it would have had it run the sweep itself.
 	Evaluations uint64 `json:"evaluations"`
 	// MaxFactor is the largest replication factor with prefix tables,
 	// reported only when above 1 (the replication-enabled case) so

@@ -1,0 +1,85 @@
+package direct
+
+// sweepKey names one remembered sweep: the caller's key — what the
+// sweep searched — and the view's TailCorrect, the one view setting its
+// values depend on.
+type sweepKey struct {
+	key         any
+	tailCorrect bool
+}
+
+// swept is a remembered sweep: the caller's answer and the solve-phase
+// accumulators of the view that computed it.
+type swept struct {
+	val any
+	acc accum
+}
+
+// sweptBytes is what Tables.Bytes charges per remembered sweep: the map
+// slot, the boxed key and answer, and the accumulators.
+const sweptBytes = 256
+
+// accum is a snapshot of a view's solve-phase accumulators.
+type accum struct {
+	folds, evals            uint64
+	residual, negMass, tail float64
+}
+
+func (s *Solver) accum() accum {
+	return accum{s.folds.Load(), s.evalCount.Load(), s.residualMax.load(), s.negMassMax.load(), s.tailMax.load()}
+}
+
+// merge folds a's accumulators into the view's with the order-independent
+// reductions (sums and maxima), as if the view had made those folds and
+// evaluations itself.
+func (s *Solver) merge(a accum) {
+	s.folds.Add(a.folds)
+	s.evalCount.Add(a.evals)
+	s.residualMax.update(a.residual)
+	s.negMassMax.update(a.negMass)
+	s.tailMax.update(a.tail)
+}
+
+// Sweep returns run's answer for key — a comparable value naming a whole
+// policy sweep under the per-server factors fac — computing it at most
+// once per key on the view's tables. A factor outside the view's range
+// is not looked up: run gets the view itself, whose factor check fails
+// it, so no entry of a wider view answers a narrower one. Otherwise a
+// miss runs the sweep on a fresh view of the same chains and remembers
+// its answer with that view's accumulators; hit or miss, the accumulators
+// are merged into this view, so its Diagnostics are those of a view that
+// ran the sweep itself. run must be a pure function of the view it is
+// given. Concurrent misses on one key each compute; the first store
+// wins, as in freqOf. Errors are not remembered.
+func (s *Solver) Sweep(key any, fac [2]int, run func(*Solver) (any, error)) (val any, hit bool, err error) {
+	for _, f := range fac {
+		if f < 1 || f > len(s.chains) {
+			val, err = run(s)
+			return val, false, err
+		}
+	}
+	t, k := s.t, sweepKey{key, s.TailCorrect}
+	t.mu.RLock()
+	e, ok := t.sweeps[k]
+	t.mu.RUnlock()
+	if ok {
+		s.merge(e.acc)
+		return e.val, true, nil
+	}
+	fresh := &Solver{t: t, chains: s.chains, TailCorrect: s.TailCorrect, span: s.span}
+	val, err = run(fresh)
+	e = swept{val, fresh.accum()}
+	s.merge(e.acc)
+	if err != nil {
+		return nil, false, err
+	}
+	t.mu.Lock()
+	if have, ok := t.sweeps[k]; ok {
+		e = have
+	} else {
+		t.sweeps[k] = e
+		t.lazyBytes += sweptBytes
+	}
+	t.mu.Unlock()
+	return e.val, false, nil
+}

@@ -20,10 +20,10 @@ import (
 // (model, geometry, queue bound), is never mutated once published and
 // only ever grows, along two axes — factor chains are appended, and a
 // chain is folded forward to the longest queue anyone has read (see
-// prefix) — besides the cache slots filled, so any number of per-request
-// Solver views (see View) may share one Tables across goroutines, and
-// what a view computes does not depend on which other views exist or
-// what they evaluated first.
+// prefix) — besides the cache slots filled and the sweeps remembered, so
+// any number of per-request Solver views (see View) may share one Tables
+// across goroutines, and what a view computes does not depend on which
+// other views exist or what they evaluated first.
 type Tables struct {
 	model *core.Model
 	dx    float64
@@ -36,14 +36,16 @@ type Tables struct {
 	build sync.Mutex
 
 	// mu guards the chains slice header, every chain's spectrum slots,
-	// zCache and lazyBytes. Cached values (chains, spectra, transfer
+	// zCache, sweeps and lazyBytes. Cached values (chains, spectra, transfer
 	// lattices) are never mutated once published, so readers only need
 	// the lock for the slice/slot/map access itself.
 	mu     sync.RWMutex
 	chains []*chain // chains[f-1] holds replication factor f
 	zCache map[[3]int]transfer
-	// lazyBytes is the footprint of the spectra and transfer lattices
-	// filled so far (see Bytes).
+	// sweeps remembers whole policy sweeps (see Solver.Sweep).
+	sweeps map[sweepKey]swept
+	// lazyBytes is the footprint of the spectra, transfer lattices and
+	// remembered sweeps filled so far (see Bytes).
 	lazyBytes int64
 
 	// pool holds *scratch, one drawn per evaluation. It is a pointer, and
@@ -157,6 +159,7 @@ func NewTables(m *core.Model, cfg Config) (*Tables, error) {
 		n:        n,
 		maxQueue: maxQueue,
 		zCache:   make(map[[3]int]transfer),
+		sweeps:   make(map[sweepKey]swept),
 	}
 	t.pool = &sync.Pool{New: func() any { return newScratch(servers, dx, n) }}
 	t.extend(t.factorsFor(cfg.MaxFactor), cfg.Span)
@@ -284,8 +287,9 @@ func (t *Tables) View(maxFactor int, span *obs.Span) (v *Solver, built int) {
 
 // Bytes is the tables' accounted memory footprint: per chain the
 // per-task spectrum, the slot arrays and the prefix lattices folded so
-// far; the spectra and transfer lattices filled so far; and the probe
-// shadow once built. It grows as views read and evaluate.
+// far; the spectra, transfer lattices and remembered sweeps filled so
+// far; and the probe shadow once built. It grows as views read and
+// evaluate.
 func (t *Tables) Bytes() int64 {
 	lattice := int64(8 * t.n)
 	t.mu.RLock()

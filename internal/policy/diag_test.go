@@ -7,12 +7,13 @@ import (
 )
 
 // TestSweepDiagnostics: Optimize2 must fill the sweep diagnostics
-// without changing the search result.
+// without changing the search result. The two runs sweep separate
+// tables, so the second is a sweep and not the first read back.
 func TestSweepDiagnostics(t *testing.T) {
 	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
 	s := solver2(t, m, 40, 1<<12, 160)
 
-	plain, err := Optimize2(s, 24, 12, ObjMeanTime, Options2{})
+	plain, err := Optimize2(solver2(t, m, 40, 1<<12, 160), 24, 12, ObjMeanTime, Options2{})
 	if err != nil {
 		t.Fatal(err)
 	}

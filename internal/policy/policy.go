@@ -97,6 +97,15 @@ type Result2 struct {
 }
 
 // Options2 tunes the two-server search.
+//
+// A sweep on the canonical-scenario solver (Optimize2, each combination
+// of OptimizeRepl2) runs once per set of tables: they remember it under
+// the objective, the deadline (qos only), the factors, the workload,
+// Exhaustive and the view's TailCorrect, and a later identical sweep on
+// any view of them returns the same Result2 and Diag without evaluating
+// a point. That view's Diagnostics then report the finish pairs the
+// answer rests on, as if it had run the sweep. Workers and Span are not
+// part of the key: they never change the answer.
 type Options2 struct {
 	// Deadline is the QoS horizon TM (required for ObjQoS).
 	Deadline float64
@@ -168,7 +177,54 @@ func directEval(s *direct.Solver, m1, m2 int, obj Objective, deadline float64, f
 // Options2.Workers goroutines; see Options2.Workers for the
 // bit-identical-to-serial guarantee.
 func Optimize2(s *direct.Solver, m1, m2 int, obj Objective, opt Options2) (Result2, error) {
-	return optimize2(directEval(s, m1, m2, obj, opt.Deadline, s.DefaultFactors()), m1, m2, obj, opt)
+	return sweepDirect(s, m1, m2, obj, opt, s.DefaultFactors())
+}
+
+// sweepKey is what a sweep on the canonical-scenario solver searched,
+// the key direct.Solver.Sweep remembers it under. Only qos reads the
+// deadline, so mean and reliability sweeps key it as 0.
+type sweepKey struct {
+	obj        Objective
+	deadline   float64
+	fac        [2]int
+	m1, m2     int
+	exhaustive bool
+}
+
+// sweptDirect is a remembered sweep's answer.
+type sweptDirect struct {
+	res  Result2
+	diag SweepDiagnostics
+}
+
+// sweepDirect is the lattice sweep under the factors fac, once per set of
+// tables (see Options2); a sweep read back shows in the trace as an
+// "optimize2" span with memo=true.
+func sweepDirect(s *direct.Solver, m1, m2 int, obj Objective, opt Options2, fac [2]int) (Result2, error) {
+	key := sweepKey{obj: obj, fac: fac, m1: m1, m2: m2, exhaustive: opt.Exhaustive}
+	if obj == ObjQoS {
+		key.deadline = opt.Deadline
+	}
+	v, hit, err := s.Sweep(key, fac, func(v *direct.Solver) (any, error) {
+		var out sweptDirect
+		run := opt
+		run.Diag = &out.diag
+		var err error
+		out.res, err = optimize2(directEval(v, m1, m2, obj, opt.Deadline, fac), m1, m2, obj, run)
+		return out, err
+	})
+	if err != nil {
+		return Result2{}, err
+	}
+	out := v.(sweptDirect)
+	if hit {
+		opt.Span.Child("optimize2", "objective", obj.String(), "m1", m1, "m2", m2, "memo", true,
+			"evals", out.res.Evaluations, "coverage", out.diag.Coverage).End()
+	}
+	if opt.Diag != nil {
+		*opt.Diag = out.diag
+	}
+	return out.res, nil
 }
 
 // optimize2 is the search engine behind Optimize2, OptimizeRepl2 and

@@ -95,7 +95,7 @@ func OptimizeRepl2(s *direct.Solver, m1, m2 int, obj Objective, opt ReplOptions2
 				continue
 			}
 			fac := [2]int{f1, f2}
-			res, err := optimize2(directEval(s, m1, m2, obj, inner.Deadline, fac), m1, m2, obj, inner)
+			res, err := sweepDirect(s, m1, m2, obj, inner, fac)
 			if err != nil {
 				return ReplResult2{}, fmt.Errorf("policy: replication combo (%d, %d): %w", f1, f2, err)
 			}

@@ -58,7 +58,9 @@ func TestReplicationBeatsReallocationAlone(t *testing.T) {
 	m := stragglerModel2()
 	s := replSolver(t, m, 24, 3)
 
-	base, err := Optimize2(s, 14, 8, ObjMeanTime, Options2{})
+	// Separate tables, or the joint search's (1, 1) combination would
+	// read this sweep back instead of running it.
+	base, err := Optimize2(replSolver(t, m, 24, 3), 14, 8, ObjMeanTime, Options2{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +90,16 @@ func TestOptimizeRepl2FactorOneIdentity(t *testing.T) {
 	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
 	plain := solver2(t, m, 40, 1<<12, 160)
 	// Identical lattice config, replication tables added: the factor-1
-	// tables must be byte-identical to the factor-less build.
-	wide, err := direct.NewSolver(m, direct.Config{
-		N: 1 << 12, Horizon: 160, MaxQueue: [2]int{40, 40}, MaxFactor: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// tables must be byte-identical to the factor-less build. Each search
+	// gets its own tables, so none reads another's sweep back.
+	wide := func() *direct.Solver {
+		s, err := direct.NewSolver(m, direct.Config{
+			N: 1 << 12, Horizon: 160, MaxQueue: [2]int{40, 40}, MaxFactor: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 
 	want, err2 := Optimize2(plain, 24, 12, ObjMeanTime, Options2{})
@@ -102,7 +108,7 @@ func TestOptimizeRepl2FactorOneIdentity(t *testing.T) {
 	}
 	// The factor-1 tables of a MaxFactor-3 solver are byte-identical to a
 	// factor-less build, so plain Optimize2 on it reproduces the result…
-	onWide, err := Optimize2(wide, 24, 12, ObjMeanTime, Options2{})
+	onWide, err := Optimize2(wide(), 24, 12, ObjMeanTime, Options2{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +117,7 @@ func TestOptimizeRepl2FactorOneIdentity(t *testing.T) {
 	}
 	// …and so does the joint search when the factor cap disables it.
 	for _, maxFac := range []int{0, 1} {
-		res, err := OptimizeRepl2(wide, 24, 12, ObjMeanTime, ReplOptions2{MaxFactor: maxFac})
+		res, err := OptimizeRepl2(wide(), 24, 12, ObjMeanTime, ReplOptions2{MaxFactor: maxFac})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,14 +132,14 @@ func TestOptimizeRepl2FactorOneIdentity(t *testing.T) {
 
 // TestOptimizeRepl2DeterministicAcrossWorkers: the joint search is
 // bit-identical across worker counts and GOMAXPROCS — combos run
-// serially, and each inner sweep's reduction is order-fixed.
+// serially, and each inner sweep's reduction is order-fixed. Every run
+// sweeps fresh tables.
 func TestOptimizeRepl2DeterministicAcrossWorkers(t *testing.T) {
 	m := stragglerModel2()
-	s := replSolver(t, m, 20, 3)
 
 	run := func(workers int) ReplResult2 {
 		t.Helper()
-		res, err := OptimizeRepl2(s, 12, 6, ObjMeanTime, ReplOptions2{
+		res, err := OptimizeRepl2(replSolver(t, m, 20, 3), 12, 6, ObjMeanTime, ReplOptions2{
 			Options2:  Options2{Workers: workers},
 			MaxFactor: 3,
 		})
@@ -170,7 +176,7 @@ func TestOptimizeRepl2BudgetConstrains(t *testing.T) {
 		t.Fatal("unconstrained search should spend copies on the straggler scenario")
 	}
 	for budget := 1; budget <= spent; budget++ {
-		res, err := OptimizeRepl2(s, 12, 6, ObjMeanTime, ReplOptions2{MaxFactor: 3, Budget: budget})
+		res, err := OptimizeRepl2(replSolver(t, m, 20, 3), 12, 6, ObjMeanTime, ReplOptions2{MaxFactor: 3, Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +296,9 @@ func TestReplicatedPlanSimulationConfirms(t *testing.T) {
 	m := stragglerModel2()
 	s := replSolver(t, m, 24, 3)
 
-	base, err := Optimize2(s, 14, 8, ObjMeanTime, Options2{})
+	// Separate tables, or the joint search's (1, 1) combination would
+	// read this sweep back instead of running it.
+	base, err := Optimize2(replSolver(t, m, 24, 3), 14, 8, ObjMeanTime, Options2{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
+	"weak"
 
 	"dtr/internal/core"
 	"dtr/internal/direct"
@@ -16,7 +17,8 @@ import (
 const defaultSolverCacheBytes = 16 << 20
 
 // doorkeeperSize bounds the recently-seen model keys remembered for
-// admission (32 bytes each); a full doorkeeper starts over.
+// admission (32 bytes and a weak pointer each); a full doorkeeper starts
+// over.
 const doorkeeperSize = 1024
 
 // solverKey names a model's tables: SHA-256 over the canonical spec
@@ -33,13 +35,15 @@ type solverKey [sha256.Size]byte
 // diagnostics included — are the bytes an uncached service returns.
 //
 // Admission is on second sighting: the first request for a model builds
-// privately, exactly as a service without the tier, and leaves only its
-// key in a bounded doorkeeper; the second builds and retains. Traffic
-// that never repeats a model retains nothing. Retained entries are LRU
-// under a byte budget that charges the tables and their lazily filled
-// spectra, re-measured whenever a request returns its lease; an entry
-// in use is never evicted under its user, and one that alone exceeds
-// the budget is dropped as soon as it is idle.
+// privately, exactly as a service without the tier, and leaves in a
+// bounded doorkeeper only its key and a weak pointer to that build; the
+// second adopts the first build if the collector has not reclaimed it,
+// builds otherwise, and retains. A weak pointer keeps nothing alive, so
+// traffic that never repeats a model retains nothing. Retained entries
+// are LRU under a byte budget that charges the tables and their lazily
+// filled spectra, re-measured whenever a request returns its lease; an
+// entry in use is never evicted under its user, and one that alone
+// exceeds the budget is dropped as soon as it is idle.
 type solverCache struct {
 	budget int64
 	reg    *obs.Registry
@@ -48,7 +52,7 @@ type solverCache struct {
 	bytes int64
 	ll    *list.List // retained entries, front = most recently used
 	byKey map[solverKey]*solverEntry
-	seen  map[solverKey]struct{} // the doorkeeper
+	seen  map[solverKey]weak.Pointer[direct.Tables] // the doorkeeper
 }
 
 type solverEntry struct {
@@ -80,28 +84,30 @@ func newSolverCache(budget int64, reg *obs.Registry) *solverCache {
 		reg:    reg,
 		ll:     list.New(),
 		byKey:  make(map[solverKey]*solverEntry),
-		seen:   make(map[solverKey]struct{}),
+		seen:   make(map[solverKey]weak.Pointer[direct.Tables]),
 	}
 }
 
 // sighted records key in the doorkeeper and reports whether it was
-// already there. Caller holds mu.
-func (c *solverCache) sighted(key solverKey) bool {
-	if _, ok := c.seen[key]; ok {
-		return true
+// already there, with the weak pointer to its first build (nil until
+// that build is done). Caller holds mu.
+func (c *solverCache) sighted(key solverKey) (first weak.Pointer[direct.Tables], seen bool) {
+	if first, ok := c.seen[key]; ok {
+		return first, true
 	}
 	if len(c.seen) >= doorkeeperSize {
 		clear(c.seen)
 	}
-	c.seen[key] = struct{}{}
-	return false
+	c.seen[key] = first
+	return first, false
 }
 
 // acquire returns an entry holding the tables for key: a retained one
-// (hit), or the result of build — retained too when this is at least
-// the key's second sighting, private to the caller otherwise. The
-// caller must release a retained entry.
-func (c *solverCache) acquire(key solverKey, build func() (*direct.Tables, error)) (e *solverEntry, hit bool, err error) {
+// (hit), or — retained too when this is at least the key's second
+// sighting, private to the caller otherwise — the first sighting's build
+// if it is still alive (adopted), the result of build if not. The caller
+// must release a retained entry.
+func (c *solverCache) acquire(key solverKey, build func() (*direct.Tables, error)) (e *solverEntry, hit, adopted bool, err error) {
 	c.mu.Lock()
 	if e = c.byKey[key]; e != nil {
 		e.users++
@@ -109,34 +115,45 @@ func (c *solverCache) acquire(key solverKey, build func() (*direct.Tables, error
 		c.mu.Unlock()
 		<-e.ready
 		if e.err != nil {
-			return nil, false, e.err // the builder drops the entry, leases and all
+			return nil, false, false, e.err // the builder drops the entry, leases and all
 		}
 		c.reg.Counter("dtr_serve_solver_cache_hits_total").Add(1)
-		return e, true, nil
+		return e, true, false, nil
 	}
 	c.reg.Counter("dtr_serve_solver_cache_misses_total").Add(1)
-	if !c.sighted(key) {
+	first, seen := c.sighted(key)
+	if !seen {
 		c.mu.Unlock()
 		e = &solverEntry{key: key}
-		e.tables, err = build()
-		return e, false, err
+		if e.tables, err = build(); err == nil {
+			c.mu.Lock()
+			if _, ok := c.seen[key]; ok {
+				c.seen[key] = weak.Make(e.tables)
+			}
+			c.mu.Unlock()
+		}
+		return e, false, false, err
 	}
 	e = &solverEntry{key: key, retained: true, ready: make(chan struct{}), users: 1}
 	e.el = c.ll.PushFront(e)
 	c.byKey[key] = e
 	c.mu.Unlock()
 
-	e.tables, e.err = build()
+	if e.tables = first.Value(); e.tables != nil {
+		adopted = true
+	} else {
+		e.tables, e.err = build()
+	}
 	close(e.ready)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.err != nil {
 		c.drop(e)
-		return nil, false, e.err
+		return nil, false, false, e.err
 	}
 	c.reg.Counter("dtr_serve_solver_cache_admitted_total").Add(1)
 	c.settle(e)
-	return e, false, nil
+	return e, false, adopted, nil
 }
 
 // release returns one lease on e and re-measures it: the tables grew by
@@ -213,7 +230,7 @@ func (l *solverLease) solver(m *core.Model, cfg direct.Config) (*direct.Solver, 
 	var key solverKey
 	h.Sum(key[:0])
 
-	e, hit, err := l.cache.acquire(key, func() (*direct.Tables, error) {
+	e, hit, adopted, err := l.cache.acquire(key, func() (*direct.Tables, error) {
 		return direct.NewTables(m, cfg)
 	})
 	if err != nil {
@@ -229,6 +246,7 @@ func (l *solverLease) solver(m *core.Model, cfg direct.Config) (*direct.Solver, 
 	}
 	sp.SetAttr("hit", hit)
 	sp.SetAttr("admitted", e.retained && !hit)
+	sp.SetAttr("adopted", adopted)
 	sp.SetAttr("extended", extended)
 	sp.SetAttr("bytes", e.tables.Bytes())
 	return sv, nil

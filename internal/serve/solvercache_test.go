@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
+	"dtr/internal/direct"
 	"dtr/internal/obs"
 )
 
@@ -81,45 +84,59 @@ func TestSolverTierIsInvisible(t *testing.T) {
 	}
 }
 
+// holdFirstBuilds stops the collector for the rest of the test, so a
+// first sighting's private build is still there for the second to adopt.
+func holdFirstBuilds(t *testing.T) {
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+}
+
 // TestSolverTierBuildsOncePerModel plays one plan_fanout-shaped session
 // — eight result-cache misses on one model — and counts prefix chains
-// built: the factor-1 pair on the first sighting (private) and on the
-// second (retained), the factor-2 pair when the replicated optimize
-// extends the tables, and nothing else — bounds reads the model's tables
-// like every other verb. A three-server model then goes the same way:
-// one chain per server on each of its first two sightings, none after.
+// built and sweeps run: the factor-1 pair once, on the first sighting
+// (private), which the second adopts and retains; the factor-2 pair when
+// the replicated optimize extends the tables; and nothing else — bounds
+// reads the model's tables like every other verb. Four sweeps run: the
+// mean and qos optimizes and the replicated optimize's (1, 2) and (2, 1)
+// combinations; explain and the (1, 1) combination read the mean sweep
+// back. A three-server model then goes the same way: one chain per
+// server on its first sighting, none after.
 func TestSolverTierBuildsOncePerModel(t *testing.T) {
+	holdFirstBuilds(t)
 	_, reg, ts := newTestService(t, Config{Workers: 2})
 	_, _, bare := newTestService(t, Config{Workers: 2, CacheSize: -1, SolverCacheBytes: -1})
-	obs.SetDefault(reg) // direct's counters live on the process default
+	obs.SetDefault(reg) // direct's and policy's counters live on the process default
 	t.Cleanup(func() { obs.SetDefault(nil) })
 
 	session := []struct {
 		tierRequest
-		builds uint64
+		builds, sweeps uint64
 	}{
-		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256`)}, 2},
-		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "deadline": 40`)}, 2},
-		{tierRequest{"/v1/cdf", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "points": 5`)}, 0},
-		{tierRequest{"/v1/explain", reqBody(specJSON, `"grid": 256`)}, 0},
-		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:3", "deadline": 40`)}, 0},
-		{tierRequest{"/v1/bounds", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "deadline": 40`)}, 0},
-		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "objective": "qos", "deadline": 40`)}, 0},
-		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "replication": {"maxFactor": 2, "budget": 1}`)}, 2},
-		{tierRequest{"/v1/bounds", reqBody(multiSpecJSON, `"grid": 256, "policy": "0>2:2,1>2:1"`)}, 3},
-		{tierRequest{"/v1/metrics", reqBody(multiSpecJSON, `"grid": 256, "policy": "0>2:2"`)}, 3},
-		{tierRequest{"/v1/bounds", reqBody(multiSpecJSON, `"grid": 256, "policy": "0>2:2,1>2:1", "deadline": 40`)}, 0},
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256`)}, 2, 1},
+		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "deadline": 40`)}, 0, 0},
+		{tierRequest{"/v1/cdf", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "points": 5`)}, 0, 0},
+		{tierRequest{"/v1/explain", reqBody(specJSON, `"grid": 256`)}, 0, 0},
+		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:3", "deadline": 40`)}, 0, 0},
+		{tierRequest{"/v1/bounds", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "deadline": 40`)}, 0, 0},
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "objective": "qos", "deadline": 40`)}, 0, 1},
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "replication": {"maxFactor": 2, "budget": 1}`)}, 2, 2},
+		{tierRequest{"/v1/bounds", reqBody(multiSpecJSON, `"grid": 256, "policy": "0>2:2,1>2:1"`)}, 3, 0},
+		{tierRequest{"/v1/metrics", reqBody(multiSpecJSON, `"grid": 256, "policy": "0>2:2"`)}, 0, 0},
+		{tierRequest{"/v1/bounds", reqBody(multiSpecJSON, `"grid": 256, "policy": "0>2:2,1>2:1", "deadline": 40`)}, 0, 0},
 	}
-	builds := reg.Counter("dtr_solver_builds_total")
+	builds, sweeps := reg.Counter("dtr_solver_builds_total"), reg.Counter("dtr_policy_sweeps_total")
 	bytesBefore := 0.0
 	for i, step := range session {
 		if i == 8 {
 			bytesBefore = reg.Snapshot().Gauges["dtr_serve_solver_cache_bytes"]
 		}
-		before := builds.Value()
+		before, sweptBefore := builds.Value(), sweeps.Value()
 		got := mustPost(t, ts, step.tierRequest)
 		if built := builds.Value() - before; built != step.builds {
 			t.Errorf("request %d %s built %d prefix chains, want %d", i, step.path, built, step.builds)
+		}
+		if swept := sweeps.Value() - sweptBefore; swept != step.sweeps {
+			t.Errorf("request %d %s ran %d sweeps, want %d", i, step.path, swept, step.sweeps)
 		}
 		if want := mustPost(t, bare, step.tierRequest); !bytes.Equal(got, want) {
 			t.Errorf("request %d %s:\n  tiered: %s\n  bare:   %s", i, step.path, got, want)
@@ -152,8 +169,64 @@ func TestSolverTierBuildsOncePerModel(t *testing.T) {
 	}
 }
 
+// TestSolverTierRebuildsReclaimedFirstBuild: when the collector has
+// reclaimed a first sighting's private build, the second sighting builds
+// the chains again, retains them and answers the same bytes.
+func TestSolverTierRebuildsReclaimedFirstBuild(t *testing.T) {
+	svc, reg, ts := newTestService(t, Config{Workers: 2, CacheSize: -1})
+	_, _, bare := newTestService(t, Config{Workers: 2, CacheSize: -1, SolverCacheBytes: -1})
+	obs.SetDefault(reg)
+	t.Cleanup(func() { obs.SetDefault(nil) })
+	builds := reg.Counter("dtr_solver_builds_total")
+	rq := tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:2"`)}
+
+	mustPost(t, ts, rq)
+	svc.solvers.mu.Lock()
+	var first []*direct.Tables
+	for _, wp := range svc.solvers.seen {
+		first = append(first, wp.Value())
+	}
+	svc.solvers.mu.Unlock()
+	if len(first) != 1 || first[0] == nil {
+		t.Fatalf("the first sighting left %d doorkeeper entries, want one pointing at its build", len(first))
+	}
+	first = nil
+	for i := 0; i < 10 && firstBuildAlive(svc); i++ {
+		runtime.GC()
+	}
+	if firstBuildAlive(svc) {
+		t.Fatal("the first sighting's build survived ten collections: something still holds it")
+	}
+
+	before := builds.Value()
+	got := mustPost(t, ts, rq)
+	if built := builds.Value() - before; built != 2 {
+		t.Errorf("second sighting after a collection built %d prefix chains, want 2", built)
+	}
+	if want := mustPost(t, bare, rq); !bytes.Equal(got, want) {
+		t.Errorf("rebuilt tables answered\n  tiered: %s\n  bare:   %s", got, want)
+	}
+	if a := reg.Snapshot().Counters["dtr_serve_solver_cache_admitted_total"]; a != 1 {
+		t.Errorf("admitted %d entries, want 1", a)
+	}
+}
+
+// firstBuildAlive reports whether any doorkeeper entry still reaches its
+// first build.
+func firstBuildAlive(svc *Service) bool {
+	svc.solvers.mu.Lock()
+	defer svc.solvers.mu.Unlock()
+	for _, wp := range svc.solvers.seen {
+		if wp.Value() != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // TestSolverTierNeverRetainsDistinctModels: traffic that never repeats
-// a model leaves hashes in the doorkeeper and nothing else.
+// a model leaves hashes and weak pointers in the doorkeeper and nothing
+// else.
 func TestSolverTierNeverRetainsDistinctModels(t *testing.T) {
 	svc, reg, ts := newTestService(t, Config{Workers: 2})
 	for _, grid := range []string{"128", "256", "512"} {
@@ -296,19 +369,22 @@ func TestSolverTierChargesWhatIsRead(t *testing.T) {
 // carries a solver_cache span under solve saying what the tier did, a
 // solver_build span only when a prefix chain was started, and
 // prefix_fold spans exactly when it read a chain further than anyone
-// had.
+// had. The second sighting adopts the first's build, which already
+// folded what the metrics request reads; the replicated optimize reads
+// its (1, 1) combination back, an optimize2 span with memo=true.
 func TestSolverTierTrace(t *testing.T) {
+	holdFirstBuilds(t)
 	_, buf, ts := newTracedService(t, Config{Workers: 2})
 	steps := []struct {
 		tierRequest
-		hit, admitted, extended string
-		builds                  int
-		folds                   bool
+		hit, admitted, adopted, extended string
+		builds, memo                     int
+		folds                            bool
 	}{
-		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256`)}, "false", "false", "false", 1, true},
-		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:2"`)}, "false", "true", "false", 1, true},
-		{tierRequest{"/v1/cdf", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "points": 5`)}, "true", "false", "false", 0, false},
-		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "replication": {"maxFactor": 2}`)}, "true", "false", "true", 1, true},
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256`)}, "false", "false", "false", "false", 1, 0, true},
+		{tierRequest{"/v1/metrics", reqBody(specJSON, `"grid": 256, "policy": "0>1:2"`)}, "false", "true", "true", "false", 0, 0, false},
+		{tierRequest{"/v1/cdf", reqBody(specJSON, `"grid": 256, "policy": "0>1:2", "points": 5`)}, "true", "false", "false", "false", 0, 0, false},
+		{tierRequest{"/v1/optimize", reqBody(specJSON, `"grid": 256, "replication": {"maxFactor": 2}`)}, "true", "false", "false", "true", 1, 1, true},
 	}
 	for i, step := range steps {
 		buf.Reset()
@@ -319,7 +395,7 @@ func TestSolverTierTrace(t *testing.T) {
 		}
 		var solveID string
 		var tier *obs.SpanRecord
-		builds, folds := 0, 0
+		builds, folds, memo := 0, 0, 0
 		for j, sp := range rec.Spans {
 			switch sp.Name {
 			case "solve":
@@ -328,6 +404,10 @@ func TestSolverTierTrace(t *testing.T) {
 				tier = &rec.Spans[j]
 			case "solver_build":
 				builds++
+			case "optimize2":
+				if sp.Attrs["memo"] == "true" {
+					memo++
+				}
 			case "prefix_fold":
 				folds++
 				if a := sp.Attrs; a["server"] == "" || a["from"] == "" || a["to"] == "" {
@@ -338,11 +418,11 @@ func TestSolverTierTrace(t *testing.T) {
 		if tier == nil || tier.Parent != solveID {
 			t.Fatalf("request %d %s: no solver_cache span under solve: %+v", i, step.path, rec.Spans)
 		}
-		if a := tier.Attrs; a["hit"] != step.hit || a["admitted"] != step.admitted || a["extended"] != step.extended || a["bytes"] == "" || a["bytes"] == "0" {
-			t.Errorf("request %d %s: solver_cache attrs %v, want hit=%s admitted=%s extended=%s and bytes", i, step.path, a, step.hit, step.admitted, step.extended)
+		if a := tier.Attrs; a["hit"] != step.hit || a["admitted"] != step.admitted || a["adopted"] != step.adopted || a["extended"] != step.extended || a["bytes"] == "" || a["bytes"] == "0" {
+			t.Errorf("request %d %s: solver_cache attrs %v, want hit=%s admitted=%s adopted=%s extended=%s and bytes", i, step.path, a, step.hit, step.admitted, step.adopted, step.extended)
 		}
-		if builds != step.builds || (folds > 0) != step.folds {
-			t.Errorf("request %d %s: %d solver_build and %d prefix_fold spans, want %d and folds=%v", i, step.path, builds, folds, step.builds, step.folds)
+		if builds != step.builds || memo != step.memo || (folds > 0) != step.folds {
+			t.Errorf("request %d %s: %d solver_build, %d memo optimize2 and %d prefix_fold spans, want %d, %d and folds=%v", i, step.path, builds, memo, folds, step.builds, step.memo, step.folds)
 		}
 	}
 }
