@@ -1,5 +1,6 @@
-# Development targets for the dtr reproduction. Everything is pure Go
-# (stdlib only); the go toolchain is the sole dependency.
+# Development targets for the dtr reproduction. Everything is Go and Go
+# assembly (internal/fft's amd64 kernels), stdlib only; the go toolchain
+# is the sole dependency.
 
 GO ?= go
 
@@ -52,7 +53,8 @@ cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
 # Non-test Go lines, the two figures ROADMAP aim 2 tracks (everything, and
-# everything outside the benchmark's own code), printed into every CI log.
+# everything outside the benchmark's own code), printed into every CI log,
+# and the Go assembly lines beside them (not gated).
 # The second is gated: it fails above LOC_CEILING, the figure of the last
 # PR that moved it on purpose. Raise the ceiling in the PR that needs the
 # lines, and say what they bought. It was lowered from 22 727 by deleting
@@ -60,11 +62,16 @@ cluster-smoke:
 # +146: the resumable simplex and the pruned shifted-gamma shift scan.
 # +166: the solver tier's weak-pointer adoption of a first build and the
 # sweep memo of direct.Tables (a plan_fanout session builds and sweeps once).
-LOC_CEILING = 22352
+# +166: internal/fft's two kernel sets (the Go passes split out beside
+# their AVX2 declarations and the CPUID check) and the fused
+# transform–multiply–invert fold with its packed-output walk in gridfn.
+LOC_CEILING = 22518
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \
-	echo "  outside bench/: $$n (ceiling $(LOC_CEILING))"; [ $$n -le $(LOC_CEILING) ]
+	echo "  outside bench/: $$n (ceiling $(LOC_CEILING))"; \
+	git ls-files '*.s' | xargs cat | wc -l | xargs echo "non-test Go assembly lines (not gated):"; \
+	[ $$n -le $(LOC_CEILING) ]
 
 # Every package's micro-benchmarks, one iteration each, with allocation
 # columns: internal/sim's BenchmarkEstimate2000 is one `simulate` request,

@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// eachKernelB runs f as one sub-benchmark per kernel set, "go" and
+// "avx2", so `make bench` records both.
+func eachKernelB(b *testing.B, f func(b *testing.B)) {
+	for _, nk := range kernels() {
+		b.Run(nk.name, func(b *testing.B) {
+			nk.use(b)
+			f(b)
+		})
+	}
+}
+
 func benchConv(b *testing.B, n int) {
 	r := rand.New(rand.NewPCG(1, 2))
 	x := make([]float64, n)
@@ -13,10 +24,11 @@ func benchConv(b *testing.B, n int) {
 		x[i] = r.Float64()
 		y[i] = r.Float64()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Convolve(x, y)
-	}
+	eachKernelB(b, func(b *testing.B) {
+		for b.Loop() {
+			Convolve(x, y)
+		}
+	})
 }
 
 func BenchmarkConvolve1k(b *testing.B)  { benchConv(b, 1<<10) }
@@ -32,11 +44,12 @@ func BenchmarkForward4k(b *testing.B) {
 		src[i] = complex(float64(i%7), 0)
 	}
 	a := make([]complex128, len(src))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(a, src)
-		Forward(a)
-	}
+	eachKernelB(b, func(b *testing.B) {
+		for b.Loop() {
+			copy(a, src)
+			Forward(a)
+		}
+	})
 }
 
 func BenchmarkRealForward4k(b *testing.B) {
@@ -45,22 +58,26 @@ func BenchmarkRealForward4k(b *testing.B) {
 		x[i] = float64(i % 7)
 	}
 	spec := make([]complex128, 1<<11+1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RealForward(spec, x)
-	}
+	eachKernelB(b, func(b *testing.B) {
+		for b.Loop() {
+			RealForward(spec, x)
+		}
+	})
 }
 
-func BenchmarkRealInverse4k(b *testing.B) {
-	src := make([]complex128, 1<<11+1)
-	for i := range src {
-		src[i] = complex(float64(i%7), float64(i%5))
+// BenchmarkConvolveSpectrum4k is the transform pair of one fold of a
+// 2048-point lattice: forward, product and inverse at 4096 points.
+func BenchmarkConvolveSpectrum4k(b *testing.B) {
+	x := make([]float64, 1<<11)
+	for i := range x {
+		x[i] = float64(i % 7)
 	}
-	spec := make([]complex128, len(src))
-	x := make([]float64, 1<<12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(spec, src)
-		RealInverse(x, spec)
-	}
+	g := make([]complex128, 1<<11+1)
+	RealForward(g, x)
+	out, z := make([]complex128, 1<<11), make([]complex128, 1<<11)
+	eachKernelB(b, func(b *testing.B) {
+		for b.Loop() {
+			ConvolveSpectrum(out, z, x, g)
+		}
+	})
 }

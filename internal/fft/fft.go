@@ -1,6 +1,7 @@
 // Package fft implements a planned power-of-two fast Fourier transform,
-// its real-input / real-output variant by half-length complex packing,
-// and the real linear convolution built on them.
+// its real-input variant by half-length complex packing, the fused
+// transform–multiply–invert pass a convolution by a fixed spectrum needs
+// (ConvolveSpectrum), and the real linear convolution built on it.
 //
 // The Go standard library has no FFT; the direct convolution solver
 // (internal/direct) needs hundreds of k-fold convolutions of service-time
@@ -11,6 +12,12 @@
 // where a running product would accumulate error along the table), laid
 // out again as one row per pass. The butterflies merge two radix-2
 // stages into one radix-4 pass, halving the walks over the data.
+//
+// There are two implementations of the kernels, one bit contract: the
+// portable Go one and, on amd64 CPUs with AVX2 (checked once, at start-up,
+// from CPUID and XGETBV), Go assembly that runs two complex lanes per
+// register and performs the same float64 operations in the same order.
+// Every output is bit-identical whichever runs (kernel_test.go).
 package fft
 
 import (
@@ -75,6 +82,33 @@ func (p *plan) permute(a []complex128) {
 	}
 }
 
+// kernelSet is one implementation of the transform kernels: the three
+// shapes of butterfly pass and ConvolveSpectrum's walk over the bins.
+// Every implementation performs the same float64 operations on the same
+// operands in the same order, so all agree bit for bit.
+type kernelSet struct {
+	// first is the unit-twiddle radix-4 first pass (even log2 n).
+	first func(a []complex128)
+	// blocks8 fuses the radix-2 first stage with the pass of half-span
+	// 2 (odd log2 n); w is that pass's plan row.
+	blocks8 func(a []complex128, w *[2][3]complex128)
+	// twiddled is one radix-4 pass of half-span len(row) ≥ 4.
+	twiddled func(a []complex128, row [][3]complex128)
+	// split is ConvolveSpectrum's walk over k = 1..m/2.
+	split func(out, z, g, tw []complex128, rev []int32, sc float64)
+}
+
+// goKernel is the portable implementation, the only one off amd64.
+var goKernel = kernelSet{firstGo, blocks8Go, twiddledGo, splitGo}
+
+// vector is the AVX2 implementation (kernel_amd64.s) when the CPU and
+// the OS run it, else nil; kernel is the implementation transforms use,
+// vector when there is one. Tests set kernel to hold both to one result.
+var (
+	vector *kernelSet
+	kernel = &goKernel
+)
+
 // butterflies runs the decimation-in-time passes of the forward
 // transform over bit-reversed input. Each pass is a radix-4 butterfly
 // merging the radix-2 stages of half-span h and 2h; the first pass has
@@ -83,48 +117,64 @@ func (p *plan) permute(a []complex128) {
 // bit-identical to reading tw at a stride (kernel_test.go).
 func (p *plan) butterflies(a []complex128) {
 	n := len(a)
-	rows := p.rows
-	if n == 2 {
-		a[0], a[1] = a[0]+a[1], a[0]-a[1]
+	if n < 4 {
+		if n == 2 {
+			a[0], a[1] = a[0]+a[1], a[0]-a[1]
+		}
 		return
 	}
+	k, rows := kernel, p.rows
 	if len(rows) > 0 && len(rows[0]) == 2 {
-		// Odd log2(n): the radix-2 stage and the pass of half-span 2 run
-		// together, one block of 8 at a time.
-		w0, w1 := rows[0][0], rows[0][1]
-		for q := a; len(q) >= 8; q = q[8:] {
-			b := (*[8]complex128)(q)
-			c0, c1, c2, c3 := b[0]+b[1], b[0]-b[1], b[2]+b[3], b[2]-b[3]
-			c4, c5, c6, c7 := b[4]+b[5], b[4]-b[5], b[6]+b[7], b[6]-b[7]
-			t1, t2, t3 := w0[0]*c2, w0[1]*c4, w0[2]*c6
-			s, d, u, v := c0+t1, c0-t1, t2+t3, t2-t3
-			v = complex(imag(v), -real(v)) // −i·v
-			b[0], b[2], b[4], b[6] = s+u, d+v, s-u, d-v
-			t1, t2, t3 = w1[0]*c3, w1[1]*c5, w1[2]*c7
-			s, d, u, v = c1+t1, c1-t1, t2+t3, t2-t3
-			v = complex(imag(v), -real(v)) // −i·v
-			b[1], b[3], b[5], b[7] = s+u, d+v, s-u, d-v
-		}
+		k.blocks8(a, (*[2][3]complex128)(rows[0]))
 		rows = rows[1:]
 	} else {
-		for i := 0; i+3 < n; i += 4 {
-			s, d, u, v := a[i]+a[i+1], a[i]-a[i+1], a[i+2]+a[i+3], a[i+2]-a[i+3]
-			v = complex(imag(v), -real(v)) // −i·v
-			a[i], a[i+1], a[i+2], a[i+3] = s+u, d+v, s-u, d-v
-		}
+		k.first(a)
 	}
 	for _, row := range rows {
-		h := len(row)
-		for q := a; len(q) >= 4*h; q = q[4*h:] {
-			q0, q1, q2, q3 := q[:len(row)], q[h:2*h], q[2*h:3*h], q[3*h:4*h]
-			q1, q2, q3 = q1[:len(row)], q2[:len(row)], q3[:len(row)]
-			for j := range row {
-				w := &row[j] // w², w, w³ of w = exp(-2πi·j/4h)
-				t1, t2, t3 := w[0]*q1[j], w[1]*q2[j], w[2]*q3[j]
-				s, d, u, v := q0[j]+t1, q0[j]-t1, t2+t3, t2-t3
-				v = complex(imag(v), -real(v)) // −i·v
-				q0[j], q1[j], q2[j], q3[j] = s+u, d+v, s-u, d-v
-			}
+		k.twiddled(a, row)
+	}
+}
+
+// firstGo, blocks8Go, twiddledGo and splitGo are goKernel's members.
+
+func firstGo(a []complex128) {
+	for i := 0; i+3 < len(a); i += 4 {
+		s, d, u, v := a[i]+a[i+1], a[i]-a[i+1], a[i+2]+a[i+3], a[i+2]-a[i+3]
+		v = complex(imag(v), -real(v)) // −i·v
+		a[i], a[i+1], a[i+2], a[i+3] = s+u, d+v, s-u, d-v
+	}
+}
+
+// blocks8Go runs the radix-2 stage and the pass of half-span 2 together,
+// one block of 8 at a time.
+func blocks8Go(a []complex128, w *[2][3]complex128) {
+	w0, w1 := w[0], w[1]
+	for q := a; len(q) >= 8; q = q[8:] {
+		b := (*[8]complex128)(q)
+		c0, c1, c2, c3 := b[0]+b[1], b[0]-b[1], b[2]+b[3], b[2]-b[3]
+		c4, c5, c6, c7 := b[4]+b[5], b[4]-b[5], b[6]+b[7], b[6]-b[7]
+		t1, t2, t3 := w0[0]*c2, w0[1]*c4, w0[2]*c6
+		s, d, u, v := c0+t1, c0-t1, t2+t3, t2-t3
+		v = complex(imag(v), -real(v)) // −i·v
+		b[0], b[2], b[4], b[6] = s+u, d+v, s-u, d-v
+		t1, t2, t3 = w1[0]*c3, w1[1]*c5, w1[2]*c7
+		s, d, u, v = c1+t1, c1-t1, t2+t3, t2-t3
+		v = complex(imag(v), -real(v)) // −i·v
+		b[1], b[3], b[5], b[7] = s+u, d+v, s-u, d-v
+	}
+}
+
+func twiddledGo(a []complex128, row [][3]complex128) {
+	h := len(row)
+	for q := a; len(q) >= 4*h; q = q[4*h:] {
+		q0, q1, q2, q3 := q[:len(row)], q[h:2*h], q[2*h:3*h], q[3*h:4*h]
+		q1, q2, q3 = q1[:len(row)], q2[:len(row)], q3[:len(row)]
+		for j := range row {
+			w := &row[j] // w², w, w³ of w = exp(-2πi·j/4h)
+			t1, t2, t3 := w[0]*q1[j], w[1]*q2[j], w[2]*q3[j]
+			s, d, u, v := q0[j]+t1, q0[j]-t1, t2+t3, t2-t3
+			v = complex(imag(v), -real(v)) // −i·v
+			q0[j], q1[j], q2[j], q3[j] = s+u, d+v, s-u, d-v
 		}
 	}
 }
@@ -170,16 +220,7 @@ func RealForward(spec []complex128, x []float64) {
 	}
 	p := planFor(m)
 	z := spec[:m]
-	pairs := len(x) / 2
-	for j, r := range p.rev[:pairs] {
-		z[r] = complex(x[2*j], x[2*j+1])
-	}
-	for _, r := range p.rev[pairs:] {
-		z[r] = 0
-	}
-	if len(x)&1 == 1 {
-		z[p.rev[pairs]] = complex(x[len(x)-1], 0)
-	}
+	p.pack(z, x)
 	p.butterflies(z)
 	// Split Z = E + i·O into the transforms of the even and odd samples
 	// and recombine: X[k] = E[k] + w^k·O[k], X[m−k] = conj(E[k] − w^k·O[k]).
@@ -197,37 +238,81 @@ func RealForward(spec []complex128, x []float64) {
 	}
 }
 
-// RealInverse is the inverse of RealForward: it writes to x the real
-// sequence of length N = len(x) = 2·(len(spec)−1) whose DFT has the
-// non-redundant bins spec, including the 1/N normalization (exact). The
-// imaginary parts of spec[0] and spec[N/2] are ignored. spec is
-// destroyed.
-func RealInverse(x []float64, spec []complex128) {
-	m := len(spec) - 1
-	if m < 1 || len(x) != 2*m {
-		panic("fft: RealInverse needs len(x) = N and len(spec) = N/2+1")
+// pack writes x, zero-padded to 2·len(z), into z in bit-reversed order:
+// the even samples as real parts, the odd ones as imaginary parts.
+func (p *plan) pack(z []complex128, x []float64) {
+	pairs := len(x) / 2
+	if pairs < len(z) {
+		clear(z) // the padding, in one sequential sweep
 	}
-	// Rebuild the packed half-length spectrum Z[k] = E[k] + i·O[k],
-	// conjugated and scaled so that a forward transform inverts it.
-	z := spec[:m]
-	sc := 0.5 / float64(m)
-	x0, xm := real(spec[0]), real(spec[m])
-	z[0] = complex(sc*(x0+xm), -sc*(x0-xm))
-	tw := planFor(2 * m).tw
-	for k := 1; k <= m/2; k++ {
-		a, b := spec[k], spec[m-k]
-		e := complex(real(a)+real(b), imag(a)-imag(b)) // 2·E[k]
-		d := complex(real(a)-real(b), imag(a)+imag(b)) // 2·w^k·O[k]
-		w := tw[k]
-		o := complex(real(w), -imag(w)) * d // 2·O[k]
-		z[k] = complex(sc*(real(e)-imag(o)), -sc*(imag(e)+real(o)))
-		z[m-k] = complex(sc*(real(e)+imag(o)), -sc*(real(o)-imag(e)))
+	for j, r := range p.rev[:pairs] {
+		z[r] = complex(x[2*j], x[2*j+1])
+	}
+	if len(x)&1 == 1 {
+		z[p.rev[pairs]] = complex(x[len(x)-1], 0)
+	}
+}
+
+// ConvolveSpectrum writes to out the real sequence of length N =
+// 2·len(out) whose DFT is X·g, where X is the DFT of x zero-padded to N
+// and g holds N/2+1 non-redundant bins: the circular convolution of x
+// with g's sequence. The output is packed two samples to an entry:
+// sample 2j is real(out[j]) and sample 2j+1 is −imag(out[j]). z, of
+// length N/2, is scratch; out may not overlap z or g.
+//
+// It is RealForward, a product by g and the inverse split in one pass:
+// pack x, run the forward butterflies, then one walk over k splits bins
+// k and m−k, multiplies them by g and rebuilds the conjugated, pre-scaled
+// packed spectrum straight into bit-reversed order for the second run
+// of the butterflies. Each value is the same operations on the same
+// operands in the same order as the transforms taken one at a time.
+func ConvolveSpectrum(out, z []complex128, x []float64, g []complex128) {
+	m := len(g) - 1
+	if m < 1 || len(out) != m || len(z) != m || len(x) > 2*m {
+		panic("fft: ConvolveSpectrum needs len(out) = len(z) = N/2, len(g) = N/2+1 and N ≥ len(x)")
 	}
 	p := planFor(m)
-	p.permute(z)
+	p.pack(z, x)
 	p.butterflies(z)
-	for j, v := range z {
-		x[2*j], x[2*j+1] = real(v), -imag(v)
+	sc := 0.5 / float64(m)
+	z0 := z[0]
+	y0 := complex(real(z0)+imag(z0), 0) * g[0]
+	ym := complex(real(z0)-imag(z0), 0) * g[m]
+	out[0] = complex(sc*(real(y0)+real(ym)), -sc*(real(y0)-real(ym)))
+	kernel.split(out, z, g, planFor(2*m).tw, p.rev, sc)
+	p.butterflies(out)
+}
+
+func splitGo(out, z, g, tw []complex128, rev []int32, sc float64) {
+	splitFrom(out, z, g, tw, rev, sc, 1)
+}
+
+// splitFrom is ConvolveSpectrum's walk over bins k and m−k for k from k0
+// to m/2: z holds the forward butterflies' output, tw the twiddles of
+// length 2m, rev the bit-reversal of length m and sc the scale 1/2m.
+func splitFrom(out, z, g, tw []complex128, rev []int32, sc float64, k0 int) {
+	m := len(z)
+	for k := k0; k <= m/2; k++ {
+		// Forward: X[k] = E[k] + w^k·O[k], X[m−k] = conj(E[k] − w^k·O[k]),
+		// each times its bin of g. At k = m/2 the two are one bin, and
+		// the second value is the one the unfused split stores last.
+		a, b := z[k], z[m-k]
+		e := complex(real(a)+real(b), imag(a)-imag(b)) // 2·E[k]
+		o := complex(imag(a)+imag(b), real(b)-real(a)) // 2·O[k]
+		w := tw[k]
+		wo := w * o
+		yb := complex(0.5*(real(e)-real(wo)), 0.5*(imag(wo)-imag(e))) * g[m-k]
+		ya := yb
+		if k < m-k {
+			ya = complex(0.5*(real(e)+real(wo)), 0.5*(imag(e)+imag(wo))) * g[k]
+		}
+		// Inverse: rebuild Z[k] = E[k] + i·O[k] from the product,
+		// conjugated and scaled by 1/N so the forward butterflies invert it.
+		e = complex(real(ya)+real(yb), imag(ya)-imag(yb))  // 2·E[k]
+		d := complex(real(ya)-real(yb), imag(ya)+imag(yb)) // 2·w^k·O[k]
+		o = complex(real(w), -imag(w)) * d                 // 2·O[k]
+		out[rev[k]] = complex(sc*(real(e)-imag(o)), -sc*(imag(e)+real(o)))
+		out[rev[m-k]] = complex(sc*(real(e)+imag(o)), -sc*(real(o)-imag(e)))
 	}
 }
 
@@ -261,15 +346,14 @@ func Convolve(x, y []float64) []float64 {
 		}
 		return out
 	}
-	n := NextPow2(outLen)
-	fx := make([]complex128, n/2+1)
-	fy := make([]complex128, n/2+1)
-	RealForward(fx, x)
-	RealForward(fy, y)
-	for i := range fx {
-		fx[i] *= fy[i]
+	m := NextPow2(outLen) / 2
+	g := make([]complex128, m+1)
+	RealForward(g, y)
+	z := make([]complex128, 2*m)
+	ConvolveSpectrum(z[m:], z[:m], x, g)
+	out := make([]float64, 2*m)
+	for j, v := range z[m:] {
+		out[2*j], out[2*j+1] = real(v), -imag(v)
 	}
-	out := make([]float64, n)
-	RealInverse(out, fx)
 	return out[:outLen]
 }

@@ -182,56 +182,121 @@ func sameRealBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestKernelBitIdenticalToSeed holds every transform built on the planned
-// rows to the same transform built on the seed's strided kernel, bit for
-// bit, for every N from 2 to 2¹⁵: both parities of log2 N, inputs with
-// signed zeros, subnormals and wide exponents, and real inputs that fill,
-// pad or oddly pad the transform.
-func TestKernelBitIdenticalToSeed(t *testing.T) {
-	r := rand.New(rand.NewPCG(28, 4))
-	for n := 2; n <= 1<<15; n <<= 1 {
-		a := make([]complex128, n)
-		for i := range a {
-			a[i] = complex(wild(r, 200), wild(r, 200))
-		}
-		got, want := append([]complex128(nil), a...), append([]complex128(nil), a...)
-		Forward(got)
-		seedForward(want)
-		sameBits(t, "Forward", got, want)
-		copy(got, a)
-		copy(want, a)
-		Inverse(got)
-		seedInverse(want)
-		sameBits(t, "Inverse", got, want)
+// namedKernel is one kernel set the tests hold to the seed's bits.
+type namedKernel struct {
+	name string
+	k    *kernelSet
+}
 
-		for _, lx := range []int{n, n - 1, n/2 + 1, 1} {
-			x := make([]float64, lx)
-			for i := range x {
-				x[i] = wild(r, 200)
-			}
-			gotSpec, wantSpec := make([]complex128, n/2+1), make([]complex128, n/2+1)
-			RealForward(gotSpec, x)
-			seedRealForward(wantSpec, x)
-			sameBits(t, "RealForward", gotSpec, wantSpec)
+// kernels lists every kernel set: the Go one and, where the CPU runs it,
+// the AVX2 one (nil otherwise).
+func kernels() []namedKernel { return []namedKernel{{"go", &goKernel}, {"avx2", vector}} }
 
-			gotX, wantX := make([]float64, n), make([]float64, n)
-			RealInverse(gotX, gotSpec)
-			seedRealInverse(wantX, wantSpec)
-			sameRealBits(t, "RealInverse", gotX, wantX)
-		}
-
-		// Output lengths n and n/2+1 both transform at n.
-		for _, ly := range []int{n/2 + 1, 2} {
-			x, y := make([]float64, n/2), make([]float64, ly)
-			for i := range x {
-				x[i] = wild(r, 100)
-			}
-			for i := range y {
-				y[i] = wild(r, 100)
-			}
-			sameRealBits(t, "Convolve", Convolve(x, y), seedConvolve(x, y))
-		}
+// use makes nk the kernel transforms run until the (sub)test ends, or
+// skips, saying why, where there is no such kernel.
+func (nk namedKernel) use(tb testing.TB) {
+	if nk.k == nil {
+		tb.Skip("no AVX2 kernel: GOARCH is not amd64, the CPU lacks AVX2 or the OS does not save YMM state")
 	}
+	old := kernel
+	kernel = nk.k
+	tb.Cleanup(func() { kernel = old })
+}
+
+// eachKernel runs f as one subtest per kernel set, "go" and "avx2".
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, nk := range kernels() {
+		t.Run(nk.name, func(t *testing.T) {
+			nk.use(t)
+			f(t)
+		})
+	}
+}
+
+// seedConvolveSpectrum is ConvolveSpectrum as the seed's transforms
+// compute it one at a time: RealForward, the product, RealInverse. It
+// returns the samples ConvolveSpectrum packs.
+func seedConvolveSpectrum(x []float64, g []complex128) []float64 {
+	m := len(g) - 1
+	spec := make([]complex128, m+1)
+	seedRealForward(spec, x)
+	for i := range spec {
+		spec[i] *= g[i]
+	}
+	out := make([]float64, 2*m)
+	seedRealInverse(out, spec)
+	return out
+}
+
+// unpack returns the samples of ConvolveSpectrum's packed output.
+func unpack(z []complex128) []float64 {
+	out := make([]float64, 2*len(z))
+	for j, v := range z {
+		out[2*j], out[2*j+1] = real(v), -imag(v)
+	}
+	return out
+}
+
+// TestKernelBitIdenticalToSeed holds every transform, under each
+// butterfly implementation, to the same transform built on the seed's
+// strided Go kernel, bit for bit, for every N from 2 to 2¹⁵: both
+// parities of log2 N, inputs with signed zeros, subnormals and wide
+// exponents, and real inputs that fill, pad or oddly pad the transform.
+// The fused ConvolveSpectrum is held to the seed's RealForward, product
+// and RealInverse taken one at a time, through scratch left dirty.
+func TestKernelBitIdenticalToSeed(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewPCG(28, 4))
+		for n := 2; n <= 1<<15; n <<= 1 {
+			a := make([]complex128, n)
+			for i := range a {
+				a[i] = complex(wild(r, 200), wild(r, 200))
+			}
+			got, want := append([]complex128(nil), a...), append([]complex128(nil), a...)
+			Forward(got)
+			seedForward(want)
+			sameBits(t, "Forward", got, want)
+			copy(got, a)
+			copy(want, a)
+			Inverse(got)
+			seedInverse(want)
+			sameBits(t, "Inverse", got, want)
+
+			out, z := make([]complex128, n/2), make([]complex128, n/2)
+			for _, lx := range []int{n, n - 1, n/2 + 1, 1} {
+				x := make([]float64, lx)
+				for i := range x {
+					x[i] = wild(r, 200)
+				}
+				gotSpec, wantSpec := make([]complex128, n/2+1), make([]complex128, n/2+1)
+				RealForward(gotSpec, x)
+				seedRealForward(wantSpec, x)
+				sameBits(t, "RealForward", gotSpec, wantSpec)
+
+				g := make([]complex128, n/2+1)
+				for i := range g {
+					g[i] = complex(wild(r, 100), wild(r, 100))
+				}
+				for i := range out {
+					out[i], z[i] = complex(math.NaN(), math.Inf(1)), complex(math.Inf(-1), math.NaN())
+				}
+				ConvolveSpectrum(out, z, x, g)
+				sameRealBits(t, "ConvolveSpectrum", unpack(out), seedConvolveSpectrum(x, g))
+			}
+
+			// Output lengths n and n/2+1 both transform at n.
+			for _, ly := range []int{n/2 + 1, 2} {
+				x, y := make([]float64, n/2), make([]float64, ly)
+				for i := range x {
+					x[i] = wild(r, 100)
+				}
+				for i := range y {
+					y[i] = wild(r, 100)
+				}
+				sameRealBits(t, "Convolve", Convolve(x, y), seedConvolve(x, y))
+			}
+		}
+	})
 }
 
 // TestPlanForConcurrentFirstUse: goroutines that ask for a size no one

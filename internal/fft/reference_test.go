@@ -87,60 +87,100 @@ func maxAbs(a []complex128) float64 {
 	return m
 }
 
-// TestTransformsMatchBigDFT holds the complex and the real transforms,
-// both directions, to the math/big DFT for every size from 2 to 1024.
-// The budget is a few ulps of the largest output per butterfly level.
-func TestTransformsMatchBigDFT(t *testing.T) {
-	r := rand.New(rand.NewPCG(7, 8))
-	for n := 2; n <= 1024; n <<= 1 {
-		levels := math.Log2(float64(n))
-
-		a := make([]complex128, n)
-		x := make([]float64, n)
-		for i := range a {
-			a[i] = complex(r.Float64()-0.5, r.Float64()-0.5)
-			x[i] = r.Float64()
-		}
-		xc := make([]complex128, n)
-		for i, v := range x {
-			xc[i] = complex(v, 0)
-		}
-		wantA, wantX := bigDFT(a), bigDFT(xc)
-		tolA := 4e-16 * levels * maxAbs(wantA)
-		tolX := 4e-16 * levels * maxAbs(wantX)
-		tolBack := 4e-16 * levels // samples are below 1 in modulus
-
-		got := append([]complex128(nil), a...)
-		Forward(got)
-		for k := range got {
-			if d := cmplx.Abs(got[k] - wantA[k]); d > tolA {
-				t.Fatalf("n=%d Forward bin %d: off by %g (budget %g)", n, k, d, tolA)
-			}
-		}
-		back := append([]complex128(nil), wantA...)
-		Inverse(back)
-		for i := range back {
-			if d := cmplx.Abs(back[i] - a[i]); d > tolBack {
-				t.Fatalf("n=%d Inverse sample %d: off by %g", n, i, d)
-			}
-		}
-
-		spec := make([]complex128, n/2+1)
-		RealForward(spec, x)
-		for k := range spec {
-			if d := cmplx.Abs(spec[k] - wantX[k]); d > tolX {
-				t.Fatalf("n=%d RealForward bin %d: off by %g (budget %g)", n, k, d, tolX)
-			}
-		}
-		copy(spec, wantX)
-		realBack := make([]float64, n)
-		RealInverse(realBack, spec)
-		for i := range realBack {
-			if d := math.Abs(realBack[i] - x[i]); d > tolBack {
-				t.Fatalf("n=%d RealInverse sample %d: off by %g", n, i, d)
-			}
-		}
+// bigCircular returns the circular convolution of x and y (one length)
+// by the definition, rounded to float64 at the end.
+func bigCircular(x, y []float64) []float64 {
+	n := len(x)
+	bx, by := make([]*big.Float, n), make([]*big.Float, n)
+	for i := range x {
+		bx[i], by[i] = newBig(x[i]), newBig(y[i])
 	}
+	out := make([]float64, n)
+	s, p := newBig(0), newBig(0)
+	for k := range out {
+		s.SetFloat64(0)
+		for i, xv := range bx {
+			s.Add(s, p.Mul(xv, by[(k-i+n)%n]))
+		}
+		out[k], _ = s.Float64()
+	}
+	return out
+}
+
+// TestTransformsMatchBigDFT holds the complex transforms, both
+// directions, RealForward and the fused ConvolveSpectrum to the math/big
+// DFT for every size from 2 to 1024, under each butterfly
+// implementation. ConvolveSpectrum multiplies by the exact spectrum of a
+// second sequence, so what it is held to is the exact circular
+// convolution. The budget is a few ulps of the largest output per
+// butterfly level.
+func TestTransformsMatchBigDFT(t *testing.T) {
+	type sizeCase struct {
+		a, wantA       []complex128
+		x, y, wantConv []float64
+		wantX, g       []complex128
+	}
+	r := rand.New(rand.NewPCG(7, 8))
+	var cases []sizeCase
+	for n := 2; n <= 1024; n <<= 1 {
+		c := sizeCase{a: make([]complex128, n), x: make([]float64, n), y: make([]float64, n)}
+		for i := range c.a {
+			c.a[i] = complex(r.Float64()-0.5, r.Float64()-0.5)
+			c.x[i] = r.Float64()
+			c.y[i] = r.Float64()
+		}
+		xc, yc := make([]complex128, n), make([]complex128, n)
+		for i := range xc {
+			xc[i], yc[i] = complex(c.x[i], 0), complex(c.y[i], 0)
+		}
+		c.wantA, c.wantX, c.g = bigDFT(c.a), bigDFT(xc), bigDFT(yc)[:n/2+1]
+		c.wantConv = bigCircular(c.x, c.y)
+		cases = append(cases, c)
+	}
+	eachKernel(t, func(t *testing.T) {
+		for _, c := range cases {
+			n := len(c.a)
+			levels := math.Log2(float64(n))
+			tolA := 4e-16 * levels * maxAbs(c.wantA)
+			tolX := 4e-16 * levels * maxAbs(c.wantX)
+			tolBack := 4e-16 * levels // samples are below 1 in modulus
+			var maxConv float64
+			for _, v := range c.wantConv {
+				maxConv = math.Max(maxConv, v)
+			}
+			tolConv := 4e-16 * levels * maxConv
+
+			got := append([]complex128(nil), c.a...)
+			Forward(got)
+			for k := range got {
+				if d := cmplx.Abs(got[k] - c.wantA[k]); d > tolA {
+					t.Fatalf("n=%d Forward bin %d: off by %g (budget %g)", n, k, d, tolA)
+				}
+			}
+			back := append([]complex128(nil), c.wantA...)
+			Inverse(back)
+			for i := range back {
+				if d := cmplx.Abs(back[i] - c.a[i]); d > tolBack {
+					t.Fatalf("n=%d Inverse sample %d: off by %g", n, i, d)
+				}
+			}
+
+			spec := make([]complex128, n/2+1)
+			RealForward(spec, c.x)
+			for k := range spec {
+				if d := cmplx.Abs(spec[k] - c.wantX[k]); d > tolX {
+					t.Fatalf("n=%d RealForward bin %d: off by %g (budget %g)", n, k, d, tolX)
+				}
+			}
+			out, z := make([]complex128, n/2), make([]complex128, n/2)
+			ConvolveSpectrum(out, z, c.x, c.g)
+			for i, v := range unpack(out) {
+				if d := math.Abs(v - c.wantConv[i]); d > tolConv {
+					t.Fatalf("n=%d ConvolveSpectrum sample %d: off by %g (budget %g)", n, i, d, tolConv)
+				}
+			}
+		}
+	})
 }
 
 // TestRealForwardZeroPads: a short or odd-length input is the same as

@@ -38,3 +38,16 @@ func BenchmarkMaxIndep(b *testing.B) {
 		l.MaxIndep(o)
 	}
 }
+
+// benchFold times the sweep's inner call: one Spectrum.Fold of an
+// n-point lattice on a reused Work.
+func benchFold(b *testing.B, n int) {
+	l := benchLattice(n)
+	p, w, dst := l.Spectrum(), NewWork(n), New(l.Dx, n)
+	for b.Loop() {
+		p.Fold(dst, l, w)
+	}
+}
+
+func BenchmarkFold2k(b *testing.B) { benchFold(b, 1<<11) }
+func BenchmarkFold4k(b *testing.B) { benchFold(b, 1<<12) }

@@ -158,12 +158,11 @@ type Spectrum struct {
 func (p *Spectrum) Bytes() int64 { return int64(16 * len(p.f)) }
 
 // Work is the scratch of one fold on n-point lattices: the moving
-// operand's transform (then the product) and the full inverse transform.
-// Fold overwrites every entry before reading it, so a result never
-// depends on what a reused Work held. Not safe for concurrent use.
+// operand's packed transform and the fold's packed output. Fold
+// overwrites every entry before reading it, so a result never depends on
+// what a reused Work held. Not safe for concurrent use.
 type Work struct {
-	spec []complex128
-	full []float64
+	z, out []complex128
 }
 
 // specBins is the number of non-redundant bins of the real transform
@@ -172,8 +171,8 @@ func specBins(n int) int { return fft.NextPow2(2*n)/2 + 1 }
 
 // NewWork returns fold scratch for n-point lattices.
 func NewWork(n int) *Work {
-	bins := specBins(n)
-	return &Work{spec: make([]complex128, bins), full: make([]float64, 2*(bins-1))}
+	m := specBins(n) - 1
+	return &Work{z: make([]complex128, m), out: make([]complex128, m)}
 }
 
 // Spectrum transforms l for use as a fold operand.
@@ -185,38 +184,58 @@ func (l *Lattice) Spectrum() *Spectrum {
 
 // Fold is the convolution kernel: it stores in dst (which may be l) the
 // distribution of X+Y for independent X ~ l and Y ~ p's operand on one
-// geometry. One walk over the inverse transform clamps negative
+// geometry. fft.ConvolveSpectrum transforms l, multiplies by p and
+// inverts in one pass; one walk over its packed output clamps negative
 // round-off to zero, sums the mass kept on the lattice and the raw mass
-// beyond the horizon. dst.Tail takes what an exact convolution spreads
-// beyond the horizon — the product of the lattice masses less the kept
-// mass, so mass is conserved exactly — plus every combination involving
-// either tail (a sum with a beyond-horizon component is beyond horizon,
-// as lattice values are non-negative). Returned for the audit: the
-// mass-conservation residual of the raw output, which is pure FFT
-// round-off, and the negative mass clamped away.
+// beyond the horizon, sample by sample in index order. dst.Tail takes
+// what an exact convolution spreads beyond the horizon — the product of
+// the lattice masses less the kept mass, so mass is conserved exactly —
+// plus every combination involving either tail (a sum with a
+// beyond-horizon component is beyond horizon, as lattice values are
+// non-negative). Returned for the audit: the mass-conservation residual
+// of the raw output, which is pure FFT round-off, and the negative mass
+// clamped away.
 func (p *Spectrum) Fold(dst, l *Lattice, w *Work) (residual, negMass float64) {
 	n := len(l.M)
-	if len(dst.M) != n || len(p.f) != len(w.spec) || len(w.spec) != specBins(n) {
+	if len(dst.M) != n || len(p.f) != len(w.z)+1 || len(w.z)+1 != specBins(n) {
 		panic(fmt.Sprintf("gridfn: fold of %d points into %d with a %d-bin operand and %d-bin scratch",
-			n, len(dst.M), len(p.f), len(w.spec)))
+			n, len(dst.M), len(p.f), len(w.z)+1))
 	}
 	massL := l.latticeMass()
-	fft.RealForward(w.spec, l.M)
-	for i, f := range p.f {
-		w.spec[i] *= f
-	}
-	fft.RealInverse(w.full, w.spec)
+	fft.ConvolveSpectrum(w.out, w.z, l.M, p.f)
+	// Sample 2j of the output is real(out[j]) and sample 2j+1 is −imag(out[j]).
 	var kept, beyond float64
-	for i, v := range w.full[:n] {
-		if v < 0 {
-			negMass -= v
-			v = 0
+	half := n / 2
+	m := dst.M[:2*half]
+	for j, c := range w.out[:half] {
+		a, b := real(c), -imag(c)
+		if a < 0 {
+			negMass -= a
+			a = 0
 		}
-		dst.M[i] = v
-		kept += v
+		if b < 0 {
+			negMass -= b
+			b = 0
+		}
+		m[2*j], m[2*j+1] = a, b
+		kept += a
+		kept += b
 	}
-	for _, v := range w.full[n:] {
-		beyond += v
+	rest := w.out[half:]
+	if n&1 == 1 {
+		a := real(rest[0])
+		if a < 0 {
+			negMass -= a
+			a = 0
+		}
+		dst.M[n-1] = a
+		kept += a
+		beyond += -imag(rest[0])
+		rest = rest[1:]
+	}
+	for _, c := range rest {
+		beyond += real(c)
+		beyond += -imag(c)
 	}
 	exact := massL * p.mass
 	dst.Dx = l.Dx

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dtr/dist"
+	"dtr/internal/fft"
 )
 
 // requireSameLattice fails unless got equals want bit for bit.
@@ -81,24 +82,134 @@ func TestConvolveMatchesNaive(t *testing.T) {
 }
 
 // TestFoldScratchAndAliasing: a fold's result may not depend on what the
-// reused Work held, nor on dst being the moving operand itself.
+// reused Work held, nor on dst being the moving operand itself. Both
+// buffers of the Work start poisoned with NaN and Inf.
 func TestFoldScratchAndAliasing(t *testing.T) {
 	r := rand.New(rand.NewPCG(13, 14))
 	x, y := randomLattice(r, 300, 0.1), randomLattice(r, 300, 0.02)
 	want := x.Convolve(y)
 
 	w := NewWork(300)
-	for i := range w.spec {
-		w.spec[i] = complex(math.NaN(), math.Inf(1))
+	for i := range w.z {
+		w.z[i] = complex(math.NaN(), math.Inf(1))
 	}
-	for i := range w.full {
-		w.full[i] = math.NaN()
+	for i := range w.out {
+		w.out[i] = complex(math.Inf(-1), math.NaN())
 	}
 	spec := y.Spectrum()
 	for round := 0; round < 2; round++ { // second round: scratch dirty from the first
 		dst := x.Clone()
 		spec.Fold(dst, dst, w)
 		requireSameLattice(t, "in-place fold through dirty scratch", dst, want)
+	}
+}
+
+// realInverse is the unfused inverse the fold ran before fft fused it
+// with the forward transform and the product (fft.RealInverse, since
+// removed): it writes to x the real sequence whose DFT has the
+// non-redundant bins spec, destroying spec. The twiddles are the plan's
+// per-index math.Sincos values.
+func realInverse(x []float64, spec []complex128) {
+	m := len(spec) - 1
+	z := spec[:m]
+	sc := 0.5 / float64(m)
+	x0, xm := real(spec[0]), real(spec[m])
+	z[0] = complex(sc*(x0+xm), -sc*(x0-xm))
+	for k := 1; k <= m/2; k++ {
+		a, b := spec[k], spec[m-k]
+		e := complex(real(a)+real(b), imag(a)-imag(b))
+		d := complex(real(a)-real(b), imag(a)+imag(b))
+		sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(2*m))
+		o := complex(cos, -sin) * d
+		z[k] = complex(sc*(real(e)-imag(o)), -sc*(imag(e)+real(o)))
+		z[m-k] = complex(sc*(real(e)+imag(o)), -sc*(real(o)-imag(e)))
+	}
+	fft.Forward(z)
+	for j, v := range z {
+		x[2*j], x[2*j+1] = real(v), -imag(v)
+	}
+}
+
+// unfusedFold is Fold as it ran with the transforms taken one at a time:
+// RealForward, the product by the operand's bins, the inverse, then one
+// walk over the real output. It is the reference the fused fold is held
+// to bit for bit.
+func unfusedFold(p *Spectrum, dst, l *Lattice) (residual, negMass float64) {
+	n := len(l.M)
+	spec := make([]complex128, len(p.f))
+	full := make([]float64, 2*(len(p.f)-1))
+	massL := l.latticeMass()
+	fft.RealForward(spec, l.M)
+	for i, f := range p.f {
+		spec[i] *= f
+	}
+	realInverse(full, spec)
+	var kept, beyond float64
+	for i, v := range full[:n] {
+		if v < 0 {
+			negMass -= v
+			v = 0
+		}
+		dst.M[i] = v
+		kept += v
+	}
+	for _, v := range full[n:] {
+		beyond += v
+	}
+	exact := massL * p.mass
+	dst.Dx = l.Dx
+	dst.Tail = max(exact-kept, 0) + l.Tail*(p.mass+p.tail) + p.tail*massL
+	return math.Abs(kept - negMass + beyond - exact), negMass
+}
+
+// sameBits fails unless got and want are the same float64, bit for bit.
+func sameBits(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s is %v, the unfused fold gives %v", what, got, want)
+	}
+}
+
+// TestFoldMatchesUnfused holds Fold to unfusedFold bit for bit — every
+// mass, the tail, the residual and the clamped negative mass — on
+// lengths 1, 2, 3, odd lengths, 2048 and 4096, in place and not, through
+// scratch poisoned first and then left dirty by the previous fold. The
+// law concentrated near zero leaves most bins at round-off level, so the
+// clamp runs.
+func TestFoldMatchesUnfused(t *testing.T) {
+	r := rand.New(rand.NewPCG(19, 20))
+	clamped := false
+	for _, n := range []int{1, 2, 3, 7, 255, 300, 2048, 4096} {
+		w := NewWork(n)
+		for i := range w.z {
+			w.z[i], w.out[i] = complex(math.NaN(), math.Inf(1)), complex(math.Inf(-1), math.NaN())
+		}
+		laws := []*Lattice{randomLattice(r, n, 0.1), randomLattice(r, n, 0), FromCDF(expCDF(0.05), 0.01, n)}
+		for i, l := range laws {
+			p := laws[min(i+1, 2)].Spectrum() // the last law folds with itself
+			for _, inPlace := range []bool{false, true} {
+				want := New(l.Dx, n)
+				wantRes, wantNeg := unfusedFold(p, want, l)
+				src, dst := l.Clone(), randomLattice(r, n, 0.5)
+				if inPlace {
+					dst = src
+				}
+				res, neg := p.Fold(dst, src, w)
+				for k := range want.M {
+					sameBits(t, "a mass", dst.M[k], want.M[k])
+				}
+				sameBits(t, "the tail", dst.Tail, want.Tail)
+				sameBits(t, "the residual", res, wantRes)
+				sameBits(t, "the negative mass", neg, wantNeg)
+				clamped = clamped || neg > 0
+				if dst.Dx != l.Dx {
+					t.Fatalf("n=%d: dx %v, want %v", n, dst.Dx, l.Dx)
+				}
+			}
+		}
+	}
+	if !clamped {
+		t.Fatal("no fold clamped negative round-off: the test lost part of its subject")
 	}
 }
 
