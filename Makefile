@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt race loc bench bench-e2e serve-smoke adapt-smoke replicate-smoke ingest-smoke cluster-smoke clean
+.PHONY: all build test vet fmt race loc results results-check bench bench-e2e serve-smoke adapt-smoke replicate-smoke ingest-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -65,13 +65,53 @@ cluster-smoke:
 # +166: internal/fft's two kernel sets (the Go passes split out beside
 # their AVX2 declarations and the CPUID check) and the fused
 # transform–multiply–invert fold with its packed-output walk in gridfn.
-LOC_CEILING = 22518
+# −15: direct.Solver's eleven per-shape metric methods and its second
+# finish builder folded into one evaluation request (Point) and one door.
+LOC_CEILING = 22503
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \
 	echo "  outside bench/: $$n (ceiling $(LOC_CEILING))"; \
 	git ls-files '*.s' | xargs cat | wc -l | xargs echo "non-test Go assembly lines (not gated):"; \
 	[ $$n -le $(LOC_CEILING) ]
+
+# results/NAME.txt is the stdout of `dtrlab ARGS`, one "NAME ARGS" line
+# per file; EXPERIMENTS.md's headings cite the same commands. About 80 s.
+define RESULTS
+fig1 -fidelity full fig1
+fig2 -fidelity full fig2
+fig3 -fidelity full fig3
+table1 -fidelity full table1
+table2 -fidelity full -mcreps 4000 table2
+fig4ab -fidelity full fig4ab
+fig4c -fidelity full -mcreps 4000 -testbed-reps 60 -stride 4 fig4c
+ablations -fidelity full ablations
+staleness -fidelity full -mcreps 3000 staleness
+extensions -fidelity full extensions
+endef
+export RESULTS
+RESULTS_DIR ?= results
+
+results:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) build -o "$$bin/dtrlab" ./cmd/dtrlab && mkdir -p $(RESULTS_DIR) && \
+	echo "$$RESULTS" | while read -r name args; do \
+		echo "dtrlab $$args > $(RESULTS_DIR)/$$name.txt"; \
+		"$$bin/dtrlab" $$args > $(RESULTS_DIR)/$$name.txt || exit 1; \
+	done
+
+# Regenerates results/ into a temporary directory and diffs it byte for
+# byte with the committed files. Only Fig. 4(c)'s Testbed column and its
+# ±95% column are masked: the testbed runs on the wall clock.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(MAKE) --no-print-directory results RESULTS_DIR="$$tmp/new" && \
+	mkdir "$$tmp/old" && cp results/*.txt "$$tmp/old" && \
+	for d in old new; do \
+		awk 'NF == 6 && $$1 ~ /^[0-9]+$$/ { $$5 = "-"; $$6 = "-" } { print }' \
+			"$$tmp/$$d/fig4c.txt" > "$$tmp/fig4c" && mv "$$tmp/fig4c" "$$tmp/$$d/fig4c.txt"; \
+	done && \
+	diff -r -u "$$tmp/old" "$$tmp/new" && echo "results/ regenerates byte for byte"
 
 # Every package's micro-benchmarks, one iteration each, with allocation
 # columns: internal/sim's BenchmarkEstimate2000 is one `simulate` request,

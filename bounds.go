@@ -28,5 +28,5 @@ func (s *System) MetricBounds(p Policy, deadline float64) (MetricBounds, error) 
 	if err != nil {
 		return MetricBounds{}, err
 	}
-	return sv.Bounds(s.initial, p, deadline)
+	return sv.Bounds(direct.Point{Initial: s.initial, Policy: p}, deadline)
 }

@@ -534,6 +534,32 @@ func TestMultiServerOptimizeFallsBackToAlgorithm1(t *testing.T) {
 	}
 }
 
+// TestMetricBoundsDeadlines: a NaN deadline is refused, as QoS refuses
+// it, where it once reached the lattice as an index; one far past the
+// horizon reads the curve's last point, and so does CompletionCDF's F at
+// NaN, which once indexed the curve at int(NaN).
+func TestMetricBoundsDeadlines(t *testing.T) {
+	sys, _ := dtr.NewSystem(paperModel(true), []int{4, 2})
+	sys.GridN = 1 << 10
+	if _, err := sys.MetricBounds(dtr.Policy2(1, 0), math.NaN()); err == nil {
+		t.Fatal("NaN deadline should fail")
+	}
+	b, err := sys.MetricBounds(dtr.Policy2(1, 0), 1e300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := b.Optimistic.QoS; !(q > 0.99 && q <= 1) {
+		t.Fatalf("QoS at deadline 1e300 = %v, want the curve's limit", q)
+	}
+	f, err := sys.CompletionCDF(dtr.Policy2(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f(math.NaN()), f(math.Inf(1)); got != want {
+		t.Fatalf("F(NaN) = %v, want the curve's last point %v", got, want)
+	}
+}
+
 func TestQoSErrorPaths(t *testing.T) {
 	sys, _ := dtr.NewSystem(paperModel(false), []int{4, 2})
 	sys.GridN = 1 << 10

@@ -167,7 +167,7 @@ func (s *System) Explain(opt ExplainOptions) (*Explain, error) {
 		// (L12, L21) under the model's default factors: discretization
 		// error is a property of the lattice geometry, which the factor
 		// only lightens (min-of-k tails are strictly lighter).
-		pr, err := pl.solver.ProbeGridError(s.initial[0], s.initial[1], pl.policy[0][1], pl.policy[1][0], opt.Deadline)
+		pr, err := pl.solver.ProbeGridError(direct.Point{Initial: s.initial, Policy: pl.policy}, opt.Deadline)
 		if err != nil {
 			return nil, err
 		}

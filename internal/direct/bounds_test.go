@@ -111,7 +111,7 @@ func TestBoundsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		b, err := sv.Bounds(e.Initial, e.policy(), e.Deadline)
+		b, err := sv.Bounds(Point{Initial: e.Initial, Policy: e.policy()}, e.Deadline)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
@@ -164,7 +164,7 @@ func TestBoundsCollapseToExact(t *testing.T) {
 		s := newSolver(t, fleet([]float64{2, 1}, fail, 1), 16, 1<<12, 80)
 		s.TailCorrect = false // Bounds attributes the tail at the horizon
 		initial, p := []int{8, 4}, core.Policy2(3, 1)
-		b, err := s.Bounds(initial, p, 25)
+		b, err := s.Bounds(Point{Initial: initial, Policy: p}, 25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,12 +181,12 @@ func TestBoundsCollapseToExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			meanN, err := s.MeanTimeN(initial, p)
+			meanN, err := s.Eval(Point{Initial: initial, Policy: p}, MetricMean, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mean != want.Mean || meanN != want.Mean {
-				t.Errorf("mean: MeanTime %v, MeanTimeN %v, Bounds %v", mean, meanN, want.Mean)
+				t.Errorf("mean: MeanTime %v, Eval %v, Bounds %v", mean, meanN, want.Mean)
 			}
 		} else if !math.IsNaN(want.Mean) {
 			t.Error("mean with failures should be NaN")
@@ -195,7 +195,7 @@ func TestBoundsCollapseToExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qN, err := s.QoSN(initial, p, 25)
+		qN, err := s.Eval(Point{Initial: initial, Policy: p}, MetricQoS, 25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestBoundsCollapseToExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rN, err := s.ReliabilityN(initial, p)
+		rN, err := s.Eval(Point{Initial: initial, Policy: p}, MetricReliability, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestBoundsBracketSimulation(t *testing.T) {
 	m := fleet([]float64{3, 2, 1}, nil, 1.2)
 	s := newSolver(t, m, 24, 1<<12, 150)
 	initial, p := convergingCase()
-	b, err := s.Bounds(initial, p, 40)
+	b, err := s.Bounds(Point{Initial: initial, Policy: p}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,8 @@ func TestBoundsBracketSimulation(t *testing.T) {
 	if b.Optimistic.Mean > b.Pessimistic.Mean {
 		t.Fatalf("bound sides inverted: %g > %g", b.Optimistic.Mean, b.Pessimistic.Mean)
 	}
-	if _, err := s.MeanTimeN(initial, p); err == nil {
-		t.Fatal("MeanTimeN answered a policy whose finish law depends on the arrival order")
+	if _, err := s.Eval(Point{Initial: initial, Policy: p}, MetricMean, 0); err == nil {
+		t.Fatal("Eval answered a policy whose finish law depends on the arrival order")
 	}
 
 	est, err := sim.Estimate(m, initial, p, sim.Options{Reps: 20000, Seed: 9, Deadline: 40})
@@ -264,7 +264,7 @@ func TestReliabilityBoundsBracketSimulation(t *testing.T) {
 	m := fleet([]float64{3, 2, 1}, []float64{60, 50, 40}, 1.2)
 	s := newSolver(t, m, 24, 1<<12, 150)
 	initial, p := convergingCase()
-	b, err := s.Bounds(initial, p, 0)
+	b, err := s.Bounds(Point{Initial: initial, Policy: p}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,13 +294,13 @@ func TestBoundsValidation(t *testing.T) {
 		t.Fatal("MaxQueue 0 should fail")
 	}
 	s := newSolver(t, m, 4, 1<<10, 40)
-	if _, err := s.Bounds([]int{10, 0}, core.Policy2(0, 0), 0); err == nil {
+	if _, err := s.Bounds(Pair(10, 0, 0, 0, nil), 0); err == nil {
 		t.Fatal("load above MaxQueue should fail")
 	}
-	if _, err := s.Bounds([]int{2, 2}, core.Policy2(9, 0), 0); err == nil {
+	if _, err := s.Bounds(Pair(2, 2, 9, 0, nil), 0); err == nil {
 		t.Fatal("invalid policy should fail")
 	}
-	if _, err := s.Bounds([]int{2, 2, 2}, core.NewPolicy(3), 0); err == nil {
+	if _, err := s.Bounds(Point{Initial: []int{2, 2, 2}, Policy: core.NewPolicy(3)}, 0); err == nil {
 		t.Fatal("an allocation for three servers should fail on a two-server model")
 	}
 	three := newSolver(t, fleet([]float64{1, 1, 1}, nil, 1), 4, 1<<10, 40)
@@ -310,7 +310,7 @@ func TestBoundsValidation(t *testing.T) {
 	// A single server is a model like any other: its finish time is the
 	// service sum.
 	one := newSolver(t, fleet([]float64{1.5}, nil, 1), 6, 1<<12, 60)
-	mean, err := one.MeanTimeN([]int{4}, core.NewPolicy(1))
+	mean, err := one.Eval(Point{Initial: []int{4}, Policy: core.NewPolicy(1)}, MetricMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestBoundsValidation(t *testing.T) {
 }
 
 // TestThreeServersAgainstCoreSolverAndSimulation: on an exact three-server
-// policy — one group per destination — the n-server methods meet the
+// policy — one group per destination — Eval meets the
 // regeneration solver within the tolerances TestAgainstCoreSolver holds
 // the two-server form to, and sit inside the simulator's confidence
 // interval.
@@ -355,11 +355,11 @@ func TestThreeServersAgainstCoreSolverAndSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, err := s.MeanTimeN(initial, p)
+	mean, err := s.Eval(Point{Initial: initial, Policy: p}, MetricMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := s.QoSN(initial, p, deadline)
+	q, err := s.Eval(Point{Initial: initial, Policy: p}, MetricQoS, deadline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func (s *Solver) Diagnostics() Diagnostics {
 		MaxFactor:            mf,
 		GridN:                s.t.n,
 		Dx:                   s.t.dx,
-		Horizon:              s.Horizon(),
+		Horizon:              s.horizon(),
 		BuildFolds:           build.Folds,
 		BuildMassResidualMax: build.MaxResidual,
 		BuildNegMassMax:      build.MaxNegMass,
@@ -152,24 +152,27 @@ type ProbeResult struct {
 	MeanErr, QoSErr, ReliabilityErr float64
 }
 
-// ProbeGridError evaluates the policy's metrics on the solver lattice
-// and on a half-resolution shadow of the tables and returns the
-// differences as grid-error estimates. The shadow costs a second
-// prefix-table construction, paid by the first probe of any view of the
-// tables. The probe never feeds back into solver state or results —
-// solves are bit-identical whether or not probes run.
-func (s *Solver) ProbeGridError(m1, m2, l12, l21 int, tm float64) (*ProbeResult, error) {
+// ProbeGridError evaluates the metrics of the point pt on the solver
+// lattice and on a half-resolution shadow of the tables and returns the
+// differences as grid-error estimates; a NaN deadline is an error. The
+// shadow costs a second prefix-table construction, paid by the first
+// probe of any view of the tables. The probe never feeds back into solver
+// state or results — solves are bit-identical whether or not probes run.
+func (s *Solver) ProbeGridError(pt Point, tm float64) (*ProbeResult, error) {
+	if math.IsNaN(tm) {
+		return nil, checkDeadline(tm)
+	}
 	shadow, err := s.t.probeShadow()
 	if err != nil {
 		return nil, err
 	}
 	coarseSolver, _ := shadow.View(0, nil)
 	coarseSolver.TailCorrect = s.TailCorrect
-	fine, err := s.All(m1, m2, l12, l21, tm)
+	fine, err := s.metrics(pt, tm)
 	if err != nil {
 		return nil, err
 	}
-	coarse, err := coarseSolver.All(m1, m2, l12, l21, tm)
+	coarse, err := coarseSolver.metrics(pt, tm)
 	if err != nil {
 		return nil, err
 	}
@@ -188,4 +191,15 @@ func (s *Solver) ProbeGridError(m1, m2, l12, l21 int, tm float64) (*ProbeResult,
 		}
 	}
 	return pr, nil
+}
+
+// metrics reads all three metrics of the point pt, with the view's tail
+// correction; Mean is NaN when the model is not reliable.
+func (s *Solver) metrics(pt Point, tm float64) (Metrics, error) {
+	sc, err := s.exact(pt)
+	if err != nil {
+		return Metrics{}, err
+	}
+	defer s.t.pool.Put(sc)
+	return s.metricsOf(sc, tm, s.TailCorrect), nil
 }

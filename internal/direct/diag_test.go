@@ -12,7 +12,7 @@ func TestDiagnosticsPopulated(t *testing.T) {
 	s := newSolver(t, m, 12, 1<<12, 200)
 
 	d0 := s.Diagnostics()
-	if d0.GridN != 1<<12 || d0.Dx != s.Dx() || d0.Horizon != s.Horizon() {
+	if d0.GridN != 1<<12 || d0.Dx != s.Dx() || d0.Horizon != s.horizon() {
 		t.Fatalf("geometry wrong: %+v", d0)
 	}
 	if d0.BuildFolds == 0 {
@@ -22,7 +22,7 @@ func TestDiagnosticsPopulated(t *testing.T) {
 		t.Fatalf("fresh solver reports solve-phase work: %+v", d0)
 	}
 
-	if _, err := s.All(6, 4, 3, 1, 15); err != nil {
+	if _, err := s.metrics(Pair(6, 4, 3, 1, nil), 15); err != nil {
 		t.Fatal(err)
 	}
 	d1 := s.Diagnostics()
@@ -43,11 +43,11 @@ func TestDiagnosticsPopulated(t *testing.T) {
 		t.Fatalf("tail mass out of range: %g", d1.TailMassMax)
 	}
 
-	if _, err := s.All(6, 4, 3, 1, 15); err != nil {
+	if _, err := s.metrics(Pair(6, 4, 3, 1, nil), 15); err != nil {
 		t.Fatal(err)
 	}
 	if d2 := s.Diagnostics(); d2.Evaluations != d1.Evaluations+1 {
-		t.Fatalf("evaluations = %d after second All, want %d", d2.Evaluations, d1.Evaluations+1)
+		t.Fatalf("evaluations = %d after a second evaluation, want %d", d2.Evaluations, d1.Evaluations+1)
 	}
 }
 
@@ -59,11 +59,11 @@ func TestErrorProbeBitNeutral(t *testing.T) {
 	plain := newSolver(t, m, 10, 1<<12, 200)
 	probed := newSolver(t, m, 10, 1<<12, 200)
 	for _, pol := range [][4]int{{5, 3, 0, 0}, {5, 3, 2, 1}, {6, 4, 3, 0}} {
-		a, err := plain.All(pol[0], pol[1], pol[2], pol[3], 15)
+		a, err := plain.metrics(Pair(pol[0], pol[1], pol[2], pol[3], nil), 15)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := probed.All(pol[0], pol[1], pol[2], pol[3], 15)
+		b, err := probed.metrics(Pair(pol[0], pol[1], pol[2], pol[3], nil), 15)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,11 +72,11 @@ func TestErrorProbeBitNeutral(t *testing.T) {
 		}
 	}
 	// Running the probe itself must leave subsequent results unchanged.
-	if _, err := probed.ProbeGridError(5, 3, 2, 1, 15); err != nil {
+	if _, err := probed.ProbeGridError(Pair(5, 3, 2, 1, nil), 15); err != nil {
 		t.Fatal(err)
 	}
-	a, _ := plain.All(6, 4, 3, 0, 15)
-	b, _ := probed.All(6, 4, 3, 0, 15)
+	a, _ := plain.metrics(Pair(6, 4, 3, 0, nil), 15)
+	b, _ := probed.metrics(Pair(6, 4, 3, 0, nil), 15)
 	if a != b {
 		t.Fatalf("metrics differ after probe run:\n%+v\n%+v", a, b)
 	}
@@ -86,7 +86,7 @@ func TestProbeGridError(t *testing.T) {
 	m := model2(dist.NewExponential(2), dist.NewExponential(1), 0, 0, 1)
 
 	p := newSolver(t, m, 10, 1<<12, 200)
-	pr, err := p.ProbeGridError(5, 3, 2, 1, 15)
+	pr, err := p.ProbeGridError(Pair(5, 3, 2, 1, nil), 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestProbeGridError(t *testing.T) {
 	if _, err := s.MeanTime(5, 3, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s.ProbeGridError(5, 3, 2, 1, 15); err != nil {
+	if got, err := s.ProbeGridError(Pair(5, 3, 2, 1, nil), 15); err != nil {
 		t.Fatalf("probe after an evaluation: %v", err)
 	} else if *got != *pr {
 		t.Fatalf("probe differs after an evaluation:\n%+v\n%+v", got, pr)
@@ -104,7 +104,7 @@ func TestProbeGridError(t *testing.T) {
 	if pr.CoarseN != 1<<11 {
 		t.Fatalf("coarse grid %d, want %d", pr.CoarseN, 1<<11)
 	}
-	want, err := p.All(5, 3, 2, 1, 15)
+	want, err := p.metrics(Pair(5, 3, 2, 1, nil), 15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,12 @@
 //	R_TM = Π_k P(F_k ≤ TM)
 //	R_∞  = Π_k E[S_{Y_k}(F_k)]
 //
-// This is exact whenever no server receives more than one group — every
-// two-server policy, and the n-server policies the (initial, policy)
-// metric methods accept. With several groups converging on one server the
+// A policy is evaluated through one door: a Point (allocation, policy,
+// per-server replication factors) and a Metric go to Solver.Eval, the
+// curve to Solver.CDF and the batch-arrival bracket to Solver.Bounds, and
+// each reads the laws one finish builder makes. Eval and CDF are exact
+// whenever no server receives more than one group — every two-server
+// policy among them. With several groups converging on one server the
 // exact law would integrate over every arrival order; Bounds brackets it
 // instead by the paper's §IV proposal, "all reallocated tasks arrive as a
 // single batch": delaying every arrival at a work-conserving server can
@@ -29,11 +32,11 @@
 // The finish-time laws are built by k-fold lattice convolutions
 // (internal/gridfn), which makes full policy sweeps at the paper's scale
 // (m1 = 100, m2 = 50) feasible — this is the engine behind Figs. 1–3 and
-// Tables I–II. The (m1, m2, l12, l21) methods are the two-server form the
-// sweeps run, allocation-free per point; both forms read one set of
-// per-server tables through one finish-law builder. The general recursion
-// of internal/core computes the same quantities for arbitrary
-// configurations and is validated against this solver in the tests.
+// Tables I–II. A sweep's points are two-server Pairs, and a warm point
+// allocates nothing; MeanTime, QoS, Reliability and CompletionCDF are
+// their (m1, m2, l12, l21) spellings. The general recursion of
+// internal/core computes the same quantities for arbitrary configurations
+// and is validated against this solver in the tests.
 package direct
 
 import (
@@ -48,8 +51,10 @@ import (
 	"dtr/internal/obs"
 )
 
-// Solver evaluates canonical-scenario metrics on a fixed time lattice.
-// It is one request's view of a model's Tables: the replication factors
+// Solver evaluates canonical-scenario metrics on a fixed time lattice,
+// one Point at a time: Eval reads a metric, CDF the completion curve and
+// Bounds the batch-arrival bracket, all off the laws finishFleet builds
+// through finishLaw. It is one request's view of a model's Tables: the replication factors
 // it may evaluate, the tail-correction switch, the trace span and the
 // numerical-health accumulators are its own; the prefix chains, spectra,
 // transfer lattices and scratch are the tables'. Its results and its
@@ -106,9 +111,9 @@ func NewSolver(m *core.Model, cfg Config) (*Solver, error) {
 // tables for.
 func (s *Solver) MaxFactor() int { return len(s.chains) }
 
-// DefaultFactors returns the factors the factor-less two-server metric
-// methods use: the Repl entries (1 when unset) of the model's first and
-// last server.
+// DefaultFactors returns the factors a two-server Pair with nil factors
+// evaluates under: the Repl entries (1 when unset) of the model's first
+// and last server.
 func (s *Solver) DefaultFactors() [2]int {
 	m := s.t.model
 	return [2]int{m.ReplFactor(0), m.ReplFactor(m.N() - 1)}
@@ -117,8 +122,8 @@ func (s *Solver) DefaultFactors() [2]int {
 // Dx returns the lattice step.
 func (s *Solver) Dx() float64 { return s.t.dx }
 
-// Horizon returns the last lattice time point.
-func (s *Solver) Horizon() float64 { return float64(s.t.n-1) * s.t.dx }
+// horizon returns the last lattice time point.
+func (s *Solver) horizon() float64 { return float64(s.t.n-1) * s.t.dx }
 
 // scratch is what one evaluation works in: the fold buffers and the
 // servers' finish laws. Every entry is overwritten before it is read, so
@@ -152,19 +157,6 @@ func newScratch(servers int, dx float64, n int) *scratch {
 		sc.acc = *gridfn.New(dx, n)
 	}
 	return sc
-}
-
-// Finish returns the finish-time law of server k with `own` initial tasks
-// and an incoming batch of `g` tasks from server src (g = 0 for none):
-// F = max(S_own, Z) + S'_g. A server with no work finishes at time 0.
-// The server's default replication factor applies.
-func (s *Solver) Finish(k, own, g, src int) (*gridfn.Lattice, error) {
-	sc := s.t.pool.Get().(*scratch)
-	defer s.t.pool.Put(sc)
-	if err := s.finishLaw(sc, k, own, g, s.t.model.ReplFactor(k), s.transferOf(g, src, k)); err != nil {
-		return nil, err
-	}
-	return sc.srv[k].fin.Clone(), nil
 }
 
 // finishLaw is the one finish-law builder: server k's law with `own`
@@ -206,36 +198,147 @@ type Metrics struct {
 	TailMass    float64
 }
 
-// finishPairRepl builds both servers' finish-time laws in sc.srv for the
-// two-server policy (l12, l21) on the workload (m1, m2) under explicit
-// per-server replication factors.
-func (s *Solver) finishPairRepl(sc *scratch, m1, m2, l12, l21 int, fac [2]int) error {
-	if len(sc.srv) != 2 {
-		return fmt.Errorf("direct: (L12, L21) policies address two servers, the model has %d", len(sc.srv))
+// Point is one evaluation request: the policy Policy applied at t = 0 to
+// the allocation Initial, every task's service drawn as the min-of-Fac[k]
+// order statistic at server k. Fac nil means the model's Repl factors.
+type Point struct {
+	Initial []int
+	Policy  core.Policy
+	Fac     []int
+}
+
+// Pair is the two-server point (L12, L21) on the workload (m1, m2), the
+// lattice the paper's optimization problems (3) and (4) search, under the
+// per-server factors fac (nil: the model's). Inlined at the call that
+// evaluates it, its slices stay on the stack: a warm point allocates
+// nothing.
+func Pair(m1, m2, l12, l21 int, fac []int) Point {
+	return Point{Initial: []int{m1, m2}, Policy: core.Policy{{0, l12}, {l21, 0}}, Fac: fac}
+}
+
+// Metric selects one of the paper's three metrics.
+type Metric int
+
+const (
+	// MetricMean is T̄ = E[max_k F_k]. The model must be reliable.
+	MetricMean Metric = iota
+	// MetricQoS is R_TM = Π_k E[1{F_k ≤ TM}·S_{Y_k}(F_k)]: each server
+	// must both finish by the deadline and outlive its own finish time.
+	// With reliable servers it reduces to Π_k P(F_k ≤ TM).
+	MetricQoS
+	// MetricReliability is R_∞ = Π_k E[S_{Y_k}(F_k)]: each server must
+	// outlive its own finish time; the failure laws are independent of
+	// everything else, so the factors multiply.
+	MetricReliability
+)
+
+var errUnreliable = errors.New("direct: mean execution time requires reliable servers")
+
+// Eval returns the metric m of the point pt; tm is the deadline
+// MetricQoS reads and the other two ignore. It is exact, so it refuses a
+// policy that converges several groups on one server: Bounds brackets
+// those.
+func (s *Solver) Eval(pt Point, m Metric, tm float64) (float64, error) {
+	switch m {
+	case MetricMean:
+		if !s.t.model.Reliable() {
+			return 0, errUnreliable
+		}
+	case MetricQoS:
+		if err := checkDeadline(tm); err != nil {
+			return 0, err
+		}
+	case MetricReliability:
+	default:
+		return 0, fmt.Errorf("direct: unknown metric %d", m)
 	}
-	if l12 < 0 || l21 < 0 || l12 > m1 || l21 > m2 {
-		return fmt.Errorf("direct: policy (L12=%d, L21=%d) infeasible for workload (%d, %d)", l12, l21, m1, m2)
+	sc, err := s.exact(pt)
+	if err != nil {
+		return 0, err
 	}
-	evals.Inc()
-	if err := s.finishLaw(sc, 0, m1-l12, l21, fac[0], s.transferOf(l21, 1, 0)); err != nil {
-		return err
+	defer s.t.pool.Put(sc)
+	switch m {
+	case MetricMean:
+		return s.meanOf(sc, s.TailCorrect), nil
+	case MetricQoS:
+		return s.qosOf(sc, tm), nil
 	}
-	if err := s.finishLaw(sc, 1, m2-l21, l12, fac[1], s.transferOf(l12, 0, 1)); err != nil {
-		return err
+	return s.reliabilityOf(sc), nil
+}
+
+// CDF returns the full distribution function of the workload execution
+// time T at the point pt, sampled on the solver lattice:
+// cdf[i] = P(T ≤ i·Dx()). With failure-prone servers T = ∞ with positive
+// probability, so the curve saturates at the service reliability rather
+// than 1. The QoS at any deadline is a point on this curve and the mean
+// (reliable case) is its complementary integral — the curve is what a
+// deadline-shopping caller actually wants. Like Eval it is exact only.
+func (s *Solver) CDF(pt Point) ([]float64, error) {
+	sc, err := s.exact(pt)
+	if err != nil {
+		return nil, err
 	}
-	s.noteFinish(sc.tailMass())
+	defer s.t.pool.Put(sc)
+	return s.cdfOf(sc), nil
+}
+
+// MeanTime is Eval's MetricMean at Pair(m1, m2, l12, l21, nil).
+func (s *Solver) MeanTime(m1, m2, l12, l21 int) (float64, error) {
+	return s.Eval(Pair(m1, m2, l12, l21, nil), MetricMean, 0)
+}
+
+// QoS is Eval's MetricQoS at Pair(m1, m2, l12, l21, nil).
+func (s *Solver) QoS(m1, m2, l12, l21 int, tm float64) (float64, error) {
+	return s.Eval(Pair(m1, m2, l12, l21, nil), MetricQoS, tm)
+}
+
+// Reliability is Eval's MetricReliability at Pair(m1, m2, l12, l21, nil).
+func (s *Solver) Reliability(m1, m2, l12, l21 int) (float64, error) {
+	return s.Eval(Pair(m1, m2, l12, l21, nil), MetricReliability, 0)
+}
+
+// CompletionCDF is CDF at Pair(m1, m2, l12, l21, nil).
+func (s *Solver) CompletionCDF(m1, m2, l12, l21 int) ([]float64, error) {
+	return s.CDF(Pair(m1, m2, l12, l21, nil))
+}
+
+// checkDeadline rejects a deadline the QoS cannot be read at. Bounds and
+// ProbeGridError read any deadline but NaN, the one value no lattice
+// point compares with.
+func checkDeadline(tm float64) error {
+	if tm < 0 || math.IsNaN(tm) {
+		return fmt.Errorf("direct: invalid deadline %g", tm)
+	}
 	return nil
 }
 
+// exact builds the finish laws of pt in pooled scratch, which the caller
+// returns to the pool after reading them; no more than one group may
+// converge on a server.
+func (s *Solver) exact(pt Point) (*scratch, error) {
+	if k := pt.Policy.Converging(); k >= 0 {
+		return nil, fmt.Errorf("direct: more than one task group converges on server %d, so its finish law depends on the arrival order; Bounds brackets the metrics", k)
+	}
+	sc := s.t.pool.Get().(*scratch)
+	if err := s.finishFleet(sc, pt, false); err != nil {
+		s.t.pool.Put(sc)
+		return nil, err
+	}
+	return sc, nil
+}
+
 // finishFleet builds every server's finish-time law in sc.srv for the
-// policy p on the allocation initial, under the model's replication
-// factors. A server's incoming groups count as one batch arriving with
+// point pt. A server's incoming groups count as one batch arriving with
 // the earliest of their transfers, or with the latest when late is set;
 // with at most one group per server the two coincide and the laws are
 // exact.
-func (s *Solver) finishFleet(sc *scratch, initial []int, p core.Policy, late bool) error {
+func (s *Solver) finishFleet(sc *scratch, pt Point, late bool) error {
+	initial, p := pt.Initial, pt.Policy
 	if len(initial) != len(sc.srv) {
 		return fmt.Errorf("direct: allocation for %d servers, model has %d", len(initial), len(sc.srv))
+	}
+	if pt.Fac != nil && len(pt.Fac) != len(sc.srv) {
+		return fmt.Errorf("direct: %d replication factors, model has %d servers", len(pt.Fac), len(sc.srv))
 	}
 	if err := p.Validate(initial); err != nil {
 		return err
@@ -261,27 +364,16 @@ func (s *Solver) finishFleet(sc *scratch, initial []int, p core.Policy, late boo
 			}
 			batch += g
 		}
-		if err := s.finishLaw(sc, k, own, batch, s.t.model.ReplFactor(k), z); err != nil {
+		fac := s.t.model.ReplFactor(k)
+		if pt.Fac != nil {
+			fac = pt.Fac[k]
+		}
+		if err := s.finishLaw(sc, k, own, batch, fac, z); err != nil {
 			return err
 		}
 	}
 	s.noteFinish(sc.tailMass())
 	return nil
-}
-
-// exact is the n-server form of the metric methods: read applied to the
-// finish laws of the policy p on the allocation initial, which no more
-// than one group per server may converge on.
-func exact[T any](s *Solver, initial []int, p core.Policy, read func(*scratch) T) (v T, err error) {
-	if k := p.Converging(); k >= 0 {
-		return v, fmt.Errorf("direct: more than one task group converges on server %d, so its finish law depends on the arrival order; Bounds brackets the metrics", k)
-	}
-	sc := s.t.pool.Get().(*scratch)
-	defer s.t.pool.Put(sc)
-	if err := s.finishFleet(sc, initial, p, false); err != nil {
-		return v, err
-	}
-	return read(sc), nil
 }
 
 func (sc *scratch) tailMass() float64 {
@@ -290,35 +382,6 @@ func (sc *scratch) tailMass() float64 {
 		tail += sc.srv[k].fin.Tail
 	}
 	return tail
-}
-
-// MeanTime returns T̄ = E[max(F1, F2)] for the policy (L12, L21) applied
-// to the initial allocation (m1, m2). The model must be reliable.
-func (s *Solver) MeanTime(m1, m2, l12, l21 int) (float64, error) {
-	return s.MeanTimeRepl(m1, m2, l12, l21, s.DefaultFactors())
-}
-
-// MeanTimeRepl is MeanTime under explicit per-server replication factors.
-func (s *Solver) MeanTimeRepl(m1, m2, l12, l21 int, fac [2]int) (float64, error) {
-	if !s.t.model.Reliable() {
-		return 0, errUnreliable
-	}
-	sc := s.t.pool.Get().(*scratch)
-	defer s.t.pool.Put(sc)
-	if err := s.finishPairRepl(sc, m1, m2, l12, l21, fac); err != nil {
-		return 0, err
-	}
-	return s.meanOf(sc, s.TailCorrect), nil
-}
-
-var errUnreliable = errors.New("direct: mean execution time requires reliable servers")
-
-// MeanTimeN is MeanTime in n-server form (see exact): T̄ = E[max_k F_k].
-func (s *Solver) MeanTimeN(initial []int, p core.Policy) (float64, error) {
-	if !s.t.model.Reliable() {
-		return 0, errUnreliable
-	}
-	return exact(s, initial, p, func(sc *scratch) float64 { return s.meanOf(sc, s.TailCorrect) })
 }
 
 // meanOf returns E[max_k F_k] for the laws in sc.srv — the pairwise
@@ -357,7 +420,7 @@ func (s *Solver) meanOf(sc *scratch, tailCorrect bool) float64 {
 // power — strictly lighter, so the correction shrinks with fac.
 func (s *Solver) tailExcess(sc *scratch, k int) float64 {
 	leg := &sc.srv[k]
-	h := s.Horizon()
+	h := s.horizon()
 	c := s.chains[leg.fac-1]
 	w, mean := c.eff[k], c.mean[k]()
 	nTasks := leg.own + leg.g
@@ -376,42 +439,6 @@ func (s *Solver) tailExcess(sc *scratch, k int) float64 {
 		excess += dist.MeanExcess(leg.z, max(h-total, 0))
 	}
 	return excess
-}
-
-// QoS returns R_TM = Π_k E[1{F_k ≤ TM}·S_{Y_k}(F_k)]: each server must
-// both finish by the deadline and outlive its own finish time. With
-// reliable servers the failure factor is 1 and this reduces to
-// P(F1 ≤ TM)·P(F2 ≤ TM).
-func (s *Solver) QoS(m1, m2, l12, l21 int, tm float64) (float64, error) {
-	return s.QoSRepl(m1, m2, l12, l21, tm, s.DefaultFactors())
-}
-
-// QoSRepl is QoS under explicit per-server replication factors.
-func (s *Solver) QoSRepl(m1, m2, l12, l21 int, tm float64, fac [2]int) (float64, error) {
-	if err := checkDeadline(tm); err != nil {
-		return 0, err
-	}
-	sc := s.t.pool.Get().(*scratch)
-	defer s.t.pool.Put(sc)
-	if err := s.finishPairRepl(sc, m1, m2, l12, l21, fac); err != nil {
-		return 0, err
-	}
-	return s.qosOf(sc, tm), nil
-}
-
-// QoSN is QoS in n-server form (see exact).
-func (s *Solver) QoSN(initial []int, p core.Policy, tm float64) (float64, error) {
-	if err := checkDeadline(tm); err != nil {
-		return 0, err
-	}
-	return exact(s, initial, p, func(sc *scratch) float64 { return s.qosOf(sc, tm) })
-}
-
-func checkDeadline(tm float64) error {
-	if tm < 0 || math.IsNaN(tm) {
-		return fmt.Errorf("direct: invalid deadline %g", tm)
-	}
-	return nil
 }
 
 // qosOf computes Π_k E[1{F_k ≤ tm}·S_{Y_k}(F_k)] over the laws in sc.srv.
@@ -438,29 +465,6 @@ func (s *Solver) qosOf(sc *scratch, tm float64) float64 {
 	return q
 }
 
-// Reliability returns R_∞ = Π_k E[S_{Y_k}(F_k)]: each server must outlive
-// its own finish time; the failure laws are independent of everything
-// else, so the factors multiply.
-func (s *Solver) Reliability(m1, m2, l12, l21 int) (float64, error) {
-	return s.ReliabilityRepl(m1, m2, l12, l21, s.DefaultFactors())
-}
-
-// ReliabilityRepl is Reliability under explicit per-server replication
-// factors.
-func (s *Solver) ReliabilityRepl(m1, m2, l12, l21 int, fac [2]int) (float64, error) {
-	sc := s.t.pool.Get().(*scratch)
-	defer s.t.pool.Put(sc)
-	if err := s.finishPairRepl(sc, m1, m2, l12, l21, fac); err != nil {
-		return 0, err
-	}
-	return s.reliabilityOf(sc), nil
-}
-
-// ReliabilityN is Reliability in n-server form (see exact).
-func (s *Solver) ReliabilityN(initial []int, p core.Policy) (float64, error) {
-	return exact(s, initial, p, s.reliabilityOf)
-}
-
 // reliabilityOf computes Π_k E[S_{Y_k}(F_k)] over the laws in sc.srv.
 func (s *Solver) reliabilityOf(sc *scratch) float64 {
 	r := 1.0
@@ -470,33 +474,6 @@ func (s *Solver) reliabilityOf(sc *scratch) float64 {
 		}
 	}
 	return r
-}
-
-// CompletionCDF returns the full distribution function of the workload
-// execution time T under the policy, sampled on the solver lattice:
-// cdf[i] = P(T ≤ i·Dx()). With failure-prone servers T = ∞ with positive
-// probability, so the curve saturates at the service reliability rather
-// than 1. The QoS at any deadline is a point on this curve and the mean
-// (reliable case) is its complementary integral — the curve is what a
-// deadline-shopping caller actually wants.
-func (s *Solver) CompletionCDF(m1, m2, l12, l21 int) ([]float64, error) {
-	return s.CompletionCDFRepl(m1, m2, l12, l21, s.DefaultFactors())
-}
-
-// CompletionCDFRepl is CompletionCDF under explicit per-server
-// replication factors.
-func (s *Solver) CompletionCDFRepl(m1, m2, l12, l21 int, fac [2]int) ([]float64, error) {
-	sc := s.t.pool.Get().(*scratch)
-	defer s.t.pool.Put(sc)
-	if err := s.finishPairRepl(sc, m1, m2, l12, l21, fac); err != nil {
-		return nil, err
-	}
-	return s.cdfOf(sc), nil
-}
-
-// CompletionCDFN is CompletionCDF in n-server form (see exact).
-func (s *Solver) CompletionCDFN(initial []int, p core.Policy) ([]float64, error) {
-	return exact(s, initial, p, s.cdfOf)
 }
 
 // cdfOf computes Π_k E[1{F_k ≤ x}·S_{Y_k}(F_k)] at every lattice point x
@@ -523,23 +500,8 @@ func (s *Solver) cdfOf(sc *scratch) []float64 {
 	return cdf
 }
 
-// All evaluates the three metrics (and the tail diagnostics) in one pass
-// over the finish-time laws; Mean is NaN when the model is not reliable.
-func (s *Solver) All(m1, m2, l12, l21 int, tm float64) (Metrics, error) {
-	return s.AllRepl(m1, m2, l12, l21, tm, s.DefaultFactors())
-}
-
-// AllRepl is All under explicit per-server replication factors.
-func (s *Solver) AllRepl(m1, m2, l12, l21 int, tm float64, fac [2]int) (Metrics, error) {
-	sc := s.t.pool.Get().(*scratch)
-	defer s.t.pool.Put(sc)
-	if err := s.finishPairRepl(sc, m1, m2, l12, l21, fac); err != nil {
-		return Metrics{}, err
-	}
-	return s.metricsOf(sc, tm, s.TailCorrect), nil
-}
-
-// metricsOf reads the three metrics off the laws in sc.srv.
+// metricsOf reads the three metrics off the laws in sc.srv; Mean is NaN
+// when the model is not reliable.
 func (s *Solver) metricsOf(sc *scratch, tm float64, tailCorrect bool) Metrics {
 	mean := math.NaN()
 	if s.t.model.Reliable() {
@@ -562,21 +524,24 @@ type Bounds struct {
 	Exact bool
 }
 
-// Bounds computes the batch-arrival bounds for the policy p applied to
-// the allocation initial. deadline ≤ 0 skips the QoS (reported as NaN);
-// Mean is NaN when the model is not reliable.
-func (s *Solver) Bounds(initial []int, p core.Policy, deadline float64) (b Bounds, err error) {
+// Bounds computes the batch-arrival bounds at the point pt. deadline ≤ 0
+// skips the QoS (reported as NaN) and NaN is an error; Mean is NaN when
+// the model is not reliable.
+func (s *Solver) Bounds(pt Point, deadline float64) (b Bounds, err error) {
+	if math.IsNaN(deadline) {
+		return Bounds{}, checkDeadline(deadline)
+	}
 	sc := s.t.pool.Get().(*scratch)
 	defer s.t.pool.Put(sc)
 	for late, side := range []*Metrics{&b.Optimistic, &b.Pessimistic} {
-		if err := s.finishFleet(sc, initial, p, late == 1); err != nil {
+		if err := s.finishFleet(sc, pt, late == 1); err != nil {
 			return Bounds{}, err
 		}
 		*side = s.metricsOf(sc, deadline, false)
 		if deadline <= 0 {
 			side.QoS = math.NaN()
 		}
-		if b.Exact = p.Converging() < 0; b.Exact {
+		if b.Exact = pt.Policy.Converging() < 0; b.Exact {
 			b.Pessimistic = b.Optimistic
 			break
 		}

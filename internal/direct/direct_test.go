@@ -207,7 +207,7 @@ func TestInfeasiblePoliciesRejected(t *testing.T) {
 	if _, err := s.QoS(2, 2, 0, -1, 5); err == nil {
 		t.Fatal("negative L21 should fail")
 	}
-	if _, err := s.Finish(0, 99, 0, 1); err == nil {
+	if _, err := s.Reliability(99, 0, 0, 0); err == nil {
 		t.Fatal("queue above MaxQueue should fail")
 	}
 }
@@ -217,11 +217,11 @@ func TestSymmetry(t *testing.T) {
 	// the metrics.
 	m := model2(dist.NewUniform(0.5, 1.5), dist.NewUniform(0.5, 1.5), 20, 20, 1)
 	s := newSolver(t, m, 8, 1<<12, 60)
-	a, err := s.All(4, 4, 2, 1, 8)
+	a, err := s.metrics(Pair(4, 4, 2, 1, nil), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.All(4, 4, 1, 2, 8)
+	b, err := s.metrics(Pair(4, 4, 1, 2, nil), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +235,13 @@ func TestMeanRequiresReliable(t *testing.T) {
 	if _, err := s.MeanTime(2, 2, 0, 0); err == nil {
 		t.Fatal("mean with failures should error")
 	}
-	// All() reports NaN mean instead.
-	got, err := s.All(2, 2, 0, 0, 5)
+	// Reading all three metrics reports a NaN mean instead.
+	got, err := s.metrics(Pair(2, 2, 0, 0, nil), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsNaN(got.Mean) {
-		t.Fatal("All should flag undefined mean as NaN")
+		t.Fatal("metrics should flag undefined mean as NaN")
 	}
 }
 
@@ -310,7 +310,7 @@ func TestPaperScaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.All(100, 50, 50, 0, 180)
+	got, err := s.metrics(Pair(100, 50, 50, 0, nil), 180)
 	if err != nil {
 		t.Fatal(err)
 	}

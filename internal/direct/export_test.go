@@ -8,7 +8,7 @@ import "dtr/dist"
 // held to, bit for bit.
 func referenceTailExcess(s *Solver, sc *scratch, k int) float64 {
 	leg := &sc.srv[k]
-	h := s.Horizon()
+	h := s.horizon()
 	w := dist.NewMinOfK(s.t.model.Service[k], leg.fac)
 	nTasks := leg.own + leg.g
 	total := float64(nTasks) * w.Mean()
@@ -26,12 +26,13 @@ func referenceTailExcess(s *Solver, sc *scratch, k int) float64 {
 	return excess
 }
 
-// ReferenceMeanTimeRepl is MeanTimeRepl with the tail-excess estimate
-// computed by referenceTailExcess.
+// ReferenceMeanTimeRepl is Eval's mean at the pair point (m1, m2, l12,
+// l21) under the factors fac, with the tail-excess estimate computed by
+// referenceTailExcess.
 func ReferenceMeanTimeRepl(s *Solver, m1, m2, l12, l21 int, fac [2]int) (float64, error) {
 	sc := s.t.pool.Get().(*scratch)
 	defer s.t.pool.Put(sc)
-	if err := s.finishPairRepl(sc, m1, m2, l12, l21, fac); err != nil {
+	if err := s.finishFleet(sc, Pair(m1, m2, l12, l21, fac[:]), false); err != nil {
 		return 0, err
 	}
 	mean := s.meanOf(sc, false)

@@ -14,7 +14,7 @@ func meanScan(fac [2]int) func(*Solver) (any, error) {
 		var out []float64
 		for l12 := 0; l12 <= 6; l12++ {
 			for l21 := 0; l21 <= 4; l21++ {
-				x, err := v.MeanTimeRepl(6, 4, l12, l21, fac)
+				x, err := v.Eval(Pair(6, 4, l12, l21, fac[:]), MetricMean, 0)
 				if err != nil {
 					return nil, err
 				}

@@ -38,16 +38,21 @@ func TestProbeUpperBoundsGridError(t *testing.T) {
 		}
 		for _, pol := range policies {
 			l12, l21 := pol[0], pol[1]
-			pr, err := s.ProbeGridError(exper.TBM1, exper.TBM2, l12, l21, tm)
+			pt := direct.Pair(exper.TBM1, exper.TBM2, l12, l21, nil)
+			pr, err := s.ProbeGridError(pt, tm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.All(exper.TBM1, exper.TBM2, l12, l21, tm)
+			wantMean, err := ref.Eval(pt, direct.MetricMean, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			trueMean := math.Abs(pr.Fine.Mean - want.Mean)
-			trueQoS := math.Abs(pr.Fine.QoS - want.QoS)
+			wantQoS, err := ref.Eval(pt, direct.MetricQoS, tm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trueMean := math.Abs(pr.Fine.Mean - wantMean)
+			trueQoS := math.Abs(pr.Fine.QoS - wantQoS)
 			t.Logf("n=%d policy=(%d,%d): probe mean=%.4g qos=%.4g | true mean=%.4g qos=%.4g",
 				n, l12, l21, pr.MeanErr, pr.QoSErr, trueMean, trueQoS)
 			if pr.MeanErr*slack < trueMean {

@@ -41,7 +41,7 @@ func TestMeanTimeReplMatchesReference(t *testing.T) {
 		for _, fac := range [][2]int{{1, 2}, {2, 1}, {2, 2}} {
 			for l12 := 0; l12 <= tc.m1; l12 += tc.m1 / 4 {
 				for l21 := 0; l21 <= tc.m2; l21 += tc.m2 / 4 {
-					got, err := s.MeanTimeRepl(tc.m1, tc.m2, l12, l21, fac)
+					got, err := s.Eval(direct.Pair(tc.m1, tc.m2, l12, l21, fac[:]), direct.MetricMean, 0)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,16 +1,19 @@
 package direct
 
 import (
-	"slices"
+	"fmt"
 	"testing"
 
 	"dtr/dist"
+	"dtr/internal/core"
 )
 
 // TestWarmEvaluationAllocatesNothing: once the spectra and transfer laws
 // a policy needs are cached, an evaluation works entirely in pooled
-// scratch. The seed kernel spent 20 allocations and 318 KB per point; at
-// factor 2 the tail-excess estimate once built a min-of-k law per point.
+// scratch — a two-server Pair built per call included. The seed kernel
+// spent 20 allocations and 318 KB per point; at factor 2 the tail-excess
+// estimate once built a min-of-k law per point. The three-server points
+// fold a running maximum over more than two laws.
 func TestWarmEvaluationAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -20,15 +23,35 @@ func TestWarmEvaluationAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, eval := range map[string]func(){
-		"MeanTime":          func() { _, err = s.MeanTime(16, 8, 5, 2) },
-		"QoS":               func() { _, err = s.QoS(16, 8, 5, 2, 40) },
-		"MeanTimeRepl(2,2)": func() { _, err = s.MeanTimeRepl(16, 8, 5, 2, [2]int{2, 2}) },
-		"MeanTimeRepl(2,1)": func() { _, err = s.MeanTimeRepl(16, 8, 5, 2, [2]int{2, 1}) },
-	} {
+	// One group into each of servers 1 and 2: the exact three-server case.
+	initial, p := []int{10, 6, 2}, core.NewPolicy(3)
+	p[0][1], p[0][2] = 3, 4
+	reliable := newSolver(t, fleet([]float64{3, 2, 1}, nil, 1.2), 24, 1<<11, 150)
+	failing := newSolver(t, fleet([]float64{3, 2, 1}, []float64{60, 50, 40}, 1.2), 24, 1<<11, 150)
+
+	evals := map[string]func(){
+		"MeanTime": func() { _, err = s.MeanTime(16, 8, 5, 2) },
+		"QoS":      func() { _, err = s.QoS(16, 8, 5, 2, 40) },
+		"three-server mean": func() {
+			_, err = reliable.Eval(Point{Initial: initial, Policy: p}, MetricMean, 0)
+		},
+	}
+	for _, fac := range [][]int{{2, 1}, {2, 2}} {
+		for _, metric := range []Metric{MetricMean, MetricQoS, MetricReliability} {
+			evals[fmt.Sprintf("Pair factors %v metric %d", fac, metric)] = func() {
+				_, err = s.Eval(Pair(16, 8, 5, 2, fac), metric, 40)
+			}
+		}
+	}
+	for _, metric := range []Metric{MetricQoS, MetricReliability} {
+		evals[fmt.Sprintf("three-server failure-prone metric %d", metric)] = func() {
+			_, err = failing.Eval(Point{Initial: initial, Policy: p}, metric, 40)
+		}
+	}
+	for name, eval := range evals {
 		eval() // fill the caches
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		// The pool may be emptied by a collection mid-run; the average
 		// still rounds to zero.
@@ -46,7 +69,7 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 	s := newSolver(t, m, 24, 1<<11, 200)
 	all := func(l12, l21 int) Metrics {
 		t.Helper()
-		got, err := s.All(16, 8, l12, l21, 40)
+		got, err := s.metrics(Pair(16, 8, l12, l21, nil), 40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +84,7 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 		}
 	}
 
-	// The same through the mean path, and through the laws Finish hands
-	// out: a caller's lattice must not alias the pooled one.
+	// The same through the mean path.
 	rel := newSolver(t, model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1), 24, 1<<11, 200)
 	mean := func(l12, l21 int) float64 {
 		t.Helper()
@@ -73,16 +95,8 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 		return v
 	}
 	first := mean(5, 2)
-	held, err := rel.Finish(0, 11, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshot := held.Clone()
 	mean(11, 7)
 	if again := mean(5, 2); again != first {
 		t.Fatalf("mean %v after another evaluation, %v before", again, first)
-	}
-	if held.Tail != snapshot.Tail || !slices.Equal(held.M, snapshot.M) {
-		t.Fatal("a later evaluation rewrote a law Finish returned")
 	}
 }

@@ -15,7 +15,7 @@ func evalSet(t *testing.T, s *Solver) []float64 {
 	t.Helper()
 	var out []float64
 	for _, pol := range [][2]int{{0, 0}, {5, 2}, {16, 0}, {3, 8}} {
-		all, err := s.All(16, 8, pol[0], pol[1], 40)
+		all, err := s.metrics(Pair(16, 8, pol[0], pol[1], nil), 40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestViewDiagnosticsArePure(t *testing.T) {
 		t.Fatalf("view(2) built %d chains, tables hold %d, want 1 and 2", built, tables.factors())
 	}
 	for _, fac := range [][2]int{{1, 1}, {2, 1}, {2, 2}} {
-		if _, err := other.MeanTimeRepl(16, 8, 5, 2, fac); err != nil {
+		if _, err := other.Eval(Pair(16, 8, 5, 2, fac[:]), MetricMean, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestViewDiagnosticsArePure(t *testing.T) {
 	if got := view.Diagnostics(); got != wantDiag {
 		t.Fatalf("view diagnostics\n%+v\nfresh solver\n%+v", got, wantDiag)
 	}
-	if _, err := view.MeanTimeRepl(16, 8, 5, 2, [2]int{2, 1}); err == nil {
+	if _, err := view.Eval(Pair(16, 8, 5, 2, []int{2, 1}), MetricMean, 0); err == nil {
 		t.Fatal("a factor-1 view evaluated factor 2 because the tables happen to hold it")
 	}
 }
@@ -154,7 +154,7 @@ func TestTablesExtendBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fresh.AllRepl(8, 6, 3, 1, 40, [2]int{3, 2})
+	got, err := fresh.metrics(Pair(8, 6, 3, 1, []int{3, 2}), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTablesExtendBitIdentical(t *testing.T) {
 		gd.BuildMassResidualMax != d.BuildMassResidualMax || gd.BuildNegMassMax != d.BuildNegMassMax {
 		t.Fatalf("extended diagnostics\n%+v\nfresh\n%+v", gd, d)
 	}
-	want, err := grown.AllRepl(8, 6, 3, 1, 40, [2]int{3, 2})
+	want, err := grown.metrics(Pair(8, 6, 3, 1, []int{3, 2}), 40)
 	if err != nil {
 		t.Fatal(err)
 	}

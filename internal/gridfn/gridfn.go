@@ -290,10 +290,12 @@ func (l *Lattice) CDFAt(x float64) float64 {
 		return 0
 	}
 	pos := x / l.Dx
-	i := int(pos)
-	if i >= len(l.M)-1 {
+	// Compare before converting: int(pos) overflows for x ≥ 2⁶³·Dx, +Inf
+	// and NaN.
+	if !(pos < float64(len(l.M)-1)) {
 		return 1 - l.Tail
 	}
+	i := int(pos)
 	var c float64 // the running sum of the masses through i
 	for _, m := range l.M[:i+1] {
 		c += m

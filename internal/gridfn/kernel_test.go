@@ -276,8 +276,18 @@ func TestCDFAtMatchesCDF(t *testing.T) {
 			t.Fatalf("CDFAt(%g) = %v, from CDF() %v", x, got, want)
 		}
 	}
-	if got := l.CDFAt(l.Horizon()); got != 1-l.Tail {
-		t.Fatalf("CDFAt(horizon) = %v, want %v", got, 1-l.Tail)
+	// At and beyond the horizon the curve reads 1 − Tail, however far
+	// beyond: an abscissa past 2⁶³ steps does not fit an index.
+	for _, x := range []float64{l.Horizon(), 1e300, math.Inf(1)} {
+		if got := l.CDFAt(x); got != 1-l.Tail {
+			t.Fatalf("CDFAt(%g) = %v, want %v", x, got, 1-l.Tail)
+		}
+	}
+	below := math.Nextafter(l.Horizon(), 0)
+	pos := below / l.Dx
+	i := int(pos)
+	if want := c[i] + (pos-float64(i))*(c[i+1]-c[i]); l.CDFAt(below) != want {
+		t.Fatalf("CDFAt just below the horizon = %v, from CDF() %v", l.CDFAt(below), want)
 	}
 	if l.CDFAt(-1) != 0 {
 		t.Fatal("CDFAt of a negative time must be 0")

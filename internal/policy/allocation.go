@@ -55,7 +55,7 @@ func NewAllocationEvaluator(m *core.Model, maxPer int, gridN int, horizon float6
 
 // Evaluate computes the metrics of an allocation (deadline 0 skips QoS).
 func (ev *AllocationEvaluator) Evaluate(alloc []int, deadline float64) (AllocationMetrics, error) {
-	b, err := ev.sv.Bounds(alloc, ev.stay, deadline)
+	b, err := ev.sv.Bounds(direct.Point{Initial: alloc, Policy: ev.stay}, deadline)
 	return b.Optimistic, err
 }
 

@@ -153,19 +153,26 @@ type SweepDiagnostics struct {
 type evalFunc func(l12, l21 int) (float64, error)
 
 // directEval evaluates policies on the canonical-scenario solver under
-// the per-server replication factors fac.
+// the per-server replication factors fac. It is not inlined: a copy of
+// the closure it returns, compiled where it inlines, does not inline
+// direct.Pair, and the point's slices then reach the heap on every call.
+//
+//go:noinline
 func directEval(s *direct.Solver, m1, m2 int, obj Objective, deadline float64, fac [2]int) evalFunc {
+	var metric direct.Metric
+	switch obj {
+	case ObjMeanTime:
+		metric = direct.MetricMean
+	case ObjQoS:
+		metric = direct.MetricQoS
+	case ObjReliability:
+		metric = direct.MetricReliability
+	default:
+		return func(int, int) (float64, error) { return 0, fmt.Errorf("policy: unknown objective %v", obj) }
+	}
+	fs := fac[:]
 	return func(l12, l21 int) (float64, error) {
-		switch obj {
-		case ObjMeanTime:
-			return s.MeanTimeRepl(m1, m2, l12, l21, fac)
-		case ObjQoS:
-			return s.QoSRepl(m1, m2, l12, l21, deadline, fac)
-		case ObjReliability:
-			return s.ReliabilityRepl(m1, m2, l12, l21, fac)
-		default:
-			return 0, fmt.Errorf("policy: unknown objective %v", obj)
-		}
+		return s.Eval(direct.Pair(m1, m2, l12, l21, fs), metric, deadline)
 	}
 }
 

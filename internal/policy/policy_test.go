@@ -203,3 +203,29 @@ func TestWeightHelpers(t *testing.T) {
 		t.Fatalf("reliable server should have the highest weight: %v", rw)
 	}
 }
+
+// TestWarmSweepPointAllocatesNothing: a sweep's lattice point allocates
+// nothing once its transforms are cached. The point is built per call,
+// inside the closure directEval returns; directEval must not be inlined,
+// or direct.Pair's slices escape on every sweep point.
+func TestWarmSweepPointAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
+	s, err := direct.NewSolver(m, direct.Config{N: 1 << 11, Horizon: 200, MaxQueue: [2]int{24, 24}, MaxFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fac := range [][2]int{{1, 1}, {2, 1}} {
+		for _, obj := range []Objective{ObjMeanTime, ObjQoS, ObjReliability} {
+			eval := directEval(s, 16, 8, obj, 40, fac)
+			if _, err := eval(5, 2); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(200, func() { _, _ = eval(5, 2) }); allocs > 0 {
+				t.Errorf("warm %v point at factors %v allocates %v objects per call, want 0", obj, fac, allocs)
+			}
+		}
+	}
+}

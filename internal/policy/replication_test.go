@@ -307,11 +307,11 @@ func TestReplicatedPlanSimulationConfirms(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Analytic values for the two plans, re-evaluated at their factors.
-	baseVal, err := s.MeanTimeRepl(14, 8, base.L12, base.L21, [2]int{1, 1})
+	baseVal, err := s.Eval(direct.Pair(14, 8, base.L12, base.L21, []int{1, 1}), direct.MetricMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replVal, err := s.MeanTimeRepl(14, 8, res.L12, res.L21, res.Factors)
+	replVal, err := s.Eval(direct.Pair(14, 8, res.L12, res.L21, res.Factors[:]), direct.MetricMean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

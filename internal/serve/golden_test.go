@@ -182,3 +182,27 @@ func TestExecIsValidatedNotCapped(t *testing.T) {
 		t.Error("Exec accepted a verb the table does not hold")
 	}
 }
+
+// TestHugeDeadlineAnswers: any finite non-negative deadline is valid, and
+// one far past the lattice horizon reads the curve's last point. The
+// verbs that read a QoS answer 1e300 instead of indexing the lattice
+// with an overflowed position; metrics answers the limit, the reliability.
+func TestHugeDeadlineAnswers(t *testing.T) {
+	for _, c := range []struct{ verb, extra string }{
+		{"metrics", `"policy": "0>1:2"`},
+		{"bounds", `"policy": "0>1:2"`},
+		{"optimize", `"objective": "qos"`},
+	} {
+		var req Request
+		if err := json.Unmarshal([]byte(reqBody(specJSON, `"grid": 512, "deadline": 1e300, `+c.extra)), &req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := Exec(c.verb, &req, 1, nil)
+		if err != nil {
+			t.Fatalf("%s with deadline 1e300: %v", c.verb, err)
+		}
+		if m, ok := resp.(*MetricsResponse); ok && !(m.QoS > 0.99 && m.QoS <= m.Reliability) {
+			t.Errorf("metrics at deadline 1e300: QoS %v, reliability %v", m.QoS, m.Reliability)
+		}
+	}
+}

@@ -104,7 +104,7 @@ func TestReplicationKSCrossValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := 1; k <= 3; k++ {
-				vals, err := ds.CompletionCDFRepl(m1, m2, l12, l21, [2]int{k, k})
+				vals, err := ds.CDF(direct.Pair(m1, m2, l12, l21, []int{k, k}))
 				if err != nil {
 					t.Fatal(err)
 				}

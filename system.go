@@ -144,32 +144,29 @@ func (s *System) solverWithFactor(maxFac int) (*direct.Solver, error) {
 	return s.solver, nil
 }
 
-// MeanTime returns the mean workload execution time T̄ under the policy.
-// Every server must be reliable (dist.Never failure law).
-func (s *System) MeanTime(p Policy) (float64, error) {
+// eval reads the metric m of the policy on the canonical-scenario solver.
+func (s *System) eval(p Policy, m direct.Metric, deadline float64) (float64, error) {
 	sv, err := s.solverWithFactor(1)
 	if err != nil {
 		return 0, err
 	}
-	return sv.MeanTimeN(s.initial, p)
+	return sv.Eval(direct.Point{Initial: s.initial, Policy: p}, m, deadline)
+}
+
+// MeanTime returns the mean workload execution time T̄ under the policy.
+// Every server must be reliable (dist.Never failure law).
+func (s *System) MeanTime(p Policy) (float64, error) {
+	return s.eval(p, direct.MetricMean, 0)
 }
 
 // QoS returns P(T < deadline) under the policy.
 func (s *System) QoS(p Policy, deadline float64) (float64, error) {
-	sv, err := s.solverWithFactor(1)
-	if err != nil {
-		return 0, err
-	}
-	return sv.QoSN(s.initial, p, deadline)
+	return s.eval(p, direct.MetricQoS, deadline)
 }
 
 // Reliability returns P(T < ∞) under the policy.
 func (s *System) Reliability(p Policy) (float64, error) {
-	sv, err := s.solverWithFactor(1)
-	if err != nil {
-		return 0, err
-	}
-	return sv.ReliabilityN(s.initial, p)
+	return s.eval(p, direct.MetricReliability, 0)
 }
 
 // CompletionCDF returns the distribution function of the workload
@@ -182,7 +179,7 @@ func (s *System) CompletionCDF(p Policy) (func(float64) float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	cdf, err := sv.CompletionCDFN(s.initial, p)
+	cdf, err := sv.CDF(direct.Point{Initial: s.initial, Policy: p})
 	if err != nil {
 		return nil, err
 	}
@@ -192,9 +189,9 @@ func (s *System) CompletionCDF(p Policy) (func(float64) float64, error) {
 			return 0
 		}
 		pos := t / dx
-		// Compare before converting: int(pos) overflows for huge t
-		// (e.g. the auto-tmax probe evaluates the curve at 1e18).
-		if pos >= float64(len(cdf)-1) {
+		// Compare before converting: int(pos) overflows for NaN and huge
+		// t (e.g. the auto-tmax probe evaluates the curve at 1e18).
+		if !(pos < float64(len(cdf)-1)) {
 			return cdf[len(cdf)-1]
 		}
 		i := int(pos)
