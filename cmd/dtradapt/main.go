@@ -193,12 +193,12 @@ func (s *decisionSink) emit(d *adapt.Decision, indent bool) error {
 		if err != nil {
 			return fmt.Errorf("encode spec: %w", err)
 		}
-		if err := obs.WriteFileAtomic(s.specOut, append(spec, '\n')); err != nil {
+		if err := obs.WriteFileAtomic(s.specOut, append(spec, '\n'), 0o644); err != nil {
 			return err
 		}
 	}
 	if s.policyOut != "" {
-		if err := obs.WriteFileAtomic(s.policyOut, []byte(d.PolicyString+"\n")); err != nil {
+		if err := obs.WriteFileAtomic(s.policyOut, []byte(d.PolicyString+"\n"), 0o644); err != nil {
 			return err
 		}
 	}

@@ -153,7 +153,7 @@ func fleet(serviceMeans []float64, failMeans []float64, zPerTask float64) *core.
 
 // TestBoundsCollapseToExact: with at most one group per server the two
 // sides coincide, and they are the exact methods' values: the mean is
-// MeanTime without the tail-excess estimate, bit for bit, QoS and
+// Eval's without the tail-excess estimate, bit for bit, QoS and
 // Reliability are QoS and Reliability, in both policy forms.
 func TestBoundsCollapseToExact(t *testing.T) {
 	for _, failing := range []bool{false, true} {
@@ -162,7 +162,6 @@ func TestBoundsCollapseToExact(t *testing.T) {
 			fail = []float64{40, 30}
 		}
 		s := newSolver(t, fleet([]float64{2, 1}, fail, 1), 16, 1<<12, 80)
-		s.TailCorrect = false // Bounds attributes the tail at the horizon
 		initial, p := []int{8, 4}, core.Policy2(3, 1)
 		b, err := s.Bounds(Point{Initial: initial, Policy: p}, 25)
 		if err != nil {
@@ -177,16 +176,17 @@ func TestBoundsCollapseToExact(t *testing.T) {
 			t.Fatalf("sides differ on an exact policy: %+v / %+v", want, pes)
 		}
 		if !failing {
-			mean, err := s.MeanTime(8, 4, 3, 1)
+			// Bounds attributes the tail at the horizon.
+			mean, err := rawMean(s, Pair(8, 4, 3, 1, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
-			meanN, err := s.Eval(Point{Initial: initial, Policy: p}, MetricMean, 0)
+			meanN, err := rawMean(s, Point{Initial: initial, Policy: p})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mean != want.Mean || meanN != want.Mean {
-				t.Errorf("mean: MeanTime %v, Eval %v, Bounds %v", mean, meanN, want.Mean)
+				t.Errorf("mean: pair %v, point %v, Bounds %v", mean, meanN, want.Mean)
 			}
 		} else if !math.IsNaN(want.Mean) {
 			t.Error("mean with failures should be NaN")

@@ -2,6 +2,7 @@ package direct
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dtr/dist"
@@ -11,8 +12,9 @@ import (
 // TestSolverConcurrentMatchesSerial: views of one Tables used by many
 // goroutines — several views, each shared by two goroutines — must
 // return bit-identical metric values to a serial scan over the same
-// policies: the locked lazy caches (FFT prefixes, transfer laws) may
-// race on who computes an entry, but never on what the entry is.
+// policies, and the lazy caches (spectra, transfer laws, sweeps) must
+// fill each entry once however the goroutines race on it: the miss
+// counters equal the distinct entries the scan reads.
 func TestSolverConcurrentMatchesSerial(t *testing.T) {
 	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
 	const maxQ, gridN, horizon = 24, 1 << 11, 200
@@ -89,15 +91,87 @@ func TestSolverConcurrentMatchesSerial(t *testing.T) {
 		t.Fatalf("views counted %d evaluations, want %d", counted, len(pts))
 	}
 
-	// The cache metrics saw the scan; dup computes (publish races lost)
-	// are possible but each one must have been discarded, not used.
+	// Each transfer law (tasks, src, dst) and each spectrum slot (server,
+	// group size) the scan reads was computed once; every other read hit.
+	transfers, slots := map[[3]int]bool{}, map[[2]int]bool{}
+	for _, p := range pts {
+		if p.l12 > 0 {
+			transfers[[3]int{p.l12, 0, 1}], slots[[2]int{1, p.l12}] = true, true
+		}
+		if p.l21 > 0 {
+			transfers[[3]int{p.l21, 1, 0}], slots[[2]int{0, p.l21}] = true, true
+		}
+	}
+	reads := 0
+	for _, p := range pts {
+		reads += min(p.l12, 1) + min(p.l21, 1)
+	}
 	snap := reg.Snapshot()
 	if snap.Counters["dtr_direct_evals_total"] != uint64(len(pts)) {
 		t.Fatalf("evals counter %d, want %d", snap.Counters["dtr_direct_evals_total"], len(pts))
 	}
-	hits := snap.Counters["dtr_direct_transfer_cache_hits_total"]
-	misses := snap.Counters["dtr_direct_transfer_cache_misses_total"]
-	if misses == 0 || hits == 0 {
-		t.Fatalf("transfer cache unused under the scan: hits=%d misses=%d", hits, misses)
+	for _, c := range []struct {
+		cache    string
+		distinct int
+	}{{"transfer", len(transfers)}, {"fft", len(slots)}} {
+		hits := snap.Counters["dtr_direct_"+c.cache+"_cache_hits_total"]
+		misses := snap.Counters["dtr_direct_"+c.cache+"_cache_misses_total"]
+		if misses != uint64(c.distinct) || hits+misses != uint64(reads) {
+			t.Errorf("%s cache: %d misses and %d hits, want %d misses (one per distinct entry) of %d reads", c.cache, misses, hits, c.distinct, reads)
+		}
+	}
+
+	// Eight goroutines asking fresh tables for one sweep at once get one
+	// computation: run executes once, seven callers wait for it and read
+	// it back as hits, and all eight hold the same answer and the same
+	// Diagnostics.
+	tables, err = NewTables(m, Config{N: 1 << 10, Horizon: 120, MaxQueue: [2]int{10, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int32
+	scan := meanScan([2]int{1, 1})
+	run := func(v *Solver) (any, error) {
+		runs.Add(1)
+		return scan(v)
+	}
+	const callers = 8
+	answers := make([]any, callers)
+	hits := make([]bool, callers)
+	errs = make([]error, callers)
+	views = make([]*Solver, callers)
+	start := make(chan struct{})
+	for i := range views {
+		views[i], _ = tables.View(0, nil)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			answers[i], hits[i], errs[i] = views[i].Sweep("scan", [2]int{1, 1}, run)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("run executed %d times for one key, want once", n)
+	}
+	computed := 0
+	for i := range views {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !hits[i] {
+			computed++
+		}
+		if &answers[i].([]float64)[0] != &answers[0].([]float64)[0] {
+			t.Fatalf("caller %d holds another copy of the answer", i)
+		}
+		if d, want := views[i].Diagnostics(), views[0].Diagnostics(); d != want {
+			t.Fatalf("caller %d diagnostics\n%+v\nwant\n%+v", i, d, want)
+		}
+	}
+	if computed != 1 {
+		t.Fatalf("%d callers report a miss, want 1", computed)
 	}
 }

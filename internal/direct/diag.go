@@ -167,7 +167,6 @@ func (s *Solver) ProbeGridError(pt Point, tm float64) (*ProbeResult, error) {
 		return nil, err
 	}
 	coarseSolver, _ := shadow.View(0, nil)
-	coarseSolver.TailCorrect = s.TailCorrect
 	fine, err := s.metrics(pt, tm)
 	if err != nil {
 		return nil, err
@@ -193,7 +192,7 @@ func (s *Solver) ProbeGridError(pt Point, tm float64) (*ProbeResult, error) {
 	return pr, nil
 }
 
-// metrics reads all three metrics of the point pt, with the view's tail
+// metrics reads all three metrics of the point pt, with Eval's tail
 // correction; Mean is NaN when the model is not reliable.
 func (s *Solver) metrics(pt Point, tm float64) (Metrics, error) {
 	sc, err := s.exact(pt)
@@ -201,5 +200,5 @@ func (s *Solver) metrics(pt Point, tm float64) (Metrics, error) {
 		return Metrics{}, err
 	}
 	defer s.t.pool.Put(sc)
-	return s.metricsOf(sc, tm, s.TailCorrect), nil
+	return s.metricsOf(sc, tm, true), nil
 }

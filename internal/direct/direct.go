@@ -54,35 +54,27 @@ import (
 // Solver evaluates canonical-scenario metrics on a fixed time lattice,
 // one Point at a time: Eval reads a metric, CDF the completion curve and
 // Bounds the batch-arrival bracket, all off the laws finishFleet builds
-// through finishLaw. It is one request's view of a model's Tables: the replication factors
-// it may evaluate, the tail-correction switch, the trace span and the
+// through finishLaw. It is one request's view of a model's Tables: the
+// replication factors it may evaluate, the trace span and the
 // numerical-health accumulators are its own; the prefix chains, spectra,
 // transfer lattices and scratch are the tables'. Its results and its
 // Diagnostics are therefore a pure function of what was asked of this
 // view, whatever other views of the same tables exist.
 //
 // A Solver is safe for concurrent use: the tables are immutable once
-// published, and their two lazy caches (spectra of the prefixes,
-// transfer-time lattices) are guarded by the tables' lock. A cache miss
-// computes outside the lock and discards the duplicate if another
-// goroutine stored first, and every evaluation works in pooled scratch
-// it fully overwrites, so concurrent sweeps over the policy lattice
-// return bit-identical values to a serial scan. Set TailCorrect before
-// sharing the solver across goroutines.
+// published, their lazy caches fill each value once (see Tables), and
+// every evaluation works in pooled scratch it fully overwrites, so
+// concurrent sweeps over the policy lattice return bit-identical values
+// to a serial scan.
+//
+// Eval's mean carries the single-big-jump tail-excess estimate of the
+// mass beyond the lattice horizon (see tailExcess); Bounds attributes
+// that mass at the horizon instead.
 type Solver struct {
 	t *Tables
 	// chains are the tables' factor chains 1..len(chains) this view
 	// reads; the tables may hold more.
 	chains []*chain
-
-	// TailCorrect adds the single-big-jump tail-excess estimate to mean
-	// execution times: for subexponential laws (the paper's Pareto
-	// models) the probability mass beyond the lattice horizon H is
-	// dominated by one component being huge, so
-	// E[(F−H)⁺] ≈ Σ_i E[(X_i − (H − E[F − X_i]))⁺] over F's constituent
-	// draws. Light-tailed laws contribute ~0, so the correction is safe
-	// to leave on (NewSolver's default).
-	TailCorrect bool
 
 	span *obs.Span
 
@@ -259,7 +251,7 @@ func (s *Solver) Eval(pt Point, m Metric, tm float64) (float64, error) {
 	defer s.t.pool.Put(sc)
 	switch m {
 	case MetricMean:
-		return s.meanOf(sc, s.TailCorrect), nil
+		return s.meanOf(sc, true), nil
 	case MetricQoS:
 		return s.qosOf(sc, tm), nil
 	}

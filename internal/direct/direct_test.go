@@ -291,8 +291,7 @@ func TestTailCorrectionRecoversHeavyTailMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short.TailCorrect = false
-	raw, err := short.MeanTime(8, 4, 3, 0)
+	raw, err := rawMean(short, Pair(8, 4, 3, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

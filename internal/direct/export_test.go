@@ -26,6 +26,17 @@ func referenceTailExcess(s *Solver, sc *scratch, k int) float64 {
 	return excess
 }
 
+// rawMean is Eval's mean at pt without the tail-excess estimate, the
+// mean Bounds reports.
+func rawMean(s *Solver, pt Point) (float64, error) {
+	sc, err := s.exact(pt)
+	if err != nil {
+		return 0, err
+	}
+	defer s.t.pool.Put(sc)
+	return s.meanOf(sc, false), nil
+}
+
 // ReferenceMeanTimeRepl is Eval's mean at the pair point (m1, m2, l12,
 // l21) under the factors fac, with the tail-excess estimate computed by
 // referenceTailExcess.

@@ -1,18 +1,11 @@
 package direct
 
-// sweepKey names one remembered sweep: the caller's key — what the
-// sweep searched — and the view's TailCorrect, the one view setting its
-// values depend on.
-type sweepKey struct {
-	key         any
-	tailCorrect bool
-}
-
-// swept is a remembered sweep: the caller's answer and the solve-phase
-// accumulators of the view that computed it.
+// swept is a sweep's outcome: the caller's answer or error and the
+// solve-phase accumulators of the view that computed it.
 type swept struct {
 	val any
 	acc accum
+	err error
 }
 
 // sweptBytes is what Tables.Bytes charges per remembered sweep: the map
@@ -49,8 +42,9 @@ func (s *Solver) merge(a accum) {
 // its answer with that view's accumulators; hit or miss, the accumulators
 // are merged into this view, so its Diagnostics are those of a view that
 // ran the sweep itself. run must be a pure function of the view it is
-// given. Concurrent misses on one key each compute; the first store
-// wins, as in freqOf. Errors are not remembered.
+// given. Callers of a key being swept wait for that sweep and read it
+// back as a hit. Errors are not remembered: the callers already waiting
+// share one, and the next caller sweeps again.
 func (s *Solver) Sweep(key any, fac [2]int, run func(*Solver) (any, error)) (val any, hit bool, err error) {
 	for _, f := range fac {
 		if f < 1 || f > len(s.chains) {
@@ -58,28 +52,22 @@ func (s *Solver) Sweep(key any, fac [2]int, run func(*Solver) (any, error)) (val
 			return val, false, err
 		}
 	}
-	t, k := s.t, sweepKey{key, s.TailCorrect}
-	t.mu.RLock()
-	e, ok := t.sweeps[k]
-	t.mu.RUnlock()
-	if ok {
-		s.merge(e.acc)
-		return e.val, true, nil
-	}
-	fresh := &Solver{t: t, chains: s.chains, TailCorrect: s.TailCorrect, span: s.span}
-	val, err = run(fresh)
-	e = swept{val, fresh.accum()}
+	t := s.t
+	e, filled := cellOf(&t.mu, t.sweeps, key).get(func() swept {
+		fresh := &Solver{t: t, chains: s.chains, span: s.span}
+		val, err := run(fresh)
+		if err != nil {
+			t.mu.Lock()
+			delete(t.sweeps, key)
+			t.mu.Unlock()
+		} else {
+			t.lazyBytes.Add(sweptBytes)
+		}
+		return swept{val, fresh.accum(), err}
+	})
 	s.merge(e.acc)
-	if err != nil {
-		return nil, false, err
+	if e.err != nil {
+		return nil, false, e.err
 	}
-	t.mu.Lock()
-	if have, ok := t.sweeps[k]; ok {
-		e = have
-	} else {
-		t.sweeps[k] = e
-		t.lazyBytes += sweptBytes
-	}
-	t.mu.Unlock()
-	return e.val, false, nil
+	return e.val, !filled, nil
 }

@@ -1,6 +1,7 @@
 package direct
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -26,8 +27,8 @@ func meanScan(fac [2]int) func(*Solver) (any, error) {
 }
 
 // TestSweepMemoMatchesOwnRun: a remembered sweep, missed or hit, leaves a
-// view the values and Diagnostics of a view that ran the sweep itself;
-// the key carries TailCorrect; and the tables charge the entry.
+// view the values and Diagnostics of a view that ran the sweep itself,
+// and the tables charge the entry.
 func TestSweepMemoMatchesOwnRun(t *testing.T) {
 	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
 	cfg := Config{N: 1 << 10, Horizon: 120, MaxQueue: [2]int{10, 10}, MaxFactor: 2}
@@ -64,12 +65,27 @@ func TestSweepMemoMatchesOwnRun(t *testing.T) {
 		if got, want := tables.Bytes(), own.t.Bytes()+sweptBytes; got != want {
 			t.Fatalf("factors %v: the tables charge %d bytes, want %d", fac, got, want)
 		}
+	}
+}
 
-		raw, _ := tables.View(2, nil)
-		raw.TailCorrect = false
-		if _, hit, err := raw.Sweep("scan", fac, meanScan(fac)); err != nil || hit {
-			t.Fatalf("factors %v: a view without TailCorrect read the corrected sweep back (hit=%v, err=%v)", fac, hit, err)
+// TestSweepErrorNotRemembered: a failed sweep leaves no entry and charges
+// nothing, so the next caller of its key sweeps again.
+func TestSweepErrorNotRemembered(t *testing.T) {
+	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
+	tables, err := NewTables(m, Config{N: 1 << 10, Horizon: 120, MaxQueue: [2]int{10, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := tables.View(0, nil)
+	before, runs := tables.Bytes(), 0
+	fail := func(*Solver) (any, error) { runs++; return nil, errors.New("no answer") }
+	for i := 0; i < 2; i++ {
+		if _, hit, err := v.Sweep("scan", [2]int{1, 1}, fail); err == nil || hit {
+			t.Fatalf("sweep %d: hit=%v err=%v, want the run's error", i, hit, err)
 		}
+	}
+	if runs != 2 || len(tables.sweeps) != 0 || tables.Bytes() != before {
+		t.Fatalf("%d runs, %d entries, %d bytes charged after two failed sweeps, want 2, 0, 0", runs, len(tables.sweeps), tables.Bytes()-before)
 	}
 }
 

@@ -4,19 +4,15 @@ import "dtr/internal/obs"
 
 // Metric handles for the canonical solver's two caches. They are lazy:
 // until obs.SetDefault installs a registry every call is a no-op costing
-// one atomic load. Evaluations are counted per finish-pair construction,
-// the unit Figs. 1–3 sweep over.
-// The *_dup_computes counters are the cache-contention signal of
-// concurrent sweeps: each one is a transform or discretization computed
-// by a goroutine that lost the publish race and threw its copy away.
+// one atomic load. A miss is one computation of a cached value; a reader
+// that waited for another's computation counts as a hit. Evaluations are
+// counted per finish-pair construction, the unit Figs. 1–3 sweep over.
 var (
-	fftHits        = obs.NewCounter("dtr_direct_fft_cache_hits_total")
-	fftMisses      = obs.NewCounter("dtr_direct_fft_cache_misses_total")
-	fftDupComputes = obs.NewCounter("dtr_direct_fft_cache_dup_computes_total")
-	zHits          = obs.NewCounter("dtr_direct_transfer_cache_hits_total")
-	zMisses        = obs.NewCounter("dtr_direct_transfer_cache_misses_total")
-	zDupComputes   = obs.NewCounter("dtr_direct_transfer_cache_dup_computes_total")
-	evals          = obs.NewCounter("dtr_direct_evals_total")
+	fftHits   = obs.NewCounter("dtr_direct_fft_cache_hits_total")
+	fftMisses = obs.NewCounter("dtr_direct_fft_cache_misses_total")
+	zHits     = obs.NewCounter("dtr_direct_transfer_cache_hits_total")
+	zMisses   = obs.NewCounter("dtr_direct_transfer_cache_misses_total")
+	evals     = obs.NewCounter("dtr_direct_evals_total")
 )
 
 // Solver-health metrics (see Diagnostics): numerical error budgets

@@ -2,9 +2,11 @@ package direct
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dtr/dist"
 	"dtr/internal/core"
@@ -20,10 +22,16 @@ import (
 // (model, geometry, queue bound), is never mutated once published and
 // only ever grows, along two axes — factor chains are appended, and a
 // chain is folded forward to the longest queue anyone has read (see
-// prefix) — besides the cache slots filled and the sweeps remembered, so
+// prefix) — besides the cache cells filled and the sweeps remembered, so
 // any number of per-request Solver views (see View) may share one Tables
 // across goroutines, and what a view computes does not depend on which
 // other views exist or what they evaluated first.
+//
+// Every lazy value (spectrum, transfer law, sweep, one task's mean) fills
+// once, in a write-once cell whose other readers wait. Fills nest only
+// downward — a sweep fills transfer laws and spectra, a spectrum folds
+// prefixes under build, nothing under build reads a cell — so no fill
+// waits on a cell of its own kind and waiting cannot deadlock.
 type Tables struct {
 	model *core.Model
 	dx    float64
@@ -35,18 +43,16 @@ type Tables struct {
 	// is started once and each of its prefixes folded once.
 	build sync.Mutex
 
-	// mu guards the chains slice header, every chain's spectrum slots,
-	// zCache, sweeps and lazyBytes. Cached values (chains, spectra, transfer
-	// lattices) are never mutated once published, so readers only need
-	// the lock for the slice/slot/map access itself.
+	// mu guards the chains slice header and the key→cell maps zCache and
+	// sweeps; the cells fill outside it.
 	mu     sync.RWMutex
 	chains []*chain // chains[f-1] holds replication factor f
-	zCache map[[3]int]transfer
+	zCache map[[3]int]*cell[transfer]
 	// sweeps remembers whole policy sweeps (see Solver.Sweep).
-	sweeps map[sweepKey]swept
+	sweeps map[any]*cell[swept]
 	// lazyBytes is the footprint of the spectra, transfer lattices and
 	// remembered sweeps filled so far (see Bytes).
-	lazyBytes int64
+	lazyBytes atomic.Int64
 
 	// pool holds *scratch, one drawn per evaluation. It is a pointer, and
 	// its New must not capture the tables: the runtime keeps every used
@@ -64,9 +70,9 @@ type Tables struct {
 // chain is one replication factor's tables: pre[k][j] is the law of the
 // sum of j i.i.d. effective service times at server k — each task's law
 // is the min-of-f order statistic of the base service law
-// (cancel-on-first-complete replication) — and spec[k][j] its lazily
-// cached spectrum (a slot guarded by Tables.mu). Factor 1 is the base
-// law, so its chain is exactly the pre-replication tables.
+// (cancel-on-first-complete replication) — and spec[k][j] the cell of its
+// spectrum. Factor 1 is the base law, so its chain is exactly the
+// pre-replication tables.
 //
 // pre[k] has a slot per queue length up to the bound, of which the first
 // built[k] are filled: slot j is folded from slot j−1 and base[k], the
@@ -80,7 +86,7 @@ type chain struct {
 	pre   [][]*gridfn.Lattice
 	built []atomic.Int32
 	base  []*gridfn.Spectrum
-	spec  [][]*gridfn.Spectrum
+	spec  [][]cell[*gridfn.Spectrum]
 	eff   []dist.Dist
 	mean  []func() float64
 	meter gridfn.Meter
@@ -158,8 +164,8 @@ func NewTables(m *core.Model, cfg Config) (*Tables, error) {
 		dx:       dx,
 		n:        n,
 		maxQueue: maxQueue,
-		zCache:   make(map[[3]int]transfer),
-		sweeps:   make(map[sweepKey]swept),
+		zCache:   make(map[[3]int]*cell[transfer]),
+		sweeps:   make(map[any]*cell[swept]),
 	}
 	t.pool = &sync.Pool{New: func() any { return newScratch(servers, dx, n) }}
 	t.extend(t.factorsFor(cfg.MaxFactor), cfg.Span)
@@ -211,7 +217,7 @@ func (t *Tables) extend(maxFac int, span *obs.Span) int {
 			pre:   make([][]*gridfn.Lattice, servers),
 			built: make([]atomic.Int32, servers),
 			base:  make([]*gridfn.Spectrum, servers),
-			spec:  make([][]*gridfn.Spectrum, servers),
+			spec:  make([][]cell[*gridfn.Spectrum], servers),
 			eff:   make([]dist.Dist, servers),
 			mean:  make([]func() float64, servers),
 		}
@@ -222,7 +228,7 @@ func (t *Tables) extend(maxFac int, span *obs.Span) int {
 			c.pre[k] = make([]*gridfn.Lattice, t.maxQueue[k]+1)
 			c.pre[k][0] = gridfn.PointMass(0, t.dx, t.n)
 			c.built[k].Store(1)
-			c.spec[k] = make([]*gridfn.Spectrum, len(c.pre[k]))
+			c.spec[k] = make([]cell[*gridfn.Spectrum], len(c.pre[k]))
 			solverBuilds.Inc()
 		}
 		fresh[i] = c
@@ -282,7 +288,7 @@ func (t *Tables) View(maxFactor int, span *obs.Span) (v *Solver, built int) {
 	t.mu.RLock()
 	chains := t.chains[:maxFac:maxFac]
 	t.mu.RUnlock()
-	return &Solver{t: t, chains: chains, TailCorrect: true, span: span}, built
+	return &Solver{t: t, chains: chains, span: span}, built
 }
 
 // Bytes is the tables' accounted memory footprint: per chain the
@@ -292,8 +298,8 @@ func (t *Tables) View(maxFactor int, span *obs.Span) (v *Solver, built int) {
 // evaluate.
 func (t *Tables) Bytes() int64 {
 	lattice := int64(8 * t.n)
+	b := t.lazyBytes.Load()
 	t.mu.RLock()
-	b := t.lazyBytes
 	for _, c := range t.chains {
 		for k := range c.pre {
 			b += c.base[k].Bytes() + 16*int64(len(c.pre[k])) + int64(c.built[k].Load())*lattice
@@ -325,74 +331,93 @@ func (t *Tables) probeShadow() (*Tables, error) {
 	return t.shadow.Load(), t.shadowErr
 }
 
+// cell is a write-once value: the first get computes it with fill, and
+// every get arriving meanwhile waits for that computation. filled reports
+// whether this get ran fill. A hit allocates nothing.
+type cell[T any] struct {
+	once    sync.Once
+	filling atomic.Bool
+	v       T
+}
+
+// spinFor is how long a get that finds the value being filled yields its
+// processor before it blocks: on a loaded two-core host a blocked waiter
+// wakes later than a sweep's transfer laws and spectra fill.
+const spinFor = time.Millisecond
+
+func (c *cell[T]) get(fill func() T) (v T, filled bool) {
+	if c.filling.Load() {
+		for t0 := time.Now(); c.filling.Load() && time.Since(t0) < spinFor; {
+			runtime.Gosched()
+		}
+	}
+	c.once.Do(func() {
+		c.filling.Store(true)
+		c.v, filled = fill(), true
+		c.filling.Store(false)
+	})
+	return c.v, filled
+}
+
+// cellOf returns m's cell for key, adding an empty one on first sight.
+func cellOf[K comparable, T any](mu *sync.RWMutex, m map[K]*cell[T], key K) *cell[T] {
+	mu.RLock()
+	c := m[key]
+	mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if m[key] == nil {
+		m[key] = new(cell[T])
+	}
+	return m[key]
+}
+
 // transfer is one group transfer time: the model's law and its lattice.
 type transfer struct {
 	law dist.Dist
 	lat *gridfn.Lattice
 }
 
-// freqOf returns (computing lazily) the spectrum of the j-fold effective
-// service sum at server k under replication factor fac. Concurrent
-// misses on the same slot each compute the transform, but only the first
-// store is published; the loser's copy is discarded (counted as a
-// duplicate — the cache-contention signal) so every caller reads the
-// same spectrum.
+// freqOf returns (computing on first read) the spectrum of the j-fold
+// effective service sum at server k under replication factor fac.
 func (s *Solver) freqOf(k, fac, j int, w *gridfn.Work) *gridfn.Spectrum {
-	t, c := s.t, s.chains[fac-1]
-	t.mu.RLock()
-	f := c.spec[k][j]
-	t.mu.RUnlock()
-	if f != nil {
+	c := s.chains[fac-1]
+	spec, filled := c.spec[k][j].get(func() *gridfn.Spectrum {
+		fftMisses.Inc()
+		pre := s.prefix(c, k, j, w)
+		sp := s.span.Child("fft", "server", k, "fold", j, "prefix_tail", pre.Tail)
+		defer sp.End()
+		spec := pre.Spectrum()
+		s.t.lazyBytes.Add(spec.Bytes())
+		return spec
+	})
+	if !filled {
 		fftHits.Inc()
-		return f
 	}
-	fftMisses.Inc()
-	pre := s.prefix(c, k, j, w)
-	sp := s.span.Child("fft", "server", k, "fold", j, "prefix_tail", pre.Tail)
-	defer sp.End()
-	spec := pre.Spectrum()
-	t.mu.Lock()
-	if f := c.spec[k][j]; f != nil {
-		t.mu.Unlock()
-		fftDupComputes.Inc()
-		return f
-	}
-	c.spec[k][j] = spec
-	t.lazyBytes += spec.Bytes()
-	t.mu.Unlock()
 	return spec
 }
 
 // transferOf returns the transfer time of a group of `tasks` tasks from
-// src to dst (none for an empty group), cached per signature. Like
-// freqOf, a racing miss discards its duplicate in favour of the first
-// store.
+// src to dst (none for an empty group), cached per signature.
 func (s *Solver) transferOf(tasks, src, dst int) transfer {
 	if tasks <= 0 {
 		return transfer{}
 	}
 	t := s.t
-	key := [3]int{tasks, src, dst}
-	t.mu.RLock()
-	z, ok := t.zCache[key]
-	t.mu.RUnlock()
-	if ok {
-		zHits.Inc()
+	z, filled := cellOf(&t.mu, t.zCache, [3]int{tasks, src, dst}).get(func() (z transfer) {
+		zMisses.Inc()
+		sp := s.span.Child("transfer_law", "tasks", tasks, "src", src, "dst", dst)
+		defer sp.End()
+		z.law = t.model.Transfer(tasks, src, dst)
+		z.lat = gridfn.FromCDF(z.law.CDF, t.dx, t.n)
+		t.lazyBytes.Add(int64(8 * t.n))
 		return z
+	})
+	if !filled {
+		zHits.Inc()
 	}
-	zMisses.Inc()
-	sp := s.span.Child("transfer_law", "tasks", tasks, "src", src, "dst", dst)
-	defer sp.End()
-	z.law = t.model.Transfer(tasks, src, dst)
-	z.lat = gridfn.FromCDF(z.law.CDF, t.dx, t.n)
-	t.mu.Lock()
-	if have, ok := t.zCache[key]; ok {
-		t.mu.Unlock()
-		zDupComputes.Inc()
-		return have
-	}
-	t.zCache[key] = z
-	t.lazyBytes += int64(8 * t.n)
-	t.mu.Unlock()
 	return z
 }

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 )
@@ -112,20 +113,28 @@ func BindFlags(fs *flag.FlagSet) *CLI {
 	return c
 }
 
-// WriteFileAtomic publishes data at path via temp file + rename, so a
-// reader never sees a partial file.
-func WriteFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+// WriteFileAtomic publishes data at path with mode perm via a temp file
+// in path's directory and a rename, so a reader never sees a partial
+// file; on failure it removes the temp file.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = tmp.Write(data)
+	if err = errors.Join(err, tmp.Chmod(perm), tmp.Close()); err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // WriteAddrFile publishes a bound address so scripts that started a
 // daemon on ":0" can find the port.
 func WriteAddrFile(path, addr string) error {
-	return WriteFileAtomic(path, []byte(addr+"\n"))
+	return WriteFileAtomic(path, []byte(addr+"\n"), 0o644)
 }
 
 // ServeDaemon is the serving life of a daemon once it holds its listener.

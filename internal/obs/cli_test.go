@@ -250,3 +250,49 @@ func TestServeDaemonDrainsOnSignal(t *testing.T) {
 		t.Fatal("on-shutdown hook never ran")
 	}
 }
+
+// TestWriteFileAtomic: a write publishes the bytes under the requested
+// mode and leaves nothing else behind, and a failed rename — here onto
+// an existing directory — leaves the directory as it found it.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	listing := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	for _, perm := range []os.FileMode{0o600, 0o644} {
+		path := filepath.Join(dir, "out")
+		if err := WriteFileAtomic(path, []byte("hello\n"), perm); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil || string(b) != "hello\n" {
+			t.Fatalf("read back %q, %v", b, err)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != perm {
+			t.Fatalf("mode %v (%v), want %v", fi.Mode().Perm(), err, perm)
+		}
+		if got := listing(); len(got) != 1 || got[0] != "out" {
+			t.Fatalf("directory holds %v after a write, want [out]", got)
+		}
+	}
+
+	busy := filepath.Join(dir, "busy")
+	if err := os.Mkdir(busy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := listing()
+	if err := WriteFileAtomic(busy, []byte("x"), 0o644); err == nil {
+		t.Fatal("renaming onto a directory succeeded")
+	}
+	if after := listing(); strings.Join(after, ",") != strings.Join(before, ",") {
+		t.Fatalf("a failed write left %v, the directory held %v", after, before)
+	}
+}

@@ -100,12 +100,13 @@ type Result2 struct {
 //
 // A sweep on the canonical-scenario solver (Optimize2, each combination
 // of OptimizeRepl2) runs once per set of tables: they remember it under
-// the objective, the deadline (qos only), the factors, the workload,
-// Exhaustive and the view's TailCorrect, and a later identical sweep on
-// any view of them returns the same Result2 and Diag without evaluating
-// a point. That view's Diagnostics then report the finish pairs the
-// answer rests on, as if it had run the sweep. Workers and Span are not
-// part of the key: they never change the answer.
+// the objective, the deadline (qos only), the factors, the workload and
+// Exhaustive, and a later identical sweep on any view of them returns
+// the same Result2 and Diag without evaluating a point; one arriving
+// while that sweep runs waits for it. That view's Diagnostics then
+// report the finish pairs the answer rests on, as if it had run the
+// sweep. Workers and Span are not part of the key: they never change
+// the answer.
 type Options2 struct {
 	// Deadline is the QoS horizon TM (required for ObjQoS).
 	Deadline float64

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 
+	"dtr/internal/obs"
 	"dtr/modelspec"
 )
 
@@ -92,29 +92,15 @@ func (s *Service) validEntry(e *SnapshotEntry) bool {
 	return key == e.Key
 }
 
-// WriteCacheSnapshot atomically writes the current cache to path
-// (temp file + rename), for reload by LoadCacheSnapshotFile on the next
-// boot. An empty cache still writes a valid (empty) document.
+// WriteCacheSnapshot atomically writes the current cache to path, mode
+// 0600, for reload by LoadCacheSnapshotFile on the next boot. An empty
+// cache still writes a valid (empty) document.
 func (s *Service) WriteCacheSnapshot(path string) error {
 	b, err := json.Marshal(s.SnapshotCache())
 	if err != nil {
 		return fmt.Errorf("serve: encode snapshot: %w", err)
 	}
-	b = append(b, '\n')
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".cachesnap-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return obs.WriteFileAtomic(path, append(b, '\n'), 0o600)
 }
 
 // LoadCacheSnapshotFile loads a snapshot written by WriteCacheSnapshot.
