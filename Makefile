@@ -71,7 +71,10 @@ cluster-smoke:
 # counters replaced by one write-once cell (whose waiters yield before they
 # block), Solver.TailCorrect made the constant it was, and one atomic file
 # writer instead of two.
-LOC_CEILING = 22499
+# +103: the race fused into the fold (gridfn's FoldMax and the walk out it
+# shares with Fold, fft's packed entry point and Reversal), MaxIndepInto's
+# loop split on its destination, and Tables.Bytes' real slot size.
+LOC_CEILING = 22602
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -157,9 +157,9 @@ func newScratch(servers int, dx float64, n int) *scratch {
 // tasks arriving at z.lat — a group's transfer time, or the fold of
 // several. It builds the law in sc.srv[k].f — or, with no batch, takes
 // the prefix table's own entry — and leaves it in sc.srv[k].fin for the
-// caller to read before it releases sc. The batch is folded in by the same
-// kernel that built the prefix tables (gridfn's Fold), against the
-// cached spectrum.
+// caller to read before it releases sc. The race and the batch are one
+// fold (gridfn's FoldMax), by the same kernel that built the prefix
+// tables, against the cached spectrum.
 func (s *Solver) finishLaw(sc *scratch, k, own, g, fac int, z transfer) error {
 	if fac < 1 || fac > len(s.chains) {
 		return fmt.Errorf("direct: replication factor %d at server %d outside [1, %d] (raise Config.MaxFactor)", fac, k, len(s.chains))
@@ -172,9 +172,9 @@ func (s *Solver) finishLaw(sc *scratch, k, own, g, fac int, z transfer) error {
 	l.own, l.g, l.fac, l.z = own, g, fac, z.law
 	l.fin = s.prefix(c, k, own, sc.work)
 	if g > 0 {
-		l.fin.MaxIndepInto(&l.f, z.lat) // the race max(S_own, Z)
+		// The race max(S_own, Z), then the batch, in one fold.
+		s.noteFold(s.freqOf(k, fac, g, sc.work).FoldMax(&l.f, l.fin, z.lat, sc.work))
 		l.fin = &l.f
-		s.noteFold(s.freqOf(k, fac, g, sc.work).Fold(l.fin, l.fin, sc.work))
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dtr/dist"
 	"dtr/internal/core"
@@ -291,6 +292,10 @@ func (t *Tables) View(maxFactor int, span *obs.Span) (v *Solver, built int) {
 	return &Solver{t: t, chains: chains, span: span}, built
 }
 
+// slotBytes is one queue slot of a chain: its prefix pointer and its
+// spectrum cell.
+const slotBytes = int64(unsafe.Sizeof((*gridfn.Lattice)(nil)) + unsafe.Sizeof(cell[*gridfn.Spectrum]{}))
+
 // Bytes is the tables' accounted memory footprint: per chain the
 // per-task spectrum, the slot arrays and the prefix lattices folded so
 // far; the spectra, transfer lattices and remembered sweeps filled so
@@ -302,7 +307,7 @@ func (t *Tables) Bytes() int64 {
 	t.mu.RLock()
 	for _, c := range t.chains {
 		for k := range c.pre {
-			b += c.base[k].Bytes() + 16*int64(len(c.pre[k])) + int64(c.built[k].Load())*lattice
+			b += c.base[k].Bytes() + slotBytes*int64(len(c.pre[k])) + int64(c.built[k].Load())*lattice
 		}
 	}
 	t.mu.RUnlock()

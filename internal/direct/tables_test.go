@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dtr/dist"
 	"dtr/internal/gridfn"
@@ -181,6 +182,25 @@ func TestTablesExtendBitIdentical(t *testing.T) {
 	got.Mean, want.Mean = 0, 0 // NaN with failure-prone servers
 	if got != want {
 		t.Fatalf("extended tables evaluate %+v, fresh ones %+v", want, got)
+	}
+}
+
+// TestTablesBytesChargesQueueSlots: a longer queue bound costs the tables
+// at least its extra slots at their real size — a prefix pointer and a
+// spectrum cell each — before anything is read.
+func TestTablesBytesChargesQueueSlots(t *testing.T) {
+	m := model2(dist.NewPareto(2.5, 2), dist.NewExponential(1), 60, 45, 1)
+	var bytes [2]int64
+	for i, bound := range []int{12, 40} {
+		tables, err := NewTables(m, Config{N: 1 << 10, Horizon: 150, MaxQueue: [2]int{bound, bound}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes[i] = tables.Bytes()
+	}
+	slot := int64(unsafe.Sizeof((*gridfn.Lattice)(nil)) + unsafe.Sizeof(cell[*gridfn.Spectrum]{}))
+	if slots := int64(2 * (40 - 12)); bytes[1]-bytes[0] < slots*slot {
+		t.Fatalf("%d more slots account %d more bytes, want at least %d (%d a slot)", slots, bytes[1]-bytes[0], slots*slot, slot)
 	}
 }
 

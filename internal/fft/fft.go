@@ -1,7 +1,8 @@
 // Package fft implements a planned power-of-two fast Fourier transform,
 // its real-input variant by half-length complex packing, the fused
 // transform–multiply–invert pass a convolution by a fixed spectrum needs
-// (ConvolveSpectrum), and the real linear convolution built on it.
+// (ConvolveSpectrum, or ConvolvePacked for input the caller packs itself),
+// and the real linear convolution built on it.
 //
 // The Go standard library has no FFT; the direct convolution solver
 // (internal/direct) needs hundreds of k-fold convolutions of service-time
@@ -83,7 +84,7 @@ func (p *plan) permute(a []complex128) {
 }
 
 // kernelSet is one implementation of the transform kernels: the three
-// shapes of butterfly pass and ConvolveSpectrum's walk over the bins.
+// shapes of butterfly pass and ConvolvePacked's walk over the bins.
 // Every implementation performs the same float64 operations on the same
 // operands in the same order, so all agree bit for bit.
 type kernelSet struct {
@@ -94,7 +95,7 @@ type kernelSet struct {
 	blocks8 func(a []complex128, w *[2][3]complex128)
 	// twiddled is one radix-4 pass of half-span len(row) ≥ 4.
 	twiddled func(a []complex128, row [][3]complex128)
-	// split is ConvolveSpectrum's walk over k = 1..m/2.
+	// split is ConvolvePacked's walk over k = 1..m/2.
 	split func(out, z, g, tw []complex128, rev []int32, sc float64)
 }
 
@@ -260,19 +261,37 @@ func (p *plan) pack(z []complex128, x []float64) {
 // sample 2j is real(out[j]) and sample 2j+1 is −imag(out[j]). z, of
 // length N/2, is scratch; out may not overlap z or g.
 //
-// It is RealForward, a product by g and the inverse split in one pass:
-// pack x, run the forward butterflies, then one walk over k splits bins
-// k and m−k, multiplies them by g and rebuilds the conjugated, pre-scaled
-// packed spectrum straight into bit-reversed order for the second run
-// of the butterflies. Each value is the same operations on the same
-// operands in the same order as the transforms taken one at a time.
+// It is the pack of x into z followed by ConvolvePacked.
 func ConvolveSpectrum(out, z []complex128, x []float64, g []complex128) {
 	m := len(g) - 1
 	if m < 1 || len(out) != m || len(z) != m || len(x) > 2*m {
 		panic("fft: ConvolveSpectrum needs len(out) = len(z) = N/2, len(g) = N/2+1 and N ≥ len(x)")
 	}
+	planFor(m).pack(z, x)
+	ConvolvePacked(out, z, g)
+}
+
+// Reversal returns the bit-reversal permutation of length m, a power of
+// two: a real sequence packs into m entries with samples 2j and 2j+1 at
+// entry rev[j] (see ConvolvePacked). The table is shared; read it only.
+func Reversal(m int) []int32 { return planFor(m).rev }
+
+// ConvolvePacked is ConvolveSpectrum on a sequence the caller has packed
+// into z: samples 2j and 2j+1 as the real and imaginary parts of
+// z[Reversal(len(z))[j]], zero padding included. It overwrites z.
+//
+// It is RealForward, a product by g and the inverse split in one pass:
+// run the forward butterflies on z, then one walk over k splits bins k
+// and m−k, multiplies them by g and rebuilds the conjugated, pre-scaled
+// packed spectrum straight into bit-reversed order for the second run
+// of the butterflies. Each value is the same operations on the same
+// operands in the same order as the transforms taken one at a time.
+func ConvolvePacked(out, z, g []complex128) {
+	m := len(g) - 1
+	if m < 1 || len(out) != m || len(z) != m {
+		panic("fft: ConvolvePacked needs len(out) = len(z) = N/2 and len(g) = N/2+1")
+	}
 	p := planFor(m)
-	p.pack(z, x)
 	p.butterflies(z)
 	sc := 0.5 / float64(m)
 	z0 := z[0]
@@ -287,7 +306,7 @@ func splitGo(out, z, g, tw []complex128, rev []int32, sc float64) {
 	splitFrom(out, z, g, tw, rev, sc, 1)
 }
 
-// splitFrom is ConvolveSpectrum's walk over bins k and m−k for k from k0
+// splitFrom is ConvolvePacked's walk over bins k and m−k for k from k0
 // to m/2: z holds the forward butterflies' output, tw the twiddles of
 // length 2m, rev the bit-reversal of length m and sc the scale 1/2m.
 func splitFrom(out, z, g, tw []complex128, rev []int32, sc float64, k0 int) {

@@ -323,3 +323,53 @@ func TestPlanForConcurrentFirstUse(t *testing.T) {
 		t.Fatal("the shared plan differs from a private build")
 	}
 }
+
+// TestConvolvePackedMatchesConvolveSpectrum: input a caller packs itself
+// through Reversal — pairs at rev[j], an odd last sample with a zero
+// imaginary part, zero padding — is what ConvolveSpectrum's pack writes,
+// and ConvolvePacked on it gives ConvolveSpectrum's output bit for bit,
+// for every N from 2 to 2¹⁵, through scratch poisoned with NaN and Inf.
+func TestConvolvePackedMatchesConvolveSpectrum(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewPCG(39, 1))
+		for n := 2; n <= 1<<15; n <<= 1 {
+			m := n / 2
+			rev := Reversal(m)
+			for _, lx := range []int{n, n - 1, n/2 + 1, 1} {
+				x := make([]float64, lx)
+				for i := range x {
+					x[i] = wild(r, 200)
+				}
+				g := make([]complex128, m+1)
+				for i := range g {
+					g[i] = complex(wild(r, 100), wild(r, 100))
+				}
+				packed, z := make([]complex128, m), make([]complex128, m)
+				for i := range packed {
+					packed[i] = complex(math.NaN(), math.Inf(1))
+					z[i] = complex(math.Inf(-1), math.NaN())
+				}
+				for j := range m {
+					var a, b float64
+					if 2*j < lx {
+						a = x[2*j]
+					}
+					if 2*j+1 < lx {
+						b = x[2*j+1]
+					}
+					packed[rev[j]] = complex(a, b)
+				}
+				planFor(m).pack(z, x)
+				sameBits(t, "the packed input", packed, z)
+
+				got, want := make([]complex128, m), make([]complex128, m)
+				for i := range got {
+					got[i], want[i] = complex(math.NaN(), math.Inf(1)), complex(math.Inf(-1), math.NaN())
+				}
+				ConvolvePacked(got, packed, g)
+				ConvolveSpectrum(want, z, x, g)
+				sameBits(t, "ConvolvePacked", got, want)
+			}
+		}
+	})
+}

@@ -51,3 +51,14 @@ func benchFold(b *testing.B, n int) {
 
 func BenchmarkFold2k(b *testing.B) { benchFold(b, 1<<11) }
 func BenchmarkFold4k(b *testing.B) { benchFold(b, 1<<12) }
+
+// BenchmarkFoldMax2k times a sweep point's finish law: the race of a
+// 2048-point lattice with another, folded with a spectrum in one
+// Spectrum.FoldMax on a reused Work.
+func BenchmarkFoldMax2k(b *testing.B) {
+	l, z := benchLattice(1<<11), FromCDF(func(x float64) float64 { return min(x/20, 1) }, 40.0/(1<<11), 1<<11)
+	p, w, dst := l.Spectrum(), NewWork(1<<11), New(l.Dx, 1<<11)
+	for b.Loop() {
+		p.FoldMax(dst, l, z, w)
+	}
+}

@@ -3,7 +3,15 @@
 // the operations the analytic solvers need: convolution and its prefix
 // chains (sums of independent service times), maxima and minima of
 // independent variables (parallel server finish times, replicated
-// copies) and expectation functionals.
+// copies), the two fused as one fold (a race followed by a batch) and
+// expectation functionals.
+//
+// A sweep point's finish law is one walk in, the transform and one walk
+// out: FoldMax forms the race on the fly, sums its mass and writes it
+// straight into the transform's bit-reversed input, and the walk Fold
+// shares clamps, stores and sums what the transform returns. Every sum
+// runs in index order, so the fused walks give the bits the unfused
+// steps give.
 //
 // A Lattice carries the probability mass that falls beyond its horizon in
 // the Tail field, so heavy-tailed inputs (the paper's Pareto models with
@@ -186,28 +194,86 @@ func (l *Lattice) Spectrum() *Spectrum {
 // distribution of X+Y for independent X ~ l and Y ~ p's operand on one
 // geometry. fft.ConvolveSpectrum transforms l, multiplies by p and
 // inverts in one pass; one walk over its packed output clamps negative
-// round-off to zero, sums the mass kept on the lattice and the raw mass
-// beyond the horizon, sample by sample in index order. dst.Tail takes
-// what an exact convolution spreads beyond the horizon — the product of
-// the lattice masses less the kept mass, so mass is conserved exactly —
-// plus every combination involving either tail (a sum with a
-// beyond-horizon component is beyond horizon, as lattice values are
-// non-negative). Returned for the audit: the mass-conservation residual
-// of the raw output, which is pure FFT round-off, and the negative mass
-// clamped away.
+// round-off to zero and sums the mass kept on the lattice and the raw
+// mass beyond the horizon, each sum sample by sample in index order (the
+// two are independent chains and share the walk). dst.Tail takes what an
+// exact convolution spreads beyond the horizon — the product of the
+// lattice masses less the kept mass, so mass is conserved exactly — plus
+// every combination involving either tail (a sum with a beyond-horizon
+// component is beyond horizon, as lattice values are non-negative).
+// Returned for the audit: the mass-conservation residual of the raw
+// output, which is pure FFT round-off, and the negative mass clamped
+// away.
 func (p *Spectrum) Fold(dst, l *Lattice, w *Work) (residual, negMass float64) {
+	p.checkFold(dst, l, w)
+	massL := l.latticeMass()
+	fft.ConvolveSpectrum(w.out, w.z, l.M, p.f)
+	return p.unpack(dst, w.out, len(l.M), l.Dx, massL, l.Tail)
+}
+
+// FoldMax stores in dst (which may be a or z) the distribution of
+// max(A, Z) + Y for independent A ~ a, Z ~ z and Y ~ p's operand on one
+// geometry: a.MaxIndepInto(r, z) followed by p.Fold(dst, r, w), bit for
+// bit, without the race r ever stored. One walk in index order forms the
+// race's masses as MaxIndepInto does, sums its lattice mass and writes
+// the pairs straight into the transform's bit-reversed input; then the
+// fused transform and Fold's walk out.
+func (p *Spectrum) FoldMax(dst, a, z *Lattice, w *Work) (residual, negMass float64) {
+	a.checkCompat(z)
+	p.checkFold(dst, a, w)
+	n, in := len(a.M), w.z
+	am, zm, rev := a.M, z.M[:len(a.M)], fft.Reversal(len(in))
+	clear(in) // the padding, in one sequential sweep
+	var ca, cz, prev, massR float64
+	for j, r := range rev[:n/2] {
+		ca += am[2*j]
+		cz += zm[2*j]
+		c := ca * cz
+		v0 := c - prev
+		ca += am[2*j+1]
+		cz += zm[2*j+1]
+		prev = ca * cz
+		v1 := prev - c
+		massR += v0
+		massR += v1
+		in[r] = complex(v0, v1)
+	}
+	if n&1 == 1 {
+		ca += am[n-1]
+		cz += zm[n-1]
+		c := ca * cz
+		massR += c - prev
+		in[rev[n/2]] = complex(c-prev, 0)
+		prev = c
+	}
+	fft.ConvolvePacked(w.out, in, p.f)
+	return p.unpack(dst, w.out, n, a.Dx, massR, max(1-prev, 0))
+}
+
+// checkFold panics unless dst, l and the scratch fit p's geometry.
+func (p *Spectrum) checkFold(dst, l *Lattice, w *Work) {
 	n := len(l.M)
 	if len(dst.M) != n || len(p.f) != len(w.z)+1 || len(w.z)+1 != specBins(n) {
 		panic(fmt.Sprintf("gridfn: fold of %d points into %d with a %d-bin operand and %d-bin scratch",
 			n, len(dst.M), len(p.f), len(w.z)+1))
 	}
-	massL := l.latticeMass()
-	fft.ConvolveSpectrum(w.out, w.z, l.M, p.f)
-	// Sample 2j of the output is real(out[j]) and sample 2j+1 is −imag(out[j]).
-	var kept, beyond float64
+}
+
+// unpack is the fold's walk over the packed output out of an n-point
+// lattice of step dx with lattice mass massL and tail tailL: it stores
+// the clamped masses and the tail in dst and returns the audit (see
+// Fold). Sample 2j of the output is real(out[j]) and sample 2j+1 is
+// −imag(out[j]); for odd n the last lattice point shares its entry with
+// the first sample beyond the horizon.
+func (p *Spectrum) unpack(dst *Lattice, out []complex128, n int, dx, massL, tailL float64) (residual, negMass float64) {
 	half := n / 2
-	m := dst.M[:2*half]
-	for j, c := range w.out[:half] {
+	lo, over := out[:half], out[half+n&1:]
+	var kept, beyond float64
+	if n&1 == 1 {
+		beyond += -imag(out[half])
+	}
+	m, ov := dst.M[:2*half], over[:len(lo)]
+	for j, c := range lo {
 		a, b := real(c), -imag(c)
 		if a < 0 {
 			negMass -= a
@@ -220,26 +286,25 @@ func (p *Spectrum) Fold(dst, l *Lattice, w *Work) (residual, negMass float64) {
 		m[2*j], m[2*j+1] = a, b
 		kept += a
 		kept += b
+		beyond += real(ov[j])
+		beyond += -imag(ov[j])
 	}
-	rest := w.out[half:]
+	for _, c := range over[half:] {
+		beyond += real(c)
+		beyond += -imag(c)
+	}
 	if n&1 == 1 {
-		a := real(rest[0])
+		a := real(out[half])
 		if a < 0 {
 			negMass -= a
 			a = 0
 		}
 		dst.M[n-1] = a
 		kept += a
-		beyond += -imag(rest[0])
-		rest = rest[1:]
-	}
-	for _, c := range rest {
-		beyond += real(c)
-		beyond += -imag(c)
 	}
 	exact := massL * p.mass
-	dst.Dx = l.Dx
-	dst.Tail = max(exact-kept, 0) + l.Tail*(p.mass+p.tail) + p.tail*massL
+	dst.Dx = dx
+	dst.Tail = max(exact-kept, 0) + tailL*(p.mass+p.tail) + p.tail*massL
 	return math.Abs(kept - negMass + beyond - exact), negMass
 }
 
@@ -316,19 +381,33 @@ func (l *Lattice) MaxIndep(o *Lattice) *Lattice {
 // MaxIndepInto stores MaxIndep(o) in dst — a lattice of the same length,
 // which may be l (a running maximum folds in place), or nil to skip the
 // store — and returns its Mean(), bit for bit; the two CDFs are running
-// sums of one walk.
+// sums of one walk, and the moment's index runs as a float64 counter
+// (exact below 2⁵³). A law the caller folds next goes through
+// Spectrum.FoldMax instead, which never stores the race.
 func (l *Lattice) MaxIndepInto(dst, o *Lattice) float64 {
 	l.checkCompat(o)
-	var cl, co, prev, moment float64
-	for i, m := range l.M {
-		cl += m
-		co += o.M[i]
-		c := cl * co
-		if dst != nil {
-			dst.M[i] = c - prev
+	var cl, co, prev, moment, x float64
+	om := o.M[:len(l.M)]
+	if dst == nil {
+		for i, m := range l.M {
+			cl += m
+			co += om[i]
+			c := cl * co
+			moment += x * (c - prev)
+			prev = c
+			x++
 		}
-		moment += float64(i) * (c - prev)
-		prev = c
+	} else {
+		dm := dst.M[:len(l.M)]
+		for i, m := range l.M {
+			cl += m
+			co += om[i]
+			c := cl * co
+			dm[i] = c - prev
+			moment += x * (c - prev)
+			prev = c
+			x++
+		}
 	}
 	tail := max(1-prev, 0)
 	if dst != nil {

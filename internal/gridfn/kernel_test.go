@@ -213,6 +213,58 @@ func TestFoldMatchesUnfused(t *testing.T) {
 	}
 }
 
+// TestFoldMaxMatchesUnfused holds FoldMax to MaxIndepInto followed by
+// Fold, bit for bit — every mass, the tail, the residual and the clamped
+// negative mass — on the lengths TestFoldMatchesUnfused covers, into a
+// dirty destination and in place over either operand, through scratch
+// poisoned first and then left dirty by the previous fold. The race of
+// two laws concentrated near zero is too, so the clamp runs.
+func TestFoldMaxMatchesUnfused(t *testing.T) {
+	r := rand.New(rand.NewPCG(39, 2))
+	clamped := false
+	for _, n := range []int{1, 2, 3, 7, 255, 300, 2048, 4096} {
+		w, ref := NewWork(n), NewWork(n)
+		for i := range w.z {
+			w.z[i], w.out[i] = complex(math.NaN(), math.Inf(1)), complex(math.Inf(-1), math.NaN())
+		}
+		near := FromCDF(expCDF(0.05), 0.01, n)
+		for _, c := range [][3]*Lattice{
+			{randomLattice(r, n, 0.1), randomLattice(r, n, 0.004), randomLattice(r, n, 0)},
+			{randomLattice(r, n, 0), randomLattice(r, n, 0), randomLattice(r, n, 0.2)},
+			{near, FromCDF(expCDF(0.03), 0.01, n), near},
+		} {
+			a, z, p := c[0], c[1], c[2].Spectrum()
+			want := New(a.Dx, n)
+			a.MaxIndepInto(want, z)
+			wantRes, wantNeg := p.Fold(want, want, ref)
+			for into := range 3 {
+				src, zz, dst := a.Clone(), z.Clone(), randomLattice(r, n, 0.5)
+				dst.Dx = 99
+				switch into {
+				case 1:
+					dst = src
+				case 2:
+					dst = zz
+				}
+				res, neg := p.FoldMax(dst, src, zz, w)
+				for k := range want.M {
+					sameBits(t, "a mass", dst.M[k], want.M[k])
+				}
+				sameBits(t, "the tail", dst.Tail, want.Tail)
+				sameBits(t, "the residual", res, wantRes)
+				sameBits(t, "the negative mass", neg, wantNeg)
+				clamped = clamped || neg > 0
+				if dst.Dx != a.Dx {
+					t.Fatalf("n=%d: dx %v, want %v", n, dst.Dx, a.Dx)
+				}
+			}
+		}
+	}
+	if !clamped {
+		t.Fatal("no fold clamped negative round-off: the test lost part of its subject")
+	}
+}
+
 // TestFoldClampsAndAudits: the kernel never returns negative mass, and
 // the audit it reports is round-off sized.
 func TestFoldClampsAndAudits(t *testing.T) {

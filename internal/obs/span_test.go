@@ -149,6 +149,60 @@ func TestParseTraceparent(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent: the traceparent parser never panics; a header
+// it accepts carries nonzero IDs and no uppercase letter, renders back
+// through FormatTraceparent to itself but for the flags, and stops
+// parsing with either ID zeroed or its hex uppercased.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-ff",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b-01",
+		"", "garbage",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		trace, parent, ok := ParseTraceparent(h)
+		if !ok {
+			if !trace.IsZero() || !parent.IsZero() {
+				t.Fatalf("rejected %q but returned IDs %s, %s", h, trace, parent)
+			}
+			return
+		}
+		if trace.IsZero() || parent.IsZero() {
+			t.Fatalf("accepted %q with an all-zero ID", h)
+		}
+		if strings.ToLower(h) != h {
+			t.Fatalf("accepted %q, which has uppercase letters", h)
+		}
+		back := FormatTraceparent(trace, parent)
+		if back[:53] != h[:53] {
+			t.Fatalf("accepted %q, which renders back as %q", h, back)
+		}
+		if tr, pa, ok := ParseTraceparent(back); !ok || tr != trace || pa != parent {
+			t.Fatalf("%q parses to %s, %s, %v, want %s, %s", back, tr, pa, ok, trace, parent)
+		}
+		for _, bad := range []string{
+			h[:3] + strings.Repeat("0", 32) + h[35:],
+			h[:36] + strings.Repeat("0", 16) + h[52:],
+		} {
+			if _, _, ok := ParseTraceparent(bad); ok {
+				t.Fatalf("accepted %q, which has an all-zero ID", bad)
+			}
+		}
+		if up := strings.ToUpper(h); up != h {
+			if _, _, ok := ParseTraceparent(up); ok {
+				t.Fatalf("accepted %q, which has uppercase hex", up)
+			}
+		}
+	})
+}
+
 func TestTraceparentRoundTrip(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
 	parent := tr.StartRoot("client", "")
