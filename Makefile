@@ -74,7 +74,10 @@ cluster-smoke:
 # +103: the race fused into the fold (gridfn's FoldMax and the walk out it
 # shares with Fold, fft's packed entry point and Reversal), MaxIndepInto's
 # loop split on its destination, and Tables.Bytes' real slot size.
-LOC_CEILING = 22602
+# +107: internal/fft's AVX-512 kernel set (its declarations, the Go
+# tails of its passes, the plan's split-twiddle quads) and the CPUID and
+# XCR0 words read once and judged by pure, table-tested feature checks.
+LOC_CEILING = 22709
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -1,12 +1,13 @@
 package fft
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
 
-// eachKernelB runs f as one sub-benchmark per kernel set, "go" and
-// "avx2", so `make bench` records both.
+// eachKernelB runs f as one sub-benchmark per kernel set, "go", "avx2"
+// and "avx512", so `make bench` records each.
 func eachKernelB(b *testing.B, f func(b *testing.B)) {
 	for _, nk := range kernels() {
 		b.Run(nk.name, func(b *testing.B) {
@@ -79,5 +80,39 @@ func BenchmarkConvolveSpectrum4k(b *testing.B) {
 		for b.Loop() {
 			ConvolveSpectrum(out, z, x, g)
 		}
+	})
+}
+
+// BenchmarkPasses2k times each kernel member on the 2048-point transform
+// of a lab_sweep fold: the block-of-8 pass, each twiddled pass and the
+// split walk. The passes run in place on zeros, which stay zeros: a
+// pass's cost does not depend on its values when none is subnormal.
+func BenchmarkPasses2k(b *testing.B) {
+	const m = 1 << 11
+	p, a := planFor(m), make([]complex128, m)
+	r := rand.New(rand.NewPCG(1, 2))
+	z, g, out := make([]complex128, m), make([]complex128, m+1), make([]complex128, m)
+	for i := range z {
+		z[i], g[i] = complex(r.Float64(), r.Float64()), complex(r.Float64(), r.Float64())
+	}
+	eachKernelB(b, func(b *testing.B) {
+		b.Run("blocks8", func(b *testing.B) {
+			for b.Loop() {
+				kernel.blocks8(a, (*[2][3]complex128)(p.rows[0]))
+			}
+		})
+		for i, row := range p.rows[1:] {
+			b.Run(fmt.Sprintf("twiddled_h%d", len(row)), func(b *testing.B) {
+				for b.Loop() {
+					kernel.twiddled(a, row, p.quads[i+1])
+				}
+			})
+		}
+		b.Run("split", func(b *testing.B) {
+			tw, sc := planFor(2*m).tw, 0.5/m
+			for b.Loop() {
+				kernel.split(out, z, g, tw, p.rev, sc)
+			}
+		})
 	})
 }

@@ -14,11 +14,13 @@
 // out again as one row per pass. The butterflies merge two radix-2
 // stages into one radix-4 pass, halving the walks over the data.
 //
-// There are two implementations of the kernels, one bit contract: the
-// portable Go one and, on amd64 CPUs with AVX2 (checked once, at start-up,
-// from CPUID and XGETBV), Go assembly that runs two complex lanes per
-// register and performs the same float64 operations in the same order.
-// Every output is bit-identical whichever runs (kernel_test.go).
+// There are three implementations of the kernels, one bit contract: the
+// portable Go one and, on amd64, Go assembly for AVX2 (two complex lanes
+// per register) and for AVX-512 (four lanes). Start-up picks the widest
+// set the CPU has and the OS saves the registers of (CPUID and XGETBV,
+// checked once). Each set performs the same float64 operations on the
+// same operands in the same order, so every output is bit-identical
+// whichever runs (kernel_test.go).
 package fft
 
 import (
@@ -34,7 +36,16 @@ type plan struct {
 	// rows has one row per twiddled radix-4 pass of half-span h: row[j] =
 	// (w², w, w³) of w = exp(-2πi·j/4h) = (tw[2j·st], tw[j·st], tw[3j·st]).
 	rows [][][3]complex128
+	// quads is rows again, four j to an entry, for the AVX-512 pass
+	// (nil for a row of h = 2).
+	quads [][]twQuad
 }
+
+// twQuad is a row's entries j..j+3 as the AVX-512 pass reads them: for
+// each of w², w and w³, the four real parts, each written twice, then the
+// four imaginary parts, each written twice. They are copies of the
+// row's values, so every twiddle keeps its bits.
+type twQuad [3][2][8]float64
 
 var plans [bits.UintSize]struct {
 	once sync.Once
@@ -70,8 +81,26 @@ func newPlan(n int) *plan {
 			row[j] = [3]complex128{p.tw[2*j*st], p.tw[j*st], p.tw[3*j*st]}
 		}
 		p.rows = append(p.rows, row)
+		p.quads = append(p.quads, splitQuads(row))
 	}
 	return p
+}
+
+// splitQuads lays row out four j to a twQuad; a row of fewer than four
+// entries has none.
+func splitQuads(row [][3]complex128) []twQuad {
+	if len(row) < 4 {
+		return nil
+	}
+	qs := make([]twQuad, len(row)/4)
+	for j, w := range row {
+		q, l := &qs[j/4], 2*(j%4)
+		for t, v := range w {
+			q[t][0][l], q[t][0][l+1] = real(v), real(v)
+			q[t][1][l], q[t][1][l+1] = imag(v), imag(v)
+		}
+	}
+	return qs
 }
 
 // permute applies the bit-reversal permutation in place.
@@ -93,8 +122,9 @@ type kernelSet struct {
 	// blocks8 fuses the radix-2 first stage with the pass of half-span
 	// 2 (odd log2 n); w is that pass's plan row.
 	blocks8 func(a []complex128, w *[2][3]complex128)
-	// twiddled is one radix-4 pass of half-span len(row) ≥ 4.
-	twiddled func(a []complex128, row [][3]complex128)
+	// twiddled is one radix-4 pass of half-span len(row) ≥ 4; quads is
+	// the same row as splitQuads lays it out.
+	twiddled func(a []complex128, row [][3]complex128, quads []twQuad)
 	// split is ConvolvePacked's walk over k = 1..m/2.
 	split func(out, z, g, tw []complex128, rev []int32, sc float64)
 }
@@ -102,12 +132,13 @@ type kernelSet struct {
 // goKernel is the portable implementation, the only one off amd64.
 var goKernel = kernelSet{firstGo, blocks8Go, twiddledGo, splitGo}
 
-// vector is the AVX2 implementation (kernel_amd64.s) when the CPU and
-// the OS run it, else nil; kernel is the implementation transforms use,
-// vector when there is one. Tests set kernel to hold both to one result.
+// vector and vector512 are the AVX2 (kernel_amd64.s) and AVX-512
+// (kernel512_amd64.s) implementations when the CPU and the OS run them,
+// else nil; kernel is the implementation transforms use, the widest
+// there is. Tests set kernel to hold every set to one result.
 var (
-	vector *kernelSet
-	kernel = &goKernel
+	vector, vector512 *kernelSet
+	kernel            = &goKernel
 )
 
 // butterflies runs the decimation-in-time passes of the forward
@@ -124,15 +155,15 @@ func (p *plan) butterflies(a []complex128) {
 		}
 		return
 	}
-	k, rows := kernel, p.rows
+	k, rows, quads := kernel, p.rows, p.quads
 	if len(rows) > 0 && len(rows[0]) == 2 {
 		k.blocks8(a, (*[2][3]complex128)(rows[0]))
-		rows = rows[1:]
+		rows, quads = rows[1:], quads[1:]
 	} else {
 		k.first(a)
 	}
-	for _, row := range rows {
-		k.twiddled(a, row)
+	for i, row := range rows {
+		k.twiddled(a, row, quads[i])
 	}
 }
 
@@ -165,7 +196,7 @@ func blocks8Go(a []complex128, w *[2][3]complex128) {
 	}
 }
 
-func twiddledGo(a []complex128, row [][3]complex128) {
+func twiddledGo(a []complex128, row [][3]complex128, _ []twQuad) {
 	h := len(row)
 	for q := a; len(q) >= 4*h; q = q[4*h:] {
 		q0, q1, q2, q3 := q[:len(row)], q[h:2*h], q[2*h:3*h], q[3*h:4*h]

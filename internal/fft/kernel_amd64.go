@@ -1,10 +1,13 @@
 package fft
 
-// The AVX2 kernels (kernel_amd64.s) run two complex lanes per register
-// and perform exactly the float64 operations of their Go twins: a complex
-// product is two VMULPD and one VADDSUBPD, with no fused multiply-add; a
-// negation is a sign-bit flip, as Go negates; x − y is x + (−y) where a
-// lane pair mixes sums and differences, which IEEE 754 defines to be the
+// The assembly kernels perform exactly the float64 operations of their Go
+// twins, with no fused multiply-add: the AVX2 set (kernel_amd64.s) runs
+// two complex lanes per Y register, the AVX-512 set (kernel512_amd64.s)
+// four per Z register. A negation is a sign-bit flip, as Go negates. A
+// complex product is two VMULPD and a VADDSUBPD in AVX2; AVX-512 has no
+// VADDSUBPD, so there the product's difference is a sign-bit flip on the
+// real lanes and a VADDPD. That is sound wherever a lane pair mixes sums
+// and differences: x − y is x + (−y), which IEEE 754 defines to be the
 // same.
 
 //go:noescape
@@ -30,6 +33,47 @@ func splitAVX2(out, z, g, tw []complex128, rev []int32, sc float64) {
 	splitFrom(out, z, g, tw, rev, sc, 1+2*pairs)
 }
 
+// firstAVX512 and blocks8AVX512 run two groups of their pass per
+// iteration, so they cover the first 8 or 16 entries of every 8 or 16.
+//
+//go:noescape
+func firstAVX512(a []complex128)
+
+//go:noescape
+func blocks8AVX512(a []complex128, w *[2][3]complex128)
+
+//go:noescape
+func twiddledAVX512(a []complex128, quads []twQuad)
+
+// splitQuadsAVX512 runs splitFrom for k = 1..4·quads, bins k..k+3 in the
+// four lanes; every k+3 must be below m/2.
+//
+//go:noescape
+func splitQuadsAVX512(out, z, g, tw []complex128, rev []int32, sc float64, quads int)
+
+// avx512Set is the AVX-512 kernel set; the Go passes take the blocks the
+// assembly's two-group step leaves (a transform of 4 or 8 points).
+var avx512Set = kernelSet{
+	first: func(a []complex128) {
+		n := len(a) &^ 7
+		firstAVX512(a[:n])
+		firstGo(a[n:])
+	},
+	blocks8: func(a []complex128, w *[2][3]complex128) {
+		n := len(a) &^ 15
+		blocks8AVX512(a[:n], w)
+		blocks8Go(a[n:], w)
+	},
+	twiddled: func(a []complex128, _ [][3]complex128, quads []twQuad) { twiddledAVX512(a, quads) },
+	split: func(out, z, g, tw []complex128, rev []int32, sc float64) {
+		quads := (len(z)/2 - 1) / 4
+		if quads > 0 {
+			splitQuadsAVX512(out, z, g, tw, rev, sc, quads)
+		}
+		splitFrom(out, z, g, tw, rev, sc, 1+4*quads)
+	},
+}
+
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -38,26 +82,58 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
 func init() {
-	if hasAVX2() {
-		vector = &kernelSet{firstAVX2, blocks8AVX2, twiddledAVX2, splitAVX2}
+	c := readCPU()
+	if hasAVX2(c) {
+		vector = &kernelSet{firstAVX2, blocks8AVX2,
+			func(a []complex128, row [][3]complex128, _ []twQuad) { twiddledAVX2(a, row) }, splitAVX2}
 		kernel = vector
 	}
+	if hasAVX512(c) {
+		vector512 = &avx512Set
+		kernel = vector512
+	}
+}
+
+// cpuWords are the words the kernel choice reads: CPUID leaf 0's highest
+// leaf, leaf 1's ECX, leaf 7.0's EBX and XCR0.
+type cpuWords struct{ maxLeaf, ecx1, ebx7, xcr0 uint32 }
+
+// Feature bits: CPUID.1:ECX, CPUID.7.0:EBX and the XCR0 state components.
+const (
+	osxsave, avx       = 1 << 27, 1 << 28
+	avx2, avx512f      = 1 << 5, 1 << 16
+	avx512dq           = 1 << 17
+	xSSE, xYMM         = 1 << 1, 1 << 2
+	xOpmask, xZMM      = 1 << 5, 1<<6 | 1<<7 // k0–k7; upper halves of Z0–Z15 and Z16–Z31
+	ymmState, zmmState = xSSE | xYMM, xSSE | xYMM | xOpmask | xZMM
+)
+
+// readCPU reads the words from the CPU. XGETBV faults where OSXSAVE is
+// clear, and leaf 7 is meaningless below it; those words stay 0.
+func readCPU() (c cpuWords) {
+	c.maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, c.ecx1, _ = cpuid(1, 0)
+	if c.ecx1&osxsave != 0 {
+		c.xcr0 = xgetbv()
+	}
+	if c.maxLeaf >= 7 {
+		_, c.ebx7, _, _ = cpuid(7, 0)
+	}
+	return c
 }
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers it uses.
-func hasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	const sse, ymm = 1 << 1, 1 << 2
-	if xgetbv()&(sse|ymm) != sse|ymm {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+func hasAVX2(c cpuWords) bool {
+	return c.maxLeaf >= 7 && c.ecx1&(osxsave|avx) == osxsave|avx &&
+		c.xcr0&ymmState == ymmState && c.ebx7&avx2 != 0
+}
+
+// hasAVX512 reports whether the CPU has AVX-512F and DQ (VXORPD and
+// VEXTRACTF64X2 on Z registers are DQ), besides the AVX2 the kernels' VEX
+// instructions need, and the OS saves the opmask and all of the Z
+// registers.
+func hasAVX512(c cpuWords) bool {
+	return hasAVX2(c) && c.ebx7&(avx512f|avx512dq) == avx512f|avx512dq &&
+		c.xcr0&zmmState == zmmState
 }

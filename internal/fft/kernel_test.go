@@ -186,24 +186,34 @@ func sameRealBits(t *testing.T, what string, got, want []float64) {
 type namedKernel struct {
 	name string
 	k    *kernelSet
+	// needs is what the set needs of the host, for the skip where k is
+	// nil.
+	needs string
 }
 
-// kernels lists every kernel set: the Go one and, where the CPU runs it,
-// the AVX2 one (nil otherwise).
-func kernels() []namedKernel { return []namedKernel{{"go", &goKernel}, {"avx2", vector}} }
+// kernels lists every kernel set: the Go one and, where the CPU runs
+// them, the AVX2 and AVX-512 ones (nil otherwise).
+func kernels() []namedKernel {
+	return []namedKernel{
+		{"go", &goKernel, ""},
+		{"avx2", vector, "GOARCH amd64, a CPU with AVX2 and an OS that saves YMM state"},
+		{"avx512", vector512, "GOARCH amd64, a CPU with AVX-512F and DQ and an OS that saves opmask and ZMM state"},
+	}
+}
 
 // use makes nk the kernel transforms run until the (sub)test ends, or
 // skips, saying why, where there is no such kernel.
 func (nk namedKernel) use(tb testing.TB) {
 	if nk.k == nil {
-		tb.Skip("no AVX2 kernel: GOARCH is not amd64, the CPU lacks AVX2 or the OS does not save YMM state")
+		tb.Skipf("no %s kernel: it needs %s", nk.name, nk.needs)
 	}
 	old := kernel
 	kernel = nk.k
 	tb.Cleanup(func() { kernel = old })
 }
 
-// eachKernel runs f as one subtest per kernel set, "go" and "avx2".
+// eachKernel runs f as one subtest per kernel set, "go", "avx2" and
+// "avx512".
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	for _, nk := range kernels() {
 		t.Run(nk.name, func(t *testing.T) {
