@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt race loc results results-check bench bench-e2e serve-smoke adapt-smoke replicate-smoke ingest-smoke cluster-smoke clean
+.PHONY: all build test vet fmt race loc results results-check bench bench-e2e smoke clean
 
 all: build vet test
 
@@ -26,31 +26,14 @@ fmt:
 race:
 	$(GO) test -race -timeout 30m . ./internal/obs ./internal/sim ./internal/des ./internal/testbed ./internal/par ./internal/fft ./internal/policy ./internal/direct ./internal/exper ./internal/serve ./internal/cluster ./internal/trace ./internal/adapt ./internal/ingest ./dist ./dist/fit ./modelspec
 
-# Boot dtrserved on a random port, drive every endpoint plus a /metrics
-# scrape, and verify a clean SIGTERM drain.
-serve-smoke:
-	sh scripts/serve_smoke.sh
-
-# Close the loop end to end: capture a drifting trace with the example,
-# batch-refit it with dtradapt, round-trip the spec through dtrplan.
-adapt-smoke:
-	sh scripts/adapt_smoke.sh
-
-# Run the straggler replication demo and drive the joint
-# reallocation+replication search through dtrplan's -replicate-max flags.
-replicate-smoke:
-	sh scripts/replicate_smoke.sh
-
-# Boot dtringest, emit a synthetic stream over UDP and HTTP, refit from
-# the statistics snapshot with dtradapt -ingest, round-trip the spec
-# through dtrplan, and verify a clean SIGTERM drain.
-ingest-smoke:
-	sh scripts/ingest_smoke.sh
-
-# Boot a 3-replica dtrserved fleet, verify fleet-wide compute-once
-# routing, owner-failure ejection and the snapshot-backed warm restart.
-cluster-smoke:
-	sh scripts/cluster_smoke.sh
+# The end-to-end driver (internal/smoke): it builds the daemons and the
+# examples once and runs five subtests on them: Serve, Adapt, Replicate,
+# Ingest and Cluster. The daemons boot on free ports and must drain
+# cleanly on SIGTERM. `make test` runs it too, but go test may report a
+# cached result there (keyed on the Go sources the driver opens); this
+# target always runs it.
+smoke:
+	$(GO) test -count=1 ./internal/smoke
 
 # Non-test Go lines, the two figures ROADMAP aim 2 tracks (everything, and
 # everything outside the benchmark's own code), printed into every CI log,
@@ -77,7 +60,12 @@ cluster-smoke:
 # +107: internal/fft's AVX-512 kernel set (its declarations, the Go
 # tails of its passes, the plan's split-twiddle quads) and the CPUID and
 # XCR0 words read once and judged by pure, table-tested feature checks.
-LOC_CEILING = 22709
+# −99: the smoke scripts' two Go helpers (freeport, httpreq) deleted with
+# the scripts for the internal/smoke test driver, and the daemons' and
+# CLI.Start's three copies of registry, logger and tracer set-up folded
+# into obs.Install; the fft plan's half-step twiddles and the trace
+# reader's over-long-line fix paid for out of that.
+LOC_CEILING = 22610
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -29,7 +29,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -73,19 +72,9 @@ func run(args []string) error {
 
 	// One registry for the whole process: the ingest counters plus the
 	// trace-layer handles bind to it via SetDefault.
-	reg := obs.NewRegistry()
-	obs.SetDefault(reg)
-	if *logLevel != "" && *logLevel != "off" {
-		lvl, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			return fmt.Errorf("%w: %v", obs.ErrUsage, err)
-		}
-		obs.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	}
-	var tracer *obs.Tracer
-	if *withTrace {
-		tracer = obs.NewTracer(obs.TracerConfig{})
-		obs.SetTracer(tracer)
+	proc, err := obs.Install(*logLevel, os.Stderr, *withTrace, "")
+	if err != nil {
+		return err
 	}
 
 	agg := ingest.New(ingest.Config{
@@ -93,10 +82,10 @@ func run(args []string) error {
 		Buckets: *buckets, MaxChannels: *maxChannels,
 		MaxServers: *maxServers, MaxTenants: *maxTenants,
 	})
-	srv := ingest.NewServer(agg, tracer, *maxBody)
+	srv := ingest.NewServer(agg, proc.Tracer, *maxBody)
 	mux := http.NewServeMux()
 	srv.Register(mux)
-	obs.Register(mux, reg, *withPProf)
+	obs.Register(mux, proc.Registry, *withPProf)
 
 	ln, err := net.Listen("tcp", *httpAddr)
 	if err != nil {

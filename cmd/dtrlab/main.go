@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -80,7 +81,10 @@ func lab() error {
 	}
 	fid.Workers = workers.N
 	if err := obsCfg.Start(); err != nil {
-		return fmt.Errorf("%w: %v", obs.ErrUsage, err)
+		if !errors.Is(err, obs.ErrUsage) {
+			err = fmt.Errorf("%w: %v", obs.ErrUsage, err)
+		}
+		return err
 	}
 	if *mcReps > 0 {
 		fid.MCReps = *mcReps

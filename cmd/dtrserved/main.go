@@ -33,7 +33,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -92,36 +91,14 @@ func run(args []string) error {
 		return obs.UsageErrorf(fs, "-self is meaningful only with -peers")
 	}
 
-	// One registry for the whole process: the serve layer's own metrics
-	// plus every instrumented solver package (SetDefault binds their lazy
-	// handles), exposed on the service mux.
-	reg := obs.NewRegistry()
-	obs.SetDefault(reg)
-	if *logLevel != "" && *logLevel != "off" {
-		lvl, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			return fmt.Errorf("%w: %v", obs.ErrUsage, err)
-		}
-		obs.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
+	// One registry for the serve layer and every solver package, exposed
+	// on the service mux; every request's span tree lands on
+	// /debug/requests and, with -trace-out, in a JSONL file.
+	proc, err := obs.Install(*logLevel, os.Stderr, *withTrace, *traceOut)
+	if err != nil {
+		return err
 	}
-
-	// Tracing: every request grows a span tree, the slowest and most
-	// recent land on /debug/requests, and -trace-out streams them as
-	// JSONL for offline analysis.
-	var tracer *obs.Tracer
-	if *withTrace || *traceOut != "" {
-		cfg := obs.TracerConfig{}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return fmt.Errorf("trace out: %w", err)
-			}
-			defer f.Close()
-			cfg.Writer = f
-		}
-		tracer = obs.NewTracer(cfg)
-		obs.SetTracer(tracer)
-	}
+	defer proc.Close()
 
 	// Cluster mode: a static peer list turns this replica into one shard
 	// of a fleet. The cluster's health prober starts once we listen.
@@ -133,14 +110,13 @@ func run(args []string) error {
 				peerList = append(peerList, strings.TrimRight(p, "/"))
 			}
 		}
-		var err error
 		cl, err = cluster.New(cluster.Config{
 			Self:           strings.TrimRight(*self, "/"),
 			Peers:          peerList,
 			ProbeInterval:  *probeInterval,
 			ForwardTimeout: *forwardTimeout,
 			HedgeDelay:     *hedgeDelay,
-			Registry:       reg,
+			Registry:       proc.Registry,
 		})
 		if err != nil {
 			return obs.UsageErrorf(fs, "%v", err)
@@ -157,12 +133,12 @@ func run(args []string) error {
 		CacheBytes:       *cacheBytes,
 		SolverCacheBytes: *solverCacheBytes,
 		Cluster:          cl,
-		Registry:         reg,
-		Tracer:           tracer,
+		Registry:         proc.Registry,
+		Tracer:           proc.Tracer,
 	})
 	mux := http.NewServeMux()
 	svc.Register(mux)
-	obs.Register(mux, reg, *withPProf)
+	obs.Register(mux, proc.Registry, *withPProf)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -213,8 +189,5 @@ func run(args []string) error {
 		}
 		obs.Logger().Info("cache snapshot written", "path", *cacheSnap)
 	}
-	if err := tracer.Err(); err != nil {
-		return fmt.Errorf("trace out: %w", err)
-	}
-	return nil
+	return proc.Close()
 }

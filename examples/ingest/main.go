@@ -8,8 +8,8 @@
 //	go run ./examples/ingest -http 127.0.0.1:9120 -udp 127.0.0.1:9125
 //
 // The emitter exits non-zero when the daemon is unreachable, a batch is
-// rejected, or the snapshot comes back short, so scripts — including
-// `make ingest-smoke` — can use it as a health gate.
+// rejected, or the snapshot comes back short, so scripts — and the smoke
+// driver's Ingest subtest (internal/smoke) — can use it as a health gate.
 package main
 
 import (

@@ -6,8 +6,8 @@
 //	go run ./examples/serve -addr 127.0.0.1:8080
 //
 // The client exits non-zero on the first non-2xx answer (or transport
-// error), so scripts — including `make serve-smoke` — can use it as a
-// health gate.
+// error), so scripts — and the smoke driver's Serve subtest
+// (internal/smoke) — can use it as a health gate.
 package main
 
 import (

@@ -109,9 +109,9 @@ func BenchmarkPasses2k(b *testing.B) {
 			})
 		}
 		b.Run("split", func(b *testing.B) {
-			tw, sc := planFor(2*m).tw, 0.5/m
+			sc := 0.5 / m
 			for b.Loop() {
-				kernel.split(out, z, g, tw, p.rev, sc)
+				kernel.split(out, z, g, p.half, p.rev, sc)
 			}
 		})
 	})

@@ -31,10 +31,10 @@ import (
 
 // plan holds what every transform of one length n shares.
 type plan struct {
-	rev []int32      // bit-reversal permutation of 0..n-1
-	tw  []complex128 // tw[k] = exp(-2πi·k/n) for k < 3n/4
+	rev  []int32      // bit-reversal permutation of 0..n-1
+	half []complex128 // exp(-2πi·k/2n) for k ≤ n/2: the real split's twiddles
 	// rows has one row per twiddled radix-4 pass of half-span h: row[j] =
-	// (w², w, w³) of w = exp(-2πi·j/4h) = (tw[2j·st], tw[j·st], tw[3j·st]).
+	// (w², w, w³) of w = exp(-2πi·j/4h), as twiddles(3n/4, n) holds them.
 	rows [][][3]complex128
 	// quads is rows again, four j to an entry, for the AVX-512 pass
 	// (nil for a row of h = 2).
@@ -64,26 +64,33 @@ func planFor(n int) *plan {
 
 // newPlan builds the plan for the power of two n.
 func newPlan(n int) *plan {
-	p := &plan{rev: make([]int32, n), tw: make([]complex128, 3*n/4)}
+	p := &plan{rev: make([]int32, n), half: twiddles(n/2+1, 2*n)}
 	shift := bits.UintSize - bits.TrailingZeros(uint(n))
 	for i := 1; i < n; i++ {
 		p.rev[i] = int32(bits.Reverse(uint(i)) >> shift)
 	}
-	for k := range p.tw {
-		sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		p.tw[k] = complex(cos, sin)
-	}
+	tw := twiddles(3*n/4, n)
 	// The first twiddled pass has half-span 2 after a plain radix-2 stage
 	// when log2(n) is odd, else 4.
 	for h := 4 >> (bits.TrailingZeros(uint(n)) & 1); h < n; h <<= 2 {
 		st, row := n/(4*h), make([][3]complex128, h)
 		for j := range row {
-			row[j] = [3]complex128{p.tw[2*j*st], p.tw[j*st], p.tw[3*j*st]}
+			row[j] = [3]complex128{tw[2*j*st], tw[j*st], tw[3*j*st]}
 		}
 		p.rows = append(p.rows, row)
 		p.quads = append(p.quads, splitQuads(row))
 	}
 	return p
+}
+
+// twiddles returns exp(-2πi·k/n) for k < count, each from math.Sincos.
+func twiddles(count, n int) []complex128 {
+	tw := make([]complex128, count)
+	for k := range tw {
+		sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		tw[k] = complex(cos, sin)
+	}
+	return tw
 }
 
 // splitQuads lays row out four j to a twQuad; a row of fewer than four
@@ -259,12 +266,11 @@ func RealForward(spec []complex128, x []float64) {
 	z0 := z[0]
 	spec[0] = complex(real(z0)+imag(z0), 0)
 	spec[m] = complex(real(z0)-imag(z0), 0)
-	tw := planFor(2 * m).tw
 	for k := 1; k <= m/2; k++ {
 		a, b := z[k], z[m-k]
 		e := complex(real(a)+real(b), imag(a)-imag(b)) // 2·E[k]
 		o := complex(imag(a)+imag(b), real(b)-real(a)) // 2·O[k]
-		wo := tw[k] * o
+		wo := p.half[k] * o
 		spec[k] = complex(0.5*(real(e)+real(wo)), 0.5*(imag(e)+imag(wo)))
 		spec[m-k] = complex(0.5*(real(e)-real(wo)), 0.5*(imag(wo)-imag(e)))
 	}
@@ -329,7 +335,7 @@ func ConvolvePacked(out, z, g []complex128) {
 	y0 := complex(real(z0)+imag(z0), 0) * g[0]
 	ym := complex(real(z0)-imag(z0), 0) * g[m]
 	out[0] = complex(sc*(real(y0)+real(ym)), -sc*(real(y0)-real(ym)))
-	kernel.split(out, z, g, planFor(2*m).tw, p.rev, sc)
+	kernel.split(out, z, g, p.half, p.rev, sc)
 	p.butterflies(out)
 }
 
@@ -338,8 +344,8 @@ func splitGo(out, z, g, tw []complex128, rev []int32, sc float64) {
 }
 
 // splitFrom is ConvolvePacked's walk over bins k and m−k for k from k0
-// to m/2: z holds the forward butterflies' output, tw the twiddles of
-// length 2m, rev the bit-reversal of length m and sc the scale 1/2m.
+// to m/2: z holds the forward butterflies' output, tw the plan's half
+// table, rev the bit-reversal of length m and sc the scale 1/2m.
 func splitFrom(out, z, g, tw []complex128, rev []int32, sc float64, k0 int) {
 	m := len(z)
 	for k := k0; k <= m/2; k++ {

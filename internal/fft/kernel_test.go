@@ -28,7 +28,7 @@ func (p *plan) seedButterflies(a []complex128) {
 			a[i], a[i+1], a[i+2], a[i+3] = s+u, d+v, s-u, d-v
 		}
 	}
-	tw := p.tw
+	tw := twiddles(3*n/4, n)
 	for ; h < n; h <<= 2 {
 		st := n / (4 * h)
 		for i := 0; i < n; i += 4 * h {
@@ -87,7 +87,7 @@ func seedRealForward(spec []complex128, x []float64) {
 	z0 := z[0]
 	spec[0] = complex(real(z0)+imag(z0), 0)
 	spec[m] = complex(real(z0)-imag(z0), 0)
-	tw := planFor(2 * m).tw
+	tw := planFor(m).half
 	for k := 1; k <= m/2; k++ {
 		a, b := z[k], z[m-k]
 		e := complex(real(a)+real(b), imag(a)-imag(b))
@@ -104,7 +104,7 @@ func seedRealInverse(x []float64, spec []complex128) {
 	sc := 0.5 / float64(m)
 	x0, xm := real(spec[0]), real(spec[m])
 	z[0] = complex(sc*(x0+xm), -sc*(x0-xm))
-	tw := planFor(2 * m).tw
+	tw := planFor(m).half
 	for k := 1; k <= m/2; k++ {
 		a, b := spec[k], spec[m-k]
 		e := complex(real(a)+real(b), imag(a)-imag(b))

@@ -86,12 +86,57 @@ type CLI struct {
 	// end-of-run summary go (default os.Stderr).
 	Err io.Writer
 
-	reg       *Registry
-	srv       *Server
-	stopTick  chan struct{}
-	tickDone  chan struct{}
-	tracer    *Tracer
+	proc     *Process
+	srv      *Server
+	stopTick chan struct{}
+	tickDone chan struct{}
+}
+
+// Process is the observability Install set up.
+type Process struct {
+	Registry  *Registry
+	Tracer    *Tracer // nil with tracing off
 	traceFile *os.File
+}
+
+// Install sets up a process's observability, for the daemons and
+// CLI.Start alike: a text logger on logTo at logLevel (none for "" or
+// "off"; an unknown level is a usage error), a fresh default registry
+// and, with trace or a traceOut file to append span trees to, a tracer.
+func Install(logLevel string, logTo io.Writer, trace bool, traceOut string) (*Process, error) {
+	if logLevel != "" && logLevel != "off" {
+		lvl, err := ParseLevel(logLevel)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrUsage, err)
+		}
+		SetLogger(slog.New(slog.NewTextHandler(logTo, &slog.HandlerOptions{Level: lvl})))
+	}
+	p := &Process{Registry: NewRegistry()}
+	SetDefault(p.Registry)
+	var cfg TracerConfig
+	if traceOut != "" {
+		f, err := os.Create(traceOut)
+		if err != nil {
+			return nil, fmt.Errorf("trace out: %w", err)
+		}
+		p.traceFile, cfg.Writer = f, f
+	}
+	if trace || traceOut != "" {
+		p.Tracer = NewTracer(cfg)
+		SetTracer(p.Tracer)
+	}
+	return p, nil
+}
+
+// Close closes the traceOut file, if any, once, and reports the errors
+// writing and closing it.
+func (p *Process) Close() error {
+	f := p.traceFile
+	if f == nil {
+		return nil
+	}
+	p.traceFile = nil
+	return errors.Join(p.Tracer.Err(), f.Close())
 }
 
 // BindFlags registers the observability flags on fs and returns the CLI
@@ -190,9 +235,9 @@ func (c *CLI) Enabled() bool {
 		c.TracePath != ""
 }
 
-// Start installs the registry and logger and, when configured, starts
-// the HTTP endpoint and the progress ticker. A no-op when no
-// observability flag was set.
+// Start installs the registry, logger and tracer (Install) and, when
+// configured, starts the HTTP endpoint and the progress ticker. A no-op
+// when no observability flag was set.
 func (c *CLI) Start() error {
 	if !c.Enabled() {
 		return nil
@@ -200,30 +245,16 @@ func (c *CLI) Start() error {
 	if c.Err == nil {
 		c.Err = os.Stderr
 	}
-	c.reg = NewRegistry()
-	SetDefault(c.reg)
-	if c.TracePath != "" {
-		f, err := os.Create(c.TracePath)
-		if err != nil {
-			return fmt.Errorf("trace out: %w", err)
-		}
-		c.traceFile = f
-		c.tracer = NewTracer(TracerConfig{Writer: f})
-		SetTracer(c.tracer)
-	}
-	if c.LogLevel != "" {
-		lvl, err := ParseLevel(c.LogLevel)
-		if err != nil {
-			return err
-		}
-		SetLogger(slog.New(slog.NewTextHandler(c.Err, &slog.HandlerOptions{Level: lvl})))
+	var err error
+	if c.proc, err = Install(c.LogLevel, c.Err, false, c.TracePath); err != nil {
+		return err
 	}
 	if c.MetricsAddr != "" || c.PProf {
 		addr := c.MetricsAddr
 		if addr == "" {
 			addr = ":0" // -pprof alone still wants an endpoint
 		}
-		srv, err := Serve(addr, c.reg, c.PProf)
+		srv, err := Serve(addr, c.proc.Registry, c.PProf)
 		if err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}
@@ -242,7 +273,7 @@ func (c *CLI) Start() error {
 			for {
 				select {
 				case <-t.C:
-					prev = c.reg.WriteProgress(c.Err, prev)
+					prev = c.proc.Registry.WriteProgress(c.Err, prev)
 				case <-c.stopTick:
 					return
 				}
@@ -256,7 +287,7 @@ func (c *CLI) Start() error {
 // writes the -metrics-dump JSON file, prints the end-of-run summary and
 // shuts the HTTP endpoint down. Safe to call when Start did nothing.
 func (c *CLI) Stop() error {
-	if c.reg == nil {
+	if c.proc == nil {
 		return nil
 	}
 	if c.stopTick != nil {
@@ -269,16 +300,11 @@ func (c *CLI) Stop() error {
 			firstErr = err
 		}
 	}
-	if err := c.reg.Snapshot().WriteSummary(c.Err); err != nil && firstErr == nil {
+	if err := c.proc.Registry.Snapshot().WriteSummary(c.Err); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	if c.traceFile != nil {
-		if err := c.tracer.Err(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := c.traceFile.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("trace out: %w", err)
-		}
+	if err := c.proc.Close(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	if err := c.srv.Close(); err != nil && firstErr == nil {
 		firstErr = err
@@ -291,7 +317,7 @@ func (c *CLI) dump() error {
 	if err != nil {
 		return fmt.Errorf("metrics dump: %w", err)
 	}
-	werr := writeSnapshotJSON(f, c.reg.Snapshot())
+	werr := writeSnapshotJSON(f, c.proc.Registry.Snapshot())
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

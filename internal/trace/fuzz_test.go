@@ -38,11 +38,27 @@ func drain(r *Reader, evs []Event) ([]Event, error) {
 	}
 }
 
+// progress calls Next until io.EOF and fails if a call returns anything
+// else without moving past a line: after an error the reader goes on.
+func progress(t *testing.T, r *Reader) {
+	for {
+		line := r.line
+		_, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			return
+		}
+		if r.line <= line {
+			t.Fatalf("Next returned %v without moving past line %d", err, line)
+		}
+	}
+}
+
 // FuzzReader: whatever bytes arrive, the Reader does not panic; every
 // event it accepts passes Validate; the Writer writes the accepted events
-// into a stream the Reader reads back as the same events; and a tail
-// Reader fed the same newline-terminated bytes in chunks (sizes from
-// cuts) yields what NewReader yields, up to the same first error.
+// into a stream the Reader reads back as the same events; a tail Reader
+// fed the same newline-terminated bytes in chunks (sizes from cuts)
+// yields what NewReader yields, up to the same first error; and after an
+// error either reader makes progress or returns io.EOF.
 func FuzzReader(f *testing.F) {
 	for _, s := range []string{
 		`{"v":1,"kind":"meta","servers":2,"source":"sim"}` + "\n" +
@@ -60,7 +76,9 @@ func FuzzReader(f *testing.F) {
 		if len(data) == 0 || data[len(data)-1] != '\n' {
 			data = append(data, '\n')
 		}
-		want, werr := drain(NewReader(bytes.NewReader(data)), nil)
+		r := NewReader(bytes.NewReader(data))
+		want, werr := drain(r, nil)
+		progress(t, r)
 		for i := range want {
 			if err := want[i].Validate(); err != nil {
 				t.Fatalf("accepted event %d fails Validate: %v (%+v)", i, err, want[i])
@@ -105,6 +123,8 @@ func FuzzReader(f *testing.F) {
 		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
 			t.Fatalf("tail reader ends with error %v, NewReader with %v", gerr, werr)
 		}
+		g.buf = data
+		progress(t, tr)
 		if len(got) != len(want) {
 			t.Fatalf("tail reader yields %d events, NewReader %d", len(got), len(want))
 		}

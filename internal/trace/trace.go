@@ -234,16 +234,14 @@ func (r *Reader) Next() (Event, error) {
 	for {
 		chunk, err := r.br.ReadBytes('\n')
 		r.pending = append(r.pending, chunk...)
-		if len(r.pending) > maxLine {
-			return Event{}, fmt.Errorf("trace: line %d: longer than %d bytes", r.line+1, maxLine)
-		}
 		switch {
 		case err == nil:
 			// Complete line.
 		case errors.Is(err, io.EOF):
 			if r.tail || len(bytes.TrimSpace(r.pending)) == 0 {
-				// Tail mode holds the torn line for the writer to finish;
-				// either way there is nothing complete to hand out now.
+				// Tail mode holds the torn line, an over-long one cut short,
+				// for the writer to finish; either way nothing is complete.
+				r.pending = r.pending[:min(len(r.pending), maxLine+1)]
 				return Event{}, io.EOF
 			}
 			// Whole-stream mode: the final line simply lost its newline.
@@ -251,6 +249,10 @@ func (r *Reader) Next() (Event, error) {
 			return Event{}, fmt.Errorf("trace: read: %w", err)
 		}
 		r.line++
+		if len(r.pending) > maxLine {
+			r.pending = r.pending[:0]
+			return Event{}, fmt.Errorf("trace: line %d: longer than %d bytes", r.line, maxLine)
+		}
 		line := bytes.TrimSpace(r.pending)
 		r.pending = r.pending[:0]
 		if len(line) == 0 {

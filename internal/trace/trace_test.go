@@ -171,6 +171,39 @@ func TestTailReaderTornAcrossManyAppends(t *testing.T) {
 	}
 }
 
+// TestReaderSkipsOverlongLine: a line longer than maxLine is one error,
+// and the reader moves on to the next line and then io.EOF. The tail
+// reader holds the line until its newline lands, and must then drop all
+// of it instead of parsing its rest as a fresh line.
+func TestReaderSkipsOverlongLine(t *testing.T) {
+	long := strings.Repeat("x", maxLine+1)
+	event := `{"v":1,"kind":"service","server":0,"value":1.5}` + "\n"
+	check := func(name string, r *Reader) {
+		t.Helper()
+		if _, err := r.Next(); err == nil || !strings.Contains(err.Error(), "line 1: longer than") {
+			t.Fatalf("%s: over-long line: got %v, want its error", name, err)
+		}
+		ev, err := r.Next()
+		if err != nil || ev.Value != 1.5 {
+			t.Fatalf("%s: line after the over-long one: got %+v, %v", name, ev, err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := r.Next(); err != io.EOF {
+				t.Fatalf("%s: end of stream, attempt %d: got %v, want io.EOF", name, i, err)
+			}
+		}
+	}
+	check("whole", NewReader(strings.NewReader(long+"\n"+event)))
+	var buf bytes.Buffer
+	buf.WriteString(long + "x")
+	tr := NewTailReader(&buf)
+	if _, err := tr.Next(); err != io.EOF {
+		t.Fatalf("tail: over-long line before its newline: got %v, want io.EOF", err)
+	}
+	buf.WriteString(`{"v":1}` + "\n" + event)
+	check("tail", tr)
+}
+
 func TestWriterConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
