@@ -81,7 +81,9 @@ func TestExitClassification(t *testing.T) {
 		{"-trace", tr, "-ingest", "http://x", "-queues", "12,6", "-once"}, // both sources
 		{"-ingest", "http://x", "-queues", "12,6", "-once"},               // no -tenant
 		{"-trace", tr, "-tenant", "acme", "-queues", "12,6", "-once"},     // -tenant without -ingest
+		{"-trace", tr, "-queues", "12,6", "-once", "-trace-out", filepath.Join(dir, "missing", "x")},
 	}
+	t.Cleanup(func() { obs.SetDefault(nil) })
 	for _, args := range usage {
 		err := run(args, io.Discard)
 		if !errors.Is(err, obs.ErrUsage) {

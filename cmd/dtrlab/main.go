@@ -23,7 +23,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -81,9 +80,6 @@ func lab() error {
 	}
 	fid.Workers = workers.N
 	if err := obsCfg.Start(); err != nil {
-		if !errors.Is(err, obs.ErrUsage) {
-			err = fmt.Errorf("%w: %v", obs.ErrUsage, err)
-		}
 		return err
 	}
 	if *mcReps > 0 {

@@ -148,10 +148,7 @@ func (s *System) Explain(opt ExplainOptions) (*Explain, error) {
 		Algorithm1:   pl.alg1,
 	}
 	if repl.MaxFactor > 1 {
-		ex.Replication = &ExplainReplication{MaxFactor: repl.MaxFactor, Budget: repl.Budget, Factors: pl.factors}
-		if pl.repl != nil {
-			ex.Replication.Combos = pl.repl.Combos
-		}
+		ex.Replication = &ExplainReplication{MaxFactor: repl.MaxFactor, Budget: repl.Budget, Factors: pl.factors, Combos: pl.combos}
 	}
 	if pl.solver == nil {
 		return ex, nil

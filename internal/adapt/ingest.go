@@ -27,8 +27,6 @@ type IngestSource struct {
 	BaseURL string
 	// Tenant names the statistics stream to poll.
 	Tenant string
-	// Client is the HTTP client (nil = http.DefaultClient).
-	Client *http.Client
 }
 
 // Snapshot fetches GET /v1/snapshot?tenant= and validates the payload.
@@ -43,7 +41,7 @@ func (s *IngestSource) Snapshot(ctx context.Context) (*ingest.Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
-	code, data, err := roundTrip(ctx, s.Client, req, "snapshot_get", "tenant", s.Tenant)
+	code, data, err := roundTrip(ctx, req, "snapshot_get", "tenant", s.Tenant)
 	if err != nil {
 		return nil, err
 	}

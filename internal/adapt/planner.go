@@ -99,31 +99,24 @@ func optimizeRequest(spec *modelspec.SystemSpec, objective string, deadline floa
 type HTTP struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Client is the HTTP client (nil = http.DefaultClient).
-	Client *http.Client
 	// Objective and Deadline parameterize /v1/optimize like InProcess.
 	Objective string
 	Deadline  float64
-	// TimeoutMS is forwarded as the per-request timeoutMs.
-	TimeoutMS int
 }
 
 // roundTrip sends req and returns the status and the (size-capped)
 // body. When ctx carries a span (the controller's replan span), a child
 // span brackets the call and its W3C traceparent goes out on the
 // request, so the peer's request trace joins the controller's — one
-// trace id across the process hop. A nil client means
+// trace id across the process hop. Requests go through
 // http.DefaultClient.
-func roundTrip(ctx context.Context, client *http.Client, req *http.Request, spanName string, attrs ...any) (int, []byte, error) {
+func roundTrip(ctx context.Context, req *http.Request, spanName string, attrs ...any) (int, []byte, error) {
 	span := obs.SpanFromContext(ctx).Child(spanName, attrs...)
 	defer span.End()
 	if tp := span.Traceparent(); tp != "" {
 		req.Header.Set(obs.TraceparentHeader, tp)
 	}
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		span.SetAttr("error", true)
 		return 0, nil, fmt.Errorf("adapt: %s %s: %w", req.Method, req.URL.Path, err)
@@ -149,7 +142,7 @@ func (p *HTTP) post(ctx context.Context, path string, body, out any) error {
 		return fmt.Errorf("adapt: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	code, data, err := roundTrip(ctx, p.Client, req, "http_post", "path", path)
+	code, data, err := roundTrip(ctx, req, "http_post", "path", path)
 	if err != nil {
 		return err
 	}
@@ -175,7 +168,7 @@ func (p *HTTP) Fit(ctx context.Context, in FitInput, cfg fit.Config) (*modelspec
 	var resp serve.FitResponse
 	err := p.post(ctx, "/v1/fit", serve.FitRequest{
 		Events: in.Events, Stats: in.Stats, Queues: cfg.Queues, Families: fams,
-		MinObs: cfg.MinObs, TimeoutMS: p.TimeoutMS,
+		MinObs: cfg.MinObs,
 	}, &resp)
 	if err != nil {
 		return nil, nil, err
@@ -192,7 +185,6 @@ func (p *HTTP) Plan(ctx context.Context, spec *modelspec.SystemSpec) ([][]int, f
 	if err != nil {
 		return nil, 0, err
 	}
-	req.TimeoutMS = p.TimeoutMS
 	var resp serve.OptimizeResponse
 	if err := p.post(ctx, "/v1/optimize", req, &resp); err != nil {
 		return nil, 0, err

@@ -28,7 +28,7 @@ func TestHTTPPlannerTraceparentEgress(t *testing.T) {
 	}))
 	defer stub.Close()
 
-	tracer := obs.NewTracer(obs.TracerConfig{Writer: &bytes.Buffer{}})
+	tracer := obs.NewTracer(&bytes.Buffer{})
 	root := tracer.StartRoot("replan", "")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 

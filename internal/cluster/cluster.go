@@ -24,29 +24,16 @@ type Config struct {
 	Self string
 	// Peers is the static fleet membership: every replica's base URL.
 	Peers []string
-	// VNodes is the virtual nodes per member (0 = 128).
-	VNodes int
-	// LoadFactor caps any member's hash-space share at LoadFactor times
-	// fair (values < 1 mean the 1.25 default).
-	LoadFactor float64
 	// ProbeInterval is the peer health-probe period (0 = 2s; negative
-	// disables probing — every peer is assumed alive).
+	// disables probing — every peer is assumed alive). One /readyz probe
+	// is bounded by min(interval, 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /readyz probe (0 = min(interval, 1s)).
-	ProbeTimeout time.Duration
-	// FailAfter ejects a peer after this many consecutive probe
-	// failures (0 = 3). One successful probe re-admits it.
-	FailAfter int
 	// ForwardTimeout bounds one forwarded request attempt (0 = 30s).
 	ForwardTimeout time.Duration
 	// HedgeDelay launches the successor attempt this long after the
 	// owner attempt started, without waiting for it to fail (0 =
 	// disabled: the successor is tried only after an owner failure).
 	HedgeDelay time.Duration
-	// Client issues forwards and probes (nil = a dedicated client; the
-	// per-attempt timeout always comes from ForwardTimeout/ProbeTimeout
-	// contexts, not the client).
-	Client *http.Client
 	// Registry receives the cluster metrics (nil = metrics off).
 	Registry *obs.Registry
 }
@@ -57,8 +44,8 @@ type Config struct {
 type Cluster struct {
 	cfg    Config
 	self   string
-	full   *Ring // static membership: canonical ownership for warm fill
-	client *http.Client
+	full   *Ring        // static membership: canonical ownership for warm fill
+	client *http.Client // forwards and probes; each attempt's timeout is its context's
 	reg    *obs.Registry
 
 	mu    sync.RWMutex
@@ -97,27 +84,14 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-		if cfg.ProbeInterval > 0 && cfg.ProbeInterval < cfg.ProbeTimeout {
-			cfg.ProbeTimeout = cfg.ProbeInterval
-		}
-	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 3
-	}
 	if cfg.ForwardTimeout <= 0 {
 		cfg.ForwardTimeout = 30 * time.Second
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
 	}
 	c := &Cluster{
 		cfg:    cfg,
 		self:   cfg.Self,
-		full:   NewRing(peers, cfg.VNodes, cfg.LoadFactor),
-		client: client,
+		full:   NewRing(peers),
+		client: &http.Client{},
 		reg:    cfg.Registry,
 		down:   map[string]bool{},
 		fails:  map[string]int{},
@@ -183,6 +157,10 @@ func (c *Cluster) Alive(peer string) bool {
 	return !c.down[peer]
 }
 
+// failAfter ejects a peer after this many consecutive probe failures;
+// one successful probe re-admits it.
+const failAfter = 3
+
 // setAlive records one probe outcome and rebuilds the live ring on a
 // state transition. Exported indirectly through the prober; tests use
 // it to force membership changes.
@@ -198,7 +176,7 @@ func (c *Cluster) setAlive(peer string, ok bool) {
 		}
 	} else {
 		c.fails[peer]++
-		if !c.down[peer] && c.fails[peer] >= c.cfg.FailAfter {
+		if !c.down[peer] && c.fails[peer] >= failAfter {
 			c.down[peer] = true
 			changed = true
 			c.reg.Counter(obs.Name("dtr_cluster_ejections_total", "peer", peer)).Add(1)
@@ -211,7 +189,7 @@ func (c *Cluster) setAlive(peer string, ok bool) {
 				alive = append(alive, m)
 			}
 		}
-		c.live = NewRing(alive, c.cfg.VNodes, c.cfg.LoadFactor)
+		c.live = NewRing(alive)
 	}
 	c.mu.Unlock()
 	if changed {

@@ -52,7 +52,7 @@ func TestStopWithoutStart(t *testing.T) {
 
 // TestProberEjectsAndRevives drives the health prober against a real
 // peer that flips from ready to unready and back, checking ejection
-// after FailAfter consecutive failures and revival on one success.
+// after failAfter consecutive failures and revival on one success.
 func TestProberEjectsAndRevives(t *testing.T) {
 	var ready atomic.Bool
 	ready.Store(true)
@@ -71,7 +71,6 @@ func TestProberEjectsAndRevives(t *testing.T) {
 		Self:          "http://self.invalid",
 		Peers:         []string{peer.URL},
 		ProbeInterval: 10 * time.Millisecond,
-		FailAfter:     2,
 		Registry:      reg,
 	})
 	if err != nil {

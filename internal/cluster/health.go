@@ -46,9 +46,10 @@ func (c *Cluster) probeAll() {
 	wg.Wait()
 }
 
-// probe issues one readiness check against peer.
+// probe issues one readiness check against peer, bounded by
+// min(interval, 1s).
 func (c *Cluster) probe(peer string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), min(c.cfg.ProbeInterval, time.Second))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/readyz", nil)
 	if err != nil {

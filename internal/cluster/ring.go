@@ -4,12 +4,12 @@
 // fleet computes every distinct spec once instead of once per replica.
 //
 // The ring uses virtual nodes for balance and a deterministic
-// bounded-load assignment (no member owns more than LoadFactor times its
-// fair share of the hash space), so a hot fleet cannot concentrate on
-// one replica. Membership is a static peer list; a lightweight HTTP
-// prober ejects peers whose /readyz stops answering and re-admits them
-// when it recovers, remapping only the dead peer's arcs (minimal
-// disruption). Forwarding is failure-tolerant: on owner failure the
+// bounded-load assignment (no member owns more than DefaultLoadFactor
+// times its fair share of the hash space), so a hot fleet cannot
+// concentrate on one replica. Membership is a static peer list; a
+// lightweight HTTP prober ejects peers whose /readyz stops answering and
+// re-admits them when it recovers, remapping only the dead peer's arcs
+// (minimal disruption). Forwarding is failure-tolerant: on owner failure the
 // client retries the next ring successor once (optionally hedged on a
 // timer), and a total forwarding failure degrades to local computation —
 // the cluster layer can reduce cache efficiency, never availability.
@@ -35,24 +35,17 @@ type Ring struct {
 	load    []uint64 // hash-space share per member, in ring units
 }
 
-// Default ring parameters: 128 virtual nodes per member keeps the
-// natural (pre-bounding) imbalance within a few percent, and a 1.25
-// load factor caps any member's share at 25% above fair.
+// The ring's parameters: 128 virtual nodes per member keeps the natural
+// (pre-bounding) imbalance within a few percent, and a 1.25 load factor
+// caps any member's share at 25% above fair.
 const (
 	DefaultVNodes     = 128
 	DefaultLoadFactor = 1.25
 )
 
-// NewRing builds a ring over members. vnodes <= 0 and loadFactor < 1
-// fall back to the defaults. Duplicate members collapse; order does not
-// matter.
-func NewRing(members []string, vnodes int, loadFactor float64) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	if loadFactor < 1 {
-		loadFactor = DefaultLoadFactor
-	}
+// NewRing builds a ring over members. Duplicate members collapse; order
+// does not matter.
+func NewRing(members []string) *Ring {
 	seen := map[string]bool{}
 	var uniq []string
 	for _, m := range members {
@@ -71,9 +64,9 @@ func NewRing(members []string, vnodes int, loadFactor float64) *Ring {
 		hash   uint64
 		member int
 	}
-	points := make([]vnode, 0, len(uniq)*vnodes)
+	points := make([]vnode, 0, len(uniq)*DefaultVNodes)
 	for mi, m := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVNodes; v++ {
 			points = append(points, vnode{hashKey(m + "#" + strconv.Itoa(v)), mi})
 		}
 	}
@@ -93,11 +86,11 @@ func NewRing(members []string, vnodes int, loadFactor float64) *Ring {
 	}
 
 	// Bounded-load pass: walk the arcs in ring order and cap every
-	// member at loadFactor times its fair share of the 2^64 hash space.
-	// An arc whose natural owner is over budget spills to the natural
-	// owner of the next virtual node (in ring order) that still has
-	// room — deterministic, so every replica derives identical spills.
-	budget := shareBudget(len(uniq), loadFactor)
+	// member at DefaultLoadFactor times its fair share of the 2^64 hash
+	// space. An arc whose natural owner is over budget spills to the
+	// natural owner of the next virtual node (in ring order) that still
+	// has room — deterministic, so every replica derives identical spills.
+	budget := shareBudget(len(uniq))
 	n := len(points)
 	for i := 0; i < n; i++ {
 		arc := arcLen(r.hashes, i)
@@ -126,10 +119,11 @@ func NewRing(members []string, vnodes int, loadFactor float64) *Ring {
 	return r
 }
 
-// shareBudget is the bounded-load cap in ring units: loadFactor * 2^64/n,
-// saturating at the maximum representable share.
-func shareBudget(n int, loadFactor float64) uint64 {
-	b := loadFactor * math.Exp2(64) / float64(n)
+// shareBudget is the bounded-load cap in ring units:
+// DefaultLoadFactor * 2^64/n, saturating at the maximum representable
+// share.
+func shareBudget(n int) uint64 {
+	b := DefaultLoadFactor * math.Exp2(64) / float64(n)
 	if b >= math.Exp2(64)-1 {
 		return math.MaxUint64
 	}

@@ -29,8 +29,8 @@ func randomKeys(n int) []string {
 func TestRingDeterministic(t *testing.T) {
 	members := memberNames(5)
 	shuffled := []string{members[3], members[0], members[4], members[2], members[1]}
-	a := NewRing(members, 0, 0)
-	b := NewRing(shuffled, 0, 0)
+	a := NewRing(members)
+	b := NewRing(shuffled)
 	for _, k := range randomKeys(500) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("owner disagreement for %s: %s vs %s (member order must not matter)", k, a.Owner(k), b.Owner(k))
@@ -39,14 +39,14 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 // TestRingLoadBalanceBound is the bounded-load property: across 10k
-// random fingerprints no member receives more than loadFactor times its
+// random fingerprints no member receives more than DefaultLoadFactor times its
 // fair share of keys, modulo sampling noise. The hash-space shares are
 // bounded by construction; the key-count check verifies the bound
 // translates to real traffic.
 func TestRingLoadBalanceBound(t *testing.T) {
 	const nKeys = 10_000
 	for _, nMembers := range []int{2, 3, 5, 8} {
-		r := NewRing(memberNames(nMembers), 0, 0)
+		r := NewRing(memberNames(nMembers))
 		// Hash-space shares respect the cap exactly.
 		for _, m := range r.Members() {
 			cap := DefaultLoadFactor / float64(nMembers)
@@ -83,8 +83,8 @@ func TestRingLoadBalanceBound(t *testing.T) {
 func TestRingMinimalRemap(t *testing.T) {
 	const nKeys = 10_000
 	members := memberNames(6)
-	before := NewRing(members, 0, 0)
-	after := NewRing(members[:5], 0, 0) // member 6 leaves
+	before := NewRing(members)
+	after := NewRing(members[:5]) // member 6 leaves
 	removed := members[5]
 
 	keys := randomKeys(nKeys)
@@ -114,7 +114,7 @@ func TestRingMinimalRemap(t *testing.T) {
 }
 
 func TestRingSuccessorsDistinct(t *testing.T) {
-	r := NewRing(memberNames(4), 0, 0)
+	r := NewRing(memberNames(4))
 	for _, k := range randomKeys(200) {
 		owner := r.Owner(k)
 		succ := r.Successors(k, 3)
@@ -132,25 +132,25 @@ func TestRingSuccessorsDistinct(t *testing.T) {
 }
 
 func TestRingEdgeCases(t *testing.T) {
-	empty := NewRing(nil, 0, 0)
+	empty := NewRing(nil)
 	if o := empty.Owner("k"); o != "" {
 		t.Fatalf("empty ring owner = %q", o)
 	}
 	if s := empty.Successors("k", 2); s != nil {
 		t.Fatalf("empty ring successors = %v", s)
 	}
-	single := NewRing([]string{"http://a"}, 0, 0)
+	single := NewRing([]string{"http://a"})
 	if o := single.Owner("k"); o != "http://a" {
 		t.Fatalf("single ring owner = %q", o)
 	}
 	if s := single.Share("http://a"); math.Abs(s-1) > 1e-9 {
 		t.Fatalf("single ring share = %g, want 1", s)
 	}
-	dup := NewRing([]string{"http://a", "http://a", "http://b"}, 0, 0)
+	dup := NewRing([]string{"http://a", "http://a", "http://b"})
 	if dup.Len() != 2 {
 		t.Fatalf("dedup failed: len = %d", dup.Len())
 	}
-	if s := NewRing(memberNames(3), 0, 0).Share("http://absent"); s != 0 {
+	if s := NewRing(memberNames(3)).Share("http://absent"); s != 0 {
 		t.Fatalf("share of non-member = %g", s)
 	}
 }

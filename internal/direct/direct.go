@@ -381,17 +381,15 @@ func (sc *scratch) tailMass() float64 {
 // tailCorrect is set.
 func (s *Solver) meanOf(sc *scratch, tailCorrect bool) float64 {
 	acc, last := sc.srv[0].fin, len(sc.srv)-1
-	mean := 0.0
+	for k := 1; k < last; k++ {
+		acc.MaxIndepInto(&sc.acc, sc.srv[k].fin)
+		acc = &sc.acc
+	}
+	var mean float64
 	if last == 0 {
 		mean = acc.Mean()
-	}
-	for k := 1; k <= last; k++ {
-		var dst *gridfn.Lattice
-		if k < last {
-			dst = &sc.acc
-		}
-		mean = acc.MaxIndepInto(dst, sc.srv[k].fin)
-		acc = dst
+	} else {
+		mean = acc.MaxIndepMean(sc.srv[last].fin)
 	}
 	if tailCorrect {
 		var excess float64
@@ -462,7 +460,7 @@ func (s *Solver) reliabilityOf(sc *scratch) float64 {
 	r := 1.0
 	for k, y := range s.t.model.Failure {
 		if _, never := y.(dist.Never); !never {
-			r *= sc.srv[k].fin.ExpectSurvival(y.Survival, 0)
+			r *= sc.srv[k].fin.ExpectSurvival(y.Survival)
 		}
 	}
 	return r

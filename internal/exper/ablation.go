@@ -67,7 +67,7 @@ func AblationGridStep(fid Fidelity) (*Table, error) {
 // scenario and reports the simulated mean execution time of the resulting
 // policy — how quickly the pairwise decomposition reaches its fixed point.
 func AblationK(fid Fidelity) (*Table, error) {
-	m := Table2Model(dist.FamilyPareto1, SevereDelay, true)
+	m := Table2Model(dist.FamilyPareto1, true)
 	t := &Table{
 		Title:   "XA-2: Algorithm 1 iteration budget K (Pareto 1, severe delay, mean time)",
 		Columns: []string{"K", "simulated T̄", "±95%", "tasks moved"},
@@ -118,7 +118,7 @@ func AblationDelaySweep(fid Fidelity) (*Table, error) {
 				},
 			}
 			return direct.NewSolver(m, direct.Config{
-				N: fid.GridN, Horizon: fid.HorizonSevere, MaxQueue: [2]int{M1 + M2, M1 + M2},
+				N: fid.GridN, Horizon: HorizonSevere, MaxQueue: [2]int{M1 + M2, M1 + M2},
 			})
 		}
 		sTrue, err := build(dist.FamilyPareto1)

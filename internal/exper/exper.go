@@ -52,6 +52,8 @@ const (
 	QoSDeadline           = 180.0 // s, Fig. 3(b) / Table I
 	QoSDeadlineTight      = 140.0 // s, the "minimal mean time" deadline
 	Fig12L21              = 25    // tasks reallocated fast → slow in Figs. 1–2
+	HorizonLow            = 900.0 // s, the direct solver's lattice horizon
+	HorizonSevere         = 2600.0
 )
 
 // TransferPerTask returns the calibrated per-task group-transfer mean.
@@ -60,6 +62,14 @@ func (d Delay) TransferPerTask() float64 {
 		return TransferPerTaskLow
 	}
 	return TransferPerTaskSevere
+}
+
+// Horizon returns the direct solver's lattice horizon for the condition.
+func (d Delay) Horizon() float64 {
+	if d == LowDelay {
+		return HorizonLow
+	}
+	return HorizonSevere
 }
 
 // FNMean returns the failure-notice transfer mean for the condition.
@@ -107,10 +117,11 @@ var (
 	Table2Initial = []int{80, 50, 30, 25, 15}
 )
 
-// Table2Model builds the five-server model of §III-A2.
-func Table2Model(f dist.Family, d Delay, reliable bool) *core.Model {
+// Table2Model builds the five-server model of §III-A2, under severe
+// delay.
+func Table2Model(f dist.Family, reliable bool) *core.Model {
 	m := &core.Model{}
-	perTask := d.TransferPerTask()
+	perTask := SevereDelay.TransferPerTask()
 	for i := range Table2ServiceMeans {
 		m.Service = append(m.Service, f.WithMean(Table2ServiceMeans[i]))
 		if reliable {
@@ -119,7 +130,7 @@ func Table2Model(f dist.Family, d Delay, reliable bool) *core.Model {
 			m.Failure = append(m.Failure, dist.NewExponential(Table2FailMeans[i]))
 		}
 	}
-	m.FN = func(src, dst int) dist.Dist { return f.WithMean(d.FNMean()) }
+	m.FN = func(src, dst int) dist.Dist { return f.WithMean(SevereDelay.FNMean()) }
 	m.Transfer = func(tasks, src, dst int) dist.Dist {
 		if tasks < 1 {
 			tasks = 1
@@ -187,10 +198,9 @@ func TestbedModel(reliable bool) *core.Model {
 // the full reproduction.
 type Fidelity struct {
 	Name string
-	// GridN/HorizonLow/HorizonSevere size the direct solver lattices.
-	GridN         int
-	HorizonLow    float64
-	HorizonSevere float64
+	// GridN sizes the direct solver lattices (their horizons are the
+	// delay condition's, Delay.Horizon).
+	GridN int
 	// SweepStride strides the L12 axis of the figure sweeps.
 	SweepStride int
 	// MCReps is the Monte-Carlo replication count (Table II, Fig. 4(c)).
@@ -218,8 +228,6 @@ func Full() Fidelity {
 	return Fidelity{
 		Name:           "full",
 		GridN:          1 << 13,
-		HorizonLow:     900,
-		HorizonSevere:  2600,
 		SweepStride:    1,
 		MCReps:         10000,
 		TestbedReps:    500,
@@ -236,8 +244,6 @@ func Quick() Fidelity {
 	return Fidelity{
 		Name:           "quick",
 		GridN:          1 << 11,
-		HorizonLow:     900,
-		HorizonSevere:  2600,
 		SweepStride:    10,
 		MCReps:         400,
 		TestbedReps:    8,
@@ -247,14 +253,6 @@ func Quick() Fidelity {
 		SearchRestarts: 1,
 		Seed:           2010,
 	}
-}
-
-// Horizon returns the lattice horizon for the delay condition.
-func (f Fidelity) Horizon(d Delay) float64 {
-	if d == LowDelay {
-		return f.HorizonLow
-	}
-	return f.HorizonSevere
 }
 
 // Table is a rendered experiment result: a titled grid of cells.

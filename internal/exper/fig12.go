@@ -40,7 +40,7 @@ func newCanonicalSolver(f dist.Family, d Delay, reliable bool, fid Fidelity) (*d
 	m := CanonicalModel(f, d, reliable)
 	return direct.NewSolver(m, direct.Config{
 		N:        fid.GridN,
-		Horizon:  fid.Horizon(d),
+		Horizon:  d.Horizon(),
 		MaxQueue: [2]int{M1 + M2, M1 + M2},
 	})
 }

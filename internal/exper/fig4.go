@@ -128,8 +128,8 @@ func Fig4C(fid Fidelity) (*Table, error) {
 	return t, nil
 }
 
-// Fig4COptimum returns just the reliability-optimal testbed policy (used
-// by tests and the quickstart example).
+// Fig4COptimum returns just the reliability-optimal testbed policy, the
+// optimum Fig4C reports (TestFig4COptimum pins it).
 func Fig4COptimum(fid Fidelity) (policy.Result2, error) {
 	m := TestbedModel(false)
 	ds, err := direct.NewSolver(m, direct.Config{

@@ -21,7 +21,7 @@ import (
 // queues. The gap to the perfect-information policy is the price of
 // staleness.
 func Staleness(fid Fidelity) (*Table, error) {
-	m := Table2Model(dist.FamilyPareto1, SevereDelay, true)
+	m := Table2Model(dist.FamilyPareto1, true)
 	const warmup = 40.0
 	const period = 2.0
 

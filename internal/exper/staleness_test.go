@@ -41,7 +41,7 @@ func TestStalenessExperiment(t *testing.T) {
 }
 
 func TestBuildPolicyFromStateHook(t *testing.T) {
-	m := Table2Model(dist.FamilyPareto1, SevereDelay, true)
+	m := Table2Model(dist.FamilyPareto1, true)
 	ex := &estimate.Exchange{Model: m, Period: 2, Seed: 3}
 	snap, err := ex.Take(Table2Initial, 20, 0)
 	if err != nil {

@@ -45,7 +45,7 @@ func Table2(reliable bool, fid Fidelity) (*Table, error) {
 
 	// The exponential-derived policy is computed once: Algorithm 1 on the
 	// all-exponential model with matched means.
-	expModel := Table2Model(dist.FamilyExponential, SevereDelay, reliable)
+	expModel := Table2Model(dist.FamilyExponential, reliable)
 	expPolicy, err := policy.Algorithm1(expModel, Table2Initial, policy.Alg1Options{
 		Objective: obj, K: 3, GridN: fid.Alg1GridN, Workers: fid.Workers,
 	})
@@ -71,7 +71,7 @@ func Table2(reliable bool, fid Fidelity) (*Table, error) {
 	}
 
 	for _, f := range families {
-		m := Table2Model(f, SevereDelay, reliable)
+		m := Table2Model(f, reliable)
 
 		truePolicy, err := policy.Algorithm1(m, Table2Initial, policy.Alg1Options{
 			Objective: obj, K: 3, GridN: fid.Alg1GridN, Workers: fid.Workers,
@@ -93,11 +93,11 @@ func Table2(reliable bool, fid Fidelity) (*Table, error) {
 		}
 
 		// Benchmark: best initial allocation, no transfers needed.
-		ev, err := policy.NewAllocationEvaluator(m, 200, fid.Alg1GridN, 0)
+		ev, err := policy.NewAllocationEvaluator(m, 200, fid.Alg1GridN)
 		if err != nil {
 			return nil, err
 		}
-		bestAlloc, _, err := policy.SearchBestAllocation(ev, 200, obj, 0, fid.SearchRestarts, fid.Seed)
+		bestAlloc, _, err := policy.SearchBestAllocation(ev, 200, obj, fid.SearchRestarts, fid.Seed)
 		if err != nil {
 			return nil, err
 		}

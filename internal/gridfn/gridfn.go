@@ -311,16 +311,9 @@ func (p *Spectrum) unpack(dst *Lattice, out []complex128, n int, dx, massL, tail
 // Convolve returns the distribution of X+Y for independent X ~ l, Y ~ o on
 // the same geometry (see Fold for the tail treatment).
 func (l *Lattice) Convolve(o *Lattice) *Lattice {
-	return l.ConvolveMetered(o, nil)
-}
-
-// ConvolveMetered is Convolve with a numerical audit: when meter is
-// non-nil it records the fold's mass-conservation residual and negative
-// round-off mass. The returned lattice is bit-identical to Convolve's.
-func (l *Lattice) ConvolveMetered(o *Lattice, meter *Meter) *Lattice {
 	l.checkCompat(o)
 	out := New(l.Dx, len(l.M))
-	meter.Observe(o.Spectrum().Fold(out, l, NewWork(len(l.M))))
+	o.Spectrum().Fold(out, l, NewWork(len(l.M)))
 	return out
 }
 
@@ -379,41 +372,39 @@ func (l *Lattice) MaxIndep(o *Lattice) *Lattice {
 }
 
 // MaxIndepInto stores MaxIndep(o) in dst — a lattice of the same length,
-// which may be l (a running maximum folds in place), or nil to skip the
-// store — and returns its Mean(), bit for bit; the two CDFs are running
-// sums of one walk, and the moment's index runs as a float64 counter
-// (exact below 2⁵³). A law the caller folds next goes through
-// Spectrum.FoldMax instead, which never stores the race.
-func (l *Lattice) MaxIndepInto(dst, o *Lattice) float64 {
+// which may be l (a running maximum folds in place). A law the caller
+// folds next goes through Spectrum.FoldMax instead, which never stores
+// the race.
+func (l *Lattice) MaxIndepInto(dst, o *Lattice) {
+	l.checkCompat(o)
+	var cl, co, prev float64
+	om, dm := o.M[:len(l.M)], dst.M[:len(l.M)]
+	for i, m := range l.M {
+		cl += m
+		co += om[i]
+		c := cl * co
+		dm[i] = c - prev
+		prev = c
+	}
+	dst.Dx, dst.Tail = l.Dx, max(1-prev, 0)
+}
+
+// MaxIndepMean returns MaxIndep(o).Mean(), bit for bit, without storing
+// the law; the two CDFs are running sums of one walk, and the moment's
+// index runs as a float64 counter (exact below 2⁵³).
+func (l *Lattice) MaxIndepMean(o *Lattice) float64 {
 	l.checkCompat(o)
 	var cl, co, prev, moment, x float64
 	om := o.M[:len(l.M)]
-	if dst == nil {
-		for i, m := range l.M {
-			cl += m
-			co += om[i]
-			c := cl * co
-			moment += x * (c - prev)
-			prev = c
-			x++
-		}
-	} else {
-		dm := dst.M[:len(l.M)]
-		for i, m := range l.M {
-			cl += m
-			co += om[i]
-			c := cl * co
-			dm[i] = c - prev
-			moment += x * (c - prev)
-			prev = c
-			x++
-		}
+	for i, m := range l.M {
+		cl += m
+		co += om[i]
+		c := cl * co
+		moment += x * (c - prev)
+		prev = c
+		x++
 	}
-	tail := max(1-prev, 0)
-	if dst != nil {
-		dst.Dx, dst.Tail = l.Dx, tail
-	}
-	return moment*l.Dx + tail*l.Horizon()
+	return moment*l.Dx + max(1-prev, 0)*l.Horizon()
 }
 
 // MinIndep returns the distribution of min(X, Y) for independent X ~ l,
@@ -449,15 +440,15 @@ func (l *Lattice) Mean() float64 {
 }
 
 // ExpectSurvival returns E[g(X)] for a bounded function g sampled at the
-// lattice points, assigning the tail the limit value gTail (e.g. 0 for a
-// survival function of an independent failure time: if the finish time
-// fell beyond the horizon, survival to it is approximated as negligible).
-func (l *Lattice) ExpectSurvival(g func(float64) float64, gTail float64) float64 {
+// lattice points, assigning the tail 0 (g is the survival function of an
+// independent failure time: if the finish time fell beyond the horizon,
+// survival to it is approximated as negligible).
+func (l *Lattice) ExpectSurvival(g func(float64) float64) float64 {
 	var s float64
 	for i, m := range l.M {
 		if m != 0 {
 			s += m * g(float64(i)*l.Dx)
 		}
 	}
-	return s + l.Tail*gTail
+	return s
 }

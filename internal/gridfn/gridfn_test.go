@@ -130,7 +130,7 @@ func TestMinIndep(t *testing.T) {
 func TestExpectSurvival(t *testing.T) {
 	// E[e^{-X}] for X ~ exp(mean 1) is 1/2 (Laplace transform at 1).
 	a := FromCDF(expCDF(1), 0.002, 1<<14)
-	got := a.ExpectSurvival(func(x float64) float64 { return math.Exp(-x) }, 0)
+	got := a.ExpectSurvival(func(x float64) float64 { return math.Exp(-x) })
 	testutil.Almost(t, got, 0.5, 1e-3, "laplace transform")
 }
 

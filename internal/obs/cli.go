@@ -102,7 +102,8 @@ type Process struct {
 // Install sets up a process's observability, for the daemons and
 // CLI.Start alike: a text logger on logTo at logLevel (none for "" or
 // "off"; an unknown level is a usage error), a fresh default registry
-// and, with trace or a traceOut file to append span trees to, a tracer.
+// and, with trace or a traceOut file to append span trees to, a tracer
+// (a traceOut that cannot be created is a usage error too).
 func Install(logLevel string, logTo io.Writer, trace bool, traceOut string) (*Process, error) {
 	if logLevel != "" && logLevel != "off" {
 		lvl, err := ParseLevel(logLevel)
@@ -113,16 +114,16 @@ func Install(logLevel string, logTo io.Writer, trace bool, traceOut string) (*Pr
 	}
 	p := &Process{Registry: NewRegistry()}
 	SetDefault(p.Registry)
-	var cfg TracerConfig
+	var w io.Writer
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
-			return nil, fmt.Errorf("trace out: %w", err)
+			return nil, fmt.Errorf("%w: trace out: %v", ErrUsage, err)
 		}
-		p.traceFile, cfg.Writer = f, f
+		p.traceFile, w = f, f
 	}
 	if trace || traceOut != "" {
-		p.Tracer = NewTracer(cfg)
+		p.Tracer = NewTracer(w)
 		SetTracer(p.Tracer)
 	}
 	return p, nil
@@ -237,7 +238,9 @@ func (c *CLI) Enabled() bool {
 
 // Start installs the registry, logger and tracer (Install) and, when
 // configured, starts the HTTP endpoint and the progress ticker. A no-op
-// when no observability flag was set.
+// when no observability flag was set. A flag whose value cannot be used —
+// a bad -log-level, an uncreatable -trace-out, a -metrics-addr that cannot
+// be listened on — is a usage error.
 func (c *CLI) Start() error {
 	if !c.Enabled() {
 		return nil
@@ -256,7 +259,7 @@ func (c *CLI) Start() error {
 		}
 		srv, err := Serve(addr, c.proc.Registry, c.PProf)
 		if err != nil {
-			return fmt.Errorf("metrics endpoint: %w", err)
+			return fmt.Errorf("%w: metrics endpoint: %v", ErrUsage, err)
 		}
 		c.srv = srv
 		fmt.Fprintf(c.Err, "[obs] serving metrics on http://%s/metrics\n", displayAddr(srv.Addr))

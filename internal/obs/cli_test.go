@@ -100,8 +100,37 @@ func TestCLIBadLogLevel(t *testing.T) {
 	var errBuf strings.Builder
 	c.Err = &errBuf
 	t.Cleanup(func() { SetDefault(nil) })
-	if err := c.Start(); err == nil {
-		t.Fatal("want error for unknown log level")
+	if err := c.Start(); !errors.Is(err, ErrUsage) {
+		t.Fatalf("unknown log level: Start = %v, want a usage error", err)
+	}
+}
+
+// TestCLIStartUnusableFlagIsUsage: a -trace-out that cannot be created
+// and a -metrics-addr that cannot be listened on are usage errors (exit
+// 2), the same in every binary that calls Start.
+func TestCLIStartUnusableFlagIsUsage(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	t.Cleanup(func() {
+		SetDefault(nil)
+		SetLogger(nil)
+	})
+	for _, args := range [][]string{
+		{"-trace-out", filepath.Join(t.TempDir(), "missing", "x")},
+		{"-metrics-addr", busy.Addr().String()},
+	} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		c := BindFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		c.Err = io.Discard
+		if err := c.Start(); !errors.Is(err, ErrUsage) || ExitCode(err) != 2 {
+			t.Errorf("%v: Start = %v, want a usage error", args, err)
+		}
 	}
 }
 

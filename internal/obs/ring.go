@@ -29,23 +29,19 @@ func newRequestRing(maxRecent, maxSlowest int) *requestRing {
 func (r *requestRing) add(rec *TraceRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.maxRecent > 0 {
-		if len(r.recent) < r.maxRecent {
-			r.recent = append(r.recent, rec)
-		} else {
-			r.recent[r.next] = rec
-			r.next = (r.next + 1) % r.maxRecent
-			r.full = true
-		}
+	if len(r.recent) < r.maxRecent {
+		r.recent = append(r.recent, rec)
+	} else {
+		r.recent[r.next] = rec
+		r.next = (r.next + 1) % r.maxRecent
+		r.full = true
 	}
-	if r.maxSlowest > 0 {
-		if len(r.slowest) < r.maxSlowest {
-			r.slowest = append(r.slowest, rec)
-			sort.SliceStable(r.slowest, func(i, j int) bool { return r.slowest[i].DurUs > r.slowest[j].DurUs })
-		} else if last := r.slowest[len(r.slowest)-1]; rec.DurUs > last.DurUs {
-			r.slowest[len(r.slowest)-1] = rec
-			sort.SliceStable(r.slowest, func(i, j int) bool { return r.slowest[i].DurUs > r.slowest[j].DurUs })
-		}
+	if len(r.slowest) < r.maxSlowest {
+		r.slowest = append(r.slowest, rec)
+		sort.SliceStable(r.slowest, func(i, j int) bool { return r.slowest[i].DurUs > r.slowest[j].DurUs })
+	} else if last := r.slowest[len(r.slowest)-1]; rec.DurUs > last.DurUs {
+		r.slowest[len(r.slowest)-1] = rec
+		sort.SliceStable(r.slowest, func(i, j int) bool { return r.slowest[i].DurUs > r.slowest[j].DurUs })
 	}
 }
 
@@ -75,11 +71,10 @@ type RequestsSnapshot struct {
 	Slowest []*TraceRecord `json:"slowest"`
 }
 
-// Requests returns the current ring contents (empty on the nil tracer
-// or when the ring is disabled).
+// Requests returns the current ring contents (empty on the nil tracer).
 func (t *Tracer) Requests() RequestsSnapshot {
 	s := RequestsSnapshot{Recent: []*TraceRecord{}, Slowest: []*TraceRecord{}}
-	if t == nil || t.ring == nil {
+	if t == nil {
 		return s
 	}
 	s.Recent, s.Slowest = t.ring.snapshot()

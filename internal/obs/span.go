@@ -99,19 +99,6 @@ func newSpanID() SpanID {
 	return s
 }
 
-// TracerConfig sizes a Tracer. The zero value is usable: no JSONL
-// export, default ring sizes.
-type TracerConfig struct {
-	// Writer receives one JSON line per completed trace (nil = no
-	// export). Writes are serialized by the tracer; the first write
-	// error sticks and suppresses further output (see Err).
-	Writer io.Writer
-	// RingRecent and RingSlowest size the /debug/requests buffers
-	// (0 = 32 each; negative disables that buffer).
-	RingRecent  int
-	RingSlowest int
-}
-
 // Tracer owns completed-trace delivery: the JSONL export writer and the
 // /debug/requests ring. Create with NewTracer, install process-wide with
 // SetTracer. All methods are nil-receiver-safe.
@@ -122,20 +109,13 @@ type Tracer struct {
 	ring     *requestRing
 }
 
-// NewTracer builds a Tracer from cfg.
-func NewTracer(cfg TracerConfig) *Tracer {
-	recent, slowest := cfg.RingRecent, cfg.RingSlowest
-	if recent == 0 {
-		recent = 32
-	}
-	if slowest == 0 {
-		slowest = 32
-	}
-	t := &Tracer{w: cfg.Writer}
-	if recent > 0 || slowest > 0 {
-		t.ring = newRequestRing(max(recent, 0), max(slowest, 0))
-	}
-	return t
+// NewTracer builds a Tracer. w receives one JSON line per completed
+// trace (nil = no export); writes are serialized by the tracer, and the
+// first write error sticks and suppresses further output (see Err). The
+// /debug/requests ring keeps the 32 most recent and the 32 slowest
+// traces.
+func NewTracer(w io.Writer) *Tracer {
+	return &Tracer{w: w, ring: newRequestRing(32, 32)}
 }
 
 // defaultTracer is the process-wide tracer; nil means tracing is
@@ -394,9 +374,7 @@ func (t *Tracer) export(root *Span) {
 	}
 	rec := root.record()
 	tracesExported.Inc()
-	if t.ring != nil {
-		t.ring.add(rec)
-	}
+	t.ring.add(rec)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.w == nil || t.writeErr != nil {

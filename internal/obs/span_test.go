@@ -29,7 +29,7 @@ func decodeTraces(t *testing.T, buf *bytes.Buffer) []TraceRecord {
 
 func TestSpanTreeExport(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(TracerConfig{Writer: &buf})
+	tr := NewTracer(&buf)
 
 	root := tr.StartRoot("request", "", "endpoint", "optimize")
 	if root == nil {
@@ -204,7 +204,7 @@ func FuzzParseTraceparent(f *testing.F) {
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	tr := NewTracer(TracerConfig{})
+	tr := NewTracer(nil)
 	parent := tr.StartRoot("client", "")
 	h := parent.Traceparent()
 	if len(h) != 55 {
@@ -234,7 +234,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 
 func TestSpanChildCap(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(TracerConfig{Writer: &buf})
+	tr := NewTracer(&buf)
 	root := tr.StartRoot("hot", "")
 	for i := 0; i < maxSpanChildren+10; i++ {
 		c := root.Child("fft")
@@ -254,7 +254,7 @@ func TestSpanChildCap(t *testing.T) {
 }
 
 func TestRequestRing(t *testing.T) {
-	tr := NewTracer(TracerConfig{RingRecent: 3, RingSlowest: 2})
+	tr := &Tracer{ring: newRequestRing(3, 2)}
 	for i := 0; i < 5; i++ {
 		rec := &TraceRecord{V: TraceSchemaVersion, Name: fmt.Sprintf("r%d", i), DurUs: int64(i * 100)}
 		tr.ring.add(rec)
@@ -275,7 +275,7 @@ func TestRequestRing(t *testing.T) {
 }
 
 func TestDebugRequestsEndpoint(t *testing.T) {
-	tr := NewTracer(TracerConfig{})
+	tr := NewTracer(nil)
 	old := DefaultTracer()
 	SetTracer(tr)
 	defer SetTracer(old)
@@ -300,7 +300,7 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 
 func TestSpanConcurrentChildren(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(TracerConfig{Writer: &buf})
+	tr := NewTracer(&buf)
 	root := tr.StartRoot("parallel", "")
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {

@@ -19,9 +19,6 @@ type Alg1Options struct {
 	Deadline  float64
 	// K is the maximum number of refinement iterations (paper parameter).
 	K int
-	// Lambda are the eq. (5) weights; nil selects SpeedWeights for
-	// ObjMeanTime/ObjQoS and ReliabilityWeights for ObjReliability.
-	Lambda []float64
 	// Estimates[i][j] is m̂_{j,i}, server i's estimate of server j's
 	// queue; nil means perfect information (the true queues).
 	Estimates [][]int
@@ -107,13 +104,13 @@ func Algorithm1(m *core.Model, queues []int, opt Alg1Options) (core.Policy, erro
 	if opt.K <= 0 {
 		opt.K = 5
 	}
-	lambda := opt.Lambda
-	if lambda == nil {
-		if opt.Objective == ObjReliability {
-			lambda = ReliabilityWeights(m)
-		} else {
-			lambda = SpeedWeights(m)
-		}
+	// The eq. (5) weights: relative computing power for mean time and
+	// QoS, relative reliability for reliability.
+	var lambda []float64
+	if opt.Objective == ObjReliability {
+		lambda = ReliabilityWeights(m)
+	} else {
+		lambda = SpeedWeights(m)
 	}
 	est := opt.Estimates
 	if est == nil {

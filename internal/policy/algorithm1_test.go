@@ -7,6 +7,7 @@ import (
 
 	"dtr/dist"
 	"dtr/internal/core"
+	"dtr/internal/direct"
 	"dtr/internal/sim"
 	"dtr/internal/testutil"
 )
@@ -105,12 +106,18 @@ func TestAlgorithm1Validation(t *testing.T) {
 
 func TestAllocationEvaluatorAgainstSim(t *testing.T) {
 	m := fiveServer(dist.FamilyPareto1, 1, false)
-	ev, err := NewAllocationEvaluator(m, 60, 1<<12, 0)
+	ev, err := NewAllocationEvaluator(m, 60, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	alloc := []int{10, 10, 10, 15, 15}
-	got, err := ev.Evaluate(alloc, 100)
+	got, err := ev.Evaluate(alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// QoS needs a deadline, which the search never has: read it from the
+	// evaluator's solver as Evaluate does the rest.
+	b, err := ev.sv.Bounds(direct.Point{Initial: alloc, Policy: ev.stay}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,19 +128,19 @@ func TestAllocationEvaluatorAgainstSim(t *testing.T) {
 	if math.Abs(got.Reliability-est.Reliability) > 3*est.ReliabilityHalf+0.005 {
 		t.Fatalf("allocation reliability %g vs sim %g ± %g", got.Reliability, est.Reliability, est.ReliabilityHalf)
 	}
-	if math.Abs(got.QoS-est.QoS) > 3*est.QoSHalf+0.005 {
-		t.Fatalf("allocation QoS %g vs sim %g ± %g", got.QoS, est.QoS, est.QoSHalf)
+	if got := b.Optimistic.QoS; math.Abs(got-est.QoS) > 3*est.QoSHalf+0.005 {
+		t.Fatalf("allocation QoS %g vs sim %g ± %g", got, est.QoS, est.QoSHalf)
 	}
 }
 
 func TestAllocationEvaluatorMean(t *testing.T) {
 	m := fiveServer(dist.FamilyExponential, 1, true)
-	ev, err := NewAllocationEvaluator(m, 40, 1<<12, 0)
+	ev, err := NewAllocationEvaluator(m, 40, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// All work on the fastest server: mean = 20 × 1 s.
-	got, err := ev.Evaluate([]int{0, 0, 0, 0, 20}, 0)
+	got, err := ev.Evaluate([]int{0, 0, 0, 0, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +164,11 @@ func TestBalancedAllocationIsOptimalOnHomogeneousFleet(t *testing.T) {
 		Failure:  []dist.Dist{dist.Never{}, dist.Never{}, dist.Never{}},
 		Transfer: func(tasks, src, dst int) dist.Dist { return dist.NewDeterministic(0) },
 	}
-	ev, err := NewAllocationEvaluator(m, 18, 1<<12, 0)
+	ev, err := NewAllocationEvaluator(m, 18, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	balanced, err := ev.Evaluate([]int{4, 4, 4}, 0)
+	balanced, err := ev.Evaluate([]int{4, 4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,7 @@ func TestBalancedAllocationIsOptimalOnHomogeneousFleet(t *testing.T) {
 			alloc := []int{4, 4, 4}
 			alloc[from]--
 			alloc[to]++
-			moved, err := ev.Evaluate(alloc, 0)
+			moved, err := ev.Evaluate(alloc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +191,7 @@ func TestBalancedAllocationIsOptimalOnHomogeneousFleet(t *testing.T) {
 			}
 		}
 	}
-	best, val, err := SearchBestAllocation(ev, 12, ObjMeanTime, 0, 2, 3)
+	best, val, err := SearchBestAllocation(ev, 12, ObjMeanTime, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +202,11 @@ func TestBalancedAllocationIsOptimalOnHomogeneousFleet(t *testing.T) {
 
 func TestSearchBestAllocationImprovesOnProportional(t *testing.T) {
 	m := fiveServer(dist.FamilyPareto1, 1, false)
-	ev, err := NewAllocationEvaluator(m, 120, 1<<11, 0)
+	ev, err := NewAllocationEvaluator(m, 120, 1<<11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, val, err := SearchBestAllocation(ev, 60, ObjReliability, 0, 2, 11)
+	best, val, err := SearchBestAllocation(ev, 60, ObjReliability, 2, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +221,7 @@ func TestSearchBestAllocationImprovesOnProportional(t *testing.T) {
 		t.Fatalf("reliability out of range: %g", val)
 	}
 	// The found allocation should not be worse than any single-server dump.
-	dump, err := ev.Evaluate([]int{60, 0, 0, 0, 0}, 0)
+	dump, err := ev.Evaluate([]int{60, 0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +232,11 @@ func TestSearchBestAllocationImprovesOnProportional(t *testing.T) {
 
 func TestSearchBestAllocationValidation(t *testing.T) {
 	m := fiveServer(dist.FamilyExponential, 1, true)
-	ev, _ := NewAllocationEvaluator(m, 20, 1<<10, 0)
-	if _, _, err := SearchBestAllocation(ev, -1, ObjMeanTime, 0, 1, 1); err == nil {
+	ev, _ := NewAllocationEvaluator(m, 20, 1<<10)
+	if _, _, err := SearchBestAllocation(ev, -1, ObjMeanTime, 1, 1); err == nil {
 		t.Fatal("negative workload should error")
 	}
-	if _, _, err := SearchBestAllocation(ev, 10, ObjQoS, 0, 1, 1); err == nil {
-		t.Fatal("QoS without deadline should error")
+	if _, _, err := SearchBestAllocation(ev, 10, ObjQoS, 1, 1); err == nil {
+		t.Fatal("QoS should error: the search has no deadline")
 	}
 }

@@ -27,67 +27,62 @@ type AllocationEvaluator struct {
 }
 
 // NewAllocationEvaluator builds the evaluator; maxPer bounds the tasks
-// any single server may be assigned. A zero horizon covers 2.5× the
-// slowest server's mean time for maxPer tasks — service only, there are
-// no transfers to wait for.
-func NewAllocationEvaluator(m *core.Model, maxPer int, gridN int, horizon float64) (*AllocationEvaluator, error) {
+// any single server may be assigned. The horizon covers 2.5× the slowest
+// server's mean time for maxPer tasks — service only, there are no
+// transfers to wait for.
+func NewAllocationEvaluator(m *core.Model, maxPer int, gridN int) (*AllocationEvaluator, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if maxPer <= 0 {
 		return nil, fmt.Errorf("policy: maxPer must be positive")
 	}
-	if horizon == 0 {
-		worst := 0.0
-		for _, d := range m.Service {
-			if w := float64(maxPer) * d.Mean(); w > worst {
-				worst = w
-			}
+	worst := 0.0
+	for _, d := range m.Service {
+		if w := float64(maxPer) * d.Mean(); w > worst {
+			worst = w
 		}
-		horizon = 2.5 * worst
 	}
-	sv, err := direct.NewSolver(m, direct.Config{N: gridN, Horizon: horizon, MaxQueue: [2]int{maxPer, maxPer}})
+	sv, err := direct.NewSolver(m, direct.Config{N: gridN, Horizon: 2.5 * worst, MaxQueue: [2]int{maxPer, maxPer}})
 	if err != nil {
 		return nil, err
 	}
 	return &AllocationEvaluator{model: m, sv: sv, stay: core.NewPolicy(m.N())}, nil
 }
 
-// Evaluate computes the metrics of an allocation (deadline 0 skips QoS).
-func (ev *AllocationEvaluator) Evaluate(alloc []int, deadline float64) (AllocationMetrics, error) {
-	b, err := ev.sv.Bounds(direct.Point{Initial: alloc, Policy: ev.stay}, deadline)
+// Evaluate computes the mean and reliability of an allocation (QoS,
+// which needs a deadline, is left 0).
+func (ev *AllocationEvaluator) Evaluate(alloc []int) (AllocationMetrics, error) {
+	b, err := ev.sv.Bounds(direct.Point{Initial: alloc, Policy: ev.stay}, 0)
 	return b.Optimistic, err
 }
 
 // SearchBestAllocation looks for the allocation of M tasks over the
-// model's servers that optimizes the objective, reproducing the paper's
-// Monte-Carlo benchmark search — here driven by the analytic evaluator,
-// with randomized restarts plus steepest-descent single-task moves.
-func SearchBestAllocation(ev *AllocationEvaluator, mTotal int, obj Objective, deadline float64, restarts int, seed uint64) ([]int, float64, error) {
+// model's servers that optimizes the objective — mean time or
+// reliability — reproducing the paper's Monte-Carlo benchmark search,
+// here driven by the analytic evaluator, with randomized restarts plus
+// steepest-descent single-task moves.
+func SearchBestAllocation(ev *AllocationEvaluator, mTotal int, obj Objective, restarts int, seed uint64) ([]int, float64, error) {
 	n := ev.model.N()
 	if mTotal < 0 {
 		return nil, 0, fmt.Errorf("policy: negative workload %d", mTotal)
 	}
-	if err := obj.checkDeadline(deadline); err != nil {
-		return nil, 0, fmt.Errorf("policy: %w", err)
+	if obj == ObjQoS {
+		return nil, 0, fmt.Errorf("policy: the allocation search has no deadline to pursue objective qos under")
 	}
 	if restarts < 1 {
 		restarts = 1
 	}
 
 	score := func(alloc []int) (float64, error) {
-		met, err := ev.Evaluate(alloc, deadline)
+		met, err := ev.Evaluate(alloc)
 		if err != nil {
 			return 0, err
 		}
-		switch obj {
-		case ObjMeanTime:
+		if obj == ObjMeanTime {
 			return met.Mean, nil
-		case ObjQoS:
-			return met.QoS, nil
-		default:
-			return met.Reliability, nil
 		}
+		return met.Reliability, nil
 	}
 
 	// Start 0: proportional to speed.

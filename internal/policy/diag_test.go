@@ -6,30 +6,30 @@ import (
 	"dtr/dist"
 )
 
-// TestSweepDiagnostics: Optimize2 must fill the sweep diagnostics
-// without changing the search result. The two runs sweep separate
-// tables, so the second is a sweep and not the first read back.
+// TestSweepDiagnostics: Optimize2's result carries the sweep
+// diagnostics, the same from two sweeps of separate tables (so the
+// second is a sweep and not the first read back).
 func TestSweepDiagnostics(t *testing.T) {
 	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
 	s := solver2(t, m, 40, 1<<12, 160)
 
-	plain, err := Optimize2(solver2(t, m, 40, 1<<12, 160), 24, 12, ObjMeanTime, Options2{})
+	first, err := Optimize2(solver2(t, m, 40, 1<<12, 160), 24, 12, ObjMeanTime, Options2{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d SweepDiagnostics
-	withDiag, err := Optimize2(s, 24, 12, ObjMeanTime, Options2{Diag: &d})
+	res, err := Optimize2(s, 24, 12, ObjMeanTime, Options2{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain != withDiag {
-		t.Fatalf("attaching Diag changed the result:\n%+v\n%+v", plain, withDiag)
+	if first != res {
+		t.Fatalf("two sweeps of separate tables differ:\n%+v\n%+v", first, res)
 	}
+	d := res.Diag
 	if d.Feasible == 0 || d.Evaluated == 0 || d.Batches == 0 {
 		t.Fatalf("diagnostics not filled: %+v", d)
 	}
-	if d.Evaluated != withDiag.Evaluations {
-		t.Fatalf("diag evaluated %d != result evaluations %d", d.Evaluated, withDiag.Evaluations)
+	if d.Evaluated != res.Evaluations {
+		t.Fatalf("diag evaluated %d != result evaluations %d", d.Evaluated, res.Evaluations)
 	}
 	if d.Coverage <= 0 || d.Coverage > 1 {
 		t.Fatalf("coverage out of (0,1]: %+v", d)
@@ -41,11 +41,11 @@ func TestSweepDiagnostics(t *testing.T) {
 		t.Fatalf("coarse-to-fine should evaluate a strict subset: %+v", d)
 	}
 
-	var de SweepDiagnostics
-	if _, err := Optimize2(s, 24, 12, ObjMeanTime, Options2{Exhaustive: true, Diag: &de}); err != nil {
+	ex, err := Optimize2(s, 24, 12, ObjMeanTime, Options2{Exhaustive: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !de.Exhaustive || de.Evaluated != de.Feasible || de.Coverage != 1 {
+	if de := ex.Diag; !de.Exhaustive || de.Evaluated != de.Feasible || de.Coverage != 1 {
 		t.Fatalf("exhaustive diagnostics wrong: %+v", de)
 	}
 }

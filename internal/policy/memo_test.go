@@ -32,17 +32,15 @@ func sweepsRun(f func()) uint64 {
 }
 
 // TestSweepMemoHitMatchesFreshTables: a sweep read back from the tables
-// returns the Result2, SweepDiagnostics (or ReplDiagnostics) and view
+// returns the Result2 (or ReplResult2, combinations included) and view
 // Diagnostics of the same sweep on fresh tables, for every objective,
 // plain and replicated, coarse and exhaustive — and runs no sweep.
 func TestSweepMemoHitMatchesFreshTables(t *testing.T) {
 	reliable := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
 	fragile := model2(dist.NewExponential(2), dist.NewExponential(1), 1000, 30, 0.5)
 	type outcome struct {
-		Res   ReplResult2
-		Sweep SweepDiagnostics
-		Repl  ReplDiagnostics
-		Diag  direct.Diagnostics
+		Res  ReplResult2
+		Diag direct.Diagnostics
 	}
 	for _, c := range []struct {
 		obj      Objective
@@ -61,9 +59,8 @@ func TestSweepMemoHitMatchesFreshTables(t *testing.T) {
 					opt := Options2{Deadline: c.deadline, Exhaustive: exhaustive}
 					var err error
 					if replicated {
-						o.Res, err = OptimizeRepl2(v, 16, 8, c.obj, ReplOptions2{Options2: opt, MaxFactor: 2, Diag: &o.Repl})
+						o.Res, err = OptimizeRepl2(v, 16, 8, c.obj, ReplOptions2{Options2: opt, MaxFactor: 2})
 					} else {
-						opt.Diag = &o.Sweep
 						o.Res.Result2, err = Optimize2(v, 16, 8, c.obj, opt)
 					}
 					if err != nil {

@@ -94,6 +94,8 @@ type Result2 struct {
 	L12, L21    int
 	Value       float64
 	Evaluations int
+	// Diag is the search's lattice coverage.
+	Diag SweepDiagnostics
 }
 
 // Options2 tunes the two-server search.
@@ -102,7 +104,7 @@ type Result2 struct {
 // of OptimizeRepl2) runs once per set of tables: they remember it under
 // the objective, the deadline (qos only), the factors, the workload and
 // Exhaustive, and a later identical sweep on any view of them returns
-// the same Result2 and Diag without evaluating a point; one arriving
+// the same Result2 without evaluating a point; one arriving
 // while that sweep runs waits for it. That view's Diagnostics then
 // report the finish pairs the answer rests on, as if it had run the
 // sweep. Workers and Span are not part of the key: they never change
@@ -125,10 +127,6 @@ type Options2 struct {
 	// "optimize2" span with a "sweep" child per evaluated batch. Purely
 	// observational — see the bit-identity guard in the tests.
 	Span *obs.Span
-	// Diag, when non-nil, is filled with lattice-coverage statistics for
-	// the search. Purely observational — the Result2 is bit-identical
-	// with or without it.
-	Diag *SweepDiagnostics
 }
 
 // SweepDiagnostics describes how much of the feasible policy lattice an
@@ -199,12 +197,6 @@ type sweepKey struct {
 	exhaustive bool
 }
 
-// sweptDirect is a remembered sweep's answer.
-type sweptDirect struct {
-	res  Result2
-	diag SweepDiagnostics
-}
-
 // sweepDirect is the lattice sweep under the factors fac, once per set of
 // tables (see Options2); a sweep read back shows in the trace as an
 // "optimize2" span with memo=true.
@@ -214,25 +206,17 @@ func sweepDirect(s *direct.Solver, m1, m2 int, obj Objective, opt Options2, fac 
 		key.deadline = opt.Deadline
 	}
 	v, hit, err := s.Sweep(key, fac, func(v *direct.Solver) (any, error) {
-		var out sweptDirect
-		run := opt
-		run.Diag = &out.diag
-		var err error
-		out.res, err = optimize2(directEval(v, m1, m2, obj, opt.Deadline, fac), m1, m2, obj, run)
-		return out, err
+		return optimize2(directEval(v, m1, m2, obj, opt.Deadline, fac), m1, m2, obj, opt)
 	})
 	if err != nil {
 		return Result2{}, err
 	}
-	out := v.(sweptDirect)
+	res := v.(Result2)
 	if hit {
 		opt.Span.Child("optimize2", "objective", obj.String(), "m1", m1, "m2", m2, "memo", true,
-			"evals", out.res.Evaluations, "coverage", out.diag.Coverage).End()
+			"evals", res.Evaluations, "coverage", res.Diag.Coverage).End()
 	}
-	if opt.Diag != nil {
-		*opt.Diag = out.diag
-	}
-	return out.res, nil
+	return res, nil
 }
 
 // optimize2 is the search engine behind Optimize2, OptimizeRepl2 and
@@ -276,9 +260,7 @@ func optimize2(eval evalFunc, m1, m2 int, obj Objective, opt Options2) (Result2,
 		if err := sw.tryAll(pts); err != nil {
 			return Result2{}, err
 		}
-		sw.best.Evaluations = sw.evals
-		sw.fillDiag(opt.Diag, true)
-		return sw.best, nil
+		return sw.result(true), nil
 	}
 
 	stride := max(1, max(m1, m2)/12)
@@ -328,15 +310,13 @@ func optimize2(eval evalFunc, m1, m2 int, obj Objective, opt Options2) (Result2,
 		}
 		improved = sw.best != prev
 	}
-	sw.best.Evaluations = sw.evals
-	sw.fillDiag(opt.Diag, false)
-	return sw.best, nil
+	return sw.result(false), nil
 }
 
-// fillDiag publishes the sweep's coverage statistics: into the caller's
-// Diagnostics value when requested, and onto the coverage gauge always
-// (the gauge is a no-op until a metrics registry is installed).
-func (sw *sweep2) fillDiag(d *SweepDiagnostics, exhaustive bool) {
+// result is the finished sweep's incumbent with its evaluation count and
+// coverage statistics, which also go onto the coverage gauge (a no-op
+// until a metrics registry is installed) and the trace span.
+func (sw *sweep2) result(exhaustive bool) Result2 {
 	feasible := (sw.m1 + 1) * (sw.m2 + 1)
 	coverage := 0.0
 	if feasible > 0 {
@@ -344,16 +324,16 @@ func (sw *sweep2) fillDiag(d *SweepDiagnostics, exhaustive bool) {
 	}
 	sweepCoverage.Set(coverage)
 	sw.span.SetAttr("coverage", coverage)
-	if d == nil {
-		return
-	}
-	*d = SweepDiagnostics{
+	res := sw.best
+	res.Evaluations = sw.evals
+	res.Diag = SweepDiagnostics{
 		Feasible:   feasible,
 		Evaluated:  sw.evals,
 		Batches:    sw.batches,
 		Coverage:   coverage,
 		Exhaustive: exhaustive,
 	}
+	return res
 }
 
 // sweep2 is the state of one Optimize2 run: candidate filtering and

@@ -20,8 +20,7 @@ import (
 // search.
 type ReplOptions2 struct {
 	// Options2 configures each per-combination policy sweep (deadline,
-	// exhaustiveness, workers, span). The Diag field is ignored; use
-	// ReplOptions2.Diag for the joint search's diagnostics.
+	// exhaustiveness, workers, span).
 	Options2
 	// MaxFactor caps the per-server replication factor (≥ 1; 0 and 1
 	// both mean "no replication"). The solver must have been built with
@@ -33,20 +32,20 @@ type ReplOptions2 struct {
 	// hurt the objective, so the budget is what makes the trade-off
 	// non-trivial.
 	Budget int
-	// Diag, when non-nil, is filled with the per-combination search
-	// record. Purely observational.
-	Diag *ReplDiagnostics
 }
 
 // ReplResult2 is the outcome of a joint two-server search: the best
 // policy, its per-server replication factors, and the achieved value.
 // Evaluations counts lattice evaluations across every factor
-// combination.
+// combination; Diag is the winning combination's sweep.
 type ReplResult2 struct {
 	Result2
 	// Factors[k] is server k's replication factor in the winning plan
 	// (1 = no replication).
 	Factors [2]int
+	// Combos is every combination's best policy and value, in
+	// evaluation order ((1,1) first — the no-replication baseline).
+	Combos []ReplCombo
 }
 
 // ReplCombo records one factor combination's best policy and value.
@@ -55,14 +54,6 @@ type ReplCombo struct {
 	L12     int     `json:"l12"`
 	L21     int     `json:"l21"`
 	Value   float64 `json:"value"`
-}
-
-// ReplDiagnostics is the joint search's per-combination record, in
-// evaluation order ((1,1) first — the no-replication baseline).
-type ReplDiagnostics struct {
-	MaxFactor int         `json:"maxFactor"`
-	Budget    int         `json:"budget,omitempty"`
-	Combos    []ReplCombo `json:"combos"`
 }
 
 // OptimizeRepl2 solves the joint problem: over every feasible factor
@@ -83,11 +74,10 @@ func OptimizeRepl2(s *direct.Solver, m1, m2 int, obj Objective, opt ReplOptions2
 	defer span.End()
 
 	inner := opt.Options2
-	inner.Diag = nil
 	inner.Span = span
 
 	best := ReplResult2{Result2: Result2{Value: obj.worst(), L12: -1, L21: -1}, Factors: [2]int{1, 1}}
-	var diag ReplDiagnostics
+	var combos []ReplCombo
 	evals := 0
 	for f1 := 1; f1 <= maxF; f1++ {
 		for f2 := 1; f2 <= maxF; f2++ {
@@ -100,19 +90,15 @@ func OptimizeRepl2(s *direct.Solver, m1, m2 int, obj Objective, opt ReplOptions2
 				return ReplResult2{}, fmt.Errorf("policy: replication combo (%d, %d): %w", f1, f2, err)
 			}
 			evals += res.Evaluations
-			diag.Combos = append(diag.Combos, ReplCombo{Factors: fac, L12: res.L12, L21: res.L21, Value: res.Value})
+			combos = append(combos, ReplCombo{Factors: fac, L12: res.L12, L21: res.L21, Value: res.Value})
 			if obj.better(res.Value, best.Value) {
 				best = ReplResult2{Result2: res, Factors: fac}
 			}
 		}
 	}
 	best.Evaluations = evals
+	best.Combos = combos
 	span.SetAttr("evals", evals)
-	if opt.Diag != nil {
-		diag.MaxFactor = maxF
-		diag.Budget = opt.Budget
-		*opt.Diag = diag
-	}
 	return best, nil
 }
 

@@ -150,13 +150,13 @@ func TestOptimizeRepl2DeterministicAcrossWorkers(t *testing.T) {
 	}
 	base := run(1)
 	for _, workers := range []int{2, 8} {
-		if got := run(workers); got != base {
+		if got := run(workers); !reflect.DeepEqual(got, base) {
 			t.Fatalf("Workers=%d diverged:\n got %+v\nwant %+v", workers, got, base)
 		}
 	}
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	if got := run(0); got != base {
+	if got := run(0); !reflect.DeepEqual(got, base) {
 		t.Fatalf("GOMAXPROCS=1 diverged:\n got %+v\nwant %+v", got, base)
 	}
 }
@@ -192,19 +192,18 @@ func TestOptimizeRepl2Diagnostics(t *testing.T) {
 	m := stragglerModel2()
 	s := replSolver(t, m, 20, 2)
 
-	var rd ReplDiagnostics
-	res, err := OptimizeRepl2(s, 12, 6, ObjMeanTime, ReplOptions2{MaxFactor: 2, Diag: &rd})
+	res, err := OptimizeRepl2(s, 12, 6, ObjMeanTime, ReplOptions2{MaxFactor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.MaxFactor != 2 || len(rd.Combos) != 4 {
-		t.Fatalf("expected 4 combos at MaxFactor 2, got %+v", rd)
+	if len(res.Combos) != 4 {
+		t.Fatalf("expected 4 combos at MaxFactor 2, got %+v", res.Combos)
 	}
-	if rd.Combos[0].Factors != [2]int{1, 1} {
-		t.Fatalf("combo order must lead with (1,1), got %v", rd.Combos[0].Factors)
+	if res.Combos[0].Factors != [2]int{1, 1} {
+		t.Fatalf("combo order must lead with (1,1), got %v", res.Combos[0].Factors)
 	}
-	best := rd.Combos[0]
-	for _, c := range rd.Combos[1:] {
+	best := res.Combos[0]
+	for _, c := range res.Combos[1:] {
 		if c.Value < best.Value {
 			best = c
 		}

@@ -24,7 +24,7 @@ func TestOptimize2TracedBitIdentical(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	tracer := obs.NewTracer(obs.TracerConfig{Writer: &buf})
+	tracer := obs.NewTracer(&buf)
 	root := tracer.StartRoot("test", "")
 	ts, err := direct.NewSolver(m, direct.Config{N: 1 << 12, Horizon: 160, MaxQueue: [2]int{40, 40}, Span: root})
 	if err != nil {
@@ -56,7 +56,7 @@ func TestAlgorithm1TracedBitIdentical(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	tracer := obs.NewTracer(obs.TracerConfig{Writer: &buf})
+	tracer := obs.NewTracer(&buf)
 	root := tracer.StartRoot("test", "")
 	traced, err := Algorithm1(m, queues, Alg1Options{K: 3, GridN: 512, Span: root})
 	if err != nil {

@@ -30,17 +30,3 @@ func Stream(seed uint64, stream int) *rand.Rand {
 	b := splitmix64(&s) + uint64(stream)<<1 + 1
 	return rand.New(rand.NewPCG(a, b))
 }
-
-// Seeds expands one base seed into n stream seed pairs; used when worker
-// goroutines construct their own generators lazily.
-func Seeds(seed uint64, n int) [][2]uint64 {
-	out := make([][2]uint64, n)
-	s := seed
-	_ = splitmix64(&s)
-	for i := range out {
-		a := splitmix64(&s) ^ (uint64(i) * 0xda942042e4dd58b5)
-		b := splitmix64(&s) + uint64(i)<<1 + 1
-		out[i] = [2]uint64{a, b}
-	}
-	return out
-}

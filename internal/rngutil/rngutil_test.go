@@ -53,18 +53,3 @@ func TestStreamUniformity(t *testing.T) {
 		t.Fatalf("uniform mean %g", mean)
 	}
 }
-
-func TestSeedsMatchStream(t *testing.T) {
-	seeds := Seeds(99, 5)
-	if len(seeds) != 5 {
-		t.Fatalf("want 5 seed pairs, got %d", len(seeds))
-	}
-	// Pairs must be pairwise distinct.
-	seen := map[[2]uint64]bool{}
-	for _, s := range seeds {
-		if seen[s] {
-			t.Fatal("duplicate seed pair")
-		}
-		seen[s] = true
-	}
-}

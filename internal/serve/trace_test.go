@@ -17,7 +17,7 @@ import (
 func newTracedService(t *testing.T, cfg Config) (*obs.Tracer, *bytes.Buffer, *httptest.Server) {
 	t.Helper()
 	buf := &bytes.Buffer{}
-	tracer := obs.NewTracer(obs.TracerConfig{Writer: buf})
+	tracer := obs.NewTracer(buf)
 	old := obs.DefaultTracer()
 	obs.SetTracer(tracer)
 	t.Cleanup(func() { obs.SetTracer(old) })

@@ -58,8 +58,10 @@ func build(t *testing.T) string {
 	}
 	dir := t.TempDir()
 	cmd := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-		"./cmd/dtrserved", "./cmd/dtringest", "./cmd/dtradapt", "./cmd/dtrplan",
-		"./examples/serve", "./examples/adapt", "./examples/replicate", "./examples/ingest")
+		"./cmd/dtrserved", "./cmd/dtringest", "./cmd/dtradapt", "./cmd/dtrplan", "./cmd/dtrlab",
+		"./examples/serve", "./examples/adapt", "./examples/replicate", "./examples/ingest",
+		"./examples/quickstart", "./examples/cluster", "./examples/deadline", "./examples/reliability",
+		"./examples/rebalance", "./examples/testbed")
 	cmd.Dir = root
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// TestSmoke builds the binaries once and runs the five end-to-end checks
+// TestSmoke builds the binaries once and runs the seven end-to-end checks
 // on them in parallel.
 func TestSmoke(t *testing.T) {
 	bins = build(t)
@@ -19,6 +19,32 @@ func TestSmoke(t *testing.T) {
 	t.Run("Replicate", testReplicate)
 	t.Run("Ingest", testIngest)
 	t.Run("Cluster", testCluster)
+	t.Run("Examples", testExamples)
+	t.Run("Lab", testLab)
+}
+
+// testExamples runs the examples no other subtest drives; each must exit
+// 0 and print the line that opens or heads its report.
+func testExamples(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct{ name, line string }{
+		{"quickstart", "policy (L12, L21) -> mean time, QoS(100 s)"},
+		{"cluster", "Algorithm-1 policy (rows: from, cols: to):"},
+		{"deadline", "deadline: 180 s, workload: 100 + 50 frames"},
+		{"reliability", "reliability-optimal policy: ship 27 tasks 1→2, 0 tasks 2→1"},
+		{"rebalance", "cheap transfers (0.2 s/task):"},
+		{"testbed", "non-Markovian theory:"},
+	} {
+		contains(t, "the "+c.name+" example's output", run(t, 0, c.name), c.line)
+	}
+}
+
+// testLab runs the experiment lab: a -trace-out it cannot create is a
+// usage error, and fig3 prints its CSV header.
+func testLab(t *testing.T) {
+	t.Parallel()
+	run(t, 2, "dtrlab", "-trace-out", filepath.Join(t.TempDir(), "missing", "x"), "fig1")
+	contains(t, "dtrlab -csv fig3", run(t, 0, "dtrlab", "-csv", "fig3"), "L12,L21=0,L21=1,L21=2,L21=5\n")
 }
 
 // testServe boots dtrserved, drives every endpoint through the serve

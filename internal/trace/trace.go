@@ -202,7 +202,8 @@ type Reader struct {
 	br   *bufio.Reader
 	tail bool
 	// pending accumulates the bytes of a line whose newline has not been
-	// seen yet (tail mode) or that straddled reader refills.
+	// seen yet (tail mode) or that straddled reader refills, up to
+	// maxLine+1 of them.
 	pending []byte
 	// Servers is the system size learned from the first meta event
 	// (0 until one is seen); when known, server/endpoint indices are
@@ -232,16 +233,20 @@ func NewTailReader(r io.Reader) *Reader {
 // line-qualified error on malformed input. Blank lines are skipped.
 func (r *Reader) Next() (Event, error) {
 	for {
-		chunk, err := r.br.ReadBytes('\n')
-		r.pending = append(r.pending, chunk...)
+		// ReadSlice hands over at most a buffer at a time, and pending
+		// keeps at most maxLine+1 bytes of a line: enough to tell it is
+		// over-long, however long it goes on.
+		chunk, err := r.br.ReadSlice('\n')
+		r.pending = append(r.pending, chunk[:min(len(chunk), maxLine+1-len(r.pending))]...)
 		switch {
 		case err == nil:
 			// Complete line.
+		case errors.Is(err, bufio.ErrBufferFull):
+			continue
 		case errors.Is(err, io.EOF):
 			if r.tail || len(bytes.TrimSpace(r.pending)) == 0 {
 				// Tail mode holds the torn line, an over-long one cut short,
 				// for the writer to finish; either way nothing is complete.
-				r.pending = r.pending[:min(len(r.pending), maxLine+1)]
 				return Event{}, io.EOF
 			}
 			// Whole-stream mode: the final line simply lost its newline.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -202,6 +203,44 @@ func TestReaderSkipsOverlongLine(t *testing.T) {
 	}
 	buf.WriteString(`{"v":1}` + "\n" + event)
 	check("tail", tr)
+}
+
+// xs reads as n bytes of 'x', never held in memory.
+type xs struct{ n int }
+
+func (r *xs) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(len(p), r.n)]
+	for i := range p {
+		p[i] = 'x'
+	}
+	r.n -= len(p)
+	return len(p), nil
+}
+
+// TestReaderOverlongLineBoundedMemory: a 64 MiB line costs the reader
+// a bounded buffer, not the line: one error for it, then the next event.
+func TestReaderOverlongLineBoundedMemory(t *testing.T) {
+	event := `{"v":1,"kind":"service","server":0,"value":1.5}` + "\n"
+	r := NewReader(io.MultiReader(&xs{n: 64 << 20}, strings.NewReader("\n"+event)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := r.Next()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "line 1: longer than") {
+		t.Fatalf("over-long line: got %v, want its error", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 8<<20 {
+		t.Fatalf("reading a 64 MiB line allocated %d bytes, want under 8 MiB", d)
+	}
+	if ev, err := r.Next(); err != nil || ev.Value != 1.5 {
+		t.Fatalf("line after the over-long one: got %+v, %v", ev, err)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("end of stream: got %v, want io.EOF", err)
+	}
 }
 
 func TestWriterConcurrent(t *testing.T) {

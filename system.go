@@ -244,10 +244,10 @@ type planned struct {
 	factors []int
 	evals   int
 
-	solver *direct.Solver          // two-server systems
-	sweep  *SweepDiagnostics       // two-server plain search
-	repl   *policy.ReplDiagnostics // two-server joint search
-	alg1   *Alg1Diagnostics        // multi-server systems
+	solver *direct.Solver     // two-server systems
+	sweep  *SweepDiagnostics  // two-server plain search
+	combos []policy.ReplCombo // two-server joint search
+	alg1   *Alg1Diagnostics   // multi-server systems
 }
 
 // plan is the one optimizer path: the joint reallocation+replication
@@ -281,16 +281,14 @@ func (s *System) plan(obj policy.Objective, deadline float64, repl ReplicationCo
 	opts := policy.Options2{Deadline: deadline, Workers: s.Workers, Span: s.Span}
 	var res policy.Result2
 	if replicating {
-		pl.repl = new(policy.ReplDiagnostics)
 		var rres policy.ReplResult2
 		rres, err = policy.OptimizeRepl2(pl.solver, s.initial[0], s.initial[1], obj, policy.ReplOptions2{
-			Options2: opts, MaxFactor: repl.MaxFactor, Budget: repl.Budget, Diag: pl.repl,
+			Options2: opts, MaxFactor: repl.MaxFactor, Budget: repl.Budget,
 		})
-		res, pl.factors = rres.Result2, rres.Factors[:]
+		res, pl.factors, pl.combos = rres.Result2, rres.Factors[:], rres.Combos
 	} else {
-		pl.sweep = new(SweepDiagnostics)
-		opts.Diag = pl.sweep
 		res, err = policy.Optimize2(pl.solver, s.initial[0], s.initial[1], obj, opts)
+		pl.sweep = &res.Diag
 	}
 	pl.policy, pl.value, pl.evals = Policy2(res.L12, res.L21), res.Value, res.Evaluations
 	return pl, err
