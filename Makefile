@@ -71,7 +71,8 @@ smoke:
 # config, free-form Algorithm 1 weights and seven more), with
 # rngutil.Seeds and gridfn's ConvolveMetered; the trace reader's bounded
 # line and split MaxIndepInto/MaxIndepMean paid for out of that.
-LOC_CEILING = 22476
+# +447: the transform-free screen of QoS and reliability sweeps, its pooled weight tables, the survival tables and the screen-then-confirm step.
+LOC_CEILING = 22923
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -83,11 +83,13 @@ func TestExitClassification(t *testing.T) {
 		{"-trace", tr, "-tenant", "acme", "-queues", "12,6", "-once"},     // -tenant without -ingest
 		{"-trace", tr, "-queues", "12,6", "-once", "-trace-out", filepath.Join(dir, "missing", "x")},
 	}
-	t.Cleanup(func() { obs.SetDefault(nil) })
 	for _, args := range usage {
 		err := run(args, io.Discard)
 		if !errors.Is(err, obs.ErrUsage) {
 			t.Errorf("run(%q) = %v, want obs.ErrUsage", strings.Join(args, " "), err)
+		}
+		if obs.Default() != nil {
+			t.Fatalf("run(%q) left the default registry installed", strings.Join(args, " "))
 		}
 	}
 

@@ -52,10 +52,12 @@ func TestRunMissingModelIsUsageError(t *testing.T) {
 // created is a flag's value that cannot be used, so it exits 2 as in
 // dtrlab and dtradapt.
 func TestRunUncreatableTraceOutIsUsageError(t *testing.T) {
-	t.Cleanup(func() { obs.SetDefault(nil) })
 	err := run([]string{"-model", "x.json", "-trace-out", filepath.Join(t.TempDir(), "missing", "x"), "metrics"}, os.Stdout)
 	if !errors.Is(err, obs.ErrUsage) {
 		t.Fatalf("uncreatable -trace-out returned %v, want obs.ErrUsage (exit 2)", err)
+	}
+	if obs.Default() != nil {
+		t.Fatal("a failed start left the default registry installed")
 	}
 }
 

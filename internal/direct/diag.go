@@ -36,16 +36,21 @@ type Diagnostics struct {
 	// Folds counts the solve-phase FFT convolutions (finish-law
 	// assembly); MassResidualMax and NegMassMax are the worst per-fold
 	// mass-conservation residual and clamped negative mass among them.
+	// They describe the folds the answer ran: on a QoS or reliability
+	// sweep, the confirmations of its screened contenders (see Screen),
+	// not the weight tables the screen folded.
 	Folds           uint64  `json:"folds"`
 	MassResidualMax float64 `json:"massResidualMax"`
 	NegMassMax      float64 `json:"negMassMax"`
 	// TailMassMax is the worst combined finish-law tail mass (the
-	// probability truncated at the horizon) over the evaluated policies.
+	// probability truncated at the horizon) over the finish laws built:
+	// every evaluated policy's, or a screened sweep's confirmations'.
 	TailMassMax float64 `json:"tailMassMax"`
-	// Evaluations counts finish-pair constructions. A sweep served from
-	// the tables' memory (Solver.Sweep) counts, with its folds and
-	// maxima, as the finish pairs its answer rests on: the view reports
-	// what it would have had it run the sweep itself.
+	// Evaluations counts evaluated points, a screened point once (its
+	// confirmation does not count again). A sweep served from the
+	// tables' memory (Solver.Sweep) counts, with its folds and maxima, as
+	// the points its answer rests on: the view reports what it would
+	// have had it run the sweep itself.
 	Evaluations uint64 `json:"evaluations"`
 	// MaxFactor is the largest replication factor with prefix tables,
 	// reported only when above 1 (the replication-enabled case) so
@@ -88,9 +93,14 @@ func (s *Solver) noteFold(residual, negMass float64) {
 	solverMassResidual.Observe(residual)
 }
 
-// noteFinish records one finish-pair's combined truncated tail mass.
-func (s *Solver) noteFinish(tail float64) {
+// noteEval counts one evaluated point.
+func (s *Solver) noteEval() {
+	evals.Inc()
 	s.evalCount.Add(1)
+}
+
+// noteTail records one finish-pair's combined truncated tail mass.
+func (s *Solver) noteTail(tail float64) {
 	s.tailMax.update(tail)
 	solverTailMass.Observe(tail)
 }
@@ -195,7 +205,7 @@ func (s *Solver) ProbeGridError(pt Point, tm float64) (*ProbeResult, error) {
 // metrics reads all three metrics of the point pt, with Eval's tail
 // correction; Mean is NaN when the model is not reliable.
 func (s *Solver) metrics(pt Point, tm float64) (Metrics, error) {
-	sc, err := s.exact(pt)
+	sc, err := s.exact(pt, true)
 	if err != nil {
 		return Metrics{}, err
 	}

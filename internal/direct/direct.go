@@ -29,6 +29,14 @@
 // batch at min(Z_1..Z_k) bounds the finish time from below pathwise and
 // one at max(Z_1..Z_k) from above.
 //
+// QoS and reliability are linear in each server's finish law, so a sweep
+// of either need not build the laws at every point: a Screen scores a
+// point within ScreenEps of Eval with one walk per server against a
+// weight table made once per received batch, and the sweep confirms
+// with Eval only the points whose scores lie within 2·ScreenEps of the
+// best. Eval's values stay the answer of record, so the screened sweep
+// returns the policy and value bits of one that evaluates every point.
+//
 // The finish-time laws are built by k-fold lattice convolutions
 // (internal/gridfn), which makes full policy sweeps at the paper's scale
 // (m1 = 100, m2 = 50) feasible — this is the engine behind Figs. 1–3 and
@@ -157,26 +165,18 @@ func newScratch(servers int, dx float64, n int) *scratch {
 // tasks arriving at z.lat — a group's transfer time, or the fold of
 // several. It builds the law in sc.srv[k].f — or, with no batch, takes
 // the prefix table's own entry — and leaves it in sc.srv[k].fin for the
-// caller to read before it releases sc. The race and the batch are one
-// fold (gridfn's FoldMax), by the same kernel that built the prefix
-// tables, against the cached spectrum.
-func (s *Solver) finishLaw(sc *scratch, k, own, g, fac int, z transfer) error {
-	if fac < 1 || fac > len(s.chains) {
-		return fmt.Errorf("direct: replication factor %d at server %d outside [1, %d] (raise Config.MaxFactor)", fac, k, len(s.chains))
-	}
-	c := s.chains[fac-1]
-	if bound := s.t.maxQueue[k]; own < 0 || g < 0 || own > bound || g > bound {
-		return fmt.Errorf("direct: queue %d/%d outside [0, MaxQueue=%d] at server %d", own, g, bound, k)
-	}
+// caller to read before it releases sc; legs has checked the arguments.
+// The race and the batch are one fold (gridfn's FoldMax), by the same
+// kernel that built the prefix tables, against the cached spectrum.
+func (s *Solver) finishLaw(sc *scratch, k, own, g, fac int, z transfer) {
 	l := &sc.srv[k]
 	l.own, l.g, l.fac, l.z = own, g, fac, z.law
-	l.fin = s.prefix(c, k, own, sc.work)
+	l.fin = s.prefix(s.chains[fac-1], k, own, sc.work)
 	if g > 0 {
 		// The race max(S_own, Z), then the batch, in one fold.
 		s.noteFold(s.freqOf(k, fac, g, sc.work).FoldMax(&l.f, l.fin, z.lat, sc.work))
 		l.fin = &l.f
 	}
-	return nil
 }
 
 // Metrics bundles the three paper metrics for one policy, along with the
@@ -216,11 +216,14 @@ const (
 	MetricMean Metric = iota
 	// MetricQoS is R_TM = Π_k E[1{F_k ≤ TM}·S_{Y_k}(F_k)]: each server
 	// must both finish by the deadline and outlive its own finish time.
-	// With reliable servers it reduces to Π_k P(F_k ≤ TM).
+	// With reliable servers it reduces to Π_k P(F_k ≤ TM). Linear in
+	// each finish law, it has a Screen: scores within ScreenEps of Eval,
+	// which confirms the contenders.
 	MetricQoS
 	// MetricReliability is R_∞ = Π_k E[S_{Y_k}(F_k)]: each server must
 	// outlive its own finish time; the failure laws are independent of
-	// everything else, so the factors multiply.
+	// everything else, so the factors multiply. Linear in each finish
+	// law, it has a Screen as MetricQoS does.
 	MetricReliability
 )
 
@@ -231,6 +234,12 @@ var errUnreliable = errors.New("direct: mean execution time requires reliable se
 // policy that converges several groups on one server: Bounds brackets
 // those.
 func (s *Solver) Eval(pt Point, m Metric, tm float64) (float64, error) {
+	return s.eval(pt, m, tm, true)
+}
+
+// eval is Eval; count says whether the point counts as an evaluation
+// (a screen's confirmation does not: the screen counted it).
+func (s *Solver) eval(pt Point, m Metric, tm float64, count bool) (float64, error) {
 	switch m {
 	case MetricMean:
 		if !s.t.model.Reliable() {
@@ -244,7 +253,7 @@ func (s *Solver) Eval(pt Point, m Metric, tm float64) (float64, error) {
 	default:
 		return 0, fmt.Errorf("direct: unknown metric %d", m)
 	}
-	sc, err := s.exact(pt)
+	sc, err := s.exact(pt, count)
 	if err != nil {
 		return 0, err
 	}
@@ -266,7 +275,7 @@ func (s *Solver) Eval(pt Point, m Metric, tm float64) (float64, error) {
 // (reliable case) is its complementary integral — the curve is what a
 // deadline-shopping caller actually wants. Like Eval it is exact only.
 func (s *Solver) CDF(pt Point) ([]float64, error) {
-	sc, err := s.exact(pt)
+	sc, err := s.exact(pt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -306,37 +315,63 @@ func checkDeadline(tm float64) error {
 
 // exact builds the finish laws of pt in pooled scratch, which the caller
 // returns to the pool after reading them; no more than one group may
-// converge on a server.
-func (s *Solver) exact(pt Point) (*scratch, error) {
-	if k := pt.Policy.Converging(); k >= 0 {
-		return nil, fmt.Errorf("direct: more than one task group converges on server %d, so its finish law depends on the arrival order; Bounds brackets the metrics", k)
+// converge on a server. count is finishFleet's.
+func (s *Solver) exact(pt Point, count bool) (*scratch, error) {
+	if err := checkExact(pt); err != nil {
+		return nil, err
 	}
 	sc := s.t.pool.Get().(*scratch)
-	if err := s.finishFleet(sc, pt, false); err != nil {
+	if err := s.finishFleet(sc, pt, false, count); err != nil {
 		s.t.pool.Put(sc)
 		return nil, err
 	}
 	return sc, nil
 }
 
-// finishFleet builds every server's finish-time law in sc.srv for the
-// point pt. A server's incoming groups count as one batch arriving with
-// the earliest of their transfers, or with the latest when late is set;
-// with at most one group per server the two coincide and the laws are
-// exact.
-func (s *Solver) finishFleet(sc *scratch, pt Point, late bool) error {
-	initial, p := pt.Initial, pt.Policy
-	if len(initial) != len(sc.srv) {
-		return fmt.Errorf("direct: allocation for %d servers, model has %d", len(initial), len(sc.srv))
+// checkExact refuses a point whose metrics the exact laws cannot give.
+func checkExact(pt Point) error {
+	if k := pt.Policy.Converging(); k >= 0 {
+		return fmt.Errorf("direct: more than one task group converges on server %d, so its finish law depends on the arrival order; Bounds brackets the metrics", k)
 	}
-	if pt.Fac != nil && len(pt.Fac) != len(sc.srv) {
-		return fmt.Errorf("direct: %d replication factors, model has %d servers", len(pt.Fac), len(sc.srv))
+	return nil
+}
+
+// finishFleet builds every server's finish-time law in sc.srv for the
+// point pt (see legs); count says whether the point counts as an
+// evaluation.
+func (s *Solver) finishFleet(sc *scratch, pt Point, late, count bool) error {
+	err := s.legs(pt, late, func(k, own, g, fac int, z transfer) error {
+		s.finishLaw(sc, k, own, g, fac, z)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if count {
+		s.noteEval()
+	}
+	s.noteTail(sc.tailMass())
+	return nil
+}
+
+// legs checks the point pt and hands each server's share of it to leg:
+// its own remaining tasks, the batch it receives, that batch's arrival
+// and its replication factor. A server's incoming groups count as one
+// batch arriving with the earliest of their transfers, or with the
+// latest when late is set; with at most one group per server the two
+// coincide and the laws built from the legs are exact.
+func (s *Solver) legs(pt Point, late bool, leg func(k, own, g, fac int, z transfer) error) error {
+	initial, p, servers := pt.Initial, pt.Policy, len(s.t.maxQueue)
+	if len(initial) != servers {
+		return fmt.Errorf("direct: allocation for %d servers, model has %d", len(initial), servers)
+	}
+	if pt.Fac != nil && len(pt.Fac) != servers {
+		return fmt.Errorf("direct: %d replication factors, model has %d servers", len(pt.Fac), servers)
 	}
 	if err := p.Validate(initial); err != nil {
 		return err
 	}
-	evals.Inc()
-	for k := range sc.srv {
+	for k := range servers {
 		own, batch := initial[k], 0
 		var z transfer
 		for i, row := range p {
@@ -360,11 +395,16 @@ func (s *Solver) finishFleet(sc *scratch, pt Point, late bool) error {
 		if pt.Fac != nil {
 			fac = pt.Fac[k]
 		}
-		if err := s.finishLaw(sc, k, own, batch, fac, z); err != nil {
+		if fac < 1 || fac > len(s.chains) {
+			return fmt.Errorf("direct: replication factor %d at server %d outside [1, %d] (raise Config.MaxFactor)", fac, k, len(s.chains))
+		}
+		if bound := s.t.maxQueue[k]; own < 0 || batch < 0 || own > bound || batch > bound {
+			return fmt.Errorf("direct: queue %d/%d outside [0, MaxQueue=%d] at server %d", own, batch, bound, k)
+		}
+		if err := leg(k, own, batch, fac, z); err != nil {
 			return err
 		}
 	}
-	s.noteFinish(sc.tailMass())
 	return nil
 }
 
@@ -434,23 +474,13 @@ func (s *Solver) tailExcess(sc *scratch, k int) float64 {
 // qosOf computes Π_k E[1{F_k ≤ tm}·S_{Y_k}(F_k)] over the laws in sc.srv.
 func (s *Solver) qosOf(sc *scratch, tm float64) float64 {
 	q := 1.0
-	for k, y := range s.t.model.Failure {
+	for k := range sc.srv {
 		f := sc.srv[k].fin
-		if _, never := y.(dist.Never); never {
+		if sv := s.t.survival(k); sv != nil {
+			q *= f.Expect(sv[:s.t.through(tm)])
+		} else {
 			q *= f.CDFAt(tm)
-			continue
 		}
-		var sum float64
-		for i, m := range f.M {
-			x := float64(i) * f.Dx
-			if x > tm {
-				break
-			}
-			if m != 0 {
-				sum += m * y.Survival(x)
-			}
-		}
-		q *= sum
 	}
 	return q
 }
@@ -458,9 +488,9 @@ func (s *Solver) qosOf(sc *scratch, tm float64) float64 {
 // reliabilityOf computes Π_k E[S_{Y_k}(F_k)] over the laws in sc.srv.
 func (s *Solver) reliabilityOf(sc *scratch) float64 {
 	r := 1.0
-	for k, y := range s.t.model.Failure {
-		if _, never := y.(dist.Never); !never {
-			r *= sc.srv[k].fin.ExpectSurvival(y.Survival)
+	for k := range sc.srv {
+		if sv := s.t.survival(k); sv != nil {
+			r *= sc.srv[k].fin.Expect(sv)
 		}
 	}
 	return r
@@ -473,15 +503,15 @@ func (s *Solver) cdfOf(sc *scratch) []float64 {
 	for i := range cdf {
 		cdf[i] = 1
 	}
-	for k, y := range s.t.model.Failure {
-		_, never := y.(dist.Never)
+	for k := range sc.srv {
+		sv := s.t.survival(k)
 		run := 0.0
 		for i, m := range sc.srv[k].fin.M {
 			if m != 0 {
-				if never {
+				if sv == nil {
 					run += m
 				} else {
-					run += m * y.Survival(float64(i)*s.t.dx)
+					run += m * sv[i]
 				}
 			}
 			cdf[i] *= run
@@ -524,7 +554,7 @@ func (s *Solver) Bounds(pt Point, deadline float64) (b Bounds, err error) {
 	sc := s.t.pool.Get().(*scratch)
 	defer s.t.pool.Put(sc)
 	for late, side := range []*Metrics{&b.Optimistic, &b.Pessimistic} {
-		if err := s.finishFleet(sc, pt, late == 1); err != nil {
+		if err := s.finishFleet(sc, pt, late == 1, true); err != nil {
 			return Bounds{}, err
 		}
 		*side = s.metricsOf(sc, deadline, false)

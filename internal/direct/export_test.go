@@ -29,7 +29,7 @@ func referenceTailExcess(s *Solver, sc *scratch, k int) float64 {
 // rawMean is Eval's mean at pt without the tail-excess estimate, the
 // mean Bounds reports.
 func rawMean(s *Solver, pt Point) (float64, error) {
-	sc, err := s.exact(pt)
+	sc, err := s.exact(pt, true)
 	if err != nil {
 		return 0, err
 	}
@@ -43,7 +43,7 @@ func rawMean(s *Solver, pt Point) (float64, error) {
 func ReferenceMeanTimeRepl(s *Solver, m1, m2, l12, l21 int, fac [2]int) (float64, error) {
 	sc := s.t.pool.Get().(*scratch)
 	defer s.t.pool.Put(sc)
-	if err := s.finishFleet(sc, Pair(m1, m2, l12, l21, fac[:]), false); err != nil {
+	if err := s.finishFleet(sc, Pair(m1, m2, l12, l21, fac[:]), false, true); err != nil {
 		return 0, err
 	}
 	mean := s.meanOf(sc, false)

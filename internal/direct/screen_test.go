@@ -1,0 +1,157 @@
+package direct
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"dtr/dist"
+	"dtr/internal/core"
+)
+
+// unit maps an arbitrary float into [0, 1).
+func unit(x float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0.5
+	}
+	_, f := math.Modf(math.Abs(x))
+	return f
+}
+
+// FuzzScreenMatchesFold: on an arbitrary small model (Pareto service
+// with α ∈ (1, 3], failure laws never, exponential or Pareto, lattices of
+// 64 to 512 points, factors 1–2) and deadline, the score of every point
+// of the (L12, L21) lattice is within ScreenEps/1000 of Eval, and the
+// points a sweep would confirm — scores within 2·ScreenEps of the best —
+// hold every maximizer of Eval.
+func FuzzScreenMatchesFold(f *testing.F) {
+	f.Add(0.5, 0.2, 0.3, 0.7, uint8(1), uint8(2), 0.4, 0.6, uint8(3), uint8(8), uint8(5), 0.5, true, uint8(0))
+	f.Add(0.01, 0.99, 0.05, 0.9, uint8(2), uint8(0), 0.9, 0.1, uint8(0), uint8(12), uint8(12), 0.05, false, uint8(3))
+	f.Add(0.9, 0.9, 0.5, 0.5, uint8(0), uint8(0), 0.5, 0.5, uint8(1), uint8(4), uint8(1), 0.99, true, uint8(1))
+	f.Fuzz(func(t *testing.T, a1, a2, w1, w2 float64, y1, y2 uint8, fm1, fm2 float64, logGrid, m1, m2 uint8,
+		deadline float64, qos bool, facBits uint8) {
+		fail := func(kind uint8, u float64) dist.Dist {
+			switch kind % 3 {
+			case 1:
+				return dist.NewExponential(5 + 100*u)
+			case 2:
+				return dist.NewPareto(1.1+2*u, 5+100*u)
+			}
+			return dist.Never{}
+		}
+		m := &core.Model{
+			Service: []dist.Dist{dist.NewPareto(3-2*unit(a1), 0.2+2*unit(w1)), dist.NewPareto(3-2*unit(a2), 0.2+2*unit(w2))},
+			Failure: []dist.Dist{fail(y1, unit(fm1)), fail(y2, unit(fm2))},
+			Transfer: func(tasks, src, dst int) dist.Dist {
+				return dist.NewExponential((0.1 + unit(a1+w2)) * float64(max(tasks, 1)))
+			},
+		}
+		n1, n2 := int(m1%13), int(m2%13)
+		metric := MetricReliability
+		if qos {
+			metric = MetricQoS
+		}
+		s, err := NewSolver(m, Config{N: 64 << (logGrid % 4), MaxQueue: [2]int{n1 + n2 + 1, n1 + n2 + 1}, MaxFactor: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := 1.2 * unit(deadline) * s.horizon()
+		fac := []int{1 + int(facBits&1), 1 + int(facBits>>1&1)}
+		sn, err := s.Screen(metric, tm, fac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sn.Release()
+		var exact, score []float64
+		for i := 0; i <= n1; i++ {
+			for j := 0; j <= n2; j++ {
+				pt := Pair(n1, n2, i, j, fac)
+				e, err := s.Eval(pt, metric, tm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := sn.Score(pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gap := math.Abs(v - e); !(gap <= ScreenEps/1000) {
+					t.Fatalf("(%d, %d) at factors %v, metric %d, deadline %g: score %v, Eval %v, gap %g", i, j, fac, metric, tm, v, e, gap)
+				}
+				exact, score = append(exact, e), append(score, v)
+			}
+		}
+		top, best := math.Inf(-1), math.Inf(-1)
+		for i := range score {
+			top, best = max(top, score[i]), max(best, exact[i])
+		}
+		for i := range exact {
+			if exact[i] == best && score[i] < top-2*ScreenEps {
+				t.Fatalf("maximizer %d (Eval %v) left out: score %v, best score %v", i, exact[i], score[i], top)
+			}
+		}
+	})
+}
+
+// TestScreenRefusesWhatEvalRefuses: a screen exists only for the linear
+// metrics, and its scores fail where Eval fails, with Eval's errors.
+func TestScreenRefusesWhatEvalRefuses(t *testing.T) {
+	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 50, 0, 1)
+	s := newSolver(t, m, 12, 256, 80)
+	if _, err := s.Screen(MetricMean, 0, []int{1, 1}); err == nil {
+		t.Fatal("the mean has a screen")
+	}
+	if _, err := s.Screen(MetricQoS, -1, []int{1, 1}); err == nil {
+		t.Fatal("a negative deadline has a screen")
+	}
+	// The tables hold factor 1 only: every factor-2 point fails.
+	for _, fac := range [][]int{{1, 1}, {2, 1}} {
+		sn, err := s.Screen(MetricReliability, 0, fac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range []Point{Pair(8, 4, 2, 0, fac), Pair(8, 4, 9, 0, fac), Pair(8, 4, 0, 20, fac), Pair(13, 4, 0, 0, fac)} {
+			_, want := s.Eval(pt, MetricReliability, 0)
+			if _, got := sn.Score(pt); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("factors %v %+v: Score error %v, Eval error %v", fac, pt, got, want)
+			}
+		}
+		sn.Release()
+	}
+	if _, err := s.Eval(Pair(8, 4, 2, 0, []int{2, 1}), MetricReliability, 0); err == nil || !strings.Contains(err.Error(), "raise Config.MaxFactor") {
+		t.Fatalf("factor beyond the tables: %v", err)
+	}
+}
+
+// TestWarmScreenedPointAllocatesNothing: once its weight tables are
+// made, a screened point — a Pair built per call included — allocates
+// nothing, for every kind of weight: survival, survival to a deadline
+// and a reliable server's step.
+func TestWarmScreenedPointAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 60, 0, 1)
+	s, err := NewSolver(m, Config{N: 1 << 11, Horizon: 200, MaxQueue: [2]int{24, 24}, MaxFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fac := range [][]int{{1, 1}, {2, 1}} {
+		for _, metric := range []Metric{MetricQoS, MetricReliability} {
+			sn, err := s.Screen(metric, 40, fac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			score := func() {
+				if _, err := sn.Score(Pair(16, 8, 5, 2, fac)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			score()
+			if allocs := testing.AllocsPerRun(200, score); allocs > 0 {
+				t.Errorf("warm screened point, metric %d, factors %v: %v allocations, want 0", metric, fac, allocs)
+			}
+			sn.Release()
+		}
+	}
+}

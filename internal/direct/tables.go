@@ -51,6 +51,9 @@ type Tables struct {
 	zCache map[[3]int]*cell[transfer]
 	// sweeps remembers whole policy sweeps (see Solver.Sweep).
 	sweeps map[any]*cell[swept]
+	// surv[k] is server k's failure-law survival on the lattice (see
+	// survival).
+	surv []cell[[]float64]
 	// lazyBytes is the footprint of the spectra, transfer lattices and
 	// remembered sweeps filled so far (see Bytes).
 	lazyBytes atomic.Int64
@@ -167,6 +170,7 @@ func NewTables(m *core.Model, cfg Config) (*Tables, error) {
 		maxQueue: maxQueue,
 		zCache:   make(map[[3]int]*cell[transfer]),
 		sweeps:   make(map[any]*cell[swept]),
+		surv:     make([]cell[[]float64], servers),
 	}
 	t.pool = &sync.Pool{New: func() any { return newScratch(servers, dx, n) }}
 	t.extend(t.factorsFor(cfg.MaxFactor), cfg.Span)
@@ -298,9 +302,9 @@ const slotBytes = int64(unsafe.Sizeof((*gridfn.Lattice)(nil)) + unsafe.Sizeof(ce
 
 // Bytes is the tables' accounted memory footprint: per chain the
 // per-task spectrum, the slot arrays and the prefix lattices folded so
-// far; the spectra, transfer lattices and remembered sweeps filled so
-// far; and the probe shadow once built. It grows as views read and
-// evaluate.
+// far; the spectra, transfer lattices, survival tables and remembered
+// sweeps filled so far; and the probe shadow once built. It grows as
+// views read and evaluate.
 func (t *Tables) Bytes() int64 {
 	lattice := int64(8 * t.n)
 	b := t.lazyBytes.Load()
@@ -425,4 +429,44 @@ func (s *Solver) transferOf(tasks, src, dst int) transfer {
 		zHits.Inc()
 	}
 	return z
+}
+
+// survival returns (tabulating on first read) server k's failure-law
+// survival on the lattice, S[i] = Survival(i·Dx): every metric that
+// weighs a finish law by it reads the table, so the law is evaluated
+// once per lattice point per model rather than once per point per
+// policy. A server that never fails has none (nil).
+func (t *Tables) survival(k int) []float64 {
+	y := t.model.Failure[k]
+	if _, never := y.(dist.Never); never {
+		return nil
+	}
+	sv, _ := t.surv[k].get(func() []float64 {
+		sv := make([]float64, t.n)
+		for i := range sv {
+			sv[i] = y.Survival(float64(i) * t.dx)
+		}
+		t.lazyBytes.Add(int64(8 * t.n))
+		return sv
+	})
+	return sv
+}
+
+// through returns how many lattice points the metrics count as at or
+// before x: those before the first with i·Dx > x (all of them for NaN).
+func (t *Tables) through(x float64) int {
+	if x < 0 {
+		return 0
+	}
+	if !(x < float64(t.n-1)*t.dx) {
+		return t.n
+	}
+	i := int(x / t.dx)
+	for i+1 < t.n && float64(i+1)*t.dx <= x {
+		i++
+	}
+	for i >= 0 && float64(i)*t.dx > x {
+		i--
+	}
+	return i + 1
 }

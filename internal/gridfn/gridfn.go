@@ -439,16 +439,35 @@ func (l *Lattice) Mean() float64 {
 	return s*l.Dx + l.Tail*l.Horizon()
 }
 
-// ExpectSurvival returns E[g(X)] for a bounded function g sampled at the
-// lattice points, assigning the tail 0 (g is the survival function of an
-// independent failure time: if the finish time fell beyond the horizon,
-// survival to it is approximated as negligible).
-func (l *Lattice) ExpectSurvival(g func(float64) float64) float64 {
+// Expect returns E[w(X)·1{X ≤ (len(w)−1)·Dx}] for weights w sampled at
+// the first len(w) ≤ Len() lattice points, assigning the tail 0 (w is
+// typically the survival function of an independent failure time: if the
+// finish time fell beyond the horizon, survival to it is approximated as
+// negligible). The sum runs in index order over the nonzero masses.
+func (l *Lattice) Expect(w []float64) float64 {
 	var s float64
-	for i, m := range l.M {
+	for i, m := range l.M[:len(w)] {
 		if m != 0 {
-			s += m * g(float64(i)*l.Dx)
+			s += m * w[i]
 		}
+	}
+	return s
+}
+
+// MaxIndepExpect returns E[w(max(X, Y))·1{max ≤ (len(w)−1)·Dx}] for
+// independent X ~ l, Y ~ o and weights w at the first len(w) lattice
+// points: the race's masses are formed as MaxIndepInto forms them and
+// weighted as they are made, in one walk that stores nothing.
+func (l *Lattice) MaxIndepExpect(o *Lattice, w []float64) float64 {
+	l.checkCompat(o)
+	var cl, co, prev, s float64
+	lm, om := l.M[:len(w)], o.M[:len(w)]
+	for i, wi := range w {
+		cl += lm[i]
+		co += om[i]
+		c := cl * co
+		s += (c - prev) * wi
+		prev = c
 	}
 	return s
 }

@@ -130,8 +130,15 @@ func TestMinIndep(t *testing.T) {
 func TestExpectSurvival(t *testing.T) {
 	// E[e^{-X}] for X ~ exp(mean 1) is 1/2 (Laplace transform at 1).
 	a := FromCDF(expCDF(1), 0.002, 1<<14)
-	got := a.ExpectSurvival(func(x float64) float64 { return math.Exp(-x) })
-	testutil.Almost(t, got, 0.5, 1e-3, "laplace transform")
+	w := make([]float64, a.Len())
+	for i := range w {
+		w[i] = math.Exp(-float64(i) * a.Dx)
+	}
+	testutil.Almost(t, a.Expect(w), 0.5, 1e-3, "laplace transform")
+	// The race with a point mass at 0 is the law itself.
+	zero := PointMass(0, a.Dx, a.Len())
+	testutil.Almost(t, a.MaxIndepExpect(zero, w), a.Expect(w), 1e-15, "race with zero")
+	testutil.Almost(t, a.MaxIndepExpect(zero, w[:100]), a.Expect(w[:100]), 1e-15, "truncated weights")
 }
 
 func TestTailAccounting(t *testing.T) {

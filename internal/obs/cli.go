@@ -103,17 +103,19 @@ type Process struct {
 // CLI.Start alike: a text logger on logTo at logLevel (none for "" or
 // "off"; an unknown level is a usage error), a fresh default registry
 // and, with trace or a traceOut file to append span trees to, a tracer
-// (a traceOut that cannot be created is a usage error too).
+// (a traceOut that cannot be created is a usage error too). The level is
+// parsed and the file created before any process-wide value is set, so
+// a failed Install leaves nothing behind.
 func Install(logLevel string, logTo io.Writer, trace bool, traceOut string) (*Process, error) {
+	var logger *slog.Logger
 	if logLevel != "" && logLevel != "off" {
 		lvl, err := ParseLevel(logLevel)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrUsage, err)
 		}
-		SetLogger(slog.New(slog.NewTextHandler(logTo, &slog.HandlerOptions{Level: lvl})))
+		logger = slog.New(slog.NewTextHandler(logTo, &slog.HandlerOptions{Level: lvl}))
 	}
 	p := &Process{Registry: NewRegistry()}
-	SetDefault(p.Registry)
 	var w io.Writer
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
@@ -122,6 +124,10 @@ func Install(logLevel string, logTo io.Writer, trace bool, traceOut string) (*Pr
 		}
 		p.traceFile, w = f, f
 	}
+	if logger != nil {
+		SetLogger(logger)
+	}
+	SetDefault(p.Registry)
 	if trace || traceOut != "" {
 		p.Tracer = NewTracer(w)
 		SetTracer(p.Tracer)
@@ -240,7 +246,9 @@ func (c *CLI) Enabled() bool {
 // configured, starts the HTTP endpoint and the progress ticker. A no-op
 // when no observability flag was set. A flag whose value cannot be used —
 // a bad -log-level, an uncreatable -trace-out, a -metrics-addr that cannot
-// be listened on — is a usage error.
+// be listened on — is a usage error, and a failed Start leaves no
+// process-wide value set and no file or listener open: the endpoint's
+// address is bound first and Install touches the globals last.
 func (c *CLI) Start() error {
 	if !c.Enabled() {
 		return nil
@@ -248,22 +256,28 @@ func (c *CLI) Start() error {
 	if c.Err == nil {
 		c.Err = os.Stderr
 	}
-	var err error
-	if c.proc, err = Install(c.LogLevel, c.Err, false, c.TracePath); err != nil {
-		return err
-	}
+	var ln net.Listener
 	if c.MetricsAddr != "" || c.PProf {
 		addr := c.MetricsAddr
 		if addr == "" {
 			addr = ":0" // -pprof alone still wants an endpoint
 		}
-		srv, err := Serve(addr, c.proc.Registry, c.PProf)
-		if err != nil {
+		var err error
+		if ln, err = net.Listen("tcp", addr); err != nil {
 			return fmt.Errorf("%w: metrics endpoint: %v", ErrUsage, err)
 		}
-		c.srv = srv
-		fmt.Fprintf(c.Err, "[obs] serving metrics on http://%s/metrics\n", displayAddr(srv.Addr))
-		Logger().Info("metrics endpoint up", "addr", srv.Addr, "pprof", c.PProf)
+	}
+	var err error
+	if c.proc, err = Install(c.LogLevel, c.Err, false, c.TracePath); err != nil {
+		if ln != nil {
+			_ = ln.Close()
+		}
+		return err
+	}
+	if ln != nil {
+		c.srv = serveOn(ln, c.proc.Registry, c.PProf)
+		fmt.Fprintf(c.Err, "[obs] serving metrics on http://%s/metrics\n", displayAddr(c.srv.Addr))
+		Logger().Info("metrics endpoint up", "addr", c.srv.Addr, "pprof", c.PProf)
 	}
 	if c.Progress {
 		c.stopTick = make(chan struct{})

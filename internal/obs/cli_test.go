@@ -99,28 +99,37 @@ func TestCLIBadLogLevel(t *testing.T) {
 	}
 	var errBuf strings.Builder
 	c.Err = &errBuf
-	t.Cleanup(func() { SetDefault(nil) })
 	if err := c.Start(); !errors.Is(err, ErrUsage) {
 		t.Fatalf("unknown log level: Start = %v, want a usage error", err)
+	}
+	if Default() != nil {
+		t.Fatal("a failed Start installed the default registry")
 	}
 }
 
 // TestCLIStartUnusableFlagIsUsage: a -trace-out that cannot be created
 // and a -metrics-addr that cannot be listened on are usage errors (exit
-// 2), the same in every binary that calls Start.
+// 2), the same in every binary that calls Start, and a failed Start
+// leaves nothing behind: no registry, logger or tracer installed, no
+// trace file created and no listener bound. Each case sets the other
+// flag to a usable value, so a Start that acted on it would show.
 func TestCLIStartUnusableFlagIsUsage(t *testing.T) {
 	busy, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer busy.Close()
-	t.Cleanup(func() {
-		SetDefault(nil)
-		SetLogger(nil)
-	})
+	free, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	freeAddr := free.Addr().String()
+	free.Close()
+	dir := t.TempDir()
+	traceOut := filepath.Join(dir, "trace.jsonl")
 	for _, args := range [][]string{
-		{"-trace-out", filepath.Join(t.TempDir(), "missing", "x")},
-		{"-metrics-addr", busy.Addr().String()},
+		{"-trace-out", filepath.Join(dir, "missing", "x"), "-metrics-addr", freeAddr, "-log-level", "info"},
+		{"-metrics-addr", busy.Addr().String(), "-trace-out", traceOut, "-log-level", "info"},
 	} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		c := BindFlags(fs)
@@ -131,6 +140,18 @@ func TestCLIStartUnusableFlagIsUsage(t *testing.T) {
 		if err := c.Start(); !errors.Is(err, ErrUsage) || ExitCode(err) != 2 {
 			t.Errorf("%v: Start = %v, want a usage error", args, err)
 		}
+		if Default() != nil || DefaultTracer() != nil || Logger() != discardLogger {
+			t.Errorf("%v: a failed Start left the registry, tracer or logger installed", args)
+		}
+		if _, err := os.Stat(traceOut); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%v: a failed Start created the trace file (stat: %v)", args, err)
+		}
+		ln, err := net.Listen("tcp", freeAddr)
+		if err != nil {
+			t.Errorf("%v: a failed Start left %s bound: %v", args, freeAddr, err)
+			continue
+		}
+		ln.Close()
 	}
 }
 

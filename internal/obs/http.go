@@ -146,16 +146,20 @@ type Server struct {
 // listener is bound; requests are served on a background goroutine until
 // Close.
 func Serve(addr string, r *Registry, withPProf bool) (*Server, error) {
-	mux := NewHandler(r, withPProf)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &Server{Addr: ln.Addr().String(), ln: ln}
+	return serveOn(ln, r, withPProf), nil
+}
+
+// serveOn is Serve on a listener already bound.
+func serveOn(ln net.Listener, r *Registry, withPProf bool) *Server {
+	mux := NewHandler(r, withPProf)
 	go func() {
 		_ = http.Serve(ln, mux) // returns when the listener closes
 	}()
-	return srv, nil
+	return &Server{Addr: ln.Addr().String(), ln: ln}
 }
 
 // Close stops the endpoint.

@@ -81,7 +81,7 @@ func TestSweepInstrumentationAllocsFlat(t *testing.T) {
 	eval := func(l12, l21 int) (float64, error) { return float64(l12*7%11 + l21), nil }
 	allocs := func(m, workers int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := optimize2(eval, m, m, ObjMeanTime, Options2{Exhaustive: true, Workers: workers}); err != nil {
+			if _, err := optimize2(eval, nil, m, m, ObjMeanTime, Options2{Exhaustive: true, Workers: workers}); err != nil {
 				t.Fatal(err)
 			}
 		})

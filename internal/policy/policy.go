@@ -151,6 +151,25 @@ type SweepDiagnostics struct {
 // evalFunc computes the objective for one policy (L12, L21).
 type evalFunc func(l12, l21 int) (float64, error)
 
+// screened is a sweep's two-step evaluation of a linear objective: score
+// values every candidate within direct.ScreenEps of the exact value,
+// without a transform, and confirm evaluates exactly the candidates that
+// can still win (see sweep2.tryAll).
+type screened struct{ score, confirm evalFunc }
+
+// metric is the solver metric the objective reads.
+func (o Objective) metric() (direct.Metric, error) {
+	switch o {
+	case ObjMeanTime:
+		return direct.MetricMean, nil
+	case ObjQoS:
+		return direct.MetricQoS, nil
+	case ObjReliability:
+		return direct.MetricReliability, nil
+	}
+	return 0, fmt.Errorf("policy: unknown objective %v", o)
+}
+
 // directEval evaluates policies on the canonical-scenario solver under
 // the per-server replication factors fac. It is not inlined: a copy of
 // the closure it returns, compiled where it inlines, does not inline
@@ -158,20 +177,29 @@ type evalFunc func(l12, l21 int) (float64, error)
 //
 //go:noinline
 func directEval(s *direct.Solver, m1, m2 int, obj Objective, deadline float64, fac [2]int) evalFunc {
-	var metric direct.Metric
-	switch obj {
-	case ObjMeanTime:
-		metric = direct.MetricMean
-	case ObjQoS:
-		metric = direct.MetricQoS
-	case ObjReliability:
-		metric = direct.MetricReliability
-	default:
-		return func(int, int) (float64, error) { return 0, fmt.Errorf("policy: unknown objective %v", obj) }
+	metric, err := obj.metric()
+	if err != nil {
+		return func(int, int) (float64, error) { return 0, err }
 	}
 	fs := fac[:]
 	return func(l12, l21 int) (float64, error) {
 		return s.Eval(direct.Pair(m1, m2, l12, l21, fs), metric, deadline)
+	}
+}
+
+// directScreen scores and confirms policies through the screen sn, built
+// for the factors fac; not inlined, for directEval's reason.
+//
+//go:noinline
+func directScreen(sn *direct.Screen, m1, m2 int, fac [2]int) *screened {
+	fs := fac[:]
+	return &screened{
+		score: func(l12, l21 int) (float64, error) {
+			return sn.Score(direct.Pair(m1, m2, l12, l21, fs))
+		},
+		confirm: func(l12, l21 int) (float64, error) {
+			return sn.Confirm(direct.Pair(m1, m2, l12, l21, fs))
+		},
 	}
 }
 
@@ -206,7 +234,16 @@ func sweepDirect(s *direct.Solver, m1, m2 int, obj Objective, opt Options2, fac 
 		key.deadline = opt.Deadline
 	}
 	v, hit, err := s.Sweep(key, fac, func(v *direct.Solver) (any, error) {
-		return optimize2(directEval(v, m1, m2, obj, opt.Deadline, fac), m1, m2, obj, opt)
+		var scr *screened
+		// The mean has no screen, and neither has a deadline Eval
+		// refuses: every point goes to Eval, which says why.
+		if metric, err := obj.metric(); err == nil {
+			if sn, err := v.Screen(metric, opt.Deadline, fac[:]); err == nil {
+				defer sn.Release()
+				scr = directScreen(sn, m1, m2, fac)
+			}
+		}
+		return optimize2(directEval(v, m1, m2, obj, opt.Deadline, fac), scr, m1, m2, obj, opt)
 	})
 	if err != nil {
 		return Result2{}, err
@@ -220,8 +257,10 @@ func sweepDirect(s *direct.Solver, m1, m2 int, obj Objective, opt Options2, fac 
 }
 
 // optimize2 is the search engine behind Optimize2, OptimizeRepl2 and
-// Optimize2Regen: the lattice sweep over whatever evaluates one policy.
-func optimize2(eval evalFunc, m1, m2 int, obj Objective, opt Options2) (Result2, error) {
+// Optimize2Regen: the lattice sweep over whatever evaluates one policy,
+// screened by scr when it is set (a maximized linear objective on the
+// canonical-scenario solver).
+func optimize2(eval evalFunc, scr *screened, m1, m2 int, obj Objective, opt Options2) (Result2, error) {
 	if m1 < 0 || m2 < 0 {
 		return Result2{}, fmt.Errorf("policy: negative workload (%d, %d)", m1, m2)
 	}
@@ -230,7 +269,7 @@ func optimize2(eval evalFunc, m1, m2 int, obj Objective, opt Options2) (Result2,
 	}
 
 	sw := &sweep2{
-		eval: eval, m1: m1, m2: m2, obj: obj,
+		eval: eval, scr: scr, m1: m1, m2: m2, obj: obj,
 		workers: par.Workers(opt.Workers),
 		best:    Result2{Value: obj.worst(), L12: -1, L21: -1},
 		seen:    make(map[[2]int]bool),
@@ -341,6 +380,7 @@ func (sw *sweep2) result(exhaustive bool) Result2 {
 // reduction into the incumbent.
 type sweep2 struct {
 	eval    evalFunc
+	scr     *screened // nil: every candidate goes to eval
 	m1, m2  int
 	obj     Objective
 	workers int
@@ -351,6 +391,7 @@ type sweep2 struct {
 	span    *obs.Span // "optimize2" trace span (nil = untraced)
 
 	cand [][2]int     // candidate scratch, reused across batches
+	keep [][2]int     // the screen's contenders, reused across batches
 	vals []float64    // value slots, written by index from the pool
 	busy []*obs.Gauge // per-worker busy gauges (nil = uninstrumented)
 }
@@ -364,6 +405,15 @@ type sweep2 struct {
 // only when strictly better, so the earliest candidate wins ties and the
 // evaluation count matches — which is what makes the parallel sweep
 // bit-identical to the serial one at every worker count.
+//
+// A screened sweep scores every survivor first and evaluates exactly only
+// the contenders: the scores within 2·ScreenEps of the larger of the best
+// score and the incumbent, and any NaN. With every score within ScreenEps
+// of its exact value, a candidate left out is exactly worse than the
+// incumbent or than the best-scoring candidate, and every candidate
+// exactly as good as the batch's best is kept, so the fold over the
+// contenders' exact values lands where the fold over every candidate
+// would: same policy, same value bits. A screened point counts once.
 func (sw *sweep2) tryAll(pts [][2]int) error {
 	cand := sw.cand[:0]
 	for _, p := range pts {
@@ -388,12 +438,48 @@ func (sw *sweep2) tryAll(pts [][2]int) error {
 	sw.batches++
 	batchSpan := sw.span.Child("sweep", "batch", len(cand))
 	defer batchSpan.End()
-	err := par.ForEach(sw.workers, len(cand), func(w, i int) error {
+	if sw.scr == nil {
+		if err := sw.each(cand, vals, sw.eval); err != nil {
+			return err
+		}
+		sw.evals += len(cand)
+		sw.reduce(cand, vals)
+		return nil
+	}
+	if err := sw.each(cand, vals, sw.scr.score); err != nil {
+		return err
+	}
+	sw.evals += len(cand)
+	top := sw.best.Value
+	for _, v := range vals {
+		if v > top {
+			top = v
+		}
+	}
+	keep := sw.keep[:0]
+	for i, v := range vals {
+		if !(v < top-2*direct.ScreenEps) {
+			keep = append(keep, cand[i])
+		}
+	}
+	sw.keep = keep
+	vals = vals[:len(keep)]
+	if err := sw.each(keep, vals, sw.scr.confirm); err != nil {
+		return err
+	}
+	sw.reduce(keep, vals)
+	return nil
+}
+
+// each evaluates f at every point of pts into vals, sharded over the
+// sweep's workers.
+func (sw *sweep2) each(pts [][2]int, vals []float64, f evalFunc) error {
+	return par.ForEach(sw.workers, len(pts), func(w, i int) error {
 		var t0 time.Time
 		if sw.busy != nil {
 			t0 = time.Now()
 		}
-		v, err := sw.eval(cand[i][0], cand[i][1])
+		v, err := f(pts[i][0], pts[i][1])
 		if err != nil {
 			return err
 		}
@@ -409,16 +495,16 @@ func (sw *sweep2) tryAll(pts [][2]int) error {
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	sw.evals += len(cand)
-	for i, p := range cand {
+}
+
+// reduce folds the exact values vals of pts into the incumbent in order,
+// replacing it only on a strictly better value.
+func (sw *sweep2) reduce(pts [][2]int, vals []float64) {
+	for i, p := range pts {
 		if sw.obj.better(vals[i], sw.best.Value) {
 			sw.best = Result2{L12: p[0], L21: p[1], Value: vals[i]}
 		}
 	}
-	return nil
 }
 
 // InitialPolicy is the eq. (5) load-balancing initializer: server i

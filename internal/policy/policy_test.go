@@ -205,9 +205,10 @@ func TestWeightHelpers(t *testing.T) {
 }
 
 // TestWarmSweepPointAllocatesNothing: a sweep's lattice point allocates
-// nothing once its transforms are cached. The point is built per call,
-// inside the closure directEval returns; directEval must not be inlined,
-// or direct.Pair's slices escape on every sweep point.
+// nothing once its transforms (or a screen's weight tables) are cached.
+// The point is built per call, inside the closure directEval or
+// directScreen returns; neither may be inlined, or direct.Pair's slices
+// escape on every sweep point.
 func TestWarmSweepPointAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -226,6 +227,22 @@ func TestWarmSweepPointAllocatesNothing(t *testing.T) {
 			if allocs := testing.AllocsPerRun(200, func() { _, _ = eval(5, 2) }); allocs > 0 {
 				t.Errorf("warm %v point at factors %v allocates %v objects per call, want 0", obj, fac, allocs)
 			}
+		}
+		for _, metric := range []direct.Metric{direct.MetricQoS, direct.MetricReliability} {
+			sn, err := s.Screen(metric, 40, fac[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			scr := directScreen(sn, 16, 8, fac)
+			for name, f := range map[string]evalFunc{"screened": scr.score, "confirmed": scr.confirm} {
+				if _, err := f(5, 2); err != nil {
+					t.Fatal(err)
+				}
+				if allocs := testing.AllocsPerRun(200, func() { _, _ = f(5, 2) }); allocs > 0 {
+					t.Errorf("warm %s point, metric %d, factors %v: %v allocations, want 0", name, metric, fac, allocs)
+				}
+			}
+			sn.Release()
 		}
 	}
 }

@@ -42,5 +42,5 @@ func Optimize2Regen(sv *core.Solver, m1, m2 int, obj Objective, opt Options2) (R
 		default:
 			return 0, fmt.Errorf("policy: unknown objective %v", obj)
 		}
-	}, m1, m2, obj, opt)
+	}, nil, m1, m2, obj, opt)
 }

@@ -1,0 +1,346 @@
+package policy_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"dtr/dist"
+	"dtr/internal/core"
+	"dtr/internal/direct"
+	"dtr/internal/exper"
+	"dtr/internal/par"
+	"dtr/internal/policy"
+	"dtr/modelspec"
+)
+
+// screenCase is a model, a workload and a linear objective the screened
+// sweep is held to.
+type screenCase struct {
+	name      string
+	model     *core.Model
+	m1, m2    int
+	grid      int
+	horizon   float64 // 0: the solver's automatic horizon
+	obj       policy.Objective
+	deadline  float64
+	maxFactor int
+}
+
+func (c screenCase) metric() direct.Metric {
+	if c.obj == policy.ObjQoS {
+		return direct.MetricQoS
+	}
+	return direct.MetricReliability
+}
+
+// tables starts the case's tables as the planner sizes them.
+func (c screenCase) tables(t *testing.T) *direct.Tables {
+	t.Helper()
+	q := c.m1 + c.m2
+	tb, err := direct.NewTables(c.model, direct.Config{N: c.grid, Horizon: c.horizon, MaxQueue: [2]int{q, q}, MaxFactor: c.maxFactor})
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	return tb
+}
+
+// combos are the factor pairs OptimizeRepl2 sweeps, in its order.
+func (c screenCase) combos() [][2]int {
+	var out [][2]int
+	for f1 := 1; f1 <= max(c.maxFactor, 1); f1++ {
+		for f2 := 1; f2 <= max(c.maxFactor, 1); f2++ {
+			out = append(out, [2]int{f1, f2})
+		}
+	}
+	return out
+}
+
+// pairOf is servers i and j of a multi-server model as a two-server one.
+func pairOf(m *core.Model, i, j int) *core.Model {
+	orig := [2]int{i, j}
+	return &core.Model{
+		Service:  []dist.Dist{m.Service[i], m.Service[j]},
+		Failure:  []dist.Dist{m.Failure[i], m.Failure[j]},
+		Transfer: func(tasks, src, dst int) dist.Dist { return m.Transfer(tasks, orig[src], orig[dst]) },
+	}
+}
+
+// linearCases appends the QoS case of m at deadline and, when a server
+// can fail, its reliability case.
+func linearCases(cs []screenCase, c screenCase, deadline float64) []screenCase {
+	c.obj, c.deadline = policy.ObjQoS, deadline
+	cs = append(cs, c)
+	if !c.model.Reliable() {
+		c.obj, c.deadline = policy.ObjReliability, 0
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// screenCorpus is every model the screen is held to: the canonical
+// models of results/ and Table I under every paper family and delay,
+// reliable and failure-prone; the testbed of Fig. 4(c); server pairs of
+// the Table II models; the benchmark's testbed spec at its two grids;
+// the severe-delay Pareto model with Pareto failure laws; and seeded
+// random small models — Pareto service with α ∈ (1, 2], exponential and
+// Pareto failure laws, replication factors 1–2. Under the race detector,
+// which checks the sweep's concurrency rather than its values, only the
+// testbed and the random models run.
+var screenCorpus = sync.OnceValue(func() []screenCase {
+	var cs []screenCase
+	families := dist.PaperFamilies()
+	if policy.RaceEnabled {
+		families = nil
+	}
+	for _, f := range families {
+		for _, d := range []exper.Delay{exper.LowDelay, exper.SevereDelay} {
+			for _, rel := range []bool{true, false} {
+				cs = linearCases(cs, screenCase{
+					name:  fmt.Sprintf("canonical/%v/%v/reliable=%v", f, d, rel),
+					model: exper.CanonicalModel(f, d, rel), m1: exper.M1, m2: exper.M2,
+					grid: 1024, horizon: d.Horizon(),
+				}, exper.QoSDeadline)
+			}
+		}
+		m := exper.Table2Model(f, false)
+		for j := 1; j < len(exper.Table2Initial); j++ {
+			cs = linearCases(cs, screenCase{
+				name:  fmt.Sprintf("table2/%v/servers %d+%d", f, j-1, j),
+				model: pairOf(m, j-1, j), m1: exper.Table2Initial[j-1], m2: exper.Table2Initial[j],
+				grid: 1024,
+			}, 120)
+		}
+	}
+	for _, rel := range []bool{true, false} {
+		cs = linearCases(cs, screenCase{
+			name:  fmt.Sprintf("testbed/reliable=%v", rel),
+			model: exper.TestbedModel(rel), m1: exper.TBM1, m2: exper.TBM2, grid: 1024, horizon: 1200,
+		}, 200)
+	}
+	m, queues, err := modelspec.Load("../../examples/specs/testbed.json")
+	if err != nil {
+		panic(err)
+	}
+	for _, grid := range []int{2048, 4096} {
+		if policy.RaceEnabled {
+			break
+		}
+		cs = linearCases(cs, screenCase{
+			name:  fmt.Sprintf("spec testbed/grid %d", grid),
+			model: m, m1: queues[0], m2: queues[1], grid: grid,
+		}, 200)
+	}
+	if !policy.RaceEnabled {
+		severe := exper.CanonicalModel(dist.FamilyPareto2, exper.SevereDelay, true)
+		severe.Failure = []dist.Dist{dist.NewPareto(2.5, 400), dist.NewPareto(2.5, 300)}
+		cs = linearCases(cs, screenCase{
+			name: "severe/pareto failures", model: severe, m1: exper.M1, m2: exper.M2, grid: 1024, horizon: exper.HorizonSevere,
+		}, exper.QoSDeadline)
+	}
+
+	r := rand.New(rand.NewSource(43))
+	for i := range 8 {
+		m := &core.Model{}
+		for range 2 {
+			m.Service = append(m.Service, dist.NewPareto(2-r.Float64(), 0.5+2*r.Float64()))
+			switch r.Intn(3) {
+			case 0:
+				m.Failure = append(m.Failure, dist.Never{})
+			case 1:
+				m.Failure = append(m.Failure, dist.NewExponential(20+80*r.Float64()))
+			default:
+				m.Failure = append(m.Failure, dist.NewPareto(1.2+2*r.Float64(), 20+80*r.Float64()))
+			}
+		}
+		perTask, pareto := 0.2+r.Float64(), r.Intn(2) == 0
+		m.Transfer = func(tasks, src, dst int) dist.Dist {
+			if pareto {
+				return dist.NewPareto(2.5, perTask*float64(max(tasks, 1)))
+			}
+			return dist.NewExponential(perTask * float64(max(tasks, 1)))
+		}
+		cs = linearCases(cs, screenCase{
+			name:  fmt.Sprintf("random %d", i),
+			model: m, m1: 6 + r.Intn(14), m2: 3 + r.Intn(8), grid: 256 << r.Intn(3), horizon: 60 + 200*r.Float64(),
+			maxFactor: 2,
+		}, 10+40*r.Float64())
+	}
+	return cs
+})
+
+// screenScan is one case's exact values and scores at every lattice
+// point, row-major in (L12, L21) — the exhaustive sweep's order — under
+// each factor combination.
+type screenScan struct {
+	exact, score [][]float64 // [combo][point]
+}
+
+var screenScans = sync.OnceValues(func() ([]screenScan, error) {
+	cs := screenCorpus()
+	out := make([]screenScan, len(cs))
+	for ci, c := range cs {
+		tb, err := direct.NewTables(c.model, direct.Config{N: c.grid, Horizon: c.horizon,
+			MaxQueue: [2]int{c.m1 + c.m2, c.m1 + c.m2}, MaxFactor: c.maxFactor})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.name, err)
+		}
+		s, _ := tb.View(c.maxFactor, nil)
+		points := (c.m1 + 1) * (c.m2 + 1)
+		for _, fac := range c.combos() {
+			sn, err := s.Screen(c.metric(), c.deadline, fac[:])
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", c.name, err)
+			}
+			exact, score := make([]float64, points), make([]float64, points)
+			err = par.ForEach(0, points, func(_, i int) error {
+				pt := direct.Pair(c.m1, c.m2, i/(c.m2+1), i%(c.m2+1), fac[:])
+				var err error
+				if exact[i], err = s.Eval(pt, c.metric(), c.deadline); err != nil {
+					return err
+				}
+				score[i], err = sn.Score(pt)
+				return err
+			})
+			sn.Release()
+			if err != nil {
+				return nil, fmt.Errorf("%s at factors %v: %w", c.name, fac, err)
+			}
+			out[ci].exact = append(out[ci].exact, exact)
+			out[ci].score = append(out[ci].score, score)
+		}
+	}
+	return out, nil
+})
+
+// TestScreenGapBound: over the whole corpus, every point's score is
+// within ScreenEps/1000 of its exact value, a thousandfold margin on the
+// bound the sweep's contender rule assumes. The largest gap is logged.
+func TestScreenGapBound(t *testing.T) {
+	scans, err := screenScans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worst float64
+	var where string
+	points := 0
+	for ci, c := range screenCorpus() {
+		for fi, fac := range c.combos() {
+			for i, want := range scans[ci].exact[fi] {
+				got := scans[ci].score[fi][i]
+				points++
+				if math.IsNaN(want) != math.IsNaN(got) {
+					t.Fatalf("%s factors %v point %d: score %v, exact %v", c.name, fac, i, got, want)
+				}
+				if gap := math.Abs(got - want); gap > worst {
+					worst, where = gap, fmt.Sprintf("%s %v factors %v (L12, L21) = (%d, %d)", c.name, c.obj, fac, i/(c.m2+1), i%(c.m2+1))
+				}
+			}
+		}
+	}
+	t.Logf("largest |score − Eval| over %d points of %d cases: %.3g at %s", points, len(screenCorpus()), worst, where)
+	if worst > direct.ScreenEps/1000 {
+		t.Fatalf("largest gap %.3g exceeds ScreenEps/1000 = %g", worst, direct.ScreenEps/1000)
+	}
+}
+
+// firstBest is the exhaustive sweep's reduction over exact values in
+// scan order: strictly better replaces, so the first maximum wins.
+func firstBest(vals []float64, m2 int) (l12, l21 int, v float64) {
+	l12, l21, v = -1, -1, math.Inf(-1)
+	for i, x := range vals {
+		if x > v {
+			l12, l21, v = i/(m2+1), i%(m2+1), x
+		}
+	}
+	return l12, l21, v
+}
+
+func sameResult(t *testing.T, what string, got, want policy.Result2) {
+	t.Helper()
+	if got.L12 != want.L12 || got.L21 != want.L21 || math.Float64bits(got.Value) != math.Float64bits(want.Value) ||
+		got.Evaluations != want.Evaluations || got.Diag != want.Diag {
+		t.Errorf("%s: screened sweep %+v, reference %+v", what, got, want)
+	}
+}
+
+// TestScreenedSweepMatchesFoldSweep: on every corpus model, exhaustive
+// and coarse-to-fine Optimize2 and OptimizeRepl2 return the policy, the
+// value bits and the evaluation count of a reference that evaluates
+// every candidate with Eval: for the exhaustive sweep the test's own scan
+// of the whole lattice in the sweep's order, for coarse-to-fine the
+// sweep's candidates with nothing screened. The view's evaluation count
+// is the sweep's: a screened point counts once, its confirmation not
+// again.
+func TestScreenedSweepMatchesFoldSweep(t *testing.T) {
+	scans, err := screenScans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, c := range screenCorpus() {
+		tb := c.tables(t)
+		points := (c.m1 + 1) * (c.m2 + 1)
+		for _, exhaustive := range []bool{true, false} {
+			name := fmt.Sprintf("%s %v exhaustive=%v", c.name, c.obj, exhaustive)
+			opt := policy.Options2{Deadline: c.deadline, Exhaustive: exhaustive}
+			want := make([]policy.Result2, len(c.combos()))
+			for fi, fac := range c.combos() {
+				if exhaustive {
+					l12, l21, v := firstBest(scans[ci].exact[fi], c.m2)
+					want[fi] = policy.Result2{L12: l12, L21: l21, Value: v, Evaluations: points, Diag: policy.SweepDiagnostics{
+						Feasible: points, Evaluated: points, Batches: 1, Coverage: 1, Exhaustive: true,
+					}}
+					continue
+				}
+				ref, _ := tb.View(c.maxFactor, nil)
+				if want[fi], err = policy.ReferenceOptimize2(ref, c.m1, c.m2, c.obj, opt, fac); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := ref.Diagnostics().Evaluations; got != uint64(want[fi].Evaluations) {
+					t.Fatalf("%s: reference view counted %d evaluations for %d", name, got, want[fi].Evaluations)
+				}
+			}
+			if c.maxFactor <= 1 {
+				s, _ := tb.View(c.maxFactor, nil)
+				got, err := policy.Optimize2(s, c.m1, c.m2, c.obj, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				sameResult(t, name, got, want[0])
+				if n := s.Diagnostics().Evaluations; n != uint64(got.Evaluations) {
+					t.Errorf("%s: the view counted %d evaluations for the sweep's %d", name, n, got.Evaluations)
+				}
+				continue
+			}
+			s, _ := tb.View(c.maxFactor, nil)
+			got, err := policy.OptimizeRepl2(s, c.m1, c.m2, c.obj, policy.ReplOptions2{Options2: opt, MaxFactor: c.maxFactor})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			best, total := 0, 0
+			for fi, fac := range c.combos() {
+				w := want[fi]
+				total += w.Evaluations
+				if w.Value > want[best].Value {
+					best = fi
+				}
+				cb := got.Combos[fi]
+				if cb.Factors != fac || cb.L12 != w.L12 || cb.L21 != w.L21 || math.Float64bits(cb.Value) != math.Float64bits(w.Value) {
+					t.Errorf("%s factors %v: screened combo %+v, reference %+v", name, fac, cb, w)
+				}
+			}
+			if got.Factors != c.combos()[best] || got.Evaluations != total {
+				t.Errorf("%s: screened plan factors %v over %d evaluations, reference %v over %d",
+					name, got.Factors, got.Evaluations, c.combos()[best], total)
+			}
+			w := want[best]
+			w.Evaluations = total
+			sameResult(t, name+" plan", got.Result2, w)
+			if n := s.Diagnostics().Evaluations; n != uint64(total) {
+				t.Errorf("%s: the view counted %d evaluations for the search's %d", name, n, total)
+			}
+		}
+	}
+}

@@ -62,17 +62,6 @@ type Rebalancer struct {
 	Decide func(queues []int, up []bool) core.Policy
 }
 
-// Run simulates one realization starting from state s under model m,
-// consuming randomness from r. The input state is not modified.
-func Run(m *core.Model, s *core.State, r *rand.Rand) Outcome {
-	return RunControlled(m, s, r, nil)
-}
-
-// RunControlled is Run with an optional periodic rebalancer.
-func RunControlled(m *core.Model, s *core.State, r *rand.Rand, rb *Rebalancer) Outcome {
-	return RunTraced(m, s, r, rb, nil, 0)
-}
-
 // evKind says what a scheduled event does when the loop pops it.
 type evKind uint8
 
@@ -135,12 +124,15 @@ type run struct {
 	doomed, finished bool
 }
 
-// RunTraced is RunControlled with an optional trace writer receiving
+// RunTraced simulates one realization starting from state s under model
+// m, consuming randomness from r, with an optional periodic rebalancer rb
+// and an optional trace writer tw (replication index rep) receiving
 // every fresh-law delay observation of the realization — service
 // completions, transfer deliveries, failures — plus right-censored
 // observations for services and transfers still in progress and
-// servers still alive when the realization ends. Tracing never draws
-// randomness, so outcomes are bit-identical with and without it.
+// servers still alive when the realization ends. The input state is not
+// modified. Tracing never draws randomness, so outcomes are bit-identical
+// with and without it.
 func RunTraced(m *core.Model, s *core.State, r *rand.Rand, rb *Rebalancer, tw *trace.Writer, rep int) Outcome {
 	n := m.N()
 	rn := run{
