@@ -258,7 +258,7 @@ func (d Weibull) Quantile(p float64) float64 {
 	if p == 1 {
 		return math.Inf(1)
 	}
-	return d.Lambda * math.Pow(-math.Log1p(-p), 1/d.K)
+	return d.Lambda * quantilePow(-math.Log1p(-p), 1/d.K)
 }
 
 func (d Weibull) Mean() float64 {

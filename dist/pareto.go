@@ -60,7 +60,7 @@ func (d Pareto) Quantile(p float64) float64 {
 	if p == 1 {
 		return math.Inf(1)
 	}
-	return d.Xm / math.Pow(1-p, 1/d.Alpha)
+	return d.Xm / quantilePow(1-p, 1/d.Alpha)
 }
 
 func (d Pareto) Mean() float64 {
@@ -147,7 +147,7 @@ func (d agedPareto) Quantile(p float64) float64 {
 	if p == 1 {
 		return math.Inf(1)
 	}
-	x := d.scale/math.Pow(1-p, 1/d.alpha) - d.age
+	x := d.scale/quantilePow(1-p, 1/d.alpha) - d.age
 	if x < 0 {
 		return 0
 	}

@@ -1,17 +1,19 @@
 // Package des is a minimal discrete-event simulation core: a virtual
 // clock and a time-ordered queue of typed value events with
-// deterministic FIFO tie-breaking, on which the DCS Monte-Carlo simulator
-// (internal/sim) and the virtual-time experiments are built. The queue
-// stores and returns events; what an event does is the caller's switch
-// over its own event type, so scheduling and running an event allocate
-// nothing.
+// deterministic FIFO tie-breaking, on which the virtual-time experiments
+// (internal/estimate) are built, and the process-wide count of events
+// run, which the DCS Monte-Carlo simulator's fixed-slot agenda
+// (internal/sim) adds to. The queue stores and returns events; what an
+// event does is the caller's switch over its own event type, so
+// scheduling and running an event allocate nothing.
 package des
 
 import "dtr/internal/obs"
 
-// eventsProcessed counts events run across all queues in the process —
-// the event-loop throughput of the simulators. Queues batch locally and
-// publish via FlushStats, so the hot loop never touches shared state.
+// eventsProcessed counts events run across all queues in the process,
+// and the simulator's — the event-loop throughput of the simulators.
+// Queues batch locally and publish via FlushStats (the simulator via
+// CountProcessed), so the hot loop never touches shared state.
 var eventsProcessed = obs.NewCounter("dtr_des_events_total")
 
 // Queue is a future-event list over events of type E: a binary heap of
@@ -56,6 +58,10 @@ func (q *Queue[E]) FlushStats() {
 	eventsProcessed.Add(q.processed)
 	q.processed = 0
 }
+
+// CountProcessed adds n events run outside a Queue to
+// dtr_des_events_total.
+func CountProcessed(n uint64) { eventsProcessed.Add(n) }
 
 // Schedule enqueues ev at absolute virtual time t. Scheduling in the
 // past (t < Now) panics: it is always a logic error in a simulation.

@@ -24,9 +24,18 @@ func splitmix64(x *uint64) uint64 {
 // and stream index. Distinct (seed, stream) pairs give statistically
 // independent generators.
 func Stream(seed uint64, stream int) *rand.Rand {
+	p := new(rand.PCG)
+	Reseed(p, seed, stream)
+	return rand.New(p)
+}
+
+// Reseed sets p, in place, to the state Stream(seed, stream) starts its
+// generator from, so a worker can draw every replication it runs from one
+// generator without allocating.
+func Reseed(p *rand.PCG, seed uint64, stream int) {
 	s := seed
 	_ = splitmix64(&s) // decorrelate trivially related seeds
 	a := splitmix64(&s) ^ (uint64(stream) * 0xda942042e4dd58b5)
 	b := splitmix64(&s) + uint64(stream)<<1 + 1
-	return rand.New(rand.NewPCG(a, b))
+	p.Seed(a, b)
 }

@@ -2,6 +2,7 @@ package rngutil
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -51,5 +52,24 @@ func TestStreamUniformity(t *testing.T) {
 	mean := sum / n
 	if math.Abs(mean-0.5) > 0.01 {
 		t.Fatalf("uniform mean %g", mean)
+	}
+}
+
+// TestReseedMatchesStream: one generator reseeded in place — fresh, or
+// after drawing from another stream — gives the first 1 000 draws that
+// Stream gives, for many (seed, stream) pairs.
+func TestReseedMatchesStream(t *testing.T) {
+	var p rand.PCG
+	r := rand.New(&p)
+	for _, seed := range []uint64{0, 1, 42, 1 << 63, math.MaxUint64} {
+		for _, stream := range []int{0, 1, 2, 3, 999, 1999, 1 << 20, math.MaxInt32} {
+			Reseed(&p, seed, stream)
+			want := Stream(seed, stream)
+			for i := 0; i < 1000; i++ {
+				if got, w := r.Uint64(), want.Uint64(); got != w {
+					t.Fatalf("seed %d stream %d draw %d: reseeded %#x, Stream %#x", seed, stream, i, got, w)
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"dtr/dist"
 	"dtr/internal/core"
 	"dtr/internal/rngutil"
+	"dtr/modelspec"
 )
 
 // BenchmarkRunCanonical measures one realization of the paper's canonical
@@ -65,5 +66,74 @@ func BenchmarkEstimate2000(b *testing.B) {
 		if _, err := Estimate(m, []int{100, 50}, core.Policy2(20, 0), Options{Reps: 2000, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEstimateTestbed2000 measures plan_cold's other `simulate`
+// request: 2 000 realizations of the testbed spec (Pareto services,
+// exponential failures, shifted-gamma transfers) under policy 0>1:10
+// with deadline 200.
+func BenchmarkEstimateTestbed2000(b *testing.B) {
+	m, initial, err := modelspec.Load("../../examples/specs/testbed.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := Estimate(m, initial, core.Policy2(10, 0), Options{Reps: 2000, Seed: 1, Deadline: 200}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fleet32 is a 32-server fleet with replication: Pareto services of
+// four speeds, every fourth server running two copies and every eighth
+// three, exponential failures rare enough that most realizations
+// complete, 640 tasks and 15 groups shipped at t = 0.
+func fleet32(b *testing.B) (*core.Model, *core.State) {
+	const n = 32
+	m := &core.Model{
+		Service: make([]dist.Dist, n),
+		Failure: make([]dist.Dist, n),
+		Transfer: func(tasks, src, dst int) dist.Dist {
+			return dist.NewPareto(2.5, 0.5*float64(tasks))
+		},
+		Repl: make([]int, n),
+	}
+	initial := make([]int, n)
+	p := core.NewPolicy(n)
+	for k := 0; k < n; k++ {
+		m.Service[k] = dist.NewPareto(2.5, float64(1+k%4))
+		m.Failure[k] = dist.NewExponential(1e6)
+		switch {
+		case k%8 == 0:
+			m.Repl[k] = 3
+		case k%4 == 0:
+			m.Repl[k] = 2
+		default:
+			m.Repl[k] = 1
+		}
+		initial[k] = 5 + 10*(k%4)
+		if k%4 == 3 && k+1 < n {
+			p[k][k+1] = 5
+		}
+		if k%4 == 2 {
+			p[k][k-2] = 3
+		}
+	}
+	s, err := core.NewState(m, initial, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, s
+}
+
+// BenchmarkRunFleet32 measures one realization of fleet32: the agenda's
+// pop scans every server's service slot, so this guards against a fleet
+// slowdown.
+func BenchmarkRunFleet32(b *testing.B) {
+	m, s := fleet32(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Run(m, s, rngutil.Stream(3, i))
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
 	"time"
 
 	"dtr/dist"
@@ -62,66 +61,71 @@ type Rebalancer struct {
 	Decide func(queues []int, up []bool) core.Policy
 }
 
-// evKind says what a scheduled event does when the loop pops it.
-type evKind uint8
-
-const (
-	evService evKind = iota // copy id of the task in service at server completes its draw w
-	evFailure               // server's failure clock fires at its draw w
-	evDeliver               // group id (tasks from src) reaches dst after its draw w
-	evTick                  // the rebalancer decides
-)
-
-// event is what the realization schedules: a value holding the fields
-// its kind reads, so scheduling one allocates nothing.
-type event struct {
-	kind                        evKind
-	server, src, dst, tasks, id int
-	w                           float64
-}
-
-// inflightXfer is a fresh group in the network, remembered while tracing
-// for the observation it becomes: its transfer time on delivery, a
-// censored one if the capture ends first. Groups already aged at t = 0
-// are residual-time draws and are not remembered.
-type inflightXfer struct {
-	id, src, dst, tasks int
-	start               float64
-}
-
-// run is one realization in progress: the event queue, the part of the
-// state the realization mutates (queue lengths and liveness; the ages
-// and groups of the start state s are only read) and the bookkeeping the
-// event handlers share.
+// run is one realization's state: the agenda, the part of the start
+// state s a realization mutates (queue lengths and liveness; the ages and
+// groups of s are only read) and the bookkeeping the event handlers
+// share. newRun sizes it for a model and a start state once; realize
+// resets it, so a worker reuses one run, and its generator, for every
+// replication it takes.
 type run struct {
 	m  *core.Model
 	s  *core.State
-	r  *rand.Rand
 	rb *Rebalancer
-	q  des.Queue[event]
 	// tw, when set, receives the realization's trace events, stamped rep.
-	tw  *trace.Writer
+	tw *trace.Writer
+	// The start state's laws, aged as s says: each server's task in
+	// service (nil when the server is down or empty, where its age means
+	// nothing and may lie past the law's support), its failure clock
+	// (nil: none is set) and each group in flight. They are the same for
+	// every realization from s.
+	startService, startFailure, startGroup []dist.Dist
+
+	r   *rand.Rand
+	pcg rand.PCG // the stream r draws from when Estimate reseeds it
 	rep int
+	a   agenda
 
 	queue []int
 	up    []bool
 	out   Outcome
-
-	remainingGroups []int // groups still heading to each server
-	pendingGroups   int
-	// copies[k] holds the pending service-copy events of the task in
-	// service at server k: one event normally, Repl[k] events under
-	// replication (the first to fire cancels its siblings).
-	copies       [][]des.Handle
-	serviceStart []float64
-	serviceAged  []bool
-	// inflight lists the traced groups in the network in transfer-id
-	// order, so the censored lines of a capture come out in one order.
-	inflight []inflightXfer
-	xferID   int
-	ticks    int
+	ticks int
 
 	doomed, finished bool
+}
+
+// newRun sizes a realization of model m from state s; the caller sets
+// its generator r.
+func newRun(m *core.Model, s *core.State, rb *Rebalancer, tw *trace.Writer) *run {
+	n := m.N()
+	rn := &run{
+		m: m, s: s, rb: rb, tw: tw,
+		startService: make([]dist.Dist, n),
+		startFailure: make([]dist.Dist, n),
+		startGroup:   make([]dist.Dist, len(s.Groups)),
+		queue:        make([]int, n),
+		up:           make([]bool, n),
+		out:          Outcome{Served: make([]int, n), BusyTime: make([]float64, n)},
+	}
+	for k := 0; k < n; k++ {
+		if s.Up[k] && s.Queue[k] > 0 {
+			rn.startService[k] = aged(m.Service[k], s.AgeW[k])
+		}
+		if _, never := m.Failure[k].(dist.Never); s.Up[k] && !never {
+			rn.startFailure[k] = aged(m.Failure[k], s.AgeY[k])
+		}
+	}
+	for i, g := range s.Groups {
+		rn.startGroup[i] = aged(m.Transfer(g.Tasks, g.Src, g.Dst), g.Age)
+	}
+	return rn
+}
+
+// aged is d's residual law at age a, d itself at age 0.
+func aged(d dist.Dist, a float64) dist.Dist {
+	if a > 0 {
+		return d.Aged(a)
+	}
+	return d
 }
 
 // RunTraced simulates one realization starting from state s under model
@@ -134,62 +138,60 @@ type run struct {
 // modified. Tracing never draws randomness, so outcomes are bit-identical
 // with and without it.
 func RunTraced(m *core.Model, s *core.State, r *rand.Rand, rb *Rebalancer, tw *trace.Writer, rep int) Outcome {
-	n := m.N()
-	rn := run{
-		m: m, s: s, r: r, rb: rb, tw: tw, rep: rep,
-		queue:           append([]int(nil), s.Queue...),
-		up:              append([]bool(nil), s.Up...),
-		out:             Outcome{Served: make([]int, n), BusyTime: make([]float64, n)},
-		remainingGroups: make([]int, n),
-		copies:          make([][]des.Handle, n),
-		serviceStart:    make([]float64, n),
-		serviceAged:     make([]bool, n),
-	}
-	defer rn.q.FlushStats()
+	rn := newRun(m, s, rb, tw)
+	rn.r = r
+	rn.realize(rep)
+	return rn.out
+}
 
-	// Per server: room for its service copies, and its failure clock.
-	for k := 0; k < n; k++ {
-		rn.copies[k] = make([]des.Handle, 0, m.ReplFactor(k))
-		if !rn.up[k] {
+// realize runs replication rep from the start state, leaving its outcome
+// in rn.out.
+func (rn *run) realize(rep int) {
+	n := len(rn.queue)
+	rn.rep = rep
+	copy(rn.queue, rn.s.Queue)
+	copy(rn.up, rn.s.Up)
+	clear(rn.out.Served)
+	clear(rn.out.BusyTime)
+	rn.out = Outcome{Served: rn.out.Served, BusyTime: rn.out.BusyTime}
+	rn.ticks, rn.doomed, rn.finished = 0, false, false
+	rn.a.reset(n)
+
+	// Per server: its failure clock.
+	for k, fd := range rn.startFailure {
+		if fd == nil {
 			continue
 		}
-		if _, never := m.Failure[k].(dist.Never); never {
-			continue
-		}
-		fd := m.Failure[k]
-		if s.AgeY[k] > 0 {
-			fd = fd.Aged(s.AgeY[k])
-		}
-		if y := fd.Sample(r); !math.IsInf(y, 1) {
-			rn.q.Schedule(y, event{kind: evFailure, server: k, w: y})
+		if y := fd.Sample(rn.r); !math.IsInf(y, 1) {
+			rn.a.failAt(k, y)
 		}
 	}
 	// In-flight groups of the initial state.
-	for _, g := range s.Groups {
-		rn.dispatch(g.Src, g.Dst, g.Tasks, g.Age)
+	for i, g := range rn.s.Groups {
+		rn.dispatch(g.Src, g.Dst, g.Tasks, rn.startGroup[i], g.Age <= 0)
 	}
 	// Periodic rebalancing decisions, if configured.
-	if rb != nil && rb.Period > 0 && rb.Decide != nil {
+	if rb := rn.rb; rb != nil && rb.Period > 0 && rb.Decide != nil {
 		rn.scheduleTick(rb.Period)
 	}
 	// Services in progress at t = 0.
 	for k := 0; k < n; k++ {
-		rn.scheduleService(k, s.AgeW[k])
+		rn.scheduleService(k, rn.startService[k], !(rn.s.AgeW[k] > 0))
 	}
 	rn.checkDone() // trivially empty workloads complete at t = 0
 
 	for !rn.finished && !rn.doomed {
-		ev, ok := rn.q.Next(math.Inf(1))
-		if !ok {
-			// Queue drained without completion: only possible when a task
+		ev := rn.a.next()
+		if ev == nil {
+			// Agenda drained without completion: only possible when a task
 			// can never be served (e.g. Never service law) — treat as doomed.
 			rn.doomed = true
-			rn.out.Time = rn.q.Now()
+			rn.out.Time = rn.a.now
 			break
 		}
 		switch ev.kind {
 		case evService:
-			rn.serviceDone(ev.server, ev.id, ev.w)
+			rn.serviceDone(ev)
 		case evFailure:
 			rn.fail(ev.server, ev.w)
 		case evDeliver:
@@ -198,10 +200,10 @@ func RunTraced(m *core.Model, s *core.State, r *rand.Rand, rb *Rebalancer, tw *t
 			rn.rebalance()
 		}
 	}
-	if tw != nil {
+	if rn.tw != nil {
 		rn.traceCensored()
 	}
-	return rn.out
+	des.CountProcessed(rn.a.events)
 }
 
 // emit traces one observation at the current instant; without a writer
@@ -213,12 +215,12 @@ func (rn *run) emit(ev trace.Event) {
 		return
 	}
 	ev.Rep = rn.rep
-	ev.T = rn.q.Now()
+	ev.T = rn.a.now
 	_ = rn.tw.Write(ev) // sticky error surfaces at Flush
 }
 
 func (rn *run) checkDone() {
-	if rn.doomed || rn.pendingGroups != 0 {
+	if rn.doomed || len(rn.a.groups) != 0 {
 		return
 	}
 	for _, q := range rn.queue {
@@ -228,56 +230,42 @@ func (rn *run) checkDone() {
 	}
 	rn.finished = true
 	rn.out.Completed = true
-	rn.out.Time = rn.q.Now()
+	rn.out.Time = rn.a.now
 }
 
 // scheduleService starts the next task at server k, its service time
-// already aged by `aged` on a state resume.
-func (rn *run) scheduleService(k int, aged float64) {
+// drawn from d: the fresh law, or the law aged on a state resume.
+func (rn *run) scheduleService(k int, d dist.Dist, fresh bool) {
 	if !rn.up[k] || rn.queue[k] == 0 {
 		return
 	}
-	d := rn.m.Service[k]
-	if aged > 0 {
-		// On a state resume the task's copies were launched together,
-		// so every copy's residual law carries the same age.
-		d = d.Aged(aged)
-	}
-	now := rn.q.Now()
-	rn.serviceStart[k] = now
-	rn.serviceAged[k] = aged > 0
 	// Spawn Repl[k] i.i.d. copies; the first completion wins and cancels
 	// its siblings (cancel-on-first-complete). For one copy this is
-	// exactly one draw and one event — the pre-replication stream.
-	rn.copies[k] = rn.copies[k][:0]
+	// exactly one draw and one event — the pre-replication stream. On a
+	// state resume the task's copies were launched together, so every
+	// copy's residual law carries the same age.
+	rn.a.startService(k, fresh)
 	for i, c := 0, rn.m.ReplFactor(k); i < c; i++ {
-		w := d.Sample(rn.r)
-		rn.copies[k] = append(rn.copies[k], rn.q.Schedule(now+w, event{kind: evService, server: k, id: i, w: w}))
+		rn.a.serviceCopy(k, d.Sample(rn.r))
 	}
 }
 
-// serviceDone completes the task in service at server k through its
-// copy i, whose draw was w.
-func (rn *run) serviceDone(k, i int, w float64) {
-	c := len(rn.copies[k])
-	for j, h := range rn.copies[k] {
-		if j != i {
-			rn.q.Cancel(h)
-			rn.out.CopiesCancelled++
-		}
-	}
-	rn.copies[k] = rn.copies[k][:0]
+// serviceDone completes the task in service at ev.server through its
+// copy ev.id, whose draw was ev.w; the agenda has cancelled the others.
+func (rn *run) serviceDone(ev *event) {
+	k := ev.server
+	rn.out.CopiesCancelled += ev.copies - 1
 	rn.queue[k]--
 	rn.out.Served[k]++
-	rn.out.BusyTime[k] += w
-	if !rn.serviceAged[k] && c == 1 {
+	rn.out.BusyTime[k] += ev.w
+	if ev.fresh && ev.copies == 1 {
 		// Replicated completions are min-of-k draws, not samples of
 		// the fresh service law the fitters estimate, so only
 		// factor-1 draws are traced.
-		rn.emit(trace.Event{Kind: trace.KindService, Server: k, Value: w})
+		rn.emit(trace.Event{Kind: trace.KindService, Server: k, Value: ev.w})
 	}
 	if rn.queue[k] > 0 {
-		rn.scheduleService(k, 0)
+		rn.scheduleService(k, rn.m.Service[k], true)
 	}
 	rn.checkDone()
 }
@@ -292,62 +280,50 @@ func (rn *run) fail(k int, y float64) {
 	if rn.s.AgeY[k] == 0 {
 		rn.emit(trace.Event{Kind: trace.KindFailure, Server: k, Value: y})
 	}
-	for _, h := range rn.copies[k] {
-		rn.q.Cancel(h)
+	rn.a.cancelService(k)
+	doomed := rn.queue[k] > 0
+	for _, g := range rn.a.groups {
+		doomed = doomed || g.ev.server == k // a group still heading to k
 	}
-	rn.copies[k] = rn.copies[k][:0]
-	if rn.queue[k] > 0 || rn.remainingGroups[k] > 0 {
+	if doomed {
 		rn.doomed = true
-		rn.out.Time = rn.q.Now()
+		rn.out.Time = rn.a.now
 	}
 }
 
 // dispatch launches a task group into the network: one transfer draw
-// (aged for groups already in flight at t = 0), then delivery —
-// fatally late if the destination has meanwhile failed.
-func (rn *run) dispatch(src, dst, tasks int, age float64) {
-	td := rn.m.Transfer(tasks, src, dst)
-	if age > 0 {
-		td = td.Aged(age)
-	}
-	z := td.Sample(rn.r)
-	id := rn.xferID
-	rn.xferID++
-	if rn.tw != nil && age <= 0 {
-		rn.inflight = append(rn.inflight, inflightXfer{id: id, src: src, dst: dst, tasks: tasks, start: rn.q.Now()})
-	}
-	rn.pendingGroups++
-	rn.remainingGroups[dst]++
-	rn.q.Schedule(rn.q.Now()+z, event{kind: evDeliver, src: src, dst: dst, tasks: tasks, id: id, w: z})
+// from td (aged for groups already in flight at t = 0, which are not
+// fresh), then delivery — fatally late if the destination has meanwhile
+// failed.
+func (rn *run) dispatch(src, dst, tasks int, td dist.Dist, fresh bool) {
+	rn.a.deliverAt(event{fresh: fresh, server: dst, src: src, tasks: tasks, w: td.Sample(rn.r), start: rn.a.now})
 }
 
-func (rn *run) deliver(ev event) {
-	rn.pendingGroups--
-	rn.remainingGroups[ev.dst]--
-	if i := slices.IndexFunc(rn.inflight, func(fl inflightXfer) bool { return fl.id == ev.id }); i >= 0 {
-		rn.emit(trace.Event{Kind: trace.KindTransfer, Src: ev.src, Dst: ev.dst, Tasks: ev.tasks, Value: ev.w})
-		rn.inflight = slices.Delete(rn.inflight, i, i+1)
+func (rn *run) deliver(ev *event) {
+	dst := ev.server
+	if ev.fresh {
+		rn.emit(trace.Event{Kind: trace.KindTransfer, Src: ev.src, Dst: dst, Tasks: ev.tasks, Value: ev.w})
 	}
-	if !rn.up[ev.dst] {
+	if !rn.up[dst] {
 		rn.doomed = true
-		rn.out.Time = rn.q.Now()
+		rn.out.Time = rn.a.now
 		return
 	}
-	wasIdle := rn.queue[ev.dst] == 0
-	rn.queue[ev.dst] += ev.tasks
+	wasIdle := rn.queue[dst] == 0
+	rn.queue[dst] += ev.tasks
 	if wasIdle {
-		rn.scheduleService(ev.dst, 0)
+		rn.scheduleService(dst, rn.m.Service[dst], true)
 	}
 }
 
 // scheduleTick books the next rebalancing decision. The tick count is
 // capped so a pathological model (a task that can never be served)
 // cannot keep the event loop alive forever; once ticking stops, the
-// queue drains and the run resolves through the usual outcome logic.
+// agenda drains and the run resolves through the usual outcome logic.
 func (rn *run) scheduleTick(t float64) {
 	const maxTicks = 1 << 20
 	if rn.ticks++; rn.ticks <= maxTicks {
-		rn.q.Schedule(t, event{kind: evTick})
+		rn.a.tickAt(t)
 	}
 }
 
@@ -362,7 +338,7 @@ func (rn *run) rebalance() {
 		}
 		// The task in service cannot be shipped.
 		shippable := rn.queue[i]
-		if len(rn.copies[i]) > 0 {
+		if rn.a.inService(i) > 0 {
 			shippable--
 		}
 		for j, l := range pol[i] {
@@ -371,30 +347,33 @@ func (rn *run) rebalance() {
 			}
 			rn.queue[i] -= l
 			shippable -= l
-			rn.dispatch(i, j, l, 0)
+			rn.dispatch(i, j, l, rn.m.Transfer(l, i, j), true)
 		}
 	}
-	rn.scheduleTick(rn.q.Now() + rn.rb.Period)
+	rn.scheduleTick(rn.a.now + rn.rb.Period)
 }
 
 // traceCensored emits the right-censored observations at capture end:
 // services still in progress, transfers still in flight, servers still
 // alive. Their realized durations exceed the recorded elapsed values.
 func (rn *run) traceCensored() {
-	end := rn.q.Now()
+	end := rn.a.now
 	for k := range rn.queue {
-		if len(rn.copies[k]) == 1 && !rn.serviceAged[k] {
+		if sl := &rn.a.service[k].ev; rn.a.inService(k) == 1 && sl.fresh {
 			rn.emit(trace.Event{Kind: trace.KindService, Server: k,
-				Value: end - rn.serviceStart[k], Censored: true})
+				Value: end - sl.start, Censored: true})
 		}
 		if rn.up[k] && rn.s.AgeY[k] == 0 && end > 0 {
 			rn.emit(trace.Event{Kind: trace.KindFailure, Server: k,
 				Value: end, Censored: true})
 		}
 	}
-	for _, fl := range rn.inflight {
-		rn.emit(trace.Event{Kind: trace.KindTransfer, Src: fl.src, Dst: fl.dst,
-			Tasks: fl.tasks, Value: end - fl.start, Censored: true})
+	// The groups in flight, in dispatch order.
+	for _, g := range rn.a.groups {
+		if g.ev.fresh {
+			rn.emit(trace.Event{Kind: trace.KindTransfer, Src: g.ev.src, Dst: g.ev.server,
+				Tasks: g.ev.tasks, Value: end - g.ev.start, Censored: true})
+		}
 	}
 }
 
@@ -409,7 +388,8 @@ type Options struct {
 	Workers int
 	// Deadline is the QoS threshold TM; 0 disables the QoS estimate.
 	Deadline float64
-	// Level is the confidence level for intervals (default 0.95).
+	// Level is the confidence level for intervals, in (0, 1)
+	// (default 0.95).
 	Level float64
 	// Rebalance, when non-nil, re-runs a DTR decision periodically in
 	// every replication (see Rebalancer).
@@ -459,6 +439,9 @@ func EstimateState(m *core.Model, s *core.State, opt Options) (Estimates, error)
 	if level == 0 {
 		level = 0.95
 	}
+	if !(level > 0 && level < 1) {
+		return Estimates{}, fmt.Errorf("sim: Options.Level must be in (0, 1), got %g", opt.Level)
+	}
 	workers := min(par.Workers(opt.Workers), opt.Reps)
 
 	defer obs.StartSpan("replicate", "reps", opt.Reps, "workers", workers)()
@@ -470,15 +453,32 @@ func EstimateState(m *core.Model, s *core.State, opt Options) (Estimates, error)
 	for w := range busy {
 		busy[w] = obs.Default().Gauge(obs.Name("dtr_sim_worker_busy_seconds", "worker", w))
 	}
-	outcomes := make([]Outcome, opt.Reps)
+	// One realization state per worker, its generator reseeded in place
+	// to replication i's stream, so a replication allocates nothing. A
+	// worker allocates its own on its first replication: its small
+	// per-server slices then come from its P's spans, not from cache
+	// lines a second worker writes too.
+	runs := make([]*run, workers)
+	completed := make([]bool, opt.Reps)
+	times := make([]float64, opt.Reps)
 	_ = par.ForEach(workers, opt.Reps, func(w, i int) error { // a replication cannot fail
+		rn := runs[w]
+		if rn == nil {
+			rn = newRun(m, s, opt.Rebalance, opt.Trace)
+			rn.r = rand.New(&rn.pcg)
+			runs[w] = rn
+		}
+		rngutil.Reseed(&rn.pcg, opt.Seed, i)
+		var t0 time.Time
+		if instrumented {
+			t0 = time.Now()
+		}
+		rn.realize(i)
+		out := &rn.out
+		completed[i], times[i] = out.Completed, out.Time
 		if !instrumented {
-			outcomes[i] = RunTraced(m, s, rngutil.Stream(opt.Seed, i), opt.Rebalance, opt.Trace, i)
 			return nil
 		}
-		t0 := time.Now()
-		out := RunTraced(m, s, rngutil.Stream(opt.Seed, i), opt.Rebalance, opt.Trace, i)
-		outcomes[i] = out
 		busy[w].Add(time.Since(t0).Seconds())
 		simWall.ObserveSince(t0)
 		simReps.Inc()
@@ -490,14 +490,16 @@ func EstimateState(m *core.Model, s *core.State, opt Options) (Estimates, error)
 		return nil
 	})
 
+	// The completed realizations' times, in replication order, packed
+	// into the front of times.
 	est := Estimates{Reps: opt.Reps}
-	var times []float64
+	done := times[:0]
 	within := 0
-	for _, o := range outcomes {
-		if o.Completed {
+	for i, t := range times {
+		if completed[i] {
 			est.Completed++
-			times = append(times, o.Time)
-			if opt.Deadline > 0 && o.Time < opt.Deadline {
+			done = append(done, t)
+			if opt.Deadline > 0 && t < opt.Deadline {
 				within++
 			}
 		}
@@ -508,8 +510,8 @@ func EstimateState(m *core.Model, s *core.State, opt Options) (Estimates, error)
 	} else {
 		est.QoS, est.QoSHalf = math.NaN(), math.NaN()
 	}
-	if len(times) > 0 {
-		est.MeanTime, est.MeanTimeHalf = stat.MeanCI(times, level)
+	if len(done) > 0 {
+		est.MeanTime, est.MeanTimeHalf = stat.MeanCI(done, level)
 	} else {
 		est.MeanTime, est.MeanTimeHalf = math.NaN(), math.NaN()
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dtr/dist"
@@ -215,6 +216,26 @@ func TestEstimateValidation(t *testing.T) {
 	}
 }
 
+// TestEstimateRejectsLevel: a confidence level outside (0, 1) made
+// negative, infinite or NaN half-widths; it is an error, and 0 still
+// selects 0.95.
+func TestEstimateRejectsLevel(t *testing.T) {
+	m := model2(dist.NewExponential(1), dist.NewExponential(2), 50, 30, 1)
+	for _, level := range []float64{-0.2, 1, 1.5, math.NaN()} {
+		if est, err := Estimate(m, []int{20, 10}, core.Policy2(5, 2), Options{Reps: 50, Level: level}); err == nil {
+			t.Errorf("Level %v: no error, estimates %+v", level, est)
+		}
+	}
+	def, err := Estimate(m, []int{20, 10}, core.Policy2(5, 2), Options{Reps: 50, Deadline: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at95, err := Estimate(m, []int{20, 10}, core.Policy2(5, 2), Options{Reps: 50, Deadline: 60, Level: 0.95})
+	if err != nil || at95 != def {
+		t.Fatalf("Level 0 gave %+v, Level 0.95 %+v (%v)", def, at95, err)
+	}
+}
+
 func TestAgedInitialStateShortensRun(t *testing.T) {
 	// A service clock with age nearly equal to a deterministic service
 	// time completes almost immediately.
@@ -224,6 +245,43 @@ func TestAgedInitialStateShortensRun(t *testing.T) {
 	o := Run(m, s, rngutil.Stream(23, 0))
 	if !o.Completed || o.Time > 0.51 || o.Time < 0.49 {
 		t.Fatalf("aged deterministic service: %+v", o)
+	}
+}
+
+// TestAdvancedIdleServersSimulate: State.Advance ages every server's
+// service clock, the empty and the down ones too, where the age means
+// nothing and may lie past a bounded law's support (Deterministic and
+// Uniform panic when aged there). Such a state simulates, and exactly as
+// it does with those ages reset to zero.
+func TestAdvancedIdleServersSimulate(t *testing.T) {
+	m := &core.Model{
+		Service: []dist.Dist{dist.NewExponential(1), dist.NewDeterministic(5), dist.NewUniform(1, 3)},
+		Failure: []dist.Dist{dist.NewExponential(80), dist.NewExponential(60), dist.Never{}},
+		Transfer: func(tasks, src, dst int) dist.Dist {
+			return dist.NewExponential(0.5 * float64(tasks))
+		},
+	}
+	s, err := core.NewState(m, []int{6, 0, 0}, core.Policy{{0, 2, 0}, {0, 0, 0}, {0, 0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Up[2] = false
+	s.Advance(6)
+	reset := s.Clone()
+	reset.AgeW[1], reset.AgeW[2] = 0, 0
+	for rep := 0; rep < 200; rep++ {
+		got, want := Run(m, s, rngutil.Stream(41, rep)), Run(m, reset, rngutil.Stream(41, rep))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rep %d: advanced state %+v, ages reset %+v", rep, got, want)
+		}
+	}
+	got, err := EstimateState(m, s, Options{Reps: 500, Seed: 41, Workers: 2, Deadline: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EstimateState(m, reset, Options{Reps: 500, Seed: 41, Workers: 2, Deadline: 20})
+	if err != nil || got != want {
+		t.Fatalf("advanced state %+v, ages reset %+v (%v)", got, want, err)
 	}
 }
 
