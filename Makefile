@@ -24,7 +24,7 @@ fmt:
 # The full suite under -race is slow (the solvers are CPU-bound); race
 # covers the packages that actually share state across goroutines.
 race:
-	$(GO) test -race -timeout 30m . ./internal/obs ./internal/sim ./internal/des ./internal/testbed ./internal/par ./internal/fft ./internal/policy ./internal/direct ./internal/exper ./internal/serve ./internal/cluster ./internal/trace ./internal/adapt ./internal/ingest ./dist ./dist/fit ./modelspec
+	$(GO) test -race -timeout 30m . ./internal/obs ./internal/sim ./internal/testbed ./internal/par ./internal/fft ./internal/policy ./internal/direct ./internal/exper ./internal/serve ./internal/cluster ./internal/trace ./internal/adapt ./internal/ingest ./dist ./dist/fit ./modelspec
 
 # The end-to-end driver (internal/smoke): it builds the daemons, dtrlab
 # and the examples once and runs seven subtests on them: Serve, Adapt,
@@ -76,7 +76,10 @@ smoke:
 # des.Queue's guard against scheduling into the past), its per-worker
 # realization state and in-place reseed, and the quantiles' short power
 # path (dist.quantilePow).
-LOC_CEILING = 23160
+# −218: internal/des deleted (the warm-up schedules on container/heap), the
+# Fig. 1 and Fig. 2 generators and the two Markovian-error sweeps folded
+# into one each, and five test-only entry points moved into their tests.
+LOC_CEILING = 22942
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -25,7 +25,7 @@ func BenchmarkFig1MeanTimeSweep(b *testing.B) {
 	fid := benchFid()
 	for i := 0; i < b.N; i++ {
 		for _, d := range []exper.Delay{exper.LowDelay, exper.SevereDelay} {
-			if _, err := exper.Fig1(d, fid); err != nil {
+			if _, err := exper.Fig12(d, true, fid); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -36,7 +36,7 @@ func BenchmarkFig2ReliabilitySweep(b *testing.B) {
 	fid := benchFid()
 	for i := 0; i < b.N; i++ {
 		for _, d := range []exper.Delay{exper.LowDelay, exper.SevereDelay} {
-			if _, err := exper.Fig2(d, fid); err != nil {
+			if _, err := exper.Fig12(d, false, fid); err != nil {
 				b.Fatal(err)
 			}
 		}

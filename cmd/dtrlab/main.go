@@ -115,25 +115,14 @@ func lab() error {
 			fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(started).Round(time.Millisecond))
 		}()
 		switch name {
-		case "fig1":
+		case "fig1", "fig2":
+			reliable := name == "fig1"
 			for _, d := range []exper.Delay{exper.LowDelay, exper.SevereDelay} {
-				t, err := exper.Fig1(d, fid)
+				t, err := exper.Fig12(d, reliable, fid)
 				if err != nil {
 					return err
 				}
-				e, err := exper.MarkovianError(d, true, fid)
-				if err != nil {
-					return err
-				}
-				emit(t, e)
-			}
-		case "fig2":
-			for _, d := range []exper.Delay{exper.LowDelay, exper.SevereDelay} {
-				t, err := exper.Fig2(d, fid)
-				if err != nil {
-					return err
-				}
-				e, err := exper.MarkovianError(d, false, fid)
+				e, err := exper.MarkovianError(d, reliable, fid)
 				if err != nil {
 					return err
 				}

@@ -103,9 +103,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Self returns this replica's base URL.
-func (c *Cluster) Self() string { return c.self }
-
 // Members returns the full static membership, sorted.
 func (c *Cluster) Members() []string { return c.full.Members() }
 

@@ -14,12 +14,12 @@
 package estimate
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 
 	"dtr/dist"
 	"dtr/internal/core"
-	"dtr/internal/des"
 	"dtr/internal/rngutil"
 )
 
@@ -111,6 +111,54 @@ const (
 	evPacket
 )
 
+// agenda is the warm-up's future-event list: a heap of events ordered by
+// time, then by scheduling order, so events at equal times run in the
+// order they were scheduled.
+type agenda struct {
+	pending []scheduled
+	seq     uint64
+	now     float64
+}
+
+type scheduled struct {
+	t   float64
+	seq uint64
+	ev  event
+}
+
+func (a *agenda) Len() int { return len(a.pending) }
+func (a *agenda) Less(i, j int) bool {
+	x, y := a.pending[i], a.pending[j]
+	return x.t < y.t || (x.t == y.t && x.seq < y.seq)
+}
+func (a *agenda) Swap(i, j int) { a.pending[i], a.pending[j] = a.pending[j], a.pending[i] }
+func (a *agenda) Push(x any)    { a.pending = append(a.pending, x.(scheduled)) }
+func (a *agenda) Pop() any {
+	last := a.pending[len(a.pending)-1]
+	a.pending = a.pending[:len(a.pending)-1]
+	return last
+}
+
+// schedule enqueues ev at absolute time t. Scheduling before now panics:
+// it is always a logic error in a simulation.
+func (a *agenda) schedule(t float64, ev event) {
+	if t < a.now {
+		panic("estimate: scheduling into the past")
+	}
+	a.seq++
+	heap.Push(a, scheduled{t, a.seq, ev})
+}
+
+// next removes and returns the earliest pending event, advancing the
+// clock to its time, unless none is pending at or before tmax.
+func (a *agenda) next(tmax float64) (event, bool) {
+	if len(a.pending) == 0 || a.pending[0].t > tmax {
+		return event{}, false
+	}
+	a.now = a.pending[0].t
+	return heap.Pop(a).(scheduled).ev, true
+}
+
 // Take simulates the DCS serving its workload for warmup time units with
 // periodic queue-length broadcasts and returns the snapshot at decision
 // time. Estimates default to the initial allocation until a first packet
@@ -131,7 +179,7 @@ func (e *Exchange) Take(initial []int, warmup float64, realization int) (*Snapsh
 	}
 
 	r := rngutil.Stream(e.Seed, realization)
-	var q des.Queue[event]
+	var q agenda
 
 	snap := &Snapshot{
 		Queues: append([]int(nil), initial...),
@@ -149,7 +197,7 @@ func (e *Exchange) Take(initial []int, warmup float64, realization int) (*Snapsh
 	// Service processes.
 	serve := func(k int) {
 		if snap.Queues[k] > 0 {
-			q.Schedule(q.Now()+e.Model.EffectiveService(k).Sample(r), event{kind: evServed, server: k})
+			q.schedule(q.now+e.Model.EffectiveService(k).Sample(r), event{kind: evServed, server: k})
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -158,7 +206,7 @@ func (e *Exchange) Take(initial []int, warmup float64, realization int) (*Snapsh
 	// Periodic broadcasts, none past the decision time.
 	tick := func(j int, t float64) {
 		if t <= warmup {
-			q.Schedule(t, event{kind: evBroadcast, server: j})
+			q.schedule(t, event{kind: evBroadcast, server: j})
 		}
 	}
 	for j := 0; j < n; j++ {
@@ -166,7 +214,7 @@ func (e *Exchange) Take(initial []int, warmup float64, realization int) (*Snapsh
 	}
 
 	for {
-		ev, ok := q.Next(warmup)
+		ev, ok := q.next(warmup)
 		if !ok {
 			break
 		}
@@ -177,7 +225,7 @@ func (e *Exchange) Take(initial []int, warmup float64, realization int) (*Snapsh
 		case evBroadcast:
 			// Server j snapshots its queue and sends it to every peer with
 			// a random packet delay.
-			sent := q.Now()
+			sent := q.now
 			for i := 0; i < n; i++ {
 				if i == j {
 					continue
@@ -187,7 +235,7 @@ func (e *Exchange) Take(initial []int, warmup float64, realization int) (*Snapsh
 					delay = e.PacketDelay(j, i).Sample(r)
 				}
 				if arrive := sent + delay; arrive <= warmup { // else still in flight at decision time
-					q.Schedule(arrive, event{kind: evPacket, server: j, dst: i, sent: sent, value: snap.Queues[j]})
+					q.schedule(arrive, event{kind: evPacket, server: j, dst: i, sent: sent, value: snap.Queues[j]})
 				}
 			}
 			tick(j, sent+e.Period)

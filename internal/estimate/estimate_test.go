@@ -1,6 +1,9 @@
 package estimate
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"testing"
 
 	"dtr/dist"
@@ -155,4 +158,121 @@ func TestDeterministicUnderSeed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// drain pops every pending event, handing each to run (which may
+// schedule more), and returns the values of the events in the order they
+// ran.
+func drain(a *agenda, run func(event)) []int {
+	var got []int
+	for {
+		ev, ok := a.next(math.Inf(1))
+		if !ok {
+			return got
+		}
+		got = append(got, ev.value)
+		if run != nil {
+			run(ev)
+		}
+	}
+}
+
+func TestEventsRunInTimeOrder(t *testing.T) {
+	var a agenda
+	a.schedule(3, event{value: 3})
+	a.schedule(1, event{value: 1})
+	a.schedule(2, event{value: 2})
+	if got := drain(&a, nil); !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("order: %v", got)
+	}
+	if a.now != 3 {
+		t.Fatalf("clock: %g", a.now)
+	}
+}
+
+func TestFIFOTieBreak(t *testing.T) {
+	var a agenda
+	for v := 1; v <= 3; v++ {
+		a.schedule(1, event{value: v})
+	}
+	if got := drain(&a, nil); !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("tie order: %v", got)
+	}
+}
+
+func TestScheduleFromWithinEvent(t *testing.T) {
+	var a agenda
+	a.schedule(1, event{value: 1})
+	got := drain(&a, func(ev event) {
+		if ev.value == 1 {
+			a.schedule(a.now+1, event{value: 2})
+		}
+	})
+	if !slices.Equal(got, []int{1, 2}) || a.now != 2 {
+		t.Fatalf("chained event: ran %v now=%g", got, a.now)
+	}
+}
+
+// TestHeapOrderUnderChurn: interleaved schedules and pops over many equal
+// times always run the pending events in (time, seq) order.
+func TestHeapOrderUnderChurn(t *testing.T) {
+	var a agenda
+	var want []scheduled // pending, in scheduling order
+	seq := 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 7; i++ {
+			tm := a.now + float64((round*7+i*5)%4)
+			a.schedule(tm, event{value: seq})
+			want = append(want, scheduled{t: tm, ev: event{value: seq}})
+			seq++
+		}
+		for i := 0; i < 3; i++ {
+			got, ok := a.next(math.Inf(1))
+			if !ok {
+				t.Fatalf("round %d: nothing pending", round)
+			}
+			slices.SortStableFunc(want, func(x, y scheduled) int { return cmp.Compare(x.t, y.t) })
+			if got != want[0].ev || a.now != want[0].t {
+				t.Fatalf("round %d: ran %+v at %g, earliest pending is %+v", round, got, a.now, want[0])
+			}
+			want = want[1:]
+		}
+	}
+	if a.Len() != len(want) {
+		t.Fatalf("%d events pending, want %d", a.Len(), len(want))
+	}
+}
+
+func TestRunBounded(t *testing.T) {
+	var a agenda
+	for v := 1; v <= 5; v++ {
+		a.schedule(float64(v), event{value: v})
+	}
+	count := 0
+	for {
+		if _, ok := a.next(2.5); !ok {
+			break
+		}
+		count++
+	}
+	if count != 2 || a.now != 2 {
+		t.Fatalf("ran %d events before 2.5, clock at %g", count, a.now)
+	}
+	if a.Len() != 3 {
+		t.Fatalf("%d events pending", a.Len())
+	}
+}
+
+// TestSchedulingPastPanics: an event scheduled before the clock, which
+// only a broken law makes, panics instead of running the clock backwards.
+func TestSchedulingPastPanics(t *testing.T) {
+	var a agenda
+	a.schedule(5, event{})
+	a.next(math.Inf(1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on past scheduling")
+		}
+	}()
+	a.schedule(1, event{})
 }

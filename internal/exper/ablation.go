@@ -6,7 +6,6 @@ import (
 	"dtr/dist"
 	"dtr/internal/core"
 	"dtr/internal/direct"
-	"dtr/internal/par"
 	"dtr/internal/policy"
 	"dtr/internal/sim"
 )
@@ -129,32 +128,9 @@ func AblationDelaySweep(fid Fidelity) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var pts []int
-		for l12 := 0; l12 <= M1; l12 += fid.SweepStride * 2 {
-			pts = append(pts, l12)
-		}
-		relErrs := make([]float64, len(pts))
-		if err := par.ForEach(par.Workers(fid.Workers), len(pts), func(_, i int) error {
-			truth, err := sTrue.Reliability(M1, M2, pts[i], Fig12L21)
-			if err != nil {
-				return err
-			}
-			approx, err := sExp.Reliability(M1, M2, pts[i], Fig12L21)
-			if err != nil {
-				return err
-			}
-			if truth > 1e-9 {
-				relErrs[i] = 100 * abs(approx-truth) / truth
-			}
-			return nil
-		}); err != nil {
+		worst, err := maxRelErr(fid, fid.SweepStride*2, sTrue, sExp, false)
+		if err != nil {
 			return nil, err
-		}
-		var worst float64
-		for _, e := range relErrs {
-			if e > worst {
-				worst = e
-			}
 		}
 		t.AddRow(f2(c), f2(worst))
 	}

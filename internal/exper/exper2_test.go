@@ -3,6 +3,8 @@ package exper
 import (
 	"strings"
 	"testing"
+
+	"dtr/internal/policy"
 )
 
 // TestTable2Shapes: the five-server reproduction must preserve the
@@ -82,7 +84,11 @@ func TestFig4ABSelection(t *testing.T) {
 func TestFig4COptimum(t *testing.T) {
 	fid := Quick()
 	fid.GridN = 1 << 12
-	res, err := Fig4COptimum(fid)
+	ds, err := newTestbedSolver(TestbedModel(false), fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := policy.Optimize2(ds, TBM1, TBM2, policy.ObjReliability, policy.Options2{Workers: fid.Workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestCanonicalModelMeansMatch(t *testing.T) {
 // reallocating some work beats reallocating none or everything.
 func TestFig1Shape(t *testing.T) {
 	fid := Quick()
-	tab, err := Fig1(LowDelay, fid)
+	tab, err := Fig12(LowDelay, true, fid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFig1SevereMarkovianErrorGrows(t *testing.T) {
 // (paper: up to 65%).
 func TestFig2Shape(t *testing.T) {
 	fid := Quick()
-	tab, err := Fig2(SevereDelay, fid)
+	tab, err := Fig12(SevereDelay, false, fid)
 	if err != nil {
 		t.Fatal(err)
 	}

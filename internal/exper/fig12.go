@@ -14,24 +14,21 @@ import (
 // direct solvers the callbacks share are concurrency-safe, and each
 // result lands in its own slot, so the assembled rows match the serial
 // sweep exactly.
-func sweepL12(fid Fidelity, stride int, fn func(l12 int) ([]string, error)) ([][]string, error) {
+func sweepL12[T any](fid Fidelity, stride int, fn func(l12 int) (T, error)) ([]T, error) {
 	var pts []int
 	for l12 := 0; l12 <= M1; l12 += stride {
 		pts = append(pts, l12)
 	}
-	rows := make([][]string, len(pts))
+	out := make([]T, len(pts))
 	err := par.ForEach(par.Workers(fid.Workers), len(pts), func(_, i int) error {
-		row, err := fn(pts[i])
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
+		v, err := fn(pts[i])
+		out[i] = v
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return out, nil
 }
 
 // newCanonicalSolver builds a direct solver for the canonical scenario
@@ -45,80 +42,51 @@ func newCanonicalSolver(f dist.Family, d Delay, reliable bool, fid Fidelity) (*d
 	})
 }
 
-// Fig1 reproduces Figure 1: the mean execution time of the canonical
-// workload as a function of L12 (with L21 = 25 fixed), for every
-// stochastic model, under one delay condition. The Exponential column is
-// simultaneously the Markovian approximation of every other column
-// (matched means), which is exactly the comparison the figure makes.
-func Fig1(d Delay, fid Fidelity) (*Table, error) {
-	families := dist.PaperFamilies()
-	t := &Table{
-		Title:   fmt.Sprintf("Fig. 1 (%s delay): mean execution time vs L12 (L21=%d)", d, Fig12L21),
-		Columns: []string{"L12"},
+// canonicalMetric is what Figs. 1 and 2 plot at (L12, Fig12L21): the
+// mean execution time of the reliable workload, or the service
+// reliability of the failure-prone one.
+func canonicalMetric(s *direct.Solver, reliable bool, l12 int) (float64, error) {
+	if reliable {
+		return s.MeanTime(M1, M2, l12, Fig12L21)
 	}
-	for _, f := range families {
-		t.Columns = append(t.Columns, f.String())
-	}
-	solvers := make([]*direct.Solver, len(families))
-	for i, f := range families {
-		s, err := newCanonicalSolver(f, d, true, fid)
-		if err != nil {
-			return nil, err
-		}
-		solvers[i] = s
-	}
-	defer obs.StartSpan("sweep", "experiment", "fig1", "delay", d.String())()
-	rows, err := sweepL12(fid, fid.SweepStride, func(l12 int) ([]string, error) {
-		row := []string{fmt.Sprintf("%d", l12)}
-		for _, s := range solvers {
-			v, err := s.MeanTime(M1, M2, l12, Fig12L21)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f2(v))
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes,
-		"Exponential column = the Markovian approximation of every model (matched means)")
-	return t, nil
+	return s.Reliability(M1, M2, l12, Fig12L21)
 }
 
-// Fig2 reproduces Figure 2: the service reliability of the canonical
-// workload (exponential failures, means 1000 s and 500 s) versus L12 with
-// L21 = 25, per model and delay condition.
-func Fig2(d Delay, fid Fidelity) (*Table, error) {
+// Fig12 reproduces Figure 1 (reliable: the mean execution time) or
+// Figure 2 (the service reliability under exponential failures, means
+// 1000 s and 500 s) of the canonical workload as a function of L12 with
+// L21 = 25 fixed, for every stochastic model, under one delay condition.
+// The Exponential column is simultaneously the Markovian approximation of
+// every other column (matched means), which is exactly the comparison the
+// figures make.
+func Fig12(d Delay, reliable bool, fid Fidelity) (*Table, error) {
+	fig, metric, cell := 2, "service reliability", f4
+	if reliable {
+		fig, metric, cell = 1, "mean execution time", f2
+	}
 	families := dist.PaperFamilies()
 	t := &Table{
-		Title:   fmt.Sprintf("Fig. 2 (%s delay): service reliability vs L12 (L21=%d)", d, Fig12L21),
+		Title:   fmt.Sprintf("Fig. %d (%s delay): %s vs L12 (L21=%d)", fig, d, metric, Fig12L21),
 		Columns: []string{"L12"},
-	}
-	for _, f := range families {
-		t.Columns = append(t.Columns, f.String())
 	}
 	solvers := make([]*direct.Solver, len(families))
 	for i, f := range families {
-		s, err := newCanonicalSolver(f, d, false, fid)
+		t.Columns = append(t.Columns, f.String())
+		s, err := newCanonicalSolver(f, d, reliable, fid)
 		if err != nil {
 			return nil, err
 		}
 		solvers[i] = s
 	}
-	defer obs.StartSpan("sweep", "experiment", "fig2", "delay", d.String())()
+	defer obs.StartSpan("sweep", "experiment", fmt.Sprintf("fig%d", fig), "delay", d.String())()
 	rows, err := sweepL12(fid, fid.SweepStride, func(l12 int) ([]string, error) {
 		row := []string{fmt.Sprintf("%d", l12)}
 		for _, s := range solvers {
-			v, err := s.Reliability(M1, M2, l12, Fig12L21)
+			v, err := canonicalMetric(s, reliable, l12)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f4(v))
+			row = append(row, cell(v))
 		}
 		return row, nil
 	})
@@ -127,6 +95,10 @@ func Fig2(d Delay, fid Fidelity) (*Table, error) {
 	}
 	for _, row := range rows {
 		t.AddRow(row...)
+	}
+	if reliable {
+		t.Notes = append(t.Notes,
+			"Exponential column = the Markovian approximation of every model (matched means)")
 	}
 	return t, nil
 }
@@ -148,47 +120,43 @@ func MarkovianError(d Delay, reliable bool, fid Fidelity) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eval := func(s *direct.Solver, l12 int) (float64, error) {
-		if reliable {
-			return s.MeanTime(M1, M2, l12, Fig12L21)
-		}
-		return s.Reliability(M1, M2, l12, Fig12L21)
-	}
 	for _, f := range families[1:] {
 		s, err := newCanonicalSolver(f, d, reliable, fid)
 		if err != nil {
 			return nil, err
 		}
-		var pts []int
-		for l12 := 0; l12 <= M1; l12 += fid.SweepStride {
-			pts = append(pts, l12)
-		}
-		relErrs := make([]float64, len(pts))
-		if err := par.ForEach(par.Workers(fid.Workers), len(pts), func(_, i int) error {
-			truth, err := eval(s, pts[i])
-			if err != nil {
-				return err
-			}
-			approx, err := eval(expSolver, pts[i])
-			if err != nil {
-				return err
-			}
-			if truth > 1e-9 {
-				relErrs[i] = 100 * abs(approx-truth) / truth
-			}
-			return nil
-		}); err != nil {
+		worst, err := maxRelErr(fid, fid.SweepStride, s, expSolver, reliable)
+		if err != nil {
 			return nil, err
-		}
-		var worst float64
-		for _, e := range relErrs {
-			if e > worst {
-				worst = e
-			}
 		}
 		t.AddRow(f.String(), f2(worst))
 	}
 	return t, nil
+}
+
+// maxRelErr is the largest relative error, in percent, of the Markovian
+// solver's canonical metric against the true model's over the L12 sweep
+// at the stride; points where the truth is about 0 (or NaN) count as no
+// error.
+func maxRelErr(fid Fidelity, stride int, truth, markov *direct.Solver, reliable bool) (float64, error) {
+	relErrs, err := sweepL12(fid, stride, func(l12 int) (float64, error) {
+		tv, err := canonicalMetric(truth, reliable, l12)
+		if err != nil {
+			return 0, err
+		}
+		approx, err := canonicalMetric(markov, reliable, l12)
+		if err != nil || !(tv > 1e-9) {
+			return 0, err
+		}
+		return 100 * abs(approx-tv) / tv, nil
+	})
+	var worst float64
+	for _, e := range relErrs {
+		if e > worst {
+			worst = e
+		}
+	}
+	return worst, err
 }
 
 func abs(x float64) float64 {

@@ -55,6 +55,15 @@ func Fig4AB(fid Fidelity) ([]*Table, error) {
 	return []*Table{ta, tb}, nil
 }
 
+// newTestbedSolver builds the direct solver of the testbed workload m.
+func newTestbedSolver(m *core.Model, fid Fidelity) (*direct.Solver, error) {
+	return direct.NewSolver(m, direct.Config{
+		N:        fid.GridN,
+		Horizon:  1200,
+		MaxQueue: [2]int{TBM1 + TBM2, TBM1 + TBM2},
+	})
+}
+
 // Fig4C reproduces Figure 4(c): the service reliability of the testbed
 // workload (m1=50, m2=25; exponential failures with means 300 s and
 // 150 s) as a function of L12 with L21 = 0, from three independent
@@ -64,11 +73,7 @@ func Fig4AB(fid Fidelity) ([]*Table, error) {
 // remarkable agreement and experiments within 7%.
 func Fig4C(fid Fidelity) (*Table, error) {
 	m := TestbedModel(false)
-	ds, err := direct.NewSolver(m, direct.Config{
-		N:        fid.GridN,
-		Horizon:  1200,
-		MaxQueue: [2]int{TBM1 + TBM2, TBM1 + TBM2},
-	})
+	ds, err := newTestbedSolver(m, fid)
 	if err != nil {
 		return nil, err
 	}
@@ -126,19 +131,4 @@ func Fig4C(fid Fidelity) (*Table, error) {
 			best.L12, best.L21, best.Value),
 		fmt.Sprintf("no reallocation loses %.1f%% reliability (paper: ~15%%)", drop))
 	return t, nil
-}
-
-// Fig4COptimum returns just the reliability-optimal testbed policy, the
-// optimum Fig4C reports (TestFig4COptimum pins it).
-func Fig4COptimum(fid Fidelity) (policy.Result2, error) {
-	m := TestbedModel(false)
-	ds, err := direct.NewSolver(m, direct.Config{
-		N:        fid.GridN,
-		Horizon:  1200,
-		MaxQueue: [2]int{TBM1 + TBM2, TBM1 + TBM2},
-	})
-	if err != nil {
-		return policy.Result2{}, err
-	}
-	return policy.Optimize2(ds, TBM1, TBM2, policy.ObjReliability, policy.Options2{Workers: fid.Workers})
 }

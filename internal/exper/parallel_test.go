@@ -7,14 +7,14 @@ import (
 
 // TestGeneratorsDeterministicAcrossWorkers: a generator's table must be
 // identical however many workers shard its sweep — the parallel layer may
-// change only the wall clock, never a cell. Fig1 exercises the sharded
+// change only the wall clock, never a cell. Fig. 1 exercises the sharded
 // figure sweep; Fig3 additionally runs the parallel Optimize2 searches.
 func TestGeneratorsDeterministicAcrossWorkers(t *testing.T) {
 	fid := Quick()
 	fid.GridN = 1 << 10
 
 	fid.Workers = 1
-	fig1Base, err := Fig1(LowDelay, fid)
+	fig1Base, err := Fig12(LowDelay, true, fid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +25,12 @@ func TestGeneratorsDeterministicAcrossWorkers(t *testing.T) {
 
 	for _, workers := range []int{2, 4} {
 		fid.Workers = workers
-		fig1, err := Fig1(LowDelay, fid)
+		fig1, err := Fig12(LowDelay, true, fid)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fig1, fig1Base) {
-			t.Fatalf("Fig1 diverged at Workers=%d:\n got %v\nwant %v", workers, fig1.Rows, fig1Base.Rows)
+			t.Fatalf("Fig. 1 diverged at Workers=%d:\n got %v\nwant %v", workers, fig1.Rows, fig1Base.Rows)
 		}
 		fig3, err := Fig3(fid)
 		if err != nil {

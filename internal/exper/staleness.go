@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dtr/dist"
-	"dtr/internal/core"
 	"dtr/internal/estimate"
 	"dtr/internal/policy"
 	"dtr/internal/sim"
@@ -99,13 +98,4 @@ func Staleness(fid Fidelity) (*Table, error) {
 		"stale policies are devised from each server's dated view; perfect policies from the true queues",
 		"both are evaluated by simulation from the true post-warmup state")
 	return t, nil
-}
-
-// buildPolicyFromState is a test hook exposing Algorithm 1 with dated
-// estimates on an arbitrary state.
-func buildPolicyFromState(m *core.Model, snap *estimate.Snapshot, gridN int) (core.Policy, error) {
-	return policy.Algorithm1(m, snap.Queues, policy.Alg1Options{
-		Objective: policy.ObjMeanTime, K: 3, GridN: gridN,
-		Estimates: snap.Estimates,
-	})
 }

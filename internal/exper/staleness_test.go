@@ -5,6 +5,7 @@ import (
 
 	"dtr/dist"
 	"dtr/internal/estimate"
+	"dtr/internal/policy"
 )
 
 func TestStalenessExperiment(t *testing.T) {
@@ -40,6 +41,9 @@ func TestStalenessExperiment(t *testing.T) {
 	}
 }
 
+// TestBuildPolicyFromStateHook: Algorithm 1 devises a valid policy for
+// the true queues from a warm-up snapshot's dated estimates, as Staleness
+// runs it.
 func TestBuildPolicyFromStateHook(t *testing.T) {
 	m := Table2Model(dist.FamilyPareto1, true)
 	ex := &estimate.Exchange{Model: m, Period: 2, Seed: 3}
@@ -47,7 +51,10 @@ func TestBuildPolicyFromStateHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := buildPolicyFromState(m, snap, 1<<10)
+	p, err := policy.Algorithm1(m, snap.Queues, policy.Alg1Options{
+		Objective: policy.ObjMeanTime, K: 3, GridN: 1 << 10,
+		Estimates: snap.Estimates,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

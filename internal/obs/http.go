@@ -46,7 +46,7 @@ func publishExpvar() {
 // solver-health subset of the registry, summarized) and — when withPProf
 // — the net/http/pprof handlers under /debug/pprof/. Long-running
 // daemons use it to share one mux between their API and their telemetry;
-// Serve and the CLIs route through it too.
+// the CLIs route through it too.
 func Register(mux *http.ServeMux, r *Registry, withPProf bool) {
 	publishExpvar()
 	mux.Handle("/metrics", r.Handler())
@@ -131,29 +131,19 @@ func NewHandler(r *Registry, withPProf bool) http.Handler {
 	return mux
 }
 
-// Server is a live metrics endpoint started by Serve.
+// Server is a live metrics endpoint: /metrics, /metrics.json,
+// /debug/vars (expvar), and — when pprof is on — the net/http/pprof
+// handlers under /debug/pprof/.
 type Server struct {
-	// Addr is the bound address, e.g. "127.0.0.1:43521" — useful when
-	// Serve was asked for ":0".
+	// Addr is the bound address, e.g. "127.0.0.1:43521" when the
+	// listener was asked for ":0".
 	Addr string
 
 	ln net.Listener
 }
 
-// Serve exposes the registry over HTTP on addr (":0" picks a free port):
-// /metrics, /metrics.json, /debug/vars (expvar), and — when withPProf —
-// the net/http/pprof handlers under /debug/pprof/. It returns once the
-// listener is bound; requests are served on a background goroutine until
-// Close.
-func Serve(addr string, r *Registry, withPProf bool) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return serveOn(ln, r, withPProf), nil
-}
-
-// serveOn is Serve on a listener already bound.
+// serveOn serves r on a listener already bound, on a background
+// goroutine until Close.
 func serveOn(ln net.Listener, r *Registry, withPProf bool) *Server {
 	mux := NewHandler(r, withPProf)
 	go func() {

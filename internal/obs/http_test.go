@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,10 +18,11 @@ func TestServe(t *testing.T) {
 	r.Counter("dtr_http_test_total").Add(7)
 	r.Histogram("dtr_http_test_seconds", []float64{1}).Observe(0.5)
 
-	srv, err := Serve("127.0.0.1:0", r, false)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := serveOn(ln, r, false)
 	defer srv.Close()
 
 	get := func(path string) (string, string) {
@@ -74,11 +77,15 @@ func TestServe(t *testing.T) {
 	}
 }
 
-// TestServeBadAddr checks that an unbindable address surfaces as an error
-// (the CLIs turn this into exit 2).
+// TestServeBadAddr checks that an unbindable -metrics-addr surfaces as a
+// usage error (the CLIs turn this into exit 2) and starts nothing.
 func TestServeBadAddr(t *testing.T) {
-	if _, err := Serve("256.0.0.1:99999", NewRegistry(), false); err == nil {
-		t.Fatal("want error for a bad listen address")
+	c := &CLI{MetricsAddr: "256.0.0.1:99999", Err: io.Discard}
+	if err := c.Start(); !errors.Is(err, ErrUsage) {
+		t.Fatalf("Start on a bad listen address: %v, want a usage error", err)
+	}
+	if Default() != nil {
+		t.Fatal("a failed Start installed a registry")
 	}
 }
 

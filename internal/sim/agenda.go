@@ -56,9 +56,9 @@ type pending struct {
 // rebalancer tick. The agenda keeps one slot for each (the service slot
 // holding the earliest copy) and pops the least (time, seq) over them.
 // Sequence numbers are handed out one per scheduled event, every copy
-// included, exactly as des.Queue.Schedule does, so the agenda pops the
-// sequence any correct heap over the same schedule pops. The zero value
-// is unusable; reset sizes it.
+// included, so the agenda pops the sequence any correct future-event
+// list over the same schedule pops, ties in scheduling order. The zero
+// value is unusable; reset sizes it.
 type agenda struct {
 	service []pending // per server: the earliest pending copy, or none
 	failure []pending // per server: the failure clock, or none
@@ -93,8 +93,7 @@ func (a *agenda) reset(n int) {
 }
 
 // at is the key of an event scheduled now, after delay w. A negative
-// delay panics, as scheduling into the past does in des.Queue.Schedule:
-// it would run the clock backwards.
+// delay panics: it would run the clock backwards.
 func (a *agenda) at(w float64) key {
 	if w < 0 {
 		panic("sim: scheduling into the past")

@@ -15,4 +15,8 @@ var (
 	// simTime is the latency of completed replications in model time
 	// units (canonical runs finish within ~10³ model seconds).
 	simTime = obs.NewHistogram("dtr_sim_completion_time", obs.ExpBuckets(1, 2, 14))
+	// simEvents counts the events the realizations' agendas popped, the
+	// simulator's event-loop throughput; a realization adds its count
+	// once, when it ends, so the event loop never touches shared state.
+	simEvents = obs.NewCounter("dtr_des_events_total")
 )

@@ -16,7 +16,6 @@ import (
 
 	"dtr/dist"
 	"dtr/internal/core"
-	"dtr/internal/des"
 	"dtr/internal/obs"
 	"dtr/internal/par"
 	"dtr/internal/rngutil"
@@ -128,22 +127,6 @@ func aged(d dist.Dist, a float64) dist.Dist {
 	return d
 }
 
-// RunTraced simulates one realization starting from state s under model
-// m, consuming randomness from r, with an optional periodic rebalancer rb
-// and an optional trace writer tw (replication index rep) receiving
-// every fresh-law delay observation of the realization — service
-// completions, transfer deliveries, failures — plus right-censored
-// observations for services and transfers still in progress and
-// servers still alive when the realization ends. The input state is not
-// modified. Tracing never draws randomness, so outcomes are bit-identical
-// with and without it.
-func RunTraced(m *core.Model, s *core.State, r *rand.Rand, rb *Rebalancer, tw *trace.Writer, rep int) Outcome {
-	rn := newRun(m, s, rb, tw)
-	rn.r = r
-	rn.realize(rep)
-	return rn.out
-}
-
 // realize runs replication rep from the start state, leaving its outcome
 // in rn.out.
 func (rn *run) realize(rep int) {
@@ -203,7 +186,7 @@ func (rn *run) realize(rep int) {
 	if rn.tw != nil {
 		rn.traceCensored()
 	}
-	des.CountProcessed(rn.a.events)
+	simEvents.Add(rn.a.events)
 }
 
 // emit traces one observation at the current instant; without a writer
@@ -395,7 +378,10 @@ type Options struct {
 	// every replication (see Rebalancer).
 	Rebalance *Rebalancer
 	// Trace, when non-nil, receives every replication's delay
-	// observations (see RunTraced). Events from concurrent replications
+	// observations: every fresh-law draw — service completions, transfer
+	// deliveries, failures — plus right-censored observations for
+	// services and transfers in progress and servers alive when the
+	// realization ends. Events from concurrent replications
 	// interleave in an unspecified order; the Rep field disambiguates.
 	// Tracing draws no randomness, so estimates are unchanged by it.
 	Trace *trace.Writer

@@ -383,13 +383,20 @@ func (s *node) acceptLoop() {
 	}
 }
 
+// serviceLoop serves the queue. Each task's service begins at the
+// previous one's deadline while tasks queue, so a timer that fires late
+// does not push back the tasks behind it and service keeps pace with the
+// failure clock; after the queue idles it begins when the next task
+// arrives.
 func (s *node) serviceLoop() {
 	defer s.wg.Done()
+	var began time.Time // the task's scheduled start; zero while idle
 	for {
 		s.mu.Lock()
 		canServe := s.up && s.queue > 0
 		s.mu.Unlock()
 		if !canServe {
+			began = time.Time{}
 			select {
 			case <-s.notify:
 				continue
@@ -397,11 +404,14 @@ func (s *node) serviceLoop() {
 				return
 			}
 		}
+		if began.IsZero() {
+			began = time.Now()
+		}
 		w := s.sampleDist(func() float64 {
 			return s.tb.Model.EffectiveService(s.id).Sample(s.rng)
 		})
-		began := time.Now()
-		if !s.sleep(w) {
+		due := began.Add(time.Duration(w * float64(s.scale)))
+		if !s.sleepUntil(due) {
 			// Capture ended mid-service: right-censored at the elapsed
 			// (measured) duration.
 			s.trace(trace.Event{Kind: trace.KindService, Server: s.id,
@@ -425,15 +435,21 @@ func (s *node) serviceLoop() {
 		s.recordService(measured)
 		s.trace(trace.Event{Kind: trace.KindService, Server: s.id, Value: measured})
 		s.report(event{kind: "served", server: s.id, when: time.Now()})
+		began = due
 	}
 }
 
 // sleep pauses for `units` model time units; it reports false if the
 // testbed stopped first.
 func (s *node) sleep(units float64) bool {
-	d := time.Duration(units * float64(s.scale))
+	return s.sleepUntil(time.Now().Add(time.Duration(units * float64(s.scale))))
+}
+
+// sleepUntil pauses until t (at once if t has passed); it reports false
+// if the testbed stopped first.
+func (s *node) sleepUntil(t time.Time) bool {
 	select {
-	case <-time.After(d):
+	case <-time.After(time.Until(t)):
 		return true
 	case <-s.stopped:
 		return false

@@ -71,8 +71,9 @@ func TestRunTaskConservationAcrossTransfers(t *testing.T) {
 func TestRunRealizationTimePlausible(t *testing.T) {
 	// One server, serial service: the model time must be near the sum of
 	// the service draws. Wall timers only overshoot, so the lower bound
-	// is tight and the upper bound allows scheduler slop (a fixed wall
-	// overhead per sleep, which shrinks relative to a coarser scale).
+	// is tight; each task is due at the previous one's deadline, so
+	// overshoots do not add up and the upper bound allows the last
+	// timer's and the completion report's slop only (8 ms of wall).
 	tb := &Testbed{Model: fastModel(true), Scale: 2 * time.Millisecond, Seed: 3}
 	out, err := tb.Run([]int{4, 0}, core.Policy2(0, 0), 2)
 	if err != nil {
@@ -82,7 +83,7 @@ func TestRunRealizationTimePlausible(t *testing.T) {
 	for _, w := range out.ServiceSamples[0] {
 		sum += w
 	}
-	if out.Time < 0.95*sum || out.Time > 1.3*sum+5 {
+	if out.Time < 0.95*sum || out.Time > sum+4 {
 		t.Fatalf("completion time %g vs serial service sum %g", out.Time, sum)
 	}
 }
@@ -143,10 +144,12 @@ func TestEmpiricalReliabilityTracksModel(t *testing.T) {
 		}
 	}
 	p, half := stat.ProportionCI(completed, reps, 0.99)
-	// The model-level reliability of this workload is ~0.87; the testbed
-	// must agree within its (wide) confidence interval plus a margin for
-	// residual timer overshoot, which only lowers the completion rate.
-	if p+half < 0.65 || p-half > 0.995 {
+	// The model-level reliability of this workload is ~0.87 (the testbed
+	// reads ~0.85 over 200 realizations); the testbed must agree within
+	// its (wide) confidence interval plus a margin for residual timer
+	// overshoot in the transfer clocks, which only lowers the completion
+	// rate. At a true rate of 0.82 the floor fails about once in 50 000.
+	if p+half < 0.75 || p-half > 0.995 {
 		t.Fatalf("testbed reliability %g ± %g implausible", p, half)
 	}
 }
