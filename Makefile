@@ -29,9 +29,12 @@ race:
 # The end-to-end driver (internal/smoke): it builds the daemons, dtrlab
 # and the examples once and runs seven subtests on them: Serve, Adapt,
 # Replicate, Ingest, Cluster, Examples and Lab. The daemons boot on free ports and must drain
-# cleanly on SIGTERM. `make test` runs it too, but go test may report a
-# cached result there (keyed on the Go sources the driver opens); this
-# target always runs it.
+# cleanly on SIGTERM. Beside it the reachability test (TestReachable)
+# builds every main package and a roots package of the public API
+# without inlining and fails on a non-public function no binary links.
+# `make test` runs both too, but go test may report a cached result
+# there (keyed on the Go sources the package opens); this target always
+# runs them.
 smoke:
 	$(GO) test -count=1 ./internal/smoke
 
@@ -79,7 +82,13 @@ smoke:
 # −218: internal/des deleted (the warm-up schedules on container/heap), the
 # Fig. 1 and Fig. 2 generators and the two Markovian-error sweeps folded
 # into one each, and five test-only entry points moved into their tests.
-LOC_CEILING = 22942
+# −126: 21 metric families that nothing read (the regeneration solver's
+# memo and cell counters with their batching struct, the simulator's,
+# trace codec's and testbed's volume counters and histograms, two adapt
+# and two serve duplicates), obs's Counter.Inc and LazyGauge.Add,
+# serve's Service.Handler and System.ErrorProbe, all flagged by the
+# reachability and metric-reader tests.
+LOC_CEILING = 22816
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -1,8 +1,8 @@
 // Package dashboards embeds the Grafana dashboard definitions and
 // Prometheus alert rules for a dtrserved deployment, so the bundle is
 // versioned with the metrics it visualizes and validated by the test
-// suite: every panel query must reference metrics this codebase actually
-// registers.
+// suite: every query must reference metrics the codebase registers, and
+// every registered family needs a reader (a query, benchmark or test).
 //
 // Import the package (or read the files directly from the repository) to
 // provision Grafana and Prometheus:

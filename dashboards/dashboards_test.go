@@ -6,22 +6,38 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// metricRef finds dtr_* metric names inside PromQL expressions.
+// metricRef finds dtr_* metric names inside PromQL expressions and
+// other readers' text.
 var metricRef = regexp.MustCompile(`dtr_[a-z0-9_]+`)
 
-// metricDecl finds dtr_* metric names declared as Go string literals.
-var metricDecl = regexp.MustCompile(`"(dtr_[a-z0-9_]+)"`)
+// metricDecl finds dtr_* metric names declared as Go string literals,
+// double-quoted or backtick-quoted, with any {label="…"} block after the
+// name. A name that ends in an underscore is a prefix, not a family. A
+// doc comment that quotes a family counts too, so one that cites a
+// deleted family fails the inventory until it is corrected.
+var metricDecl = regexp.MustCompile("\"(dtr_[a-z0-9_]*[a-z0-9])(?:\\{[^}]*\\})?\"|`(dtr_[a-z0-9_]*[a-z0-9])(?:\\{[^}]*\\})?`")
 
-// declaredMetrics scans the repository's Go sources for every metric
-// name the codebase registers (including the base names of labelled
-// metrics built via obs.Name).
-func declaredMetrics(t *testing.T) map[string]bool {
+// declaredIn returns the metric names the Go source src declares (the
+// base names of labelled metrics built via obs.Name, or spelled with
+// their label block).
+func declaredIn(src string) []string {
+	var out []string
+	for _, m := range metricDecl.FindAllStringSubmatch(src, -1) {
+		out = append(out, m[1]+m[2])
+	}
+	return out
+}
+
+// walkRepo calls visit with the contents of every file under the
+// repository root whose slash-separated path keep accepts, skipping .git
+// and testdata.
+func walkRepo(t *testing.T, keep func(path string) bool, visit func(data string)) {
 	t.Helper()
-	out := map[string]bool{}
 	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -32,48 +48,46 @@ func declaredMetrics(t *testing.T) map[string]bool {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		if !keep(filepath.ToSlash(path)) {
 			return nil
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		for _, m := range metricDecl.FindAllStringSubmatch(string(data), -1) {
-			out[m[1]] = true
-		}
+		visit(string(data))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// declaredMetrics scans the repository's non-test Go sources outside
+// bench/, which only reads metrics, for every metric name the codebase
+// registers.
+func declaredMetrics(t *testing.T) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	walkRepo(t, func(path string) bool {
+		return strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") &&
+			!strings.HasPrefix(path, "../bench/")
+	}, func(data string) {
+		for _, name := range declaredIn(data) {
+			out[name] = true
+		}
+	})
 	if len(out) == 0 {
 		t.Fatal("found no metric declarations in the repository")
 	}
 	return out
 }
 
-// checkExpr verifies every metric an expression references is one the
-// codebase registers (histogram series reduce to their base name).
-func checkExpr(t *testing.T, where, expr string, declared map[string]bool) {
+// panelQueries returns every dashboard panel's queries, keyed by
+// dashboard/panel title, after checking each dashboard's shape.
+func panelQueries(t *testing.T) map[string][]string {
 	t.Helper()
-	refs := metricRef.FindAllString(expr, -1)
-	if len(refs) == 0 {
-		t.Errorf("%s: query %q references no dtr_ metric", where, expr)
-	}
-	for _, ref := range refs {
-		base := ref
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			base = strings.TrimSuffix(base, suf)
-		}
-		if !declared[base] {
-			t.Errorf("%s: query references unknown metric %q", where, ref)
-		}
-	}
-}
-
-func TestDashboardsValid(t *testing.T) {
-	declared := declaredMetrics(t)
+	out := map[string][]string{}
 	for _, name := range Dashboards {
 		data, err := FS.ReadFile(name)
 		if err != nil {
@@ -112,10 +126,105 @@ func TestDashboardsValid(t *testing.T) {
 					t.Errorf("%s: panel %q has an empty query", name, p.Title)
 					continue
 				}
-				checkExpr(t, name+"/"+p.Title, tgt.Expr, declared)
+				out[name+"/"+p.Title] = append(out[name+"/"+p.Title], tgt.Expr)
 			}
 		}
 	}
+	return out
+}
+
+// checkExpr verifies every metric an expression references is one the
+// codebase registers (histogram series reduce to their base name).
+func checkExpr(t *testing.T, where, expr string, declared map[string]bool) {
+	t.Helper()
+	refs := metricRef.FindAllString(expr, -1)
+	if len(refs) == 0 {
+		t.Errorf("%s: query %q references no dtr_ metric", where, expr)
+	}
+	for _, ref := range refs {
+		base := ref
+		for _, suf := range []string{"_bucket", "_sum", "_count"} {
+			base = strings.TrimSuffix(base, suf)
+		}
+		if !declared[base] {
+			t.Errorf("%s: query references unknown metric %q", where, ref)
+		}
+	}
+}
+
+func TestDashboardsValid(t *testing.T) {
+	declared := declaredMetrics(t)
+	for where, exprs := range panelQueries(t) {
+		for _, expr := range exprs {
+			checkExpr(t, where, expr, declared)
+		}
+	}
+}
+
+func TestMetricCensus(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want []string
+	}{
+		{`obs.NewCounter("dtr_a_total")`, []string{"dtr_a_total"}},
+		{"obs.NewCounter(`dtr_b_total`)", []string{"dtr_b_total"}},
+		{"obs.NewCounter(`dtr_c_total{kind=\"group\"}`)", []string{"dtr_c_total"}},
+		{`obs.NewCounter("dtr_d_total{kind=\"fn\"}")`, []string{"dtr_d_total"}},
+		{`r.Counter(obs.Name("dtr_e_total", "code", c))`, []string{"dtr_e_total"}},
+		{`prefixes := []string{"dtr_solver_", "dtr_direct_"}`, nil},
+		{`// dtr_f_total in a comment, or "a dtr_g_total in prose"`, nil},
+	} {
+		if got := declaredIn(c.src); !slices.Equal(got, c.want) {
+			t.Errorf("declaredIn(%s) = %q, want %q", c.src, got, c.want)
+		}
+	}
+}
+
+// TestEveryMetricIsRead requires a reader for every family the
+// codebase registers: a dashboard panel or alert query, the benchmark
+// (bench/ or BENCHMARK.json), or a _test.go file outside this package
+// that names it. The CLI summary and /debug/solver print every family,
+// so they read none in particular.
+func TestEveryMetricIsRead(t *testing.T) {
+	read := map[string]bool{}
+	mark := func(text string) {
+		for _, ref := range metricRef.FindAllString(text, -1) {
+			read[ref] = true
+		}
+	}
+	for _, exprs := range panelQueries(t) {
+		for _, expr := range exprs {
+			mark(expr)
+		}
+	}
+	for _, expr := range alertQueries(t) {
+		mark(expr)
+	}
+	walkRepo(t, func(path string) bool {
+		return strings.HasPrefix(path, "../bench/") || path == "../BENCHMARK.json" ||
+			strings.HasSuffix(path, "_test.go") && !strings.HasPrefix(path, "../dashboards/")
+	}, mark)
+	for name := range declaredMetrics(t) {
+		if !read[name] && !read[name+"_bucket"] && !read[name+"_sum"] && !read[name+"_count"] {
+			t.Errorf("no panel, alert, benchmark or test reads %s: delete it or give it a reader", name)
+		}
+	}
+}
+
+// alertQueries returns the expr of every rule in the alert file.
+func alertQueries(t *testing.T) []string {
+	t.Helper()
+	data, err := FS.ReadFile(AlertRules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if expr, ok := strings.CutPrefix(strings.TrimSpace(line), "expr:"); ok {
+			out = append(out, expr)
+		}
+	}
+	return out
 }
 
 func TestDashboardsCoverRequiredSignals(t *testing.T) {

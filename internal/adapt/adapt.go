@@ -158,7 +158,6 @@ func (c *Controller) Observe(ctx context.Context, ev trace.Event) (*Decision, er
 	if err := ev.Validate(); err != nil {
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
-	adaptEvents.Inc()
 	if ev.Kind == trace.KindMeta {
 		return nil, nil
 	}
@@ -203,7 +202,6 @@ func (c *Controller) check(ctx context.Context, in FitInput) (*Decision, error) 
 		return nil, nil
 	}
 	adaptDrift.Inc()
-	obs.Default().Counter(obs.Name("dtr_adapt_drift_total", "channel", d.Channel)).Add(1)
 	return c.replan(ctx, in, chs, d)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand/v2"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -226,7 +227,9 @@ func TestClosedLoopBeatsStalePolicy(t *testing.T) {
 // TestHTTPPlanner drives the controller through a real dtrserved
 // handler: /v1/fit for the fits, /v1/optimize for the policy.
 func TestHTTPPlanner(t *testing.T) {
-	ts := httptest.NewServer(serve.New(serve.Config{}).Handler())
+	mux := http.NewServeMux()
+	serve.New(serve.Config{}).Register(mux)
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	c, err := New(Config{

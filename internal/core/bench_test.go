@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dtr/dist"
-	"dtr/internal/obs"
 )
 
 func benchModel() *Model {
@@ -39,43 +38,6 @@ func BenchmarkRegenReliability(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkObsOverhead measures the instrumentation cost on a real solver
-// workload, with observability disabled (noop: the shipped default) and
-// with a live registry installed. The solver batches its memo/cell stats
-// in plain fields and flushes once per metric evaluation, so both
-// sub-benchmarks should be within noise of each other.
-func BenchmarkObsOverhead(b *testing.B) {
-	m := benchModel()
-	s, err := NewState(m, []int{3, 2}, Policy2(1, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	solve := func(b *testing.B) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			sv, err := NewSolver(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sv.Step = 0.1
-			sv.Horizon = 60
-			sv.AgeCap = 20
-			if _, err := sv.Reliability(s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("noop", func(b *testing.B) {
-		obs.SetDefault(nil)
-		solve(b)
-	})
-	b.Run("live", func(b *testing.B) {
-		obs.SetDefault(obs.NewRegistry())
-		defer obs.SetDefault(nil)
-		solve(b)
-	})
 }
 
 // BenchmarkRegen3Server measures the same recursion on a three-server

@@ -79,8 +79,6 @@ type Solver struct {
 	// callee never retains its argument, so one scratch state per depth
 	// replaces a fresh clone per successor.
 	succ []*gstate
-
-	stats solverStats
 }
 
 // NewSolver returns a solver with a sensible default grid derived from
@@ -386,7 +384,6 @@ func (sv *Solver) solve(s *State, metric metricKind, deadline int) (float64, err
 	if sv.memo[metric] == nil {
 		sv.memo[metric] = make(map[string]float64)
 	}
-	defer func() { sv.stats.flush(sv.States()) }()
 	return sv.value(g, metric, deadline, 0)
 }
 
@@ -435,10 +432,8 @@ func (sv *Solver) value(g *gstate, metric metricKind, deadline, depth int) (floa
 
 	memo := sv.memo[metric]
 	if v, ok := memo[string(sv.key(g, deadline))]; ok {
-		sv.stats.hits++
 		return v, nil
 	}
-	sv.stats.misses++
 	if sv.MaxStates > 0 && len(memo) >= sv.MaxStates {
 		return 0, fmt.Errorf("core: memo table exceeded MaxStates=%d (coarsen Step=%g, lower Horizon=%g, shrink the workload, or use Algorithm 1)",
 			sv.MaxStates, sv.Step, sv.Horizon)
@@ -474,7 +469,6 @@ func (sv *Solver) value(g *gstate, metric metricKind, deadline, depth int) (floa
 	var accMean float64 // E[τ] accumulator (mean metric only)
 	joint := 1.0
 	for cell := 0; cell < maxCells && joint > sv.EpsSurvival; cell++ {
-		sv.stats.cells++
 		t1 := float64(cell+1) * sv.Step
 		nextJoint := 1.0
 		for i, c := range clocks {

@@ -72,8 +72,12 @@ func TestServe(t *testing.T) {
 	}
 
 	vars, _ := get("/debug/vars")
-	if !strings.Contains(vars, "cmdline") {
-		t.Fatalf("/debug/vars missing expvar defaults:\n%s", vars)
+	var published map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(vars), &published); err != nil {
+		t.Fatalf("/debug/vars is not valid JSON: %v", err)
+	}
+	if published["cmdline"] == nil || published["dtr_metrics"] == nil {
+		t.Fatalf("/debug/vars lacks the expvar defaults or the dtr_metrics snapshot:\n%s", vars)
 	}
 }
 

@@ -12,9 +12,6 @@ type Counter struct {
 	v atomic.Uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Add adds n.
 func (c *Counter) Add(n uint64) {
 	if c == nil {

@@ -6,7 +6,7 @@
 //
 // Instrumented packages declare package-level lazy handles:
 //
-//	var memoHits = obs.NewCounter("dtr_core_memo_hits_total")
+//	var simReps = obs.NewCounter("dtr_sim_replications_total")
 //
 // Lazy handles are inert until a Registry is installed with SetDefault —
 // the no-op path is a single atomic load and branch, so instrumentation
@@ -119,13 +119,6 @@ func (l *LazyGauge) bind(r *Registry) { l.g.Store(r.Gauge(l.name)) }
 func (l *LazyGauge) Set(x float64) {
 	if g := l.g.Load(); g != nil {
 		g.Set(x)
-	}
-}
-
-// Add adds x.
-func (l *LazyGauge) Add(x float64) {
-	if g := l.g.Load(); g != nil {
-		g.Add(x)
 	}
 }
 

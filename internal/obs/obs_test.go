@@ -27,7 +27,7 @@ func TestCounterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc()
+				c.Add(1)
 			}
 		}()
 	}
@@ -118,7 +118,6 @@ func TestNilSafety(t *testing.T) {
 	c := r.Counter("x")
 	g := r.Gauge("x")
 	h := r.Histogram("x", nil)
-	c.Inc()
 	c.Add(3)
 	g.Set(1)
 	g.Add(2)

@@ -10,7 +10,7 @@ import (
 // Registry holds named metrics. Metric names follow the Prometheus
 // convention (`[a-zA-Z_:][a-zA-Z0-9_:]*`, other runes are sanitized to
 // '_') and may carry a literal label suffix, e.g.
-// `dtr_sim_worker_busy_seconds{worker="3"}`; metrics sharing a base name
+// `dtr_adapt_drift_ks{channel="svc0"}`; metrics sharing a base name
 // form one exposition family.
 //
 // All methods are nil-receiver-safe: a nil *Registry hands out nil

@@ -113,7 +113,6 @@ func (s *Service) handleFit(w http.ResponseWriter, r *http.Request) int {
 		return s.fail(w, http.StatusGatewayTimeout, "timed out waiting for an execution slot")
 	}
 	defer s.admit.release()
-	s.reg.Counter("dtr_serve_fits_total").Add(1)
 
 	fitCfg := fit.Config{Queues: req.Queues, Families: fams, MinObs: req.MinObs}
 	var spec *modelspec.SystemSpec

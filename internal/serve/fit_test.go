@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -195,5 +196,24 @@ func TestReadyzDrains(t *testing.T) {
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// failingWriter is a ResponseWriter whose body writes fail, as when the
+// client has gone.
+type failingWriter struct{ http.ResponseWriter }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestWriteJSONCountsEncodeErrors: a body that cannot be written after
+// the 200 is sent moves dtr_serve_encode_errors_total.
+func TestWriteJSONCountsEncodeErrors(t *testing.T) {
+	reg := obs.NewRegistry()
+	svc := New(Config{Registry: reg})
+	if code := svc.writeJSON(failingWriter{httptest.NewRecorder()}, FitResponse{}); code != http.StatusOK {
+		t.Fatalf("writeJSON returned %d, want 200", code)
+	}
+	if n := reg.Counter("dtr_serve_encode_errors_total").Value(); n != 1 {
+		t.Fatalf("a failed body write counted %d encode errors, want 1", n)
 	}
 }

@@ -190,13 +190,6 @@ func (s *Service) StartDrain() { s.draining.Store(true) }
 // Draining overrides readiness permanently.
 func (s *Service) SetReady(ready bool) { s.notReady.Store(!ready) }
 
-// Handler returns the service on a fresh mux.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.Register(mux)
-	return mux
-}
-
 // ErrorResponse is the JSON body of every non-2xx answer.
 type ErrorResponse struct {
 	Error string `json:"error"`
@@ -472,7 +465,6 @@ func (s *Service) write(w http.ResponseWriter, res result) int {
 
 // fail sends an ErrorResponse and returns the code for instrumentation.
 func (s *Service) fail(w http.ResponseWriter, code int, msg string) int {
-	s.reg.Counter(obs.Name("dtr_serve_errors_total", "code", strconv.Itoa(code))).Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)

@@ -52,9 +52,16 @@ func newTestService(t *testing.T, cfg Config) (*Service, *obs.Registry, *httptes
 	reg := obs.NewRegistry()
 	cfg.Registry = reg
 	svc := New(cfg)
-	ts := httptest.NewServer(svc.Handler())
+	ts := httptest.NewServer(handler(svc))
 	t.Cleanup(ts.Close)
 	return svc, reg, ts
+}
+
+// handler returns svc on a fresh mux.
+func handler(svc *Service) http.Handler {
+	mux := http.NewServeMux()
+	svc.Register(mux)
+	return mux
 }
 
 // post sends body to path and returns the status and response bytes.

@@ -37,7 +37,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		{"/v1/metrics", reqBody(specJSON, `"grid": 512, "policy": "0>1:3", "deadline": 30`)},
 	} {
 		rec := httptest.NewRecorder()
-		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		handler(svc).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
 		if rec.Code != http.StatusOK {
 			f.Fatalf("%s: %d %s", c.path, rec.Code, rec.Body)
 		}

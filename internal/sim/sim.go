@@ -433,12 +433,6 @@ func EstimateState(m *core.Model, s *core.State, opt Options) (Estimates, error)
 	defer obs.StartSpan("replicate", "reps", opt.Reps, "workers", workers)()
 	instrumented := obs.Default() != nil
 
-	// Per-worker busy-time gauges: a worker far ahead of its peers means
-	// straggling replications dominate the wall clock.
-	busy := make([]*obs.Gauge, workers)
-	for w := range busy {
-		busy[w] = obs.Default().Gauge(obs.Name("dtr_sim_worker_busy_seconds", "worker", w))
-	}
 	// One realization state per worker, its generator reseeded in place
 	// to replication i's stream, so a replication allocates nothing. A
 	// worker allocates its own on its first replication: its small
@@ -465,14 +459,8 @@ func EstimateState(m *core.Model, s *core.State, opt Options) (Estimates, error)
 		if !instrumented {
 			return nil
 		}
-		busy[w].Add(time.Since(t0).Seconds())
 		simWall.ObserveSince(t0)
 		simReps.Inc()
-		simFailures.Add(uint64(out.FailuresSeen))
-		if out.Completed {
-			simCompleted.Inc()
-			simTime.Observe(out.Time)
-		}
 		return nil
 	})
 

@@ -29,12 +29,40 @@ const root = "../.."
 var bins string
 
 // build compiles the binaries the subtests run into a temporary
-// directory, with one go build of the go on PATH. It first opens every
-// Go source and the module files under the repository root: go test
-// keys a cached result on the files the test itself opens, not on what
-// the go build subprocess reads, and this makes a change to any of the
-// code the binaries build from re-run the driver.
+// directory, with one go build of the go on PATH.
 func build(t *testing.T) string {
+	openSources(t)
+	return goBuild(t, nil, "./cmd/dtrserved", "./cmd/dtringest", "./cmd/dtradapt", "./cmd/dtrplan", "./cmd/dtrlab",
+		"./examples/serve", "./examples/adapt", "./examples/replicate", "./examples/ingest",
+		"./examples/quickstart", "./examples/cluster", "./examples/deadline", "./examples/reliability",
+		"./examples/rebalance", "./examples/testbed")
+}
+
+// goBuild runs go build with flags on the packages into a temporary
+// directory, which it returns.
+func goBuild(t *testing.T, flags []string, pkgs ...string) string {
+	t.Helper()
+	dir := t.TempDir()
+	args := append(append([]string{"build", "-o", dir + string(filepath.Separator)}, flags...), pkgs...)
+	if out, err := goCmd(args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir
+}
+
+// goCmd is the go on PATH run in the repository root.
+func goCmd(args ...string) *exec.Cmd {
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	return cmd
+}
+
+// openSources opens every Go source and the module files under the
+// repository root: go test keys a cached result on the files the test
+// itself opens, not on what a go subprocess reads, and this makes a
+// change to any of the code the binaries build from re-run the test.
+func openSources(t *testing.T) {
+	t.Helper()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -56,17 +84,6 @@ func build(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-		"./cmd/dtrserved", "./cmd/dtringest", "./cmd/dtradapt", "./cmd/dtrplan", "./cmd/dtrlab",
-		"./examples/serve", "./examples/adapt", "./examples/replicate", "./examples/ingest",
-		"./examples/quickstart", "./examples/cluster", "./examples/deadline", "./examples/reliability",
-		"./examples/rebalance", "./examples/testbed")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return dir
 }
 
 // run runs the binary name to completion and returns its stdout; an exit

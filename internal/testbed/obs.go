@@ -2,18 +2,6 @@ package testbed
 
 import "dtr/internal/obs"
 
-// Testbed observability: on-wire message volume by kind and direction,
-// and the injected transfer / failure-notice delays in model time units
-// — the raw latencies the paper's Fig. 4(a,b) characterizes.
-var (
-	tbRealizations = obs.NewCounter("dtr_testbed_realizations_total")
-	tbGroupSent    = obs.NewCounter(`dtr_testbed_msgs_sent_total{kind="group"}`)
-	tbFNSent       = obs.NewCounter(`dtr_testbed_msgs_sent_total{kind="fn"}`)
-	tbGroupRecv    = obs.NewCounter(`dtr_testbed_msgs_recv_total{kind="group"}`)
-	tbFNRecv       = obs.NewCounter(`dtr_testbed_msgs_recv_total{kind="fn"}`)
-	tbSendFailed   = obs.NewCounter("dtr_testbed_send_failures_total")
-	// Delay buckets span 0.05–~400 model time units (the fitted
-	// shifted-gamma transfer means are ~0.1–1.2 per task).
-	tbTransferTime = obs.NewHistogram("dtr_testbed_transfer_time", obs.ExpBuckets(0.05, 2, 14))
-	tbFNTime       = obs.NewHistogram("dtr_testbed_fn_time", obs.ExpBuckets(0.05, 2, 14))
-)
+// tbSendFailed counts deliveries that found their peer gone: a dial to
+// a listener already closed at teardown, or a write that failed.
+var tbSendFailed = obs.NewCounter("dtr_testbed_send_failures_total")

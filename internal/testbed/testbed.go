@@ -101,7 +101,6 @@ func (tb *Testbed) Run(initial []int, p core.Policy, realization int) (Outcome, 
 		scale = time.Millisecond
 	}
 	n := m.N()
-	tbRealizations.Inc()
 
 	events := make(chan event, 1024)
 	stopped := make(chan struct{})
@@ -291,7 +290,6 @@ func (s *node) start(row []int) {
 					x := s.sampleDist(func() float64 {
 						return s.tb.Model.FN(s.id, j).Sample(s.rng)
 					})
-					tbFNTime.Observe(x)
 					s.trace(trace.Event{Kind: trace.KindFN, Src: s.id, Dst: j, Value: x})
 					s.sendAfter(x, j, message{Kind: "fn", Src: s.id})
 				}
@@ -309,7 +307,6 @@ func (s *node) start(row []int) {
 			return s.tb.Model.Transfer(l, s.id, j).Sample(s.rng)
 		})
 		s.recordTransfer(z)
-		tbTransferTime.Observe(z)
 		s.trace(trace.Event{Kind: trace.KindTransfer, Src: s.id, Dst: j, Tasks: l, Value: z})
 		s.sendAfter(z, j, message{Kind: "group", Src: s.id, Tasks: l})
 	}
@@ -330,15 +327,8 @@ func (s *node) sendAfter(delay float64, dst int, msg message) {
 			return
 		}
 		defer conn.Close()
-		enc := json.NewEncoder(conn)
-		if err := enc.Encode(&msg); err != nil {
+		if err := json.NewEncoder(conn).Encode(&msg); err != nil {
 			tbSendFailed.Inc()
-			return
-		}
-		if msg.Kind == "fn" {
-			tbFNSent.Inc()
-		} else {
-			tbGroupSent.Inc()
 		}
 	}()
 }
@@ -354,30 +344,23 @@ func (s *node) acceptLoop() {
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
-			dec := json.NewDecoder(conn)
+			// Failure notices ("fn") update the perception matrix; no
+			// control action is bound to them in this model.
 			var msg message
-			if err := dec.Decode(&msg); err != nil {
+			if err := json.NewDecoder(conn).Decode(&msg); err != nil || msg.Kind != "group" {
 				return
 			}
-			switch msg.Kind {
-			case "group":
-				tbGroupRecv.Inc()
-				s.mu.Lock()
-				alive := s.up
-				if alive {
-					s.queue += msg.Tasks
-				}
-				s.mu.Unlock()
-				if alive {
-					s.report(event{kind: "arrived", server: s.id, tasks: msg.Tasks, when: time.Now()})
-					s.wake()
-				} else {
-					s.report(event{kind: "lost", server: s.id, tasks: msg.Tasks, when: time.Now()})
-				}
-			case "fn":
-				// Failure notices update the perception matrix; no control
-				// action is bound to them in this model.
-				tbFNRecv.Inc()
+			s.mu.Lock()
+			alive := s.up
+			if alive {
+				s.queue += msg.Tasks
+			}
+			s.mu.Unlock()
+			if alive {
+				s.report(event{kind: "arrived", server: s.id, tasks: msg.Tasks, when: time.Now()})
+				s.wake()
+			} else {
+				s.report(event{kind: "lost", server: s.id, tasks: msg.Tasks, when: time.Now()})
 			}
 		}()
 	}
@@ -410,8 +393,7 @@ func (s *node) serviceLoop() {
 		w := s.sampleDist(func() float64 {
 			return s.tb.Model.EffectiveService(s.id).Sample(s.rng)
 		})
-		due := began.Add(time.Duration(w * float64(s.scale)))
-		if !s.sleepUntil(due) {
+		if !s.sleepFrom(began, w) {
 			// Capture ended mid-service: right-censored at the elapsed
 			// (measured) duration.
 			s.trace(trace.Event{Kind: trace.KindService, Server: s.id,
@@ -435,21 +417,28 @@ func (s *node) serviceLoop() {
 		s.recordService(measured)
 		s.trace(trace.Event{Kind: trace.KindService, Server: s.id, Value: measured})
 		s.report(event{kind: "served", server: s.id, when: time.Now()})
-		began = due
+		began = began.Add(time.Duration(w * float64(s.scale)))
 	}
 }
 
 // sleep pauses for `units` model time units; it reports false if the
 // testbed stopped first.
 func (s *node) sleep(units float64) bool {
-	return s.sleepUntil(time.Now().Add(time.Duration(units * float64(s.scale))))
+	return s.sleepFrom(time.Now(), units)
 }
 
-// sleepUntil pauses until t (at once if t has passed); it reports false
-// if the testbed stopped first.
-func (s *node) sleepUntil(t time.Time) bool {
+// sleepFrom pauses until `units` model time units past from (at once if
+// that has passed); it reports false if the testbed stopped first. A
+// draw longer than a Duration holds, +Inf among them, never fires: it
+// waits for the stop alone.
+func (s *node) sleepFrom(from time.Time, units float64) bool {
+	d := units * float64(s.scale)
+	if !(d < math.MaxInt64) {
+		<-s.stopped
+		return false
+	}
 	select {
-	case <-time.After(time.Until(t)):
+	case <-time.After(time.Until(from.Add(time.Duration(d)))):
 		return true
 	case <-s.stopped:
 		return false

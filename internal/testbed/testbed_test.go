@@ -1,11 +1,14 @@
 package testbed
 
 import (
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"dtr/dist"
 	"dtr/internal/core"
+	"dtr/internal/obs"
 	"dtr/internal/stat"
 )
 
@@ -114,6 +117,63 @@ func TestGroupToDeadServerDooms(t *testing.T) {
 	}
 	if out.Completed {
 		t.Fatal("group delivered to a dead server should doom the run")
+	}
+}
+
+// TestNeverServiceDooms: a +Inf service draw holds its task for good, so
+// server 2's failure with that task queued dooms the run, as
+// internal/sim counts it; the task is never served at once.
+func TestNeverServiceDooms(t *testing.T) {
+	m := fastModel(true)
+	m.Service = []dist.Dist{dist.NewDeterministic(0.2), dist.Never{}}
+	m.Failure = []dist.Dist{dist.Never{}, dist.NewDeterministic(20)}
+	tb := &Testbed{Model: m, Scale: 200 * time.Microsecond, Seed: 6}
+	out, err := tb.Run([]int{1, 1}, core.Policy2(0, 0), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Completed || out.Served[1] != 0 {
+		t.Fatalf("a task with an infinite service draw was served (completed at %g model units, served %v)",
+			out.Time, out.Served)
+	}
+}
+
+// TestNeverTransferDooms: a +Inf transfer draw never delivers its group,
+// so the destination's failure with the group in flight dooms the run.
+func TestNeverTransferDooms(t *testing.T) {
+	m := fastModel(true)
+	m.Service = []dist.Dist{dist.NewDeterministic(0.2), dist.NewDeterministic(0.2)}
+	m.Failure = []dist.Dist{dist.Never{}, dist.NewDeterministic(20)}
+	m.Transfer = func(tasks, src, dst int) dist.Dist { return dist.Never{} }
+	tb := &Testbed{Model: m, Scale: 200 * time.Microsecond, Seed: 7}
+	out, err := tb.Run([]int{1, 0}, core.Policy2(1, 0), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Completed || out.Served[1] != 0 {
+		t.Fatalf("a group with an infinite transfer draw arrived (completed at %g model units, served %v)",
+			out.Time, out.Served)
+	}
+}
+
+// TestSendToClosedPeerCounts: a delivery whose peer's listener is gone
+// moves dtr_testbed_send_failures_total.
+func TestSendToClosedPeerCounts(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	var wg sync.WaitGroup
+	s := &node{addrs: []string{addr}, stopped: make(chan struct{}), scale: time.Millisecond, wg: &wg}
+	s.sendAfter(0, 0, message{Kind: "group", Tasks: 1})
+	wg.Wait()
+	if n := reg.Counter("dtr_testbed_send_failures_total").Value(); n != 1 {
+		t.Fatalf("a send to a closed peer counted %d failures, want 1", n)
 	}
 }
 

@@ -68,11 +68,6 @@ type System struct {
 	GridN   int
 	Horizon float64
 
-	// Deprecated: ErrorProbe is accepted for compatibility and has no
-	// effect: the solver can always build its half-resolution shadow,
-	// lazily, on the first probe (see Explain).
-	ErrorProbe bool
-
 	// Workers shards the policy sweeps, Algorithm-1 refinement rows and
 	// (when SimOptions.Workers is unset) Monte-Carlo replications over a
 	// worker pool (0 = GOMAXPROCS). Results are bit-identical at every
