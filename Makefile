@@ -88,7 +88,11 @@ smoke:
 # and two serve duplicates), obs's Counter.Inc and LazyGauge.Add,
 # serve's Service.Handler and System.ErrorProbe, all flagged by the
 # reachability and metric-reader tests.
-LOC_CEILING = 22816
+# +344: the mean's one-sided screen (gridfn's RaceMaxMean walk, the
+# prefix and transfer scalars, the least-bound-first confirmation), the
+# screened batches' parallel fill-ahead, and /debug/vars serving the
+# registry it was mounted for.
+LOC_CEILING = 23160
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \

@@ -29,3 +29,38 @@ func BenchmarkTablesMetricsRead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMeanScore2k measures the mean's screened score of one point
+// of the benchmark's lab_sweep model (severe Pareto, 100 + 100 tasks,
+// grid 2048, horizon 2600) once the screen's prefix statistics and the
+// transfer laws are made: one walk over the two races, cycling over the
+// row L21 = 0.
+func BenchmarkMeanScore2k(b *testing.B) {
+	m := &core.Model{
+		Service: []dist.Dist{dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1)},
+		Failure: []dist.Dist{dist.Never{}, dist.Never{}},
+		Transfer: func(tasks, src, dst int) dist.Dist {
+			return dist.NewPareto(2.5, 3*float64(tasks))
+		},
+	}
+	s, err := NewSolver(m, Config{N: 2048, Horizon: 2600, MaxQueue: [2]int{200, 200}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sn, err := s.Screen(MetricMean, 0, []int{1, 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sn.Release()
+	row := make([][2]int, 101)
+	for i := range row {
+		row[i] = [2]int{i, 0}
+	}
+	sn.FillPairs(100, 100, row, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sn.Score(Pair(100, 100, i%101, 0, nil)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

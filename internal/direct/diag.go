@@ -36,9 +36,9 @@ type Diagnostics struct {
 	// Folds counts the solve-phase FFT convolutions (finish-law
 	// assembly); MassResidualMax and NegMassMax are the worst per-fold
 	// mass-conservation residual and clamped negative mass among them.
-	// They describe the folds the answer ran: on a QoS or reliability
-	// sweep, the confirmations of its screened contenders (see Screen),
-	// not the weight tables the screen folded.
+	// They describe the folds the answer ran: on a screened sweep (QoS,
+	// reliability, a two-server mean), the confirmations of its
+	// contenders (see Screen), not the weight tables the screen folded.
 	Folds           uint64  `json:"folds"`
 	MassResidualMax float64 `json:"massResidualMax"`
 	NegMassMax      float64 `json:"negMassMax"`

@@ -29,13 +29,18 @@
 // batch at min(Z_1..Z_k) bounds the finish time from below pathwise and
 // one at max(Z_1..Z_k) from above.
 //
-// QoS and reliability are linear in each server's finish law, so a sweep
-// of either need not build the laws at every point: a Screen scores a
-// point within ScreenEps of Eval with one walk per server against a
-// weight table made once per received batch, and the sweep confirms
-// with Eval only the points whose scores lie within 2·ScreenEps of the
-// best. Eval's values stay the answer of record, so the screened sweep
-// returns the policy and value bits of one that evaluates every point.
+// A sweep need not build the laws at every point. QoS and reliability
+// are linear in each server's finish law: a Screen scores a point within
+// ScreenEps of Eval with one walk per server against a weight table made
+// once per received batch, and the sweep confirms with Eval only the
+// points whose scores lie within 2·ScreenEps of the best. For the mean
+// on two servers a Screen scores a lower bound — each received batch
+// replaced by its mean (Jensen), less what the horizon's cap can remove
+// — in one walk over the two races, and the sweep confirms from the
+// least bound up only the points whose bounds do not exceed the best
+// exact value by more than ScreenEps relative. Eval's values stay the
+// answer of record, so the screened sweep returns the policy and value
+// bits of one that evaluates every point.
 //
 // The finish-time laws are built by k-fold lattice convolutions
 // (internal/gridfn), which makes full policy sweeps at the paper's scale
@@ -212,7 +217,8 @@ func Pair(m1, m2, l12, l21 int, fac []int) Point {
 type Metric int
 
 const (
-	// MetricMean is T̄ = E[max_k F_k]. The model must be reliable.
+	// MetricMean is T̄ = E[max_k F_k]. The model must be reliable. On
+	// two servers it has a Screen whose scores are lower bounds.
 	MetricMean Metric = iota
 	// MetricQoS is R_TM = Π_k E[1{F_k ≤ TM}·S_{Y_k}(F_k)]: each server
 	// must both finish by the deadline and outlive its own finish time.

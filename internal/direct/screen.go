@@ -6,40 +6,65 @@ import (
 	"sync"
 
 	"dtr/internal/gridfn"
+	"dtr/internal/par"
 )
 
-// ScreenEps bounds |Screen.Score(pt) − Eval(pt, m, tm)| at every point a
-// screen scores. The two differ only by round-off — the transforms that
+// ScreenEps is the screens' round-off margin. A QoS or reliability
+// score is within ScreenEps of Eval; a mean score is at most Eval +
+// ScreenEps·Eval (a mean carries the lattice's time unit, so its margin
+// is relative). The two differ only by round-off — the transforms that
 // build a finish law on one side and a weight table on the other, the
 // finish law's clamped negative mass and tail bookkeeping, and summation
 // order — which the screen tests measure at below ScreenEps/1000 on
-// every model they run. A sweep that keeps every point whose score lies
-// within 2·ScreenEps of the best it has seen, and evaluates exactly only
-// those, picks what evaluating every point picks (see Screen).
+// every model they run. A sweep that confirms the points whose scores
+// can still win by that margin, and evaluates exactly only those, picks
+// what evaluating every point picks (see Screen).
 const ScreenEps = 1e-9
 
-// Screen scores the points of one sweep of a linear metric — MetricQoS
-// at one deadline or MetricReliability, under fixed replication factors
-// — without a transform. Both metrics are products over the servers of
-// E[w_k(F_k)] for a per-sample weight w_k: S_{Y_k}, 1{x ≤ TM}·S_{Y_k}
-// or, on a reliable server, CDFAt's step-and-fraction weights at TM.
-// With F_k = max(A, Z) + Y_g (the backlog A, the batch's arrival Z, its
-// g tasks' service sum Y_g) that expectation is Σ_r P(max(A, Z) = r)·
-// G_g(r) for the weight table
+// Screen scores the points of one sweep — of MetricQoS at one deadline,
+// MetricReliability or, on a two-server model, MetricMean — under fixed
+// replication factors, without a transform.
+//
+// QoS and reliability are products over the servers of E[w_k(F_k)] for
+// a per-sample weight w_k: S_{Y_k}, 1{x ≤ TM}·S_{Y_k} or, on a reliable
+// server, CDFAt's step-and-fraction weights at TM. With F_k = max(A, Z)
+// + Y_g (the backlog A, the batch's arrival Z, its g tasks' service sum
+// Y_g) that expectation is Σ_r P(max(A, Z) = r)·G_g(r) for the weight
+// table
 //
 //	G_g(r) = Σ_{y < N−r} P(Y_g = y)·w(r + y),
 //
 // one fold of the reversed weights against Y_g, made once per received
 // count and reused by every point that sends g tasks to the server (for
 // g = 0, G is w itself). A point's score is then the race walk with a
-// dot product per server.
+// dot product per server, within ScreenEps of Eval: a maximizing sweep
+// that confirms with Eval every point whose score lies within
+// 2·ScreenEps of the larger of the best score and the incumbent, and
+// reduces over those exact values only, returns the policy and value
+// bits a sweep evaluating every point returns.
 //
-// The contract is screen, then confirm: Score is within ScreenEps of
-// Eval, so a maximizing sweep that confirms with Eval every point whose
-// score lies within 2·ScreenEps of the larger of the best score and the
-// incumbent, and reduces over those exact values only, returns the
-// policy and value bits a sweep evaluating every point returns. Eval
-// stays the answer of record; Score is never reported.
+// The mean is not linear in the finish laws, and its score is a lower
+// bound instead. Eval's lattice mean is E[min(M, H)] for M = max_k(R_k +
+// Y_k), the races R_k and the received sums Y_k with their tails at the
+// horizon H. max is convex in (Y₁, Y₂), so by Jensen E[M] ≥ E[max_k(R_k
+// + c_k)] for the received sums' lattice means c_k, and the cap removes
+// E[(M − H)⁺] ≤ Σ_k E[φ_k(H − R_k)], φ_k(t) = E[(Y_k − t)⁺], which is
+// decreasing: at most φ_k(b) = e_k while R_k is at or below H − b, and
+// φ_k(0) = c_k beyond. So
+//
+//	Eval ≥ B = E[max_k(R_k + c_k)] − Σ_k [e_k·P(R_k ≤ H−b) + c_k·P(R_k > H−b)]
+//
+// (Eval's tail-excess estimate is non-negative and only widens the gap),
+// with H − b the lattice point at or below H/2. c_k, e_k and the CDFs of
+// the backlog and the transfer at H − b are scalars made once per
+// (server, count); B is one walk over the two races (RaceMaxMean) per
+// point. A minimizing sweep confirms with Eval, from the least score up,
+// every point whose score is at most ScreenEps relative above the least
+// exact value yet confirmed or the incumbent, and reduces over those
+// exact values in scan order: every minimizer is among them, so the
+// policy and value bits are again a full sweep's.
+//
+// Eval stays the answer of record; Score is never reported.
 //
 // A Screen is safe for concurrent use until Release, which returns its
 // weight tables to a pool shared by every screen: they live for one
@@ -52,11 +77,11 @@ type Screen struct {
 	legs []screenLeg
 }
 
-// screenLeg is one server's weights and weight tables.
+// screenLeg is one server's weights and weight tables, or its means.
 type screenLeg struct {
 	// w is the weight through the last lattice point it can be nonzero
 	// at; nil when the metric does not read the server (a reliable
-	// server's reliability is 1).
+	// server's reliability is 1, and the mean has no weights).
 	w []float64
 	// step is the pooled lattice behind w when w is a reliable server's
 	// step at the deadline, whose weight tables are read off the service
@@ -66,7 +91,16 @@ type screenLeg struct {
 	// weight table of a received batch of j tasks, in pooled lattices.
 	rev cell[*gridfn.Spectrum]
 	g   []cell[*gridfn.Lattice]
+	// For the mean, sums[j] is the j-task prefix's sumStat and zLow[j]
+	// the CDF at the split of the j-task transfer the server receives.
+	sums []cell[sumStat]
+	zLow []cell[float64]
 }
+
+// sumStat is what the mean's bound reads of a service-sum prefix Y:
+// its lattice mean c, its excess e = E[(Y − b)⁺] over the split's
+// complement b and its CDF low at the split H − b.
+type sumStat struct{ c, e, low float64 }
 
 // tablePool holds the lattices a screen's weights and weight tables are
 // made in, of any length: a Get of the wrong length is dropped.
@@ -81,29 +115,40 @@ func pooledLattice(dx float64, n int) *gridfn.Lattice {
 }
 
 // Screen returns the screen of the metric m — MetricQoS at the deadline
-// tm or MetricReliability — under the per-server factors fac. The mean
-// is not linear in the finish laws and has none. A factor the tables
-// lack fails each Score as it fails Eval.
+// tm, MetricReliability or, on two servers, MetricMean — under the
+// per-server factors fac. It refuses a deadline and a mean Eval refuses,
+// with Eval's error. A factor the tables lack fails each Score as it
+// fails Eval.
 func (s *Solver) Screen(m Metric, tm float64, fac []int) (*Screen, error) {
+	servers := len(s.t.maxQueue)
 	switch m {
 	case MetricQoS:
 		if err := checkDeadline(tm); err != nil {
 			return nil, err
 		}
 	case MetricReliability:
+	case MetricMean:
+		if !s.t.model.Reliable() {
+			return nil, errUnreliable
+		}
+		if servers != 2 {
+			return nil, fmt.Errorf("direct: the mean's screen bounds two servers, model has %d", servers)
+		}
 	default:
-		return nil, fmt.Errorf("direct: metric %d has no screen: only QoS and reliability are linear in the finish laws", m)
+		return nil, fmt.Errorf("direct: unknown metric %d", m)
 	}
-	servers := len(s.t.maxQueue)
 	if len(fac) != servers {
 		return nil, fmt.Errorf("direct: %d replication factors, model has %d servers", len(fac), servers)
 	}
 	sn := &Screen{s: s, m: m, tm: tm, fac: slices.Clone(fac), legs: make([]screenLeg, servers)}
 	for k := range sn.legs {
 		l := &sn.legs[k]
-		l.g = make([]cell[*gridfn.Lattice], s.t.maxQueue[k]+1)
 		sv := s.t.survival(k)
 		switch {
+		case m == MetricMean:
+			l.sums = make([]cell[sumStat], s.t.maxQueue[k]+1)
+			l.zLow = make([]cell[float64], s.t.maxQueue[k]+1)
+			continue
 		case m == MetricReliability:
 			l.w = sv
 		case sv != nil:
@@ -111,6 +156,7 @@ func (s *Solver) Screen(m Metric, tm float64, fac []int) (*Screen, error) {
 		default:
 			l.step, l.w = s.t.cdfWeights(tm)
 		}
+		l.g = make([]cell[*gridfn.Lattice], s.t.maxQueue[k]+1)
 	}
 	return sn, nil
 }
@@ -137,10 +183,12 @@ func (t *Tables) cdfWeights(tm float64) (*gridfn.Lattice, []float64) {
 	return l, w
 }
 
-// Score returns the screened value of the point pt, within ScreenEps of
-// Eval(pt, m, tm): Eval's checks and errors, then per server the race
-// walk against the weight table of the batch it receives. It counts as
-// one evaluation; a warm point allocates nothing.
+// Score returns the screened value of the point pt — within ScreenEps
+// of Eval(pt, m, tm) for QoS and reliability, a lower bound for the mean
+// — after Eval's checks and with its errors: per server the race walk
+// against the weight table of the batch it receives, or the one walk of
+// the mean's bound. It counts as one evaluation; a warm point allocates
+// nothing.
 func (sn *Screen) Score(pt Point) (float64, error) {
 	if err := checkExact(pt); err != nil {
 		return 0, err
@@ -149,11 +197,16 @@ func (sn *Screen) Score(pt Point) (float64, error) {
 	sc := s.t.pool.Get().(*scratch)
 	defer s.t.pool.Put(sc)
 	v := 1.0
+	var races [2]raceLeg
 	err := s.legs(pt, false, func(k, own, g, fac int, z transfer) error {
 		if fac != sn.fac[k] {
 			return fmt.Errorf("direct: replication factor %d at server %d, screen built for %d", fac, k, sn.fac[k])
 		}
 		l := &sn.legs[k]
+		if sn.m == MetricMean {
+			races[k] = sn.race(k, own, g, z, sc.work)
+			return nil
+		}
 		if l.w == nil {
 			return nil
 		}
@@ -168,8 +221,154 @@ func (sn *Screen) Score(pt Point) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if sn.m == MetricMean {
+		v = meanBound(&races)
+	}
 	s.noteEval()
 	return v, nil
+}
+
+// raceLeg is one server's share of the mean's bound: its race max(a, z),
+// the received sum's lattice mean c and d, what the cap at the horizon
+// can remove from this server's finish.
+type raceLeg struct {
+	a, z *gridfn.Lattice
+	c, d float64
+}
+
+// race returns server k's raceLeg with `own` tasks of its own and a batch
+// of g arriving at z (with none, the race is the backlog alone: z is the
+// zero-task prefix, a point mass at 0). w is the caller's fold scratch.
+func (sn *Screen) race(k, own, g int, z transfer, w *gridfn.Work) raceLeg {
+	c := sn.s.chains[sn.fac[k]-1]
+	r := raceLeg{a: sn.s.prefix(c, k, own, w), z: c.pre[k][0]}
+	if g == 0 {
+		return r
+	}
+	y, low := sn.sum(k, g, w), sn.sum(k, own, w).low*sn.transferLow(k, g, z.lat)
+	r.z, r.c, r.d = z.lat, y.c, y.e*low+y.c*(1-low)
+	return r
+}
+
+// meanBound is B = E[max(R₁ + c₁, R₂ + c₂)] − d₁ − d₂ (see Screen), the
+// walk run with the larger mean shifted.
+func meanBound(r *[2]raceLeg) float64 {
+	lead, trail := &r[0], &r[1]
+	if lead.c < trail.c {
+		lead, trail = trail, lead
+	}
+	return trail.c + lead.a.RaceMaxMean(lead.z, trail.a, trail.z, lead.c-trail.c) - r[0].d - r[1].d
+}
+
+// split is the lattice point H − b at or below half the horizon where the
+// mean's bound splits each race (see Screen).
+func (t *Tables) split() int { return (t.n - 1) / 2 }
+
+// sum returns (making on first read) the sumStat of server k's j-task
+// prefix under the screen's factor.
+func (sn *Screen) sum(k, j int, w *gridfn.Work) sumStat {
+	st, _ := sn.legs[k].sums[j].get(func() sumStat {
+		y := sn.s.prefix(sn.s.chains[sn.fac[k]-1], k, j, w)
+		sp := sn.s.t.split()
+		b := len(y.M) - 1 - sp
+		var e float64
+		for i, m := range y.M[b+1:] {
+			e += float64(i+1) * m
+		}
+		return sumStat{c: y.Mean(), e: (e + y.Tail*float64(sp)) * y.Dx, low: massThrough(y, sp)}
+	})
+	return st
+}
+
+// transferLow returns (making on first read) the CDF at the split of the
+// g-task transfer z server k receives; on two servers it has one sender.
+func (sn *Screen) transferLow(k, g int, z *gridfn.Lattice) float64 {
+	low, _ := sn.legs[k].zLow[g].get(func() float64 { return massThrough(z, sn.s.t.split()) })
+	return low
+}
+
+// massThrough is l's mass at the points 0..i, summed in index order.
+func massThrough(l *gridfn.Lattice, i int) float64 {
+	var c float64
+	for _, m := range l.M[:i+1] {
+		c += m
+	}
+	return c
+}
+
+// FillPairs makes ahead, over up to workers goroutines, what scoring the
+// two-server points (L12, L21) of the workload (m1, m2) reads, so that no
+// Score waits on another's fill: first the servers' service-sum prefixes
+// (one job, as the tables fold them under one lock) beside the distinct
+// transfer laws, then the received batches' weight tables or prefix
+// statistics. It makes nothing a serial scan of the points would not,
+// and skips the points whose Score fails.
+func (sn *Screen) FillPairs(m1, m2 int, pairs [][2]int, workers int) {
+	s := sn.s
+	if len(sn.legs) != 2 {
+		return
+	}
+	mean := sn.m == MetricMean
+	var top [2]int
+	var recv [2][]bool
+	for k := range recv {
+		recv[k] = make([]bool, s.t.maxQueue[k]+1)
+	}
+	for _, p := range pairs {
+		if p[0] < 0 || p[1] < 0 || p[0] > m1 || p[1] > m2 {
+			continue
+		}
+		own, g := [2]int{m1 - p[0], m2 - p[1]}, [2]int{p[1], p[0]}
+		for k := range 2 {
+			if own[k] < len(recv[k]) && g[k] < len(recv[k]) {
+				top[k] = max(top[k], own[k], g[k])
+				recv[k][g[k]] = true
+			}
+		}
+	}
+	// reads reports whether scoring reads server k's prefixes.
+	reads := func(k int) bool { return mean || sn.legs[k].w != nil }
+	fills := [][2]int{{-1, 0}} // (server, count); the first is the prefixes
+	var tables [][2]int
+	for k := range 2 {
+		for g := 1; g < len(recv[k]); g++ {
+			if recv[k][g] {
+				fills = append(fills, [2]int{k, g})
+				if reads(k) {
+					tables = append(tables, [2]int{k, g})
+				}
+			}
+		}
+	}
+	do := func(jobs [][2]int, job func(k, g int, w *gridfn.Work)) {
+		_ = par.ForEach(workers, len(jobs), func(_, i int) error {
+			sc := s.t.pool.Get().(*scratch)
+			defer s.t.pool.Put(sc)
+			job(jobs[i][0], jobs[i][1], sc.work)
+			return nil
+		})
+	}
+	do(fills, func(k, g int, w *gridfn.Work) {
+		if k < 0 {
+			for k := range 2 {
+				if reads(k) {
+					s.prefix(s.chains[sn.fac[k]-1], k, top[k], w)
+				}
+			}
+			return
+		}
+		z := s.transferOf(g, 1-k, k)
+		if mean {
+			sn.transferLow(k, g, z.lat)
+		}
+	})
+	do(tables, func(k, g int, w *gridfn.Work) {
+		if mean {
+			sn.sum(k, g, w)
+		} else {
+			sn.table(k, g, w)
+		}
+	})
 }
 
 // Confirm is Eval(pt, m, tm) for a point Score has counted: the same

@@ -3,6 +3,7 @@ package direct
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -93,51 +94,153 @@ func FuzzScreenMatchesFold(f *testing.F) {
 	})
 }
 
-// TestScreenRefusesWhatEvalRefuses: a screen exists only for the linear
-// metrics, and its scores fail where Eval fails, with Eval's errors.
-func TestScreenRefusesWhatEvalRefuses(t *testing.T) {
-	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 50, 0, 1)
-	s := newSolver(t, m, 12, 256, 80)
-	if _, err := s.Screen(MetricMean, 0, []int{1, 1}); err == nil {
-		t.Fatal("the mean has a screen")
-	}
-	if _, err := s.Screen(MetricQoS, -1, []int{1, 1}); err == nil {
-		t.Fatal("a negative deadline has a screen")
-	}
-	// The tables hold factor 1 only: every factor-2 point fails.
-	for _, fac := range [][]int{{1, 1}, {2, 1}} {
-		sn, err := s.Screen(MetricReliability, 0, fac)
+// FuzzMeanScreenBelowEval: on an arbitrary small reliable model (Pareto
+// service with α ∈ (1, 3], Pareto or exponential transfers, lattices of
+// 64 to 512 points over horizons from well inside the finish times' bulk
+// to well beyond it, factors 1–2), the mean's score at every point of
+// the (L12, L21) lattice is at most Confirm + ScreenEps/1000·Confirm, and
+// confirming from the least score up — while a score is within
+// ScreenEps relative of the least exact value so far — confirms the
+// first-wins minimizer of the exact values.
+func FuzzMeanScreenBelowEval(f *testing.F) {
+	f.Add(0.5, 0.2, 0.3, 0.7, 0.4, uint8(1), uint8(8), uint8(5), true, uint8(0))
+	f.Add(0.99, 0.95, 0.05, 0.9, 0.02, uint8(2), uint8(12), uint8(12), false, uint8(3))
+	f.Add(0.9, 0.1, 0.5, 0.5, 0.9, uint8(0), uint8(4), uint8(1), true, uint8(1))
+	f.Fuzz(func(t *testing.T, a1, a2, w1, w2, hor float64, logGrid, m1, m2 uint8, pareto bool, facBits uint8) {
+		mw := []float64{0.2 + 2*unit(w1), 0.2 + 2*unit(w2)}
+		perTask := 0.1 + unit(a1+w2)
+		m := &core.Model{
+			Service: []dist.Dist{dist.NewPareto(3-2*unit(a1), mw[0]), dist.NewPareto(3-2*unit(a2), mw[1])},
+			Failure: []dist.Dist{dist.Never{}, dist.Never{}},
+			Transfer: func(tasks, src, dst int) dist.Dist {
+				if pareto {
+					return dist.NewPareto(1.5+unit(a2+w1), perTask*float64(max(tasks, 1)))
+				}
+				return dist.NewExponential(perTask * float64(max(tasks, 1)))
+			},
+		}
+		n1, n2 := int(m1%13), int(m2%13)
+		h := (0.2 + 2*unit(hor)) * float64(n1+n2+1) * max(mw[0], mw[1])
+		s, err := NewSolver(m, Config{N: 64 << (logGrid % 4), Horizon: h, MaxQueue: [2]int{n1 + n2 + 1, n1 + n2 + 1}, MaxFactor: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pt := range []Point{Pair(8, 4, 2, 0, fac), Pair(8, 4, 9, 0, fac), Pair(8, 4, 0, 20, fac), Pair(13, 4, 0, 0, fac)} {
-			_, want := s.Eval(pt, MetricReliability, 0)
-			if _, got := sn.Score(pt); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("factors %v %+v: Score error %v, Eval error %v", fac, pt, got, want)
+		fac := []int{1 + int(facBits&1), 1 + int(facBits>>1&1)}
+		sn, err := s.Screen(MetricMean, 0, fac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sn.Release()
+		var exact, score []float64
+		for i := 0; i <= n1; i++ {
+			for j := 0; j <= n2; j++ {
+				pt := Pair(n1, n2, i, j, fac)
+				v, err := sn.Score(pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := sn.Confirm(pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !(v <= e+ScreenEps/1000*e) {
+					t.Fatalf("(%d, %d) at factors %v, horizon %g: score %v above Eval %v by %g", i, j, fac, h, v, e, v-e)
+				}
+				exact, score = append(exact, e), append(score, v)
 			}
 		}
-		sn.Release()
+		argmin, best := -1, math.Inf(1)
+		for i, e := range exact {
+			if e < best {
+				argmin, best = i, e
+			}
+		}
+		order := make([]int, len(score))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return score[order[a]] < score[order[b]] })
+		ref := math.Inf(1)
+		for _, i := range order {
+			if score[i] > ref+ScreenEps*ref {
+				break
+			}
+			if i == argmin {
+				return
+			}
+			ref = min(ref, exact[i])
+		}
+		if argmin >= 0 {
+			t.Fatalf("minimizer %d (Eval %v, score %v) not confirmed", argmin, exact[argmin], score[argmin])
+		}
+	})
+}
+
+// TestScreenRefusesWhatEvalRefuses: a screen refuses what Eval refuses
+// for every point — a negative deadline, the mean of a failure-prone
+// model — with Eval's error, and its scores fail where Eval fails, with
+// Eval's errors.
+func TestScreenRefusesWhatEvalRefuses(t *testing.T) {
+	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 50, 0, 1)
+	s := newSolver(t, m, 12, 256, 80)
+	_, want := s.Eval(Pair(8, 4, 2, 0, nil), MetricMean, 0)
+	if _, err := s.Screen(MetricMean, 0, []int{1, 1}); want == nil || fmt.Sprint(err) != fmt.Sprint(want) {
+		t.Fatalf("the mean of a failure-prone model: Screen error %v, Eval error %v", err, want)
+	}
+	_, want = s.Eval(Pair(8, 4, 2, 0, nil), MetricQoS, -1)
+	if _, err := s.Screen(MetricQoS, -1, []int{1, 1}); want == nil || fmt.Sprint(err) != fmt.Sprint(want) {
+		t.Fatalf("a negative deadline: Screen error %v, Eval error %v", err, want)
+	}
+	reliable := newSolver(t, model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1), 12, 256, 80)
+	// The tables hold factor 1 only: every factor-2 point fails.
+	for _, fac := range [][]int{{1, 1}, {2, 1}} {
+		for _, c := range []struct {
+			s *Solver
+			m Metric
+		}{{s, MetricReliability}, {reliable, MetricMean}} {
+			sn, err := c.s.Screen(c.m, 0, fac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pt := range []Point{Pair(8, 4, 2, 0, fac), Pair(8, 4, 9, 0, fac), Pair(8, 4, 0, 20, fac), Pair(13, 4, 0, 0, fac),
+				{Initial: []int{8, 4}, Policy: core.Policy{{0, 2}, {1, 0}}, Fac: fac[:1]}} {
+				_, want := c.s.Eval(pt, c.m, 0)
+				if _, got := sn.Score(pt); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("metric %d, factors %v %+v: Score error %v, Eval error %v", c.m, fac, pt, got, want)
+				}
+			}
+			sn.Release()
+		}
 	}
 	if _, err := s.Eval(Pair(8, 4, 2, 0, []int{2, 1}), MetricReliability, 0); err == nil || !strings.Contains(err.Error(), "raise Config.MaxFactor") {
 		t.Fatalf("factor beyond the tables: %v", err)
 	}
 }
 
-// TestWarmScreenedPointAllocatesNothing: once its weight tables are
-// made, a screened point — a Pair built per call included — allocates
-// nothing, for every kind of weight: survival, survival to a deadline
-// and a reliable server's step.
+// TestWarmScreenedPointAllocatesNothing: once its weight tables or
+// prefix statistics are made, a screened point — a Pair built per call
+// included — allocates nothing, for every kind of weight (survival,
+// survival to a deadline and a reliable server's step) and for the
+// mean's bound.
 func TestWarmScreenedPointAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 60, 0, 1)
-	s, err := NewSolver(m, Config{N: 1 << 11, Horizon: 200, MaxQueue: [2]int{24, 24}, MaxFactor: 2})
-	if err != nil {
-		t.Fatal(err)
+	solver := func(fail float64) *Solver {
+		m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), fail, 0, 1)
+		s, err := NewSolver(m, Config{N: 1 << 11, Horizon: 200, MaxQueue: [2]int{24, 24}, MaxFactor: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	s, reliable := solver(60), solver(0)
 	for _, fac := range [][]int{{1, 1}, {2, 1}} {
-		for _, metric := range []Metric{MetricQoS, MetricReliability} {
+		for _, metric := range []Metric{MetricQoS, MetricReliability, MetricMean} {
+			s := s
+			if metric == MetricMean {
+				s = reliable
+			}
 			sn, err := s.Screen(metric, 40, fac)
 			if err != nil {
 				t.Fatal(err)

@@ -407,6 +407,52 @@ func (l *Lattice) MaxIndepMean(o *Lattice) float64 {
 	return moment*l.Dx + max(1-prev, 0)*l.Horizon()
 }
 
+// RaceMaxMean returns E[max(R₁ + s, R₂)] for the races R₁ = max(A₁, Z₁)
+// and R₂ = max(A₂, Z₂) of independent A₁ ~ a1, Z₁ ~ z1, A₂ ~ a2, Z₂ ~ z2
+// on one geometry and a finite shift s ≥ 0, each race's tail placed at
+// the horizon as Mean places a law's. The races' CDFs are running
+// products of the operands' running sums, as in MaxIndepExpect. The
+// shift is q whole steps and a fraction f of one, so over the step
+// [j, j+1) the shifted CDF reads R₁'s entries j−q−1 (for the first f of
+// it) and j−q, and the integral of P(max > t) is exact. One walk, no
+// store.
+func (a1 *Lattice) RaceMaxMean(z1, a2, z2 *Lattice, s float64) float64 {
+	a1.checkCompat(z1)
+	a1.checkCompat(a2)
+	a1.checkCompat(z2)
+	n, pos := len(a1.M), s/a1.Dx
+	q := int(pos)
+	f := pos - float64(q)
+	m1a, m1z, m2a, m2z := a1.M, z1.M[:n], a2.M[:n], z2.M[:n]
+	// R₂'s entries below q meet R₁ at CDF 0: each step adds 1.
+	var c1a, c1z, c2a, c2z float64
+	for j := range min(q, n-1) {
+		c2a += m2a[j]
+		c2z += m2z[j]
+	}
+	var prev, sum float64
+	both := max(n-1-q, 0)
+	for i := 0; i < both; i++ {
+		c1a += m1a[i]
+		c1z += m1z[i]
+		c := c1a * c1z
+		c2a += m2a[i+q]
+		c2z += m2z[i+q]
+		sum += 1 - c2a*c2z*(c-f*(c-prev))
+		prev = c
+	}
+	// Past the horizon R₂'s CDF is 1.
+	for i := both; i < n-1; i++ {
+		c1a += m1a[i]
+		c1z += m1z[i]
+		c := c1a * c1z
+		sum += 1 - (c - f*(c-prev))
+		prev = c
+	}
+	sum += f * (1 - prev)
+	return (float64(q) + sum) * a1.Dx
+}
+
 // MinIndep returns the distribution of min(X, Y) for independent X ~ l,
 // Y ~ o on the same geometry: P(min > x) = P(X > x)·P(Y > x). 1−C counts
 // a law's tail as surviving every lattice point, so the min lands beyond

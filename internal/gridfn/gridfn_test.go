@@ -2,6 +2,7 @@ package gridfn
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -189,5 +190,53 @@ func TestInvalidConstructionPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestRaceMaxMeanMatchesEnumeration: on random sub-probability lattices
+// of 1 to 64 points, RaceMaxMean equals the double sum over the two
+// races' masses — each race's tail at the horizon — of max(r₁ + s, r₂),
+// at shifts of zero, whole and fractional steps, and past the horizon.
+func TestRaceMaxMeanMatchesEnumeration(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	law := func(n int, dx float64) *Lattice {
+		l := New(dx, n)
+		total := 0.0
+		for i := range l.M {
+			if r.Intn(3) > 0 {
+				l.M[i] = r.Float64()
+				total += l.M[i]
+			}
+		}
+		scale := (1 - 0.3*r.Float64()) / max(total, 1e-300)
+		for i := range l.M {
+			l.M[i] *= scale
+		}
+		l.Tail = max(1-l.latticeMass(), 0)
+		return l
+	}
+	// masses is the race's law with its tail moved onto the last point.
+	masses := func(a, z *Lattice) []float64 {
+		m := a.MaxIndep(z)
+		m.M[len(m.M)-1] += m.Tail
+		return m.M
+	}
+	for _, n := range []int{1, 2, 3, 7, 64} {
+		dx := 0.1 + r.Float64()
+		h := float64(n-1) * dx
+		for _, s := range []float64{0, dx, 3 * dx, 0.37 * dx, 2.61 * dx, 0.5 * h, h, 1.4*h + 0.3*dx} {
+			a1, z1, a2, z2 := law(n, dx), law(n, dx), law(n, dx), law(n, dx)
+			p1, p2 := masses(a1, z1), masses(a2, z2)
+			var want float64
+			for i, x := range p1 {
+				for j, y := range p2 {
+					want += x * y * max(float64(i)*dx+s, float64(j)*dx)
+				}
+			}
+			got := a1.RaceMaxMean(z1, a2, z2, s)
+			if math.Abs(got-want) > 1e-12*max(want, 1) {
+				t.Errorf("n %d, shift %g (dx %g): RaceMaxMean %v, enumeration %v", n, s, dx, got, want)
+			}
+		}
 	}
 }

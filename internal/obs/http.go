@@ -3,11 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strings"
-	"sync"
 )
 
 // Handler serves the registry: GET /metrics (Prometheus text format) and
@@ -27,31 +27,37 @@ func (r *Registry) Handler() http.Handler {
 	return mux
 }
 
-var expvarOnce sync.Once
-
-// publishExpvar exposes the default registry's snapshot under the expvar
-// key "dtr_metrics" (idempotent; expvar.Publish panics on duplicates).
-func publishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("dtr_metrics", expvar.Func(func() any {
-			return Default().Snapshot()
-		}))
-	})
+// handleVars returns the /debug/vars handler: expvar's published
+// variables and, under "dtr_metrics", the snapshot of r — the registry
+// the surface was mounted for, not the default one.
+func handleVars(r *Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		snap, err := json.Marshal(r.Snapshot())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		fmt.Fprintf(w, "{\n")
+		expvar.Do(func(kv expvar.KeyValue) {
+			fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value)
+		})
+		fmt.Fprintf(w, "%q: %s\n}\n", "dtr_metrics", snap)
+	}
 }
 
 // Register mounts the full exposition surface for r on mux: /metrics
 // (Prometheus text), /metrics.json (Snapshot JSON), /debug/vars
-// (expvar), /debug/requests (the default tracer's recent/slowest trace
-// trees — empty JSON when tracing is off), /debug/solver (the
-// solver-health subset of the registry, summarized) and — when withPProf
-// — the net/http/pprof handlers under /debug/pprof/. Long-running
-// daemons use it to share one mux between their API and their telemetry;
-// the CLIs route through it too.
+// (expvar's variables and r's snapshot), /debug/requests (the default
+// tracer's recent/slowest trace trees — empty JSON when tracing is off),
+// /debug/solver (the solver-health subset of the registry, summarized)
+// and — when withPProf — the net/http/pprof handlers under
+// /debug/pprof/. Long-running daemons use it to share one mux between
+// their API and their telemetry; the CLIs route through it too.
 func Register(mux *http.ServeMux, r *Registry, withPProf bool) {
-	publishExpvar()
 	mux.Handle("/metrics", r.Handler())
 	mux.Handle("/metrics.json", r.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", handleVars(r))
 	mux.HandleFunc("/debug/requests", handleRequests)
 	mux.HandleFunc("/debug/solver", handleSolver(r))
 	if withPProf {

@@ -79,6 +79,14 @@ func TestServe(t *testing.T) {
 	if published["cmdline"] == nil || published["dtr_metrics"] == nil {
 		t.Fatalf("/debug/vars lacks the expvar defaults or the dtr_metrics snapshot:\n%s", vars)
 	}
+	// dtr_metrics is the served registry's snapshot, not the default's.
+	var served Snapshot
+	if err := json.Unmarshal(published["dtr_metrics"], &served); err != nil {
+		t.Fatalf("/debug/vars' dtr_metrics is not a snapshot: %v", err)
+	}
+	if served.Counters["dtr_http_test_total"] != 7 {
+		t.Fatalf("/debug/vars' dtr_metrics counters = %v, want dtr_http_test_total 7", served.Counters)
+	}
 }
 
 // TestServeBadAddr checks that an unbindable -metrics-addr surfaces as a

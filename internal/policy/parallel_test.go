@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dtr/dist"
+	"dtr/internal/direct"
 	"dtr/internal/obs"
 )
 
@@ -15,20 +16,26 @@ import (
 // in that same order, so the optimum, its value, the tie-breaking and the
 // Evaluations count are bit-identical at every worker count — with the
 // metrics registry installed (which adds per-evaluation timing on the
-// worker path) and under any GOMAXPROCS. Every run sweeps fresh tables:
-// on shared ones each run after the first would read the first back.
+// worker path) and under any GOMAXPROCS — and so is the solver's fold
+// audit: the screened sweep confirms the same points at every worker
+// count. Every run sweeps fresh tables: on shared ones each run after
+// the first would read the first back.
 func TestOptimize2DeterministicAcrossWorkers(t *testing.T) {
 	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 0, 0, 1)
 
 	for _, exhaustive := range []bool{false, true} {
-		run := func(workers int) Result2 {
+		type outcome struct {
+			res  Result2
+			diag direct.Diagnostics
+		}
+		run := func(workers int) outcome {
 			t.Helper()
 			s := solver2(t, m, 40, 1<<12, 160)
 			res, err := Optimize2(s, 24, 12, ObjMeanTime, Options2{Exhaustive: exhaustive, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return outcome{res, s.Diagnostics()}
 		}
 
 		// Baseline: uninstrumented, one worker.

@@ -12,8 +12,10 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"dtr/dist"
@@ -151,11 +153,17 @@ type SweepDiagnostics struct {
 // evalFunc computes the objective for one policy (L12, L21).
 type evalFunc func(l12, l21 int) (float64, error)
 
-// screened is a sweep's two-step evaluation of a linear objective: score
-// values every candidate within direct.ScreenEps of the exact value,
-// without a transform, and confirm evaluates exactly the candidates that
-// can still win (see sweep2.tryAll).
-type screened struct{ score, confirm evalFunc }
+// screened is a sweep's two-step evaluation on the canonical-scenario
+// solver: fill makes ahead what scoring a batch reads, score values
+// every candidate without a transform, and confirm evaluates exactly the
+// candidates that can still win (see sweep2.tryAll). lower says which
+// contract score holds: a lower bound on the minimized mean, or within
+// direct.ScreenEps of a maximized linear objective.
+type screened struct {
+	score, confirm evalFunc
+	fill           func(pts [][2]int, workers int)
+	lower          bool
+}
 
 // metric is the solver metric the objective reads.
 func (o Objective) metric() (direct.Metric, error) {
@@ -187,11 +195,12 @@ func directEval(s *direct.Solver, m1, m2 int, obj Objective, deadline float64, f
 	}
 }
 
-// directScreen scores and confirms policies through the screen sn, built
-// for the factors fac; not inlined, for directEval's reason.
+// directScreen fills, scores and confirms policies through the screen
+// sn, built for the factors fac; lower is the mean's contract. Not
+// inlined, for directEval's reason.
 //
 //go:noinline
-func directScreen(sn *direct.Screen, m1, m2 int, fac [2]int) *screened {
+func directScreen(sn *direct.Screen, m1, m2 int, fac [2]int, lower bool) *screened {
 	fs := fac[:]
 	return &screened{
 		score: func(l12, l21 int) (float64, error) {
@@ -200,6 +209,10 @@ func directScreen(sn *direct.Screen, m1, m2 int, fac [2]int) *screened {
 		confirm: func(l12, l21 int) (float64, error) {
 			return sn.Confirm(direct.Pair(m1, m2, l12, l21, fs))
 		},
+		fill: func(pts [][2]int, workers int) {
+			sn.FillPairs(m1, m2, pts, workers)
+		},
+		lower: lower,
 	}
 }
 
@@ -235,12 +248,12 @@ func sweepDirect(s *direct.Solver, m1, m2 int, obj Objective, opt Options2, fac 
 	}
 	v, hit, err := s.Sweep(key, fac, func(v *direct.Solver) (any, error) {
 		var scr *screened
-		// The mean has no screen, and neither has a deadline Eval
-		// refuses: every point goes to Eval, which says why.
+		// A deadline Eval refuses has no screen, nor has the mean on a
+		// failure-prone model: every point goes to Eval, which says why.
 		if metric, err := obj.metric(); err == nil {
 			if sn, err := v.Screen(metric, opt.Deadline, fac[:]); err == nil {
 				defer sn.Release()
-				scr = directScreen(sn, m1, m2, fac)
+				scr = directScreen(sn, m1, m2, fac, metric == direct.MetricMean)
 			}
 		}
 		return optimize2(directEval(v, m1, m2, obj, opt.Deadline, fac), scr, m1, m2, obj, opt)
@@ -258,8 +271,8 @@ func sweepDirect(s *direct.Solver, m1, m2 int, obj Objective, opt Options2, fac 
 
 // optimize2 is the search engine behind Optimize2, OptimizeRepl2 and
 // Optimize2Regen: the lattice sweep over whatever evaluates one policy,
-// screened by scr when it is set (a maximized linear objective on the
-// canonical-scenario solver).
+// screened by scr when it is set (a sweep on the canonical-scenario
+// solver).
 func optimize2(eval evalFunc, scr *screened, m1, m2 int, obj Objective, opt Options2) (Result2, error) {
 	if m1 < 0 || m2 < 0 {
 		return Result2{}, fmt.Errorf("policy: negative workload (%d, %d)", m1, m2)
@@ -390,10 +403,11 @@ type sweep2 struct {
 	batches int
 	span    *obs.Span // "optimize2" trace span (nil = untraced)
 
-	cand [][2]int     // candidate scratch, reused across batches
-	keep [][2]int     // the screen's contenders, reused across batches
-	vals []float64    // value slots, written by index from the pool
-	busy []*obs.Gauge // per-worker busy gauges (nil = uninstrumented)
+	cand  [][2]int     // candidate scratch, reused across batches
+	keep  [][2]int     // the screen's contenders, reused across batches
+	order []int        // confirmLeast's candidate order, reused across batches
+	vals  []float64    // value slots, written by index from the pool
+	busy  []*obs.Gauge // per-worker busy gauges (nil = uninstrumented)
 }
 
 // tryAll evaluates one batch of candidate points: infeasible and
@@ -406,14 +420,17 @@ type sweep2 struct {
 // evaluation count matches — which is what makes the parallel sweep
 // bit-identical to the serial one at every worker count.
 //
-// A screened sweep scores every survivor first and evaluates exactly only
-// the contenders: the scores within 2·ScreenEps of the larger of the best
-// score and the incumbent, and any NaN. With every score within ScreenEps
-// of its exact value, a candidate left out is exactly worse than the
-// incumbent or than the best-scoring candidate, and every candidate
-// exactly as good as the batch's best is kept, so the fold over the
-// contenders' exact values lands where the fold over every candidate
-// would: same policy, same value bits. A screened point counts once.
+// A screened sweep fills what scoring the survivors reads, scores every
+// one and evaluates exactly only those that can still win. Under the
+// linear objectives' contract those are the contenders: the scores within
+// 2·ScreenEps of the larger of the best score and the incumbent, and any
+// NaN. With every score within ScreenEps of its exact value, a candidate
+// left out is exactly worse than the incumbent or than the best-scoring
+// candidate, and every candidate exactly as good as the batch's best is
+// kept. Under the mean's lower bounds confirmLeast picks them. Either
+// way the fold over the confirmed exact values in scan order lands where
+// the fold over every candidate would: same policy, same value bits. A
+// screened point counts once.
 func (sw *sweep2) tryAll(pts [][2]int) error {
 	cand := sw.cand[:0]
 	for _, p := range pts {
@@ -446,10 +463,14 @@ func (sw *sweep2) tryAll(pts [][2]int) error {
 		sw.reduce(cand, vals)
 		return nil
 	}
+	sw.scr.fill(cand, sw.workers)
 	if err := sw.each(cand, vals, sw.scr.score); err != nil {
 		return err
 	}
 	sw.evals += len(cand)
+	if sw.scr.lower {
+		return sw.confirmLeast(cand, vals)
+	}
 	top := sw.best.Value
 	for _, v := range vals {
 		if v > top {
@@ -468,6 +489,72 @@ func (sw *sweep2) tryAll(pts [][2]int) error {
 		return err
 	}
 	sw.reduce(keep, vals)
+	return nil
+}
+
+// confirmChunk is how many candidates confirmLeast confirms at once, over
+// the sweep's workers. It is a constant, not the worker count, so that
+// which points are folded — and the solver's fold audit — is the same at
+// every worker count.
+const confirmChunk = 4
+
+// confirmLeast confirms the candidates cand, whose scores bound are
+// lower bounds on their exact values, from the least bound up (ties in
+// scan order), confirmChunk at a time: a chunk takes the next candidates
+// whose bounds are at most direct.ScreenEps relative above ref, the least
+// of the incumbent and the exact values confirmed so far, and the first
+// candidate above it ends the search. It then folds the confirmed
+// candidates' exact values into the incumbent in scan order.
+//
+// Every candidate whose exact value is the least of the batch's and the
+// incumbent's, v*, is confirmed: ref never falls below v*, and the
+// candidate's bound is at most v* + ScreenEps·v*. A fold over the
+// confirmed values in scan order therefore picks what a fold over every
+// candidate picks.
+func (sw *sweep2) confirmLeast(cand [][2]int, bound []float64) error {
+	order := sw.order[:0]
+	for i := range cand {
+		order = append(order, i)
+	}
+	sw.order = order
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(bound[a], bound[b]), a-b) })
+	ref, n := sw.best.Value, 0
+	var pts [confirmChunk][2]int
+	var vals [confirmChunk]float64
+	for n < len(order) {
+		thr := ref + direct.ScreenEps*math.Abs(ref)
+		hi := n
+		for hi < len(order) && hi-n < confirmChunk && !(bound[order[hi]] > thr) {
+			hi++
+		}
+		if hi == n {
+			break
+		}
+		chunk := order[n:hi]
+		for j, i := range chunk {
+			pts[j] = cand[i]
+		}
+		if err := sw.each(pts[:len(chunk)], vals[:len(chunk)], sw.scr.confirm); err != nil {
+			return err
+		}
+		for j, i := range chunk {
+			bound[i] = vals[j]
+			if vals[j] < ref {
+				ref = vals[j]
+			}
+		}
+		n = hi
+	}
+	// The confirmed indices ascend, so bound[p] is read before it is
+	// overwritten.
+	slices.Sort(order[:n])
+	keep := sw.keep[:0]
+	for p, i := range order[:n] {
+		keep = append(keep, cand[i])
+		bound[p] = bound[i]
+	}
+	sw.keep = keep
+	sw.reduce(keep, bound[:n])
 	return nil
 }
 

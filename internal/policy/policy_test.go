@@ -228,12 +228,12 @@ func TestWarmSweepPointAllocatesNothing(t *testing.T) {
 				t.Errorf("warm %v point at factors %v allocates %v objects per call, want 0", obj, fac, allocs)
 			}
 		}
-		for _, metric := range []direct.Metric{direct.MetricQoS, direct.MetricReliability} {
+		for _, metric := range []direct.Metric{direct.MetricMean, direct.MetricQoS, direct.MetricReliability} {
 			sn, err := s.Screen(metric, 40, fac[:])
 			if err != nil {
 				t.Fatal(err)
 			}
-			scr := directScreen(sn, 16, 8, fac)
+			scr := directScreen(sn, 16, 8, fac, metric == direct.MetricMean)
 			for name, f := range map[string]evalFunc{"screened": scr.score, "confirmed": scr.confirm} {
 				if _, err := f(5, 2); err != nil {
 					t.Fatal(err)

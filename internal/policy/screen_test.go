@@ -16,8 +16,8 @@ import (
 	"dtr/modelspec"
 )
 
-// screenCase is a model, a workload and a linear objective the screened
-// sweep is held to.
+// screenCase is a model, a workload and an objective the screened sweep
+// is held to.
 type screenCase struct {
 	name      string
 	model     *core.Model
@@ -30,7 +30,10 @@ type screenCase struct {
 }
 
 func (c screenCase) metric() direct.Metric {
-	if c.obj == policy.ObjQoS {
+	switch c.obj {
+	case policy.ObjMeanTime:
+		return direct.MetricMean
+	case policy.ObjQoS:
 		return direct.MetricQoS
 	}
 	return direct.MetricReliability
@@ -68,27 +71,46 @@ func pairOf(m *core.Model, i, j int) *core.Model {
 	}
 }
 
-// linearCases appends the QoS case of m at deadline and, when a server
-// can fail, its reliability case.
-func linearCases(cs []screenCase, c screenCase, deadline float64) []screenCase {
+// objCases appends the QoS case of m at deadline and, when a server can
+// fail, its reliability case, or else its mean case.
+func objCases(cs []screenCase, c screenCase, deadline float64) []screenCase {
 	c.obj, c.deadline = policy.ObjQoS, deadline
 	cs = append(cs, c)
+	c.obj, c.deadline = policy.ObjMeanTime, 0
 	if !c.model.Reliable() {
-		c.obj, c.deadline = policy.ObjReliability, 0
-		cs = append(cs, c)
+		c.obj = policy.ObjReliability
 	}
-	return cs
+	return append(cs, c)
+}
+
+// meanCase appends the mean case of m.
+func meanCase(cs []screenCase, c screenCase) []screenCase {
+	c.obj, c.deadline = policy.ObjMeanTime, 0
+	return append(cs, c)
+}
+
+// neverFails is m with every failure law replaced by dist.Never.
+func neverFails(m *core.Model) *core.Model {
+	r := *m
+	r.Failure = make([]dist.Dist, len(m.Failure))
+	for i := range r.Failure {
+		r.Failure[i] = dist.Never{}
+	}
+	return &r
 }
 
 // screenCorpus is every model the screen is held to: the canonical
 // models of results/ and Table I under every paper family and delay,
 // reliable and failure-prone; the testbed of Fig. 4(c); server pairs of
-// the Table II models; the benchmark's testbed spec at its two grids;
-// the severe-delay Pareto model with Pareto failure laws; and seeded
-// random small models — Pareto service with α ∈ (1, 2], exponential and
-// Pareto failure laws, replication factors 1–2. Under the race detector,
-// which checks the sweep's concurrency rather than its values, only the
-// testbed and the random models run.
+// the Table II models, failure-prone and (for the mean) reliable; the
+// benchmark's testbed spec at its two grids; the severe-delay Pareto
+// model with Pareto failure laws; the benchmark's lab_sweep model (mean,
+// 100 + 100 tasks, grid 2048); and seeded random small models — Pareto
+// service with α ∈ (1, 2], exponential and Pareto failure laws (and,
+// for the mean, none), replication factors 1–2. Every model is swept for
+// QoS and for reliability or, when no server fails, the mean. Under the
+// race detector, which checks the sweep's concurrency rather than its
+// values, only the testbed and the random models run.
 var screenCorpus = sync.OnceValue(func() []screenCase {
 	var cs []screenCase
 	families := dist.PaperFamilies()
@@ -98,24 +120,27 @@ var screenCorpus = sync.OnceValue(func() []screenCase {
 	for _, f := range families {
 		for _, d := range []exper.Delay{exper.LowDelay, exper.SevereDelay} {
 			for _, rel := range []bool{true, false} {
-				cs = linearCases(cs, screenCase{
+				cs = objCases(cs, screenCase{
 					name:  fmt.Sprintf("canonical/%v/%v/reliable=%v", f, d, rel),
 					model: exper.CanonicalModel(f, d, rel), m1: exper.M1, m2: exper.M2,
 					grid: 1024, horizon: d.Horizon(),
 				}, exper.QoSDeadline)
 			}
 		}
-		m := exper.Table2Model(f, false)
+		m, rm := exper.Table2Model(f, false), exper.Table2Model(f, true)
 		for j := 1; j < len(exper.Table2Initial); j++ {
-			cs = linearCases(cs, screenCase{
+			c := screenCase{
 				name:  fmt.Sprintf("table2/%v/servers %d+%d", f, j-1, j),
 				model: pairOf(m, j-1, j), m1: exper.Table2Initial[j-1], m2: exper.Table2Initial[j],
 				grid: 1024,
-			}, 120)
+			}
+			cs = objCases(cs, c, 120)
+			c.name, c.model = c.name+"/reliable", pairOf(rm, j-1, j)
+			cs = meanCase(cs, c)
 		}
 	}
 	for _, rel := range []bool{true, false} {
-		cs = linearCases(cs, screenCase{
+		cs = objCases(cs, screenCase{
 			name:  fmt.Sprintf("testbed/reliable=%v", rel),
 			model: exper.TestbedModel(rel), m1: exper.TBM1, m2: exper.TBM2, grid: 1024, horizon: 1200,
 		}, 200)
@@ -128,7 +153,7 @@ var screenCorpus = sync.OnceValue(func() []screenCase {
 		if policy.RaceEnabled {
 			break
 		}
-		cs = linearCases(cs, screenCase{
+		cs = objCases(cs, screenCase{
 			name:  fmt.Sprintf("spec testbed/grid %d", grid),
 			model: m, m1: queues[0], m2: queues[1], grid: grid,
 		}, 200)
@@ -136,9 +161,21 @@ var screenCorpus = sync.OnceValue(func() []screenCase {
 	if !policy.RaceEnabled {
 		severe := exper.CanonicalModel(dist.FamilyPareto2, exper.SevereDelay, true)
 		severe.Failure = []dist.Dist{dist.NewPareto(2.5, 400), dist.NewPareto(2.5, 300)}
-		cs = linearCases(cs, screenCase{
+		cs = objCases(cs, screenCase{
 			name: "severe/pareto failures", model: severe, m1: exper.M1, m2: exper.M2, grid: 1024, horizon: exper.HorizonSevere,
 		}, exper.QoSDeadline)
+		spec := modelspec.SystemSpec{
+			Servers: []modelspec.ServerSpec{
+				{Queue: 100, Service: modelspec.DistSpec{Type: "pareto", Mean: 2, Alpha: 2.5}},
+				{Queue: 100, Service: modelspec.DistSpec{Type: "pareto", Mean: 1, Alpha: 2.5}},
+			},
+			Transfer: modelspec.TransferSpec{DistSpec: modelspec.DistSpec{Type: "pareto", Alpha: 2.5}, PerTaskMean: 3},
+		}
+		lab, queues, err := spec.Build()
+		if err != nil {
+			panic(err)
+		}
+		cs = meanCase(cs, screenCase{name: "bench lab_sweep", model: lab, m1: queues[0], m2: queues[1], grid: 2048, horizon: 2600})
 	}
 
 	r := rand.New(rand.NewSource(43))
@@ -162,11 +199,16 @@ var screenCorpus = sync.OnceValue(func() []screenCase {
 			}
 			return dist.NewExponential(perTask * float64(max(tasks, 1)))
 		}
-		cs = linearCases(cs, screenCase{
+		c := screenCase{
 			name:  fmt.Sprintf("random %d", i),
 			model: m, m1: 6 + r.Intn(14), m2: 3 + r.Intn(8), grid: 256 << r.Intn(3), horizon: 60 + 200*r.Float64(),
 			maxFactor: 2,
-		}, 10+40*r.Float64())
+		}
+		cs = objCases(cs, c, 10+40*r.Float64())
+		if !m.Reliable() {
+			c.name, c.model = c.name+"/reliable", neverFails(m)
+			cs = meanCase(cs, c)
+		}
 	}
 	return cs
 })
@@ -215,47 +257,78 @@ var screenScans = sync.OnceValues(func() ([]screenScan, error) {
 	return out, nil
 })
 
-// TestScreenGapBound: over the whole corpus, every point's score is
-// within ScreenEps/1000 of its exact value, a thousandfold margin on the
-// bound the sweep's contender rule assumes. The largest gap is logged.
+// TestScreenGapBound: over the whole corpus, every QoS or reliability
+// score is within ScreenEps/1000 of its exact value, and every mean score
+// at most ScreenEps/1000 relative above it: a thousandfold margin on the
+// bounds the sweep's confirmation rules assume. The largest gap of each
+// kind is logged, with how many mean points a sweep could not rule out
+// against the exact optimum.
 func TestScreenGapBound(t *testing.T) {
 	scans, err := screenScans()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var worst float64
-	var where string
-	points := 0
+	worstMean := math.Inf(-1)
+	var where, whereMean string
+	points, meanPoints, below := 0, 0, 0
 	for ci, c := range screenCorpus() {
 		for fi, fac := range c.combos() {
+			_, _, opt := firstBest(c.obj, scans[ci].exact[fi], c.m2)
 			for i, want := range scans[ci].exact[fi] {
 				got := scans[ci].score[fi][i]
+				at := fmt.Sprintf("%s %v factors %v (L12, L21) = (%d, %d)", c.name, c.obj, fac, i/(c.m2+1), i%(c.m2+1))
+				if c.obj == policy.ObjMeanTime {
+					meanPoints++
+					if got <= opt+direct.ScreenEps*opt {
+						below++
+					}
+					if !(got <= want+direct.ScreenEps/1000*want) {
+						t.Errorf("%s: bound %v above Eval %v", at, got, want)
+					}
+					if gap := (got - want) / want; gap > worstMean {
+						worstMean, whereMean = gap, at
+					}
+					continue
+				}
 				points++
 				if math.IsNaN(want) != math.IsNaN(got) {
-					t.Fatalf("%s factors %v point %d: score %v, exact %v", c.name, fac, i, got, want)
+					t.Fatalf("%s: score %v, exact %v", at, got, want)
 				}
 				if gap := math.Abs(got - want); gap > worst {
-					worst, where = gap, fmt.Sprintf("%s %v factors %v (L12, L21) = (%d, %d)", c.name, c.obj, fac, i/(c.m2+1), i%(c.m2+1))
+					worst, where = gap, at
 				}
 			}
 		}
 	}
-	t.Logf("largest |score − Eval| over %d points of %d cases: %.3g at %s", points, len(screenCorpus()), worst, where)
+	t.Logf("largest |score − Eval| over %d QoS and reliability points: %.3g at %s", points, worst, where)
+	t.Logf("largest (score − Eval)/Eval over %d mean points: %.3g at %s; %d points not ruled out by the optimum", meanPoints, worstMean, whereMean, below)
 	if worst > direct.ScreenEps/1000 {
 		t.Fatalf("largest gap %.3g exceeds ScreenEps/1000 = %g", worst, direct.ScreenEps/1000)
 	}
 }
 
 // firstBest is the exhaustive sweep's reduction over exact values in
-// scan order: strictly better replaces, so the first maximum wins.
-func firstBest(vals []float64, m2 int) (l12, l21 int, v float64) {
+// scan order: strictly better replaces, so the first best wins.
+func firstBest(obj policy.Objective, vals []float64, m2 int) (l12, l21 int, v float64) {
 	l12, l21, v = -1, -1, math.Inf(-1)
+	if obj == policy.ObjMeanTime {
+		v = math.Inf(1)
+	}
 	for i, x := range vals {
-		if x > v {
+		if better(obj, x, v) {
 			l12, l21, v = i/(m2+1), i%(m2+1), x
 		}
 	}
 	return l12, l21, v
+}
+
+// better is the objective's strict comparison.
+func better(obj policy.Objective, a, b float64) bool {
+	if obj == policy.ObjMeanTime {
+		return a < b
+	}
+	return a > b
 }
 
 func sameResult(t *testing.T, what string, got, want policy.Result2) {
@@ -288,7 +361,7 @@ func TestScreenedSweepMatchesFoldSweep(t *testing.T) {
 			want := make([]policy.Result2, len(c.combos()))
 			for fi, fac := range c.combos() {
 				if exhaustive {
-					l12, l21, v := firstBest(scans[ci].exact[fi], c.m2)
+					l12, l21, v := firstBest(c.obj, scans[ci].exact[fi], c.m2)
 					want[fi] = policy.Result2{L12: l12, L21: l21, Value: v, Evaluations: points, Diag: policy.SweepDiagnostics{
 						Feasible: points, Evaluated: points, Batches: 1, Coverage: 1, Exhaustive: true,
 					}}
@@ -323,7 +396,7 @@ func TestScreenedSweepMatchesFoldSweep(t *testing.T) {
 			for fi, fac := range c.combos() {
 				w := want[fi]
 				total += w.Evaluations
-				if w.Value > want[best].Value {
+				if better(c.obj, w.Value, want[best].Value) {
 					best = fi
 				}
 				cb := got.Combos[fi]

@@ -123,9 +123,10 @@ func TestParentSnapshotReloads(t *testing.T) {
 	// captured bodies, except for bounds, whose means the parent of the
 	// n-server solver merge summed by another kernel (see TestBoundsPinned
 	// in internal/direct) — the snapshot holds that build's last digits —
-	// and for the QoS explain's fold audit: the writing build folded every
-	// sweep point, a screened sweep folds only its confirmations, so the
-	// two bodies agree but for solver.folds and the fold maxima.
+	// and for the two-server explains' fold audit: the writing build
+	// folded every sweep point, a screened sweep folds only its
+	// confirmations, so the two bodies agree but for solver.folds and the
+	// fold maxima.
 	raw, err := os.ReadFile("testdata/parent.cachesnap.json")
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +159,14 @@ func TestParentSnapshotReloads(t *testing.T) {
 	}
 }
 
-// foldAuditMasked is an explain-probe body without the solver fields that
-// describe the folds the answer ran (see TestParentSnapshotReloads), and
-// any other case's body as it is.
+// foldAuditMasked is a two-server explain body without the solver fields
+// that describe the folds the answer ran (see TestParentSnapshotReloads),
+// and any other case's body as it is.
 func foldAuditMasked(t *testing.T, name, body string) string {
 	t.Helper()
-	if name != "explain-probe" {
+	switch name {
+	case "explain", "explain-probe", "explain-repl":
+	default:
 		return body
 	}
 	var doc map[string]any
