@@ -30,11 +30,12 @@ func BenchmarkTablesMetricsRead(b *testing.B) {
 	}
 }
 
-// BenchmarkMeanScore2k measures the mean's screened score of one point
-// of the benchmark's lab_sweep model (severe Pareto, 100 + 100 tasks,
-// grid 2048, horizon 2600) once the screen's prefix statistics and the
-// transfer laws are made: one walk over the two races, cycling over the
-// row L21 = 0.
+// BenchmarkMeanScore2k measures the mean's two bounds of one point of
+// the benchmark's lab_sweep model (severe Pareto, 100 + 100 tasks, grid
+// 2048, horizon 2600) once the screen's prefix statistics and the
+// transfer laws are made, cycling over the row L21 = 0: the pre-bound
+// Score returns (pre) and the walk over the two races Refine makes
+// (walk).
 func BenchmarkMeanScore2k(b *testing.B) {
 	m := &core.Model{
 		Service: []dist.Dist{dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1)},
@@ -57,10 +58,19 @@ func BenchmarkMeanScore2k(b *testing.B) {
 		row[i] = [2]int{i, 0}
 	}
 	sn.FillPairs(100, 100, row, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sn.Score(Pair(100, 100, i%101, 0, nil)); err != nil {
-			b.Fatal(err)
+	sn.FillWalks(row, 0)
+	b.Run("pre", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sn.Score(Pair(100, 100, i%101, 0, nil)); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("walk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sn.Refine(Pair(100, 100, i%101, 0, nil)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

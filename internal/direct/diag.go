@@ -123,8 +123,8 @@ func (s *Solver) Diagnostics() Diagnostics {
 	for _, c := range s.chains {
 		for k, bound := range s.t.maxQueue {
 			s.prefix(c, k, bound, sc.work)
+			mergeMeter(&build, c.meter[k]) // complete, so no longer written
 		}
-		mergeMeter(&build, c.meter) // complete, so no longer written
 	}
 	s.t.pool.Put(sc)
 	return Diagnostics{

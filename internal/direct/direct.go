@@ -34,13 +34,15 @@
 // ScreenEps of Eval with one walk per server against a weight table made
 // once per received batch, and the sweep confirms with Eval only the
 // points whose scores lie within 2·ScreenEps of the best. For the mean
-// on two servers a Screen scores a lower bound — each received batch
+// on two servers a Screen bounds from below — each received batch
 // replaced by its mean (Jensen), less what the horizon's cap can remove
-// — in one walk over the two races, and the sweep confirms from the
-// least bound up only the points whose bounds do not exceed the best
-// exact value by more than ScreenEps relative. Eval's values stay the
-// answer of record, so the screened sweep returns the policy and value
-// bits of one that evaluates every point.
+// — in one walk over the two races (Refine), and scores an O(1)
+// pre-bound of that walk from per-(server, count) scalars; the sweep
+// walks only the points whose pre-bounds can still come first, and
+// confirms from the least bound up only the points whose bounds do not
+// exceed the best exact value by more than ScreenEps relative. Eval's
+// values stay the answer of record, so the screened sweep returns the
+// policy and value bits of one that evaluates every point.
 //
 // The finish-time laws are built by k-fold lattice convolutions
 // (internal/gridfn), which makes full policy sweeps at the paper's scale
@@ -327,7 +329,7 @@ func (s *Solver) exact(pt Point, count bool) (*scratch, error) {
 		return nil, err
 	}
 	sc := s.t.pool.Get().(*scratch)
-	if err := s.finishFleet(sc, pt, false, count); err != nil {
+	if err := s.finishFleet(sc, pt, earliest, count); err != nil {
 		s.t.pool.Put(sc)
 		return nil, err
 	}
@@ -343,10 +345,10 @@ func checkExact(pt Point) error {
 }
 
 // finishFleet builds every server's finish-time law in sc.srv for the
-// point pt (see legs); count says whether the point counts as an
-// evaluation.
-func (s *Solver) finishFleet(sc *scratch, pt Point, late, count bool) error {
-	err := s.legs(pt, late, func(k, own, g, fac int, z transfer) error {
+// point pt, each batch arriving as arrive says (see legs); count says
+// whether the point counts as an evaluation.
+func (s *Solver) finishFleet(sc *scratch, pt Point, arrive arrival, count bool) error {
+	err := s.legs(pt, arrive, func(k, own, g, fac int, z transfer) error {
 		s.finishLaw(sc, k, own, g, fac, z)
 		return nil
 	})
@@ -360,13 +362,23 @@ func (s *Solver) finishFleet(sc *scratch, pt Point, late, count bool) error {
 	return nil
 }
 
+// arrival is when legs has a server's incoming groups arrive, as one
+// batch: with the earliest of their transfers, with the latest, or
+// untabulated — z is left empty, and no transfer lattice is made. With
+// at most one group per server the first two coincide and the laws built
+// from the legs are exact.
+type arrival int
+
+const (
+	earliest arrival = iota
+	latest
+	untabulated
+)
+
 // legs checks the point pt and hands each server's share of it to leg:
 // its own remaining tasks, the batch it receives, that batch's arrival
-// and its replication factor. A server's incoming groups count as one
-// batch arriving with the earliest of their transfers, or with the
-// latest when late is set; with at most one group per server the two
-// coincide and the laws built from the legs are exact.
-func (s *Solver) legs(pt Point, late bool, leg func(k, own, g, fac int, z transfer) error) error {
+// as arrive says and its replication factor.
+func (s *Solver) legs(pt Point, arrive arrival, leg func(k, own, g, fac int, z transfer) error) error {
 	initial, p, servers := pt.Initial, pt.Policy, len(s.t.maxQueue)
 	if len(initial) != servers {
 		return fmt.Errorf("direct: allocation for %d servers, model has %d", len(initial), servers)
@@ -386,14 +398,16 @@ func (s *Solver) legs(pt Point, late bool, leg func(k, own, g, fac int, z transf
 			if g == 0 {
 				continue
 			}
-			zi := s.transferOf(g, i, k)
-			switch {
-			case batch == 0:
-				z = zi
-			case late:
-				z = transfer{lat: z.lat.MaxIndep(zi.lat)}
-			default:
-				z = transfer{lat: z.lat.MinIndep(zi.lat)}
+			if arrive != untabulated {
+				zi := s.transferOf(g, i, k)
+				switch {
+				case batch == 0:
+					z = zi
+				case arrive == latest:
+					z = transfer{lat: z.lat.MaxIndep(zi.lat)}
+				default:
+					z = transfer{lat: z.lat.MinIndep(zi.lat)}
+				}
 			}
 			batch += g
 		}
@@ -560,7 +574,7 @@ func (s *Solver) Bounds(pt Point, deadline float64) (b Bounds, err error) {
 	sc := s.t.pool.Get().(*scratch)
 	defer s.t.pool.Put(sc)
 	for late, side := range []*Metrics{&b.Optimistic, &b.Pessimistic} {
-		if err := s.finishFleet(sc, pt, late == 1, true); err != nil {
+		if err := s.finishFleet(sc, pt, arrival(late), true); err != nil {
 			return Bounds{}, err
 		}
 		*side = s.metricsOf(sc, deadline, false)

@@ -43,7 +43,7 @@ func rawMean(s *Solver, pt Point) (float64, error) {
 func ReferenceMeanTimeRepl(s *Solver, m1, m2, l12, l21 int, fac [2]int) (float64, error) {
 	sc := s.t.pool.Get().(*scratch)
 	defer s.t.pool.Put(sc)
-	if err := s.finishFleet(sc, Pair(m1, m2, l12, l21, fac[:]), false, true); err != nil {
+	if err := s.finishFleet(sc, Pair(m1, m2, l12, l21, fac[:]), earliest, true); err != nil {
 		return 0, err
 	}
 	mean := s.meanOf(sc, false)

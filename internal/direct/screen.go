@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"dtr/internal/core"
 	"dtr/internal/gridfn"
 	"dtr/internal/par"
 )
@@ -58,11 +59,29 @@ const ScreenEps = 1e-9
 // with H − b the lattice point at or below H/2. c_k, e_k and the CDFs of
 // the backlog and the transfer at H − b are scalars made once per
 // (server, count); B is one walk over the two races (RaceMaxMean) per
-// point. A minimizing sweep confirms with Eval, from the least score up,
-// every point whose score is at most ScreenEps relative above the least
-// exact value yet confirmed or the incumbent, and reduces over those
-// exact values in scan order: every minimizer is among them, so the
-// policy and value bits are again a full sweep's.
+// point, which Refine returns.
+//
+// Score returns an O(1) pre-bound in front of that walk. E max ≥ max E,
+// and a race is at least each of its operands, so E[max_k(R_k + c_k)] ≥
+// max(μA_k, μZ_k) + c_k for the backlog's lattice mean μA_k and a lower
+// bound μZ_k on the transfer lattice's (see Tables.transferBounds); and
+// d_k = c_k − (c_k − e_k)·P(R_k ≤ H−b) only grows when the transfer's CDF
+// at the split is replaced by a lower bound, giving d'_k. So
+//
+//	B0 = max_k(max(μA_k, μZ_k) + c_k) − d'₁ − d'₂ − ScreenEps·H ≤ B.
+//
+// The last term is the floats' allowance: the walk and the lattice means
+// each round by well under n·2⁻⁵²·H, and a prefix's mass strays from 1 by
+// its folds' residuals (about 1e-15 each), so B0 ≤ B holds in floats
+// with a margin of orders of magnitude. B0 reads per-(server, count)
+// scalars only, and no transfer lattice. A minimizing sweep walks the
+// points from the least pre-bound up while their pre-bounds do not
+// exceed the least walked bound (whose order they cannot then change),
+// confirms with Eval, from the least bound up, every point whose bound is
+// at most ScreenEps relative above the least exact value yet confirmed or
+// the incumbent, and reduces over those exact values in scan order:
+// every minimizer is among them, so the policy and value bits are again
+// a full sweep's.
 //
 // Eval stays the answer of record; Score is never reported.
 //
@@ -91,10 +110,12 @@ type screenLeg struct {
 	// weight table of a received batch of j tasks, in pooled lattices.
 	rev cell[*gridfn.Spectrum]
 	g   []cell[*gridfn.Lattice]
-	// For the mean, sums[j] is the j-task prefix's sumStat and zLow[j]
-	// the CDF at the split of the j-task transfer the server receives.
+	// For the mean, sums[j] is the j-task prefix's sumStat, zLow[j] the
+	// CDF at the split of the j-task transfer the server receives and
+	// zb[j] that transfer's zBounds.
 	sums []cell[sumStat]
 	zLow []cell[float64]
+	zb   []cell[zBounds]
 }
 
 // sumStat is what the mean's bound reads of a service-sum prefix Y:
@@ -148,6 +169,7 @@ func (s *Solver) Screen(m Metric, tm float64, fac []int) (*Screen, error) {
 		case m == MetricMean:
 			l.sums = make([]cell[sumStat], s.t.maxQueue[k]+1)
 			l.zLow = make([]cell[float64], s.t.maxQueue[k]+1)
+			l.zb = make([]cell[zBounds], s.t.maxQueue[k]+1)
 			continue
 		case m == MetricReliability:
 			l.w = sv
@@ -184,12 +206,16 @@ func (t *Tables) cdfWeights(tm float64) (*gridfn.Lattice, []float64) {
 }
 
 // Score returns the screened value of the point pt — within ScreenEps
-// of Eval(pt, m, tm) for QoS and reliability, a lower bound for the mean
-// — after Eval's checks and with its errors: per server the race walk
-// against the weight table of the batch it receives, or the one walk of
-// the mean's bound. It counts as one evaluation; a warm point allocates
-// nothing.
+// of Eval(pt, m, tm) for QoS and reliability, the pre-bound B0 for the
+// mean (see Screen) — after Eval's checks and with its errors: per server
+// the race walk against the weight table of the batch it receives, which
+// reads the transfer lattice only through the last weighted point, or
+// the mean's per-(server, count) scalars, which read none. It counts as
+// one evaluation; a warm point allocates nothing.
 func (sn *Screen) Score(pt Point) (float64, error) {
+	if sn.m == MetricMean {
+		return sn.mean(pt, untabulated)
+	}
 	if err := checkExact(pt); err != nil {
 		return 0, err
 	}
@@ -197,16 +223,11 @@ func (sn *Screen) Score(pt Point) (float64, error) {
 	sc := s.t.pool.Get().(*scratch)
 	defer s.t.pool.Put(sc)
 	v := 1.0
-	var races [2]raceLeg
-	err := s.legs(pt, false, func(k, own, g, fac int, z transfer) error {
-		if fac != sn.fac[k] {
-			return fmt.Errorf("direct: replication factor %d at server %d, screen built for %d", fac, k, sn.fac[k])
+	err := s.legs(pt, untabulated, func(k, own, g, fac int, _ transfer) error {
+		if err := sn.checkFac(k, fac); err != nil {
+			return err
 		}
 		l := &sn.legs[k]
-		if sn.m == MetricMean {
-			races[k] = sn.race(k, own, g, z, sc.work)
-			return nil
-		}
 		if l.w == nil {
 			return nil
 		}
@@ -214,18 +235,79 @@ func (sn *Screen) Score(pt Point) (float64, error) {
 		if g == 0 {
 			v *= a.Expect(l.w)
 		} else {
-			v *= a.MaxIndepExpect(z.lat, sn.table(k, g, sc.work))
+			_, z := s.transferLattice(g, sender(pt.Policy, k), k, len(l.w))
+			v *= a.MaxIndepExpect(z, sn.table(k, g, sc.work))
 		}
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	if sn.m == MetricMean {
-		v = meanBound(&races)
-	}
 	s.noteEval()
 	return v, nil
+}
+
+// Refine returns the mean's bound B at the point pt (see Screen), the
+// one walk over its two races: at least Score's pre-bound, at most Eval,
+// with Eval's errors and not counted again. It reads the transfer
+// lattices, which FillWalks makes ahead.
+func (sn *Screen) Refine(pt Point) (float64, error) {
+	if sn.m != MetricMean {
+		return 0, fmt.Errorf("direct: only the mean's screen refines, metric %d", sn.m)
+	}
+	return sn.mean(pt, earliest)
+}
+
+// mean returns the mean's pre-bound B0 at pt, counting the point, when
+// arrive is untabulated, and its walked bound B otherwise.
+func (sn *Screen) mean(pt Point, arrive arrival) (float64, error) {
+	if err := checkExact(pt); err != nil {
+		return 0, err
+	}
+	s := sn.s
+	sc := s.t.pool.Get().(*scratch)
+	defer s.t.pool.Put(sc)
+	var races [2]raceLeg
+	var pre [2]preLeg
+	err := s.legs(pt, arrive, func(k, own, g, fac int, z transfer) error {
+		if err := sn.checkFac(k, fac); err != nil {
+			return err
+		}
+		if arrive == untabulated {
+			pre[k] = sn.pre(k, own, g, sc.work)
+		} else {
+			races[k] = sn.race(k, own, g, z, sc.work)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	if arrive != untabulated {
+		return meanBound(&races), nil
+	}
+	s.noteEval()
+	return max(pre[0].x, pre[1].x) - pre[0].d - pre[1].d - ScreenEps*s.horizon(), nil
+}
+
+// sender returns the server that sends server k its group under the
+// policy p, which converges none.
+func sender(p core.Policy, k int) int {
+	for i, row := range p {
+		if row[k] > 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkFac refuses server k's replication factor fac unless the screen
+// was built for it.
+func (sn *Screen) checkFac(k, fac int) error {
+	if fac != sn.fac[k] {
+		return fmt.Errorf("direct: replication factor %d at server %d, screen built for %d", fac, k, sn.fac[k])
+	}
+	return nil
 }
 
 // raceLeg is one server's share of the mean's bound: its race max(a, z),
@@ -248,6 +330,22 @@ func (sn *Screen) race(k, own, g int, z transfer, w *gridfn.Work) raceLeg {
 	y, low := sn.sum(k, g, w), sn.sum(k, own, w).low*sn.transferLow(k, g, z.lat)
 	r.z, r.c, r.d = z.lat, y.c, y.e*low+y.c*(1-low)
 	return r
+}
+
+// preLeg is one server's share of the mean's pre-bound: x = max(μA, μZ)
+// + c and d' (see Screen).
+type preLeg struct{ x, d float64 }
+
+// pre returns server k's preLeg with `own` tasks of its own and a batch
+// of g: race's scalars, with the transfer's read off its zBounds.
+func (sn *Screen) pre(k, own, g int, w *gridfn.Work) preLeg {
+	a := sn.sum(k, own, w)
+	if g == 0 {
+		return preLeg{x: a.c}
+	}
+	y, z := sn.sum(k, g, w), sn.bounds(k, g)
+	low := a.low * z.low
+	return preLeg{x: max(a.c, z.mean) + y.c, d: y.e*low + y.c*(1-low)}
 }
 
 // meanBound is B = E[max(R₁ + c₁, R₂ + c₂)] − d₁ − d₂ (see Screen), the
@@ -287,6 +385,13 @@ func (sn *Screen) transferLow(k, g int, z *gridfn.Lattice) float64 {
 	return low
 }
 
+// bounds returns (copying on first read) the zBounds of the g-task
+// transfer server k receives.
+func (sn *Screen) bounds(k, g int) zBounds {
+	b, _ := sn.legs[k].zb[g].get(func() zBounds { return sn.s.t.transferBounds(g, 1-k, k) })
+	return b
+}
+
 // massThrough is l's mass at the points 0..i, summed in index order.
 func massThrough(l *gridfn.Lattice, i int) float64 {
 	var c float64
@@ -298,11 +403,14 @@ func massThrough(l *gridfn.Lattice, i int) float64 {
 
 // FillPairs makes ahead, over up to workers goroutines, what scoring the
 // two-server points (L12, L21) of the workload (m1, m2) reads, so that no
-// Score waits on another's fill: first the servers' service-sum prefixes
-// (one job, as the tables fold them under one lock) beside the distinct
-// transfer laws, then the received batches' weight tables or prefix
-// statistics. It makes nothing a serial scan of the points would not,
-// and skips the points whose Score fails.
+// Score waits on another's fill: first each server's service-sum prefixes
+// (one job per server, as the tables fold a server's under one lock)
+// beside the distinct transfer laws — their lattices through the last
+// weighted point or, for the mean, their zBounds — then the received
+// batches' weight tables or, for the mean, the prefix statistics of
+// every count a point holds or receives. It makes nothing
+// a serial scan of the points would not, and skips the points whose
+// Score fails.
 func (sn *Screen) FillPairs(m1, m2 int, pairs [][2]int, workers int) {
 	s := sn.s
 	if len(sn.legs) != 2 {
@@ -310,9 +418,10 @@ func (sn *Screen) FillPairs(m1, m2 int, pairs [][2]int, workers int) {
 	}
 	mean := sn.m == MetricMean
 	var top [2]int
-	var recv [2][]bool
+	var recv, held [2][]bool
 	for k := range recv {
 		recv[k] = make([]bool, s.t.maxQueue[k]+1)
+		held[k] = make([]bool, s.t.maxQueue[k]+1)
 	}
 	for _, p := range pairs {
 		if p[0] < 0 || p[1] < 0 || p[0] > m1 || p[1] > m2 {
@@ -322,21 +431,22 @@ func (sn *Screen) FillPairs(m1, m2 int, pairs [][2]int, workers int) {
 		for k := range 2 {
 			if own[k] < len(recv[k]) && g[k] < len(recv[k]) {
 				top[k] = max(top[k], own[k], g[k])
-				recv[k][g[k]] = true
+				recv[k][g[k]], held[k][own[k]] = true, true
 			}
 		}
 	}
 	// reads reports whether scoring reads server k's prefixes.
 	reads := func(k int) bool { return mean || sn.legs[k].w != nil }
-	fills := [][2]int{{-1, 0}} // (server, count); the first is the prefixes
+	fills := [][2]int{{0, -1}, {1, -1}} // (server, count); count −1 is the prefixes
 	var tables [][2]int
 	for k := range 2 {
-		for g := 1; g < len(recv[k]); g++ {
-			if recv[k][g] {
+		for g := range recv[k] {
+			batch := g > 0 && recv[k][g]
+			if batch {
 				fills = append(fills, [2]int{k, g})
-				if reads(k) {
-					tables = append(tables, [2]int{k, g})
-				}
+			}
+			if mean && (batch || held[k][g]) || !mean && batch && reads(k) {
+				tables = append(tables, [2]int{k, g})
 			}
 		}
 	}
@@ -349,17 +459,15 @@ func (sn *Screen) FillPairs(m1, m2 int, pairs [][2]int, workers int) {
 		})
 	}
 	do(fills, func(k, g int, w *gridfn.Work) {
-		if k < 0 {
-			for k := range 2 {
-				if reads(k) {
-					s.prefix(s.chains[sn.fac[k]-1], k, top[k], w)
-				}
+		switch {
+		case g < 0:
+			if reads(k) {
+				s.prefix(s.chains[sn.fac[k]-1], k, top[k], w)
 			}
-			return
-		}
-		z := s.transferOf(g, 1-k, k)
-		if mean {
-			sn.transferLow(k, g, z.lat)
+		case mean:
+			sn.bounds(k, g)
+		case sn.legs[k].w != nil:
+			s.transferLattice(g, 1-k, k, len(sn.legs[k].w))
 		}
 	})
 	do(tables, func(k, g int, w *gridfn.Work) {
@@ -368,6 +476,29 @@ func (sn *Screen) FillPairs(m1, m2 int, pairs [][2]int, workers int) {
 		} else {
 			sn.table(k, g, w)
 		}
+	})
+}
+
+// FillWalks makes ahead, over up to workers goroutines, the transfer
+// lattices, and their CDFs at the split, that Refine reads at two-server
+// points (L12, L21) a mean screen has scored: one job per distinct law.
+func (sn *Screen) FillWalks(pairs [][2]int, workers int) {
+	s := sn.s
+	if len(sn.legs) != 2 || sn.m != MetricMean {
+		return
+	}
+	var jobs [][2]int
+	for _, p := range pairs {
+		for k, g := range [2]int{p[1], p[0]} {
+			if job := [2]int{k, g}; g > 0 && g <= s.t.maxQueue[k] && !slices.Contains(jobs, job) {
+				jobs = append(jobs, job)
+			}
+		}
+	}
+	_ = par.ForEach(workers, len(jobs), func(_, i int) error {
+		k, g := jobs[i][0], jobs[i][1]
+		sn.transferLow(k, g, s.transferOf(g, 1-k, k).lat)
+		return nil
 	})
 }
 

@@ -97,9 +97,10 @@ func FuzzScreenMatchesFold(f *testing.F) {
 // FuzzMeanScreenBelowEval: on an arbitrary small reliable model (Pareto
 // service with α ∈ (1, 3], Pareto or exponential transfers, lattices of
 // 64 to 512 points over horizons from well inside the finish times' bulk
-// to well beyond it, factors 1–2), the mean's score at every point of
-// the (L12, L21) lattice is at most Confirm + ScreenEps/1000·Confirm, and
-// confirming from the least score up — while a score is within
+// to well beyond it, factors 1–2), at every point of the (L12, L21)
+// lattice the mean's pre-bound (Score) is at most its walked bound
+// (Refine), which is at most Confirm + ScreenEps/1000·Confirm, and
+// confirming from the least walked bound up — while a bound is within
 // ScreenEps relative of the least exact value so far — confirms the
 // first-wins minimizer of the exact values.
 func FuzzMeanScreenBelowEval(f *testing.F) {
@@ -135,7 +136,11 @@ func FuzzMeanScreenBelowEval(f *testing.F) {
 		for i := 0; i <= n1; i++ {
 			for j := 0; j <= n2; j++ {
 				pt := Pair(n1, n2, i, j, fac)
-				v, err := sn.Score(pt)
+				pre, err := sn.Score(pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := sn.Refine(pt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,8 +148,11 @@ func FuzzMeanScreenBelowEval(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if !(pre <= v) {
+					t.Fatalf("(%d, %d) at factors %v, horizon %g: pre-bound %v above walked bound %v by %g", i, j, fac, h, pre, v, pre-v)
+				}
 				if !(v <= e+ScreenEps/1000*e) {
-					t.Fatalf("(%d, %d) at factors %v, horizon %g: score %v above Eval %v by %g", i, j, fac, h, v, e, v-e)
+					t.Fatalf("(%d, %d) at factors %v, horizon %g: walked bound %v above Eval %v by %g", i, j, fac, h, v, e, v-e)
 				}
 				exact, score = append(exact, e), append(score, v)
 			}
@@ -176,10 +184,51 @@ func FuzzMeanScreenBelowEval(f *testing.F) {
 	})
 }
 
+// FuzzTransferBounds: for an arbitrary transfer law — Pareto with α ∈
+// (1, 3], exponential or shifted gamma — on lattices of 64 to 4096 points
+// over horizons from a hundredth of the law's mean to a hundred times
+// it, the mean pre-bound's zBounds lie below what they bound of the
+// law's lattice: low below its mass through the split, mean below its
+// Mean().
+func FuzzTransferBounds(f *testing.F) {
+	f.Add(uint8(0), 0.5, 0.3, 0.4, uint8(1))
+	f.Add(uint8(1), 0.2, 0.9, 0.01, uint8(6))
+	f.Add(uint8(2), 0.7, 0.1, 0.99, uint8(3))
+	f.Fuzz(func(t *testing.T, kind uint8, a, b, hor float64, logGrid uint8) {
+		mean := 0.05 + 10*unit(b)
+		var law dist.Dist
+		switch kind % 3 {
+		case 0:
+			law = dist.NewPareto(3-2*unit(a), mean)
+		case 1:
+			law = dist.NewExponential(mean)
+		default:
+			law = dist.NewShiftedGammaMean(0.9*unit(a)*mean, 0.3+5*unit(a+b), mean)
+		}
+		m := &core.Model{
+			Service:  []dist.Dist{dist.NewExponential(1), dist.NewExponential(1)},
+			Failure:  []dist.Dist{dist.Never{}, dist.Never{}},
+			Transfer: func(int, int, int) dist.Dist { return law },
+		}
+		n, h := 64<<(logGrid%7), (0.01+100*unit(hor))*mean
+		s, err := NewSolver(m, Config{N: n, Horizon: h, MaxQueue: [2]int{1, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b0, z := s.t.transferBounds(1, 0, 1), s.transferOf(1, 0, 1).lat
+		if low := massThrough(z, s.t.split()); !(b0.low <= low) {
+			t.Fatalf("%#v on %d points over %g: split CDF bound %v above the lattice's %v", law, n, h, b0.low, low)
+		}
+		if mu := z.Mean(); !(b0.mean <= mu) {
+			t.Fatalf("%#v on %d points over %g: mean bound %v above the lattice's %v", law, n, h, b0.mean, mu)
+		}
+	})
+}
+
 // TestScreenRefusesWhatEvalRefuses: a screen refuses what Eval refuses
 // for every point — a negative deadline, the mean of a failure-prone
-// model — with Eval's error, and its scores fail where Eval fails, with
-// Eval's errors.
+// model — with Eval's error, and its scores (and the mean's walks) fail
+// where Eval fails, with Eval's errors.
 func TestScreenRefusesWhatEvalRefuses(t *testing.T) {
 	m := model2(dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1), 50, 0, 1)
 	s := newSolver(t, m, 12, 256, 80)
@@ -208,6 +257,9 @@ func TestScreenRefusesWhatEvalRefuses(t *testing.T) {
 				if _, got := sn.Score(pt); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("metric %d, factors %v %+v: Score error %v, Eval error %v", c.m, fac, pt, got, want)
 				}
+				if _, got := sn.Refine(pt); c.m == MetricMean && fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("factors %v %+v: Refine error %v, Eval error %v", fac, pt, got, want)
+				}
 			}
 			sn.Release()
 		}
@@ -221,7 +273,7 @@ func TestScreenRefusesWhatEvalRefuses(t *testing.T) {
 // prefix statistics are made, a screened point — a Pair built per call
 // included — allocates nothing, for every kind of weight (survival,
 // survival to a deadline and a reliable server's step) and for the
-// mean's bound.
+// mean's pre-bound and walked bound.
 func TestWarmScreenedPointAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -253,6 +305,17 @@ func TestWarmScreenedPointAllocatesNothing(t *testing.T) {
 			score()
 			if allocs := testing.AllocsPerRun(200, score); allocs > 0 {
 				t.Errorf("warm screened point, metric %d, factors %v: %v allocations, want 0", metric, fac, allocs)
+			}
+			if metric == MetricMean {
+				walk := func() {
+					if _, err := sn.Refine(Pair(16, 8, 5, 2, fac)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				walk()
+				if allocs := testing.AllocsPerRun(200, walk); allocs > 0 {
+					t.Errorf("warm walked point, factors %v: %v allocations, want 0", fac, allocs)
+				}
 			}
 			sn.Release()
 		}

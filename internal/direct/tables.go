@@ -29,10 +29,12 @@ import (
 // other views exist or what they evaluated first.
 //
 // Every lazy value (spectrum, transfer law, sweep, one task's mean) fills
-// once, in a write-once cell whose other readers wait. Fills nest only
-// downward — a sweep fills transfer laws and spectra, a spectrum folds
-// prefixes under build, nothing under build reads a cell — so no fill
-// waits on a cell of its own kind and waiting cannot deadlock.
+// once, in a write-once cell whose other readers wait; a transfer
+// lattice fills in steps under its own lock, as far as its readers need.
+// Fills nest only downward — a sweep fills transfer laws and spectra, a
+// spectrum folds prefixes under a fold lock, nothing under a lock reads a
+// cell — so no fill waits on a cell of its own kind and waiting cannot
+// deadlock.
 type Tables struct {
 	model *core.Model
 	dx    float64
@@ -40,15 +42,15 @@ type Tables struct {
 	// maxQueue[k] bounds server k's prefix chain.
 	maxQueue []int
 
-	// build serializes extensions along both axes, so each factor chain
-	// is started once and each of its prefixes folded once.
+	// build serializes the start of factor chains, so each is started
+	// once; a chain's per-server fold locks see each prefix folded once.
 	build sync.Mutex
 
 	// mu guards the chains slice header and the key→cell maps zCache and
 	// sweeps; the cells fill outside it.
 	mu     sync.RWMutex
 	chains []*chain // chains[f-1] holds replication factor f
-	zCache map[[3]int]*cell[transfer]
+	zCache map[[3]int]*zEntry
 	// sweeps remembers whole policy sweeps (see Solver.Sweep).
 	sweeps map[any]*cell[swept]
 	// surv[k] is server k's failure-law survival on the lattice (see
@@ -82,10 +84,12 @@ type Tables struct {
 // built[k] are filled: slot j is folded from slot j−1 and base[k], the
 // spectrum of one task's law, the first time anyone reads it or a longer
 // one (Solver.prefix). Slots are written once, before built[k] passes
-// them, so readers index below built[k] without a lock. meter audits the
-// folds made so far. eff[k] is one task's law itself and mean[k] its mean,
-// integrated on first use: above factor 1 it is a numerical integral that
-// the tail-excess estimate would otherwise repeat at every point.
+// them, so readers index below built[k] without a lock. fold[k]
+// serializes server k's folds and meter[k] audits those made so far, so
+// the servers' chains fold concurrently. eff[k] is one task's law itself
+// and mean[k] its mean, integrated on first use: above factor 1 it is a
+// numerical integral that the tail-excess estimate would otherwise repeat
+// at every point.
 type chain struct {
 	pre   [][]*gridfn.Lattice
 	built []atomic.Int32
@@ -93,7 +97,8 @@ type chain struct {
 	spec  [][]cell[*gridfn.Spectrum]
 	eff   []dist.Dist
 	mean  []func() float64
-	meter gridfn.Meter
+	fold  []sync.Mutex
+	meter []gridfn.Meter
 }
 
 // Config sizes the solver's lattice.
@@ -168,7 +173,7 @@ func NewTables(m *core.Model, cfg Config) (*Tables, error) {
 		dx:       dx,
 		n:        n,
 		maxQueue: maxQueue,
-		zCache:   make(map[[3]int]*cell[transfer]),
+		zCache:   make(map[[3]int]*zEntry),
 		sweeps:   make(map[any]*cell[swept]),
 		surv:     make([]cell[[]float64], servers),
 	}
@@ -225,6 +230,8 @@ func (t *Tables) extend(maxFac int, span *obs.Span) int {
 			spec:  make([][]cell[*gridfn.Spectrum], servers),
 			eff:   make([]dist.Dist, servers),
 			mean:  make([]func() float64, servers),
+			fold:  make([]sync.Mutex, servers),
+			meter: make([]gridfn.Meter, servers),
 		}
 		for k := range c.pre {
 			eff := dist.NewMinOfK(t.model.Service[k], have+1+i)
@@ -249,22 +256,22 @@ func (t *Tables) extend(maxFac int, span *obs.Span) int {
 // one-shot build to the queue bound runs, stopped early, so every slot
 // holds the same lattice whoever asked for it and in whatever order. w
 // is the caller's fold scratch. The folds show in the view's trace as a
-// "prefix_fold" span and in the chain's meter.
+// "prefix_fold" span and in the server's meter.
 func (s *Solver) prefix(c *chain, k, j int, w *gridfn.Work) *gridfn.Lattice {
 	if j >= int(c.built[k].Load()) {
 		t := s.t
-		t.build.Lock()
+		c.fold[k].Lock()
 		if have := int(c.built[k].Load()); j >= have {
 			sp := s.span.Child("prefix_fold", "server", k, "from", have, "to", j)
 			for i := have; i <= j; i++ {
 				l := gridfn.New(t.dx, t.n)
-				c.meter.Observe(c.base[k].Fold(l, c.pre[k][i-1], w))
+				c.meter[k].Observe(c.base[k].Fold(l, c.pre[k][i-1], w))
 				c.pre[k][i] = l
 				c.built[k].Store(int32(i + 1))
 			}
 			sp.End()
 		}
-		t.build.Unlock()
+		c.fold[k].Unlock()
 	}
 	return c.pre[k][j]
 }
@@ -368,8 +375,8 @@ func (c *cell[T]) get(fill func() T) (v T, filled bool) {
 	return c.v, filled
 }
 
-// cellOf returns m's cell for key, adding an empty one on first sight.
-func cellOf[K comparable, T any](mu *sync.RWMutex, m map[K]*cell[T], key K) *cell[T] {
+// cellOf returns m's entry for key, adding an empty one on first sight.
+func cellOf[K comparable, V any](mu *sync.RWMutex, m map[K]*V, key K) *V {
 	mu.RLock()
 	c := m[key]
 	mu.RUnlock()
@@ -379,7 +386,7 @@ func cellOf[K comparable, T any](mu *sync.RWMutex, m map[K]*cell[T], key K) *cel
 	mu.Lock()
 	defer mu.Unlock()
 	if m[key] == nil {
-		m[key] = new(cell[T])
+		m[key] = new(V)
 	}
 	return m[key]
 }
@@ -389,6 +396,28 @@ type transfer struct {
 	law dist.Dist
 	lat *gridfn.Lattice
 }
+
+// zEntry is what the tables keep of one transfer signature, each part
+// made on first read: the model's law, the mean pre-bound's scalars of
+// its lattice (see zBounds) and the lattice itself, tabulated through
+// its first done points — all of them, and its tail, once done is n —
+// and extended under mu as readers need more (see transferLattice).
+type zEntry struct {
+	law    cell[dist.Dist]
+	bounds cell[zBounds]
+	mu     sync.Mutex
+	done   atomic.Int32
+	lat    *gridfn.Lattice
+}
+
+// zBounds bounds, from below and without tabulating it, what the mean's
+// screen reads of a transfer lattice: low ≤ its mass through the split
+// (massThrough) and mean ≤ its Mean().
+type zBounds struct{ low, mean float64 }
+
+// zStair is the stride, in lattice points, of the staircase zBounds.mean
+// sums.
+const zStair = 16
 
 // freqOf returns (computing on first read) the spectrum of the j-fold
 // effective service sum at server k under replication factor fac.
@@ -409,26 +438,87 @@ func (s *Solver) freqOf(k, fac, j int, w *gridfn.Work) *gridfn.Spectrum {
 	return spec
 }
 
+// transferEntry returns the cache entry of the transfer of a group of
+// tasks ≥ 1 tasks from src to dst, with its law made.
+func (t *Tables) transferEntry(tasks, src, dst int) (*zEntry, dist.Dist) {
+	e := cellOf(&t.mu, t.zCache, [3]int{tasks, src, dst})
+	law, _ := e.law.get(func() dist.Dist { return t.model.Transfer(tasks, src, dst) })
+	return e, law
+}
+
 // transferOf returns the transfer time of a group of `tasks` tasks from
-// src to dst (none for an empty group), cached per signature.
+// src to dst (none for an empty group), cached per signature, with its
+// whole lattice.
 func (s *Solver) transferOf(tasks, src, dst int) transfer {
 	if tasks <= 0 {
 		return transfer{}
 	}
-	t := s.t
-	z, filled := cellOf(&t.mu, t.zCache, [3]int{tasks, src, dst}).get(func() (z transfer) {
+	law, lat := s.transferLattice(tasks, src, dst, s.t.n)
+	return transfer{law: law, lat: lat}
+}
+
+// transferLattice returns the law of the transfer of a group of tasks ≥
+// 1 tasks from src to dst and its lattice with at least its first m
+// points tabulated, as FromCDF tabulates them: all of them, and the
+// tail, for m = n. A reader reads only those m. The first tabulation is
+// a transfer cache miss and every other read a hit; each tabulation is a
+// transfer_law span.
+func (s *Solver) transferLattice(tasks, src, dst, m int) (dist.Dist, *gridfn.Lattice) {
+	t, m := s.t, max(m, 1)
+	e, law := t.transferEntry(tasks, src, dst)
+	if int(e.done.Load()) >= m {
+		zHits.Inc()
+		return law, e.lat
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.lat == nil {
 		zMisses.Inc()
-		sp := s.span.Child("transfer_law", "tasks", tasks, "src", src, "dst", dst)
-		defer sp.End()
-		z.law = t.model.Transfer(tasks, src, dst)
-		z.lat = gridfn.FromCDF(z.law.CDF, t.dx, t.n)
+		e.lat = gridfn.New(t.dx, t.n)
 		t.lazyBytes.Add(int64(8 * t.n))
-		return z
-	})
-	if !filled {
+	} else {
 		zHits.Inc()
 	}
-	return z
+	if have := int(e.done.Load()); have < m {
+		sp := s.span.Child("transfer_law", "tasks", tasks, "src", src, "dst", dst, "from", have, "to", m)
+		e.lat.Tabulate(law.CDF, have, m)
+		sp.End()
+		e.done.Store(int32(m))
+	}
+	return law, e.lat
+}
+
+// transferBounds returns (making on first read) the zBounds of the
+// transfer of a group of tasks ≥ 1 tasks from src to dst, from the law's
+// CDF C at the half-points FromCDF reads it at, so with the same values:
+// C(s+½) at the split s, and C at every zStair-th of the rest — n/zStair
+// + 1 calls where the lattice makes n.
+//
+// The lattice's mass through s sums the differences FromCDF stores, which
+// telescope to C(s+½); each difference and each addition rounds by at
+// most 2⁻⁵³ of a partial sum at most 1, so low, C(s+½) less (n+2)·2⁻⁵²,
+// is below it. The lattice's Mean() is Dx·Σ_{i ≤ n−2} (1 − C(i+½))
+// (a clamped tail only adds), and C is non-decreasing: over each run of
+// zStair points the run's last C bounds every term from below. Computed,
+// Mean() sums n products of indices below n and masses summing to 1, so
+// it is within (n+3)·2⁻⁵³·H of that sum for the horizon H; mean is the
+// staircase less (n+2)·2⁻⁵²·H.
+func (t *Tables) transferBounds(tasks, src, dst int) zBounds {
+	e, law := t.transferEntry(tasks, src, dst)
+	b, _ := e.bounds.get(func() zBounds {
+		slack := float64(t.n+2) * 0x1p-52
+		sp := t.split()
+		var stair float64
+		for lo := 0; lo <= t.n-2; lo += zStair {
+			hi := min(lo+zStair-1, t.n-2)
+			stair += float64(hi-lo+1) * (1 - law.CDF((float64(hi)+0.5)*t.dx))
+		}
+		return zBounds{
+			low:  law.CDF((float64(sp)+0.5)*t.dx) - slack,
+			mean: stair*t.dx - slack*float64(t.n-1)*t.dx,
+		}
+	})
+	return b
 }
 
 // survival returns (tabulating on first read) server k's failure-law

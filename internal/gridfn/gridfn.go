@@ -53,18 +53,32 @@ func New(dx float64, n int) *Lattice {
 // distributions. Mass beyond the last half-cell goes to Tail.
 func FromCDF(cdf func(float64) float64, dx float64, n int) *Lattice {
 	l := New(dx, n)
+	l.Tabulate(cdf, 0, n)
+	return l
+}
+
+// Tabulate stores FromCDF's masses at the points from..to−1 of l, whose
+// first `from` points already hold them, and its Tail once to reaches
+// the last point: tabulating [0, n) in any number of steps stores
+// FromCDF's lattice, bit for bit (a step after the first reads the CDF
+// at its predecessor's upper half-cell again).
+func (l *Lattice) Tabulate(cdf func(float64) float64, from, to int) {
 	prev := 0.0 // CDF at -dx/2 is 0 for non-negative variables
-	for i := 0; i < n; i++ {
-		hi := (float64(i) + 0.5) * dx
+	if from > 0 {
+		prev = cdf((float64(from-1) + 0.5) * l.Dx)
+	}
+	for i := from; i < to; i++ {
+		hi := (float64(i) + 0.5) * l.Dx
 		c := cdf(hi)
 		l.M[i] = c - prev
 		prev = c
 	}
-	l.Tail = 1 - prev
-	if l.Tail < 0 {
-		l.Tail = 0
+	if to == len(l.M) {
+		l.Tail = 1 - prev
+		if l.Tail < 0 {
+			l.Tail = 0
+		}
 	}
-	return l
 }
 
 // PointMass returns a lattice with all mass at the lattice point nearest

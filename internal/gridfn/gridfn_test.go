@@ -28,6 +28,37 @@ func TestFromCDFMassAndMean(t *testing.T) {
 	}
 }
 
+// TestTabulateInStepsIsFromCDF: a lattice tabulated over [0, n) in
+// random steps — each reading only the CDF, as a transfer lattice is
+// extended when a reader needs more of it — holds FromCDF's masses and
+// tail, bit for bit, and a step short of the last point leaves the tail
+// alone.
+func TestTabulateInStepsIsFromCDF(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 17, 2048} {
+		cdf := expCDF(0.3 * float64(n))
+		want := FromCDF(cdf, 0.5, n)
+		got := New(0.5, n)
+		got.Tail = -1
+		for from := 0; from < n; {
+			to := from + 1 + r.Intn(n-from)
+			got.Tabulate(cdf, from, to)
+			if to < n && got.Tail != -1 {
+				t.Fatalf("n %d: a step to %d set the tail", n, to)
+			}
+			from = to
+		}
+		for i := range want.M {
+			if math.Float64bits(got.M[i]) != math.Float64bits(want.M[i]) {
+				t.Fatalf("n %d: mass %d is %v, FromCDF's %v", n, i, got.M[i], want.M[i])
+			}
+		}
+		if math.Float64bits(got.Tail) != math.Float64bits(want.Tail) {
+			t.Fatalf("n %d: tail %v, FromCDF's %v", n, got.Tail, want.Tail)
+		}
+	}
+}
+
 func TestPointMass(t *testing.T) {
 	l := PointMass(1.0, 0.25, 16)
 	if l.M[4] != 1 {

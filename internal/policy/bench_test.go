@@ -1,11 +1,15 @@
 package policy
 
 import (
+	"bytes"
+	"encoding/json"
+	"strconv"
 	"testing"
 
 	"dtr/dist"
 	"dtr/internal/core"
 	"dtr/internal/direct"
+	"dtr/internal/obs"
 )
 
 // BenchmarkOptimize2 measures the coarse-to-fine 2-server policy search
@@ -16,11 +20,10 @@ func BenchmarkOptimize2(b *testing.B) {
 	benchSweeps(b, Options2{})
 }
 
-// benchSolver builds the paper-scale severe-delay Pareto solver the
-// sweep benchmarks search.
-func benchSolver(b *testing.B) *direct.Solver {
-	b.Helper()
-	m := &core.Model{
+// severeModel is the paper's severe-delay Pareto model, the one the
+// benchmark's lab_sweep workload sweeps.
+func severeModel() *core.Model {
+	return &core.Model{
 		Service: []dist.Dist{dist.NewPareto(2.5, 2), dist.NewPareto(2.5, 1)},
 		Failure: []dist.Dist{dist.Never{}, dist.Never{}},
 		Transfer: func(tasks, src, dst int) dist.Dist {
@@ -30,11 +33,62 @@ func benchSolver(b *testing.B) *direct.Solver {
 			return dist.NewPareto(2.5, 3*float64(tasks))
 		},
 	}
-	s, err := direct.NewSolver(m, direct.Config{N: 1 << 12, Horizon: 2600, MaxQueue: [2]int{150, 150}})
+}
+
+// benchSolver builds the paper-scale severe-delay Pareto solver the
+// sweep benchmarks search.
+func benchSolver(b *testing.B) *direct.Solver {
+	b.Helper()
+	s, err := direct.NewSolver(severeModel(), direct.Config{N: 1 << 12, Horizon: 2600, MaxQueue: [2]int{150, 150}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return s
+}
+
+// BenchmarkExhaustiveMeanSweep2k is the solve of one lab_sweep
+// operation, both halves timed: a cold solver for the severe-delay model
+// at 100 + 100 tasks (grid 2048, horizon 2600) and the exhaustive mean
+// sweep on it. Beside the time it reports walks/op, the mean bounds the
+// sweep walked (the optimize2 span's walks attribute), and laws/op, the
+// transfer lattices it tabulated (dtr_direct_transfer_cache_misses_total).
+func BenchmarkExhaustiveMeanSweep2k(b *testing.B) {
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(nil)
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(&buf)
+	b.ResetTimer()
+	for range b.N {
+		root := tracer.StartRoot("sweep", "")
+		s, err := direct.NewSolver(severeModel(), direct.Config{N: 2048, Horizon: 2600, MaxQueue: [2]int{200, 200}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Optimize2(s, 100, 100, ObjMeanTime, Options2{Exhaustive: true, Span: root}); err != nil {
+			b.Fatal(err)
+		}
+		root.End()
+	}
+	b.StopTimer()
+	walks := 0
+	for line := range bytes.Lines(buf.Bytes()) {
+		var rec obs.TraceRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			b.Fatal(err)
+		}
+		for _, sp := range rec.Spans {
+			if sp.Name == "optimize2" {
+				n, err := strconv.Atoi(sp.Attrs["walks"])
+				if err != nil {
+					b.Fatalf("optimize2 span walks %q: %v", sp.Attrs["walks"], err)
+				}
+				walks += n
+			}
+		}
+	}
+	b.ReportMetric(float64(walks)/float64(b.N), "walks/op")
+	b.ReportMetric(float64(reg.Counter("dtr_direct_transfer_cache_misses_total").Value())/float64(b.N), "laws/op")
 }
 
 // benchSweeps times b.N sweeps with opt, each on a solver built untimed.

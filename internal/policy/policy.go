@@ -13,6 +13,7 @@ package policy
 
 import (
 	"cmp"
+	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -153,16 +154,17 @@ type SweepDiagnostics struct {
 // evalFunc computes the objective for one policy (L12, L21).
 type evalFunc func(l12, l21 int) (float64, error)
 
-// screened is a sweep's two-step evaluation on the canonical-scenario
-// solver: fill makes ahead what scoring a batch reads, score values
-// every candidate without a transform, and confirm evaluates exactly the
-// candidates that can still win (see sweep2.tryAll). lower says which
-// contract score holds: a lower bound on the minimized mean, or within
-// direct.ScreenEps of a maximized linear objective.
+// screened is a sweep's screen-then-confirm evaluation on the
+// canonical-scenario solver: fill makes ahead what scoring a batch reads,
+// score values every candidate without a transform, and confirm
+// evaluates exactly the candidates that can still win (see
+// sweep2.tryAll). Score is within direct.ScreenEps of a maximized linear
+// objective, or, when walk is set, a pre-bound on the minimized mean
+// that walk refines to a tighter lower bound, after fillWalk has made
+// what the walks of a chunk read (see sweep2.confirmLeast).
 type screened struct {
-	score, confirm evalFunc
-	fill           func(pts [][2]int, workers int)
-	lower          bool
+	score, confirm, walk evalFunc
+	fill, fillWalk       func(pts [][2]int, workers int)
 }
 
 // metric is the solver metric the objective reads.
@@ -196,13 +198,13 @@ func directEval(s *direct.Solver, m1, m2 int, obj Objective, deadline float64, f
 }
 
 // directScreen fills, scores and confirms policies through the screen
-// sn, built for the factors fac; lower is the mean's contract. Not
-// inlined, for directEval's reason.
+// sn, built for the factors fac, and for the mean (lower) walks them.
+// Not inlined, for directEval's reason.
 //
 //go:noinline
 func directScreen(sn *direct.Screen, m1, m2 int, fac [2]int, lower bool) *screened {
 	fs := fac[:]
-	return &screened{
+	scr := &screened{
 		score: func(l12, l21 int) (float64, error) {
 			return sn.Score(direct.Pair(m1, m2, l12, l21, fs))
 		},
@@ -212,8 +214,14 @@ func directScreen(sn *direct.Screen, m1, m2 int, fac [2]int, lower bool) *screen
 		fill: func(pts [][2]int, workers int) {
 			sn.FillPairs(m1, m2, pts, workers)
 		},
-		lower: lower,
 	}
+	if lower {
+		scr.walk = func(l12, l21 int) (float64, error) {
+			return sn.Refine(direct.Pair(m1, m2, l12, l21, fs))
+		}
+		scr.fillWalk = sn.FillWalks
+	}
+	return scr
 }
 
 // Optimize2 solves problems (3)/(4): it searches the feasible policy
@@ -295,6 +303,7 @@ func optimize2(eval evalFunc, scr *screened, m1, m2 int, obj Objective, opt Opti
 	defer func() {
 		sweepEvals.Add(uint64(sw.evals))
 		sw.span.SetAttr("evals", sw.evals)
+		sw.span.SetAttr("walks", sw.walks)
 		sw.span.End()
 	}()
 
@@ -401,13 +410,16 @@ type sweep2 struct {
 	best    Result2
 	evals   int
 	batches int
+	walks   int       // the mean's walked bounds (see confirmLeast)
 	span    *obs.Span // "optimize2" trace span (nil = untraced)
 
 	cand  [][2]int     // candidate scratch, reused across batches
 	keep  [][2]int     // the screen's contenders, reused across batches
-	order []int        // confirmLeast's candidate order, reused across batches
 	vals  []float64    // value slots, written by index from the pool
 	busy  []*obs.Gauge // per-worker busy gauges (nil = uninstrumented)
+	least least        // confirmLeast's scratch, reused across batches
+	// confirmed, when set, receives each chunk confirmLeast confirms.
+	confirmed func(pts [][2]int)
 }
 
 // tryAll evaluates one batch of candidate points: infeasible and
@@ -427,7 +439,7 @@ type sweep2 struct {
 // NaN. With every score within ScreenEps of its exact value, a candidate
 // left out is exactly worse than the incumbent or than the best-scoring
 // candidate, and every candidate exactly as good as the batch's best is
-// kept. Under the mean's lower bounds confirmLeast picks them. Either
+// kept. Under the mean's pre-bounds confirmLeast picks them. Either
 // way the fold over the confirmed exact values in scan order lands where
 // the fold over every candidate would: same policy, same value bits. A
 // screened point counts once.
@@ -468,7 +480,7 @@ func (sw *sweep2) tryAll(pts [][2]int) error {
 		return err
 	}
 	sw.evals += len(cand)
-	if sw.scr.lower {
+	if sw.scr.walk != nil {
 		return sw.confirmLeast(cand, vals)
 	}
 	top := sw.best.Value
@@ -492,69 +504,148 @@ func (sw *sweep2) tryAll(pts [][2]int) error {
 	return nil
 }
 
-// confirmChunk is how many candidates confirmLeast confirms at once, over
-// the sweep's workers. It is a constant, not the worker count, so that
-// which points are folded — and the solver's fold audit — is the same at
-// every worker count.
-const confirmChunk = 4
+// confirmChunk is how many candidates confirmLeast confirms at once, and
+// walkChunk how many it walks at once, over the sweep's workers. They are
+// constants, not the worker count, so that which points are walked and
+// folded — the transfer lattices made and the solver's fold audit — is
+// the same at every worker count.
+const (
+	confirmChunk = 4
+	walkChunk    = 16
+)
 
-// confirmLeast confirms the candidates cand, whose scores bound are
-// lower bounds on their exact values, from the least bound up (ties in
-// scan order), confirmChunk at a time: a chunk takes the next candidates
-// whose bounds are at most direct.ScreenEps relative above ref, the least
-// of the incumbent and the exact values confirmed so far, and the first
-// candidate above it ends the search. It then folds the confirmed
-// candidates' exact values into the incumbent in scan order.
+// least is confirmLeast's scratch, reused across batches: the candidates
+// in (pre-bound, index) order, their walked bounds by index, the heap of
+// walked candidates not yet confirmed, keyed by (bound, index), the
+// confirmed ones, and a walk's points and values.
+type least struct {
+	order, heap, done []int
+	bound             []float64
+	pts               [][2]int
+	vals              []float64
+}
+
+func (ls *least) Len() int { return len(ls.heap) }
+func (ls *least) Less(a, b int) bool {
+	i, j := ls.heap[a], ls.heap[b]
+	return cmp.Or(cmp.Compare(ls.bound[i], ls.bound[j]), i-j) < 0
+}
+func (ls *least) Swap(a, b int) { ls.heap[a], ls.heap[b] = ls.heap[b], ls.heap[a] }
+func (ls *least) Push(x any)    { ls.heap = append(ls.heap, x.(int)) }
+func (ls *least) Pop() any {
+	i := ls.heap[len(ls.heap)-1]
+	ls.heap = ls.heap[:len(ls.heap)-1]
+	return i
+}
+
+// confirmLeast confirms the candidates cand from the least walked bound
+// up (ties in scan order), confirmChunk at a time: a chunk takes the next
+// candidates whose bounds are at most direct.ScreenEps relative above
+// ref, the least of the incumbent and the exact values confirmed so far,
+// and the first candidate above it ends the search. It then folds the
+// confirmed candidates' exact values into the incumbent in scan order.
+// The scores pre are pre-bounds on the walked bounds, which are lower
+// bounds on the exact values.
+//
+// A candidate is walked only when that order needs its bound. The walked
+// candidates not yet confirmed sit in a min-heap keyed by (bound, index);
+// the others are walked in (pre-bound, index) order, walkChunk at a time,
+// while the next one's key is at or below the heap's top. Once it is
+// above, so is every unwalked candidate's — a bound is at least its
+// pre-bound, and equal keys fall to the lower index — and the top is the
+// least (bound, index) left. The chunks are therefore those of walking
+// every candidate and sorting, whatever was walked beyond. The search
+// also ends, without walking, once the heap's top and the next pre-bound
+// both exceed the threshold: then every bound left does.
 //
 // Every candidate whose exact value is the least of the batch's and the
 // incumbent's, v*, is confirmed: ref never falls below v*, and the
 // candidate's bound is at most v* + ScreenEps·v*. A fold over the
 // confirmed values in scan order therefore picks what a fold over every
 // candidate picks.
-func (sw *sweep2) confirmLeast(cand [][2]int, bound []float64) error {
-	order := sw.order[:0]
+func (sw *sweep2) confirmLeast(cand [][2]int, pre []float64) error {
+	ls := &sw.least
+	ls.order, ls.heap, ls.done = ls.order[:0], ls.heap[:0], ls.done[:0]
 	for i := range cand {
-		order = append(order, i)
+		ls.order = append(ls.order, i)
 	}
-	sw.order = order
-	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(bound[a], bound[b]), a-b) })
-	ref, n := sw.best.Value, 0
+	slices.SortFunc(ls.order, func(a, b int) int { return cmp.Or(cmp.Compare(pre[a], pre[b]), a-b) })
+	ls.bound = slices.Grow(ls.bound[:0], len(cand))[:len(cand)]
+	order, bound := ls.order, ls.bound
+	next, ref := 0, sw.best.Value // order[next:] are not walked
 	var pts [confirmChunk][2]int
+	var idx [confirmChunk]int
 	var vals [confirmChunk]float64
-	for n < len(order) {
+	for {
 		thr := ref + direct.ScreenEps*math.Abs(ref)
-		hi := n
-		for hi < len(order) && hi-n < confirmChunk && !(bound[order[hi]] > thr) {
-			hi++
+		n := 0
+		for ; n < confirmChunk; n++ {
+			for next < len(order) {
+				j := order[next]
+				if ls.Len() > 0 && cmp.Or(cmp.Compare(pre[j], bound[ls.heap[0]]), j-ls.heap[0]) > 0 {
+					break // the top is the least left
+				}
+				if pre[j] > thr && (ls.Len() == 0 || bound[ls.heap[0]] > thr) {
+					break // nothing left is confirmed
+				}
+				hi := min(next+walkChunk, len(order))
+				if err := sw.walk(cand, order[next:hi]); err != nil {
+					return err
+				}
+				next = hi
+			}
+			if ls.Len() == 0 || bound[ls.heap[0]] > thr {
+				break
+			}
+			idx[n] = heap.Pop(ls).(int)
+			pts[n] = cand[idx[n]]
 		}
-		if hi == n {
+		if n == 0 {
 			break
 		}
-		chunk := order[n:hi]
-		for j, i := range chunk {
-			pts[j] = cand[i]
-		}
-		if err := sw.each(pts[:len(chunk)], vals[:len(chunk)], sw.scr.confirm); err != nil {
+		if err := sw.each(pts[:n], vals[:n], sw.scr.confirm); err != nil {
 			return err
 		}
-		for j, i := range chunk {
-			bound[i] = vals[j]
+		if sw.confirmed != nil {
+			sw.confirmed(pts[:n])
+		}
+		for j, i := range idx[:n] {
+			ls.done, bound[i] = append(ls.done, i), vals[j]
 			if vals[j] < ref {
 				ref = vals[j]
 			}
 		}
-		n = hi
 	}
-	// The confirmed indices ascend, so bound[p] is read before it is
-	// overwritten.
-	slices.Sort(order[:n])
+	slices.Sort(ls.done)
 	keep := sw.keep[:0]
-	for p, i := range order[:n] {
+	for p, i := range ls.done {
 		keep = append(keep, cand[i])
-		bound[p] = bound[i]
+		pre[p] = bound[i]
 	}
 	sw.keep = keep
-	sw.reduce(keep, bound[:n])
+	sw.reduce(keep, pre[:len(keep)])
+	return nil
+}
+
+// walk refines the candidates idx of cand to their walked bounds, after
+// making ahead the transfer lattices they read, and pushes them onto
+// the heap.
+func (sw *sweep2) walk(cand [][2]int, idx []int) error {
+	ls := &sw.least
+	ls.pts = ls.pts[:0]
+	for _, i := range idx {
+		ls.pts = append(ls.pts, cand[i])
+	}
+	ls.vals = slices.Grow(ls.vals[:0], len(idx))[:len(idx)]
+	sw.scr.fillWalk(ls.pts, sw.workers)
+	if err := sw.each(ls.pts, ls.vals, sw.scr.walk); err != nil {
+		return err
+	}
+	for j, i := range idx {
+		ls.bound[i] = ls.vals[j]
+		heap.Push(ls, i)
+	}
+	sw.walks += len(idx)
 	return nil
 }
 

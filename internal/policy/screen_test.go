@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -213,11 +214,11 @@ var screenCorpus = sync.OnceValue(func() []screenCase {
 	return cs
 })
 
-// screenScan is one case's exact values and scores at every lattice
-// point, row-major in (L12, L21) — the exhaustive sweep's order — under
-// each factor combination.
+// screenScan is one case's exact values and scores — and for the mean
+// its walked bounds — at every lattice point, row-major in (L12, L21),
+// the exhaustive sweep's order, under each factor combination.
 type screenScan struct {
-	exact, score [][]float64 // [combo][point]
+	exact, score, walk [][]float64 // [combo][point]
 }
 
 var screenScans = sync.OnceValues(func() ([]screenScan, error) {
@@ -236,14 +237,17 @@ var screenScans = sync.OnceValues(func() ([]screenScan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", c.name, err)
 			}
-			exact, score := make([]float64, points), make([]float64, points)
+			exact, score, walk := make([]float64, points), make([]float64, points), make([]float64, points)
 			err = par.ForEach(0, points, func(_, i int) error {
 				pt := direct.Pair(c.m1, c.m2, i/(c.m2+1), i%(c.m2+1), fac[:])
 				var err error
 				if exact[i], err = s.Eval(pt, c.metric(), c.deadline); err != nil {
 					return err
 				}
-				score[i], err = sn.Score(pt)
+				if score[i], err = sn.Score(pt); err != nil || c.obj != policy.ObjMeanTime {
+					return err
+				}
+				walk[i], err = sn.Refine(pt)
 				return err
 			})
 			sn.Release()
@@ -252,17 +256,20 @@ var screenScans = sync.OnceValues(func() ([]screenScan, error) {
 			}
 			out[ci].exact = append(out[ci].exact, exact)
 			out[ci].score = append(out[ci].score, score)
+			out[ci].walk = append(out[ci].walk, walk)
 		}
 	}
 	return out, nil
 })
 
 // TestScreenGapBound: over the whole corpus, every QoS or reliability
-// score is within ScreenEps/1000 of its exact value, and every mean score
-// at most ScreenEps/1000 relative above it: a thousandfold margin on the
-// bounds the sweep's confirmation rules assume. The largest gap of each
-// kind is logged, with how many mean points a sweep could not rule out
-// against the exact optimum.
+// score is within ScreenEps/1000 of its exact value, and every mean
+// pre-bound is at most the walked bound, itself at most ScreenEps/1000
+// relative above the exact value: a thousandfold margin on the bounds
+// the sweep's confirmation rules assume. The largest gap of each kind is
+// logged, and per mean model and factors how many points the pre-bound
+// and the walked bound cannot rule out against the exact optimum, beside
+// the bounds an exhaustive sweep walks.
 func TestScreenGapBound(t *testing.T) {
 	scans, err := screenScans()
 	if err != nil {
@@ -271,22 +278,34 @@ func TestScreenGapBound(t *testing.T) {
 	var worst float64
 	worstMean := math.Inf(-1)
 	var where, whereMean string
-	points, meanPoints, below := 0, 0, 0
+	points, meanPoints := 0, 0
 	for ci, c := range screenCorpus() {
+		var tb *direct.Tables
+		if c.obj == policy.ObjMeanTime {
+			tb = c.tables(t)
+		}
 		for fi, fac := range c.combos() {
 			_, _, opt := firstBest(c.obj, scans[ci].exact[fi], c.m2)
+			preLeft, walkLeft := 0, 0
 			for i, want := range scans[ci].exact[fi] {
 				got := scans[ci].score[fi][i]
 				at := fmt.Sprintf("%s %v factors %v (L12, L21) = (%d, %d)", c.name, c.obj, fac, i/(c.m2+1), i%(c.m2+1))
 				if c.obj == policy.ObjMeanTime {
 					meanPoints++
+					walk := scans[ci].walk[fi][i]
 					if got <= opt+direct.ScreenEps*opt {
-						below++
+						preLeft++
 					}
-					if !(got <= want+direct.ScreenEps/1000*want) {
-						t.Errorf("%s: bound %v above Eval %v", at, got, want)
+					if walk <= opt+direct.ScreenEps*opt {
+						walkLeft++
 					}
-					if gap := (got - want) / want; gap > worstMean {
+					if !(got <= walk) {
+						t.Errorf("%s: pre-bound %v above walked bound %v", at, got, walk)
+					}
+					if !(walk <= want+direct.ScreenEps/1000*want) {
+						t.Errorf("%s: walked bound %v above Eval %v", at, walk, want)
+					}
+					if gap := (walk - want) / want; gap > worstMean {
 						worstMean, whereMean = gap, at
 					}
 					continue
@@ -299,12 +318,54 @@ func TestScreenGapBound(t *testing.T) {
 					worst, where = gap, at
 				}
 			}
+			if tb != nil {
+				s, _ := tb.View(c.maxFactor, nil)
+				_, _, walks, err := policy.ConfirmChunks(s, c.m1, c.m2, fac, 0, false)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				t.Logf("%s factors %v: of %d points the optimum rules out all but %d by pre-bound, %d by walked bound; the sweep walks %d",
+					c.name, fac, len(scans[ci].exact[fi]), preLeft, walkLeft, walks)
+			}
 		}
 	}
 	t.Logf("largest |score − Eval| over %d QoS and reliability points: %.3g at %s", points, worst, where)
-	t.Logf("largest (score − Eval)/Eval over %d mean points: %.3g at %s; %d points not ruled out by the optimum", meanPoints, worstMean, whereMean, below)
+	t.Logf("largest (walked bound − Eval)/Eval over %d mean points: %.3g at %s", meanPoints, worstMean, whereMean)
 	if worst > direct.ScreenEps/1000 {
 		t.Fatalf("largest gap %.3g exceeds ScreenEps/1000 = %g", worst, direct.ScreenEps/1000)
+	}
+}
+
+// TestLazyWalksConfirmEagerChunks: on every mean case of the corpus and
+// under each factor combination, an exhaustive batch that walks its
+// candidates lazily confirms the points, in the chunks and the order,
+// that walking every candidate first confirms, and lands on the same
+// incumbent — at one worker and at two.
+func TestLazyWalksConfirmEagerChunks(t *testing.T) {
+	for _, c := range screenCorpus() {
+		if c.obj != policy.ObjMeanTime {
+			continue
+		}
+		tb := c.tables(t)
+		for _, fac := range c.combos() {
+			ref, _ := tb.View(c.maxFactor, nil)
+			wantBest, want, _, err := policy.ConfirmChunks(ref, c.m1, c.m2, fac, 1, true)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			for _, workers := range []int{1, 2} {
+				s, _ := tb.View(c.maxFactor, nil)
+				best, got, _, err := policy.ConfirmChunks(s, c.m1, c.m2, fac, workers, false)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if !reflect.DeepEqual(got, want) || best.L12 != wantBest.L12 || best.L21 != wantBest.L21 ||
+					math.Float64bits(best.Value) != math.Float64bits(wantBest.Value) {
+					t.Errorf("%s factors %v, %d workers: lazy walks confirmed %v for %+v, eager %v for %+v",
+						c.name, fac, workers, got, best, want, wantBest)
+				}
+			}
+		}
 	}
 }
 

@@ -105,11 +105,15 @@ func TestFailureDoomsWorkload(t *testing.T) {
 	}
 }
 
+// TestGroupToDeadServerDooms: a group that arrives at a server after
+// its failure dooms the run. The failure (0.5 units) and the arrival
+// (100 units) lie about 20 ms of wall clock apart, so a loaded host's
+// late timers cannot reorder them.
 func TestGroupToDeadServerDooms(t *testing.T) {
 	m := fastModel(true)
 	m.Failure = []dist.Dist{dist.Never{}, dist.NewDeterministic(0.5)}
 	m.Service = []dist.Dist{dist.NewDeterministic(0.2), dist.NewDeterministic(0.2)}
-	m.Transfer = func(tasks, src, dst int) dist.Dist { return dist.NewDeterministic(3) }
+	m.Transfer = func(tasks, src, dst int) dist.Dist { return dist.NewDeterministic(100) }
 	tb := &Testbed{Model: m, Scale: 200 * time.Microsecond, Seed: 5}
 	out, err := tb.Run([]int{1, 0}, core.Policy2(1, 0), 4)
 	if err != nil {
