@@ -40,7 +40,7 @@ smoke:
 
 # Non-test Go lines, the two figures ROADMAP aim 2 tracks (everything, and
 # everything outside the benchmark's own code), printed into every CI log,
-# and the Go assembly lines beside them (not gated).
+# and the Go assembly lines beside them, in all and per package (not gated).
 # The second is gated: it fails above LOC_CEILING, the figure of the last
 # PR that moved it on purpose. Raise the ceiling in the PR that needs the
 # lines, and say what they bought. It was lowered from 22 727 by deleting
@@ -100,12 +100,22 @@ smoke:
 # weighted point), and per-server prefix fold locks: a lab_sweep
 # operation walks 256 of 10 201 points and tabulates 47 of 200 transfer
 # laws.
-LOC_CEILING = 23500
+# +185: the Pareto CDF's four-lane kernel (dist's batch CDFs, the lanes'
+# Go declarations and their portable stub; gridfn's Law, CDFs and the
+# in-place Tabulate; transferBounds' batched staircase), internal/cpu's
+# CPUID and XCR0 reading in one place for both kernel sets (moved out of
+# internal/fft, plus the FMA check), par's ForEachTimed (each worker's
+# share timed once), and confirmLeast's heap over the pre-bounds in
+# place of a sort.
+LOC_CEILING = 23685
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \
 	echo "  outside bench/: $$n (ceiling $(LOC_CEILING))"; \
 	git ls-files '*.s' | xargs cat | wc -l | xargs echo "non-test Go assembly lines (not gated):"; \
+	for d in $$(git ls-files '*.s' | xargs -n1 dirname | sort -u); do \
+		git ls-files "$$d/*.s" | xargs cat | wc -l | xargs echo "  $$d:"; \
+	done; \
 	[ $$n -le $(LOC_CEILING) ]
 
 # results/NAME.txt is the stdout of `dtrlab ARGS`, one "NAME ARGS" line
@@ -147,7 +157,8 @@ results-check:
 	diff -r -u "$$tmp/old" "$$tmp/new" && echo "results/ regenerates byte for byte"
 
 # Every package's micro-benchmarks, one iteration each, with allocation
-# columns: internal/sim's BenchmarkEstimate2000 and
+# columns: internal/gridfn's BenchmarkTabulatePareto2k one transfer law's
+# lattice in ns per point on the scalar and the lane path, internal/sim's BenchmarkEstimate2000 and
 # BenchmarkEstimateTestbed2000 are plan_cold's two `simulate` requests and
 # BenchmarkRunFleet32 a 32-server replicated realization (the agenda's
 # per-server scan), internal/direct's BenchmarkTablesMetricsRead one cold

@@ -15,6 +15,12 @@
 // Pareto (finite- and infinite-variance), Shifted Exponential, Uniform and
 // Shifted Gamma (the empirical fit of the testbed's transfer times) — plus
 // Weibull, Gamma, Deterministic and Never, which round out the framework.
+//
+// Pareto also has a batch CDF, CDFs, which a lattice tabulation reads:
+// on amd64 hosts with AVX2 and FMA3 it runs four points at a time in Go
+// assembly that performs math.Pow's operations lane for lane, so its
+// values are CDF's, bit for bit, and the scalar loop takes every point
+// elsewhere.
 package dist
 
 import (

@@ -46,6 +46,39 @@ func (d Pareto) CDF(x float64) float64 {
 	return 1 - math.Pow(d.Xm/x, d.Alpha)
 }
 
+// CDFs replaces every x of xs with d.CDF(x), bit for bit. Where the host
+// runs paretoCDFLanes, that computes four points at a time; this loop
+// takes the points it leaves.
+func (d Pareto) CDFs(xs []float64) {
+	lanes := paretoLanes && d.Xm > 0 && d.Alpha > 1 && d.Alpha < 1<<63
+	yi, yf := powSplit(d.Alpha)
+	for i := 0; i < len(xs); {
+		if lanes {
+			i += paretoCDFLanes(xs[i:], d.Xm, yf, yi)
+		}
+		// The quad the lanes stopped at, or the points past the last quad.
+		for end := min(i+4, len(xs)); i < end; i++ {
+			xs[i] = d.CDF(xs[i])
+		}
+	}
+}
+
+// powSplit splits an exponent y > 0 as math.Pow does: its integer part
+// and its fraction, a fraction above ½ taken from the next integer.
+func powSplit(y float64) (yi int64, yf float64) {
+	i, f := math.Modf(y)
+	if f > 0.5 {
+		f--
+		i++
+	}
+	return int64(i), f
+}
+
+// paretoLanes reports whether CDFs runs paretoCDFLanes: set at start-up
+// where the host has its instructions, cleared by tests to hold the
+// lanes to the scalar loop.
+var paretoLanes bool
+
 func (d Pareto) Survival(x float64) float64 {
 	if x <= d.Xm {
 		return 1

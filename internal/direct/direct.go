@@ -47,7 +47,10 @@
 // The finish-time laws are built by k-fold lattice convolutions
 // (internal/gridfn), which makes full policy sweeps at the paper's scale
 // (m1 = 100, m2 = 50) feasible — this is the engine behind Figs. 1–3 and
-// Tables I–II. A sweep's points are two-server Pairs, and a warm point
+// Tables I–II. The transfer laws' lattices and their pre-bound scalars
+// read each law's CDF a batch at a time (gridfn.CDFs), so a Pareto law's
+// points go through dist's four-lane kernel where the host has it, with
+// the per-point bits. A sweep's points are two-server Pairs, and a warm point
 // allocates nothing; MeanTime, QoS, Reliability and CompletionCDF are
 // their (m1, m2, l12, l21) spellings. The general recursion of
 // internal/core computes the same quantities for arbitrary configurations

@@ -1,6 +1,9 @@
 package direct
 
-import "dtr/dist"
+import (
+	"dtr/dist"
+	"dtr/internal/gridfn"
+)
 
 // referenceTailExcess is tailExcess as it stood before the chains kept
 // one task's law and its mean: a min-of-k law built, and its mean
@@ -52,4 +55,18 @@ func ReferenceMeanTimeRepl(s *Solver, m1, m2, l12, l21 int, fac [2]int) (float64
 		excess += referenceTailExcess(s, sc, k)
 	}
 	return mean + excess, nil
+}
+
+// TransferLattice is transferLattice's lattice: the transfer of a group
+// of tasks from src to dst, tabulated through at least its first m
+// points.
+func (s *Solver) TransferLattice(tasks, src, dst, m int) *gridfn.Lattice {
+	_, l := s.transferLattice(tasks, src, dst, m)
+	return l
+}
+
+// TransferBounds is transferBounds' zBounds of the same transfer.
+func (s *Solver) TransferBounds(tasks, src, dst int) (low, mean float64) {
+	b := s.t.transferBounds(tasks, src, dst)
+	return b.low, b.mean
 }

@@ -419,6 +419,11 @@ type zBounds struct{ low, mean float64 }
 // sums.
 const zStair = 16
 
+// stairPoints lends transferBounds its batch of half-points: handed to a
+// law's batch CDF through an interface, an array on its stack would
+// move to the heap on every call.
+var stairPoints = sync.Pool{New: func() any { return new([64]float64) }}
+
 // freqOf returns (computing on first read) the spectrum of the j-fold
 // effective service sum at server k under replication factor fac.
 func (s *Solver) freqOf(k, fac, j int, w *gridfn.Work) *gridfn.Spectrum {
@@ -481,7 +486,7 @@ func (s *Solver) transferLattice(tasks, src, dst, m int) (dist.Dist, *gridfn.Lat
 	}
 	if have := int(e.done.Load()); have < m {
 		sp := s.span.Child("transfer_law", "tasks", tasks, "src", src, "dst", dst, "from", have, "to", m)
-		e.lat.Tabulate(law.CDF, have, m)
+		e.lat.Tabulate(law, have, m)
 		sp.End()
 		e.done.Store(int32(m))
 	}
@@ -507,14 +512,22 @@ func (t *Tables) transferBounds(tasks, src, dst int) zBounds {
 	e, law := t.transferEntry(tasks, src, dst)
 	b, _ := e.bounds.get(func() zBounds {
 		slack := float64(t.n+2) * 0x1p-52
-		sp := t.split()
 		var stair float64
-		for lo := 0; lo <= t.n-2; lo += zStair {
-			hi := min(lo+zStair-1, t.n-2)
-			stair += float64(hi-lo+1) * (1 - law.CDF((float64(hi)+0.5)*t.dx))
+		xs := stairPoints.Get().(*[64]float64) // half-points, turned into CDF values a batch at a time
+		defer stairPoints.Put(xs)
+		for lo := 0; lo <= t.n-2; lo += len(xs) * zStair {
+			c := xs[:0]
+			for r := lo; r <= t.n-2 && len(c) < len(xs); r += zStair {
+				c = append(c, (float64(min(r+zStair-1, t.n-2))+0.5)*t.dx)
+			}
+			gridfn.CDFs(law, c)
+			for j, cdf := range c {
+				r := lo + j*zStair
+				stair += float64(min(r+zStair-1, t.n-2)-r+1) * (1 - cdf)
+			}
 		}
 		return zBounds{
-			low:  law.CDF((float64(sp)+0.5)*t.dx) - slack,
+			low:  law.CDF((float64(t.split())+0.5)*t.dx) - slack,
 			mean: stair*t.dx - slack*float64(t.n-1)*t.dx,
 		}
 	})

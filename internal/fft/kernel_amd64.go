@@ -1,5 +1,7 @@
 package fft
 
+import "dtr/internal/cpu"
+
 // The assembly kernels perform exactly the float64 operations of their Go
 // twins, with no fused multiply-add: the AVX2 set (kernel_amd64.s) runs
 // two complex lanes per Y register, the AVX-512 set (kernel512_amd64.s)
@@ -74,66 +76,14 @@ var avx512Set = kernelSet{
 	},
 }
 
-// cpuid executes CPUID with EAX = leaf and ECX = sub.
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv returns the low word of extended control register 0, the state
-// components the OS saves on a context switch.
-func xgetbv() (eax uint32)
-
 func init() {
-	c := readCPU()
-	if hasAVX2(c) {
+	if cpu.X86.AVX2() {
 		vector = &kernelSet{firstAVX2, blocks8AVX2,
 			func(a []complex128, row [][3]complex128, _ []twQuad) { twiddledAVX2(a, row) }, splitAVX2}
 		kernel = vector
 	}
-	if hasAVX512(c) {
+	if cpu.X86.AVX512() {
 		vector512 = &avx512Set
 		kernel = vector512
 	}
-}
-
-// cpuWords are the words the kernel choice reads: CPUID leaf 0's highest
-// leaf, leaf 1's ECX, leaf 7.0's EBX and XCR0.
-type cpuWords struct{ maxLeaf, ecx1, ebx7, xcr0 uint32 }
-
-// Feature bits: CPUID.1:ECX, CPUID.7.0:EBX and the XCR0 state components.
-const (
-	osxsave, avx       = 1 << 27, 1 << 28
-	avx2, avx512f      = 1 << 5, 1 << 16
-	avx512dq           = 1 << 17
-	xSSE, xYMM         = 1 << 1, 1 << 2
-	xOpmask, xZMM      = 1 << 5, 1<<6 | 1<<7 // k0–k7; upper halves of Z0–Z15 and Z16–Z31
-	ymmState, zmmState = xSSE | xYMM, xSSE | xYMM | xOpmask | xZMM
-)
-
-// readCPU reads the words from the CPU. XGETBV faults where OSXSAVE is
-// clear, and leaf 7 is meaningless below it; those words stay 0.
-func readCPU() (c cpuWords) {
-	c.maxLeaf, _, _, _ = cpuid(0, 0)
-	_, _, c.ecx1, _ = cpuid(1, 0)
-	if c.ecx1&osxsave != 0 {
-		c.xcr0 = xgetbv()
-	}
-	if c.maxLeaf >= 7 {
-		_, c.ebx7, _, _ = cpuid(7, 0)
-	}
-	return c
-}
-
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers it uses.
-func hasAVX2(c cpuWords) bool {
-	return c.maxLeaf >= 7 && c.ecx1&(osxsave|avx) == osxsave|avx &&
-		c.xcr0&ymmState == ymmState && c.ebx7&avx2 != 0
-}
-
-// hasAVX512 reports whether the CPU has AVX-512F and DQ (VXORPD and
-// VEXTRACTF64X2 on Z registers are DQ), besides the AVX2 the kernels' VEX
-// instructions need, and the OS saves the opmask and all of the Z
-// registers.
-func hasAVX512(c cpuWords) bool {
-	return hasAVX2(c) && c.ebx7&(avx512f|avx512dq) == avx512f|avx512dq &&
-		c.xcr0&zmmState == zmmState
 }

@@ -3,6 +3,8 @@ package gridfn
 import (
 	"math"
 	"testing"
+
+	"dtr/dist"
 )
 
 func benchLattice(n int) *Lattice {
@@ -60,5 +62,25 @@ func BenchmarkFoldMax2k(b *testing.B) {
 	p, w, dst := l.Spectrum(), NewWork(1<<11), New(l.Dx, 1<<11)
 	for b.Loop() {
 		p.FoldMax(dst, l, z, w)
+	}
+}
+
+// BenchmarkTabulatePareto2k tabulates one transfer law of lab_sweep's
+// model (a Pareto law of shape 2.5 and mean 300 on 2048 points over 2600)
+// through its batch CDF ("lanes": four points at a time where the host
+// has dist's lane kernel) and point by point ("scalar"), in ns per point.
+func BenchmarkTabulatePareto2k(b *testing.B) {
+	law := dist.NewPareto(2.5, 300)
+	l := New(2600.0/2047, 2048)
+	for _, c := range []struct {
+		name string
+		law  Law
+	}{{"scalar", cdfFunc(law.CDF)}, {"lanes", law}} {
+		b.Run(c.name, func(b *testing.B) {
+			for b.Loop() {
+				l.Tabulate(c.law, 0, len(l.M))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(l.M)), "ns/point")
+		})
 	}
 }

@@ -13,6 +13,11 @@
 // runs in index order, so the fused walks give the bits the unfused
 // steps give.
 //
+// A law is tabulated from its CDF at the points' upper half-cells,
+// evaluated a slice at a time (CDFs): dist.Pareto's batch method computes
+// four points at a time where the host has its lane kernel, bit for bit
+// as its CDF does point by point.
+//
 // A Lattice carries the probability mass that falls beyond its horizon in
 // the Tail field, so heavy-tailed inputs (the paper's Pareto models with
 // infinite variance) degrade gracefully: every functional documents how
@@ -53,24 +58,50 @@ func New(dx float64, n int) *Lattice {
 // distributions. Mass beyond the last half-cell goes to Tail.
 func FromCDF(cdf func(float64) float64, dx float64, n int) *Lattice {
 	l := New(dx, n)
-	l.Tabulate(cdf, 0, n)
+	l.Tabulate(cdfFunc(cdf), 0, n)
 	return l
 }
 
-// Tabulate stores FromCDF's masses at the points from..to−1 of l, whose
-// first `from` points already hold them, and its Tail once to reaches
-// the last point: tabulating [0, n) in any number of steps stores
-// FromCDF's lattice, bit for bit (a step after the first reads the CDF
-// at its predecessor's upper half-cell again).
-func (l *Lattice) Tabulate(cdf func(float64) float64, from, to int) {
+// Law is what Tabulate reads of a distribution: its CDF.
+type Law interface{ CDF(x float64) float64 }
+
+// cdfFunc is a CDF given as a function.
+type cdfFunc func(float64) float64
+
+func (f cdfFunc) CDF(x float64) float64 { return f(x) }
+
+// CDFs replaces every x of xs with law.CDF(x), bit for bit: through the
+// law's own batch method where it has one (dist.Pareto's computes four
+// points at a time), point by point otherwise.
+func CDFs(law Law, xs []float64) {
+	if b, ok := law.(interface{ CDFs([]float64) }); ok {
+		b.CDFs(xs)
+		return
+	}
+	for i, x := range xs {
+		xs[i] = law.CDF(x)
+	}
+}
+
+// Tabulate stores FromCDF's masses of law at the points from..to−1 of l,
+// whose first `from` points already hold them, and its Tail once to
+// reaches the last point: tabulating [0, n) in any number of steps
+// stores FromCDF's lattice, bit for bit (a step after the first reads
+// the CDF at its predecessor's upper half-cell again). The points'
+// upper half-cells are written into M, turned into CDF values by CDFs
+// and differenced in place, so nothing is allocated.
+func (l *Lattice) Tabulate(law Law, from, to int) {
 	prev := 0.0 // CDF at -dx/2 is 0 for non-negative variables
 	if from > 0 {
-		prev = cdf((float64(from-1) + 0.5) * l.Dx)
+		prev = law.CDF((float64(from-1) + 0.5) * l.Dx)
 	}
-	for i := from; i < to; i++ {
-		hi := (float64(i) + 0.5) * l.Dx
-		c := cdf(hi)
-		l.M[i] = c - prev
+	m := l.M[from:max(from, to)]
+	for i := range m {
+		m[i] = (float64(from+i) + 0.5) * l.Dx
+	}
+	CDFs(law, m)
+	for i, c := range m {
+		m[i] = c - prev
 		prev = c
 	}
 	if to == len(l.M) {

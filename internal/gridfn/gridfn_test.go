@@ -42,7 +42,7 @@ func TestTabulateInStepsIsFromCDF(t *testing.T) {
 		got.Tail = -1
 		for from := 0; from < n; {
 			to := from + 1 + r.Intn(n-from)
-			got.Tabulate(cdf, from, to)
+			got.Tabulate(cdfFunc(cdf), from, to)
 			if to < n && got.Tail != -1 {
 				t.Fatalf("n %d: a step to %d set the tail", n, to)
 			}

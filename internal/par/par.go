@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Workers resolves a worker-count option: values ≤ 0 select
@@ -45,6 +46,14 @@ func Workers(n int) int {
 // independent of scheduling. With one effective worker everything runs
 // inline on the calling goroutine.
 func ForEach(workers, n int, fn func(w, i int) error) error {
+	return ForEachTimed(workers, n, fn, nil)
+}
+
+// ForEachTimed is ForEach that also adds to busy[w] how long worker w
+// spent on its whole share of the items, reading the clock twice per
+// worker however many items it takes. busy needs a slot for every worker
+// ForEach can start, Workers(workers) of them; nil keeps no time.
+func ForEachTimed(workers, n int, fn func(w, i int) error, busy []time.Duration) error {
 	if n <= 0 {
 		return nil
 	}
@@ -53,12 +62,15 @@ func ForEach(workers, n int, fn func(w, i int) error) error {
 		workers = n
 	}
 	if workers == 1 {
+		slot := slotOf(busy, 0)
+		t0 := time.Now()
 		var firstErr error
 		for i := 0; i < n; i++ {
 			if err := fn(0, i); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
+		stop(slot, t0)
 		return firstErr
 	}
 
@@ -69,12 +81,17 @@ func ForEach(workers, n int, fn func(w, i int) error) error {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		// One slot pointer, and n read as len(errs), keep the closure
+		// small: a sweep starts its workers once per batch.
+		slot := slotOf(busy, w)
+		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			t0 := time.Now()
+			for i := int(next.Add(1) - 1); i < len(errs); i = int(next.Add(1) - 1) {
 				errs[i] = fn(w, i)
 			}
-		}(w)
+			stop(slot, t0)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -83,6 +100,21 @@ func ForEach(workers, n int, fn func(w, i int) error) error {
 		}
 	}
 	return nil
+}
+
+// slotOf returns worker w's slot of busy, nil where no time is kept.
+func slotOf(busy []time.Duration, w int) *time.Duration {
+	if busy == nil {
+		return nil
+	}
+	return &busy[w]
+}
+
+// stop adds the time since t0 to slot, if kept.
+func stop(slot *time.Duration, t0 time.Time) {
+	if slot != nil {
+		*slot += time.Since(t0)
+	}
 }
 
 // Flag is the shared -workers value of the CLIs; bind it with BindFlag

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -111,5 +112,36 @@ func TestForEachErrorsDoNotPanicWithNilSlots(t *testing.T) {
 	})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("got %v, want %v", err, wantErr)
+	}
+}
+
+// TestForEachTimedAddsEachShare: ForEachTimed runs every item once and
+// adds to a worker's slot the time its share took, at least the time of
+// the items it ran.
+func TestForEachTimedAddsEachShare(t *testing.T) {
+	const item = 200 * time.Microsecond
+	for _, workers := range []int{1, 3} {
+		busy := make([]time.Duration, workers)
+		ran := make([]atomic.Int64, workers)
+		err := ForEachTimed(workers, 6, func(w, i int) error {
+			ran[w].Add(1)
+			for t0 := time.Now(); time.Since(t0) < item; {
+			}
+			return nil
+		}, busy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for w := range busy {
+			n := int(ran[w].Load())
+			total += n
+			if busy[w] < time.Duration(n)*item {
+				t.Errorf("workers=%d: worker %d ran %d items in a share timed at %v", workers, w, n, busy[w])
+			}
+		}
+		if total != 6 {
+			t.Errorf("workers=%d: %d items ran, want 6", workers, total)
+		}
 	}
 }

@@ -298,6 +298,10 @@ func optimize2(eval evalFunc, scr *screened, m1, m2 int, obj Objective, opt Opti
 	}
 	if obs.Default() != nil {
 		sw.busy = make([]*obs.Gauge, sw.workers)
+		for w := range sw.busy {
+			sw.busy[w] = obs.Default().Gauge(obs.Name("dtr_policy_worker_busy_seconds", "worker", w))
+		}
+		sw.share = make([]time.Duration, sw.workers)
 	}
 	sweepRuns.Inc()
 	defer func() {
@@ -413,11 +417,12 @@ type sweep2 struct {
 	walks   int       // the mean's walked bounds (see confirmLeast)
 	span    *obs.Span // "optimize2" trace span (nil = untraced)
 
-	cand  [][2]int     // candidate scratch, reused across batches
-	keep  [][2]int     // the screen's contenders, reused across batches
-	vals  []float64    // value slots, written by index from the pool
-	busy  []*obs.Gauge // per-worker busy gauges (nil = uninstrumented)
-	least least        // confirmLeast's scratch, reused across batches
+	cand  [][2]int        // candidate scratch, reused across batches
+	keep  [][2]int        // the screen's contenders, reused across batches
+	vals  []float64       // value slots, written by index from the pool
+	busy  []*obs.Gauge    // per-worker busy gauges (nil = uninstrumented)
+	share []time.Duration // each's per-worker busy time (nil = uninstrumented)
+	least least           // confirmLeast's scratch, reused across batches
 	// confirmed, when set, receives each chunk confirmLeast confirms.
 	confirmed func(pts [][2]int)
 }
@@ -519,10 +524,11 @@ const (
 // walked candidates not yet confirmed, keyed by (bound, index), the
 // confirmed ones, and a walk's points and values.
 type least struct {
-	order, heap, done []int
+	heap, done, chunk []int
 	bound             []float64
 	pts               [][2]int
 	vals              []float64
+	pend              preHeap
 }
 
 func (ls *least) Len() int { return len(ls.heap) }
@@ -537,6 +543,26 @@ func (ls *least) Pop() any {
 	ls.heap = ls.heap[:len(ls.heap)-1]
 	return i
 }
+
+// preHeap is a min-heap of the candidates not yet walked, keyed by
+// (pre-bound, index): popping it hands them out in the order sorting
+// them all would, as far as the walk reads.
+type preHeap struct {
+	idx []int
+	pre []float64
+}
+
+func (h *preHeap) Len() int { return len(h.idx) }
+func (h *preHeap) Less(a, b int) bool {
+	i, j := h.idx[a], h.idx[b]
+	return cmp.Or(cmp.Compare(h.pre[i], h.pre[j]), i-j) < 0
+}
+func (h *preHeap) Swap(a, b int) { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
+func (h *preHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
+
+// Pop drops the last slot without returning it (boxing an index would
+// allocate): the caller reads the top, idx[0], before heap.Pop.
+func (h *preHeap) Pop() any { h.idx = h.idx[:len(h.idx)-1]; return nil }
 
 // confirmLeast confirms the candidates cand from the least walked bound
 // up (ties in scan order), confirmChunk at a time: a chunk takes the next
@@ -565,14 +591,14 @@ func (ls *least) Pop() any {
 // candidate picks.
 func (sw *sweep2) confirmLeast(cand [][2]int, pre []float64) error {
 	ls := &sw.least
-	ls.order, ls.heap, ls.done = ls.order[:0], ls.heap[:0], ls.done[:0]
+	ls.heap, ls.done = ls.heap[:0], ls.done[:0]
+	ls.pend = preHeap{idx: ls.pend.idx[:0], pre: pre} // the candidates not walked
 	for i := range cand {
-		ls.order = append(ls.order, i)
+		ls.pend.idx = append(ls.pend.idx, i)
 	}
-	slices.SortFunc(ls.order, func(a, b int) int { return cmp.Or(cmp.Compare(pre[a], pre[b]), a-b) })
+	heap.Init(&ls.pend)
 	ls.bound = slices.Grow(ls.bound[:0], len(cand))[:len(cand)]
-	order, bound := ls.order, ls.bound
-	next, ref := 0, sw.best.Value // order[next:] are not walked
+	bound, ref := ls.bound, sw.best.Value
 	var pts [confirmChunk][2]int
 	var idx [confirmChunk]int
 	var vals [confirmChunk]float64
@@ -580,19 +606,22 @@ func (sw *sweep2) confirmLeast(cand [][2]int, pre []float64) error {
 		thr := ref + direct.ScreenEps*math.Abs(ref)
 		n := 0
 		for ; n < confirmChunk; n++ {
-			for next < len(order) {
-				j := order[next]
+			for ls.pend.Len() > 0 {
+				j := ls.pend.idx[0]
 				if ls.Len() > 0 && cmp.Or(cmp.Compare(pre[j], bound[ls.heap[0]]), j-ls.heap[0]) > 0 {
 					break // the top is the least left
 				}
 				if pre[j] > thr && (ls.Len() == 0 || bound[ls.heap[0]] > thr) {
 					break // nothing left is confirmed
 				}
-				hi := min(next+walkChunk, len(order))
-				if err := sw.walk(cand, order[next:hi]); err != nil {
+				ls.chunk = ls.chunk[:0]
+				for len(ls.chunk) < walkChunk && ls.pend.Len() > 0 {
+					ls.chunk = append(ls.chunk, ls.pend.idx[0])
+					heap.Pop(&ls.pend)
+				}
+				if err := sw.walk(cand, ls.chunk); err != nil {
 					return err
 				}
-				next = hi
 			}
 			if ls.Len() == 0 || bound[ls.heap[0]] > thr {
 				break
@@ -650,29 +679,20 @@ func (sw *sweep2) walk(cand [][2]int, idx []int) error {
 }
 
 // each evaluates f at every point of pts into vals, sharded over the
-// sweep's workers.
+// sweep's workers. Instrumented, it adds each worker's busy time, its
+// whole share timed once, to the worker's gauge: a pool whose gauges
+// diverge is starved by stragglers, the same signal sim exports.
 func (sw *sweep2) each(pts [][2]int, vals []float64, f evalFunc) error {
-	return par.ForEach(sw.workers, len(pts), func(w, i int) error {
-		var t0 time.Time
-		if sw.busy != nil {
-			t0 = time.Now()
-		}
+	clear(sw.share)
+	err := par.ForEachTimed(sw.workers, len(pts), func(_, i int) error {
 		v, err := f(pts[i][0], pts[i][1])
-		if err != nil {
-			return err
-		}
 		vals[i] = v
-		if sw.busy != nil {
-			// Per-worker busy time: a pool whose gauges diverge is
-			// starved by stragglers, the same signal sim exports. Only
-			// worker w touches slot w, resolved on its first point.
-			if sw.busy[w] == nil {
-				sw.busy[w] = obs.Default().Gauge(obs.Name("dtr_policy_worker_busy_seconds", "worker", w))
-			}
-			sw.busy[w].Add(time.Since(t0).Seconds())
-		}
-		return nil
-	})
+		return err
+	}, sw.share)
+	for w, d := range sw.share {
+		sw.busy[w].Add(d.Seconds())
+	}
+	return err
 }
 
 // reduce folds the exact values vals of pts into the incumbent in order,
