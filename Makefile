@@ -40,10 +40,11 @@ smoke:
 
 # Non-test Go lines, the two figures ROADMAP aim 2 tracks (everything, and
 # everything outside the benchmark's own code), printed into every CI log,
-# and the Go assembly lines beside them, in all and per package (not gated).
-# The second is gated: it fails above LOC_CEILING, the figure of the last
-# PR that moved it on purpose. Raise the ceiling in the PR that needs the
-# lines, and say what they bought. It was lowered from 22 727 by deleting
+# and the Go assembly lines beside them, in all and per package.
+# The second Go figure and the assembly total are gated: they fail above
+# LOC_CEILING and ASM_CEILING, the figures of the last PR that moved each
+# on purpose. Raise a ceiling in the PR that needs the lines, and say
+# what they bought. It was lowered from 22 727 by deleting
 # the dtrserved load generator, its package and its report checker.
 # +146: the resumable simplex and the pruned shifted-gamma shift scan.
 # +166: the solver tier's weak-pointer adoption of a first build and the
@@ -107,16 +108,25 @@ smoke:
 # internal/fft, plus the FMA check), par's ForEachTimed (each worker's
 # share timed once), and confirmLeast's heap over the pre-bounds in
 # place of a sort.
-LOC_CEILING = 23685
+# −58: the AVX-512 set's first and block-of-8 passes (their declarations
+# and the Go tails of their two-group steps), confirmLeast's two heap
+# types made one, Algorithm 1's four atomics and per-row locals read from
+# its row records, dtrlab's experiment switch made a table in
+# internal/exper, and gridfn's unread Meter.SumResidual.
+LOC_CEILING = 23627
+# The assembly ceiling starts at 724, after the AVX-512 first and
+# block-of-8 passes (106 lines) went: AVX2's run in their place.
+ASM_CEILING = 724
 loc:
 	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@n=$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l); \
 	echo "  outside bench/: $$n (ceiling $(LOC_CEILING))"; \
-	git ls-files '*.s' | xargs cat | wc -l | xargs echo "non-test Go assembly lines (not gated):"; \
+	a=$$(git ls-files '*.s' | xargs cat | wc -l); \
+	echo "non-test Go assembly lines: $$a (ceiling $(ASM_CEILING))"; \
 	for d in $$(git ls-files '*.s' | xargs -n1 dirname | sort -u); do \
 		git ls-files "$$d/*.s" | xargs cat | wc -l | xargs echo "  $$d:"; \
 	done; \
-	[ $$n -le $(LOC_CEILING) ]
+	[ $$n -le $(LOC_CEILING) ] && [ $$a -le $(ASM_CEILING) ]
 
 # results/NAME.txt is the stdout of `dtrlab ARGS`, one "NAME ARGS" line
 # per file; EXPERIMENTS.md's headings cite the same commands. About 80 s.

@@ -48,7 +48,11 @@ func lab() error {
 	obsCfg := obs.BindFlags(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dtrlab [-fidelity quick|full] [-csv] [-workers N] [-metrics-addr :9090] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: fig1 fig2 table1 fig3 table2 fig4ab fig4c ablations staleness extensions all\n")
+		fmt.Fprint(os.Stderr, "experiments:")
+		for _, e := range exper.Experiments {
+			fmt.Fprint(os.Stderr, " ", e.Name)
+		}
+		fmt.Fprintln(os.Stderr, " all")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -105,8 +109,7 @@ func lab() error {
 		}
 	}
 
-	var run func(name string) error
-	run = func(name string) error {
+	run := func(name string, tables func(exper.Fidelity) ([]*exper.Table, error)) error {
 		started := time.Now()
 		if name != "all" {
 			defer obs.StartSpan("experiment", "name", name, "fidelity", fid.Name)()
@@ -114,93 +117,28 @@ func lab() error {
 		defer func() {
 			fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(started).Round(time.Millisecond))
 		}()
-		switch name {
-		case "fig1", "fig2":
-			reliable := name == "fig1"
-			for _, d := range []exper.Delay{exper.LowDelay, exper.SevereDelay} {
-				t, err := exper.Fig12(d, reliable, fid)
-				if err != nil {
-					return err
-				}
-				e, err := exper.MarkovianError(d, reliable, fid)
-				if err != nil {
-					return err
-				}
-				emit(t, e)
+		tabs, err := tables(fid)
+		emit(tabs...)
+		return err
+	}
+	all := func(exper.Fidelity) ([]*exper.Table, error) {
+		for _, e := range exper.Experiments {
+			if err := run(e.Name, e.Run); err != nil {
+				return nil, err
 			}
-		case "table1":
-			for _, d := range []exper.Delay{exper.LowDelay, exper.SevereDelay} {
-				t, err := exper.Table1(d, fid)
-				if err != nil {
-					return err
-				}
-				emit(t)
-			}
-		case "fig3":
-			tabs, err := exper.Fig3(fid)
-			if err != nil {
-				return err
-			}
-			emit(tabs...)
-		case "table2":
-			for _, reliable := range []bool{true, false} {
-				t, err := exper.Table2(reliable, fid)
-				if err != nil {
-					return err
-				}
-				emit(t)
-			}
-		case "fig4ab":
-			tabs, err := exper.Fig4AB(fid)
-			if err != nil {
-				return err
-			}
-			emit(tabs...)
-		case "fig4c":
-			t, err := exper.Fig4C(fid)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "ablations":
-			t1, err := exper.AblationGridStep(fid)
-			if err != nil {
-				return err
-			}
-			t2, err := exper.AblationK(fid)
-			if err != nil {
-				return err
-			}
-			t3, err := exper.AblationDelaySweep(fid)
-			if err != nil {
-				return err
-			}
-			emit(t1, t2, t3)
-		case "staleness":
-			t, err := exper.Staleness(fid)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "extensions":
-			t, err := exper.Extensions(fid)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "all":
-			for _, sub := range []string{"fig1", "fig2", "table1", "fig3", "table2", "fig4ab", "fig4c", "ablations", "staleness", "extensions"} {
-				if err := run(sub); err != nil {
-					return err
-				}
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
 		}
-		return nil
+		return nil, nil
 	}
 
-	err := run(experiment)
+	err := fmt.Errorf("unknown experiment %q", experiment)
+	if experiment == "all" {
+		err = run("all", all)
+	}
+	for _, e := range exper.Experiments {
+		if e.Name == experiment {
+			err = run(e.Name, e.Run)
+		}
+	}
 	if oerr := obsCfg.Stop(); oerr != nil && err == nil {
 		err = oerr
 	}

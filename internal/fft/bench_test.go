@@ -85,7 +85,8 @@ func BenchmarkConvolveSpectrum4k(b *testing.B) {
 
 // BenchmarkPasses2k times each kernel member on the 2048-point transform
 // of a lab_sweep fold: the block-of-8 pass, each twiddled pass and the
-// split walk. The passes run in place on zeros, which stay zeros: a
+// split walk, and the unit-twiddle first pass a transform of even log2 n
+// opens with, on the same 2048 points. The passes run in place on zeros, which stay zeros: a
 // pass's cost does not depend on its values when none is subnormal.
 func BenchmarkPasses2k(b *testing.B) {
 	const m = 1 << 11
@@ -96,6 +97,11 @@ func BenchmarkPasses2k(b *testing.B) {
 		z[i], g[i] = complex(r.Float64(), r.Float64()), complex(r.Float64(), r.Float64())
 	}
 	eachKernelB(b, func(b *testing.B) {
+		b.Run("first", func(b *testing.B) {
+			for b.Loop() {
+				kernel.first(a)
+			}
+		})
 		b.Run("blocks8", func(b *testing.B) {
 			for b.Loop() {
 				kernel.blocks8(a, (*[2][3]complex128)(p.rows[0]))

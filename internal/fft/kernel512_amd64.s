@@ -49,112 +49,6 @@ GLOBL half512<>(SB), RODATA|NOPTR, $8
 	VSUBPD    Z2, Z0, Z6; \
 	VSUBPD    Z3, Z1, Z7
 
-// func firstAVX512(a []complex128)
-// The unit-twiddle radix-4 pass, groups A and B of 4 per iteration.
-TEXT ·firstAVX512(SB), NOSPLIT, $0-24
-	MOVQ           a_base+0(FP), DI
-	MOVQ           a_len+8(FP), CX
-	SHRQ           $3, CX
-	JZ             firstDone
-	MOVL           $0xa0, AX
-	KMOVW          AX, K1
-	VBROADCASTSD.Z negZero<>(SB), K1, Z15 // the imaginary parts of lanes 2, 3
-
-firstLoop:
-	VMOVUPD    (DI), Z0            // a0..a3 of A
-	VMOVUPD    64(DI), Z1          // a0..a3 of B
-	VSHUFF64X2 $0x88, Z1, Z0, Z2   // a0, a2 of A, B
-	VSHUFF64X2 $0xdd, Z1, Z0, Z3   // a1, a3 of A, B
-	VADDPD     Z3, Z2, Z4          // s, u of A, B
-	VSUBPD     Z3, Z2, Z5          // d, v of A, B
-	VSHUFF64X2 $0x88, Z5, Z4, Z6   // s of A, B, d of A, B
-	VSHUFF64X2 $0xdd, Z5, Z4, Z7   // u of A, B, v of A, B
-	VPERMILPD  $0x5a, Z7, Z7       // u, swapped v
-	VXORPD     Z15, Z7, Z7         // u, −i·v
-	VADDPD     Z7, Z6, Z0          // a0, a1 of A, B
-	VSUBPD     Z7, Z6, Z1          // a2, a3 of A, B
-	VSHUFF64X2 $0x88, Z1, Z0, Z2   // A
-	VSHUFF64X2 $0xdd, Z1, Z0, Z3   // B
-	VMOVUPD    Z2, (DI)
-	VMOVUPD    Z3, 64(DI)
-	ADDQ       $128, DI
-	DECQ       CX
-	JNZ        firstLoop
-	VZEROUPPER
-
-firstDone:
-	RET
-
-// func blocks8AVX512(a []complex128, w *[2][3]complex128)
-// The radix-2 stage and the pass of half-span 2, blocks A and B of 8 per
-// iteration: the lanes are j = 0, 1 of A and j = 0, 1 of B.
-TEXT ·blocks8AVX512(SB), NOSPLIT, $0-32
-	MOVQ           a_base+0(FP), DI
-	MOVQ           a_len+8(FP), CX
-	MOVQ           w+24(FP), SI
-	SHRQ           $4, CX
-	JZ             blocksDone
-	SIGNS
-	MOVL           $0xcc, AX
-	KMOVW          AX, K3
-	VBROADCASTSD.Z negZero<>(SB), K3, Z14 // lanes 1 and 3, both parts
-	VMOVUPD        (SI), X0
-	VINSERTF128    $1, 48(SI), Y0, Y0
-	VINSERTF64X4   $1, Y0, Z0, Z0         // w² of j = 0, 1, 0, 1
-	VMOVDDUP       Z0, Z16
-	VPERMILPD      $0xff, Z0, Z17
-	VMOVUPD        16(SI), X0
-	VINSERTF128    $1, 64(SI), Y0, Y0
-	VINSERTF64X4   $1, Y0, Z0, Z0         // w
-	VMOVDDUP       Z0, Z18
-	VPERMILPD      $0xff, Z0, Z19
-	VMOVUPD        32(SI), X0
-	VINSERTF128    $1, 80(SI), Y0, Y0
-	VINSERTF64X4   $1, Y0, Z0, Z0         // w³
-	VMOVDDUP       Z0, Z20
-	VPERMILPD      $0xff, Z0, Z21
-
-blocksLoop:
-	VMOVUPD    (DI), Z0            // b0..b3 of A
-	VMOVUPD    64(DI), Z1          // b4..b7 of A
-	VMOVUPD    128(DI), Z2         // b0..b3 of B
-	VMOVUPD    192(DI), Z3         // b4..b7 of B
-	VSHUFF64X2 $0x00, Z2, Z0, Z4   // b0, b0 of A, B
-	VSHUFF64X2 $0x55, Z2, Z0, Z8
-	VXORPD     Z14, Z8, Z8         // b1, −b1 of A, B
-	VADDPD     Z8, Z4, Z4          // q0 = c0, c1 of A, B
-	VSHUFF64X2 $0xaa, Z2, Z0, Z5
-	VSHUFF64X2 $0xff, Z2, Z0, Z8
-	VXORPD     Z14, Z8, Z8
-	VADDPD     Z8, Z5, Z5          // q1 = c2, c3
-	VSHUFF64X2 $0x00, Z3, Z1, Z6
-	VSHUFF64X2 $0x55, Z3, Z1, Z8
-	VXORPD     Z14, Z8, Z8
-	VADDPD     Z8, Z6, Z6          // q2 = c4, c5
-	VSHUFF64X2 $0xaa, Z3, Z1, Z7
-	VSHUFF64X2 $0xff, Z3, Z1, Z8
-	VXORPD     Z14, Z8, Z8
-	VADDPD     Z8, Z7, Z7          // q3 = c6, c7
-	CMUL(Z16, Z17, Z5, Z5, Z8)
-	CMUL(Z18, Z19, Z6, Z6, Z8)
-	CMUL(Z20, Z21, Z7, Z7, Z8)
-	RADIX4
-	VSHUFF64X2 $0x44, Z5, Z4, Z0   // b0..b3 of A
-	VSHUFF64X2 $0xee, Z5, Z4, Z1   // b0..b3 of B
-	VSHUFF64X2 $0x44, Z7, Z6, Z2   // b4..b7 of A
-	VSHUFF64X2 $0xee, Z7, Z6, Z3   // b4..b7 of B
-	VMOVUPD    Z0, (DI)
-	VMOVUPD    Z2, 64(DI)
-	VMOVUPD    Z1, 128(DI)
-	VMOVUPD    Z3, 192(DI)
-	ADDQ       $256, DI
-	DECQ       CX
-	JNZ        blocksLoop
-	VZEROUPPER
-
-blocksDone:
-	RET
-
 // func twiddledAVX512(a []complex128, quads []twQuad)
 // One radix-4 pass of half-span h = 4·len(quads): every block of 4h,
 // four j per iteration, the twiddles read as multiplication operands.

@@ -35,15 +35,6 @@ func splitAVX2(out, z, g, tw []complex128, rev []int32, sc float64) {
 	splitFrom(out, z, g, tw, rev, sc, 1+2*pairs)
 }
 
-// firstAVX512 and blocks8AVX512 run two groups of their pass per
-// iteration, so they cover the first 8 or 16 entries of every 8 or 16.
-//
-//go:noescape
-func firstAVX512(a []complex128)
-
-//go:noescape
-func blocks8AVX512(a []complex128, w *[2][3]complex128)
-
 //go:noescape
 func twiddledAVX512(a []complex128, quads []twQuad)
 
@@ -53,19 +44,13 @@ func twiddledAVX512(a []complex128, quads []twQuad)
 //go:noescape
 func splitQuadsAVX512(out, z, g, tw []complex128, rev []int32, sc float64, quads int)
 
-// avx512Set is the AVX-512 kernel set; the Go passes take the blocks the
-// assembly's two-group step leaves (a transform of 4 or 8 points).
+// avx512Set is the AVX-512 kernel set. Its first and block-of-8 passes
+// are the AVX2 ones: four lanes bought too little there to keep a second
+// copy (DESIGN.md §13, "Each member earns its place"), and every host
+// that passes the AVX-512 check passes the AVX2 one.
 var avx512Set = kernelSet{
-	first: func(a []complex128) {
-		n := len(a) &^ 7
-		firstAVX512(a[:n])
-		firstGo(a[n:])
-	},
-	blocks8: func(a []complex128, w *[2][3]complex128) {
-		n := len(a) &^ 15
-		blocks8AVX512(a[:n], w)
-		blocks8Go(a[n:], w)
-	},
+	first:    firstAVX2,
+	blocks8:  blocks8AVX2,
 	twiddled: func(a []complex128, _ [][3]complex128, quads []twQuad) { twiddledAVX512(a, quads) },
 	split: func(out, z, g, tw []complex128, rev []int32, sc float64) {
 		quads := (len(z)/2 - 1) / 4

@@ -175,9 +175,6 @@ type Meter struct {
 	Folds int
 	// MaxResidual is the worst |Σ full − massX·massY| over the folds.
 	MaxResidual float64
-	// SumResidual is the running total of the residuals (SumResidual /
-	// Folds is the average per-fold mass leak).
-	SumResidual float64
 	// MaxNegMass is the worst total negative mass (Σ|min(v, 0)|) any
 	// single fold produced before clamping.
 	MaxNegMass float64
@@ -189,7 +186,6 @@ func (m *Meter) Observe(residual, negMass float64) {
 		return
 	}
 	m.Folds++
-	m.SumResidual += residual
 	if residual > m.MaxResidual {
 		m.MaxResidual = residual
 	}

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"dtr/dist"
 	"dtr/internal/core"
@@ -123,21 +122,10 @@ func Algorithm1(m *core.Model, queues []int, opt Alg1Options) (core.Policy, erro
 	defer obs.StartSpan("solve", "algo", "algorithm1", "servers", n, "objective", opt.Objective.String())()
 	algSpan := opt.Span.Child("algorithm1", "servers", n, "objective", opt.Objective.String())
 	defer algSpan.End()
-	var iters, pairSolves, converged, capped atomic.Uint64
-	defer func() {
-		alg1Runs.Inc()
-		alg1Iters.Add(iters.Load())
-		alg1PairSolves.Add(pairSolves.Load())
-		alg1Converged.Add(converged.Load())
-		alg1Capped.Add(capped.Load())
-	}()
-
-	// rows[i] is written only by row i's refinement, so the concurrent
-	// sweep needs no extra locking for the diagnostics either.
-	var rows []Alg1RowDiag
-	if opt.Diag != nil {
-		rows = make([]Alg1RowDiag, n)
-	}
+	// rows[i] is row i's record, written only by row i's refinement, so
+	// the concurrent sweep needs no locking; the counters, the row spans
+	// and opt.Diag all read it.
+	rows := make([]Alg1RowDiag, n)
 
 	initial, err := InitialPolicy(queues, lambda)
 	if err != nil {
@@ -167,25 +155,13 @@ func Algorithm1(m *core.Model, queues []int, opt Alg1Options) (core.Policy, erro
 		if len(candidates) == 0 {
 			return nil
 		}
+		row := &rows[i]
+		*row = Alg1RowDiag{Server: i, Candidates: len(candidates)}
 		rowSpan := algSpan.Child("alg1_row", "server", i, "candidates", len(candidates))
-		rowIters := 0
-		rowConverged := false
-		rowTrimmed := 0
-		var sweeps []Alg1SweepDiag
 		defer func() {
-			rowSpan.SetAttr("iterations", rowIters)
-			rowSpan.SetAttr("converged", rowConverged)
+			rowSpan.SetAttr("iterations", row.Iterations)
+			rowSpan.SetAttr("converged", row.Converged)
 			rowSpan.End()
-			if rows != nil {
-				rows[i] = Alg1RowDiag{
-					Server:     i,
-					Candidates: len(candidates),
-					Iterations: rowIters,
-					Converged:  rowConverged,
-					Trimmed:    rowTrimmed,
-					Sweeps:     sweeps,
-				}
-			}
 		}()
 		solvers := make(map[int]*direct.Solver)
 		pairSolver := func(j int) (*direct.Solver, error) {
@@ -210,8 +186,7 @@ func Algorithm1(m *core.Model, queues []int, opt Alg1Options) (core.Policy, erro
 		}
 		prev := append([]int(nil), l[i]...)
 		for k := 1; k <= opt.K; k++ {
-			iters.Add(1)
-			rowIters++
+			row.Iterations++
 			sweepObj := 0.0
 			for _, j := range candidates {
 				// Tasks still planned for other recipients are assumed
@@ -237,7 +212,6 @@ func Algorithm1(m *core.Model, queues []int, opt Alg1Options) (core.Policy, erro
 				if err != nil {
 					return err
 				}
-				pairSolves.Add(1)
 				sweepObj += res.Value
 				l[i][j] = res.L12
 			}
@@ -251,18 +225,12 @@ func Algorithm1(m *core.Model, queues []int, opt Alg1Options) (core.Policy, erro
 					maxDelta = d
 				}
 			}
-			if rows != nil {
-				sweeps = append(sweeps, Alg1SweepDiag{MaxDelta: maxDelta, Objective: sweepObj})
-			}
+			row.Sweeps = append(row.Sweeps, Alg1SweepDiag{MaxDelta: maxDelta, Objective: sweepObj})
 			if maxDelta == 0 {
-				rowConverged = true
-				converged.Add(1)
+				row.Converged = true
 				break
 			}
 			copy(prev, l[i])
-		}
-		if !rowConverged {
-			capped.Add(1)
 		}
 		// Feasibility: never ship more than the queue holds (possible if
 		// pairwise optima overlap); trim proportionally from the largest.
@@ -279,29 +247,39 @@ func Algorithm1(m *core.Model, queues []int, opt Alg1Options) (core.Policy, erro
 			}
 			l[i][maxJ]--
 			total--
-			rowTrimmed++
+			row.Trimmed++
 		}
 		return nil
 	}
-	if err := par.ForEach(par.Workers(opt.Workers), n, func(_, i int) error {
+	err = par.ForEach(par.Workers(opt.Workers), n, func(_, i int) error {
 		return refineRow(i)
-	}); err != nil {
+	})
+
+	// Every sweep solves each of its row's candidate pairs once.
+	d := Alg1Diagnostics{Servers: n, K: opt.K}
+	iters := 0
+	for _, r := range rows {
+		if r.Candidates == 0 {
+			continue
+		}
+		d.Rows = append(d.Rows, r)
+		iters += r.Iterations
+		d.PairSolves += uint64(r.Iterations * r.Candidates)
+		if r.Converged {
+			d.Converged++
+		} else {
+			d.Capped++
+		}
+	}
+	alg1Runs.Inc()
+	alg1Iters.Add(uint64(iters))
+	alg1PairSolves.Add(d.PairSolves)
+	alg1Converged.Add(uint64(d.Converged))
+	alg1Capped.Add(uint64(d.Capped))
+	if err != nil {
 		return nil, err
 	}
-
 	if opt.Diag != nil {
-		d := Alg1Diagnostics{
-			Servers:    n,
-			K:          opt.K,
-			Converged:  int(converged.Load()),
-			Capped:     int(capped.Load()),
-			PairSolves: pairSolves.Load(),
-		}
-		for _, r := range rows {
-			if r.Candidates > 0 {
-				d.Rows = append(d.Rows, r)
-			}
-		}
 		*opt.Diag = d
 	}
 

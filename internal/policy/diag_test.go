@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dtr/dist"
+	"dtr/internal/obs"
 )
 
 // TestSweepDiagnostics: Optimize2's result carries the sweep
@@ -100,5 +101,39 @@ func TestAlg1Diagnostics(t *testing.T) {
 		if !r.Converged && r.Iterations != 3 {
 			t.Fatalf("capped row stopped before K: %+v", r)
 		}
+	}
+}
+
+// TestAlg1CountersMatchDiag: one run's dtr_policy_alg1_* counter deltas
+// are its diagnostics' totals, both read from the same row records.
+func TestAlg1CountersMatchDiag(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(nil)
+	var d Alg1Diagnostics
+	m := fiveServer(dist.FamilyPareto1, 1, true)
+	if _, err := Algorithm1(m, []int{80, 50, 30, 25, 15}, Alg1Options{
+		Objective: ObjMeanTime, K: 2, GridN: 1 << 10, Workers: 2, Diag: &d,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	iters := 0
+	for _, r := range d.Rows {
+		iters += r.Iterations
+	}
+	c := reg.Snapshot().Counters
+	for name, want := range map[string]uint64{
+		"dtr_policy_alg1_runs_total":        1,
+		"dtr_policy_alg1_iterations_total":  uint64(iters),
+		"dtr_policy_alg1_pair_solves_total": d.PairSolves,
+		"dtr_policy_alg1_converged_total":   uint64(d.Converged),
+		"dtr_policy_alg1_capped_total":      uint64(d.Capped),
+	} {
+		if c[name] != want {
+			t.Errorf("%s = %d, want the diagnostics' %d", name, c[name], want)
+		}
+	}
+	if iters == 0 || d.PairSolves == 0 {
+		t.Fatalf("the run recorded no work: %+v", d)
 	}
 }

@@ -519,50 +519,37 @@ const (
 	walkChunk    = 16
 )
 
-// least is confirmLeast's scratch, reused across batches: the candidates
-// in (pre-bound, index) order, their walked bounds by index, the heap of
-// walked candidates not yet confirmed, keyed by (bound, index), the
-// confirmed ones, and a walk's points and values.
+// least is confirmLeast's scratch, reused across batches: the heap of
+// walked candidates not yet confirmed, keyed by their bounds, the heap
+// of candidates not yet walked, keyed by their pre-bounds, the walked
+// bounds by index, the confirmed candidates, and a walk's points and
+// values.
 type least struct {
-	heap, done, chunk []int
-	bound             []float64
-	pts               [][2]int
-	vals              []float64
-	pend              preHeap
+	walked, pend idxHeap
+	done, chunk  []int
+	bound        []float64
+	pts          [][2]int
+	vals         []float64
 }
 
-func (ls *least) Len() int { return len(ls.heap) }
-func (ls *least) Less(a, b int) bool {
-	i, j := ls.heap[a], ls.heap[b]
-	return cmp.Or(cmp.Compare(ls.bound[i], ls.bound[j]), i-j) < 0
-}
-func (ls *least) Swap(a, b int) { ls.heap[a], ls.heap[b] = ls.heap[b], ls.heap[a] }
-func (ls *least) Push(x any)    { ls.heap = append(ls.heap, x.(int)) }
-func (ls *least) Pop() any {
-	i := ls.heap[len(ls.heap)-1]
-	ls.heap = ls.heap[:len(ls.heap)-1]
-	return i
-}
-
-// preHeap is a min-heap of the candidates not yet walked, keyed by
-// (pre-bound, index): popping it hands them out in the order sorting
-// them all would, as far as the walk reads.
-type preHeap struct {
+// idxHeap is a min-heap of candidate indices keyed by (key[i], i):
+// popping it hands them out in the order sorting them all would.
+type idxHeap struct {
 	idx []int
-	pre []float64
+	key []float64
 }
 
-func (h *preHeap) Len() int { return len(h.idx) }
-func (h *preHeap) Less(a, b int) bool {
+func (h *idxHeap) Len() int { return len(h.idx) }
+func (h *idxHeap) Less(a, b int) bool {
 	i, j := h.idx[a], h.idx[b]
-	return cmp.Or(cmp.Compare(h.pre[i], h.pre[j]), i-j) < 0
+	return cmp.Or(cmp.Compare(h.key[i], h.key[j]), i-j) < 0
 }
-func (h *preHeap) Swap(a, b int) { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
-func (h *preHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
+func (h *idxHeap) Swap(a, b int) { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
+func (h *idxHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
 
 // Pop drops the last slot without returning it (boxing an index would
 // allocate): the caller reads the top, idx[0], before heap.Pop.
-func (h *preHeap) Pop() any { h.idx = h.idx[:len(h.idx)-1]; return nil }
+func (h *idxHeap) Pop() any { h.idx = h.idx[:len(h.idx)-1]; return nil }
 
 // confirmLeast confirms the candidates cand from the least walked bound
 // up (ties in scan order), confirmChunk at a time: a chunk takes the next
@@ -591,14 +578,15 @@ func (h *preHeap) Pop() any { h.idx = h.idx[:len(h.idx)-1]; return nil }
 // candidate picks.
 func (sw *sweep2) confirmLeast(cand [][2]int, pre []float64) error {
 	ls := &sw.least
-	ls.heap, ls.done = ls.heap[:0], ls.done[:0]
-	ls.pend = preHeap{idx: ls.pend.idx[:0], pre: pre} // the candidates not walked
+	ls.bound = slices.Grow(ls.bound[:0], len(cand))[:len(cand)]
+	bound, ref := ls.bound, sw.best.Value
+	ls.walked, ls.done = idxHeap{idx: ls.walked.idx[:0], key: bound}, ls.done[:0]
+	ls.pend = idxHeap{idx: ls.pend.idx[:0], key: pre}
 	for i := range cand {
 		ls.pend.idx = append(ls.pend.idx, i)
 	}
 	heap.Init(&ls.pend)
-	ls.bound = slices.Grow(ls.bound[:0], len(cand))[:len(cand)]
-	bound, ref := ls.bound, sw.best.Value
+	walked := &ls.walked
 	var pts [confirmChunk][2]int
 	var idx [confirmChunk]int
 	var vals [confirmChunk]float64
@@ -608,10 +596,10 @@ func (sw *sweep2) confirmLeast(cand [][2]int, pre []float64) error {
 		for ; n < confirmChunk; n++ {
 			for ls.pend.Len() > 0 {
 				j := ls.pend.idx[0]
-				if ls.Len() > 0 && cmp.Or(cmp.Compare(pre[j], bound[ls.heap[0]]), j-ls.heap[0]) > 0 {
+				if walked.Len() > 0 && cmp.Or(cmp.Compare(pre[j], bound[walked.idx[0]]), j-walked.idx[0]) > 0 {
 					break // the top is the least left
 				}
-				if pre[j] > thr && (ls.Len() == 0 || bound[ls.heap[0]] > thr) {
+				if pre[j] > thr && (walked.Len() == 0 || bound[walked.idx[0]] > thr) {
 					break // nothing left is confirmed
 				}
 				ls.chunk = ls.chunk[:0]
@@ -623,10 +611,11 @@ func (sw *sweep2) confirmLeast(cand [][2]int, pre []float64) error {
 					return err
 				}
 			}
-			if ls.Len() == 0 || bound[ls.heap[0]] > thr {
+			if walked.Len() == 0 || bound[walked.idx[0]] > thr {
 				break
 			}
-			idx[n] = heap.Pop(ls).(int)
+			idx[n] = walked.idx[0]
+			heap.Pop(walked)
 			pts[n] = cand[idx[n]]
 		}
 		if n == 0 {
@@ -672,7 +661,7 @@ func (sw *sweep2) walk(cand [][2]int, idx []int) error {
 	}
 	for j, i := range idx {
 		ls.bound[i] = ls.vals[j]
-		heap.Push(ls, i)
+		heap.Push(&ls.walked, i)
 	}
 	sw.walks += len(idx)
 	return nil
